@@ -15,9 +15,40 @@
 
 use gemfi::Outcome;
 use gemfi_bench::Args;
-use gemfi_campaign::timing::timing_campaign;
-use gemfi_campaign::{prepare_workload, LocationClass, RunnerConfig};
+use gemfi_campaign::{
+    prepare_workload, run_experiment, FaultSampler, LocationClass, OutcomeTable, PreparedWorkload,
+    RunnerConfig,
+};
 use gemfi_cpu::CpuKind;
+use gemfi_workloads::Workload;
+
+/// Runs `per_band` experiments in each of `bands` equal fractions of the
+/// kernel's execution, sampling faults uniformly over the given location
+/// classes. Returns one [`OutcomeTable`] per band — the Fig. 6 series.
+fn timing_campaign(
+    prepared: &PreparedWorkload,
+    workload: &dyn Workload,
+    classes: &[LocationClass],
+    bands: usize,
+    per_band: usize,
+    seed: u64,
+    config: &RunnerConfig,
+) -> Vec<OutcomeTable> {
+    assert!(bands > 0 && !classes.is_empty());
+    let mut sampler = FaultSampler::new(seed, prepared.stage_events, 0, 0);
+    let mut tables = vec![OutcomeTable::new(); bands];
+    for (band, table) in tables.iter_mut().enumerate() {
+        let lo = band as f64 / bands as f64;
+        let hi = (band + 1) as f64 / bands as f64;
+        for i in 0..per_band {
+            let class = classes[i % classes.len()];
+            let spec = sampler.sample_in_band(class, lo, hi);
+            let result = run_experiment(prepared, workload, spec, config);
+            table.add(result.outcome);
+        }
+    }
+    tables
+}
 
 fn main() {
     let args = Args::from_env();
@@ -71,5 +102,26 @@ fn main() {
             );
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gemfi_workloads::pi::MonteCarloPi;
+
+    #[test]
+    fn bands_partition_experiments() {
+        let w = MonteCarloPi { points: 80, init_spins: 40, ..MonteCarloPi::default() };
+        let p = prepare_workload(&w).unwrap();
+        let cfg = RunnerConfig {
+            inject_cpu: CpuKind::Atomic,
+            finish_cpu: CpuKind::Atomic,
+            ..RunnerConfig::default()
+        };
+        let classes = [LocationClass::IntReg, LocationClass::FpReg];
+        let tables = timing_campaign(&p, &w, &classes, 3, 4, 9, &cfg);
+        assert_eq!(tables.len(), 3);
+        assert!(tables.iter().all(|t| t.total() == 4));
     }
 }

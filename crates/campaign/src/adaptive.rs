@@ -19,25 +19,23 @@
 //! of `(seed, cell, k)` — independent of how rounds interleave. Decisions
 //! are evaluated only at round boundaries over commutative counts, so the
 //! whole draw/stop trajectory is a pure function of the seed, the config,
-//! and the per-experiment outcomes. The journaling drivers write every
-//! draw of a round (`drawn` events) before executing any of it; a resumed
+//! and the per-experiment outcomes. The journaling round engine
+//! ([`crate::now::Campaign`]) writes every draw of a round (`drawn`
+//! events) before executing any of it; a resumed
 //! campaign re-derives the identical trajectory, verifies it against the
 //! journaled draws, folds the outcomes already recorded, executes only the
 //! remainder, and keeps drawing — reaching byte-identical per-cell
 //! decisions to an uninterrupted run.
 
 use crate::fork::{run_campaign_forked, ForkConfig};
-use crate::journal::{Journal, JournalEvent, JOURNAL_VERSION};
+use crate::journal::{spec_digest, JournalEvent, JOURNAL_VERSION};
 use crate::report::OutcomeTable;
 use crate::runner::{run_experiment, PreparedWorkload, RunnerConfig};
 use crate::sampler::{FaultSampler, LocationClass};
 use crate::stats::{CellDecision, CellStats, StopRule, Z_95};
 use gemfi::{CacheLevel, FaultSpec, Outcome};
 use gemfi_workloads::Workload;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{Error, ErrorKind};
-use std::path::Path;
 
 /// One sampling cell: a fault family whose outcome rates are estimated
 /// independently. The Fig. 5 location classes, the PR 7 memory-hierarchy
@@ -161,7 +159,7 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// The stopping rule this config describes.
-    pub fn rule(&self) -> StopRule {
+    pub(crate) fn rule(&self) -> StopRule {
         StopRule { z: self.z, halfwidth: self.ci_halfwidth, min_n: self.min_n }
     }
 
@@ -370,6 +368,19 @@ impl AdaptiveState {
             })
             .collect()
     }
+
+    /// What the campaign concluded, given the pooled `table` its driver
+    /// kept and how many outcomes it `resumed` from a journal.
+    pub(crate) fn outcome(&self, z: f64, table: OutcomeTable, resumed: u64) -> AdaptiveOutcome {
+        AdaptiveOutcome {
+            cells: self.reports(z),
+            table,
+            experiments: self.drawn_total,
+            rounds: self.rounds,
+            resumed,
+            z,
+        }
+    }
 }
 
 /// The terminal per-cell record of an adaptive campaign.
@@ -434,7 +445,9 @@ impl fmt::Display for AdaptiveOutcome {
 /// Runs a whole adaptive campaign in-process: each round's batch executes
 /// through the fork-at-injection executor when `fork` is given (the trunk
 /// sprints the shared fault-free prefix once per round), or serially
-/// otherwise, and the outcomes fold straight back into the engine.
+/// otherwise, and the outcomes fold straight back into the engine. There is
+/// no share here, so nothing is journaled, leased or resumable: the round
+/// protocol is driven directly instead of through [`crate::now::Campaign`].
 pub fn run_campaign_adaptive(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
@@ -468,114 +481,117 @@ pub fn run_campaign_adaptive(
         state.end_round();
     }
     state.finalize();
-    AdaptiveOutcome {
-        cells: state.reports(config.z),
-        table,
-        experiments: state.drawn_total(),
-        rounds: state.rounds(),
-        resumed: 0,
-        z: config.z,
-    }
+    state.outcome(config.z, table, 0)
 }
 
-/// A replayed adaptive journal: the draw sequence already committed and
-/// every terminal outcome already recorded.
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveReplay {
-    /// `(cell label, draw ordinal)` per experiment, in draw order.
-    pub drawn: Vec<(String, u64)>,
-    /// Terminal records by experiment index.
-    pub terminal: BTreeMap<u64, ReplayTerminal>,
-    /// Attempts burned on experiments without a terminal record.
-    pub attempts: BTreeMap<u64, u64>,
-}
-
-/// One replayed terminal record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayTerminal {
-    /// Finished with a classified outcome.
-    Done {
-        /// The journaled outcome.
-        outcome: Outcome,
-        /// Attempt that completed it.
-        attempt: u64,
-        /// Simulated ticks of the completing run.
-        ticks: u64,
+/// What a campaign spends its experiments on, one round at a time. A
+/// fixed-n campaign is the one-round case of the sequential engine: its
+/// whole spec list is round one and round two is empty.
+pub(crate) enum Plan {
+    /// A fixed experiment list.
+    Fixed {
+        /// The faults to inject, one experiment each.
+        specs: Vec<FaultSpec>,
+        /// Whether round one was handed out.
+        issued: bool,
     },
-    /// Retries exhausted ([`Outcome::Infrastructure`]).
-    Failed {
-        /// Attempts consumed.
-        attempts: u64,
+    /// Sequential sampling with per-cell early stopping.
+    Adaptive {
+        /// Stopping rule and cell layout.
+        config: AdaptiveConfig,
+        /// Campaign RNG seed.
+        seed: u64,
+        /// The live engine.
+        state: AdaptiveState,
     },
 }
 
-/// Replays an adaptive journal and validates it against this campaign's
-/// identity (seed, checkpoint, stopping rule, cell set).
-///
-/// # Errors
-///
-/// [`ErrorKind::InvalidData`] when the journal belongs to a different
-/// campaign, has no adaptive header, or records an inconsistent draw
-/// sequence; I/O errors from reading the journal.
-pub fn replay_adaptive(
-    share: &Path,
-    config: &AdaptiveConfig,
-    seed: u64,
-    checkpoint_digest: u64,
-) -> std::io::Result<AdaptiveReplay> {
-    let events = Journal::replay(&Journal::path_in(share))?;
-    let header = events
-        .iter()
-        .find(|e| {
-            matches!(e, JournalEvent::AdaptiveCampaign { .. } | JournalEvent::Campaign { .. })
-        })
-        .cloned()
-        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "journal has no campaign header"))?;
-    if matches!(header, JournalEvent::Campaign { .. }) {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            "journal belongs to a fixed-n campaign, not an adaptive one",
-        ));
+impl Plan {
+    /// A fixed-n plan over `specs`.
+    pub(crate) fn fixed(specs: Vec<FaultSpec>) -> Plan {
+        Plan::Fixed { specs, issued: false }
     }
-    if header != config.header(seed, checkpoint_digest) {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            "journal was recorded for a different adaptive campaign \
-             (seed, checkpoint, stopping rule, or cell set differs)",
-        ));
+
+    /// An adaptive plan over the measured fault space of a prepared
+    /// workload.
+    pub(crate) fn adaptive(config: AdaptiveConfig, seed: u64, stage_events: [u64; 5]) -> Plan {
+        let state = AdaptiveState::new(&config, seed, stage_events);
+        Plan::Adaptive { config, seed, state }
     }
-    let mut replay = AdaptiveReplay::default();
-    for event in events {
-        match event {
-            JournalEvent::Drawn { exp, cell, draw } => {
-                if exp != replay.drawn.len() as u64 {
-                    return Err(Error::new(
-                        ErrorKind::InvalidData,
-                        format!("draw record out of order: exp {exp} after {}", replay.drawn.len()),
-                    ));
-                }
-                replay.drawn.push((cell, draw));
-            }
-            JournalEvent::Done { exp, attempt, outcome, ticks, .. } => {
-                // First terminal record wins (zombie workers may double-
-                // report after a reap).
-                replay.terminal.entry(exp).or_insert(ReplayTerminal::Done {
-                    outcome,
-                    attempt,
-                    ticks,
-                });
-            }
-            JournalEvent::Failed { exp, attempts, .. } => {
-                replay.terminal.entry(exp).or_insert(ReplayTerminal::Failed { attempts });
-            }
-            JournalEvent::AttemptFailed { exp, attempt, .. } => {
-                let burned = replay.attempts.entry(exp).or_insert(0);
-                *burned = (*burned).max(attempt);
-            }
-            _ => {}
+
+    /// The journal header pinning this campaign's identity.
+    pub(crate) fn header(&self, checkpoint_digest: u64) -> JournalEvent {
+        match self {
+            Plan::Fixed { specs, .. } => JournalEvent::Campaign {
+                version: JOURNAL_VERSION,
+                experiments: specs.len() as u64,
+                checkpoint_digest,
+                spec_digest: spec_digest(specs),
+            },
+            Plan::Adaptive { config, seed, .. } => config.header(*seed, checkpoint_digest),
         }
     }
-    Ok(replay)
+
+    /// Draws the next round. An empty result means the campaign is over
+    /// (and finalizes the sequential engine).
+    pub(crate) fn next_round(&mut self) -> Vec<Draw> {
+        match self {
+            Plan::Fixed { specs, issued } => {
+                if std::mem::replace(issued, true) {
+                    return Vec::new();
+                }
+                let draw = |(i, &spec)| Draw { exp: i as u64, cell: 0, draw: i as u64, spec };
+                specs.iter().enumerate().map(draw).collect()
+            }
+            Plan::Adaptive { state, .. } => {
+                let draws = state.next_round();
+                if draws.is_empty() {
+                    state.finalize();
+                }
+                draws
+            }
+        }
+    }
+
+    /// The `(cell label, ordinal)` a sampled draw is journaled under; a
+    /// fixed plan's experiments are pinned by the header's spec digest
+    /// instead and journal no draws.
+    pub(crate) fn draw_label(&self, draw: &Draw) -> Option<(String, u64)> {
+        match self {
+            Plan::Fixed { .. } => None,
+            Plan::Adaptive { config, .. } => Some((config.cells[draw.cell].to_string(), draw.draw)),
+        }
+    }
+
+    /// Folds one terminal outcome of the open round.
+    pub(crate) fn record(&mut self, cell: usize, outcome: Outcome) {
+        if let Plan::Adaptive { state, .. } = self {
+            state.record(cell, outcome);
+        }
+    }
+
+    /// Closes the open round (re-evaluates the stopping rule).
+    pub(crate) fn end_round(&mut self) {
+        if let Plan::Adaptive { state, .. } = self {
+            state.end_round();
+        }
+    }
+
+    /// Experiments handed out so far.
+    pub(crate) fn drawn_total(&self) -> u64 {
+        match self {
+            Plan::Fixed { specs, issued } => u64::from(*issued) * specs.len() as u64,
+            Plan::Adaptive { state, .. } => state.drawn_total(),
+        }
+    }
+
+    /// The sequential engine, when this is an adaptive plan.
+    pub(crate) fn sequential(&self) -> Option<(&AdaptiveConfig, &AdaptiveState)> {
+        match self {
+            Plan::Fixed { .. } => None,
+            Plan::Adaptive { config, state, .. } => Some((config, state)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 use crate::wire::{json_escape, parse_flat_object};
 use gemfi::Outcome;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Error, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the journal on the share.
@@ -99,17 +99,6 @@ pub enum JournalEvent {
         attempt: u64,
         /// Lease expiry, milliseconds since the Unix epoch.
         deadline_ms: u64,
-    },
-    /// Fork-at-injection trunk progress: the experiment's divergent suffix
-    /// was forked off the shared fault-free trunk at `tick` instead of
-    /// replaying the whole prefix. Audit/perf-accounting only — replay
-    /// validates the index and changes no state, and whole-run fallbacks
-    /// simply never write one.
-    Forked {
-        /// Experiment index.
-        exp: u64,
-        /// Trunk tick at which the suffix forked.
-        tick: u64,
     },
     /// The experiment finished and its outcome is final.
     Done {
@@ -199,9 +188,6 @@ impl JournalEvent {
                  \"deadline_ms\":{deadline_ms}}}",
                 json_escape(worker)
             ),
-            JournalEvent::Forked { exp, tick } => {
-                format!("{{\"event\":\"forked\",\"exp\":{exp},\"tick\":{tick}}}")
-            }
             JournalEvent::Done { exp, attempt, outcome, exit, ticks } => format!(
                 "{{\"event\":\"done\",\"exp\":{exp},\"attempt\":{attempt},\"outcome\":\"{}\",\
                  \"exit\":\"{}\",\"ticks\":{ticks}}}",
@@ -259,10 +245,6 @@ impl JournalEvent {
                 worker: fields.str_field("worker")?,
                 attempt: fields.num_field("attempt")?,
                 deadline_ms: fields.num_field("deadline_ms")?,
-            }),
-            "forked" => Ok(JournalEvent::Forked {
-                exp: fields.num_field("exp")?,
-                tick: fields.num_field("tick")?,
             }),
             "done" => Ok(JournalEvent::Done {
                 exp: fields.num_field("exp")?,
@@ -383,7 +365,7 @@ impl Journal {
 
 /// Replayed per-experiment terminal state.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExpState {
+pub(crate) enum ExpState {
     /// Never claimed, or claimed but not finished (the orphaned-lease case
     /// carries the attempts already burned).
     Unfinished {
@@ -407,31 +389,49 @@ pub enum ExpState {
     },
 }
 
-/// The reconstruction of a campaign from its journal.
-#[derive(Debug, Clone)]
-pub struct CampaignState {
+impl ExpState {
+    /// The terminal `(outcome, attempts, ticks)` record of a finished
+    /// experiment; terminal harness failures tabulate as
+    /// [`Outcome::Infrastructure`] with no ticks.
+    pub(crate) fn terminal(&self) -> Option<(Outcome, u64, u64)> {
+        match *self {
+            ExpState::Unfinished { .. } => None,
+            ExpState::Done { outcome, attempt, ticks } => Some((outcome, attempt, ticks)),
+            ExpState::Failed { attempts } => Some((Outcome::Infrastructure, attempts, 0)),
+        }
+    }
+}
+
+/// The reconstruction of a campaign — fixed-n or adaptive — from its
+/// journal.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CampaignState {
     /// The campaign header, if the journal got far enough to record one.
-    pub header: Option<JournalEvent>,
+    pub(crate) header: Option<JournalEvent>,
     /// Per-experiment state, indexed by experiment number.
-    pub experiments: Vec<ExpState>,
+    pub(crate) experiments: Vec<ExpState>,
+    /// `(cell label, draw ordinal)` per journaled adaptive draw, in draw
+    /// (= experiment) order. Empty for fixed-n campaigns.
+    pub(crate) drawn: Vec<(String, u64)>,
 }
 
 impl CampaignState {
     /// Folds an event sequence into per-experiment terminal state.
-    /// `experiments` is the campaign size (journaled events beyond it are
-    /// rejected).
+    /// `experiments` is the size of a fixed-n campaign; [`None`] is an
+    /// adaptive campaign, whose experiments exist once drawn. Events
+    /// naming an experiment beyond either are rejected.
     ///
     /// # Errors
     ///
-    /// A message when the journal references out-of-range experiments or
-    /// double-finishes one.
-    pub fn from_events(
+    /// A message when the journal references out-of-range experiments,
+    /// records draws out of order, or leases a finished experiment.
+    pub(crate) fn from_events(
         events: &[JournalEvent],
-        experiments: usize,
+        experiments: Option<usize>,
     ) -> Result<CampaignState, String> {
         let mut state = CampaignState {
-            header: None,
-            experiments: vec![ExpState::Unfinished { attempts: 0 }; experiments],
+            experiments: vec![ExpState::Unfinished { attempts: 0 }; experiments.unwrap_or(0)],
+            ..CampaignState::default()
         };
         for event in events {
             match event {
@@ -440,10 +440,17 @@ impl CampaignState {
                         state.header = Some(event.clone());
                     }
                 }
-                JournalEvent::Drawn { .. } => {
-                    // Adaptive draw records are folded by the sequential
-                    // engine's own replay (`adaptive::replay_adaptive`);
-                    // they carry no lifecycle transition.
+                JournalEvent::Drawn { exp, cell, draw } => {
+                    if *exp != state.drawn.len() as u64 {
+                        return Err(format!(
+                            "draw record out of order: exp {exp} after {}",
+                            state.drawn.len()
+                        ));
+                    }
+                    state.drawn.push((cell.clone(), *draw));
+                    if experiments.is_none() {
+                        state.experiments.push(ExpState::Unfinished { attempts: 0 });
+                    }
                 }
                 JournalEvent::Leased { exp, .. } => {
                     // Liveness is tracked by the lease files; the journal
@@ -453,10 +460,6 @@ impl CampaignState {
                     if !matches!(s, ExpState::Unfinished { .. }) {
                         return Err(format!("experiment {exp} leased after finishing"));
                     }
-                }
-                JournalEvent::Forked { exp, .. } => {
-                    // Informational: validate the index, change nothing.
-                    state.slot(*exp)?;
                 }
                 JournalEvent::Done { exp, attempt, outcome, ticks, .. } => {
                     let s = state.slot(*exp)?;
@@ -490,22 +493,77 @@ impl CampaignState {
             .ok_or_else(|| format!("experiment {exp} out of range"))
     }
 
-    /// Indices of experiments still needing execution, with the attempts
-    /// already burned on each.
-    pub fn unfinished(&self) -> Vec<(usize, u64)> {
-        self.experiments
+    /// Replays the journal on `share` and validates it against this
+    /// campaign's identity: `expected` is the header a fresh start of the
+    /// very same campaign would write (for the checkpoint now on the
+    /// share). Identity checks come before state folding so a journal from
+    /// a different campaign reports the mismatch, not a confusing
+    /// out-of-range experiment.
+    ///
+    /// # Errors
+    ///
+    /// [`ErrorKind::InvalidData`] when the journal has no header, belongs
+    /// to a different campaign, or is inconsistent; I/O errors from reading
+    /// it.
+    pub(crate) fn replay(share: &Path, expected: &JournalEvent) -> std::io::Result<CampaignState> {
+        let events = Journal::replay(&Journal::path_in(share))?;
+        let invalid = |e: String| Error::new(ErrorKind::InvalidData, e);
+        let found = events
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                ExpState::Unfinished { attempts } => Some((i, *attempts)),
-                _ => None,
+            .find(|e| {
+                matches!(e, JournalEvent::Campaign { .. } | JournalEvent::AdaptiveCampaign { .. })
             })
-            .collect()
+            .ok_or_else(|| invalid("journal has no campaign header".to_string()))?;
+        let experiments = check_identity(found, expected).map_err(invalid)?;
+        CampaignState::from_events(&events, experiments).map_err(invalid)
     }
+}
 
-    /// Count of experiments already finished (done or terminally failed).
-    pub fn finished(&self) -> usize {
-        self.experiments.len() - self.unfinished().len()
+/// Compares a journal's header against the one this campaign would write,
+/// naming what differs. Returns the fixed-n experiment count ([`None`] for
+/// an adaptive campaign).
+fn check_identity(found: &JournalEvent, expected: &JournalEvent) -> Result<Option<usize>, String> {
+    use JournalEvent::{AdaptiveCampaign, Campaign};
+    match (found, expected) {
+        (
+            Campaign { version, experiments, checkpoint_digest, spec_digest },
+            Campaign {
+                version: want_version,
+                experiments: want_experiments,
+                checkpoint_digest: want_checkpoint,
+                spec_digest: want_specs,
+            },
+        ) => {
+            if version != want_version {
+                return Err(format!("journal version {version}, expected {want_version}"));
+            }
+            if experiments != want_experiments {
+                return Err(format!(
+                    "journal covers {experiments} experiments, campaign has {want_experiments}"
+                ));
+            }
+            if spec_digest != want_specs {
+                return Err("journal was recorded for a different fault-spec set".to_string());
+            }
+            if checkpoint_digest != want_checkpoint {
+                return Err("spooled checkpoint does not match the journaled campaign \
+                            (stale or swapped)"
+                    .to_string());
+            }
+            Ok(Some(*experiments as usize))
+        }
+        (AdaptiveCampaign { .. }, AdaptiveCampaign { .. }) => {
+            if found != expected {
+                return Err("journal was recorded for a different adaptive campaign \
+                            (seed, checkpoint, stopping rule, or cell set differs)"
+                    .to_string());
+            }
+            Ok(None)
+        }
+        (Campaign { .. }, _) => {
+            Err("journal belongs to a fixed-n campaign, not an adaptive one".to_string())
+        }
+        _ => Err("journal belongs to an adaptive campaign, not a fixed-n one".to_string()),
     }
 }
 
@@ -540,7 +598,6 @@ mod tests {
                 attempt: 1,
                 deadline_ms: 1_700_000_000_000,
             },
-            JournalEvent::Forked { exp: 0, tick: 98_765 },
             JournalEvent::Done {
                 exp: 0,
                 attempt: 1,
@@ -572,7 +629,7 @@ mod tests {
                 batch: 16,
                 cells: "int-reg,fp-reg,pc".into(),
             },
-            JournalEvent::Drawn { exp: 3, cell: "fp-reg".into(), draw: 0 },
+            JournalEvent::Drawn { exp: 0, cell: "fp-reg".into(), draw: 0 },
         ]
     }
 
@@ -652,7 +709,7 @@ mod tests {
 
     #[test]
     fn state_folding_tracks_lifecycles() {
-        let state = CampaignState::from_events(&sample_events(), 3).unwrap();
+        let state = CampaignState::from_events(&sample_events(), Some(3)).unwrap();
         assert!(state.header.is_some());
         assert_eq!(
             state.experiments[0],
@@ -660,8 +717,7 @@ mod tests {
         );
         assert_eq!(state.experiments[1], ExpState::Unfinished { attempts: 1 });
         assert_eq!(state.experiments[2], ExpState::Failed { attempts: 3 });
-        assert_eq!(state.unfinished(), vec![(1, 1)]);
-        assert_eq!(state.finished(), 2);
+        assert_eq!(state.drawn, vec![("fp-reg".to_string(), 0)]);
     }
 
     #[test]
@@ -674,7 +730,7 @@ mod tests {
             exit: "zombie".into(),
             ticks: 1,
         });
-        let state = CampaignState::from_events(&events, 3).unwrap();
+        let state = CampaignState::from_events(&events, Some(3)).unwrap();
         assert_eq!(
             state.experiments[0],
             ExpState::Done { outcome: Outcome::Sdc, attempt: 1, ticks: 12_345 }
@@ -707,7 +763,9 @@ mod tests {
     fn out_of_range_experiments_are_rejected() {
         let events =
             vec![JournalEvent::Failed { exp: 9, attempts: 1, reason: "x".into(), spec: None }];
-        assert!(CampaignState::from_events(&events, 3).is_err());
+        assert!(CampaignState::from_events(&events, Some(3)).is_err());
+        // An adaptive journal's experiments exist once drawn, not before.
+        assert!(CampaignState::from_events(&events, None).is_err());
     }
 
     #[test]

@@ -17,8 +17,17 @@
 //! 5. **Classification**: crashed / non-propagated / strictly-correct /
 //!    correct / SDC, using each workload's acceptability gate.
 //! 6. Optionally, execute the experiment set on a simulated **network of
-//!    workstations** pulling work from a shared spool directory
-//!    (Sec. III-E).
+//!    workstations** pulling work from a shared spool directory, or on a
+//!    fleet of remote workers behind a campaign server (Sec. III-E).
+//!
+//! Steps 4–6 are one pipeline in three pieces (DESIGN.md §12): the
+//! experiment **driver** ([`runner`]: build a machine from the checkpoint,
+//! a mid-run snapshot or a fork plan's trunk; drive it; classify), a
+//! **plan** that hands out experiments in rounds ([`adaptive`]: a fixed
+//! list is the one-round case of the sequential sampler), and the **round
+//! engine** ([`now`]: journal replay, leased [`window`]s, fold) that spool
+//! threads and socket workers claim from through one [`transport`] trait.
+//! Every `run_*` entry point is a thin composition of these.
 
 pub mod adaptive;
 pub mod classify;
@@ -34,23 +43,18 @@ pub mod sampler;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
-pub mod timing;
 pub mod transport;
 pub mod window;
 pub mod wire;
 pub mod worker;
 
 pub use adaptive::{
-    replay_adaptive, run_campaign_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptiveReplay,
-    AdaptiveState, CellKind, CellReport, ReplayTerminal,
+    run_campaign_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptiveState, CellKind, CellReport,
 };
 pub use classify::classify;
-pub use clock::{system_clock, Clock, SystemClock, TestClock};
-pub use fork::{
-    drive_suffix, plan_suffixes, run_campaign_forked, run_campaign_forked_journaled, ForkConfig,
-    ForkedSuffix,
-};
-pub use journal::{CampaignState, ExpState, Journal, JournalEvent};
+pub use clock::Clock;
+pub use fork::{drive_suffix, plan_suffixes, run_campaign_forked, ForkConfig, ForkedSuffix};
+pub use journal::{Journal, JournalEvent};
 pub use lease::{Lease, LeaseDir};
 pub use now::{
     run_campaign_adaptive_now, run_campaign_now, ChaosConfig, CompletedExperiment, NowConfig,
@@ -59,18 +63,15 @@ pub use now::{
 pub use report::OutcomeTable;
 pub use rng::SplitMix64;
 pub use runner::{
-    drive_whole_run, prepare_workload, prepare_workload_with, run_experiment, run_experiment_from,
-    run_experiment_from_with_abort, run_experiment_multi, run_experiment_multi_with_abort,
-    ExperimentResult, PreparedWorkload, RunnerConfig, DORMANT_CHUNK_FACTOR,
+    drive_whole_run, prepare_workload, prepare_workload_with, run_experiment,
+    run_experiment_from_with_abort, run_experiment_multi, ExperimentResult, PreparedWorkload,
+    RunnerConfig, DORMANT_CHUNK_FACTOR,
 };
 pub use sampler::{FaultSampler, LocationClass};
 pub use server::{CampaignServer, QueueKind, QueueReport, QueueSpec, ServerConfig, ServerReport};
 pub use snapshot::SnapshotPolicy;
-pub use stats::{
-    leveugle_sample_size, proportion_ci, wilson_interval, CellDecision, CellStats, StopRule, Z_95,
-    Z_99,
-};
-pub use transport::{CampaignTransport, ClaimReply, QueueContext, ReportAck, WorkAssignment};
+pub use stats::{leveugle_sample_size, wilson_interval, CellDecision, CellStats, Z_95, Z_99};
+pub use transport::{CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 pub use wire::{ClientMsg, ServerMsg, PROTO_VERSION};
 pub use worker::{
     run_socket_worker, SocketTransport, WorkerOptions, WorkerReport, WorkloadResolver,

@@ -16,13 +16,22 @@
 //! checkpoint blob, lease files, result files, the journal) are the same
 //! ones a physical cluster would exchange over NFS.
 //!
-//! The claim/execute/report cycle itself lives in the backend-neutral
-//! pieces this module composes: the [`WindowScheduler`] owns the
-//! lease/journal/backoff state machine, [`SpoolTransport`] exposes it
-//! through the [`crate::transport::CampaignTransport`] verbs, and
-//! [`drive_worker`] is the very worker loop a remote socket worker runs
-//! against a [`crate::server::CampaignServer`] — so every recovery path
-//! tested here holds for the network backend too.
+//! # One round engine
+//!
+//! [`Campaign`] is the campaign pipeline's state machine, and the only
+//! one: a [`Plan`] yields rounds of draws (a fixed-n campaign is the
+//! one-round case), each round's draws are checked against the replayed
+//! journal — terminal ones fold straight back, the remainder is spooled,
+//! its orphaned leases reaped — and run as one [`WindowScheduler`] window;
+//! a finished window folds into the plan, which then decides the next
+//! round. Workers only ever see [`Campaign::try_claim`] and
+//! [`Campaign::report`]. [`run_campaign_now`] and
+//! [`run_campaign_adaptive_now`] are this engine with a fixed or adaptive
+//! plan behind [`SpoolTransport`] on in-process worker threads;
+//! [`crate::server::CampaignServer`] is the same engine, one per queue,
+//! behind the socket. Each worker thread is [`drive_worker`], the very loop
+//! a remote socket worker runs — so every recovery path tested here holds
+//! for the network backend too.
 //!
 //! Fault tolerance, on top of the paper's protocol:
 //!
@@ -38,37 +47,35 @@
 //!   snapshots ([`crate::snapshot`]) onto the share; a retried attempt
 //!   resumes from the last snapshot instead of re-running from the
 //!   campaign checkpoint.
-//! - A killed campaign resumes: [`run_campaign_now`] with
-//!   [`NowConfig::resume`] replays the journal, verifies it belongs to this
-//!   campaign (experiment count, fault-spec digest, checkpoint digest),
-//!   reaps orphaned leases, and schedules only the unfinished remainder.
-//!   The merged [`OutcomeTable`] is identical to an uninterrupted run.
+//! - A killed campaign resumes: with [`NowConfig::resume`] the engine
+//!   replays the journal, verifies it belongs to this campaign (the header
+//!   a fresh start would write: experiment count and fault-spec digest, or
+//!   seed, stopping rule and cell set — and the checkpoint digest), reaps
+//!   orphaned leases, and schedules only the unfinished remainder. The
+//!   merged [`OutcomeTable`] and every adaptive per-cell decision are
+//!   identical to an uninterrupted run.
 //!
 //! [`AbortToken`]: gemfi::AbortToken
 
-use crate::adaptive::{
-    replay_adaptive, AdaptiveConfig, AdaptiveOutcome, AdaptiveReplay, AdaptiveState, Draw,
-    ReplayTerminal,
-};
+use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveState, Plan};
 use crate::clock::{system_clock, Clock};
-use crate::journal::{
-    spec_digest, CampaignState, ExpState, Journal, JournalEvent, JOURNAL_VERSION,
-};
+use crate::journal::{CampaignState, ExpState, Journal, JournalEvent};
 use crate::lease::LeaseDir;
 use crate::report::OutcomeTable;
-use crate::runner::{
-    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig,
-};
-use crate::snapshot::{run_experiment_snapshotted, SnapshotPolicy};
+use crate::runner::{PreparedWorkload, RunnerConfig};
+use crate::snapshot::{execute_leased, SnapshotPolicy};
 use crate::transport::{SpoolTransport, WorkAssignment};
-use crate::window::{fault_path, snapshot_path, SchedulerPolicy, SeedSlot, WindowScheduler};
+use crate::window::{
+    fault_path, snapshot_path, ClaimOutcome, ReportAck, SchedulerPolicy, WindowScheduler,
+    WindowSpec,
+};
 use crate::worker::{drive_worker, WorkerOptions};
 use gemfi::{FaultConfig, FaultSpec, Outcome};
 use gemfi_sim::Checkpoint;
 use gemfi_workloads::Workload;
+use std::collections::BTreeMap;
 use std::io::{Error, ErrorKind};
-use std::path::Path;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -195,6 +202,442 @@ pub struct NowReport {
     pub infrastructure_failures: u64,
 }
 
+/// One campaign's round engine on a share: plan → replay → window → fold
+/// (see the module docs). Fixed-n and adaptive campaigns, spool and socket
+/// transports all drive this one state machine.
+pub(crate) struct Campaign {
+    plan: Plan,
+    share: PathBuf,
+    clock: Arc<dyn Clock>,
+    policy: SchedulerPolicy,
+    workstations: usize,
+    /// What the journal held when this process opened it.
+    replay: CampaignState,
+    /// The journal between windows; a live window owns it.
+    journal: Option<Journal>,
+    /// The round being executed.
+    window: Option<WindowScheduler>,
+    /// Plan cell per live-window slot (the fold key).
+    cells: Vec<usize>,
+    /// Pooled outcomes of every folded experiment.
+    table: OutcomeTable,
+    /// Terminal records of every folded experiment.
+    completed: Vec<CompletedExperiment>,
+    resumed: usize,
+    retries: u64,
+    reclaimed: u64,
+    finished_here: usize,
+    per_ws: Vec<usize>,
+    per_worker: BTreeMap<String, usize>,
+    halted: bool,
+    done: bool,
+}
+
+impl Campaign {
+    /// Opens `plan`'s campaign on `share` and plans its first window. A
+    /// fresh start clears stale run artifacts, spools the checkpoint
+    /// (step 2) and writes the identity header; `resume` over an existing
+    /// journal replays it instead, after verifying it was recorded for
+    /// this very campaign and the checkpoint still on the share.
+    /// `workstations` sizes the spool load-balance vector (0 for the
+    /// server).
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the share; [`ErrorKind::InvalidData`] for a journal
+    /// of a different campaign or an inconsistent one.
+    pub(crate) fn open(
+        share: &Path,
+        prepared: &PreparedWorkload,
+        plan: Plan,
+        resume: bool,
+        clock: Arc<dyn Clock>,
+        policy: SchedulerPolicy,
+        workstations: usize,
+    ) -> std::io::Result<Campaign> {
+        std::fs::create_dir_all(share)?;
+        let ckpt_path = share.join("campaign.ckpt");
+        let resuming = resume && Journal::path_in(share).exists();
+        let replay = if resuming {
+            // The checkpoint must be the very one the journal was recorded
+            // against; compare digests before trusting any replayed outcome.
+            let spooled = Checkpoint::load_header(&ckpt_path)?;
+            CampaignState::replay(share, &plan.header(spooled.digest))?
+        } else {
+            clear_run_artifacts(share)?;
+            prepared.checkpoint.save(&ckpt_path)?;
+            CampaignState::default()
+        };
+        let mut journal = Journal::open(share)?;
+        if !resuming {
+            journal.append(&plan.header(prepared.checkpoint.digest()))?;
+        }
+        let mut campaign = Campaign {
+            plan,
+            share: share.to_path_buf(),
+            clock,
+            policy,
+            workstations,
+            replay,
+            journal: Some(journal),
+            window: None,
+            cells: Vec::new(),
+            table: OutcomeTable::new(),
+            completed: Vec::new(),
+            resumed: 0,
+            retries: 0,
+            reclaimed: 0,
+            finished_here: 0,
+            per_ws: vec![0; workstations],
+            per_worker: BTreeMap::new(),
+            halted: false,
+            done: false,
+        };
+        campaign.advance()?;
+        Ok(campaign)
+    }
+
+    /// The round loop's one step: folds the live window once it is
+    /// complete, then draws rounds until one has experiments left to
+    /// execute (its window goes live) or the plan is exhausted (the
+    /// campaign is done). A no-op while a window is in flight.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the share; [`ErrorKind::InvalidData`] when the
+    /// journaled draws do not match the re-derived trajectory.
+    pub(crate) fn advance(&mut self) -> std::io::Result<()> {
+        if self.done || self.halted {
+            return Ok(());
+        }
+        if let Some(live) = &self.window {
+            if live.halted() {
+                self.halted = true;
+                return Ok(());
+            }
+            if !live.is_complete() {
+                return Ok(());
+            }
+            let parts = self.window.take().expect("live window").into_parts();
+            for (local, done) in parts.completed.into_iter().enumerate() {
+                let done = done.expect("a complete window holds every terminal record");
+                self.plan.record(self.cells[local], done.outcome);
+                self.table.add(done.outcome);
+                self.completed.push(done);
+            }
+            self.retries += parts.retries;
+            self.reclaimed += parts.reclaimed;
+            self.finished_here += parts.finished_here;
+            for (total, n) in self.per_ws.iter_mut().zip(parts.per_ws) {
+                *total += n;
+            }
+            for (worker, n) in parts.per_worker {
+                *self.per_worker.entry(worker).or_insert(0) += n;
+            }
+            self.journal = Some(parts.journal);
+            self.plan.end_round();
+        }
+
+        let leases = LeaseDir::new(&self.share);
+        loop {
+            let draws = self.plan.next_round();
+            if draws.is_empty() {
+                self.done = true;
+                return Ok(());
+            }
+            let journal = self.journal.as_mut().expect("journal held between windows");
+            let (mut exps, mut specs, mut attempts) = (Vec::new(), Vec::new(), Vec::new());
+            self.cells.clear();
+            for d in &draws {
+                let exp = d.exp as usize;
+                // Commit the whole round's draw decisions to the journal
+                // before executing any of them; a journaled prefix must
+                // match the re-derived trajectory exactly.
+                if let Some(label) = self.plan.draw_label(d) {
+                    match self.replay.drawn.get(exp) {
+                        Some(journaled) if *journaled != label => {
+                            return Err(Error::new(
+                                ErrorKind::InvalidData,
+                                format!(
+                                    "journaled draw {exp} ({} #{}) does not match the \
+                                     re-derived trajectory ({} #{})",
+                                    journaled.0, journaled.1, label.0, label.1
+                                ),
+                            ));
+                        }
+                        Some(_) => {}
+                        None => journal.append(&JournalEvent::Drawn {
+                            exp: d.exp,
+                            cell: label.0,
+                            draw: label.1,
+                        })?,
+                    }
+                }
+                let replayed = self.replay.experiments.get(exp);
+                if let Some((outcome, attempts, ticks)) = replayed.and_then(ExpState::terminal) {
+                    // Already terminal in the journal: fold the replayed
+                    // record instead of executing it. Infrastructure
+                    // failures spent budget but are not evidence — `record`
+                    // skips them, exactly as it does live.
+                    self.plan.record(d.cell, outcome);
+                    self.table.add(outcome);
+                    self.completed.push(CompletedExperiment {
+                        exp,
+                        outcome,
+                        attempts,
+                        ticks,
+                        resumed: true,
+                    });
+                    self.resumed += 1;
+                    continue;
+                }
+                let mut burned = match replayed {
+                    Some(&ExpState::Unfinished { attempts }) => attempts,
+                    _ => 0,
+                };
+                // Step 1: the experiment's configuration onto the share.
+                FaultConfig::from_specs(vec![d.spec]).save(&fault_path(&self.share, exp))?;
+                if let Some(orphan) = leases.read(exp)? {
+                    // A worker of the dead campaign process died holding
+                    // this experiment: break the lease whatever its
+                    // deadline says, and journal the burned attempt so a
+                    // *second* resume still counts it toward the retry cap.
+                    leases.release(exp)?;
+                    self.reclaimed += 1;
+                    burned = burned.max(orphan.attempt);
+                    journal.append(&JournalEvent::AttemptFailed {
+                        exp: d.exp,
+                        attempt: orphan.attempt,
+                        worker: orphan.worker,
+                        reason: "orphaned lease (campaign restart)".to_string(),
+                        spec: Some(d.spec.to_string()),
+                    })?;
+                }
+                exps.push(exp);
+                self.cells.push(d.cell);
+                specs.push(d.spec);
+                attempts.push(burned);
+            }
+            if exps.is_empty() {
+                // Every draw of this round was already terminal in the
+                // journal; keep planning.
+                self.plan.end_round();
+                continue;
+            }
+            self.window = Some(WindowScheduler::new(WindowSpec {
+                share: self.share.clone(),
+                clock: Arc::clone(&self.clock),
+                policy: self.policy.clone(),
+                journal: self.journal.take().expect("journal held between windows"),
+                exps,
+                specs,
+                attempts,
+                workstations: self.workstations,
+                finished_before: self.finished_here,
+            }));
+            return Ok(());
+        }
+    }
+
+    /// Claims the next runnable experiment for `worker`, advancing the
+    /// round loop as windows drain. `quota` caps the concurrently leased
+    /// experiments (`0` = unlimited).
+    ///
+    /// # Errors
+    ///
+    /// See [`Campaign::advance`] and [`WindowScheduler::try_claim`].
+    pub(crate) fn try_claim(
+        &mut self,
+        worker: &str,
+        quota: usize,
+    ) -> std::io::Result<ClaimOutcome> {
+        loop {
+            self.advance()?;
+            if self.done || self.halted {
+                return Ok(ClaimOutcome::Complete);
+            }
+            let window = self.window.as_mut().expect("advance leaves a live window or finishes");
+            if quota > 0 && window.leased() >= quota {
+                return Ok(ClaimOutcome::Idle);
+            }
+            match window.try_claim(worker)? {
+                // The window drained (or the chaos halt tripped) under
+                // this very claim: advance and look again.
+                ClaimOutcome::Complete => {}
+                claimed => return Ok(claimed),
+            }
+        }
+    }
+
+    /// Folds a worker's report into the live window via `fold`, then
+    /// advances the round loop. A report landing between windows is a
+    /// zombie's — the reaper already moved its experiment on.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the journal or the share.
+    pub(crate) fn report(
+        &mut self,
+        fold: impl FnOnce(&mut WindowScheduler) -> std::io::Result<ReportAck>,
+    ) -> std::io::Result<ReportAck> {
+        let Some(window) = self.window.as_mut() else { return Ok(ReportAck::Stale) };
+        let ack = fold(window)?;
+        self.advance()?;
+        Ok(ack)
+    }
+
+    /// The live window, for lease heartbeats.
+    pub(crate) fn window_mut(&mut self) -> Option<&mut WindowScheduler> {
+        self.window.as_mut()
+    }
+
+    /// Whether the plan is exhausted and every experiment folded.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// `(terminal, drawn, leased)` experiment counts.
+    pub(crate) fn progress(&self) -> (u64, u64, u64) {
+        let live = self.window.as_ref();
+        (
+            self.table.total() + live.map_or(0, |w| w.progress().0 as u64),
+            self.plan.drawn_total(),
+            live.map_or(0, |w| w.leased() as u64),
+        )
+    }
+
+    /// Failed attempts retried so far.
+    pub(crate) fn retries(&self) -> u64 {
+        self.retries + self.window.as_ref().map_or(0, WindowScheduler::retries)
+    }
+
+    /// Expired and orphaned leases broken so far.
+    pub(crate) fn reclaimed(&self) -> u64 {
+        self.reclaimed + self.window.as_ref().map_or(0, WindowScheduler::reclaimed)
+    }
+
+    /// Terminal records replayed from the journal rather than executed.
+    pub(crate) fn resumed(&self) -> usize {
+        self.resumed
+    }
+
+    /// Pooled outcomes of every folded experiment.
+    pub(crate) fn table(&self) -> OutcomeTable {
+        self.table
+    }
+
+    /// Completions credited per worker: folded windows plus the live one.
+    pub(crate) fn worker_counts(&self) -> BTreeMap<String, usize> {
+        let mut counts = self.per_worker.clone();
+        if let Some(live) = &self.window {
+            for (worker, n) in live.per_worker() {
+                *counts.entry(worker.clone()).or_insert(0) += n;
+            }
+        }
+        counts
+    }
+
+    /// Every terminal record so far, in experiment order.
+    pub(crate) fn records(&self) -> Vec<CompletedExperiment> {
+        let live = self.window.iter().flat_map(|w| w.completed().iter().flatten());
+        let mut records: Vec<_> = self.completed.iter().chain(live).cloned().collect();
+        records.sort_by_key(|r| r.exp);
+        records
+    }
+
+    /// The sequential engine, when the plan is adaptive.
+    pub(crate) fn sequential(&self) -> Option<(&AdaptiveConfig, &AdaptiveState)> {
+        self.plan.sequential()
+    }
+
+    /// The adaptive conclusion, once an adaptive campaign is done.
+    pub(crate) fn adaptive_outcome(&self) -> Option<AdaptiveOutcome> {
+        let (config, state) = self.plan.sequential().filter(|_| self.done)?;
+        Some(state.outcome(config.z, self.table, self.resumed as u64))
+    }
+}
+
+/// Runs `plan`'s campaign to completion over the workstation pool (steps
+/// 3–6): every slot of every workstation is a [`drive_worker`] thread
+/// claiming from the one [`Campaign`] through a [`SpoolTransport`].
+fn spool_campaign(
+    prepared: &PreparedWorkload,
+    workload: &dyn Workload,
+    plan: Plan,
+    runner: &RunnerConfig,
+    config: &NowConfig,
+) -> std::io::Result<(Campaign, NowReport)> {
+    let campaign = Mutex::new(Campaign::open(
+        &config.share_dir,
+        prepared,
+        plan,
+        config.resume,
+        Arc::clone(&config.clock),
+        config.scheduler_policy(),
+        config.workstations,
+    )?);
+    // Step 3: one local checkpoint copy per workstation.
+    let ckpt_path = config.share_dir.join("campaign.ckpt");
+    let locals = (0..config.workstations)
+        .map(|_| Checkpoint::load(&ckpt_path).map(Arc::new))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let snapshot = SnapshotPolicy::every(config.snapshot_ticks);
+
+    let started = Instant::now();
+    std::thread::scope(|scope| -> std::io::Result<()> {
+        let mut handles = Vec::new();
+        for (ws, local) in locals.iter().enumerate() {
+            for slot in 0..config.slots_per_workstation {
+                let campaign = &campaign;
+                handles.push(scope.spawn(move || {
+                    let mut opts = WorkerOptions::new(format!("ws{ws}.slot{slot}"));
+                    opts.runner = *runner;
+                    opts.chaos_panic_on = config.chaos.panic_on.clone();
+                    let mut transport =
+                        SpoolTransport { campaign, share: config.share_dir.clone(), ws };
+                    let mut execute = |assignment: &WorkAssignment| {
+                        let snap = snapshot_path(&config.share_dir, assignment.exp);
+                        let snap = snapshot.enabled().then_some((snap.as_path(), snapshot));
+                        Ok(execute_leased(local, prepared, workload, assignment, runner, snap))
+                    };
+                    drive_worker(&mut transport, &opts, &mut execute).map(|_| ())
+                }));
+            }
+        }
+        for h in handles {
+            h.join().expect("worker thread panicked outside catch_unwind")?;
+        }
+        Ok(())
+    })?;
+    let wall = started.elapsed();
+
+    let campaign = campaign.into_inner().expect("no worker holds the campaign");
+    let (terminal, drawn, _) = campaign.progress();
+    if campaign.halted {
+        let finished = campaign.finished_here as u64 + terminal - campaign.table.total();
+        let progress = match campaign.plan {
+            Plan::Fixed { .. } => format!(
+                "campaign halted by chaos after {finished} experiments \
+                 ({terminal} of {drawn} terminal)"
+            ),
+            Plan::Adaptive { .. } => format!(
+                "adaptive campaign halted by chaos after {finished} experiments ({drawn} drawn)"
+            ),
+        };
+        return Err(Error::new(ErrorKind::Interrupted, format!("{progress}; resume to finish")));
+    }
+    let report = NowReport {
+        wall,
+        per_workstation: campaign.per_ws.clone(),
+        experiments: drawn as usize,
+        resumed: campaign.resumed,
+        retries: campaign.retries(),
+        reclaimed_leases: campaign.reclaimed(),
+        infrastructure_failures: campaign.table.count(Outcome::Infrastructure),
+    };
+    Ok((campaign, report))
+}
+
 /// Runs a whole campaign on the simulated NoW. Returns the merged outcome
 /// table, per-experiment terminal records (in experiment order), and the
 /// report.
@@ -213,444 +656,9 @@ pub fn run_campaign_now(
     runner: &RunnerConfig,
     config: &NowConfig,
 ) -> std::io::Result<(OutcomeTable, Vec<CompletedExperiment>, NowReport)> {
-    let seeded = seed_fixed_campaign(&config.share_dir, prepared, specs, config.resume)?;
-    let resumed_count = seeded.resumed;
-
-    // Step 3: one local checkpoint copy per workstation.
-    let locals =
-        load_local_checkpoints(&config.share_dir.join("campaign.ckpt"), config.workstations)?;
-    let window = execute_window(
-        prepared,
-        workload,
-        (0..specs.len()).collect(),
-        specs.to_vec(),
-        seeded.seed,
-        &locals,
-        runner,
-        config,
-        seeded.journal,
-        seeded.reclaimed,
-        0,
-    )?;
-    if window.halted {
-        return Err(Error::new(
-            ErrorKind::Interrupted,
-            format!(
-                "campaign halted by chaos after {} experiments ({} of {} terminal); resume to finish",
-                window.finished_here,
-                window.terminal,
-                specs.len()
-            ),
-        ));
-    }
-
-    let results: Vec<CompletedExperiment> = window
-        .completed
-        .into_iter()
-        .map(|r| r.expect("all experiments reached a terminal state"))
-        .collect();
-    let table: OutcomeTable = results.iter().map(|r| r.outcome).collect();
-    let report = NowReport {
-        wall: window.wall,
-        per_workstation: window.per_ws,
-        experiments: specs.len(),
-        resumed: resumed_count,
-        retries: window.retries,
-        reclaimed_leases: window.reclaimed,
-        infrastructure_failures: table.count(Outcome::Infrastructure),
-    };
-    Ok((table, results, report))
-}
-
-/// The seeded starting state of a fixed-n campaign: the opened journal
-/// plus one [`SeedSlot`] per experiment.
-pub(crate) struct CampaignSeed {
-    /// The campaign journal, header written (fresh) or replayed (resume).
-    pub(crate) journal: Journal,
-    /// Starting slot state per experiment.
-    pub(crate) seed: Vec<SeedSlot>,
-    /// Experiments whose terminal record was replayed.
-    pub(crate) resumed: usize,
-    /// Orphaned leases broken while seeding.
-    pub(crate) reclaimed: u64,
-}
-
-/// Seeds a fixed-n campaign on `share`: spools the fault files (step 1)
-/// and the checkpoint (step 2), opens the journal, and — on resume —
-/// replays it, verifies the campaign identity, reaps orphaned leases, and
-/// marks already-terminal experiments. Shared by the in-process NoW
-/// executor and the campaign server's fixed-n queues.
-pub(crate) fn seed_fixed_campaign(
-    share: &Path,
-    prepared: &PreparedWorkload,
-    specs: &[FaultSpec],
-    resume: bool,
-) -> std::io::Result<CampaignSeed> {
-    std::fs::create_dir_all(share)?;
-    let leases = LeaseDir::new(share);
-    let ckpt_path = share.join("campaign.ckpt");
-    let resuming = resume && Journal::path_in(share).exists();
-
-    // Step 1: experiment configurations onto the share (idempotent).
-    for (i, spec) in specs.iter().enumerate() {
-        FaultConfig::from_specs(vec![*spec]).save(&fault_path(share, i))?;
-    }
-
-    let mut resumed_count = 0;
-    let mut reclaimed_at_start = 0;
-    let mut orphans: Vec<(usize, u64, String)> = Vec::new();
-    let mut seed: Vec<SeedSlot> = Vec::with_capacity(specs.len());
-
-    if resuming {
-        // The checkpoint must be the very one the journal was recorded
-        // against; compare digests before trusting any replayed outcome.
-        let header = Checkpoint::load_header(&ckpt_path)?;
-        let state = replay_state(share, specs, header.digest)?;
-        for (exp, exp_state) in state.experiments.iter().enumerate() {
-            match exp_state {
-                ExpState::Unfinished { attempts } => {
-                    // Break any orphaned lease left by the dead campaign
-                    // process, whatever its deadline says.
-                    let mut attempts = *attempts;
-                    if let Some(orphan) = leases.read(exp)? {
-                        leases.release(exp)?;
-                        reclaimed_at_start += 1;
-                        attempts = attempts.max(orphan.attempt);
-                        orphans.push((exp, orphan.attempt, orphan.worker));
-                    }
-                    seed.push(SeedSlot::Pending { attempts });
-                }
-                ExpState::Done { outcome, attempt, ticks } => {
-                    seed.push(SeedSlot::Terminal {
-                        record: CompletedExperiment {
-                            exp,
-                            outcome: *outcome,
-                            attempts: *attempt,
-                            ticks: *ticks,
-                            resumed: true,
-                        },
-                    });
-                    resumed_count += 1;
-                }
-                ExpState::Failed { attempts } => {
-                    seed.push(SeedSlot::Terminal {
-                        record: CompletedExperiment {
-                            exp,
-                            outcome: Outcome::Infrastructure,
-                            attempts: *attempts,
-                            ticks: 0,
-                            resumed: true,
-                        },
-                    });
-                    resumed_count += 1;
-                }
-            }
-        }
-    } else {
-        // Fresh start: clear any stale run artifacts, then spool the
-        // checkpoint (step 2) and open a new journal with the campaign
-        // identity header.
-        clear_run_artifacts(share)?;
-        prepared.checkpoint.save(&ckpt_path)?;
-        seed.extend((0..specs.len()).map(|_| SeedSlot::Pending { attempts: 0 }));
-    }
-
-    let mut journal = Journal::open(share)?;
-    if resuming {
-        // Journal the attempts burned by orphaned leases, so a *second*
-        // resume still counts them toward the retry cap.
-        for (exp, attempt, worker) in orphans {
-            journal.append(&JournalEvent::AttemptFailed {
-                exp: exp as u64,
-                attempt,
-                worker,
-                reason: "orphaned lease (campaign restart)".to_string(),
-                spec: Some(specs[exp].to_string()),
-            })?;
-        }
-    } else {
-        journal.append(&JournalEvent::Campaign {
-            version: JOURNAL_VERSION,
-            experiments: specs.len() as u64,
-            checkpoint_digest: prepared.checkpoint.digest(),
-            spec_digest: spec_digest(specs),
-        })?;
-    }
-    Ok(CampaignSeed { journal, seed, resumed: resumed_count, reclaimed: reclaimed_at_start })
-}
-
-/// Seeds an adaptive campaign on `share`: spools the checkpoint, opens
-/// the journal (header on fresh start), and — on resume — replays the
-/// draw/terminal prefix. Shared by the in-process adaptive executor and
-/// the campaign server's adaptive queues.
-pub(crate) fn seed_adaptive_campaign(
-    share: &Path,
-    prepared: &PreparedWorkload,
-    adaptive: &AdaptiveConfig,
-    seed: u64,
-    resume: bool,
-) -> std::io::Result<(Journal, AdaptiveReplay)> {
-    std::fs::create_dir_all(share)?;
-    let ckpt_path = share.join("campaign.ckpt");
-    let resuming = resume && Journal::path_in(share).exists();
-    let replay = if resuming {
-        let header = Checkpoint::load_header(&ckpt_path)?;
-        replay_adaptive(share, adaptive, seed, header.digest)?
-    } else {
-        clear_run_artifacts(share)?;
-        prepared.checkpoint.save(&ckpt_path)?;
-        AdaptiveReplay::default()
-    };
-    let mut journal = Journal::open(share)?;
-    if !resuming {
-        journal.append(&adaptive.header(seed, prepared.checkpoint.digest()))?;
-    }
-    Ok((journal, replay))
-}
-
-/// What one execution window did.
-struct WindowResult {
-    journal: Journal,
-    completed: Vec<Option<CompletedExperiment>>,
-    per_ws: Vec<usize>,
-    retries: u64,
-    reclaimed: u64,
-    terminal: usize,
-    finished_here: usize,
-    halted: bool,
-    wall: Duration,
-}
-
-fn load_local_checkpoints(
-    ckpt_path: &Path,
-    workstations: usize,
-) -> std::io::Result<Vec<Arc<Checkpoint>>> {
-    (0..workstations).map(|_| Checkpoint::load(ckpt_path).map(Arc::new)).collect()
-}
-
-/// Runs one window of experiments over the workstation pool: the paper's
-/// claim/lease/execute/journal protocol (steps 4–5), factored out so both
-/// the fixed-n campaign (one window) and the adaptive engine (one window
-/// per round) share it. `exps[i]` is the global index of local slot `i`;
-/// fault files for every listed experiment must already be spooled.
-///
-/// Each worker thread is the generic [`drive_worker`] loop over a
-/// [`SpoolTransport`] — the same loop remote socket workers run.
-#[allow(clippy::too_many_arguments)]
-fn execute_window(
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    exps: Vec<usize>,
-    specs: Vec<FaultSpec>,
-    seed: Vec<SeedSlot>,
-    locals: &[Arc<Checkpoint>],
-    runner: &RunnerConfig,
-    config: &NowConfig,
-    journal: Journal,
-    reclaimed_at_start: u64,
-    finished_before: usize,
-) -> std::io::Result<WindowResult> {
-    debug_assert!(exps.len() == specs.len() && exps.len() == seed.len());
-    let scheduler = Mutex::new(WindowScheduler::new(
-        &config.share_dir,
-        Arc::clone(&config.clock),
-        config.scheduler_policy(),
-        journal,
-        exps,
-        specs,
-        seed,
-        config.workstations,
-        reclaimed_at_start,
-        finished_before,
-    ));
-
-    let started = Instant::now();
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let mut handles = Vec::new();
-        for (ws, local) in locals.iter().enumerate() {
-            for slot in 0..config.slots_per_workstation {
-                let local = Arc::clone(local);
-                let scheduler = &scheduler;
-                handles.push(scope.spawn(move || {
-                    let mut opts = WorkerOptions::new(format!("ws{ws}.slot{slot}"));
-                    opts.runner = *runner;
-                    opts.chaos_panic_on = config.chaos.panic_on.clone();
-                    let mut transport =
-                        SpoolTransport { scheduler, share: config.share_dir.clone(), ws };
-                    let mut execute =
-                        |assignment: &WorkAssignment| -> Result<ExperimentResult, String> {
-                            let snap = snapshot_path(&config.share_dir, assignment.exp);
-                            let result = if config.snapshot_ticks > 0 {
-                                run_experiment_snapshotted(
-                                    &local,
-                                    prepared,
-                                    workload,
-                                    assignment.spec,
-                                    runner,
-                                    &assignment.abort,
-                                    &snap,
-                                    SnapshotPolicy::every(config.snapshot_ticks),
-                                )
-                            } else {
-                                run_experiment_from_with_abort(
-                                    &local,
-                                    prepared,
-                                    workload,
-                                    assignment.spec,
-                                    runner,
-                                    &assignment.abort,
-                                )
-                            };
-                            // A verdict was reached: the crash-resume state
-                            // is spent. Aborted runs keep theirs — the
-                            // retry resumes from it.
-                            if config.snapshot_ticks > 0
-                                && result.outcome != Outcome::Infrastructure
-                            {
-                                let _ = std::fs::remove_file(&snap);
-                            }
-                            Ok(result)
-                        };
-                    drive_worker(&mut transport, &opts, &mut execute).map(|_| ())
-                }));
-            }
-        }
-        for h in handles {
-            h.join().expect("worker thread panicked outside catch_unwind")?;
-        }
-        Ok(())
-    })?;
-    let wall = started.elapsed();
-
-    let s = scheduler.into_inner().expect("no worker holds the schedule");
-    let (journal, completed, per_ws, retries, reclaimed, terminal, finished_here, halted) =
-        s.into_parts();
-    Ok(WindowResult {
-        journal,
-        completed,
-        per_ws,
-        retries,
-        reclaimed,
-        terminal,
-        finished_here,
-        halted,
-        wall,
-    })
-}
-
-/// One adaptive round's executable remainder, after replayed terminals
-/// were folded straight into the state.
-pub(crate) struct RoundWindow {
-    /// Global experiment indices to execute.
-    pub(crate) exps: Vec<usize>,
-    /// Cell index per window slot (for folding completions back).
-    pub(crate) cells: Vec<usize>,
-    /// Fault spec per window slot.
-    pub(crate) specs: Vec<FaultSpec>,
-    /// Scheduler seed per window slot.
-    pub(crate) seed: Vec<SeedSlot>,
-    /// Draws whose terminal outcome was replayed from the journal.
-    pub(crate) resumed: usize,
-    /// Orphaned leases broken while planning.
-    pub(crate) reclaimed: u64,
-}
-
-/// Plans one adaptive round: validates/journals the round's draws against
-/// the replayed prefix, folds already-terminal draws into `state` and
-/// `table`, spools fault files and reaps per-experiment orphans for the
-/// remainder. Shared by the in-process adaptive campaign and the campaign
-/// server's adaptive queues.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_round(
-    draws: &[Draw],
-    adaptive: &AdaptiveConfig,
-    replay: &AdaptiveReplay,
-    state: &mut AdaptiveState,
-    table: &mut OutcomeTable,
-    journal: &mut Journal,
-    share: &Path,
-    leases: &LeaseDir,
-) -> std::io::Result<RoundWindow> {
-    let mut round = RoundWindow {
-        exps: Vec::new(),
-        cells: Vec::new(),
-        specs: Vec::new(),
-        seed: Vec::new(),
-        resumed: 0,
-        reclaimed: 0,
-    };
-    // Commit the whole round's draw decisions to the journal before
-    // executing any of them; a journaled prefix must match the re-derived
-    // trajectory exactly.
-    for d in draws {
-        let label = adaptive.cells[d.cell].to_string();
-        if let Some((cell, ordinal)) = replay.drawn.get(d.exp as usize) {
-            if *cell != label || *ordinal != d.draw {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    format!(
-                        "journaled draw {} ({cell} #{ordinal}) does not match the \
-                         re-derived trajectory ({label} #{})",
-                        d.exp, d.draw
-                    ),
-                ));
-            }
-        } else {
-            journal.append(&JournalEvent::Drawn { exp: d.exp, cell: label, draw: d.draw })?;
-        }
-        match replay.terminal.get(&d.exp) {
-            Some(ReplayTerminal::Done { outcome, .. }) => {
-                state.record(d.cell, *outcome);
-                table.add(*outcome);
-                round.resumed += 1;
-            }
-            Some(ReplayTerminal::Failed { .. }) => {
-                // Infrastructure failures spent budget but are not
-                // evidence — mirror of the live path.
-                table.add(Outcome::Infrastructure);
-                round.resumed += 1;
-            }
-            None => {
-                let global = d.exp as usize;
-                FaultConfig::from_specs(vec![d.spec]).save(&fault_path(share, global))?;
-                let mut attempts = replay.attempts.get(&d.exp).copied().unwrap_or(0);
-                if let Some(orphan) = leases.read(global)? {
-                    // A worker of the dead campaign process died holding
-                    // this draw.
-                    leases.release(global)?;
-                    round.reclaimed += 1;
-                    attempts = attempts.max(orphan.attempt);
-                    journal.append(&JournalEvent::AttemptFailed {
-                        exp: d.exp,
-                        attempt: orphan.attempt,
-                        worker: orphan.worker,
-                        reason: "orphaned lease (campaign restart)".to_string(),
-                        spec: Some(d.spec.to_string()),
-                    })?;
-                }
-                round.exps.push(global);
-                round.cells.push(d.cell);
-                round.specs.push(d.spec);
-                round.seed.push(SeedSlot::Pending { attempts });
-            }
-        }
-    }
-    Ok(round)
-}
-
-/// Folds one executed round's terminal records back into the adaptive
-/// state and the pooled table. `cells[i]` is the cell of window slot `i`.
-pub(crate) fn fold_round(
-    state: &mut AdaptiveState,
-    table: &mut OutcomeTable,
-    cells: &[usize],
-    completed: Vec<Option<CompletedExperiment>>,
-) {
-    for (local, done) in completed.into_iter().enumerate() {
-        let done = done.expect("all window experiments reached a terminal state");
-        state.record(cells[local], done.outcome);
-        table.add(done.outcome);
-    }
+    let plan = Plan::fixed(specs.to_vec());
+    let (campaign, report) = spool_campaign(prepared, workload, plan, runner, config)?;
+    Ok((campaign.table, campaign.records(), report))
 }
 
 /// Runs an adaptive (sequential early-stopping) campaign on the NoW: each
@@ -681,145 +689,15 @@ pub fn run_campaign_adaptive_now(
     adaptive: &AdaptiveConfig,
     seed: u64,
 ) -> std::io::Result<(AdaptiveOutcome, NowReport)> {
-    let leases = LeaseDir::new(&config.share_dir);
-    let (mut journal, replay) =
-        seed_adaptive_campaign(&config.share_dir, prepared, adaptive, seed, config.resume)?;
-    let locals =
-        load_local_checkpoints(&config.share_dir.join("campaign.ckpt"), config.workstations)?;
-
-    let mut state = AdaptiveState::new(adaptive, seed, prepared.stage_events);
-    let mut table = OutcomeTable::new();
-    let mut per_ws = vec![0usize; config.workstations];
-    let mut wall = Duration::ZERO;
-    let (mut retries, mut reclaimed) = (0u64, 0u64);
-    let (mut resumed, mut finished_in_process) = (0usize, 0usize);
-
-    loop {
-        let draws = state.next_round();
-        if draws.is_empty() {
-            break;
-        }
-        let round = plan_round(
-            &draws,
-            adaptive,
-            &replay,
-            &mut state,
-            &mut table,
-            &mut journal,
-            &config.share_dir,
-            &leases,
-        )?;
-        resumed += round.resumed;
-        reclaimed += round.reclaimed;
-
-        if !round.exps.is_empty() {
-            let window = execute_window(
-                prepared,
-                workload,
-                round.exps,
-                round.specs,
-                round.seed,
-                &locals,
-                runner,
-                config,
-                journal,
-                0,
-                finished_in_process,
-            )?;
-            journal = window.journal;
-            wall += window.wall;
-            retries += window.retries;
-            reclaimed += window.reclaimed;
-            finished_in_process += window.finished_here;
-            for (ws, n) in window.per_ws.iter().enumerate() {
-                per_ws[ws] += n;
-            }
-            if window.halted {
-                return Err(Error::new(
-                    ErrorKind::Interrupted,
-                    format!(
-                        "adaptive campaign halted by chaos after {finished_in_process} \
-                         experiments ({} drawn); resume to finish",
-                        state.drawn_total()
-                    ),
-                ));
-            }
-            fold_round(&mut state, &mut table, &round.cells, window.completed);
-        }
-        state.end_round();
-    }
-
-    state.finalize();
-    let outcome = AdaptiveOutcome {
-        cells: state.reports(adaptive.z),
-        table,
-        experiments: state.drawn_total(),
-        rounds: state.rounds(),
-        resumed: resumed as u64,
-        z: adaptive.z,
-    };
-    let report = NowReport {
-        wall,
-        per_workstation: per_ws,
-        experiments: outcome.experiments as usize,
-        resumed,
-        retries,
-        reclaimed_leases: reclaimed,
-        infrastructure_failures: outcome.table.count(Outcome::Infrastructure),
-    };
+    let plan = Plan::adaptive(adaptive.clone(), seed, prepared.stage_events);
+    let (campaign, report) = spool_campaign(prepared, workload, plan, runner, config)?;
+    let outcome = campaign.adaptive_outcome().expect("an adaptive campaign that ran to its end");
     Ok((outcome, report))
-}
-
-/// Replays and validates the journal against this campaign's identity.
-pub(crate) fn replay_state(
-    share: &Path,
-    specs: &[FaultSpec],
-    checkpoint_digest: u64,
-) -> std::io::Result<CampaignState> {
-    let events = Journal::replay(&Journal::path_in(share))?;
-    // Identity checks come before state folding so a journal from a
-    // different campaign reports the mismatch, not a confusing
-    // out-of-range experiment.
-    let Some(JournalEvent::Campaign {
-        version,
-        experiments,
-        checkpoint_digest: journal_ckpt,
-        spec_digest: journal_specs,
-    }) = events.iter().find(|e| matches!(e, JournalEvent::Campaign { .. })).cloned()
-    else {
-        return Err(Error::new(ErrorKind::InvalidData, "journal has no campaign header"));
-    };
-    if version != JOURNAL_VERSION {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!("journal version {version}, expected {JOURNAL_VERSION}"),
-        ));
-    }
-    if experiments != specs.len() as u64 {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!("journal covers {experiments} experiments, campaign has {}", specs.len()),
-        ));
-    }
-    if journal_specs != spec_digest(specs) {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            "journal was recorded for a different fault-spec set",
-        ));
-    }
-    if journal_ckpt != checkpoint_digest {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            "spooled checkpoint does not match the journaled campaign (stale or swapped)",
-        ));
-    }
-    CampaignState::from_events(&events, specs.len())
-        .map_err(|e| Error::new(ErrorKind::InvalidData, e))
 }
 
 /// Removes journal/lease/result/snapshot leftovers so a fresh (non-resume)
 /// start cannot mix state from an earlier campaign in the same directory.
-pub(crate) fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
+fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
     let journal = Journal::path_in(share);
     if journal.exists() {
         std::fs::remove_file(&journal)?;

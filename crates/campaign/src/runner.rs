@@ -2,6 +2,7 @@
 //! execution (Sec. IV-B methodology).
 
 use crate::classify::classify;
+use crate::snapshot::Snapshot;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Checkpoint, Machine, MachineConfig, RunExit};
@@ -182,12 +183,73 @@ fn next_boundary(tick: u64, origin: u64, granularity: u64) -> u64 {
     origin.saturating_add((rel / granularity + 1).saturating_mul(granularity))
 }
 
-/// Drives a restored machine to completion: the switch-grace/model-switch
+/// Where an experiment's machine comes from.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// A whole run: restore the campaign checkpoint (or a workstation-local
+    /// copy of it) into the injection model.
+    Checkpoint(&'a Checkpoint),
+    /// Resume a mid-run snapshot ([`crate::snapshot`]) of a run that
+    /// descends from `origin`.
+    Snapshot {
+        /// The campaign checkpoint the snapshotted run was restored from.
+        origin: &'a Checkpoint,
+        /// The decoded snapshot.
+        snapshot: &'a Snapshot,
+    },
+    /// Fork the fault-free trunk of a fork-at-injection plan
+    /// ([`crate::fork`]) where it stands.
+    Trunk(&'a Machine<GemFiEngine>),
+}
+
+/// Builds the machine of one experiment — the one place a campaign machine
+/// is restored and handed the [`RunnerConfig`] fast-path knobs. An empty
+/// `specs` builds a fault-free machine (the fork planner's trunk).
+///
+/// `fi_read_init_all` restore semantics: a fresh engine re-reads the fault
+/// configuration for this experiment. The shared checkpoint is restored in
+/// place — no per-experiment deep copy; the watchdog bound (corrupted
+/// control flow loops forever, so cap the run relative to the fault-free
+/// kernel time) rides along as a restore override.
+pub(crate) fn build_machine(
+    source: Source<'_>,
+    prepared: &PreparedWorkload,
+    specs: &[FaultSpec],
+    config: &RunnerConfig,
+) -> Machine<GemFiEngine> {
+    let faults = || FaultConfig::from_specs(specs.to_vec());
+    let (image, cpu, budget, faults) = match source {
+        // A fork is warm and inherits the trunk's knobs along with its
+        // pipeline, tick clock and watchdog.
+        Source::Trunk(trunk) => return trunk.fork_with(trunk.hooks().fork_with_faults(faults())),
+        Source::Checkpoint(checkpoint) => (
+            checkpoint,
+            Some(config.inject_cpu),
+            watchdog_budget(checkpoint, prepared, config),
+            faults(),
+        ),
+        // Captured post-switch and dormant: the fault has already fired,
+        // so the resumed engine carries none. `None` keeps the snapshot's
+        // CPU model (the finish model) and the stored absolute budget keeps
+        // the watchdog anchored to the original run, not restarted here.
+        Source::Snapshot { snapshot, .. } => {
+            (&snapshot.checkpoint, None, snapshot.budget, FaultConfig::empty())
+        }
+    };
+    let mut machine = Machine::restore_with(image, cpu, Some(budget), GemFiEngine::new(faults));
+    machine.set_elide(config.elide);
+    machine.set_superblock(config.superblock);
+    machine
+}
+
+/// Drives a built machine to completion: the switch-grace/model-switch
 /// protocol, horizon-aware chunked scheduling, and abort polling — the one
-/// loop shared by the single-fault, multi-fault, and forked-suffix
-/// experiment paths. `origin` is the checkpoint tick the experiment
-/// descends from; pre-switch boundaries are anchored to it (see
-/// [`next_boundary`]).
+/// loop every experiment path runs. `origin` is the checkpoint tick the
+/// experiment descends from; pre-switch boundaries are anchored to it (see
+/// [`next_boundary`]). `observer` is invoked once per scheduling chunk (with
+/// the machine and whether the CPU switch has happened) and must not advance
+/// the machine; the mid-run snapshot policy ([`crate::snapshot`]) hangs off
+/// it.
 ///
 /// Pre-switch polling always runs at the fine granularity, even while the
 /// engine is dormant: the boundary at which `pending_faults() == 0` is
@@ -202,21 +264,9 @@ pub(crate) fn drive_to_completion(
     config: &RunnerConfig,
     abort: &AbortToken,
     origin: u64,
-) -> (RunExit, bool) {
-    drive_to_completion_observed(machine, config, abort, origin, &mut |_, _| {})
-}
-
-/// [`drive_to_completion`] with an observer invoked once per scheduling
-/// chunk (with the machine and whether the CPU switch has happened). The
-/// mid-run snapshot policy ([`crate::snapshot`]) hangs off this hook; the
-/// observer must not advance the machine.
-pub(crate) fn drive_to_completion_observed(
-    machine: &mut Machine<GemFiEngine>,
-    config: &RunnerConfig,
-    abort: &AbortToken,
-    origin: u64,
     observer: &mut dyn FnMut(&Machine<GemFiEngine>, bool),
 ) -> (RunExit, bool) {
+    machine.hooks_mut().set_abort_token(abort.clone());
     let mut switched = config.inject_cpu == config.finish_cpu;
     loop {
         if abort.is_aborted() {
@@ -255,6 +305,40 @@ pub(crate) fn drive_to_completion_observed(
     }
 }
 
+/// The observer of a run nobody watches.
+pub(crate) fn unobserved(_: &Machine<GemFiEngine>, _: bool) {}
+
+/// The one experiment driver: builds the machine from `source` loaded with
+/// `specs`, drives it under `abort`, and classifies. Every `run_*` entry
+/// point — whole run, multi-fault, snapshot resume — is a call into this.
+pub(crate) fn experiment(
+    source: Source<'_>,
+    prepared: &PreparedWorkload,
+    workload: &dyn Workload,
+    specs: &[FaultSpec],
+    config: &RunnerConfig,
+    abort: &AbortToken,
+    observer: &mut dyn FnMut(&Machine<GemFiEngine>, bool),
+) -> ExperimentResult {
+    assert!(!specs.is_empty(), "at least one fault");
+    let mut machine = build_machine(source, prepared, specs, config);
+    let (origin, config, stored) = match source {
+        Source::Checkpoint(checkpoint) => (checkpoint.tick(), *config, None),
+        Source::Trunk(_) => (prepared.checkpoint.tick(), *config, None),
+        // Already switched: drive with inject == finish so the loop never
+        // re-enters the grace/switch protocol. The resumed engine never saw
+        // the injection — the records that classify the run were persisted
+        // in the snapshot.
+        Source::Snapshot { origin, snapshot } => (
+            origin.tick(),
+            RunnerConfig { inject_cpu: config.finish_cpu, ..*config },
+            Some(snapshot.records.clone()),
+        ),
+    };
+    let drove = drive_to_completion(&mut machine, &config, abort, origin, observer);
+    finish_result(&machine, origin, prepared, workload, specs[0], drove, stored)
+}
+
 /// Restores from `checkpoint` with a fresh single-fault engine and drives
 /// the whole experiment — everything [`run_experiment_from_with_abort`]
 /// does short of classification. The fork-at-injection conformance suite
@@ -267,33 +351,14 @@ pub fn drive_whole_run(
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> (Machine<GemFiEngine>, RunExit, bool) {
-    let mut engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
-    engine.set_abort_token(abort.clone());
-    let mut machine = Machine::restore_with(
-        checkpoint,
-        Some(config.inject_cpu),
-        Some(watchdog_budget(checkpoint, prepared, config)),
-        engine,
-    );
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    let (exit, aborted) = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
+    let mut machine = build_machine(Source::Checkpoint(checkpoint), prepared, &[spec], config);
+    let (exit, aborted) =
+        drive_to_completion(&mut machine, config, abort, checkpoint.tick(), &mut unobserved);
     (machine, exit, aborted)
 }
 
 /// Runs one experiment from an explicit checkpoint (the NoW path passes a
-/// workstation-local copy).
-pub fn run_experiment_from(
-    checkpoint: &Checkpoint,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    config: &RunnerConfig,
-) -> ExperimentResult {
-    run_experiment_from_with_abort(checkpoint, prepared, workload, spec, config, &AbortToken::new())
-}
-
-/// [`run_experiment_from`] with an external abort token checked between
+/// workstation-local copy) with an external abort token checked between
 /// scheduling chunks. The campaign's lease reaper raises the token when
 /// this experiment's lease expires; the run then stops at the next chunk
 /// boundary and classifies as [`Outcome::Infrastructure`] (the harness gave
@@ -306,53 +371,25 @@ pub fn run_experiment_from_with_abort(
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> ExperimentResult {
-    // `fi_read_init_all` restore semantics: a fresh engine re-reads the
-    // fault configuration for this experiment. The shared checkpoint is
-    // restored in place — no per-experiment deep copy; the watchdog bound
-    // (corrupted control flow loops forever, so cap the run relative to
-    // the fault-free kernel time) rides along as a restore override.
-    let (machine, exit, aborted) = drive_whole_run(checkpoint, prepared, spec, config, abort);
-    finish_result(machine, checkpoint.tick(), prepared, workload, spec, exit, aborted)
+    let source = Source::Checkpoint(checkpoint);
+    experiment(source, prepared, workload, &[spec], config, abort, &mut unobserved)
 }
 
-/// Classification and result assembly shared by the experiment paths.
+/// Classification and result assembly shared by every experiment path.
+/// `drove` is what [`drive_to_completion`] returned. `stored` are the
+/// injection records of a run resumed from a mid-run snapshot
+/// ([`crate::snapshot`]), whose finishing engine never saw the injection;
+/// every other run classifies by its own engine's records.
 pub(crate) fn finish_result(
-    machine: Machine<GemFiEngine>,
+    machine: &Machine<GemFiEngine>,
     checkpoint_tick: u64,
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
     spec: FaultSpec,
-    exit: RunExit,
-    aborted: bool,
+    (exit, aborted): (RunExit, bool),
+    stored: Option<Vec<InjectionRecord>>,
 ) -> ExperimentResult {
-    let injections = machine.hooks().records().to_vec();
-    finish_result_with_records(
-        machine,
-        checkpoint_tick,
-        prepared,
-        workload,
-        spec,
-        exit,
-        aborted,
-        injections,
-    )
-}
-
-/// [`finish_result`] with the injection records supplied by the caller. A
-/// run resumed from a mid-run snapshot ([`crate::snapshot`]) finishes on a
-/// machine whose engine never saw the injection — the records that classify
-/// it were persisted in the snapshot and are threaded back in here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_result_with_records(
-    machine: Machine<GemFiEngine>,
-    checkpoint_tick: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    exit: RunExit,
-    aborted: bool,
-    injections: Vec<InjectionRecord>,
-) -> ExperimentResult {
+    let injections = stored.unwrap_or_else(|| machine.hooks().records().to_vec());
     let output = machine
         .mem()
         .read_slice(prepared.guest.output_addr(), prepared.guest.output_len)
@@ -386,34 +423,8 @@ pub fn run_experiment_multi(
     specs: &[FaultSpec],
     config: &RunnerConfig,
 ) -> ExperimentResult {
-    run_experiment_multi_with_abort(prepared, workload, specs, config, &AbortToken::new())
-}
-
-/// [`run_experiment_multi`] with an external abort token, so multi-fault
-/// experiments can be reaped by the same lease watchdog as single-fault
-/// ones. A raised token stops the run at the next chunk boundary and
-/// classifies as [`Outcome::Infrastructure`].
-pub fn run_experiment_multi_with_abort(
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    specs: &[FaultSpec],
-    config: &RunnerConfig,
-    abort: &AbortToken,
-) -> ExperimentResult {
-    assert!(!specs.is_empty(), "at least one fault");
-    let mut engine = GemFiEngine::new(FaultConfig::from_specs(specs.to_vec()));
-    engine.set_abort_token(abort.clone());
-    let mut machine = Machine::restore_with(
-        &prepared.checkpoint,
-        Some(config.inject_cpu),
-        Some(watchdog_budget(&prepared.checkpoint, prepared, config)),
-        engine,
-    );
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    let (exit, aborted) =
-        drive_to_completion(&mut machine, config, abort, prepared.checkpoint.tick());
-    finish_result(machine, prepared.checkpoint.tick(), prepared, workload, specs[0], exit, aborted)
+    let source = Source::Checkpoint(&prepared.checkpoint);
+    experiment(source, prepared, workload, specs, config, &AbortToken::new(), &mut unobserved)
 }
 
 /// Runs one experiment using the prepared workload's own checkpoint.
@@ -423,7 +434,8 @@ pub fn run_experiment(
     spec: FaultSpec,
     config: &RunnerConfig,
 ) -> ExperimentResult {
-    run_experiment_from(&prepared.checkpoint, prepared, workload, spec, config)
+    let abort = AbortToken::new();
+    run_experiment_from_with_abort(&prepared.checkpoint, prepared, workload, spec, config, &abort)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! The campaign server: the NoW spool share lifted onto a socket.
 //!
-//! [`CampaignServer`] owns one [`WindowScheduler`] per campaign queue and
+//! [`CampaignServer`] owns one [`Campaign`] round engine per queue and
 //! speaks the line-delimited JSON protocol of [`crate::wire`] to a fleet
 //! of remote [`crate::worker`] processes. The server side of every verb is
 //! the same state machine the spool backend locks in-process — claims
 //! lease experiments, heartbeats renew them, results fold into the
 //! durable journal as they arrive, expired leases are reaped and retried
-//! with capped backoff — so the fault-tolerance story is written (and
-//! tested) exactly once, in [`crate::window`].
+//! with capped backoff, finished rounds fold and the next one is planned —
+//! so the campaign pipeline is written (and tested) exactly once, in
+//! [`crate::now`] and [`crate::window`].
 //!
 //! Topology (Sec. III-E, networked): the server process holds the share
 //! directory and the journal; workers hold nothing durable. A worker that
@@ -22,19 +23,14 @@
 //! first) and an optional lease quota (a cap on concurrently outstanding
 //! experiments, so a low-priority bulk campaign cannot starve an urgent
 //! one of workers). Fixed-n and adaptive campaigns both run behind the
-//! same claim verb; the adaptive engine plans sampling rounds lazily as
-//! claims drain each window.
+//! same claim verb; a queue's kind only picks its engine's plan.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveReplay, AdaptiveState};
+use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, Plan};
 use crate::clock::{system_clock, Clock};
-use crate::journal::Journal;
-use crate::lease::LeaseDir;
-use crate::now::{
-    fold_round, plan_round, seed_adaptive_campaign, seed_fixed_campaign, CompletedExperiment,
-};
+use crate::now::{Campaign, CompletedExperiment};
 use crate::report::OutcomeTable;
 use crate::runner::PreparedWorkload;
-use crate::window::{ClaimOutcome, ReportAck, SchedulerPolicy, WindowScheduler};
+use crate::window::{ClaimOutcome, ReportAck, SchedulerPolicy};
 use crate::wire::{hex_encode, json_escape, read_line, write_line, ClientMsg, ServerMsg};
 use crate::PROTO_VERSION;
 use gemfi::{FaultSpec, Outcome};
@@ -133,281 +129,31 @@ pub struct QueueSpec {
     pub kind: QueueKind,
 }
 
-/// The per-queue campaign engine behind the shared claim verb. Both
-/// variants box their state so the enum stays pointer-sized per queue.
-enum QueueEngine {
-    Fixed { scheduler: Box<WindowScheduler> },
-    Adaptive(Box<AdaptiveEngine>),
-}
-
-/// An adaptive queue's sequential-sampling driver plus its live window.
-struct AdaptiveEngine {
-    config: AdaptiveConfig,
-    state: AdaptiveState,
-    table: OutcomeTable,
-    replay: AdaptiveReplay,
-    /// Journal between windows; [`None`] while a window is live.
-    journal: Option<Journal>,
-    /// Live window; [`None`] between windows (journal holds it).
-    scheduler: Option<WindowScheduler>,
-    /// Cell index per live-window slot (fold key).
-    cells: Vec<usize>,
-    retries: u64,
-    reclaimed: u64,
-    done: bool,
-}
-
-/// One queue: engine plus the static context served to workers.
+/// One queue: its campaign engine plus the static context served to
+/// workers.
 struct Queue {
     name: String,
     priority: u32,
     quota: usize,
     workload: String,
     scale: String,
-    share: PathBuf,
     prepared: PreparedWorkload,
     /// Serialized checkpoint image, encoded once and served by digest.
     ckpt_bytes: Arc<Vec<u8>>,
-    /// Terminal records replayed from the journal at seeding/planning.
-    resumed: usize,
-    /// Completions credited per worker across finished windows.
-    per_worker: BTreeMap<String, usize>,
-    engine: QueueEngine,
-}
-
-/// What one queue said to a claim.
-enum QueueClaim {
-    Work(ServerMsg),
-    Idle,
-    Done,
+    campaign: Campaign,
 }
 
 impl Queue {
-    /// Folds a completed adaptive window and plans until a claimable
-    /// window exists or the campaign finalizes. No-op for fixed queues
-    /// and for adaptive queues whose live window is still in flight.
-    fn poke(&mut self, policy: &SchedulerPolicy, clock: &Arc<dyn Clock>) -> std::io::Result<()> {
-        let QueueEngine::Adaptive(engine) = &mut self.engine else {
-            return Ok(());
-        };
-        let AdaptiveEngine {
-            config,
-            state,
-            table,
-            replay,
-            journal,
-            scheduler,
-            cells,
-            retries,
-            reclaimed,
-            done,
-        } = &mut **engine;
-        if *done {
-            return Ok(());
-        }
-        if let Some(live) = scheduler.as_ref() {
-            if !live.is_complete() {
-                return Ok(());
-            }
-            let live = scheduler.take().expect("live window present");
-            for (worker, n) in live.per_worker() {
-                *self.per_worker.entry(worker.clone()).or_insert(0) += n;
-            }
-            let (j, completed, _per_ws, r, rc, _terminal, _finished, _halted) = live.into_parts();
-            fold_round(state, table, cells, completed);
-            *retries += r;
-            *reclaimed += rc;
-            *journal = Some(j);
-            state.end_round();
-        }
-        let leases = LeaseDir::new(&self.share);
-        loop {
-            let draws = state.next_round();
-            if draws.is_empty() {
-                state.finalize();
-                *done = true;
-                return Ok(());
-            }
-            let mut j = journal.take().expect("journal held between windows");
-            let round =
-                plan_round(&draws, config, replay, state, table, &mut j, &self.share, &leases)?;
-            self.resumed += round.resumed;
-            *reclaimed += round.reclaimed;
-            if round.exps.is_empty() {
-                // Every draw of this round was already terminal in the
-                // journal; keep planning.
-                *journal = Some(j);
-                state.end_round();
-                continue;
-            }
-            *cells = round.cells;
-            *scheduler = Some(WindowScheduler::new(
-                &self.share,
-                clock.clone(),
-                policy.clone(),
-                j,
-                round.exps,
-                round.specs,
-                round.seed,
-                0,
-                0,
-                0,
-            ));
-            return Ok(());
-        }
-    }
-
-    fn try_claim(
-        &mut self,
-        worker: &str,
-        policy: &SchedulerPolicy,
-        clock: &Arc<dyn Clock>,
-    ) -> std::io::Result<QueueClaim> {
-        loop {
-            self.poke(policy, clock)?;
-            let scheduler = match &mut self.engine {
-                QueueEngine::Fixed { scheduler } => {
-                    if scheduler.is_complete() {
-                        return Ok(QueueClaim::Done);
-                    }
-                    &mut **scheduler
-                }
-                QueueEngine::Adaptive(engine) => {
-                    if engine.done {
-                        return Ok(QueueClaim::Done);
-                    }
-                    engine.scheduler.as_mut().expect("poke left a live window or finished")
-                }
-            };
-            if self.quota > 0 && scheduler.leased() >= self.quota {
-                return Ok(QueueClaim::Idle);
-            }
-            match scheduler.try_claim(worker)? {
-                // The window drained between poke and claim (or the fixed
-                // campaign just became terminal): advance and retry.
-                ClaimOutcome::Complete => {
-                    if matches!(self.engine, QueueEngine::Fixed { .. }) {
-                        return Ok(QueueClaim::Done);
-                    }
-                }
-                ClaimOutcome::Idle => return Ok(QueueClaim::Idle),
-                // The server-side abort token is dropped: remote workers
-                // abandon reaped windows via heartbeat loss instead.
-                ClaimOutcome::Work { exp, attempt, deadline_ms, spec, abort: _ } => {
-                    return Ok(QueueClaim::Work(ServerMsg::Work {
-                        queue: self.name.clone(),
-                        exp: exp as u64,
-                        attempt,
-                        deadline_ms,
-                        lease_ms: policy.lease_ms,
-                        spec: spec.to_string(),
-                    }));
-                }
-            }
-        }
-    }
-
-    /// `(terminal, total, leased, retries, reclaimed, done)` for STATUS.
-    fn progress(&self) -> (u64, u64, u64, u64, u64, bool) {
-        match &self.engine {
-            QueueEngine::Fixed { scheduler } => {
-                let (terminal, total) = scheduler.progress();
-                (
-                    terminal as u64,
-                    total as u64,
-                    scheduler.leased() as u64,
-                    scheduler.retries(),
-                    scheduler.reclaimed(),
-                    scheduler.is_complete(),
-                )
-            }
-            QueueEngine::Adaptive(engine) => {
-                let live = engine.scheduler.as_ref();
-                let in_window = live.map_or(0, |s| s.progress().0 as u64);
-                (
-                    engine.table.total() + in_window,
-                    engine.state.drawn_total(),
-                    live.map_or(0, |s| s.leased() as u64),
-                    engine.retries + live.map_or(0, |s| s.retries()),
-                    engine.reclaimed + live.map_or(0, |s| s.reclaimed()),
-                    engine.done,
-                )
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match &self.engine {
-            QueueEngine::Fixed { scheduler } => scheduler.is_complete(),
-            QueueEngine::Adaptive(engine) => engine.done,
-        }
-    }
-
-    /// Per-worker completions: finished windows plus the live one.
-    fn worker_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = self.per_worker.clone();
-        let live = match &self.engine {
-            QueueEngine::Fixed { scheduler } => Some(&**scheduler),
-            QueueEngine::Adaptive(engine) => engine.scheduler.as_ref(),
-        };
-        if let Some(live) = live {
-            for (worker, n) in live.per_worker() {
-                *counts.entry(worker.clone()).or_insert(0) += n;
-            }
-        }
-        counts
-    }
-
     fn report(&self) -> QueueReport {
-        let (completed, table, adaptive, retries, reclaimed) = match &self.engine {
-            QueueEngine::Fixed { scheduler } => {
-                let completed: Vec<CompletedExperiment> =
-                    scheduler.completed().iter().flatten().cloned().collect();
-                let table: OutcomeTable = completed.iter().map(|c| c.outcome).collect();
-                (completed, table, None, scheduler.retries(), scheduler.reclaimed())
-            }
-            QueueEngine::Adaptive(engine) => {
-                let AdaptiveEngine {
-                    config,
-                    state,
-                    table,
-                    scheduler,
-                    retries,
-                    reclaimed,
-                    done,
-                    ..
-                } = &**engine;
-                let completed: Vec<CompletedExperiment> = scheduler
-                    .as_ref()
-                    .map(|s| s.completed().iter().flatten().cloned().collect())
-                    .unwrap_or_default();
-                let adaptive = done.then(|| AdaptiveOutcome {
-                    cells: state.reports(config.z),
-                    table: *table,
-                    experiments: state.drawn_total(),
-                    rounds: state.rounds(),
-                    resumed: self.resumed as u64,
-                    z: config.z,
-                });
-                let live = scheduler.as_ref();
-                (
-                    completed,
-                    *table,
-                    adaptive,
-                    retries + live.map_or(0, |s| s.retries()),
-                    reclaimed + live.map_or(0, |s| s.reclaimed()),
-                )
-            }
-        };
         QueueReport {
             name: self.name.clone(),
-            table,
-            completed,
-            adaptive,
-            resumed: self.resumed,
-            retries,
-            reclaimed,
-            per_worker: self.worker_counts(),
+            table: self.campaign.table(),
+            completed: self.campaign.records(),
+            adaptive: self.campaign.adaptive_outcome(),
+            resumed: self.campaign.resumed(),
+            retries: self.campaign.retries(),
+            reclaimed: self.campaign.reclaimed(),
+            per_worker: self.campaign.worker_counts(),
         }
     }
 }
@@ -419,8 +165,7 @@ pub struct QueueReport {
     pub name: String,
     /// Outcome histogram of every folded experiment.
     pub table: OutcomeTable,
-    /// Terminal per-experiment records (fixed queues: the full list;
-    /// adaptive: the last live window only — the table is authoritative).
+    /// Terminal per-experiment records, in experiment order.
     pub completed: Vec<CompletedExperiment>,
     /// Adaptive conclusion, when the queue ran to its stopping rule.
     pub adaptive: Option<AdaptiveOutcome>,
@@ -448,7 +193,6 @@ pub struct ServerReport {
 struct Shared {
     queues: Mutex<Vec<Queue>>,
     policy: SchedulerPolicy,
-    clock: Arc<dyn Clock>,
     shutdown: AtomicBool,
     started: Instant,
 }
@@ -458,10 +202,21 @@ impl Shared {
         let mut queues = self.queues.lock().expect("queue mutex");
         let mut any_open = false;
         for queue in queues.iter_mut() {
-            match queue.try_claim(worker, &self.policy, &self.clock)? {
-                QueueClaim::Work(msg) => return Ok(msg),
-                QueueClaim::Idle => any_open = true,
-                QueueClaim::Done => {}
+            match queue.campaign.try_claim(worker, queue.quota)? {
+                // The server-side abort token is dropped: remote workers
+                // abandon reaped windows via heartbeat loss instead.
+                ClaimOutcome::Work { exp, attempt, deadline_ms, spec, abort: _ } => {
+                    return Ok(ServerMsg::Work {
+                        queue: queue.name.clone(),
+                        exp: exp as u64,
+                        attempt,
+                        deadline_ms,
+                        lease_ms: self.policy.lease_ms,
+                        spec: spec.to_string(),
+                    });
+                }
+                ClaimOutcome::Idle => any_open = true,
+                ClaimOutcome::Complete => {}
             }
         }
         if any_open {
@@ -473,15 +228,10 @@ impl Shared {
 
     fn heartbeat(&self, queue: &str, worker: &str, exp: usize, attempt: u64) -> ServerMsg {
         let mut queues = self.queues.lock().expect("queue mutex");
-        let Some(q) = queues.iter_mut().find(|q| q.name == queue) else {
-            return ServerMsg::HeartbeatLost;
-        };
-        let scheduler = match &mut q.engine {
-            QueueEngine::Fixed { scheduler } => Some(&mut **scheduler),
-            QueueEngine::Adaptive(engine) => engine.scheduler.as_mut(),
-        };
-        let Some(scheduler) = scheduler else { return ServerMsg::HeartbeatLost };
-        match scheduler.heartbeat(exp, worker, attempt) {
+        let window =
+            queues.iter_mut().find(|q| q.name == queue).and_then(|q| q.campaign.window_mut());
+        let Some(window) = window else { return ServerMsg::HeartbeatLost };
+        match window.heartbeat(exp, worker, attempt) {
             Ok(Some(deadline_ms)) => ServerMsg::HeartbeatAck { deadline_ms },
             Ok(None) => ServerMsg::HeartbeatLost,
             Err(e) => ServerMsg::Error { reason: format!("heartbeat journal append: {e}") },
@@ -503,11 +253,6 @@ impl Shared {
         let Some(q) = queues.iter_mut().find(|q| &q.name == queue) else {
             return Ok(ServerMsg::Ack { accepted: 0 });
         };
-        let scheduler = match &mut q.engine {
-            QueueEngine::Fixed { scheduler } => Some(&mut **scheduler),
-            QueueEngine::Adaptive(engine) => engine.scheduler.as_mut(),
-        };
-        let Some(scheduler) = scheduler else { return Ok(ServerMsg::Ack { accepted: 0 }) };
         let ack = match msg {
             ClientMsg::Result { outcome, exit, ticks, .. } => {
                 let outcome: Outcome = match outcome.parse() {
@@ -518,10 +263,17 @@ impl Shared {
                         })
                     }
                 };
-                scheduler.report_done(exp, attempt, worker, None, outcome, exit, *ticks)?
+                let done = CompletedExperiment {
+                    exp,
+                    outcome,
+                    attempts: attempt,
+                    ticks: *ticks,
+                    resumed: false,
+                };
+                q.campaign.report(|window| window.report_done(worker, None, done, exit))?
             }
             ClientMsg::Failed { reason, .. } => {
-                scheduler.report_failed(exp, attempt, worker, reason)?
+                q.campaign.report(|window| window.report_failed(exp, attempt, worker, reason))?
             }
             _ => unreachable!(),
         };
@@ -532,7 +284,7 @@ impl Shared {
     /// by `{"status":"end"}`.
     fn status_lines(&self) -> Vec<String> {
         let queues = self.queues.lock().expect("queue mutex");
-        let done = queues.iter().all(Queue::is_done);
+        let done = queues.iter().all(|q| q.campaign.is_done());
         let mut lines = vec![format!(
             "{{\"status\":\"server\",\"queues\":{},\"uptime_ms\":{},\"done\":{}}}",
             queues.len(),
@@ -540,11 +292,10 @@ impl Shared {
             u64::from(done)
         )];
         for q in queues.iter() {
-            let kind = match q.engine {
-                QueueEngine::Fixed { .. } => "fixed",
-                QueueEngine::Adaptive(_) => "adaptive",
-            };
-            let (terminal, total, leased, retries, reclaimed, q_done) = q.progress();
+            let sequential = q.campaign.sequential();
+            let kind = if sequential.is_some() { "adaptive" } else { "fixed" };
+            let (terminal, total, leased) = q.campaign.progress();
+            let (retries, reclaimed) = (q.campaign.retries(), q.campaign.reclaimed());
             lines.push(format!(
                 "{{\"status\":\"queue\",\"queue\":\"{}\",\"kind\":\"{kind}\",\"priority\":{},\
                  \"quota\":{},\"workload\":\"{}\",\"terminal\":{terminal},\"total\":{total},\
@@ -554,10 +305,10 @@ impl Shared {
                 q.priority,
                 q.quota,
                 json_escape(&q.workload),
-                q.resumed,
-                u64::from(q_done)
+                q.campaign.resumed(),
+                u64::from(q.campaign.is_done())
             ));
-            for (worker, n) in q.worker_counts() {
+            for (worker, n) in q.campaign.worker_counts() {
                 lines.push(format!(
                     "{{\"status\":\"worker\",\"queue\":\"{}\",\"worker\":\"{}\",\
                      \"completed\":{n}}}",
@@ -565,8 +316,7 @@ impl Shared {
                     json_escape(&worker)
                 ));
             }
-            if let QueueEngine::Adaptive(engine) = &q.engine {
-                let AdaptiveEngine { config, state, .. } = &**engine;
+            if let Some((config, state)) = sequential {
                 // Per-cell sequential-sampling telemetry: the live Wilson
                 // intervals the stopping rule is watching, in ppm.
                 for cell in state.reports(config.z) {
@@ -648,7 +398,6 @@ impl CampaignServer {
         let shared = Arc::new(Shared {
             queues: Mutex::new(queues),
             policy,
-            clock: config.clock.clone(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         });
@@ -667,13 +416,8 @@ impl CampaignServer {
 
     /// Whether every queue is terminal.
     pub fn is_complete(&self) -> bool {
-        let mut queues = self.shared.queues.lock().expect("queue mutex");
-        for q in queues.iter_mut() {
-            // Adaptive queues advance on claims; with no worker traffic the
-            // final fold/finalize still has to happen somewhere.
-            let _ = q.poke(&self.shared.policy, &self.shared.clock);
-        }
-        queues.iter().all(Queue::is_done)
+        let queues = self.shared.queues.lock().expect("queue mutex");
+        queues.iter().all(|q| q.campaign.is_done())
     }
 
     /// Polls until every queue is terminal or `timeout` elapses. Returns
@@ -719,58 +463,30 @@ fn build_queue(
     policy: &SchedulerPolicy,
     spec: QueueSpec,
 ) -> std::io::Result<Queue> {
-    let share = config.share_dir.join(&spec.name);
-    let ckpt_bytes = Arc::new(spec.prepared.checkpoint.to_bytes());
-    let (engine, resumed) = match spec.kind {
-        QueueKind::FixedN { specs } => {
-            let seeded = seed_fixed_campaign(&share, &spec.prepared, &specs, config.resume)?;
-            let scheduler = WindowScheduler::new(
-                &share,
-                config.clock.clone(),
-                policy.clone(),
-                seeded.journal,
-                (0..specs.len()).collect(),
-                specs,
-                seeded.seed,
-                0,
-                seeded.reclaimed,
-                0,
-            );
-            (QueueEngine::Fixed { scheduler: Box::new(scheduler) }, seeded.resumed)
-        }
+    let plan = match spec.kind {
+        QueueKind::FixedN { specs } => Plan::fixed(specs),
         QueueKind::Adaptive { config: adaptive, seed } => {
-            let (journal, replay) =
-                seed_adaptive_campaign(&share, &spec.prepared, &adaptive, seed, config.resume)?;
-            let state = AdaptiveState::new(&adaptive, seed, spec.prepared.stage_events);
-            (
-                QueueEngine::Adaptive(Box::new(AdaptiveEngine {
-                    config: adaptive,
-                    state,
-                    table: OutcomeTable::new(),
-                    replay,
-                    journal: Some(journal),
-                    scheduler: None,
-                    cells: Vec::new(),
-                    retries: 0,
-                    reclaimed: 0,
-                    done: false,
-                })),
-                0,
-            )
+            Plan::adaptive(adaptive, seed, spec.prepared.stage_events)
         }
     };
+    let campaign = Campaign::open(
+        &config.share_dir.join(&spec.name),
+        &spec.prepared,
+        plan,
+        config.resume,
+        config.clock.clone(),
+        policy.clone(),
+        0,
+    )?;
     Ok(Queue {
         name: spec.name,
         priority: spec.priority,
         quota: spec.quota,
         workload: spec.workload,
         scale: spec.scale,
-        share,
+        ckpt_bytes: Arc::new(spec.prepared.checkpoint.to_bytes()),
         prepared: spec.prepared,
-        ckpt_bytes,
-        resumed,
-        per_worker: BTreeMap::new(),
-        engine,
+        campaign,
     })
 }
 

@@ -6,7 +6,7 @@
 //! engine reports itself fully dormant: at that point every injection
 //! record's propagation flags (`consumed`/`overwritten`) are final, so the
 //! records can be persisted alongside the machine image and threaded back
-//! into classification on resume ([`crate::runner::finish_result_with_records`]).
+//! into classification on resume ([`crate::runner::finish_result`]).
 //! Before dormancy the engine still holds live watches that would mutate
 //! the records, and a snapshot would freeze them mid-observation.
 //!
@@ -25,13 +25,14 @@
 //! to wrong results.
 
 use crate::runner::{
-    drive_to_completion_observed, finish_result_with_records, watchdog_budget, ExperimentResult,
-    PreparedWorkload, RunnerConfig,
+    experiment, run_experiment_from_with_abort, watchdog_budget, ExperimentResult,
+    PreparedWorkload, RunnerConfig, Source,
 };
+use crate::transport::WorkAssignment;
 use crate::wire::{json_escape, parse_flat_object};
-use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Stage};
+use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome, Stage};
 use gemfi_isa::codec::Codec;
-use gemfi_sim::{Checkpoint, Machine, RunExit};
+use gemfi_sim::{Checkpoint, Machine};
 use gemfi_workloads::Workload;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -186,67 +187,47 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Snapshot, String> {
 /// valid snapshot for this exact experiment (same spec, same origin
 /// checkpoint) already exists, the run resumes from it instead of replaying
 /// from `checkpoint` — the crashed-worker recovery path. The snapshot file
-/// is left in place on completion; the caller deletes it once the result is
-/// durably reported.
-#[allow(clippy::too_many_arguments)] // mirrors run_experiment + the snapshot pair
-pub fn run_experiment_snapshotted(
+/// is left in place on completion; [`execute_leased`] deletes it once the run
+/// reached a verdict.
+pub(crate) fn run_experiment_snapshotted(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
     spec: FaultSpec,
     config: &RunnerConfig,
     abort: &AbortToken,
-    snap_path: &Path,
-    policy: SnapshotPolicy,
+    (snap_path, policy): (&Path, SnapshotPolicy),
 ) -> ExperimentResult {
     let origin_digest = checkpoint.digest();
+    let mut resumable = None;
     if policy.enabled() && snap_path.exists() {
-        if let Ok(snap) = load_snapshot(snap_path) {
-            if snap.spec == spec.to_string() && snap.origin_digest == origin_digest {
-                return resume_from(
-                    snap,
-                    checkpoint.tick(),
-                    origin_digest,
-                    prepared,
-                    workload,
-                    spec,
-                    config,
-                    abort,
-                    snap_path,
-                    policy,
-                );
+        match load_snapshot(snap_path) {
+            Ok(snap) if snap.spec == spec.to_string() && snap.origin_digest == origin_digest => {
+                resumable = Some(snap);
+            }
+            // Stale or foreign snapshot: start over rather than trust it.
+            _ => {
+                let _ = std::fs::remove_file(snap_path);
             }
         }
-        // Stale or foreign snapshot: start over rather than trust it.
-        let _ = std::fs::remove_file(snap_path);
     }
-
-    let mut engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
-    engine.set_abort_token(abort.clone());
-    let budget = watchdog_budget(checkpoint, prepared, config);
-    let mut machine =
-        Machine::restore_with(checkpoint, Some(config.inject_cpu), Some(budget), engine);
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    let origin = checkpoint.tick();
-    let mut observer = snapshot_observer(policy, origin, origin_digest, budget, spec, snap_path);
-    let (exit, aborted) =
-        drive_to_completion_observed(&mut machine, config, abort, origin, &mut observer);
-    finish_result(machine, origin, prepared, workload, spec, exit, aborted, None)
-}
-
-/// The per-chunk capture hook: snapshot when the run is switched, dormant,
-/// and at least `interval_ticks` past the previous capture.
-fn snapshot_observer<'a>(
-    policy: SnapshotPolicy,
-    origin: u64,
-    origin_digest: u64,
-    budget: u64,
-    spec: FaultSpec,
-    snap_path: &'a Path,
-) -> impl FnMut(&Machine<GemFiEngine>, bool) + 'a {
-    let mut last_capture = origin;
-    move |machine: &Machine<GemFiEngine>, switched: bool| {
+    // A resumed run keeps the original run's absolute watchdog budget and
+    // spaces its captures from the snapshot it resumed.
+    let (source, budget, mut last_capture) = match &resumable {
+        Some(snapshot) => (
+            Source::Snapshot { origin: checkpoint, snapshot },
+            snapshot.budget,
+            snapshot.checkpoint.tick(),
+        ),
+        None => (
+            Source::Checkpoint(checkpoint),
+            watchdog_budget(checkpoint, prepared, config),
+            checkpoint.tick(),
+        ),
+    };
+    // The per-chunk capture hook: snapshot when the run is switched,
+    // dormant, and at least `interval_ticks` past the previous capture.
+    let mut observer = |machine: &Machine<GemFiEngine>, switched: bool| {
         if !policy.enabled() || !switched {
             return;
         }
@@ -264,64 +245,33 @@ fn snapshot_observer<'a>(
         {
             last_capture = now;
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resume_from(
-    snap: Snapshot,
-    origin: u64,
-    origin_digest: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    config: &RunnerConfig,
-    abort: &AbortToken,
-    snap_path: &Path,
-    policy: SnapshotPolicy,
-) -> ExperimentResult {
-    // The snapshot was captured post-switch and dormant: the fault has
-    // already fired, so the resumed engine carries no faults; the persisted
-    // records classify the run. `None` keeps the snapshot's CPU mode (the
-    // finish model) and the stored absolute budget keeps the watchdog
-    // anchored to the original run, not restarted from the snapshot.
-    let mut engine = GemFiEngine::new(FaultConfig::empty());
-    engine.set_abort_token(abort.clone());
-    let mut machine = Machine::restore_with(&snap.checkpoint, None, Some(snap.budget), engine);
-    machine.set_elide(config.elide);
-    machine.set_superblock(config.superblock);
-    // Already switched: drive with inject == finish so the loop never
-    // re-enters the grace/switch protocol.
-    let resume_cfg = RunnerConfig { inject_cpu: config.finish_cpu, ..*config };
-    let mut observer = snapshot_observer(
-        policy,
-        snap.checkpoint.tick(),
-        origin_digest,
-        snap.budget,
-        spec,
-        snap_path,
-    );
-    let (exit, aborted) =
-        drive_to_completion_observed(&mut machine, &resume_cfg, abort, origin, &mut observer);
-    finish_result(machine, origin, prepared, workload, spec, exit, aborted, Some(snap.records))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish_result(
-    machine: Machine<GemFiEngine>,
-    origin: u64,
-    prepared: &PreparedWorkload,
-    workload: &dyn Workload,
-    spec: FaultSpec,
-    exit: RunExit,
-    aborted: bool,
-    stored_records: Option<Vec<InjectionRecord>>,
-) -> ExperimentResult {
-    let records = match stored_records {
-        Some(r) => r,
-        None => machine.hooks().records().to_vec(),
     };
-    finish_result_with_records(machine, origin, prepared, workload, spec, exit, aborted, records)
+    experiment(source, prepared, workload, &[spec], config, abort, &mut observer)
+}
+
+/// Runs one leased experiment for a campaign worker (spool thread or socket
+/// process): with mid-run snapshots at `snap` when the worker keeps them,
+/// plainly otherwise. Once a verdict is reached the crash-resume state is
+/// spent and the snapshot is deleted; aborted runs keep theirs — the retry
+/// resumes from it.
+pub(crate) fn execute_leased(
+    checkpoint: &Checkpoint,
+    prepared: &PreparedWorkload,
+    workload: &dyn Workload,
+    assignment: &WorkAssignment,
+    config: &RunnerConfig,
+    snap: Option<(&Path, SnapshotPolicy)>,
+) -> ExperimentResult {
+    let (spec, abort) = (assignment.spec, &assignment.abort);
+    let Some(snap) = snap else {
+        return run_experiment_from_with_abort(checkpoint, prepared, workload, spec, config, abort);
+    };
+    let result =
+        run_experiment_snapshotted(checkpoint, prepared, workload, spec, config, abort, snap);
+    if result.outcome != Outcome::Infrastructure {
+        let _ = std::fs::remove_file(snap.0);
+    }
+    result
 }
 
 #[cfg(test)]
@@ -384,8 +334,7 @@ mod tests {
             spec,
             &cfg,
             &AbortToken::new(),
-            &snap,
-            SnapshotPolicy::every((p.kernel_ticks / 8).max(1)),
+            (&snap, SnapshotPolicy::every((p.kernel_ticks / 8).max(1))),
         );
         assert_eq!(fresh.outcome, plain.outcome);
         assert_eq!(fresh.exit, plain.exit);
@@ -405,8 +354,7 @@ mod tests {
             spec,
             &cfg,
             &AbortToken::new(),
-            &snap,
-            SnapshotPolicy::every((p.kernel_ticks / 8).max(1)),
+            (&snap, SnapshotPolicy::every((p.kernel_ticks / 8).max(1))),
         );
         assert_eq!(resumed.outcome, plain.outcome, "{:?}", resumed.exit);
         assert_eq!(resumed.output, plain.output);
@@ -441,8 +389,7 @@ mod tests {
             other,
             &cfg,
             &AbortToken::new(),
-            &snap,
-            SnapshotPolicy::every((p.kernel_ticks / 8).max(1)),
+            (&snap, SnapshotPolicy::every((p.kernel_ticks / 8).max(1))),
         );
         assert!(snap.exists());
         let plain = run_experiment(&p, &w, spec, &cfg);
@@ -453,8 +400,7 @@ mod tests {
             spec,
             &cfg,
             &AbortToken::new(),
-            &snap,
-            SnapshotPolicy::every((p.kernel_ticks / 8).max(1)),
+            (&snap, SnapshotPolicy::every((p.kernel_ticks / 8).max(1))),
         );
         assert_eq!(got.outcome, plain.outcome);
         assert_eq!(got.output, plain.output);
@@ -481,8 +427,7 @@ mod tests {
             live_spec(&p),
             &RunnerConfig::default(),
             &AbortToken::new(),
-            &snap,
-            SnapshotPolicy::disabled(),
+            (&snap, SnapshotPolicy::disabled()),
         );
         assert!(!snap.exists());
     }

@@ -79,7 +79,7 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
 /// `z·√(p̂(1−p̂)/n)`, which collapses to zero at p̂ ∈ {0, 1} — fatal for
 /// sequential stopping (one sample would "decide" any cell) and
 /// misleading even for the Fig. 7-style error bars it was drawn for.
-pub fn proportion_ci(successes: u64, trials: u64, z: f64) -> f64 {
+pub(crate) fn proportion_ci(successes: u64, trials: u64, z: f64) -> f64 {
     if trials == 0 {
         return 0.0;
     }
@@ -175,7 +175,7 @@ impl CellStats {
 /// intervals are honest but a lopsided cell could otherwise stop on single-
 /// digit evidence.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StopRule {
+pub(crate) struct StopRule {
     /// Confidence z-value of the per-rate intervals.
     pub z: f64,
     /// Target half-width every outcome-rate CI must reach.

@@ -1,18 +1,19 @@
 //! The campaign transport abstraction: one claim/heartbeat/report protocol,
 //! two backends.
 //!
-//! [`CampaignTransport`] is the worker-facing face of the window scheduler
-//! ([`crate::window`]). The spool backend ([`SpoolTransport`]) locks the
-//! scheduler directly — in-process worker threads sharing one spool
-//! directory, the PR-1 topology. The socket backend
-//! ([`crate::worker::SocketTransport`]) speaks the same verbs over TCP to a
-//! [`crate::server::CampaignServer`], which locks the very same scheduler
-//! type on the workers' behalf. The generic worker loop
+//! [`CampaignTransport`] is the worker-facing face of the campaign round
+//! engine ([`crate::now::Campaign`]). The spool backend
+//! ([`SpoolTransport`]) locks the engine directly — in-process worker
+//! threads sharing one spool directory, the PR-1 topology. The socket
+//! backend ([`crate::worker::SocketTransport`]) speaks the same verbs over
+//! TCP to a [`crate::server::CampaignServer`], which locks the very same
+//! engine type on the workers' behalf. The generic worker loop
 //! ([`crate::worker`]) is written against this trait and cannot tell the
 //! difference — which is the point: every recovery path (reap, backoff,
 //! zombie suppression, journal fold) is tested once and holds on both.
 
-use crate::window::{fault_path, ClaimOutcome, WindowScheduler};
+use crate::now::{Campaign, CompletedExperiment};
+use crate::window::{fault_path, ClaimOutcome};
 use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,19 +56,6 @@ pub enum ClaimReply {
 
 /// Whether a report landed or was dropped as a zombie.
 pub use crate::window::ReportAck;
-
-/// Execution context of one queue: what a worker needs besides the
-/// assignment itself. The checkpoint is the restore source (a worker-local
-/// copy for the spool backend, the digest-cached fetched image for the
-/// socket backend).
-pub struct QueueContext<'w> {
-    /// The workload being campaigned.
-    pub workload: &'w dyn gemfi_workloads::Workload,
-    /// Prepared golden-run context (reference output, watchdog timing).
-    pub prepared: &'w crate::runner::PreparedWorkload,
-    /// The checkpoint to restore experiments from.
-    pub checkpoint: Arc<gemfi_sim::Checkpoint>,
-}
 
 /// Keeps an attempt's liveness machinery (the socket backend's heartbeat
 /// thread) running for exactly the duration of the execution; dropping the
@@ -142,9 +130,9 @@ pub trait CampaignTransport {
 }
 
 /// The spool-directory backend: in-process worker threads locking the
-/// window scheduler directly, exactly the PR-1 NoW executor's shape.
+/// campaign engine directly, exactly the PR-1 NoW executor's shape.
 pub(crate) struct SpoolTransport<'a> {
-    pub(crate) scheduler: &'a Mutex<WindowScheduler>,
+    pub(crate) campaign: &'a Mutex<Campaign>,
     pub(crate) share: PathBuf,
     /// Workstation index for load-balance accounting.
     pub(crate) ws: usize,
@@ -152,10 +140,7 @@ pub(crate) struct SpoolTransport<'a> {
 
 impl CampaignTransport for SpoolTransport<'_> {
     fn claim(&mut self, worker: &str) -> std::io::Result<ClaimReply> {
-        let claimed = {
-            let mut s = self.scheduler.lock().expect("schedule mutex");
-            s.try_claim(worker)?
-        };
+        let claimed = self.campaign.lock().expect("campaign mutex").try_claim(worker, 0)?;
         match claimed {
             ClaimOutcome::Complete => Ok(ClaimReply::Complete),
             ClaimOutcome::Idle => Ok(ClaimReply::Idle { backoff_ms: 1 }),
@@ -187,16 +172,15 @@ impl CampaignTransport for SpoolTransport<'_> {
         exit: &str,
         ticks: u64,
     ) -> std::io::Result<ReportAck> {
-        let mut s = self.scheduler.lock().expect("schedule mutex");
-        s.report_done(
-            assignment.exp,
-            assignment.attempt,
-            worker,
-            Some(self.ws),
+        let done = CompletedExperiment {
+            exp: assignment.exp,
             outcome,
-            exit,
+            attempts: assignment.attempt,
             ticks,
-        )
+            resumed: false,
+        };
+        let mut campaign = self.campaign.lock().expect("campaign mutex");
+        campaign.report(|window| window.report_done(worker, Some(self.ws), done, exit))
     }
 
     fn report_failure(
@@ -205,7 +189,9 @@ impl CampaignTransport for SpoolTransport<'_> {
         assignment: &WorkAssignment,
         reason: &str,
     ) -> std::io::Result<ReportAck> {
-        let mut s = self.scheduler.lock().expect("schedule mutex");
-        s.report_failed(assignment.exp, assignment.attempt, worker, reason)
+        let mut campaign = self.campaign.lock().expect("campaign mutex");
+        campaign.report(|window| {
+            window.report_failed(assignment.exp, assignment.attempt, worker, reason)
+        })
     }
 }

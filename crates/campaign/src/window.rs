@@ -1,10 +1,10 @@
 //! The backend-neutral window scheduler: one execution window's
 //! claim/lease/heartbeat/result-fold state machine.
 //!
-//! Extracted from the NoW executor so both transports drive the *same*
-//! protocol object: the spool backend locks a [`WindowScheduler`] directly
-//! from in-process worker threads, and the campaign server locks one per
-//! queue on behalf of remote workers. Everything an attempt's lifecycle
+//! One round of a campaign ([`crate::now::Campaign`]) runs as one window,
+//! whichever transport its workers arrive by: the spool backend locks the
+//! campaign from in-process worker threads, the campaign server locks one
+//! per queue on behalf of remote workers. Everything an attempt's lifecycle
 //! touches — the journal append, the lease file, the retry backoff, the
 //! reaper, the result spool file — happens inside this type, so a
 //! recovery-path fix lands on both backends at once.
@@ -91,34 +91,52 @@ enum Slot {
     Failed,
 }
 
-impl Slot {
-    /// A fresh or replayed pending slot.
-    pub(crate) fn pending(attempts: u64) -> Slot {
-        Slot::Pending { attempts, not_before_ms: 0 }
-    }
+/// Everything one window is built from.
+pub(crate) struct WindowSpec {
+    /// The share the window's lease and result files live on.
+    pub share: PathBuf,
+    /// Time source for leases and backoffs.
+    pub clock: Arc<dyn Clock>,
+    /// Fault-tolerance policy.
+    pub policy: SchedulerPolicy,
+    /// The campaign journal; the window appends to it while it lives.
+    pub journal: Journal,
+    /// Global experiment index per local slot.
+    pub exps: Vec<usize>,
+    /// Fault spec per local slot.
+    pub specs: Vec<FaultSpec>,
+    /// Attempts already burned per local slot (by dead workers of an
+    /// earlier campaign process).
+    pub attempts: Vec<u64>,
+    /// Sizes the spool load-balance vector (0 is fine for the server).
+    pub workstations: usize,
+    /// Experiments finished in this process by earlier windows.
+    pub finished_before: usize,
 }
 
-/// Prefabricated slot state for [`WindowScheduler::new`] — how the campaign
-/// driver seeds a window from a journal replay.
-#[derive(Debug)]
-pub(crate) enum SeedSlot {
-    /// Needs execution, with attempts already burned by dead workers.
-    Pending {
-        /// Attempts consumed so far.
-        attempts: u64,
-    },
-    /// Terminal before this window started (replayed from the journal).
-    Terminal {
-        /// The replayed record.
-        record: CompletedExperiment,
-    },
+/// What a finished window hands back to its campaign.
+pub(crate) struct WindowParts {
+    /// The campaign journal.
+    pub journal: Journal,
+    /// Terminal records in local-slot order ([`None`] where the chaos halt
+    /// cut the window short).
+    pub completed: Vec<Option<CompletedExperiment>>,
+    /// Experiments finished per workstation index.
+    pub per_ws: Vec<usize>,
+    /// Experiments finished per worker name.
+    pub per_worker: BTreeMap<String, usize>,
+    /// Failed attempts retried.
+    pub retries: u64,
+    /// Expired leases broken.
+    pub reclaimed: u64,
+    /// Experiments that reached a terminal state in this window.
+    pub finished_here: usize,
 }
 
-/// The scheduler of one execution window: a set of experiments run
-/// together over a worker pool. A fixed-n campaign is a single window
-/// covering every experiment; an adaptive campaign runs one window per
-/// sampling round; a server queue is whatever window its campaign is
-/// currently executing.
+/// The scheduler of one execution window: the not-yet-terminal experiments
+/// of one campaign round, run together over a worker pool. A fixed-n
+/// campaign is a single window covering every experiment; an adaptive
+/// campaign runs one window per sampling round.
 #[derive(Debug)]
 pub(crate) struct WindowScheduler {
     /// Local slot → global experiment index.
@@ -165,58 +183,41 @@ pub(crate) fn snapshot_path(share: &Path, i: usize) -> PathBuf {
 }
 
 impl WindowScheduler {
-    /// Builds a window over `exps` (global indices) with `seed[i]`
-    /// describing each slot's starting state. `workstations` sizes the
-    /// spool load-balance vector (0 is fine for the server).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        share: &Path,
-        clock: Arc<dyn Clock>,
-        policy: SchedulerPolicy,
-        journal: Journal,
-        exps: Vec<usize>,
-        specs: Vec<FaultSpec>,
-        seed: Vec<SeedSlot>,
-        workstations: usize,
-        reclaimed_at_start: u64,
-        finished_before: usize,
-    ) -> WindowScheduler {
-        debug_assert!(exps.len() == specs.len() && exps.len() == seed.len());
-        let mut slots = Vec::with_capacity(seed.len());
-        let mut completed = vec![None; seed.len()];
-        let mut terminal = 0;
-        for (local, s) in seed.into_iter().enumerate() {
-            match s {
-                SeedSlot::Pending { attempts } => slots.push(Slot::pending(attempts)),
-                SeedSlot::Terminal { record } => {
-                    slots.push(if record.outcome == Outcome::Infrastructure {
-                        Slot::Failed
-                    } else {
-                        Slot::Done
-                    });
-                    completed[local] = Some(record);
-                    terminal += 1;
-                }
-            }
-        }
+    /// Builds a window with every slot pending.
+    pub(crate) fn new(spec: WindowSpec) -> WindowScheduler {
+        let WindowSpec {
+            share,
+            clock,
+            policy,
+            journal,
+            exps,
+            specs,
+            attempts,
+            workstations,
+            finished_before,
+        } = spec;
+        debug_assert!(exps.len() == specs.len() && exps.len() == attempts.len());
         let by_exp = exps.iter().enumerate().map(|(local, &exp)| (exp, local)).collect();
         WindowScheduler {
             by_exp,
+            slots: attempts
+                .into_iter()
+                .map(|attempts| Slot::Pending { attempts, not_before_ms: 0 })
+                .collect(),
+            completed: vec![None; exps.len()],
             exps,
             specs,
-            slots,
             journal,
-            completed,
             per_worker: BTreeMap::new(),
             per_ws: vec![0; workstations],
             retries: 0,
-            reclaimed: reclaimed_at_start,
-            terminal,
+            reclaimed: 0,
+            terminal: 0,
             finished_here: 0,
             finished_before,
             halted: false,
-            share: share.to_path_buf(),
-            leases: LeaseDir::new(share),
+            leases: LeaseDir::new(&share),
+            share,
             clock,
             policy,
         }
@@ -303,17 +304,14 @@ impl WindowScheduler {
     /// # Errors
     ///
     /// I/O errors from the journal or the share.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn report_done(
         &mut self,
-        exp: usize,
-        attempt: u64,
         worker: &str,
         ws: Option<usize>,
-        outcome: Outcome,
+        done: CompletedExperiment,
         exit: &str,
-        ticks: u64,
     ) -> std::io::Result<ReportAck> {
+        let CompletedExperiment { exp, outcome, attempts: attempt, ticks, .. } = done;
         let Some(&local) = self.by_exp.get(&exp) else { return Ok(ReportAck::Stale) };
         let still_mine =
             matches!(self.slots[local], Slot::Leased { attempt: a, .. } if a == attempt);
@@ -333,8 +331,7 @@ impl WindowScheduler {
         )?;
         self.leases.release(exp)?;
         self.slots[local] = Slot::Done;
-        self.completed[local] =
-            Some(CompletedExperiment { exp, outcome, attempts: attempt, ticks, resumed: false });
+        self.completed[local] = Some(done);
         if let Some(ws) = ws {
             if let Some(n) = self.per_ws.get_mut(ws) {
                 *n += 1;
@@ -488,23 +485,22 @@ impl WindowScheduler {
         &self.completed
     }
 
-    /// Tears the window down into its result parts:
-    /// `(journal, completed, per_ws, retries, reclaimed, terminal,
-    /// finished_here, halted)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (Journal, Vec<Option<CompletedExperiment>>, Vec<usize>, u64, u64, usize, usize, bool) {
-        (
-            self.journal,
-            self.completed,
-            self.per_ws,
-            self.retries,
-            self.reclaimed,
-            self.terminal,
-            self.finished_here,
-            self.halted,
-        )
+    /// Whether the chaos halt stopped the window short of completion.
+    pub(crate) fn halted(&self) -> bool {
+        self.halted
+    }
+
+    /// Tears the window down into what its campaign folds.
+    pub(crate) fn into_parts(self) -> WindowParts {
+        WindowParts {
+            journal: self.journal,
+            completed: self.completed,
+            per_ws: self.per_ws,
+            per_worker: self.per_worker,
+            retries: self.retries,
+            reclaimed: self.reclaimed,
+            finished_here: self.finished_here,
+        }
     }
 }
 
@@ -534,18 +530,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&share);
         std::fs::create_dir_all(&share).unwrap();
         let journal = Journal::open(&share).unwrap();
-        WindowScheduler::new(
-            &share,
-            Arc::new(clock),
+        WindowScheduler::new(WindowSpec {
+            share,
+            clock: Arc::new(clock),
             policy,
             journal,
-            (0..n).collect(),
-            (0..n).map(|i| spec(i as u8 + 1)).collect(),
-            (0..n).map(|_| SeedSlot::Pending { attempts: 0 }).collect(),
-            1,
-            0,
-            0,
-        )
+            exps: (0..n).collect(),
+            specs: (0..n).map(|i| spec(i as u8 + 1)).collect(),
+            attempts: vec![0; n],
+            workstations: 1,
+            finished_before: 0,
+        })
     }
 
     fn policy() -> SchedulerPolicy {
@@ -556,6 +551,10 @@ mod tests {
             idle_backoff_ms: 1,
             halt_after: None,
         }
+    }
+
+    fn done(exp: usize, attempt: u64, outcome: Outcome) -> CompletedExperiment {
+        CompletedExperiment { exp, outcome, attempts: attempt, ticks: 9, resumed: false }
     }
 
     fn claim_exp(s: &mut WindowScheduler, worker: &str) -> (usize, u64, AbortToken) {
@@ -665,21 +664,26 @@ mod tests {
         assert_eq!(attempt2, attempt + 1);
         // The zombie's late result is dropped...
         assert_eq!(
-            s.report_done(exp, attempt, "w0", None, Outcome::Sdc, "zombie", 1).unwrap(),
+            s.report_done("w0", None, done(exp, attempt, Outcome::Sdc), "zombie").unwrap(),
             ReportAck::Stale
         );
         assert!(s.completed()[0].is_none(), "no terminal record from the zombie");
         // ...and the live attempt's result lands.
         assert_eq!(
-            s.report_done(exp, attempt2, "w1", None, Outcome::Correct, "halted (exit code 0)", 9)
-                .unwrap(),
+            s.report_done(
+                "w1",
+                None,
+                done(exp, attempt2, Outcome::Correct),
+                "halted (exit code 0)"
+            )
+            .unwrap(),
             ReportAck::Accepted
         );
         assert!(s.is_complete());
         assert_eq!(s.completed()[0].as_ref().unwrap().outcome, Outcome::Correct);
         // A double-report of the finished attempt is also stale.
         assert_eq!(
-            s.report_done(exp, attempt2, "w1", None, Outcome::Sdc, "dup", 9).unwrap(),
+            s.report_done("w1", None, done(exp, attempt2, Outcome::Sdc), "dup").unwrap(),
             ReportAck::Stale
         );
     }

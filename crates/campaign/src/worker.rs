@@ -22,10 +22,8 @@
 //! distinct digest (shared across queues that campaign the same prepared
 //! workload).
 
-use crate::runner::{
-    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig,
-};
-use crate::snapshot::{run_experiment_snapshotted, SnapshotPolicy};
+use crate::runner::{ExperimentResult, PreparedWorkload, RunnerConfig};
+use crate::snapshot::{execute_leased, SnapshotPolicy};
 use crate::transport::{AttemptGuard, CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 use crate::wire::{
     hex_decode, read_blob, read_line, write_line, ClientMsg, ServerMsg, PROTO_VERSION,
@@ -157,50 +155,35 @@ pub(crate) fn drive_worker<T: CampaignTransport>(
         }));
         drop(guard);
 
-        let ack = match run {
-            Ok(Ok(result)) if result.outcome != Outcome::Infrastructure => {
+        let verdict = match run {
+            Ok(Ok(result)) if result.outcome != Outcome::Infrastructure => Ok(result),
+            // The runner aborted (reaper or heartbeat loss raced us) —
+            // treat like any other failed attempt.
+            Ok(Ok(result)) => Err(format!("runner aborted ({})", result.exit)),
+            Ok(Err(reason)) => Err(reason),
+            // Panic provenance: the payload message, so the journal alone
+            // reproduces the case (the scheduler adds the spec).
+            Err(panic) => Err(format!("worker panic: {}", panic_message(&panic))),
+        };
+        let (ack, tally) = match verdict {
+            Ok(result) => {
+                let exit = result.exit.to_string();
                 let ack = transport.report_result(
                     &opts.name,
                     &assignment,
                     result.outcome,
-                    &result.exit.to_string(),
+                    &exit,
                     result.ticks,
                 )?;
-                if ack == ReportAck::Accepted {
-                    report.completed += 1;
-                }
-                ack
+                (ack, &mut report.completed)
             }
-            Ok(Ok(result)) => {
-                // The runner aborted (reaper or heartbeat loss raced us) —
-                // treat like any other failed attempt.
-                let reason = format!("runner aborted ({})", result.exit);
-                let ack = transport.report_failure(&opts.name, &assignment, &reason)?;
-                if ack == ReportAck::Accepted {
-                    report.failed += 1;
-                }
-                ack
-            }
-            Ok(Err(reason)) => {
-                let ack = transport.report_failure(&opts.name, &assignment, &reason)?;
-                if ack == ReportAck::Accepted {
-                    report.failed += 1;
-                }
-                ack
-            }
-            Err(panic) => {
-                // Panic provenance: the payload message, so the journal
-                // alone reproduces the case (the scheduler adds the spec).
-                let reason = format!("worker panic: {}", panic_message(&panic));
-                let ack = transport.report_failure(&opts.name, &assignment, &reason)?;
-                if ack == ReportAck::Accepted {
-                    report.failed += 1;
-                }
-                ack
+            Err(reason) => {
+                (transport.report_failure(&opts.name, &assignment, &reason)?, &mut report.failed)
             }
         };
-        if ack == ReportAck::Stale {
-            report.stale += 1;
+        match ack {
+            ReportAck::Accepted => *tally += 1,
+            ReportAck::Stale => report.stale += 1,
         }
     }
 }
@@ -295,6 +278,16 @@ impl SocketTransport {
             }
         }
         Err(last_err.unwrap_or_else(|| Error::other("no connection attempts made")))
+    }
+
+    /// Sends a result/failure report and reads its `ack`.
+    fn report(&mut self, worker: &str, msg: &ClientMsg) -> std::io::Result<ReportAck> {
+        match self.request(worker, msg)? {
+            ServerMsg::Ack { accepted } => {
+                Ok(if accepted == 1 { ReportAck::Accepted } else { ReportAck::Stale })
+            }
+            other => Err(Error::new(ErrorKind::InvalidData, format!("unexpected reply {other:?}"))),
+        }
     }
 }
 
@@ -399,12 +392,7 @@ impl CampaignTransport for SocketTransport {
             ticks,
             spec: assignment.spec.to_string(),
         };
-        match self.request(worker, &msg)? {
-            ServerMsg::Ack { accepted } => {
-                Ok(if accepted == 1 { ReportAck::Accepted } else { ReportAck::Stale })
-            }
-            other => Err(Error::new(ErrorKind::InvalidData, format!("unexpected reply {other:?}"))),
-        }
+        self.report(worker, &msg)
     }
 
     fn report_failure(
@@ -421,12 +409,7 @@ impl CampaignTransport for SocketTransport {
             reason: reason.to_string(),
             spec: assignment.spec.to_string(),
         };
-        match self.request(worker, &msg)? {
-            ServerMsg::Ack { accepted } => {
-                Ok(if accepted == 1 { ReportAck::Accepted } else { ReportAck::Stale })
-            }
-            other => Err(Error::new(ErrorKind::InvalidData, format!("unexpected reply {other:?}"))),
-        }
+        self.report(worker, &msg)
     }
 }
 
@@ -544,34 +527,16 @@ pub fn run_socket_worker(
             .as_ref()
             .filter(|_| snapshot.enabled())
             .map(|dir| dir.join(format!("{}-exp{:05}.snap", assignment.queue, assignment.exp)));
-        let result = match &snap_path {
-            Some(path) => run_experiment_snapshotted(
-                &ctx.prepared.checkpoint,
-                &ctx.prepared,
-                ctx.workload.as_ref(),
-                assignment.spec,
-                &runner,
-                &assignment.abort,
-                path,
-                snapshot,
-            ),
-            None => run_experiment_from_with_abort(
-                &ctx.prepared.checkpoint,
-                &ctx.prepared,
-                ctx.workload.as_ref(),
-                assignment.spec,
-                &runner,
-                &assignment.abort,
-            ),
-        };
-        // The run reached a verdict: its snapshot has served its purpose.
-        // Aborted runs keep theirs — the retry resumes from it.
-        if result.outcome != Outcome::Infrastructure {
-            if let Some(path) = &snap_path {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        Ok(result)
+        let snap = snap_path.as_deref().map(|path| (path, snapshot));
+        let checkpoint = &ctx.prepared.checkpoint;
+        Ok(execute_leased(
+            checkpoint,
+            &ctx.prepared,
+            ctx.workload.as_ref(),
+            assignment,
+            &runner,
+            snap,
+        ))
     };
     drive_worker(&mut transport, opts, &mut execute)
 }

@@ -129,6 +129,15 @@ fn conformance(model: CpuKind) {
                         drive_whole_run(&p.checkpoint, &p, spec, &runner, &AbortToken::new());
                     assert!(!fork_aborted && !whole_aborted, "{tag}");
                     assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
+                    if !superblock {
+                        // The knob reaches every machine the planner builds,
+                        // forked off the trunk or restored as a fallback.
+                        assert_eq!(
+                            suffix.machine.stats().mem.superblock.uops_executed,
+                            0,
+                            "{tag}: superblock uops executed with the knob off"
+                        );
+                    }
                     assert_eq!(suffix.machine.tick(), whole.tick(), "{tag}: tick differs");
                     assert_eq!(suffix.machine.instret(), whole.instret(), "{tag}: instret differs");
                     assert_eq!(suffix.machine.arch(), whole.arch(), "{tag}: ArchState differs");
