@@ -31,7 +31,7 @@ use gemfi::{
 use gemfi_bench::{time_it_secs, Args};
 use gemfi_cpu::{CpuKind, FaultHooks, NoopHooks};
 use gemfi_isa::ArchState;
-use gemfi_sim::{Machine, MachineConfig, RunExit};
+use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::{workload_machine_config, Workload};
 
@@ -89,10 +89,6 @@ struct OutcomeVector {
     instret: u64,
 }
 
-fn config(cpu: CpuKind, elide: bool) -> MachineConfig {
-    MachineConfig { elide, ..workload_machine_config(cpu) }
-}
-
 fn drive<H: FaultHooks>(m: &mut Machine<H>) -> RunExit {
     let mut exit = m.run();
     while exit == RunExit::CheckpointRequest {
@@ -104,15 +100,17 @@ fn drive<H: FaultHooks>(m: &mut Machine<H>) -> RunExit {
 /// One full run; returns the outcome vector and instructions committed.
 fn run_once(pi: &MonteCarloPi, cpu: CpuKind, scenario: Scenario, elide: bool) -> OutcomeVector {
     let guest = pi.build();
-    let cfg = config(cpu, elide);
+    let cfg = workload_machine_config(cpu);
     let (exit, arch, output, records, instret) = if scenario == Scenario::NoFi {
         let mut m = Machine::boot(cfg, &guest.program, NoopHooks).expect("boots");
+        m.set_elide(elide);
         let exit = drive(&mut m);
         let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
         (exit, m.arch().clone(), output, Vec::new(), m.instret())
     } else {
         let engine = GemFiEngine::new(FaultConfig::from_specs(scenario.faults()));
         let mut m = Machine::boot(cfg, &guest.program, engine).expect("boots");
+        m.set_elide(elide);
         let exit = drive(&mut m);
         let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
         (exit, m.arch().clone(), output, m.hooks().records().to_vec(), m.instret())

@@ -34,7 +34,7 @@ use gemfi::{
 use gemfi_bench::{time_it_secs, Args};
 use gemfi_cpu::{CpuKind, FaultHooks, NoopHooks};
 use gemfi_isa::ArchState;
-use gemfi_sim::{Machine, MachineConfig, RunExit};
+use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::{workload_machine_config, Workload};
 
@@ -82,13 +82,6 @@ struct OutcomeVector {
     tick: u64,
 }
 
-fn config(superblock: bool) -> MachineConfig {
-    let mut cfg = workload_machine_config(CpuKind::Atomic);
-    cfg.elide = true;
-    cfg.mem.superblock = superblock;
-    cfg
-}
-
 fn drive<H: FaultHooks>(m: &mut Machine<H>) -> RunExit {
     let mut exit = m.run();
     while exit == RunExit::CheckpointRequest {
@@ -101,9 +94,10 @@ fn drive<H: FaultHooks>(m: &mut Machine<H>) -> RunExit {
 /// run committed through translated superblocks.
 fn run_once(pi: &MonteCarloPi, scenario: Scenario, superblock: bool) -> (OutcomeVector, u64) {
     let guest = pi.build();
-    let cfg = config(superblock);
+    let cfg = workload_machine_config(CpuKind::Atomic);
     let (exit, arch, output, records, instret, tick, uops) = if scenario == Scenario::NoFi {
         let mut m = Machine::boot(cfg, &guest.program, NoopHooks).expect("boots");
+        m.set_superblock(superblock);
         let exit = drive(&mut m);
         let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
         let uops = m.mem().stats().superblock.uops_executed;
@@ -111,6 +105,7 @@ fn run_once(pi: &MonteCarloPi, scenario: Scenario, superblock: bool) -> (Outcome
     } else {
         let engine = GemFiEngine::new(FaultConfig::from_specs(scenario.faults()));
         let mut m = Machine::boot(cfg, &guest.program, engine).expect("boots");
+        m.set_superblock(superblock);
         let exit = drive(&mut m);
         let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
         let uops = m.mem().stats().superblock.uops_executed;

@@ -1,11 +1,11 @@
 //! `bench_schema` — validates the committed `BENCH_*.json` performance
 //! reports.
 //!
-//! Every benchmark in this repo writes its ablation numbers as a small JSON
-//! report (e.g. `BENCH_predecode.json`, `BENCH_cow_restore.json`,
-//! `BENCH_hook_elision.json`). CI regenerates some of them on tiny budgets
-//! and archives the artifacts; this binary is the schema gate that keeps
-//! both the committed and the freshly generated reports honest:
+//! Every ablation bench in `crates/bench/benches` writes its numbers as a
+//! small JSON report (`BENCH_hook_elision.json`, `BENCH_superblock.json`,
+//! `BENCH_adaptive.json`). CI regenerates them and archives the artifacts;
+//! this binary is the schema gate that keeps both the committed and the
+//! freshly generated reports honest:
 //!
 //! * the file must parse as JSON (a hand-rolled parser — the workspace has
 //!   no serde and takes no registry dependencies);

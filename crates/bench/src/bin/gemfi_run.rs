@@ -46,6 +46,26 @@ use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig};
 use std::time::Duration;
 
+const USAGE: &str = "\
+usage: gemfi_run (--workload <name> | --program <file.s>) [--faults <file>] \
+[--cpu o3|atomic|inorder|timing] [--scale small|default|paper] [--no-elide] [--no-superblock]
+       gemfi_run --workload <name> --campaign <experiments> --share <dir> \
+[--seed N] [--workstations N] [--slots N] [--lease-secs N] [--max-retries N] [--resume]
+       gemfi_run --workload <name> --adaptive --share <dir> \
+[--ci-halfwidth H] [--min-n N] [--budget N] [--batch N] [--cells a,b,...] [--seed N] [--resume]
+workloads: dct jacobi pi knapsack deblock canneal";
+
+/// The experiment driver settings every mode takes from the command line:
+/// the injection model and the two fast-path switches.
+fn runner_config(args: &Args, cpu: CpuKind) -> RunnerConfig {
+    RunnerConfig {
+        inject_cpu: cpu,
+        elide: !args.has("no-elide"),
+        superblock: !args.has("no-superblock"),
+        ..RunnerConfig::default()
+    }
+}
+
 /// Runs a user-supplied `.s` assembly file under GemFI (no outcome
 /// classification — there is no golden model for arbitrary programs).
 fn run_assembly_file(path: &str, faults: FaultConfig, cpu: CpuKind, args: &Args) -> ! {
@@ -57,16 +77,15 @@ fn run_assembly_file(path: &str, faults: FaultConfig, cpu: CpuKind, args: &Args)
         eprintln!("{path}: {e}");
         std::process::exit(1);
     });
-    let mut config = MachineConfig { cpu, ..MachineConfig::default() };
-    config.mem.predecode = !args.has("no-predecode");
-    config.mem.cow = !args.has("no-cow");
-    config.mem.superblock = !args.has("no-superblock");
-    config.elide = !args.has("no-elide");
+    let config = MachineConfig { cpu, ..MachineConfig::default() };
     let mut machine =
         Machine::boot(config, &program, GemFiEngine::new(faults)).unwrap_or_else(|t| {
             eprintln!("boot failed: {t}");
             std::process::exit(1);
         });
+    let runner = runner_config(args, cpu);
+    machine.set_elide(runner.elide);
+    machine.set_superblock(runner.superblock);
     let mut exit = machine.run();
     while exit == gemfi_sim::RunExit::CheckpointRequest {
         exit = machine.run();
@@ -112,12 +131,7 @@ fn run_campaign_mode(
         resume: args.has("resume"),
         ..NowConfig::new(args.number("workstations", 3usize), args.number("slots", 2usize), share)
     };
-    let runner = RunnerConfig {
-        inject_cpu: cpu,
-        elide: !args.has("no-elide"),
-        superblock: !args.has("no-superblock"),
-        ..RunnerConfig::default()
-    };
+    let runner = runner_config(args, cpu);
 
     if args.has("adaptive") {
         run_adaptive_campaign(args, workload, &prepared, n, seed, &config, &runner);
@@ -246,7 +260,7 @@ fn run_adaptive_campaign(
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked(USAGE);
     let cpu_of = |args: &Args| match args.value_of("cpu") {
         Some("atomic") => CpuKind::Atomic,
         Some("inorder") => CpuKind::InOrder,
@@ -264,19 +278,7 @@ fn main() {
         run_assembly_file(path, faults, cpu_of(&args), &args);
     }
     let Some(name) = args.value_of("workload") else {
-        eprintln!(
-            "usage: gemfi_run (--workload <name> | --program <file.s>) \
-       [--faults <file>] [--cpu o3|atomic|inorder|timing] [--no-predecode] [--no-cow] [--no-elide] [--no-superblock]"
-        );
-        eprintln!(
-            "       gemfi_run --workload <name> --campaign <experiments> --share <dir> \
-       [--seed N] [--workstations N] [--slots N] [--lease-secs N] [--max-retries N] [--resume]"
-        );
-        eprintln!(
-            "       gemfi_run --workload <name> --adaptive --share <dir> \
-       [--ci-halfwidth H] [--min-n N] [--budget N] [--batch N] [--cells a,b,...] [--seed N] [--resume]"
-        );
-        eprintln!("workloads: dct jacobi pi knapsack deblock canneal");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let workloads = gemfi_bench::select_workloads(args.scale(), Some(name));
@@ -306,16 +308,10 @@ fn main() {
         println!("  {f}");
     }
 
-    let mut machine_config = gemfi_workloads::workload_machine_config(CpuKind::Atomic);
-    machine_config.mem.predecode = !args.has("no-predecode");
-    machine_config.mem.cow = !args.has("no-cow");
-    machine_config.mem.superblock = !args.has("no-superblock");
-    machine_config.elide = !args.has("no-elide");
-    let prepared = gemfi_campaign::prepare_workload_with(workload.as_ref(), machine_config)
-        .unwrap_or_else(|e| {
-            eprintln!("prepare failed: {e}");
-            std::process::exit(1);
-        });
+    let prepared = prepare_workload(workload.as_ref()).unwrap_or_else(|e| {
+        eprintln!("prepare failed: {e}");
+        std::process::exit(1);
+    });
     println!(
         "\ncheckpoint at tick {}; fault space (events/stage): {:?}",
         prepared.checkpoint.tick(),
@@ -329,12 +325,7 @@ fn main() {
         return;
     }
 
-    let runner = RunnerConfig {
-        inject_cpu: cpu,
-        elide: !args.has("no-elide"),
-        superblock: !args.has("no-superblock"),
-        ..RunnerConfig::default()
-    };
+    let runner = runner_config(&args, cpu);
     let result = run_experiment_multi(&prepared, workload.as_ref(), faults.faults(), &runner);
 
     println!("\ninjections:");

@@ -31,6 +31,13 @@ use gemfi_campaign::{
 };
 use std::time::Duration;
 
+const USAGE: &str = "\
+usage: gemfi_serve --share <dir> [--bind addr:port] --workload <names> \
+[--campaign N] [--adaptive] [--seed N] [--scale small|default|paper] \
+[--lease-secs N] [--max-retries N] [--quota N] [--resume] [--wait-secs N] [--linger-ms N]
+       adaptive queues: [--ci-halfwidth H] [--min-n N] [--budget N] [--batch N] \
+[--cells a,b,...] [--adaptive-priority N]; fixed-n queues: [--priority N]";
+
 fn queue_specs(args: &Args, seed: u64) -> Vec<QueueSpec> {
     let scale_label = args.value_of("scale").unwrap_or("small").to_string();
     let names = args.value_of("workload").unwrap_or("pi");
@@ -122,13 +129,9 @@ fn print_queue(q: &QueueReport) {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked(USAGE);
     let Some(share) = args.value_of("share") else {
-        eprintln!(
-            "usage: gemfi_serve --share <dir> [--bind addr:port] --workload <names> \
-             [--campaign N] [--adaptive] [--seed N] [--scale small|default|paper] \
-             [--lease-secs N] [--max-retries N] [--quota N] [--resume] [--wait-secs N]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let seed = args.number("seed", 1u64);

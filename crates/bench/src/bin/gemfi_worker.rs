@@ -28,14 +28,14 @@ use gemfi_cpu::CpuKind;
 use gemfi_workloads::Workload;
 use std::time::Duration;
 
+const USAGE: &str = "\
+usage: gemfi_worker --connect <host:port> [--name <id>] [--cpu o3|atomic|inorder|timing] \
+[--snapshot-ticks N --scratch <dir>] [--connect-attempts N] [--reconnect-ms N]";
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_checked(USAGE);
     let Some(addr) = args.value_of("connect") else {
-        eprintln!(
-            "usage: gemfi_worker --connect <host:port> [--name <id>] \
-             [--cpu o3|atomic|inorder|timing] [--snapshot-ticks N --scratch <dir>] \
-             [--connect-attempts N] [--reconnect-ms N]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let name = args

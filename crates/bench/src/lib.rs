@@ -86,12 +86,61 @@ pub fn select_workloads(scale: Scale, names: Option<&str>) -> Vec<Box<dyn Worklo
 #[derive(Debug, Clone)]
 pub struct Args {
     raw: Vec<String>,
+    usage: &'static str,
 }
 
 impl Args {
-    /// Captures the process arguments.
+    /// Captures the process arguments unchecked: the figure binaries and
+    /// the benches (which `cargo bench` also hands `--bench`).
     pub fn from_env() -> Args {
-        Args { raw: std::env::args().skip(1).collect() }
+        Args { raw: std::env::args().skip(1).collect(), usage: "" }
+    }
+
+    /// Captures the process arguments of a binary whose `usage` text names
+    /// every flag it accepts — the usage *is* the list, so the two cannot
+    /// drift: `--name` followed by a placeholder word takes a value,
+    /// `[--name]` or `--name --other` takes none. An unknown flag, a stray
+    /// word or a valued flag without its value prints the complaint and
+    /// `usage` and exits 2.
+    pub fn from_env_checked(usage: &'static str) -> Args {
+        let args = Args { raw: std::env::args().skip(1).collect(), usage };
+        if let Err(complaint) = args.check() {
+            args.usage_exit(&complaint);
+        }
+        args
+    }
+
+    /// `Some(takes a value)` when the usage text names `--name`.
+    fn usage_flag(&self, name: &str) -> Option<bool> {
+        let mut words = self.usage.split_whitespace().map(|w| w.trim_start_matches(['[', '(']));
+        let flag = words.find(|w| {
+            w.strip_prefix("--").is_some_and(|w| w.trim_end_matches([']', ')', ';']) == name)
+        })?;
+        let closed = flag.ends_with([']', ')', ';']);
+        Some(!closed && words.next().is_some_and(|w| !w.starts_with("--") && w != "|"))
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let mut words = self.raw.iter();
+        while let Some(word) = words.next() {
+            match word.strip_prefix("--").map(|name| self.usage_flag(name)) {
+                Some(Some(true)) => {
+                    words.next().ok_or_else(|| format!("{word} needs a value"))?;
+                }
+                Some(Some(false)) => {}
+                Some(None) => return Err(format!("unknown flag {word}")),
+                None => return Err(format!("unexpected argument `{word}`")),
+            }
+        }
+        Ok(())
+    }
+
+    fn usage_exit(&self, complaint: &str) -> ! {
+        eprintln!("{complaint}");
+        if !self.usage.is_empty() {
+            eprintln!("{}", self.usage);
+        }
+        std::process::exit(2);
     }
 
     /// The value following `--name`, if present.
@@ -110,9 +159,18 @@ impl Args {
         self.raw.iter().any(|a| a == &flag)
     }
 
-    /// A parsed numeric option with a default.
+    /// A parsed numeric option with a default for when the flag is absent.
+    /// A value that does not parse exits 2 — silently running the default
+    /// instead (`--seed 1O`) would report results for the wrong input.
     pub fn number<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value_of(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.try_number(name, default).unwrap_or_else(|complaint| self.usage_exit(&complaint))
+    }
+
+    fn try_number<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value_of(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("--{name} expects a number, got `{v}`")),
+        }
     }
 
     /// The scale option (default [`Scale::Small`] — figures should run out
@@ -176,6 +234,33 @@ mod tests {
         let w = select_workloads(Scale::Small, Some("pi,dct"));
         let names: Vec<_> = w.iter().map(|w| w.name()).collect();
         assert_eq!(names, ["dct", "pi"]);
+    }
+
+    fn args(raw: &[&str]) -> Args {
+        Args {
+            raw: raw.iter().map(|s| s.to_string()).collect(),
+            usage: "usage: tool (--share <dir> | --connect <host:port>) [--seed N] \
+                    [--cpu o3|atomic] [--adaptive] --quiet --cells a,b,... [--resume]",
+        }
+    }
+
+    #[test]
+    fn unparsable_number_is_an_error_not_the_default() {
+        let a = args(&["--seed", "1O", "--slots", "4"]);
+        assert!(a.try_number("seed", 1u64).unwrap_err().contains("--seed"));
+        assert_eq!(a.try_number("slots", 2usize), Ok(4));
+        assert_eq!(a.try_number("lease-secs", 30u64), Ok(30), "absent flag takes the default");
+    }
+
+    #[test]
+    fn unlisted_flags_and_stray_words_are_rejected() {
+        let check = |raw: &[&str]| args(raw).check();
+        assert_eq!(check(&["--seed", "7", "--resume", "--share", "/tmp/x", "--cpu", "o3"]), Ok(()));
+        assert_eq!(check(&["--connect", "h:1", "--adaptive", "--quiet", "--cells", "pc"]), Ok(()));
+        assert_eq!(check(&["--share", "--resume"]), Ok(()), "a value may look like a flag");
+        assert!(check(&["--seed", "7", "--sede", "8"]).unwrap_err().contains("--sede"));
+        assert!(check(&["--resume", "true"]).unwrap_err().contains("true"));
+        assert!(check(&["--seed"]).unwrap_err().contains("needs a value"));
     }
 
     #[test]

@@ -63,9 +63,8 @@ pub use now::{
 pub use report::OutcomeTable;
 pub use rng::SplitMix64;
 pub use runner::{
-    drive_whole_run, prepare_workload, prepare_workload_with, run_experiment,
-    run_experiment_from_with_abort, run_experiment_multi, ExperimentResult, PreparedWorkload,
-    RunnerConfig, DORMANT_CHUNK_FACTOR,
+    drive_whole_run, prepare_workload, run_experiment, run_experiment_from_with_abort,
+    run_experiment_multi, ExperimentResult, PreparedWorkload, RunnerConfig, DORMANT_CHUNK_FACTOR,
 };
 pub use sampler::{FaultSampler, LocationClass};
 pub use server::{CampaignServer, QueueKind, QueueReport, QueueSpec, ServerConfig, ServerReport};

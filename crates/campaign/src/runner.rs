@@ -5,7 +5,7 @@ use crate::classify::classify;
 use crate::snapshot::Snapshot;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
 use gemfi_cpu::CpuKind;
-use gemfi_sim::{Checkpoint, Machine, MachineConfig, RunExit};
+use gemfi_sim::{Checkpoint, Machine, RunExit};
 use gemfi_workloads::{workload_machine_config, GuestWorkload, RunOutput, Workload};
 use std::sync::Arc;
 
@@ -51,11 +51,11 @@ pub struct RunnerConfig {
     /// nothing can fire, so fine-grained polling buys nothing but abort
     /// latency.
     pub chunk: u64,
-    /// Drive restored machines with the dormancy-elision fast path
-    /// (architecturally invisible; disable for the ablation benchmark).
+    /// Forwarded to [`Machine::set_elide`] on every machine a campaign
+    /// builds (architecturally invisible; off is the stepped reference the
+    /// ablation benches compare against).
     pub elide: bool,
-    /// Execute superblock translations inside dormant sprints
-    /// (architecturally invisible; disable for the ablation benchmark).
+    /// Forwarded to [`Machine::set_superblock`], like `elide`.
     pub superblock: bool,
 }
 
@@ -105,27 +105,13 @@ pub struct ExperimentResult {
 /// Returns a message when the workload does not reach its checkpoint marker
 /// or does not terminate cleanly.
 pub fn prepare_workload(workload: &dyn Workload) -> Result<PreparedWorkload, String> {
-    prepare_workload_with(workload, workload_machine_config(CpuKind::Atomic))
-}
-
-/// [`prepare_workload`] with an explicit machine configuration (the
-/// `restore_fanout` bench uses this to flip [`gemfi_mem::MemConfig::cow`]
-/// for its flat-clone ablation).
-///
-/// # Errors
-///
-/// Returns a message when the workload does not reach its checkpoint marker
-/// or does not terminate cleanly.
-pub fn prepare_workload_with(
-    workload: &dyn Workload,
-    machine_config: MachineConfig,
-) -> Result<PreparedWorkload, String> {
     let guest = workload.build();
     // Profile with a faultless engine: its per-stage counters measure the
     // fault space between the fi_activate markers.
     let engine = GemFiEngine::new(FaultConfig::empty());
-    let mut machine = Machine::boot(machine_config, &guest.program, engine)
-        .map_err(|t| format!("{}: image does not fit: {t}", workload.name()))?;
+    let mut machine =
+        Machine::boot(workload_machine_config(CpuKind::Atomic), &guest.program, engine)
+            .map_err(|t| format!("{}: image does not fit: {t}", workload.name()))?;
 
     let exit = machine.run();
     if exit != RunExit::CheckpointRequest {
@@ -203,7 +189,7 @@ pub(crate) enum Source<'a> {
 }
 
 /// Builds the machine of one experiment — the one place a campaign machine
-/// is restored and handed the [`RunnerConfig`] fast-path knobs. An empty
+/// is restored and handed the [`RunnerConfig`] fast-path switches. An empty
 /// `specs` builds a fault-free machine (the fork planner's trunk).
 ///
 /// `fi_read_init_all` restore semantics: a fresh engine re-reads the fault
@@ -219,7 +205,7 @@ pub(crate) fn build_machine(
 ) -> Machine<GemFiEngine> {
     let faults = || FaultConfig::from_specs(specs.to_vec());
     let (image, cpu, budget, faults) = match source {
-        // A fork is warm and inherits the trunk's knobs along with its
+        // A fork is warm and inherits the trunk's switches along with its
         // pipeline, tick clock and watchdog.
         Source::Trunk(trunk) => return trunk.fork_with(trunk.hooks().fork_with_faults(faults())),
         Source::Checkpoint(checkpoint) => (

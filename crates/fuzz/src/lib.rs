@@ -12,8 +12,8 @@
 //! One **case** is derived from a single 64-bit seed and covers:
 //!
 //! * a random (but always halting, fault-free) guest program;
-//! * a random machine: any of the four CPU models × the predecode,
-//!   copy-on-write, and dormancy-elision knobs;
+//! * a random machine: any of the four CPU models × the dormancy-elision
+//!   and superblock switches;
 //! * a random [`FaultSpec`]: all five stage queues, all behaviors
 //!   (including the security-style skip / opcode-replacement /
 //!   branch-inversion trio), cache data/tag/way lesions under every MBU
@@ -386,30 +386,29 @@ pub fn gen_case_spec(seed: u64, rng: &mut SplitMix64) -> FaultSpec {
     }
 }
 
-/// Stream-separation constant for the superblock machine knob (PR 8).
+/// Stream-separation constant for the superblock switch (PR 8).
 /// Like [`NEW_AXES_STREAM`], it keeps the main stream's draw count frozen:
 /// the superblock coin comes off its own stream seeded with
 /// `seed ^ SUPERBLOCK_STREAM`, so every committed seed still draws its
 /// documented program, machine, and fault spec bit-identically.
 const SUPERBLOCK_STREAM: u64 = 0x7375_7065_7262_6c6b;
 
-/// Samples the machine space: every CPU model crossed with the predecode,
-/// copy-on-write, dormancy-elision, and superblock knobs.
-pub fn gen_machine(seed: u64, rng: &mut SplitMix64) -> MachineConfig {
-    // Draw order is part of the seed contract: cpu, predecode, cow, elide.
+/// Samples the machine space: every CPU model crossed with the two fast
+/// paths a machine can switch off. Returns `(config, elide, superblock)`;
+/// [`boot`] applies the switches.
+pub fn gen_machine(seed: u64, rng: &mut SplitMix64) -> (MachineConfig, bool, bool) {
+    // Draw order is part of the seed contract: cpu, two retired coins, elide.
     let cpu =
         [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3][rng.below(4) as usize];
-    let predecode = rng.coin();
-    let cow = rng.coin();
+    // The predecode and copy-on-write switches these two coins once chose
+    // are gone; drawing and discarding them keeps every later draw, and so
+    // every pinned seed's documented case, unchanged.
+    let _ = (rng.coin(), rng.coin());
     let elide = rng.coin();
-    // The superblock knob rides its own stream (see SUPERBLOCK_STREAM).
+    // The superblock switch rides its own stream (see SUPERBLOCK_STREAM).
     let superblock = SplitMix64::new(seed ^ SUPERBLOCK_STREAM).coin();
-    let mut config =
-        MachineConfig { cpu, elide, max_ticks: CASE_MAX_TICKS, ..MachineConfig::default() };
-    config.mem.predecode = predecode;
-    config.mem.cow = cow;
-    config.mem.superblock = superblock;
-    config
+    let config = MachineConfig { cpu, max_ticks: CASE_MAX_TICKS, ..MachineConfig::default() };
+    (config, elide, superblock)
 }
 
 // ---- execution --------------------------------------------------------------
@@ -426,10 +425,24 @@ fn drive(machine: &mut Machine<GemFiEngine>) -> RunExit {
     RunExit::Watchdog
 }
 
-fn run_fault_free(program: &Program, config: MachineConfig) -> Result<FreeRun, String> {
-    let engine = GemFiEngine::new(FaultConfig::empty());
+/// Boots one [`gen_machine`] draw.
+pub fn boot(
+    program: &Program,
+    (config, elide, superblock): (MachineConfig, bool, bool),
+    engine: GemFiEngine,
+) -> Result<Machine<GemFiEngine>, String> {
     let mut machine =
         Machine::boot(config, program, engine).map_err(|t| format!("boot failed: {t}"))?;
+    machine.set_elide(elide);
+    machine.set_superblock(superblock);
+    Ok(machine)
+}
+
+fn run_fault_free(
+    program: &Program,
+    machine: (MachineConfig, bool, bool),
+) -> Result<FreeRun, String> {
+    let mut machine = boot(program, machine, GemFiEngine::new(FaultConfig::empty()))?;
     let exit = drive(&mut machine);
     Ok(FreeRun {
         exit,
@@ -442,12 +455,11 @@ fn run_fault_free(program: &Program, config: MachineConfig) -> Result<FreeRun, S
 
 fn run_faulty(
     program: &Program,
-    config: MachineConfig,
+    machine: (MachineConfig, bool, bool),
     spec: FaultSpec,
 ) -> Result<(RunExit, Vec<u64>, Vec<InjectionRecord>), String> {
-    let engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
     let mut machine =
-        Machine::boot(config, program, engine).map_err(|t| format!("boot failed: {t}"))?;
+        boot(program, machine, GemFiEngine::new(FaultConfig::from_specs(vec![spec])))?;
     let exit = drive(&mut machine);
     let out = machine.out_words().to_vec();
     let records = machine.hooks().records().to_vec();
@@ -496,19 +508,15 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 pub fn run_case(seed: u64) -> Result<CaseReport, FuzzFailure> {
     let mut rng = SplitMix64::new(seed);
     let program = gen_program(&mut rng);
-    let config = gen_machine(seed, &mut rng);
+    let machine = gen_machine(seed, &mut rng);
+    let cpu = machine.0.cpu;
     let spec = gen_case_spec(seed, &mut rng);
-    let fail = |failure: CaseFailure| FuzzFailure {
-        seed,
-        spec: spec.to_string(),
-        cpu: config.cpu,
-        failure,
-    };
+    let fail = |failure: CaseFailure| FuzzFailure { seed, spec: spec.to_string(), cpu, failure };
 
     // Differential baseline: the same fault-free program twice, demanding
     // byte-identical results. Catches state leaking across runs and
     // non-determinism that would poison every classification downstream.
-    let golden = match catch_unwind(AssertUnwindSafe(|| run_fault_free(&program, config))) {
+    let golden = match catch_unwind(AssertUnwindSafe(|| run_fault_free(&program, machine))) {
         Err(p) => {
             return Err(fail(CaseFailure::Panicked {
                 message: format!("fault-free run: {}", panic_message(&p)),
@@ -522,7 +530,7 @@ pub fn run_case(seed: u64) -> Result<CaseReport, FuzzFailure> {
             exit: format!("fault-free run did not halt cleanly: {}", golden.exit),
         }));
     }
-    match catch_unwind(AssertUnwindSafe(|| run_fault_free(&program, config))) {
+    match catch_unwind(AssertUnwindSafe(|| run_fault_free(&program, machine))) {
         Err(p) => {
             return Err(fail(CaseFailure::Panicked {
                 message: format!("fault-free replay: {}", panic_message(&p)),
@@ -552,7 +560,7 @@ pub fn run_case(seed: u64) -> Result<CaseReport, FuzzFailure> {
     // The faulty run: whatever the fault does, the simulator must keep
     // control and land on a classifiable exit.
     let (exit, out_words, records) =
-        match catch_unwind(AssertUnwindSafe(|| run_faulty(&program, config, spec))) {
+        match catch_unwind(AssertUnwindSafe(|| run_faulty(&program, machine, spec))) {
             Err(p) => return Err(fail(CaseFailure::Panicked { message: panic_message(&p) })),
             Ok(Err(e)) => return Err(fail(CaseFailure::Unclassifiable { exit: e })),
             Ok(Ok(r)) => r,
@@ -563,7 +571,7 @@ pub fn run_case(seed: u64) -> Result<CaseReport, FuzzFailure> {
     let Some(outcome) = classify_exit(&exit, &golden, &out_words, &records) else {
         return Err(fail(CaseFailure::Unclassifiable { exit: exit.to_string() }));
     };
-    Ok(CaseReport { seed, cpu: config.cpu, spec, outcome, exit: exit.to_string() })
+    Ok(CaseReport { seed, cpu, spec, outcome, exit: exit.to_string() })
 }
 
 /// Runs case seeds `base_seed`, `base_seed + 1`, … and aggregates the
@@ -611,7 +619,7 @@ mod tests {
             let program = gen_program(&mut rng);
             for cpu in [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3] {
                 let config = MachineConfig { cpu, max_ticks: CASE_MAX_TICKS, ..Default::default() };
-                let run = run_fault_free(&program, config).unwrap();
+                let run = run_fault_free(&program, (config, true, true)).unwrap();
                 assert_eq!(run.exit, RunExit::Halted(0), "seed {seed} on {cpu}");
                 assert_eq!(run.out_words.len(), 2, "seed {seed} on {cpu}");
             }

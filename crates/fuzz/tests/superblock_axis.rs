@@ -1,6 +1,6 @@
-//! Superblock knob coverage of the fuzz machine space (PR 8).
+//! Superblock switch coverage of the fuzz machine space (PR 8).
 //!
-//! The knob rides its own auxiliary seed stream, so these tests pin three
+//! The switch rides its own auxiliary seed stream, so these tests pin three
 //! things: (1) the axis is actually reachable in both positions, (2) the
 //! main stream's draw order is untouched (committed seeds keep their
 //! documented cases — enforced in the crate's unit tests), and (3) the
@@ -10,7 +10,7 @@
 use gemfi::{FaultConfig, GemFiEngine};
 use gemfi_campaign::SplitMix64;
 use gemfi_cpu::CpuKind;
-use gemfi_fuzz::{gen_case_spec, gen_machine, gen_program, run_case};
+use gemfi_fuzz::{boot, gen_case_spec, gen_machine, gen_program, run_case};
 use gemfi_sim::{Machine, RunExit};
 
 /// Mirrors the harness drive loop: step over checkpoint-request pseudo-ops
@@ -32,8 +32,8 @@ fn superblock_knob_is_reachable_in_both_positions() {
     for seed in 0..64u64 {
         let mut rng = SplitMix64::new(seed);
         let _ = gen_program(&mut rng);
-        let config = gen_machine(seed, &mut rng);
-        if config.mem.superblock {
+        let (_, _, superblock) = gen_machine(seed, &mut rng);
+        if superblock {
             on += 1;
         } else {
             off += 1;
@@ -55,16 +55,14 @@ const BOUNDARY_SEED: u64 = 459;
 fn pinned_boundary_seed_fires_a_fault_across_a_superblock_edge() {
     let mut rng = SplitMix64::new(BOUNDARY_SEED);
     let program = gen_program(&mut rng);
-    let config = gen_machine(BOUNDARY_SEED, &mut rng);
+    let (config, elide, superblock) = gen_machine(BOUNDARY_SEED, &mut rng);
     let spec = gen_case_spec(BOUNDARY_SEED, &mut rng);
     assert_eq!(config.cpu, CpuKind::Atomic, "pin drifted: boundary seed must draw Atomic");
-    assert!(config.mem.superblock, "pin drifted: boundary seed must draw superblocks on");
+    assert!(superblock, "pin drifted: boundary seed must draw superblocks on");
 
     let run = |superblock: bool| {
-        let mut config = config;
-        config.mem.superblock = superblock;
         let engine = GemFiEngine::new(FaultConfig::from_specs(vec![spec]));
-        let mut m = Machine::boot(config, &program, engine).expect("boots");
+        let mut m = boot(&program, (config, elide, superblock), engine).expect("boots");
         let exit = drive(&mut m);
         let uops = m.mem().stats().superblock.uops_executed;
         let records = m.hooks().records().to_vec();

@@ -65,32 +65,27 @@ struct Entry {
 /// instruction address.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredecodeCache {
-    enabled: bool,
     mask: u64,
     entries: Vec<Option<Entry>>,
     stats: PredecodeStats,
 }
 
-impl PredecodeCache {
+impl Default for PredecodeCache {
     /// A cache with [`DEFAULT_PREDECODE_ENTRIES`] slots.
-    pub fn new(enabled: bool) -> PredecodeCache {
-        PredecodeCache::with_entries(DEFAULT_PREDECODE_ENTRIES, enabled)
+    fn default() -> PredecodeCache {
+        PredecodeCache::with_entries(DEFAULT_PREDECODE_ENTRIES)
     }
+}
 
+impl PredecodeCache {
     /// A cache with `entries` slots (rounded up to a power of two).
-    pub fn with_entries(entries: usize, enabled: bool) -> PredecodeCache {
+    pub fn with_entries(entries: usize) -> PredecodeCache {
         let entries = entries.next_power_of_two().max(1);
         PredecodeCache {
-            enabled,
             mask: (entries - 1) as u64,
             entries: vec![None; entries],
             stats: PredecodeStats::default(),
         }
-    }
-
-    /// Whether lookups and installs are live.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Counter snapshot.
@@ -104,13 +99,9 @@ impl PredecodeCache {
     }
 
     /// Fast-path lookup: the raw word and decode cached for `pc`, bumping
-    /// the hit/miss counters. Returns `None` when disabled (uncounted) or on
-    /// a miss.
+    /// the hit/miss counters. Returns `None` on a miss.
     #[inline]
     pub fn lookup(&mut self, pc: u64) -> Option<(u32, Instr)> {
-        if !self.enabled {
-            return None;
-        }
         let idx = self.index(pc);
         match self.entries[idx] {
             Some(e) if e.pc == pc => {
@@ -128,9 +119,6 @@ impl PredecodeCache {
     /// interlock checks) that must not perturb the statistics surface.
     #[inline]
     pub fn peek(&self, pc: u64) -> Option<Instr> {
-        if !self.enabled {
-            return None;
-        }
         match self.entries[self.index(pc)] {
             Some(e) if e.pc == pc => Some(e.instr),
             _ => None,
@@ -142,9 +130,6 @@ impl PredecodeCache {
     /// fault-corrupted decode.
     #[inline]
     pub fn install(&mut self, pc: u64, raw: u32, instr: Instr) {
-        if !self.enabled {
-            return;
-        }
         let idx = self.index(pc);
         self.entries[idx] = Some(Entry { pc, raw, instr });
     }
@@ -152,7 +137,7 @@ impl PredecodeCache {
     /// Drops every entry whose word overlaps `[addr, addr + len)` — called
     /// on every store so self-modifying code always refetches.
     pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        if !self.enabled || len == 0 {
+        if len == 0 {
             return;
         }
         let bytes = (self.entries.len() as u64) * 4;
@@ -207,7 +192,7 @@ mod tests {
 
     #[test]
     fn install_then_lookup_hits() {
-        let mut c = PredecodeCache::with_entries(16, true);
+        let mut c = PredecodeCache::with_entries(16);
         let i = addq();
         let raw = encode(&i).0;
         assert!(c.lookup(0x1000).is_none());
@@ -218,7 +203,7 @@ mod tests {
 
     #[test]
     fn aliasing_pc_evicts_and_misses() {
-        let mut c = PredecodeCache::with_entries(16, true);
+        let mut c = PredecodeCache::with_entries(16);
         let i = addq();
         let raw = encode(&i).0;
         c.install(0x1000, raw, i);
@@ -230,7 +215,7 @@ mod tests {
 
     #[test]
     fn store_invalidates_overlapping_words() {
-        let mut c = PredecodeCache::with_entries(16, true);
+        let mut c = PredecodeCache::with_entries(16);
         let i = addq();
         let raw = encode(&i).0;
         c.install(0x1000, raw, i);
@@ -247,7 +232,7 @@ mod tests {
 
     #[test]
     fn unaligned_store_invalidates_the_containing_word() {
-        let mut c = PredecodeCache::with_entries(16, true);
+        let mut c = PredecodeCache::with_entries(16);
         let i = addq();
         c.install(0x1000, encode(&i).0, i);
         c.invalidate_range(0x1003, 1);
@@ -256,7 +241,7 @@ mod tests {
 
     #[test]
     fn bulk_write_wipes_everything() {
-        let mut c = PredecodeCache::with_entries(16, true);
+        let mut c = PredecodeCache::with_entries(16);
         let i = addq();
         c.install(0x1000, encode(&i).0, i);
         c.install(0x2004, encode(&i).0, i);
@@ -267,18 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_never_caches_or_counts() {
-        let mut c = PredecodeCache::with_entries(16, false);
-        let i = addq();
-        c.install(0x1000, encode(&i).0, i);
-        assert!(c.lookup(0x1000).is_none());
-        assert!(c.peek(0x1000).is_none());
-        assert_eq!(c.stats(), PredecodeStats::default());
-    }
-
-    #[test]
     fn clear_resets_entries_and_counters() {
-        let mut c = PredecodeCache::with_entries(16, true);
+        let mut c = PredecodeCache::with_entries(16);
         let i = addq();
         c.install(0x1000, encode(&i).0, i);
         c.lookup(0x1000);
@@ -289,7 +264,7 @@ mod tests {
 
     #[test]
     fn cached_raw_word_round_trips_through_decode() {
-        let mut c = PredecodeCache::new(true);
+        let mut c = PredecodeCache::default();
         let i = addq();
         let raw = encode(&i).0;
         c.install(0x3000, raw, i);

@@ -682,7 +682,6 @@ pub struct SuperblockStats {
 /// compares instead of a cache scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuperblockCache {
-    enabled: bool,
     mask: u64,
     entries: Vec<Option<Arc<Superblock>>>,
     /// `(min start, max end)` over live entries; `None` when empty. May
@@ -691,40 +690,23 @@ pub struct SuperblockCache {
     stats: SuperblockStats,
 }
 
-impl SuperblockCache {
+impl Default for SuperblockCache {
     /// A cache with [`DEFAULT_SUPERBLOCK_ENTRIES`] slots.
-    pub fn new(enabled: bool) -> SuperblockCache {
-        SuperblockCache::with_entries(DEFAULT_SUPERBLOCK_ENTRIES, enabled)
+    fn default() -> SuperblockCache {
+        SuperblockCache::with_entries(DEFAULT_SUPERBLOCK_ENTRIES)
     }
+}
 
+impl SuperblockCache {
     /// A cache with `entries` slots (rounded up to a power of two).
-    pub fn with_entries(entries: usize, enabled: bool) -> SuperblockCache {
+    pub fn with_entries(entries: usize) -> SuperblockCache {
         let n = entries.next_power_of_two().max(1);
         SuperblockCache {
-            enabled,
             mask: (n - 1) as u64,
-            entries: if enabled { vec![None; n] } else { Vec::new() },
+            entries: vec![None; n],
             span: None,
             stats: SuperblockStats::default(),
         }
-    }
-
-    /// Whether the knob is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Flips the knob. Disabling drops every translation and all counters
-    /// (the cache must leave no trace when ablated away).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        if self.enabled == enabled {
-            return;
-        }
-        let n = (self.mask + 1) as usize;
-        self.enabled = enabled;
-        self.entries = if enabled { vec![None; n] } else { Vec::new() };
-        self.span = None;
-        self.stats = SuperblockStats::default();
     }
 
     #[inline]
@@ -734,12 +716,9 @@ impl SuperblockCache {
 
     /// The cached block starting exactly at `pc`, counting hit/miss.
     pub fn lookup(&mut self, pc: u64) -> Option<Arc<Superblock>> {
-        if !self.enabled {
-            return None;
-        }
         let i = self.index(pc);
-        match self.entries.get(i) {
-            Some(Some(b)) if b.start == pc => {
+        match &self.entries[i] {
+            Some(b) if b.start == pc => {
                 self.stats.hits += 1;
                 Some(Arc::clone(b))
             }
@@ -755,18 +734,13 @@ impl SuperblockCache {
     /// block is evicted.
     pub fn install(&mut self, block: Superblock) -> Arc<Superblock> {
         let handle = Arc::new(block);
-        if !self.enabled {
-            return handle;
-        }
         self.stats.blocks_built += 1;
         self.span = Some(match self.span {
             Some((lo, hi)) => (lo.min(handle.start), hi.max(handle.end)),
             None => (handle.start, handle.end),
         });
         let i = self.index(handle.start);
-        if let Some(slot) = self.entries.get_mut(i) {
-            *slot = Some(Arc::clone(&handle));
-        }
+        self.entries[i] = Some(Arc::clone(&handle));
         handle
     }
 
@@ -792,7 +766,7 @@ impl SuperblockCache {
     /// Drops every cached block overlapping `[addr, addr + len)` (store
     /// coherence — mirrors [`crate::predecode::PredecodeCache`]).
     pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        if !self.enabled || len == 0 {
+        if len == 0 {
             return;
         }
         let Some((lo, hi)) = self.span else { return };
@@ -1079,7 +1053,7 @@ mod tests {
     fn cache_hits_installs_and_span_fast_path() {
         let mut mem = TestMem::new(0x1000);
         program(&mut mem, 0x100, &[addq_lit(31, 1, 1), Instr::Br { ra: r(31), disp: 0 }]);
-        let mut cache = SuperblockCache::new(true);
+        let mut cache = SuperblockCache::default();
         assert!(cache.lookup(0x100).is_none());
         let b = translate(0x100, |a| mem.word(a)).expect("translates");
         cache.install(b);
@@ -1097,20 +1071,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_disable_drop_blocks_and_counters() {
+    fn clear_drops_blocks_and_counters() {
         let mut mem = TestMem::new(0x1000);
         program(&mut mem, 0x100, &[addq_lit(31, 1, 1)]);
-        let mut cache = SuperblockCache::new(true);
+        let mut cache = SuperblockCache::default();
         cache.install(translate(0x100, |a| mem.word(a)).expect("translates"));
         cache.lookup(0x100);
         cache.clear();
         assert!(cache.lookup(0x100).is_none());
         // clear resets counters too (the lookup above re-counted one miss).
         assert_eq!(cache.stats().misses, 1);
-        let mut off = SuperblockCache::new(false);
-        let handle = off.install(translate(0x100, |a| mem.word(a)).expect("translates"));
-        assert_eq!(handle.len(), 1, "install still returns a runnable handle");
-        assert!(off.lookup(0x100).is_none());
-        assert_eq!(off.stats(), SuperblockStats::default(), "disabled cache never counts");
     }
 }

@@ -2,7 +2,9 @@
 
 use crate::cache::CacheConfig;
 
-/// Configuration of the whole memory system.
+/// Configuration of the guest's memory system. Every field is machine
+/// state the checkpoint codec writes; host-side derived state (predecoded
+/// instructions, superblock translations, page sharing) has no switch here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemConfig {
     /// Physical memory size in bytes.
@@ -15,24 +17,6 @@ pub struct MemConfig {
     pub l2: CacheConfig,
     /// DRAM access latency in ticks.
     pub dram_latency: u64,
-    /// Whether the predecoded-instruction cache serves fetches. Purely a
-    /// performance knob: results are identical either way (the cache is
-    /// derived state), so the flag is deliberately *not* serialized into
-    /// checkpoints.
-    pub predecode: bool,
-    /// Whether physical-memory clones share pages copy-on-write (`true`,
-    /// the default) or deep-copy every page (`false` — the flat ablation
-    /// baseline of the `restore_fanout` bench). Purely a performance knob:
-    /// contents, traps, and serialized images are identical either way, so
-    /// like `predecode` the flag is *not* serialized into checkpoints.
-    pub cow: bool,
-    /// Whether straight-line guest regions are pre-translated into
-    /// superblocks of micro-ops and executed by threaded dispatch while the
-    /// fault engine is dormant. Purely a performance knob layered above
-    /// `predecode`: architectural results are identical either way (the
-    /// translation cache is derived state), so the flag is deliberately
-    /// *not* serialized into checkpoints.
-    pub superblock: bool,
 }
 
 impl Default for MemConfig {
@@ -45,9 +29,6 @@ impl Default for MemConfig {
             l1d: CacheConfig { size: 32 << 10, ways: 2, line: 64, hit_latency: 2 },
             l2: CacheConfig { size: 1 << 20, ways: 8, line: 64, hit_latency: 12 },
             dram_latency: 80,
-            predecode: true,
-            cow: true,
-            superblock: true,
         }
     }
 }

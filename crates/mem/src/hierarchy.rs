@@ -68,13 +68,13 @@ impl MemorySystem {
     /// Builds the hierarchy described by `config`.
     pub fn new(config: MemConfig) -> MemorySystem {
         MemorySystem {
-            phys: PhysMem::with_cow(config.phys_size, config.cow),
+            phys: PhysMem::new(config.phys_size),
             l1i: Cache::new(config.l1i),
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
             dram_accesses: 0,
-            predecode: PredecodeCache::new(config.predecode),
-            superblocks: SuperblockCache::new(config.superblock),
+            predecode: PredecodeCache::default(),
+            superblocks: SuperblockCache::default(),
             lesions: Vec::new(),
             config,
         }
@@ -279,11 +279,10 @@ impl MemorySystem {
     ///
     /// On a predecode hit the raw word comes from the cached entry (store
     /// invalidation keeps it coherent with physical memory) together with
-    /// the cached decode; on a miss — or with the cache disabled — the word
-    /// is read from physical memory and the decode slot is `None`. Either
-    /// way the L1I/L2 hierarchy is walked for timing, so the cache-level
-    /// statistics the paper's validation compares are identical with the
-    /// predecode cache on and off.
+    /// the cached decode; on a miss the word is read from physical memory
+    /// and the decode slot is `None`. Either way the L1I/L2 hierarchy is
+    /// walked for timing, so the cache-level statistics the paper's
+    /// validation compares do not depend on what the predecode cache holds.
     ///
     /// # Errors
     ///
@@ -330,29 +329,22 @@ impl MemorySystem {
     }
 
     /// Drops all superblock translations and their counters (derived-state
-    /// reset on checkpoint capture/restore and CPU-model switch).
+    /// reset on checkpoint capture/restore and CPU-model switch, and when
+    /// `Machine::set_superblock` switches block execution off).
     pub fn clear_superblocks(&mut self) {
         self.superblocks.clear();
     }
 
-    /// Flips the superblock knob post-construction (restored machines come
-    /// up with the default; the campaign runner re-applies its config).
-    /// Disabling drops every translation and counter.
-    pub fn set_superblock(&mut self, enabled: bool) {
-        self.config.superblock = enabled;
-        self.superblocks.set_enabled(enabled);
-    }
-
     /// The superblock starting exactly at `pc`, translating and installing
-    /// it on a miss. Refuses (`None`) while the knob is off, while any
-    /// cache lesion is planted (block execution skips the hierarchy walk
-    /// entirely, so *no* lesioned path — fetch or data — may be live), or
-    /// when the head instruction cannot be translated.
+    /// it on a miss. Refuses (`None`) while any cache lesion is planted
+    /// (block execution skips the hierarchy walk entirely, so *no* lesioned
+    /// path — fetch or data — may be live), or when the head instruction
+    /// cannot be translated.
     ///
     /// Translation fetches functionally: like predecode installs, building
     /// host-side derived state must not perturb cache stats or timing.
     pub fn superblock_at(&mut self, pc: u64) -> Option<Arc<Superblock>> {
-        if !self.superblocks.enabled() || !self.lesions.is_empty() {
+        if !self.lesions.is_empty() {
             return None;
         }
         if let Some(block) = self.superblocks.lookup(pc) {
@@ -571,7 +563,7 @@ impl MemorySystem {
 /// (`Machine::sprint` gates it; `superblock_at` refuses otherwise) — and
 /// the atomic model charges one tick per committed instruction regardless
 /// of memory latency, so skipping the walk is tick-invisible. Cache
-/// hit/miss counters diverge from the knob-off run, exactly like the
+/// hit/miss counters diverge from the stepped run, exactly like the
 /// original substrate's KVM-style fast-forward; they are diagnostics, never
 /// serialized, and never part of outcome classification.
 impl SbMemory for MemorySystem {
@@ -787,14 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_superblocks_never_serve_or_count() {
-        let mut m = MemorySystem::new(MemConfig { superblock: false, ..MemConfig::default() });
-        put_block(&mut m, 0x4000);
-        assert!(m.superblock_at(0x4000).is_none());
-        assert_eq!(m.stats().superblock, gemfi_isa::SuperblockStats::default());
-    }
-
-    #[test]
     fn clear_superblocks_drops_translations_and_counters() {
         let mut m = MemorySystem::new(MemConfig::default());
         put_block(&mut m, 0x4000);
@@ -803,18 +787,6 @@ mod tests {
         assert_eq!(m.stats().superblock, gemfi_isa::SuperblockStats::default());
         let b = m.superblock_at(0x4000).expect("retranslates after clear");
         assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn disabled_predecode_never_serves_or_counts() {
-        let mut m = MemorySystem::new(MemConfig { predecode: false, ..MemConfig::default() });
-        let i = gemfi_isa::Instr::Br { ra: gemfi_isa::IntReg::new(31).unwrap(), disp: 0 };
-        let word = gemfi_isa::encode(&i).0;
-        m.write_u32_functional(0x4000, word).unwrap();
-        m.install_predecoded(0x4000, word, i);
-        let (raw, cached, _) = m.fetch_predecoded(0x4000).unwrap();
-        assert_eq!((raw, cached), (word, None));
-        assert_eq!(m.stats().predecode, gemfi_isa::PredecodeStats::default());
     }
 
     #[test]

@@ -44,28 +44,21 @@ fn zero_page() -> &'static Arc<Page> {
 }
 
 /// Byte-addressable guest physical memory (paged, copy-on-write).
+///
+/// `clone()` is O(page-table) — the snapshot operation behind cheap
+/// checkpoint restores and forks.
+#[derive(Clone)]
 pub struct PhysMem {
     pages: Vec<Arc<Page>>,
     size: u64,
-    /// Clone depth: `true` shares pages copy-on-write; `false` deep-copies
-    /// every page, reproducing the flat `Vec<u8>` clone cost (the
-    /// `restore_fanout` ablation baseline). Semantics are identical either
-    /// way — only `clone()` differs.
-    cow: bool,
 }
 
 impl PhysMem {
     /// Allocates `size` bytes of zeroed memory (O(page-table): every page
     /// starts as the shared zero page).
     pub fn new(size: usize) -> PhysMem {
-        PhysMem::with_cow(size, true)
-    }
-
-    /// [`PhysMem::new`] with an explicit clone policy (see
-    /// [`crate::MemConfig::cow`]).
-    pub fn with_cow(size: usize, cow: bool) -> PhysMem {
         let pages = size.div_ceil(PAGE_SIZE);
-        PhysMem { pages: vec![Arc::clone(zero_page()); pages], size: size as u64, cow }
+        PhysMem { pages: vec![Arc::clone(zero_page()); pages], size: size as u64 }
     }
 
     /// Memory size in bytes.
@@ -242,23 +235,9 @@ impl PhysMem {
     }
 }
 
-impl Clone for PhysMem {
-    /// CoW mode: O(page-table) — the snapshot operation behind cheap
-    /// checkpoint restores. Flat-ablation mode (`cow = false`): deep-copies
-    /// every page, reproducing the old `Vec<u8>` clone cost.
-    fn clone(&self) -> PhysMem {
-        let pages = if self.cow {
-            self.pages.clone()
-        } else {
-            self.pages.iter().map(|p| Arc::new(Page::clone(p))).collect()
-        };
-        PhysMem { pages, size: self.size, cow: self.cow }
-    }
-}
-
 impl PartialEq for PhysMem {
-    /// Logical byte equality (page sharing and the clone policy are
-    /// representation details, not state).
+    /// Logical byte equality (page sharing is a representation detail, not
+    /// state).
     fn eq(&self, other: &PhysMem) -> bool {
         self.size == other.size
             && self.pages.iter().zip(&other.pages).all(|(a, b)| Arc::ptr_eq(a, b) || a.0 == b.0)
@@ -273,7 +252,6 @@ impl std::fmt::Debug for PhysMem {
             .field("size", &self.size)
             .field("pages", &self.pages.len())
             .field("owned_pages", &self.owned_pages())
-            .field("cow", &self.cow)
             .finish()
     }
 }
@@ -387,18 +365,6 @@ mod tests {
         let c = PhysMem::new(8 * PAGE_SIZE);
         let d = PhysMem::new(8 * PAGE_SIZE);
         assert_eq!(c.shared_pages_with(&d), 8);
-    }
-
-    #[test]
-    fn flat_ablation_clone_deep_copies_but_behaves_identically() {
-        let mut a = PhysMem::with_cow(4 * PAGE_SIZE, false);
-        a.write_u64(8, 42, 0).unwrap();
-        let mut b = a.clone();
-        assert_eq!(b.owned_pages(), b.total_pages(), "flat clone owns every page");
-        b.write_u64(8, 43, 0).unwrap();
-        assert_eq!(a.read_u64(8, 0).unwrap(), 42);
-        assert_eq!(b.read_u64(8, 0).unwrap(), 43);
-        assert_eq!(a.read_slice(0, 32).unwrap()[8], 42);
     }
 
     #[test]

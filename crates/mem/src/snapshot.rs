@@ -107,19 +107,8 @@ impl Codec for MemorySystem {
             c.line = r.get_len()?;
             c.hit_latency = r.get_u64()?;
         }
-        // The predecode, CoW, and superblock flags are host-side performance
-        // knobs, not machine state — they are not in the stream (keeping the
-        // v2 image stable) and restore to the defaults.
-        let config = MemConfig {
-            phys_size,
-            l1i: caches[0],
-            l1d: caches[1],
-            l2: caches[2],
-            dram_latency,
-            predecode: MemConfig::default().predecode,
-            cow: MemConfig::default().cow,
-            superblock: MemConfig::default().superblock,
-        };
+        let config =
+            MemConfig { phys_size, l1i: caches[0], l1d: caches[1], l2: caches[2], dram_latency };
         let image = decode_image(r)?;
         if image.len() != phys_size {
             return Err(CodecError::LengthOverflow { len: image.len() as u64 });

@@ -1,7 +1,7 @@
 //! Seeded lockstep property test: the paged copy-on-write [`PhysMem`] must
 //! be observationally identical to a flat `Vec<u8>` store — same bytes,
 //! same traps, same serialized image — across thousands of mixed
-//! operations, snapshots, and snapshot mutations, in both clone modes.
+//! operations, snapshots, and snapshot mutations.
 //!
 //! The flat reference model here reimplements the pre-paging semantics
 //! independently (bounds checked against the true size, natural alignment,
@@ -134,12 +134,12 @@ fn pick_addr(rng: &mut SplitMix64, size: u64) -> u64 {
     }
 }
 
-fn run_lockstep(cow: bool, seed: u64) {
+fn run_lockstep(seed: u64) {
     // A non-page-multiple size: the last page is partially mapped, so the
     // "bounds are the true size" rule is under test throughout.
     const SIZE: usize = 4 * PAGE_SIZE + 100;
     let mut rng = SplitMix64(seed);
-    let mut paged = PhysMem::with_cow(SIZE, cow);
+    let mut paged = PhysMem::new(SIZE);
     let mut flat = FlatRef::new(SIZE);
     // Live snapshots: (paged clone, flat clone, op index at capture).
     let mut snaps: Vec<(PhysMem, FlatRef, usize)> = Vec::new();
@@ -226,14 +226,7 @@ fn run_lockstep(cow: bool, seed: u64) {
 
 #[test]
 fn paged_cow_store_matches_flat_reference() {
-    for seed in [1, 0xdead_beef, 0x6765_6d66_6921] {
-        run_lockstep(true, seed);
-    }
-}
-
-#[test]
-fn flat_ablation_mode_matches_flat_reference() {
-    for seed in [2, 0xcafe_f00d] {
-        run_lockstep(false, seed);
+    for seed in [1, 2, 0xdead_beef, 0xcafe_f00d, 0x6765_6d66_6921] {
+        run_lockstep(seed);
     }
 }

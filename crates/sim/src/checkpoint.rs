@@ -171,11 +171,8 @@ impl Checkpoint {
         let tick = r.get_u64()?;
         let instret = r.get_u64()?;
         let mem_config: MemConfig = *mem.config();
-        // `elide` is a host-side performance knob, deliberately absent from
-        // the image (like `mem.predecode`/`mem.cow`): decode restores the
-        // default and the runner re-applies its own setting.
         Ok(Checkpoint::new(
-            MachineConfig { cpu, mem: mem_config, quantum, max_ticks, boot_spin, elide: true },
+            MachineConfig { cpu, mem: mem_config, quantum, max_ticks, boot_spin },
             arch,
             mem,
             kernel,

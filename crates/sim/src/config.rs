@@ -3,7 +3,10 @@
 use gemfi_cpu::CpuKind;
 use gemfi_mem::MemConfig;
 
-/// Configuration of a [`crate::Machine`].
+/// Configuration of a [`crate::Machine`]: the guest machine, exactly as the
+/// checkpoint codec writes it. The two host-side fast-path switches are not
+/// configuration — see [`crate::Machine::set_elide`] and
+/// [`crate::Machine::set_superblock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// CPU model to boot with.
@@ -23,14 +26,6 @@ pub struct MachineConfig {
     /// simulation up to the point when fault injection is activated
     /// (including booting of the operating system…)"); 0 disables it.
     pub boot_spin: u64,
-    /// Dormancy-aware hook elision: when the hooks report a dormancy
-    /// horizon, `run`/`run_for` sprint to it with an uninstrumented
-    /// interpreter loop, delivering stage-event counters in bulk at batch
-    /// boundaries. Architecturally invisible (same injections, records,
-    /// outcomes, and bit-identical state either way) — a pure performance
-    /// knob, which is why it is deliberately never serialized into
-    /// checkpoints (v2 images stay byte-stable). Disable for the ablation.
-    pub elide: bool,
 }
 
 impl Default for MachineConfig {
@@ -44,7 +39,6 @@ impl Default for MachineConfig {
             quantum: 10_000,
             max_ticks: 2_000_000_000,
             boot_spin: 0,
-            elide: true,
         }
     }
 }

@@ -100,6 +100,10 @@ pub struct Machine<H> {
     instret_elided: u64,
     next_preempt: Ticks,
     finished: Option<RunExit>,
+    /// See [`Machine::set_elide`].
+    elide: bool,
+    /// See [`Machine::set_superblock`].
+    superblock: bool,
 }
 
 impl<H: FaultHooks> Machine<H> {
@@ -139,6 +143,8 @@ impl<H: FaultHooks> Machine<H> {
             instret_elided: 0,
             next_preempt: if config.quantum > 0 { config.quantum } else { u64::MAX },
             finished: None,
+            elide: true,
+            superblock: true,
         })
     }
 
@@ -204,23 +210,34 @@ impl<H: FaultHooks> Machine<H> {
             instret_elided: 0,
             next_preempt: if config.quantum > 0 { tick + config.quantum } else { u64::MAX },
             finished: None,
+            elide: true,
+            superblock: true,
         }
     }
 
-    /// Flips the hook-elision fast path on or off for this machine (the
-    /// knob is never serialized, so restored machines get the default and
-    /// callers re-apply their setting here).
+    /// Switches dormancy-aware hook elision on or off for this machine.
+    /// While on (the default for every booted or restored machine),
+    /// `run`/`run_for` sprint to the hooks' dormancy horizon with an
+    /// uninstrumented interpreter loop, delivering stage-event counters in
+    /// bulk at batch boundaries. Architecturally invisible — same
+    /// injections, records, outcomes and bit-identical state either way;
+    /// the fully hooked stepped loop stays because it is the reference the
+    /// conformance tests, the fuzzer and the benchmarks compare against.
+    /// Not machine state: never serialized, inherited only by
+    /// [`Machine::fork_with`].
     pub fn set_elide(&mut self, on: bool) {
-        self.config.elide = on;
+        self.elide = on;
     }
 
-    /// Flips the superblock fast path on or off for this machine (like
-    /// `elide`, the knob is never serialized: restored machines get the
-    /// default and callers re-apply their setting here). Turning it off
-    /// drops every cached translation.
+    /// Switches superblock execution inside dormant Atomic sprints on or
+    /// off for this machine (default on; same contract as
+    /// [`Machine::set_elide`]). Turning it off drops every cached
+    /// translation and its counters.
     pub fn set_superblock(&mut self, on: bool) {
-        self.config.mem.superblock = on;
-        self.mem.set_superblock(on);
+        self.superblock = on;
+        if !on {
+            self.mem.clear_superblocks();
+        }
     }
 
     /// Forks this machine mid-run: an independent machine that continues
@@ -234,9 +251,11 @@ impl<H: FaultHooks> Machine<H> {
     /// this machine's. Guest memory is shared copy-on-write, making a fork
     /// O(page-table) like a restore.
     ///
-    /// Derived state is *not* carried: the predecode cache drops at the
-    /// fork, per the never-serialized contract (it is architecturally and
-    /// tick-invisible, so dropping it cannot change behavior).
+    /// Derived state is *not* carried: the predecode and superblock caches
+    /// drop at the fork, per the never-serialized contract (they are
+    /// architecturally and tick-invisible, so dropping them cannot change
+    /// behavior). The fork does inherit this machine's
+    /// [`Machine::set_elide`]/[`Machine::set_superblock`] positions.
     pub fn fork_with<H2: FaultHooks>(&self, hooks: H2) -> Machine<H2> {
         let mut mem = self.mem.clone();
         mem.clear_predecode();
@@ -253,6 +272,8 @@ impl<H: FaultHooks> Machine<H> {
             instret_elided: self.instret_elided,
             next_preempt: self.next_preempt,
             finished: self.finished,
+            elide: self.elide,
+            superblock: self.superblock,
         }
     }
 
@@ -391,7 +412,7 @@ impl<H: FaultHooks> Machine<H> {
     /// requests a checkpoint.
     pub fn run(&mut self) -> RunExit {
         loop {
-            if self.config.elide {
+            if self.elide {
                 if let Some(exit) = self.sprint(Ticks::MAX) {
                     return exit;
                 }
@@ -407,7 +428,7 @@ impl<H: FaultHooks> Machine<H> {
     pub fn run_for(&mut self, budget: Ticks) -> Option<RunExit> {
         let deadline = self.tick.saturating_add(budget);
         while self.tick < deadline {
-            if self.config.elide {
+            if self.elide {
                 if let Some(exit) = self.sprint(deadline) {
                     return Some(exit);
                 }
@@ -489,9 +510,8 @@ impl<H: FaultHooks> Machine<H> {
         // pending fault windows never reach here: armed state forces
         // `Dormancy::Active` and pending windows bound `event_bound`/
         // `tick_limit`, which the per-block budget check below honors.
-        let sb_ok = self.config.mem.superblock
-            && self.config.cpu == CpuKind::Atomic
-            && self.mem.lesions().is_empty();
+        let sb_ok =
+            self.superblock && self.config.cpu == CpuKind::Atomic && self.mem.lesions().is_empty();
         // Deadline bucketing: a block holds at most MAX_SUPERBLOCK_UOPS
         // micro-ops (n ticks, ≤ n events per stage on atomic), so while the
         // sprint is strictly below these saturating thresholds *any* block
@@ -516,7 +536,7 @@ impl<H: FaultHooks> Machine<H> {
                     // per-block check runs only near a deadline. If the
                     // block does not fit, fall through to per-instruction
                     // stepping, which stops at precisely the same boundary
-                    // as the knob-off run.
+                    // as a run with superblocks off.
                     let fits = (self.tick < safe_tick
                         && (unbounded || elided.max_stage_events() < safe_events))
                         || (self.tick.saturating_add(n) <= tick_limit
@@ -817,9 +837,8 @@ mod tests {
         let p = counting_program(200);
         // Superblocks off: they would absorb the dormant loop and starve
         // the predecode counters this test pins.
-        let mut cfg = small_config(CpuKind::Atomic);
-        cfg.mem.superblock = false;
-        let mut m = Machine::boot(cfg, &p, NoopHooks).unwrap();
+        let mut m = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
+        m.set_superblock(false);
         m.run();
         let s = m.stats();
         assert!(s.mem.predecode.hits > s.mem.predecode.misses, "loop must hit the warm cache");
@@ -829,21 +848,13 @@ mod tests {
             gemfi_mem::PredecodeStats::default(),
             "checkpoints must carry no predecode state"
         );
-
-        // Disabling the knob changes the counters, not the outcome.
-        let mut cfg = small_config(CpuKind::Atomic);
-        cfg.mem.predecode = false;
-        let mut off = Machine::boot(cfg, &p, NoopHooks).unwrap();
-        assert_eq!(off.run(), RunExit::Halted(200));
-        assert_eq!(off.stats().mem.predecode, gemfi_mem::PredecodeStats::default());
     }
 
     #[test]
     fn switch_cpu_goes_decode_cold() {
         let p = counting_program(1000);
-        let mut cfg = small_config(CpuKind::Atomic);
-        cfg.mem.superblock = false;
-        let mut m = Machine::boot(cfg, &p, NoopHooks).unwrap();
+        let mut m = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
+        m.set_superblock(false);
         assert!(m.run_for(500).is_none());
         assert!(m.stats().mem.predecode.accesses() > 0);
         m.switch_cpu(CpuKind::InOrder);
@@ -867,10 +878,9 @@ mod tests {
             "checkpoints must carry no superblock state"
         );
 
-        // Same outcome, same tick count, knob off.
-        let mut cfg = small_config(CpuKind::Atomic);
-        cfg.mem.superblock = false;
-        let mut off = Machine::boot(cfg, &p, NoopHooks).unwrap();
+        // Same outcome, same tick count, superblocks off.
+        let mut off = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
+        off.set_superblock(false);
         assert_eq!(off.run(), RunExit::Halted(200));
         assert_eq!(off.stats().mem.superblock, gemfi_mem::SuperblockStats::default());
         assert_eq!((off.tick(), off.instret()), (m.tick(), m.instret()));

@@ -229,8 +229,7 @@ fn l2_data_lesion_applies_only_on_l1_misses() {
 fn l1i_data_lesion_stays_contained_on_every_model() {
     // Damage the code's own cache line (set of TEXT_BASE, way 0): later
     // fetches serve zeroed instruction words. Whatever those decode to,
-    // the run must end on a classifiable exit — trap, halt, or watchdog —
-    // with or without the predecode cache.
+    // the run must end on a classifiable exit — trap, halt, or watchdog.
     let mut a = Assembler::new();
     a.fi_activate(0);
     a.li(Reg::R1, 1);
@@ -242,18 +241,13 @@ fn l1i_data_lesion_stays_contained_on_every_model() {
     let spec = "CacheInjectedFault Inst:2 AllZero Threadid:0 system.cpu0 occ:perm \
                 l1i data set:0 way:0 mbu:single";
     for cpu in MODELS {
-        for predecode in [false, true] {
-            let mut config =
-                MachineConfig { cpu, max_ticks: 3_000_000, ..MachineConfig::default() };
-            config.mem.predecode = predecode;
-            let faults: FaultConfig = spec.parse().expect("parses");
-            let mut machine =
-                Machine::boot(config, &program, GemFiEngine::new(faults)).expect("boots");
-            let exit = machine.run();
-            assert!(
-                matches!(exit, RunExit::Trapped(_) | RunExit::Halted(_) | RunExit::Watchdog),
-                "corrupted fetch stream must classify on {cpu} (predecode {predecode}): {exit}"
-            );
-        }
+        let config = MachineConfig { cpu, max_ticks: 3_000_000, ..MachineConfig::default() };
+        let faults: FaultConfig = spec.parse().expect("parses");
+        let mut machine = Machine::boot(config, &program, GemFiEngine::new(faults)).expect("boots");
+        let exit = machine.run();
+        assert!(
+            matches!(exit, RunExit::Trapped(_) | RunExit::Halted(_) | RunExit::Watchdog),
+            "corrupted fetch stream must classify on {cpu}: {exit}"
+        );
     }
 }

@@ -72,17 +72,25 @@ fn warm_predecode_cache_never_reaches_the_checkpoint_image() {
     let guest = w.build();
     let (golden, _) = straight_through(&guest, CpuKind::Atomic);
 
-    let ckpt_with = |predecode: bool| {
-        let mut config = workload_machine_config(CpuKind::Atomic);
-        config.mem.predecode = predecode;
+    let ckpt_with = |warm: bool| {
+        let config = workload_machine_config(CpuKind::Atomic);
+        let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
         // Superblocks off so the dormant fast-forward still warms the
         // predecode cache this test pins (the superblock axis has its own
         // byte-stability test below).
-        config.mem.superblock = false;
-        let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        assert_eq!(m.run(), RunExit::CheckpointRequest);
-        if predecode {
+        m.set_superblock(false);
+        if warm {
+            assert_eq!(m.run(), RunExit::CheckpointRequest);
             assert!(m.mem().stats().predecode.hits > 0, "cache must be warm at checkpoint time");
+        } else {
+            // The cold-decode reference: empty the cache before every step.
+            loop {
+                m.mem_mut().clear_predecode();
+                if let Some(exit) = m.step() {
+                    assert_eq!(exit, RunExit::CheckpointRequest);
+                    break;
+                }
+            }
         }
         m.checkpoint()
     };
@@ -109,16 +117,16 @@ fn warm_predecode_cache_never_reaches_the_checkpoint_image() {
 fn warm_superblock_cache_never_reaches_the_checkpoint_image() {
     // Same derived-state contract for the superblock translation cache: a
     // checkpoint from a machine that sprinted through warm superblocks must
-    // serialize byte-identically to one that never translated a block, and
-    // the v2 image is byte-stable with the knob in either position.
+    // serialize byte-identically to one that never translated a block: the
+    // v2 image is byte-stable with superblocks on or off.
     let w = Knapsack { generations: 4, ..Knapsack::default() };
     let guest = w.build();
     let (golden, _) = straight_through(&guest, CpuKind::Atomic);
 
     let ckpt_with = |superblock: bool| {
-        let mut config = workload_machine_config(CpuKind::Atomic);
-        config.mem.superblock = superblock;
+        let config = workload_machine_config(CpuKind::Atomic);
         let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
+        m.set_superblock(superblock);
         assert_eq!(m.run(), RunExit::CheckpointRequest);
         if superblock {
             assert!(
@@ -153,7 +161,8 @@ fn in_process_restore_times_identically_to_a_byte_round_trip() {
     // an in-process restore must go cache-cold too — otherwise detailed
     // -model timing after a restore depends on *how the capturing machine
     // executed*. Superblock execution skips the hierarchy walk, so a warm
-    // capture's tag state differs across the knob; all four restores below
+    // capture's tag state differs with superblocks on and off; all three
+    // restores below
     // must still finish at the identical tick (this pinned a real 4-tick
     // injection-record shift between `gemfi_run` runs with and without
     // `--no-superblock`).
@@ -161,9 +170,9 @@ fn in_process_restore_times_identically_to_a_byte_round_trip() {
     let guest = w.build();
 
     let ckpt_with = |superblock: bool| {
-        let mut config = workload_machine_config(CpuKind::Atomic);
-        config.mem.superblock = superblock;
+        let config = workload_machine_config(CpuKind::Atomic);
         let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
+        m.set_superblock(superblock);
         assert_eq!(m.run(), RunExit::CheckpointRequest);
         m.checkpoint()
     };
@@ -185,7 +194,7 @@ fn in_process_restore_times_identically_to_a_byte_round_trip() {
 
     let baseline = drive(&round_tripped);
     assert_eq!(drive(&warm_sb), baseline, "in-process restore timed unlike its own byte image");
-    assert_eq!(drive(&warm_stepped), baseline, "restored timing depended on the superblock knob");
+    assert_eq!(drive(&warm_stepped), baseline, "restored timing depended on superblock execution");
 }
 
 #[test]
@@ -222,68 +231,43 @@ fn dirtied_restores_never_bleed_back_into_the_checkpoint() {
 }
 
 #[test]
-fn flat_ablation_checkpoints_serialize_identically_to_cow() {
-    // MemConfig.cow is a host-side clone-policy knob: with it off (the
-    // restore_fanout bench's flat baseline) the checkpoint image and the
-    // guest-visible run must be bit-for-bit the same.
-    let w = Knapsack { generations: 4, ..Knapsack::default() };
-    let guest = w.build();
-    let ckpt_with = |cow: bool| {
-        let mut config = workload_machine_config(CpuKind::Atomic);
-        config.mem.cow = cow;
-        let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        assert_eq!(m.run(), RunExit::CheckpointRequest);
-        m.checkpoint()
-    };
-    let cow = ckpt_with(true);
-    let flat = ckpt_with(false);
-    assert_eq!(cow.to_bytes(), flat.to_bytes(), "clone policy leaked into the v2 image");
-    assert_eq!(cow.digest(), flat.digest());
-}
-
-#[test]
 fn mid_run_capture_is_byte_identical_to_stop_and_capture() {
     // Capture-without-stopping must be a pure read: a snapshot taken at
     // tick T from a machine that keeps running serializes byte-identically
     // to one from a machine that ran to T and stopped there — and the
-    // capturing machine's own run is unperturbed. Both CoW modes.
+    // capturing machine's own run is unperturbed.
     let w = Knapsack { generations: 4, ..Knapsack::default() };
     let guest = w.build();
     let (golden, _) = straight_through(&guest, CpuKind::Atomic);
 
-    for cow in [true, false] {
-        let mut config = workload_machine_config(CpuKind::Atomic);
-        config.mem.cow = cow;
-        let mut a = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        assert_eq!(a.run(), RunExit::CheckpointRequest);
-        let target = a.tick() + 5_000;
-        assert!(a.run_to_tick(target).is_none(), "cow={cow}: kernel outlives the target");
-        let mid = a.try_checkpoint().expect("atomic machines are always quiesced");
-        assert_eq!(mid.tick(), a.tick(), "cow={cow}");
+    let config = workload_machine_config(CpuKind::Atomic);
+    let mut a = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
+    assert_eq!(a.run(), RunExit::CheckpointRequest);
+    let target = a.tick() + 5_000;
+    assert!(a.run_to_tick(target).is_none(), "kernel outlives the target");
+    let mid = a.try_checkpoint().expect("atomic machines are always quiesced");
+    assert_eq!(mid.tick(), a.tick());
 
-        // The capture had no side effects: the machine finishes the golden
-        // run exactly as an uninterrupted one does.
-        let mut exit = a.run();
-        while exit == RunExit::CheckpointRequest {
-            exit = a.run();
-        }
-        assert_eq!(exit, RunExit::Halted(0), "cow={cow}");
-        let out = a.mem().read_slice(guest.output_addr(), guest.output_len).unwrap();
-        assert_eq!(out, golden.as_slice(), "cow={cow}: capture perturbed the run");
-
-        // A second machine runs to the same tick and stops there: its image
-        // must be byte-for-byte the one captured mid-run.
-        let mut config = workload_machine_config(CpuKind::Atomic);
-        config.mem.cow = cow;
-        let mut b = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        assert_eq!(b.run(), RunExit::CheckpointRequest);
-        assert!(b.run_to_tick(target).is_none());
-        assert_eq!(
-            b.try_checkpoint().expect("quiesced").to_bytes(),
-            mid.to_bytes(),
-            "cow={cow}: mid-run capture diverged from stop-and-capture"
-        );
+    // The capture had no side effects: the machine finishes the golden
+    // run exactly as an uninterrupted one does.
+    let mut exit = a.run();
+    while exit == RunExit::CheckpointRequest {
+        exit = a.run();
     }
+    assert_eq!(exit, RunExit::Halted(0));
+    let out = a.mem().read_slice(guest.output_addr(), guest.output_len).unwrap();
+    assert_eq!(out, golden.as_slice(), "capture perturbed the run");
+
+    // A second machine runs to the same tick and stops there: its image
+    // must be byte-for-byte the one captured mid-run.
+    let mut b = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
+    assert_eq!(b.run(), RunExit::CheckpointRequest);
+    assert!(b.run_to_tick(target).is_none());
+    assert_eq!(
+        b.try_checkpoint().expect("quiesced").to_bytes(),
+        mid.to_bytes(),
+        "mid-run capture diverged from stop-and-capture"
+    );
 }
 
 #[test]

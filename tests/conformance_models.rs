@@ -1,20 +1,24 @@
-//! Cross-model conformance suite for the predecoded-instruction cache.
+//! Cross-model conformance suite for the host-side fast paths.
 //!
 //! GemFI's methodology (Sec. III-E) leans on the four CPU models being
 //! architecturally interchangeable: campaigns fast-forward under Atomic and
-//! switch to a detailed model near the injection point. The predecode cache
-//! adds a second axis that must be equally invisible: any program must
-//! compute the same result with the cache on or off.
+//! switch to a detailed model near the injection point. The fast paths
+//! (predecoded instructions, hook elision, superblocks) add a second axis
+//! that must be equally invisible: any program must compute the same result
+//! whichever of them served it.
 //!
 //! Each seeded random program — straight-line arithmetic, forward skips,
 //! bounded loops, and stores/loads through a scratch buffer — runs under
-//! 4 models x {predecode on, off} x {hook elision on, off} x {superblock
-//! on, off}. Within a model all eight runs must be *fully* identical
-//! (complete [`ArchState`] and
-//! every byte of physical memory); across models the guest-visible surface
-//! must agree (all 62 registers, the PC, and the data segment —
-//! timing-dependent kernel bookkeeping such as `exc_addr` is allowed to
-//! differ between timing models, never between cache or elision modes).
+//! 4 models x {hook elision on, off} x {superblock on, off}, plus once per
+//! model on the *cold-decode reference*: a `Machine::step()` loop (fully
+//! hooked, no sprint, no superblocks) that empties the predecode cache
+//! before every step, so every fetch decodes the word fresh from memory.
+//! Within a model all five runs must be *fully* identical (complete
+//! [`ArchState`], every byte of physical memory, and the final tick);
+//! across models the guest-visible surface must agree (all 62 registers,
+//! the PC, and the data segment — timing-dependent kernel bookkeeping such
+//! as `exc_addr` is allowed to differ between timing models, never between
+//! fast-path positions).
 
 use gemfi_asm::{Assembler, Program, Reg};
 use gemfi_campaign::rng::SplitMix64;
@@ -128,29 +132,44 @@ struct Snapshot {
     exit: RunExit,
     arch: ArchState,
     mem: Vec<u8>,
+    tick: u64,
 }
 
-fn run_model(
-    program: &Program,
-    cpu: CpuKind,
-    predecode: bool,
-    elide: bool,
-    superblock: bool,
-) -> Snapshot {
-    let mut config =
-        MachineConfig { cpu, max_ticks: 50_000_000, elide, ..MachineConfig::default() };
+/// How one run is driven: `Machine::run` with the two switches set, or the
+/// cold-decode reference loop.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    Run { elide: bool, superblock: bool },
+    ColdDecode,
+}
+
+fn run_model(program: &Program, cpu: CpuKind, drive: Drive) -> Snapshot {
+    let mut config = MachineConfig { cpu, max_ticks: 50_000_000, ..MachineConfig::default() };
     config.mem.phys_size = PHYS_SIZE;
-    config.mem.predecode = predecode;
-    config.mem.superblock = superblock;
     let mut m = Machine::boot(config, program, NoopHooks).expect("boots");
-    let mut exit = m.run();
-    while exit == RunExit::CheckpointRequest {
-        exit = m.run();
-    }
+    let exit = match drive {
+        Drive::Run { elide, superblock } => {
+            m.set_elide(elide);
+            m.set_superblock(superblock);
+            let mut exit = m.run();
+            while exit == RunExit::CheckpointRequest {
+                exit = m.run();
+            }
+            exit
+        }
+        Drive::ColdDecode => loop {
+            m.mem_mut().clear_predecode();
+            match m.step() {
+                None | Some(RunExit::CheckpointRequest) => {}
+                Some(exit) => break exit,
+            }
+        },
+    };
     Snapshot {
         exit,
         arch: m.arch().clone(),
         mem: m.mem().read_slice(0, PHYS_SIZE).expect("physical memory"),
+        tick: m.tick(),
     }
 }
 
@@ -162,26 +181,29 @@ fn data_segment<'s>(program: &Program, snap: &'s Snapshot) -> &'s [u8] {
     &snap.mem[base..end]
 }
 
-/// Runs each seed under every model and every combination of the three
-/// fast-path knobs (predecode, elision, superblock), asserting the
-/// conformance contract described in the module docs.
+/// Runs each seed under every model, every position of the two switches
+/// and the cold-decode reference, asserting the conformance contract
+/// described in the module docs.
 fn conformance(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let program = random_program(seed);
         let mut baseline: Option<Snapshot> = None;
         for cpu in MODELS {
-            let on = run_model(&program, cpu, true, true, true);
+            let on = run_model(&program, cpu, Drive::Run { elide: true, superblock: true });
             // Every fast path must be a pure performance artifact, alone
             // and in every combination.
-            for mask in 0..7u8 {
-                let (predecode, elide, superblock) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
-                let other = run_model(&program, cpu, predecode, elide, superblock);
-                let tag = format!(
-                    "seed {seed} {cpu} (predecode={predecode}, elide={elide},                      superblock={superblock})"
-                );
+            for drive in [
+                Drive::Run { elide: true, superblock: false },
+                Drive::Run { elide: false, superblock: true },
+                Drive::Run { elide: false, superblock: false },
+                Drive::ColdDecode,
+            ] {
+                let other = run_model(&program, cpu, drive);
+                let tag = format!("seed {seed} {cpu} ({drive:?})");
                 assert_eq!(on.exit, other.exit, "{tag}: exit differs");
                 assert_eq!(on.arch, other.arch, "{tag}: ArchState differs");
                 assert!(on.mem == other.mem, "{tag}: memory differs");
+                assert_eq!(on.tick, other.tick, "{tag}: tick differs");
             }
 
             // Across models the guest-visible surface must agree.

@@ -31,13 +31,12 @@ fn assert_no_corrupted_decode_cached<H: gemfi_cpu::FaultHooks>(
     }
 }
 
-/// One run of the Table-I scenario with the predecode cache and the hook
-/// elision fast path each on or off.
+/// One run of the Table-I scenario with the hook elision fast path on or
+/// off.
 fn run_with_fetch_flip_mode(
     build_body: &impl Fn(&mut Assembler),
     instr_index: u64,
     bit: u8,
-    predecode: bool,
     elide: bool,
 ) -> (RunExit, Vec<gemfi::InjectionRecord>) {
     let mut a = Assembler::new();
@@ -53,14 +52,10 @@ fn run_with_fetch_flip_mode(
         behavior: gemfi::FaultBehavior::Flip(bit),
         occurrences: 1,
     }]);
-    let mut config = MachineConfig {
-        cpu: CpuKind::Atomic,
-        max_ticks: 3_000_000,
-        elide,
-        ..MachineConfig::default()
-    };
-    config.mem.predecode = predecode;
+    let config =
+        MachineConfig { cpu: CpuKind::Atomic, max_ticks: 3_000_000, ..MachineConfig::default() };
     let mut machine = Machine::boot(config, &program, GemFiEngine::new(faults)).expect("boots");
+    machine.set_elide(elide);
     let exit = machine.run();
     assert_no_corrupted_decode_cached(&machine, &program);
     (exit, machine.hooks().records().to_vec())
@@ -69,29 +64,21 @@ fn run_with_fetch_flip_mode(
 /// Builds a machine around a tiny kernel whose N-th fetched instruction is
 /// known, with a fetch-stage fault flipping `bit` of that instruction.
 ///
-/// Every scenario runs four times — predecode cache and hook elision each
-/// enabled and disabled — and must manifest bit-for-bit identically: same
-/// exit, same injection records. The cache fast path is bypassed when an
-/// armed fault corrupts the fetched word, and the elided sprint stops short
-/// of any event a pending fault could reach, so Table-I semantics cannot
-/// depend on either fast path.
+/// Every scenario runs with hook elision enabled and disabled and must
+/// manifest bit-for-bit identically: same exit, same injection records. The
+/// predecode fast path is bypassed when an armed fault corrupts the fetched
+/// word (checked after every run: no corrupted decode is ever cached), and
+/// the elided sprint stops short of any event a pending fault could reach,
+/// so Table-I semantics cannot depend on either fast path.
 fn run_with_fetch_flip(
     build_body: impl Fn(&mut Assembler),
     instr_index: u64,
     bit: u8,
 ) -> (RunExit, Vec<gemfi::InjectionRecord>) {
-    let reference = run_with_fetch_flip_mode(&build_body, instr_index, bit, true, true);
-    for (predecode, elide) in [(true, false), (false, true), (false, false)] {
-        let other = run_with_fetch_flip_mode(&build_body, instr_index, bit, predecode, elide);
-        assert_eq!(
-            reference.0, other.0,
-            "fetch fault manifests differently (predecode={predecode}, elide={elide})"
-        );
-        assert_eq!(
-            reference.1, other.1,
-            "injection records differ (predecode={predecode}, elide={elide})"
-        );
-    }
+    let reference = run_with_fetch_flip_mode(&build_body, instr_index, bit, true);
+    let stepped = run_with_fetch_flip_mode(&build_body, instr_index, bit, false);
+    assert_eq!(reference.0, stepped.0, "fetch fault manifests differently with elision off");
+    assert_eq!(reference.1, stepped.1, "injection records differ with elision off");
     reference
 }
 
@@ -188,8 +175,8 @@ fn register_selector_flip_changes_dataflow() {
     // Flipping an Ra-field bit of `addq r1, r2, r3` reads a different
     // source register: the result changes but execution survives. Decode
     // faults corrupt the word after fetch, so the same bypass rule applies:
-    // identical behavior with the predecode cache and elision on or off.
-    for (predecode, elide) in [(true, true), (true, false), (false, true), (false, false)] {
+    // identical behavior with elision on or off.
+    for elide in [true, false] {
         let mut a = Assembler::new();
         a.fi_activate(0);
         a.li(Reg::R1, 10);
@@ -207,16 +194,17 @@ fn register_selector_flip_changes_dataflow() {
             behavior: gemfi::FaultBehavior::Flip(11),    // Ra selector bit 1: r1 -> r3
             occurrences: 1,
         }]);
-        let mut config = MachineConfig { elide, ..MachineConfig::default() };
-        config.mem.predecode = predecode;
-        let mut machine = Machine::boot(config, &program, GemFiEngine::new(faults)).expect("boots");
+        let mut machine =
+            Machine::boot(MachineConfig::default(), &program, GemFiEngine::new(faults))
+                .expect("boots");
+        machine.set_elide(elide);
         let exit = machine.run();
         assert_no_corrupted_decode_cached(&machine, &program);
         // r4 = r3 + r2 = 78 instead of r1 + r2 = 11.
         assert_eq!(
             exit,
             RunExit::Halted(78),
-            "decode fault must redirect the source register (predecode={predecode}, elide={elide})"
+            "decode fault must redirect the source register (elide={elide})"
         );
     }
 }

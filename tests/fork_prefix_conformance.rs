@@ -4,20 +4,18 @@
 //! [`ArchState`], same every-byte-of-physical-memory, same injection
 //! records, same tick and instruction counts.
 //!
-//! The matrix covers all 4 CPU models as the injection model × predecode
-//! on/off × dormancy elision on/off × CoW on/off × superblock on/off. It
-//! also pins the derived-state contract at the fork (the PR 2/4
-//! never-serialized rule): the trunk runs with warm predecode and
-//! superblock caches, but a fork must come out decode-cold and
-//! translation-cold — asserted here rather than trusted.
+//! The matrix covers all 4 CPU models as the injection model × dormancy
+//! elision on/off × superblock on/off. It also pins the derived-state
+//! contract at the fork (the never-serialized rule): the trunk runs with
+//! warm predecode and superblock caches, but a fork must come out
+//! decode-cold and translation-cold — asserted here rather than trusted.
 
 use gemfi::{AbortToken, FaultBehavior, FaultLocation, FaultSpec, FaultTiming};
 use gemfi_campaign::fork::{drive_suffix, plan_suffixes, ForkConfig};
-use gemfi_campaign::runner::{drive_whole_run, prepare_workload_with, RunnerConfig};
+use gemfi_campaign::runner::{drive_whole_run, prepare_workload, RunnerConfig};
 use gemfi_campaign::PreparedWorkload;
 use gemfi_cpu::CpuKind;
 use gemfi_workloads::pi::MonteCarloPi;
-use gemfi_workloads::workload_machine_config;
 
 fn specs_for(p: &PreparedWorkload) -> Vec<FaultSpec> {
     let committed = p.stage_events[4];
@@ -81,79 +79,66 @@ fn specs_for(p: &PreparedWorkload) -> Vec<FaultSpec> {
 
 fn conformance(model: CpuKind) {
     let w = MonteCarloPi { points: 120, init_spins: 60, ..MonteCarloPi::default() };
-    for predecode in [true, false] {
-        for cow in [true, false] {
-            let mut config = workload_machine_config(CpuKind::Atomic);
-            config.mem.predecode = predecode;
-            config.mem.cow = cow;
-            let p = prepare_workload_with(&w, config).expect("prepares");
-            let specs = specs_for(&p);
-            for (elide, superblock) in [(true, true), (true, false), (false, true), (false, false)]
-            {
-                let runner = RunnerConfig {
-                    inject_cpu: model,
-                    elide,
-                    superblock,
-                    ..RunnerConfig::default()
-                };
-                let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig::default());
-                assert_eq!(planned.len(), specs.len());
-                assert!(
-                    planned.iter().any(|s| s.forked_at.is_some()),
-                    "{model}: no suffix forked — the matrix would be vacuous"
+    let p = prepare_workload(&w).expect("prepares");
+    let specs = specs_for(&p);
+    for (elide, superblock) in [(true, true), (true, false), (false, true), (false, false)] {
+        let runner =
+            RunnerConfig { inject_cpu: model, elide, superblock, ..RunnerConfig::default() };
+        let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig::default());
+        assert_eq!(planned.len(), specs.len());
+        assert!(
+            planned.iter().any(|s| s.forked_at.is_some()),
+            "{model}: no suffix forked — the matrix would be vacuous"
+        );
+        for mut suffix in planned {
+            let spec = specs[suffix.index];
+            let tag = format!(
+                "{model} elide={elide} superblock={superblock} spec#{} forked_at={:?}",
+                suffix.index, suffix.forked_at
+            );
+            if suffix.forked_at.is_some() {
+                // The trunk ran warm; the fork must not inherit the
+                // (never-serialized) predecode or superblock caches.
+                assert_eq!(
+                    suffix.machine.mem().stats().predecode,
+                    gemfi_isa::PredecodeStats::default(),
+                    "{tag}: fork must start decode-cold"
                 );
-                for mut suffix in planned {
-                    let spec = specs[suffix.index];
-                    let tag = format!(
-                        "{model} predecode={predecode} cow={cow} elide={elide} \
-                         superblock={superblock} spec#{} forked_at={:?}",
-                        suffix.index, suffix.forked_at
-                    );
-                    if suffix.forked_at.is_some() {
-                        // The trunk ran warm; the fork must not inherit the
-                        // (never-serialized) predecode or superblock caches.
-                        assert_eq!(
-                            suffix.machine.mem().stats().predecode,
-                            gemfi_isa::PredecodeStats::default(),
-                            "{tag}: fork must start decode-cold"
-                        );
-                        assert_eq!(
-                            suffix.machine.mem().stats().superblock,
-                            gemfi_isa::SuperblockStats::default(),
-                            "{tag}: fork must start translation-cold"
-                        );
-                    }
-                    let (fork_exit, fork_aborted) =
-                        drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
-                    let (whole, whole_exit, whole_aborted) =
-                        drive_whole_run(&p.checkpoint, &p, spec, &runner, &AbortToken::new());
-                    assert!(!fork_aborted && !whole_aborted, "{tag}");
-                    assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
-                    if !superblock {
-                        // The knob reaches every machine the planner builds,
-                        // forked off the trunk or restored as a fallback.
-                        assert_eq!(
-                            suffix.machine.stats().mem.superblock.uops_executed,
-                            0,
-                            "{tag}: superblock uops executed with the knob off"
-                        );
-                    }
-                    assert_eq!(suffix.machine.tick(), whole.tick(), "{tag}: tick differs");
-                    assert_eq!(suffix.machine.instret(), whole.instret(), "{tag}: instret differs");
-                    assert_eq!(suffix.machine.arch(), whole.arch(), "{tag}: ArchState differs");
-                    assert_eq!(
-                        suffix.machine.hooks().records(),
-                        whole.hooks().records(),
-                        "{tag}: injection records differ"
-                    );
-                    let size = whole.mem().size() as usize;
-                    assert!(
-                        suffix.machine.mem().read_slice(0, size).expect("memory")
-                            == whole.mem().read_slice(0, size).expect("memory"),
-                        "{tag}: physical memory differs"
-                    );
-                }
+                assert_eq!(
+                    suffix.machine.mem().stats().superblock,
+                    gemfi_isa::SuperblockStats::default(),
+                    "{tag}: fork must start translation-cold"
+                );
             }
+            let (fork_exit, fork_aborted) =
+                drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
+            let (whole, whole_exit, whole_aborted) =
+                drive_whole_run(&p.checkpoint, &p, spec, &runner, &AbortToken::new());
+            assert!(!fork_aborted && !whole_aborted, "{tag}");
+            assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
+            if !superblock {
+                // The switch reaches every machine the planner builds,
+                // forked off the trunk or restored as a fallback.
+                assert_eq!(
+                    suffix.machine.stats().mem.superblock.uops_executed,
+                    0,
+                    "{tag}: superblock uops executed with superblocks off"
+                );
+            }
+            assert_eq!(suffix.machine.tick(), whole.tick(), "{tag}: tick differs");
+            assert_eq!(suffix.machine.instret(), whole.instret(), "{tag}: instret differs");
+            assert_eq!(suffix.machine.arch(), whole.arch(), "{tag}: ArchState differs");
+            assert_eq!(
+                suffix.machine.hooks().records(),
+                whole.hooks().records(),
+                "{tag}: injection records differ"
+            );
+            let size = whole.mem().size() as usize;
+            assert!(
+                suffix.machine.mem().read_slice(0, size).expect("memory")
+                    == whole.mem().read_slice(0, size).expect("memory"),
+                "{tag}: physical memory differs"
+            );
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Differential test matrix for the security-style fault behaviors —
 //! instruction skip, opcode replacement, and branch-condition inversion —
-//! pinned across all four CPU models × the predecode knob × the
-//! dormancy-elision knob.
+//! pinned across all four CPU models × dormancy elision on/off.
 //!
 //! Every spec is built as a Listing-1 text line and parsed through
 //! [`FaultConfig`], proving each behavior reachable from `gemfi_run` input
@@ -15,30 +14,22 @@ use gemfi_sim::{Machine, MachineConfig, RunExit};
 
 const MODELS: [CpuKind; 4] = [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3];
 
-/// Every (cpu, predecode, elide) corner of the machine space.
-fn machine_matrix() -> Vec<MachineConfig> {
-    let mut configs = Vec::new();
-    for cpu in MODELS {
-        for predecode in [false, true] {
-            for elide in [false, true] {
-                let mut config =
-                    MachineConfig { cpu, elide, max_ticks: 3_000_000, ..MachineConfig::default() };
-                config.mem.predecode = predecode;
-                configs.push(config);
-            }
-        }
-    }
-    configs
+/// Every (cpu, elide) corner of the machine space.
+fn machine_matrix() -> Vec<(CpuKind, bool)> {
+    MODELS.iter().flat_map(|&cpu| [(cpu, false), (cpu, true)]).collect()
 }
 
-fn label(config: &MachineConfig) -> String {
-    format!("{} predecode:{} elide:{}", config.cpu, config.mem.predecode, config.elide)
+fn label((cpu, elide): &(CpuKind, bool)) -> String {
+    format!("{cpu} elide:{elide}")
 }
 
-fn run(config: MachineConfig, program: &Program, lines: &str) -> (RunExit, Vec<u64>) {
+fn run(config: (CpuKind, bool), program: &Program, lines: &str) -> (RunExit, Vec<u64>) {
     let faults: FaultConfig = lines.parse().unwrap_or_else(|e| panic!("bad spec {lines:?}: {e:?}"));
+    let (cpu, elide) = config;
+    let machine_config = MachineConfig { cpu, max_ticks: 3_000_000, ..MachineConfig::default() };
     let mut machine =
-        Machine::boot(config, program, GemFiEngine::new(faults)).expect("machine boots");
+        Machine::boot(machine_config, program, GemFiEngine::new(faults)).expect("machine boots");
+    machine.set_elide(elide);
     // A replaced opcode can decode into the checkpoint-request pseudo-op;
     // step over a bounded number of those, as a campaign driver would.
     let mut exit = machine.run();
