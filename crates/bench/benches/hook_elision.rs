@@ -19,11 +19,12 @@
 //! Each configuration runs with elision on and off; the two runs must agree
 //! on the *entire* outcome vector — exit, full `ArchState`, guest output,
 //! injection records, and committed instruction count — proving the fast
-//! path architecturally invisible. Results (instructions/sec and on/off
-//! speedups) are written to `BENCH_hook_elision.json`.
+//! path architecturally invisible. The bench prints its table
+//! (instructions/sec and on/off speedups) and fails when a floored ratio
+//! ([`floor`]) is not met.
 //!
 //! Options: `--samples N` (default 10), `--points N` (Monte-Carlo points,
-//! default 20000), `--out PATH` (default `BENCH_hook_elision.json`).
+//! default 20000).
 
 use gemfi::{
     FaultBehavior, FaultConfig, FaultLocation, FaultSpec, FaultTiming, GemFiEngine, InjectionRecord,
@@ -34,6 +35,16 @@ use gemfi_isa::ArchState;
 use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::{workload_machine_config, Workload};
+
+/// The on/off speedup a configuration must reach, if it is floored. The
+/// floor sits well under the ratios the Atomic model measures even at CI's
+/// small budget (`--samples 3 --points 2000`), so only a real regression —
+/// not runner noise — trips it. O3 is reported but not floored: its
+/// per-instruction cost drowns the hook calls.
+fn floor(cpu: CpuKind, scenario: Scenario) -> Option<f64> {
+    matches!((cpu, scenario), (CpuKind::Atomic, Scenario::Pending | Scenario::Dormant))
+        .then_some(1.2)
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
@@ -121,9 +132,7 @@ fn run_once(pi: &MonteCarloPi, cpu: CpuKind, scenario: Scenario, elide: bool) ->
 struct Measurement {
     cpu: CpuKind,
     scenario: Scenario,
-    elide: bool,
     median_secs: f64,
-    min_secs: f64,
     instructions: u64,
 }
 
@@ -133,50 +142,10 @@ impl Measurement {
     }
 }
 
-fn json_report(samples: usize, points: u64, results: &[Measurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"hook_elision\",\n  \"workload\": \"pi\",\n");
-    out.push_str(&format!("  \"samples\": {samples},\n  \"points\": {points},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cpu\": \"{}\", \"scenario\": \"{}\", \"elide\": {}, \
-             \"median_secs\": {:.6}, \"min_secs\": {:.6}, \"instructions\": {}, \
-             \"instructions_per_sec\": {:.0}}}{}\n",
-            r.cpu,
-            r.scenario.name(),
-            r.elide,
-            r.median_secs,
-            r.min_secs,
-            r.instructions,
-            r.ips(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"speedup\": {");
-    let mut first = true;
-    for pair in results.chunks(2) {
-        let [on, off] = pair else { continue };
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{}_{}\": {:.3}",
-            on.cpu,
-            on.scenario.name(),
-            on.ips() / off.ips()
-        ));
-    }
-    out.push_str("}\n}\n");
-    out
-}
-
 fn main() {
     let args = Args::from_env();
     let samples = args.number("samples", 10usize);
     let points = args.number("points", 20_000u64);
-    let out_path = args.value_of("out").unwrap_or("BENCH_hook_elision.json").to_string();
     let pi = MonteCarloPi { points, init_spins: 100, ..MonteCarloPi::default() };
 
     println!("hook_elision ablation (pi, {points} points)\n");
@@ -203,34 +172,24 @@ fn main() {
             for elide in [true, false] {
                 let label =
                     format!("{cpu}_{}_{}", scenario.name(), if elide { "elide" } else { "hooked" });
-                let (median_secs, min_secs) = time_it_secs(&label, samples, || {
+                let (median_secs, _) = time_it_secs(&label, samples, || {
                     run_once(&pi, cpu, scenario, elide);
                 });
-                results.push(Measurement {
-                    cpu,
-                    scenario,
-                    elide,
-                    median_secs,
-                    min_secs,
-                    instructions: on.instret,
-                });
+                results.push(Measurement { cpu, scenario, median_secs, instructions: on.instret });
             }
         }
     }
 
     println!();
+    let mut regressed = Vec::new();
     for pair in results.chunks(2) {
         let [on, off] = pair else { continue };
-        println!(
-            "{:<32} {:.2}x  ({:.0} vs {:.0} instructions/sec)",
-            format!("speedup_{}_{}", on.cpu, on.scenario.name()),
-            on.ips() / off.ips(),
-            on.ips(),
-            off.ips(),
-        );
+        let name = format!("speedup_{}_{}", on.cpu, on.scenario.name());
+        let ratio = on.ips() / off.ips();
+        println!("{name:<32} {ratio:.2}x  ({:.0} vs {:.0} instructions/sec)", on.ips(), off.ips());
+        if let Some(floor) = floor(on.cpu, on.scenario).filter(|floor| ratio < *floor) {
+            regressed.push(format!("{name} {ratio:.2}x is under its {floor}x floor"));
+        }
     }
-
-    let report = json_report(samples, points, &results);
-    std::fs::write(&out_path, &report).expect("write BENCH_hook_elision.json");
-    println!("\nwrote {out_path}");
+    assert!(regressed.is_empty(), "hook elision regressed: {}", regressed.join("; "));
 }

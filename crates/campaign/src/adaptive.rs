@@ -19,7 +19,7 @@
 //! of `(seed, cell, k)` — independent of how rounds interleave. Decisions
 //! are evaluated only at round boundaries over commutative counts, so the
 //! whole draw/stop trajectory is a pure function of the seed, the config,
-//! and the per-experiment outcomes. The journaling round engine
+//! and the per-experiment outcomes. The journaling slot table
 //! ([`crate::now::Campaign`]) writes every draw of a round (`drawn`
 //! events) before executing any of it; a resumed
 //! campaign re-derives the identical trajectory, verifies it against the

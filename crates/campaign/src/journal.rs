@@ -19,8 +19,9 @@
 //! encoding itself lives in [`crate::wire`], where the campaign server's
 //! socket protocol speaks the same dialect.
 
+use crate::now::CompletedExperiment;
 use crate::wire::{json_escape, parse_flat_object};
-use gemfi::Outcome;
+use gemfi::{AbortToken, Outcome};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Error, ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -363,41 +364,46 @@ impl Journal {
     }
 }
 
-/// Replayed per-experiment terminal state.
-#[derive(Debug, Clone, PartialEq)]
+/// One experiment's lifecycle state, the same enum from journal replay to
+/// the final report: replay yields `Pending` and `Terminal`, and the
+/// campaign's slot table ([`crate::now::Campaign`]) moves it through
+/// `Leased` while the experiment's round is open.
+#[derive(Debug, Clone)]
 pub(crate) enum ExpState {
-    /// Never claimed, or claimed but not finished (the orphaned-lease case
-    /// carries the attempts already burned).
-    Unfinished {
-        /// Attempts already consumed by dead workers.
+    /// Waiting to run: `attempts` already burned (by this process or by
+    /// dead workers of an earlier one), claimable at `not_before_ms`.
+    Pending {
+        /// Attempts already consumed.
         attempts: u64,
+        /// Scheduler-clock time the retry backoff ends.
+        not_before_ms: u64,
     },
-    /// Finished with a classified outcome.
-    Done {
-        /// The outcome recorded in the journal.
-        outcome: Outcome,
-        /// The attempt that completed it.
+    /// In flight under a lease. Never replayed: liveness is the lease
+    /// files' business, the journal's `leased` line is the audit record.
+    Leased {
+        /// 1-based attempt under lease.
         attempt: u64,
-        /// Simulated ticks of the completing run.
-        ticks: u64,
+        /// Lease expiry (scheduler clock, ms since the epoch).
+        deadline_ms: u64,
+        /// The lease owner.
+        worker: String,
+        /// Raised by the reaper when the lease expires.
+        abort: AbortToken,
     },
-    /// Terminally failed in the harness (tabulated as
-    /// [`Outcome::Infrastructure`]).
-    Failed {
-        /// Attempts consumed before giving up.
-        attempts: u64,
-    },
+    /// Finished: a classified outcome, or [`Outcome::Infrastructure`] once
+    /// the harness exhausted its retries (no ticks).
+    Terminal(CompletedExperiment),
 }
 
 impl ExpState {
-    /// The terminal `(outcome, attempts, ticks)` record of a finished
-    /// experiment; terminal harness failures tabulate as
-    /// [`Outcome::Infrastructure`] with no ticks.
-    pub(crate) fn terminal(&self) -> Option<(Outcome, u64, u64)> {
-        match *self {
-            ExpState::Unfinished { .. } => None,
-            ExpState::Done { outcome, attempt, ticks } => Some((outcome, attempt, ticks)),
-            ExpState::Failed { attempts } => Some((Outcome::Infrastructure, attempts, 0)),
+    /// A never-attempted experiment.
+    pub(crate) const FRESH: ExpState = ExpState::Pending { attempts: 0, not_before_ms: 0 };
+
+    /// The terminal record, once there is one.
+    pub(crate) fn terminal(&self) -> Option<&CompletedExperiment> {
+        match self {
+            ExpState::Terminal(done) => Some(done),
+            _ => None,
         }
     }
 }
@@ -430,7 +436,7 @@ impl CampaignState {
         experiments: Option<usize>,
     ) -> Result<CampaignState, String> {
         let mut state = CampaignState {
-            experiments: vec![ExpState::Unfinished { attempts: 0 }; experiments.unwrap_or(0)],
+            experiments: vec![ExpState::FRESH; experiments.unwrap_or(0)],
             ..CampaignState::default()
         };
         for event in events {
@@ -449,38 +455,31 @@ impl CampaignState {
                     }
                     state.drawn.push((cell.clone(), *draw));
                     if experiments.is_none() {
-                        state.experiments.push(ExpState::Unfinished { attempts: 0 });
+                        state.experiments.push(ExpState::FRESH);
                     }
                 }
                 JournalEvent::Leased { exp, .. } => {
                     // Liveness is tracked by the lease files; the journal
                     // entry is the audit record. Claiming a finished
                     // experiment is a protocol violation.
-                    let s = state.slot(*exp)?;
-                    if !matches!(s, ExpState::Unfinished { .. }) {
+                    if state.slot(*exp)?.terminal().is_some() {
                         return Err(format!("experiment {exp} leased after finishing"));
                     }
                 }
                 JournalEvent::Done { exp, attempt, outcome, ticks, .. } => {
-                    let s = state.slot(*exp)?;
                     // First terminal event wins: a zombie worker completing
                     // after its lease was reaped and the experiment re-ran
                     // must not double-count.
-                    if matches!(s, ExpState::Unfinished { .. }) {
-                        *s = ExpState::Done { outcome: *outcome, attempt: *attempt, ticks: *ticks };
-                    }
+                    state.finish(*exp, *outcome, *attempt, *ticks)?;
                 }
                 JournalEvent::AttemptFailed { exp, attempt, .. } => {
                     let s = state.slot(*exp)?;
-                    if let ExpState::Unfinished { attempts } = s {
+                    if let ExpState::Pending { attempts, .. } = s {
                         *attempts = (*attempts).max(*attempt);
                     }
                 }
                 JournalEvent::Failed { exp, attempts, .. } => {
-                    let s = state.slot(*exp)?;
-                    if matches!(s, ExpState::Unfinished { .. }) {
-                        *s = ExpState::Failed { attempts: *attempts };
-                    }
+                    state.finish(*exp, Outcome::Infrastructure, *attempts, 0)?;
                 }
             }
         }
@@ -491,6 +490,28 @@ impl CampaignState {
         self.experiments
             .get_mut(exp as usize)
             .ok_or_else(|| format!("experiment {exp} out of range"))
+    }
+
+    /// Records a replayed terminal event unless an earlier one already won.
+    fn finish(
+        &mut self,
+        exp: u64,
+        outcome: Outcome,
+        attempts: u64,
+        ticks: u64,
+    ) -> Result<(), String> {
+        let slot = self.slot(exp)?;
+        if slot.terminal().is_none() {
+            let exp = exp as usize;
+            *slot = ExpState::Terminal(CompletedExperiment {
+                exp,
+                outcome,
+                attempts,
+                ticks,
+                resumed: true,
+            });
+        }
+        Ok(())
     }
 
     /// Replays the journal on `share` and validates it against this
@@ -711,12 +732,21 @@ mod tests {
     fn state_folding_tracks_lifecycles() {
         let state = CampaignState::from_events(&sample_events(), Some(3)).unwrap();
         assert!(state.header.is_some());
+        let done = state.experiments[0].terminal().expect("exp 0 finished");
         assert_eq!(
-            state.experiments[0],
-            ExpState::Done { outcome: Outcome::Sdc, attempt: 1, ticks: 12_345 }
+            (done.exp, done.outcome, done.attempts, done.ticks),
+            (0, Outcome::Sdc, 1, 12_345)
         );
-        assert_eq!(state.experiments[1], ExpState::Unfinished { attempts: 1 });
-        assert_eq!(state.experiments[2], ExpState::Failed { attempts: 3 });
+        assert!(done.resumed, "replayed records are marked as such");
+        assert!(matches!(
+            state.experiments[1],
+            ExpState::Pending { attempts: 1, not_before_ms: 0 }
+        ));
+        let failed = state.experiments[2].terminal().expect("exp 2 gave up");
+        assert_eq!(
+            (failed.outcome, failed.attempts, failed.ticks),
+            (Outcome::Infrastructure, 3, 0)
+        );
         assert_eq!(state.drawn, vec![("fp-reg".to_string(), 0)]);
     }
 
@@ -731,10 +761,8 @@ mod tests {
             ticks: 1,
         });
         let state = CampaignState::from_events(&events, Some(3)).unwrap();
-        assert_eq!(
-            state.experiments[0],
-            ExpState::Done { outcome: Outcome::Sdc, attempt: 1, ticks: 12_345 }
-        );
+        let done = state.experiments[0].terminal().expect("exp 0 finished");
+        assert_eq!((done.outcome, done.attempts, done.ticks), (Outcome::Sdc, 1, 12_345));
     }
 
     #[test]

@@ -24,10 +24,12 @@
 //! experiment **driver** ([`runner`]: build a machine from the checkpoint,
 //! a mid-run snapshot or a fork plan's trunk; drive it; classify), a
 //! **plan** that hands out experiments in rounds ([`adaptive`]: a fixed
-//! list is the one-round case of the sequential sampler), and the **round
-//! engine** ([`now`]: journal replay, leased [`window`]s, fold) that spool
-//! threads and socket workers claim from through one [`transport`] trait.
-//! Every `run_*` entry point is a thin composition of these.
+//! list is the one-round case of the sequential sampler), and the **slot
+//! table** ([`now`]: one slot per drawn experiment, seeded from journal
+//! replay, a round being its open range — policy and share artifacts in
+//! [`window`]) that spool threads and socket workers claim from through one
+//! [`transport`] trait. Every `run_*` entry point is a thin composition of
+//! these.
 
 pub mod adaptive;
 pub mod classify;

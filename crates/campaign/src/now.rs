@@ -16,22 +16,29 @@
 //! checkpoint blob, lease files, result files, the journal) are the same
 //! ones a physical cluster would exchange over NFS.
 //!
-//! # One round engine
+//! # One slot table
 //!
 //! [`Campaign`] is the campaign pipeline's state machine, and the only
-//! one: a [`Plan`] yields rounds of draws (a fixed-n campaign is the
-//! one-round case), each round's draws are checked against the replayed
-//! journal — terminal ones fold straight back, the remainder is spooled,
-//! its orphaned leases reaped — and run as one [`WindowScheduler`] window;
-//! a finished window folds into the plan, which then decides the next
-//! round. Workers only ever see [`Campaign::try_claim`] and
-//! [`Campaign::report`]. [`run_campaign_now`] and
-//! [`run_campaign_adaptive_now`] are this engine with a fixed or adaptive
-//! plan behind [`SpoolTransport`] on in-process worker threads;
-//! [`crate::server::CampaignServer`] is the same engine, one per queue,
-//! behind the socket. Each worker thread is [`drive_worker`], the very loop
-//! a remote socket worker runs — so every recovery path tested here holds
-//! for the network backend too.
+//! one — the paper's single pool of remaining experiments. It owns the
+//! journal and one table with a slot per drawn experiment, indexed by the
+//! global experiment index and alive as long as the campaign: each slot
+//! carries its fault spec, its plan cell and one lifecycle state
+//! (`pending → leased → terminal`, `journal::ExpState`) that journal replay
+//! seeds and every claim, heartbeat, reap and report moves. A [`Plan`] yields
+//! rounds of draws (a fixed-n campaign is the one-round case); a round is
+//! the *open range* of the table — claims, the reaper and the lease quota
+//! look nowhere else, so their cost follows the round, not the campaign. A
+//! draw already terminal in the replayed journal folds straight into the
+//! plan and the outcome table; any other is spooled, its orphaned lease
+//! reaped. When the open range has drained the plan re-evaluates its
+//! stopping rule and the next round's draws extend the table. Workers only
+//! ever see `Campaign::{try_claim, heartbeat, report_done, report_failed}`.
+//! [`run_campaign_now`] and [`run_campaign_adaptive_now`] are this table
+//! with a fixed or adaptive plan behind [`SpoolTransport`] on in-process
+//! worker threads; [`crate::server::CampaignServer`] is the same table, one
+//! per queue, behind the socket. Each worker thread is [`drive_worker`],
+//! the very loop a remote socket worker runs — so every recovery path
+//! tested here holds for the network backend too.
 //!
 //! Fault tolerance, on top of the paper's protocol:
 //!
@@ -41,13 +48,18 @@
 //! - A worker that hangs past its lease deadline is reaped: any other
 //!   worker's claim loop breaks the expired lease, raises the runaway
 //!   run's [`AbortToken`], and requeues the experiment.
-//! - An experiment that exhausts its retries is terminally classified
-//!   [`Outcome::Infrastructure`] — counted, never silently dropped.
+//! - An experiment that exhausts its retries — live, or because a killed
+//!   campaign process burned its last permitted attempt — is terminally
+//!   classified [`Outcome::Infrastructure`]: counted, never silently
+//!   dropped, never run past the cap.
+//! - A spooled fault file that turns out missing, empty or corrupt ends
+//!   the claiming worker with a campaign-level [`ErrorKind::InvalidData`]
+//!   naming the file, the lease handed back — not a panic with it held.
 //! - With [`NowConfig::snapshot_ticks`] set, workers drop periodic mid-run
 //!   snapshots ([`crate::snapshot`]) onto the share; a retried attempt
 //!   resumes from the last snapshot instead of re-running from the
 //!   campaign checkpoint.
-//! - A killed campaign resumes: with [`NowConfig::resume`] the engine
+//! - A killed campaign resumes: with [`NowConfig::resume`] the campaign
 //!   replays the journal, verifies it belongs to this campaign (the header
 //!   a fresh start would write: experiment count and fault-spec digest, or
 //!   seed, stopping rule and cell set — and the checkpoint digest), reaps
@@ -57,20 +69,17 @@
 //!
 //! [`AbortToken`]: gemfi::AbortToken
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveState, Plan};
+use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveState, Draw, Plan};
 use crate::clock::{system_clock, Clock};
 use crate::journal::{CampaignState, ExpState, Journal, JournalEvent};
 use crate::lease::LeaseDir;
 use crate::report::OutcomeTable;
 use crate::runner::{PreparedWorkload, RunnerConfig};
 use crate::snapshot::{execute_leased, SnapshotPolicy};
-use crate::transport::{SpoolTransport, WorkAssignment};
-use crate::window::{
-    fault_path, snapshot_path, ClaimOutcome, ReportAck, SchedulerPolicy, WindowScheduler,
-    WindowSpec,
-};
+use crate::transport::{ClaimReply, SpoolTransport, WorkAssignment};
+use crate::window::{fault_path, result_path, snapshot_path, ReportAck, SchedulerPolicy};
 use crate::worker::{drive_worker, WorkerOptions};
-use gemfi::{FaultConfig, FaultSpec, Outcome};
+use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
 use gemfi_sim::Checkpoint;
 use gemfi_workloads::Workload;
 use std::collections::BTreeMap;
@@ -150,7 +159,7 @@ impl NowConfig {
         self.max_retries + 1
     }
 
-    /// The window-scheduler policy this config implies.
+    /// The scheduler policy this config implies.
     pub(crate) fn scheduler_policy(&self) -> SchedulerPolicy {
         SchedulerPolicy {
             lease_ms: self.lease.as_millis() as u64,
@@ -202,30 +211,50 @@ pub struct NowReport {
     pub infrastructure_failures: u64,
 }
 
-/// One campaign's round engine on a share: plan → replay → window → fold
-/// (see the module docs). Fixed-n and adaptive campaigns, spool and socket
-/// transports all drive this one state machine.
+/// One drawn experiment: what to inject, which plan cell it is evidence
+/// for, and where it is in its lifecycle.
+struct Slot {
+    cell: usize,
+    spec: FaultSpec,
+    state: ExpState,
+}
+
+impl Slot {
+    fn is_leased(&self) -> bool {
+        matches!(self.state, ExpState::Leased { .. })
+    }
+}
+
+/// One campaign on a share: the plan, the journal and the slot table every
+/// claim, heartbeat and report lands on (see the module docs). Fixed-n and
+/// adaptive campaigns, spool and socket transports all drive this one
+/// state machine.
 pub(crate) struct Campaign {
     plan: Plan,
     share: PathBuf,
+    leases: LeaseDir,
     clock: Arc<dyn Clock>,
     policy: SchedulerPolicy,
-    workstations: usize,
-    /// What the journal held when this process opened it.
-    replay: CampaignState,
-    /// The journal between windows; a live window owns it.
-    journal: Option<Journal>,
-    /// The round being executed.
-    window: Option<WindowScheduler>,
-    /// Plan cell per live-window slot (the fold key).
-    cells: Vec<usize>,
-    /// Pooled outcomes of every folded experiment.
+    journal: Journal,
+    /// Replayed journal state of experiments not drawn yet, in experiment
+    /// order; each draw consumes one to seed its slot.
+    replayed: std::vec::IntoIter<ExpState>,
+    /// Replayed `drawn` labels the re-derived trajectory must match.
+    journaled_draws: std::vec::IntoIter<(String, u64)>,
+    /// The slot table, indexed by global experiment index.
+    slots: Vec<Slot>,
+    /// Start of the open round: `slots[round..]` is what claims, the
+    /// reaper and the quota look at; everything before it is terminal.
+    round: usize,
+    /// Slots of the open round that are not terminal yet.
+    open: usize,
+    /// Pooled outcomes of every terminal experiment.
     table: OutcomeTable,
-    /// Terminal records of every folded experiment.
-    completed: Vec<CompletedExperiment>,
     resumed: usize,
     retries: u64,
     reclaimed: u64,
+    /// Experiments that went terminal in this process (the chaos halt's
+    /// count).
     finished_here: usize,
     per_ws: Vec<usize>,
     per_worker: BTreeMap<String, usize>,
@@ -234,7 +263,7 @@ pub(crate) struct Campaign {
 }
 
 impl Campaign {
-    /// Opens `plan`'s campaign on `share` and plans its first window. A
+    /// Opens `plan`'s campaign on `share` and draws its first round. A
     /// fresh start clears stale run artifacts, spools the checkpoint
     /// (step 2) and writes the identity header; `resume` over an existing
     /// journal replays it instead, after verifying it was recorded for
@@ -275,15 +304,16 @@ impl Campaign {
         let mut campaign = Campaign {
             plan,
             share: share.to_path_buf(),
+            leases: LeaseDir::new(share),
             clock,
             policy,
-            workstations,
-            replay,
-            journal: Some(journal),
-            window: None,
-            cells: Vec::new(),
+            journal,
+            replayed: replay.experiments.into_iter(),
+            journaled_draws: replay.drawn.into_iter(),
+            slots: Vec::new(),
+            round: 0,
+            open: 0,
             table: OutcomeTable::new(),
-            completed: Vec::new(),
             resumed: 0,
             retries: 0,
             reclaimed: 0,
@@ -297,223 +327,373 @@ impl Campaign {
         Ok(campaign)
     }
 
-    /// The round loop's one step: folds the live window once it is
-    /// complete, then draws rounds until one has experiments left to
-    /// execute (its window goes live) or the plan is exhausted (the
-    /// campaign is done). A no-op while a window is in flight.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the share; [`ErrorKind::InvalidData`] when the
-    /// journaled draws do not match the re-derived trajectory.
-    pub(crate) fn advance(&mut self) -> std::io::Result<()> {
-        if self.done || self.halted {
-            return Ok(());
-        }
-        if let Some(live) = &self.window {
-            if live.halted() {
-                self.halted = true;
-                return Ok(());
+    /// The round loop's one step, a no-op while the open round still has
+    /// work: closes a drained round (the plan re-evaluates its stopping
+    /// rule), then draws rounds — extending the table by one slot per draw,
+    /// seeded from the replayed journal — until one has experiments left to
+    /// execute or the plan is exhausted (the campaign is done).
+    fn advance(&mut self) -> std::io::Result<()> {
+        while !self.done && !self.halted && self.open == 0 {
+            if self.round < self.slots.len() {
+                self.plan.end_round();
+                self.round = self.slots.len();
             }
-            if !live.is_complete() {
-                return Ok(());
-            }
-            let parts = self.window.take().expect("live window").into_parts();
-            for (local, done) in parts.completed.into_iter().enumerate() {
-                let done = done.expect("a complete window holds every terminal record");
-                self.plan.record(self.cells[local], done.outcome);
-                self.table.add(done.outcome);
-                self.completed.push(done);
-            }
-            self.retries += parts.retries;
-            self.reclaimed += parts.reclaimed;
-            self.finished_here += parts.finished_here;
-            for (total, n) in self.per_ws.iter_mut().zip(parts.per_ws) {
-                *total += n;
-            }
-            for (worker, n) in parts.per_worker {
-                *self.per_worker.entry(worker).or_insert(0) += n;
-            }
-            self.journal = Some(parts.journal);
-            self.plan.end_round();
-        }
-
-        let leases = LeaseDir::new(&self.share);
-        loop {
             let draws = self.plan.next_round();
-            if draws.is_empty() {
-                self.done = true;
-                return Ok(());
-            }
-            let journal = self.journal.as_mut().expect("journal held between windows");
-            let (mut exps, mut specs, mut attempts) = (Vec::new(), Vec::new(), Vec::new());
-            self.cells.clear();
+            self.done = draws.is_empty();
             for d in &draws {
-                let exp = d.exp as usize;
-                // Commit the whole round's draw decisions to the journal
-                // before executing any of them; a journaled prefix must
-                // match the re-derived trajectory exactly.
-                if let Some(label) = self.plan.draw_label(d) {
-                    match self.replay.drawn.get(exp) {
-                        Some(journaled) if *journaled != label => {
-                            return Err(Error::new(
-                                ErrorKind::InvalidData,
-                                format!(
-                                    "journaled draw {exp} ({} #{}) does not match the \
-                                     re-derived trajectory ({} #{})",
-                                    journaled.0, journaled.1, label.0, label.1
-                                ),
-                            ));
-                        }
-                        Some(_) => {}
-                        None => journal.append(&JournalEvent::Drawn {
-                            exp: d.exp,
-                            cell: label.0,
-                            draw: label.1,
-                        })?,
-                    }
+                self.draw(d)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends `d`'s slot to the table. A draw already terminal in the
+    /// journal folds straight back; any other is spooled for execution,
+    /// its orphaned lease (if any) reaped.
+    fn draw(&mut self, d: &Draw) -> std::io::Result<()> {
+        let exp = d.exp as usize;
+        debug_assert_eq!(exp, self.slots.len(), "draws arrive in experiment order");
+        // Commit the whole round's draw decisions to the journal before
+        // executing any of them; a journaled prefix must match the
+        // re-derived trajectory exactly.
+        if let Some(label) = self.plan.draw_label(d) {
+            match self.journaled_draws.next() {
+                Some(journaled) if journaled != label => {
+                    return Err(Error::new(
+                        ErrorKind::InvalidData,
+                        format!(
+                            "journaled draw {exp} ({} #{}) does not match the re-derived \
+                             trajectory ({} #{})",
+                            journaled.0, journaled.1, label.0, label.1
+                        ),
+                    ));
                 }
-                let replayed = self.replay.experiments.get(exp);
-                if let Some((outcome, attempts, ticks)) = replayed.and_then(ExpState::terminal) {
-                    // Already terminal in the journal: fold the replayed
-                    // record instead of executing it. Infrastructure
-                    // failures spent budget but are not evidence — `record`
-                    // skips them, exactly as it does live.
-                    self.plan.record(d.cell, outcome);
-                    self.table.add(outcome);
-                    self.completed.push(CompletedExperiment {
-                        exp,
-                        outcome,
-                        attempts,
-                        ticks,
-                        resumed: true,
-                    });
-                    self.resumed += 1;
-                    continue;
-                }
-                let mut burned = match replayed {
-                    Some(&ExpState::Unfinished { attempts }) => attempts,
-                    _ => 0,
-                };
-                // Step 1: the experiment's configuration onto the share.
-                FaultConfig::from_specs(vec![d.spec]).save(&fault_path(&self.share, exp))?;
-                if let Some(orphan) = leases.read(exp)? {
-                    // A worker of the dead campaign process died holding
-                    // this experiment: break the lease whatever its
-                    // deadline says, and journal the burned attempt so a
-                    // *second* resume still counts it toward the retry cap.
-                    leases.release(exp)?;
-                    self.reclaimed += 1;
-                    burned = burned.max(orphan.attempt);
-                    journal.append(&JournalEvent::AttemptFailed {
+                Some(_) => {}
+                None => {
+                    self.journal.append(&JournalEvent::Drawn {
                         exp: d.exp,
-                        attempt: orphan.attempt,
-                        worker: orphan.worker,
-                        reason: "orphaned lease (campaign restart)".to_string(),
-                        spec: Some(d.spec.to_string()),
+                        cell: label.0,
+                        draw: label.1,
                     })?;
                 }
-                exps.push(exp);
-                self.cells.push(d.cell);
-                specs.push(d.spec);
-                attempts.push(burned);
             }
-            if exps.is_empty() {
-                // Every draw of this round was already terminal in the
-                // journal; keep planning.
-                self.plan.end_round();
-                continue;
-            }
-            self.window = Some(WindowScheduler::new(WindowSpec {
-                share: self.share.clone(),
-                clock: Arc::clone(&self.clock),
-                policy: self.policy.clone(),
-                journal: self.journal.take().expect("journal held between windows"),
-                exps,
-                specs,
-                attempts,
-                workstations: self.workstations,
-                finished_before: self.finished_here,
-            }));
-            return Ok(());
         }
+        let state = self.replayed.next().unwrap_or(ExpState::FRESH);
+        self.slots.push(Slot { cell: d.cell, spec: d.spec, state });
+        let mut attempts = match &self.slots[exp].state {
+            ExpState::Terminal(done) => {
+                // Infrastructure failures spent budget but are not
+                // evidence — `record` skips them, exactly as it does live.
+                self.plan.record(d.cell, done.outcome);
+                self.table.add(done.outcome);
+                self.resumed += 1;
+                return Ok(());
+            }
+            ExpState::Pending { attempts, .. } => *attempts,
+            ExpState::Leased { .. } => unreachable!("replay never yields a live lease"),
+        };
+        self.open += 1;
+        // Step 1: the experiment's configuration onto the share.
+        FaultConfig::from_specs(vec![d.spec]).save(&fault_path(&self.share, exp))?;
+        let mut reason = "retries exhausted before the campaign restarted";
+        if let Some(orphan) = self.leases.read(exp)? {
+            // A worker of the dead campaign process died holding this
+            // experiment: break the lease whatever its deadline says, and
+            // journal the burned attempt so a *second* resume still counts
+            // it toward the retry cap.
+            self.leases.release(exp)?;
+            self.reclaimed += 1;
+            reason = "orphaned lease (campaign restart)";
+            attempts = attempts.max(orphan.attempt);
+            self.journal.append(&JournalEvent::AttemptFailed {
+                exp: d.exp,
+                attempt: orphan.attempt,
+                worker: orphan.worker,
+                reason: reason.to_string(),
+                spec: Some(d.spec.to_string()),
+            })?;
+        }
+        // The dead process may have burned the last permitted attempt —
+        // orphaned it, or died between journaling its failure and the
+        // terminal record: the cap holds across restarts.
+        if attempts >= self.policy.max_attempts {
+            return self.give_up(exp, attempts, reason);
+        }
+        self.slots[exp].state = ExpState::Pending { attempts, not_before_ms: 0 };
+        Ok(())
     }
 
-    /// Claims the next runnable experiment for `worker`, advancing the
-    /// round loop as windows drain. `quota` caps the concurrently leased
-    /// experiments (`0` = unlimited).
+    /// Claims the next runnable experiment of the open round for `worker`
+    /// on behalf of `queue`: reaps expired leases, then leases the first
+    /// pending slot whose backoff has elapsed (lease file + journal + table,
+    /// in that order), drawing the next round when this one has drained.
+    /// `quota` caps the concurrently leased experiments (`0` = unlimited).
     ///
     /// # Errors
     ///
-    /// See [`Campaign::advance`] and [`WindowScheduler::try_claim`].
+    /// I/O errors from the journal or the share; [`ErrorKind::InvalidData`]
+    /// when the journaled draws do not match the re-derived trajectory.
     pub(crate) fn try_claim(
         &mut self,
+        queue: &str,
         worker: &str,
         quota: usize,
-    ) -> std::io::Result<ClaimOutcome> {
-        loop {
-            self.advance()?;
-            if self.done || self.halted {
-                return Ok(ClaimOutcome::Complete);
-            }
-            let window = self.window.as_mut().expect("advance leaves a live window or finishes");
-            if quota > 0 && window.leased() >= quota {
-                return Ok(ClaimOutcome::Idle);
-            }
-            match window.try_claim(worker)? {
-                // The window drained (or the chaos halt tripped) under
-                // this very claim: advance and look again.
-                ClaimOutcome::Complete => {}
-                claimed => return Ok(claimed),
-            }
+    ) -> std::io::Result<ClaimReply> {
+        self.reap_expired()?;
+        self.advance()?;
+        if self.done || self.halted {
+            return Ok(ClaimReply::Complete);
         }
+        let idle = ClaimReply::Idle { backoff_ms: self.policy.idle_backoff_ms };
+        let now = self.clock.now_ms();
+        let open = &self.slots[self.round..];
+        if quota > 0 && open.iter().filter(|s| s.is_leased()).count() >= quota {
+            return Ok(idle);
+        }
+        let claimable = open.iter().zip(self.round..).find_map(|(slot, exp)| match slot.state {
+            ExpState::Pending { attempts, not_before_ms } if now >= not_before_ms => {
+                Some((exp, attempts + 1))
+            }
+            _ => None,
+        });
+        let Some((exp, attempt)) = claimable else { return Ok(idle) };
+        let deadline_ms = now + self.policy.lease_ms;
+        self.leases
+            .claim(exp, worker, attempt, deadline_ms)?
+            .expect("a pending slot has no lease file");
+        self.journal.append(&JournalEvent::Leased {
+            exp: exp as u64,
+            worker: worker.to_string(),
+            attempt,
+            deadline_ms,
+        })?;
+        let abort = AbortToken::new();
+        self.slots[exp].state = ExpState::Leased {
+            attempt,
+            deadline_ms,
+            worker: worker.to_string(),
+            abort: abort.clone(),
+        };
+        Ok(ClaimReply::Work(WorkAssignment {
+            queue: queue.to_string(),
+            exp,
+            attempt,
+            deadline_ms,
+            lease_ms: self.policy.lease_ms,
+            spec: self.slots[exp].spec,
+            abort,
+        }))
     }
 
-    /// Folds a worker's report into the live window via `fold`, then
-    /// advances the round loop. A report landing between windows is a
-    /// zombie's — the reaper already moved its experiment on.
+    /// Renews the lease on an in-flight attempt (the heartbeat path).
+    /// Returns the new deadline, or `None` when the caller no longer owns
+    /// the experiment (reaped, reassigned, or already terminal) and must
+    /// abandon the attempt.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the lease directory.
+    pub(crate) fn heartbeat(
+        &mut self,
+        exp: usize,
+        worker: &str,
+        attempt: u64,
+    ) -> std::io::Result<Option<u64>> {
+        let Some(ExpState::Leased { attempt: a, worker: w, deadline_ms, .. }) =
+            self.slots.get_mut(exp).map(|s| &mut s.state)
+        else {
+            return Ok(None);
+        };
+        let renewed = self.clock.now_ms() + self.policy.lease_ms;
+        // A lease file that vanished under us (external reaper on a real
+        // share) is surrendered rather than resurrected.
+        if *a != attempt
+            || w.as_str() != worker
+            || !self.leases.renew(exp, worker, attempt, renewed)?
+        {
+            return Ok(None);
+        }
+        *deadline_ms = renewed;
+        Ok(Some(renewed))
+    }
+
+    /// Whether `attempt` still holds the lease on `exp`; a report from any
+    /// other attempt is a zombie's (the reaper already moved the experiment
+    /// on) and is dropped, first-terminal-wins.
+    fn holds_lease(&self, exp: usize, attempt: u64) -> bool {
+        let state = self.slots.get(exp).map(|s| &s.state);
+        matches!(state, Some(ExpState::Leased { attempt: a, .. }) if *a == attempt)
+    }
+
+    /// Folds a successful terminal outcome: journal, result file, table,
+    /// plan, metrics — then advances the round loop. `ws` credits a spool
+    /// workstation.
     ///
     /// # Errors
     ///
     /// I/O errors from the journal or the share.
-    pub(crate) fn report(
+    pub(crate) fn report_done(
         &mut self,
-        fold: impl FnOnce(&mut WindowScheduler) -> std::io::Result<ReportAck>,
+        worker: &str,
+        ws: Option<usize>,
+        done: CompletedExperiment,
+        exit: &str,
     ) -> std::io::Result<ReportAck> {
-        let Some(window) = self.window.as_mut() else { return Ok(ReportAck::Stale) };
-        let ack = fold(window)?;
+        let CompletedExperiment { exp, outcome, attempts: attempt, ticks, .. } = done;
+        if !self.holds_lease(exp, attempt) {
+            return Ok(ReportAck::Stale);
+        }
+        self.journal.append(&JournalEvent::Done {
+            exp: exp as u64,
+            attempt,
+            outcome,
+            exit: exit.to_string(),
+            ticks,
+        })?;
+        std::fs::write(
+            result_path(&self.share, exp),
+            format!("{} outcome={} exit={}\n", self.slots[exp].spec, outcome, exit),
+        )?;
+        self.leases.release(exp)?;
+        if let Some(n) = ws.and_then(|ws| self.per_ws.get_mut(ws)) {
+            *n += 1;
+        }
+        *self.per_worker.entry(worker.to_string()).or_insert(0) += 1;
+        self.finish(done);
         self.advance()?;
-        Ok(ack)
+        Ok(ReportAck::Accepted)
     }
 
-    /// The live window, for lease heartbeats.
-    pub(crate) fn window_mut(&mut self) -> Option<&mut WindowScheduler> {
-        self.window.as_mut()
+    /// Folds a failed attempt (panic, abort, simulated death): back to
+    /// pending with capped backoff, or terminally
+    /// [`Outcome::Infrastructure`] once retries are exhausted.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the journal or the share.
+    pub(crate) fn report_failed(
+        &mut self,
+        exp: usize,
+        attempt: u64,
+        worker: &str,
+        reason: &str,
+    ) -> std::io::Result<ReportAck> {
+        if !self.holds_lease(exp, attempt) {
+            return Ok(ReportAck::Stale);
+        }
+        self.attempt_failed(exp, attempt, worker, reason)?;
+        self.advance()?;
+        Ok(ReportAck::Accepted)
     }
 
-    /// Whether the plan is exhausted and every experiment folded.
+    /// Transitions a failed attempt. The experiment's rendered fault spec
+    /// is journaled alongside the failure so an `Infrastructure` row
+    /// carries its own reproduction handle.
+    fn attempt_failed(
+        &mut self,
+        exp: usize,
+        attempt: u64,
+        worker: &str,
+        reason: &str,
+    ) -> std::io::Result<()> {
+        self.journal.append(&JournalEvent::AttemptFailed {
+            exp: exp as u64,
+            attempt,
+            worker: worker.to_string(),
+            reason: reason.to_string(),
+            spec: Some(self.slots[exp].spec.to_string()),
+        })?;
+        self.leases.release(exp)?;
+        if attempt >= self.policy.max_attempts {
+            return self.give_up(exp, attempt, reason);
+        }
+        self.retries += 1;
+        // Capped exponential backoff: base × 2^(attempt-1), at most 64×.
+        let backoff = self.policy.backoff_ms << (attempt - 1).min(6);
+        self.slots[exp].state =
+            ExpState::Pending { attempts: attempt, not_before_ms: self.clock.now_ms() + backoff };
+        Ok(())
+    }
+
+    /// Terminally classifies `exp` [`Outcome::Infrastructure`]: its retries
+    /// are exhausted. Counted and spooled like any result, never dropped.
+    fn give_up(&mut self, exp: usize, attempts: u64, reason: &str) -> std::io::Result<()> {
+        self.journal.append(&JournalEvent::Failed {
+            exp: exp as u64,
+            attempts,
+            reason: reason.to_string(),
+            spec: Some(self.slots[exp].spec.to_string()),
+        })?;
+        std::fs::write(
+            result_path(&self.share, exp),
+            format!("outcome={} attempts={attempts} reason={reason}\n", Outcome::Infrastructure),
+        )?;
+        self.finish(CompletedExperiment {
+            exp,
+            outcome: Outcome::Infrastructure,
+            attempts,
+            ticks: 0,
+            resumed: false,
+        });
+        Ok(())
+    }
+
+    /// Makes `done` its slot's terminal record: evidence for the plan, a
+    /// row of the table, one step toward the chaos halt.
+    fn finish(&mut self, done: CompletedExperiment) {
+        let slot = &mut self.slots[done.exp];
+        self.plan.record(slot.cell, done.outcome);
+        self.table.add(done.outcome);
+        slot.state = ExpState::Terminal(done);
+        self.open -= 1;
+        self.finished_here += 1;
+        self.halted |= self.policy.halt_after.is_some_and(|n| self.finished_here >= n);
+    }
+
+    /// Breaks the open round's expired leases (raising the runaway runs'
+    /// abort tokens) and requeues or terminally fails their experiments.
+    fn reap_expired(&mut self) -> std::io::Result<()> {
+        if self.halted {
+            // A halted campaign schedules nothing more; its resume reaps.
+            return Ok(());
+        }
+        let now = self.clock.now_ms();
+        for exp in self.round..self.slots.len() {
+            let ExpState::Leased { attempt, deadline_ms, ref abort, .. } = self.slots[exp].state
+            else {
+                continue;
+            };
+            if now <= deadline_ms {
+                continue;
+            }
+            abort.abort();
+            let held = self.leases.reap(exp, now)?;
+            let worker = held.map_or_else(|| "unknown".to_string(), |l| l.worker);
+            self.reclaimed += 1;
+            self.attempt_failed(exp, attempt, &worker, "lease expired")?;
+        }
+        Ok(())
+    }
+
+    /// Whether the plan is exhausted and every experiment terminal.
     pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 
     /// `(terminal, drawn, leased)` experiment counts.
     pub(crate) fn progress(&self) -> (u64, u64, u64) {
-        let live = self.window.as_ref();
-        (
-            self.table.total() + live.map_or(0, |w| w.progress().0 as u64),
-            self.plan.drawn_total(),
-            live.map_or(0, |w| w.leased() as u64),
-        )
+        let leased = self.slots[self.round..].iter().filter(|s| s.is_leased()).count();
+        (self.table.total(), self.plan.drawn_total(), leased as u64)
     }
 
     /// Failed attempts retried so far.
     pub(crate) fn retries(&self) -> u64 {
-        self.retries + self.window.as_ref().map_or(0, WindowScheduler::retries)
+        self.retries
     }
 
     /// Expired and orphaned leases broken so far.
     pub(crate) fn reclaimed(&self) -> u64 {
-        self.reclaimed + self.window.as_ref().map_or(0, WindowScheduler::reclaimed)
+        self.reclaimed
     }
 
     /// Terminal records replayed from the journal rather than executed.
@@ -521,28 +701,19 @@ impl Campaign {
         self.resumed
     }
 
-    /// Pooled outcomes of every folded experiment.
+    /// Pooled outcomes of every terminal experiment.
     pub(crate) fn table(&self) -> OutcomeTable {
         self.table
     }
 
-    /// Completions credited per worker: folded windows plus the live one.
-    pub(crate) fn worker_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = self.per_worker.clone();
-        if let Some(live) = &self.window {
-            for (worker, n) in live.per_worker() {
-                *counts.entry(worker.clone()).or_insert(0) += n;
-            }
-        }
-        counts
+    /// Completions credited per worker.
+    pub(crate) fn worker_counts(&self) -> &BTreeMap<String, usize> {
+        &self.per_worker
     }
 
     /// Every terminal record so far, in experiment order.
     pub(crate) fn records(&self) -> Vec<CompletedExperiment> {
-        let live = self.window.iter().flat_map(|w| w.completed().iter().flatten());
-        let mut records: Vec<_> = self.completed.iter().chain(live).cloned().collect();
-        records.sort_by_key(|r| r.exp);
-        records
+        self.slots.iter().filter_map(|s| s.state.terminal()).cloned().collect()
     }
 
     /// The sequential engine, when the plan is adaptive.
@@ -614,7 +785,7 @@ fn spool_campaign(
     let campaign = campaign.into_inner().expect("no worker holds the campaign");
     let (terminal, drawn, _) = campaign.progress();
     if campaign.halted {
-        let finished = campaign.finished_here as u64 + terminal - campaign.table.total();
+        let finished = campaign.finished_here;
         let progress = match campaign.plan {
             Plan::Fixed { .. } => format!(
                 "campaign halted by chaos after {finished} experiments \
@@ -631,8 +802,8 @@ fn spool_campaign(
         per_workstation: campaign.per_ws.clone(),
         experiments: drawn as usize,
         resumed: campaign.resumed,
-        retries: campaign.retries(),
-        reclaimed_leases: campaign.reclaimed(),
+        retries: campaign.retries,
+        reclaimed_leases: campaign.reclaimed,
         infrastructure_failures: campaign.table.count(Outcome::Infrastructure),
     };
     Ok((campaign, report))
@@ -662,13 +833,12 @@ pub fn run_campaign_now(
 }
 
 /// Runs an adaptive (sequential early-stopping) campaign on the NoW: each
-/// round the engine draws the next batch per undecided cell, journals
-/// every draw, executes the not-yet-terminal remainder as one
-/// lease/journal window across the workstations, and folds the outcomes
-/// back into the live per-cell stats before re-evaluating the stopping
-/// rule.
+/// round the campaign draws the next batch per undecided cell, journals
+/// every draw, executes the not-yet-terminal remainder across the
+/// workstations — each outcome folding into the live per-cell stats as it
+/// lands — and re-evaluates the stopping rule once the round has drained.
 ///
-/// Resume ([`NowConfig::resume`]): the engine re-derives the identical
+/// Resume ([`NowConfig::resume`]): the campaign re-derives the identical
 /// draw trajectory from the seed, validates it against the journaled
 /// `drawn` records, folds terminal outcomes already recorded, reaps
 /// orphaned leases, and executes only what is missing — reaching
@@ -695,8 +865,9 @@ pub fn run_campaign_adaptive_now(
     Ok((outcome, report))
 }
 
-/// Removes journal/lease/result/snapshot leftovers so a fresh (non-resume)
-/// start cannot mix state from an earlier campaign in the same directory.
+/// Removes the journal and every per-experiment artifact (fault, lease,
+/// result, snapshot) so a fresh (non-resume) start cannot mix state from an
+/// earlier campaign in the same directory.
 fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
     let journal = Journal::path_in(share);
     if journal.exists() {
@@ -704,9 +875,10 @@ fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
     }
     for entry in std::fs::read_dir(share)? {
         let path = entry?.path();
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("lease") | Some("result") | Some("snap") => std::fs::remove_file(&path)?,
-            _ => {}
+        if let Some("fault" | "lease" | "result" | "snap") =
+            path.extension().and_then(|e| e.to_str())
+        {
+            std::fs::remove_file(&path)?;
         }
     }
     Ok(())
@@ -898,6 +1070,120 @@ mod tests {
         assert!(report.reclaimed_leases >= 1, "orphaned lease broken: {report:?}");
         assert!(results[2].outcome.is_experiment_outcome());
         assert!(results[2].attempts >= 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_last_attempt_burned_by_a_dead_campaign_is_not_rerun_past_the_cap() {
+        let (w, p, specs, runner) = small_campaign(50, 17, 3);
+        let dir = share("last-attempt");
+        let mut cfg = fast_config(1, 1, &dir);
+        cfg.chaos.halt_after = Some(1);
+        let _ = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap_err();
+        // The dead campaign's worker held experiment 1 on its last
+        // permitted attempt (max_retries 2 → attempt 3) ...
+        LeaseDir::new(&dir).claim(1, "ws9.slot9", 3, now_ms() + 60_000).unwrap().unwrap();
+        // ... and the campaign died between journaling experiment 2's last
+        // failed attempt and its terminal record.
+        let mut journal = Journal::open(&dir).unwrap();
+        journal
+            .append(&JournalEvent::AttemptFailed {
+                exp: 2,
+                attempt: 3,
+                worker: "ws9.slot8".into(),
+                reason: "lease expired".into(),
+                spec: None,
+            })
+            .unwrap();
+        drop(journal);
+
+        let mut cfg = fast_config(1, 1, &dir);
+        cfg.resume = true;
+        let (table, results, report) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
+        assert_eq!(table.total(), 3);
+        for exp in [1, 2] {
+            let done = &results[exp];
+            assert_eq!((done.outcome, done.attempts), (Outcome::Infrastructure, 3), "exp {exp}");
+        }
+        assert_eq!((report.reclaimed_leases, report.infrastructure_failures), (1, 2));
+        let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
+        assert!(
+            !events.iter().any(|e| matches!(e, JournalEvent::Leased { exp: 1 | 2, .. })),
+            "no fourth attempt was leased"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn open_campaign(dir: &Path, p: &PreparedWorkload, specs: &[FaultSpec]) -> Campaign {
+        let cfg = fast_config(1, 1, dir);
+        let plan = Plan::fixed(specs.to_vec());
+        Campaign::open(dir, p, plan, false, system_clock(), cfg.scheduler_policy(), 1).unwrap()
+    }
+
+    #[test]
+    fn a_fresh_start_clears_every_artifact_of_the_campaign_before_it() {
+        let (_, p, specs, _) = small_campaign(50, 37, 3);
+        let dir = share("fresh");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Leftovers of a larger campaign that ran in this directory.
+        let stale = ["exp00001.lease", "exp00002.result", "exp00007.snap", "exp00099.fault"];
+        for name in stale.iter().chain(&[crate::journal::JOURNAL_FILE]) {
+            std::fs::write(dir.join(name), "stale\n").unwrap();
+        }
+        let campaign = open_campaign(&dir, &p, &specs);
+        for name in stale {
+            assert!(!dir.join(name).exists(), "{name} survived the fresh start");
+        }
+        assert_eq!(campaign.progress(), (0, 3, 0));
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let fresh = [
+            "campaign.ckpt",
+            "campaign.journal",
+            "exp00000.fault",
+            "exp00001.fault",
+            "exp00002.fault",
+        ];
+        assert_eq!(names, fresh);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_damaged_spooled_fault_file_is_a_campaign_error_not_a_worker_panic() {
+        use crate::transport::CampaignTransport;
+        let (_, p, specs, _) = small_campaign(50, 41, 2);
+        let dir = share("damaged");
+        let campaign = Mutex::new(open_campaign(&dir, &p, &specs));
+        let mut transport = SpoolTransport { campaign: &campaign, share: dir.clone(), ws: 0 };
+        // The share is damaged between spooling and the first claim: an
+        // empty file, then one that is not a fault spec, then none at all.
+        let fault = dir.join("exp00000.fault");
+        let damage: [&dyn Fn(); 3] = [
+            &|| std::fs::write(&fault, "").unwrap(),
+            &|| std::fs::write(&fault, "reg f $").unwrap(),
+            &|| std::fs::remove_file(&fault).unwrap(),
+        ];
+        for (attempt, damage) in (1u64..).zip(damage) {
+            damage();
+            let err = transport.claim("w").unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("exp00000.fault"), "names the file: {err}");
+            assert!(!dir.join("exp00000.lease").exists(), "the lease was handed back");
+            // The burned attempt is journaled; the share stays resumable.
+            let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
+            let burned = |e: &JournalEvent| matches!(e, JournalEvent::AttemptFailed { exp: 0, attempt: a, .. } if *a == attempt);
+            assert!(events.iter().any(burned), "attempt {attempt} journaled");
+            std::thread::sleep(Duration::from_millis(5)); // past the retry backoff
+        }
+        // Retries exhausted: the experiment is terminal, the other one
+        // still claimable.
+        let campaign = campaign.lock().unwrap();
+        assert_eq!(campaign.table().count(Outcome::Infrastructure), 1);
+        assert_eq!(campaign.progress(), (1, 2, 0));
+        drop(campaign);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,14 +1,14 @@
 //! The campaign server: the NoW spool share lifted onto a socket.
 //!
-//! [`CampaignServer`] owns one [`Campaign`] round engine per queue and
-//! speaks the line-delimited JSON protocol of [`crate::wire`] to a fleet
-//! of remote [`crate::worker`] processes. The server side of every verb is
-//! the same state machine the spool backend locks in-process — claims
-//! lease experiments, heartbeats renew them, results fold into the
+//! [`CampaignServer`] owns one [`Campaign`] per queue and speaks the
+//! line-delimited JSON protocol of [`crate::wire`] to a fleet of remote
+//! [`crate::worker`] processes. The server side of every verb is a direct
+//! call into the same slot table the spool backend locks in-process —
+//! claims lease experiments, heartbeats renew them, results fold into the
 //! durable journal as they arrive, expired leases are reaped and retried
-//! with capped backoff, finished rounds fold and the next one is planned —
+//! with capped backoff, a drained round closes and the next one is drawn —
 //! so the campaign pipeline is written (and tested) exactly once, in
-//! [`crate::now`] and [`crate::window`].
+//! [`crate::now`].
 //!
 //! Topology (Sec. III-E, networked): the server process holds the share
 //! directory and the journal; workers hold nothing durable. A worker that
@@ -23,14 +23,15 @@
 //! first) and an optional lease quota (a cap on concurrently outstanding
 //! experiments, so a low-priority bulk campaign cannot starve an urgent
 //! one of workers). Fixed-n and adaptive campaigns both run behind the
-//! same claim verb; a queue's kind only picks its engine's plan.
+//! same claim verb; a queue's kind only picks its campaign's plan.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, Plan};
 use crate::clock::{system_clock, Clock};
 use crate::now::{Campaign, CompletedExperiment};
 use crate::report::OutcomeTable;
 use crate::runner::PreparedWorkload;
-use crate::window::{ClaimOutcome, ReportAck, SchedulerPolicy};
+use crate::transport::{ClaimReply, ReportAck};
+use crate::window::SchedulerPolicy;
 use crate::wire::{hex_encode, json_escape, read_line, write_line, ClientMsg, ServerMsg};
 use crate::PROTO_VERSION;
 use gemfi::{FaultSpec, Outcome};
@@ -129,8 +130,7 @@ pub struct QueueSpec {
     pub kind: QueueKind,
 }
 
-/// One queue: its campaign engine plus the static context served to
-/// workers.
+/// One queue: its campaign plus the static context served to workers.
 struct Queue {
     name: String,
     priority: u32,
@@ -153,7 +153,7 @@ impl Queue {
             resumed: self.campaign.resumed(),
             retries: self.campaign.retries(),
             reclaimed: self.campaign.reclaimed(),
-            per_worker: self.campaign.worker_counts(),
+            per_worker: self.campaign.worker_counts().clone(),
         }
     }
 }
@@ -192,88 +192,75 @@ pub struct ServerReport {
 /// owning [`CampaignServer`] handle.
 struct Shared {
     queues: Mutex<Vec<Queue>>,
-    policy: SchedulerPolicy,
     shutdown: AtomicBool,
     started: Instant,
 }
 
 impl Shared {
+    /// Offers `worker` the first claimable experiment in priority order.
     fn claim(&self, worker: &str) -> std::io::Result<ServerMsg> {
         let mut queues = self.queues.lock().expect("queue mutex");
-        let mut any_open = false;
+        let mut reply = ServerMsg::Complete;
         for queue in queues.iter_mut() {
-            match queue.campaign.try_claim(worker, queue.quota)? {
+            match queue.campaign.try_claim(&queue.name, worker, queue.quota)? {
                 // The server-side abort token is dropped: remote workers
-                // abandon reaped windows via heartbeat loss instead.
-                ClaimOutcome::Work { exp, attempt, deadline_ms, spec, abort: _ } => {
+                // abandon reaped attempts via heartbeat loss instead.
+                ClaimReply::Work(work) => {
                     return Ok(ServerMsg::Work {
-                        queue: queue.name.clone(),
-                        exp: exp as u64,
-                        attempt,
-                        deadline_ms,
-                        lease_ms: self.policy.lease_ms,
-                        spec: spec.to_string(),
+                        queue: work.queue,
+                        exp: work.exp as u64,
+                        attempt: work.attempt,
+                        deadline_ms: work.deadline_ms,
+                        lease_ms: work.lease_ms,
+                        spec: work.spec.to_string(),
                     });
                 }
-                ClaimOutcome::Idle => any_open = true,
-                ClaimOutcome::Complete => {}
+                ClaimReply::Idle { backoff_ms } => reply = ServerMsg::Idle { backoff_ms },
+                ClaimReply::Complete => {}
             }
         }
-        if any_open {
-            Ok(ServerMsg::Idle { backoff_ms: self.policy.idle_backoff_ms })
-        } else {
-            Ok(ServerMsg::Complete)
-        }
+        Ok(reply)
     }
 
     fn heartbeat(&self, queue: &str, worker: &str, exp: usize, attempt: u64) -> ServerMsg {
         let mut queues = self.queues.lock().expect("queue mutex");
-        let window =
-            queues.iter_mut().find(|q| q.name == queue).and_then(|q| q.campaign.window_mut());
-        let Some(window) = window else { return ServerMsg::HeartbeatLost };
-        match window.heartbeat(exp, worker, attempt) {
+        let Some(q) = queues.iter_mut().find(|q| q.name == queue) else {
+            return ServerMsg::HeartbeatLost;
+        };
+        match q.campaign.heartbeat(exp, worker, attempt) {
             Ok(Some(deadline_ms)) => ServerMsg::HeartbeatAck { deadline_ms },
             Ok(None) => ServerMsg::HeartbeatLost,
-            Err(e) => ServerMsg::Error { reason: format!("heartbeat journal append: {e}") },
+            Err(e) => ServerMsg::Error { reason: format!("heartbeat lease renewal: {e}") },
         }
     }
 
     /// Folds a result or failure report. Reports for unknown queues or
-    /// already-folded windows are stale, not errors — a worker may land a
-    /// report after losing a race with the reaper.
+    /// experiments that moved on are stale, not errors — a worker may land
+    /// a report after losing a race with the reaper.
     fn report(&self, msg: &ClientMsg) -> std::io::Result<ServerMsg> {
-        let (queue, exp, attempt, worker) = match msg {
-            ClientMsg::Result { queue, exp, attempt, worker, .. }
-            | ClientMsg::Failed { queue, exp, attempt, worker, .. } => {
-                (queue, *exp as usize, *attempt, worker)
-            }
-            _ => unreachable!("report() is called for Result/Failed only"),
+        let (ClientMsg::Result { queue, .. } | ClientMsg::Failed { queue, .. }) = msg else {
+            unreachable!("report() is called for Result/Failed only")
         };
         let mut queues = self.queues.lock().expect("queue mutex");
         let Some(q) = queues.iter_mut().find(|q| &q.name == queue) else {
             return Ok(ServerMsg::Ack { accepted: 0 });
         };
         let ack = match msg {
-            ClientMsg::Result { outcome, exit, ticks, .. } => {
-                let outcome: Outcome = match outcome.parse() {
-                    Ok(o) => o,
-                    Err(_) => {
-                        return Ok(ServerMsg::Error {
-                            reason: format!("unknown outcome `{outcome}`"),
-                        })
-                    }
+            ClientMsg::Result { exp, attempt, worker, outcome, exit, ticks, .. } => {
+                let Ok(outcome) = outcome.parse::<Outcome>() else {
+                    return Ok(ServerMsg::Error { reason: format!("unknown outcome `{outcome}`") });
                 };
                 let done = CompletedExperiment {
-                    exp,
+                    exp: *exp as usize,
                     outcome,
-                    attempts: attempt,
+                    attempts: *attempt,
                     ticks: *ticks,
                     resumed: false,
                 };
-                q.campaign.report(|window| window.report_done(worker, None, done, exit))?
+                q.campaign.report_done(worker, None, done, exit)?
             }
-            ClientMsg::Failed { reason, .. } => {
-                q.campaign.report(|window| window.report_failed(exp, attempt, worker, reason))?
+            ClientMsg::Failed { exp, attempt, worker, reason, .. } => {
+                q.campaign.report_failed(*exp as usize, *attempt, worker, reason)?
             }
             _ => unreachable!(),
         };
@@ -313,7 +300,7 @@ impl Shared {
                     "{{\"status\":\"worker\",\"queue\":\"{}\",\"worker\":\"{}\",\
                      \"completed\":{n}}}",
                     json_escape(&q.name),
-                    json_escape(&worker)
+                    json_escape(worker)
                 ));
             }
             if let Some((config, state)) = sequential {
@@ -397,7 +384,6 @@ impl CampaignServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             queues: Mutex::new(queues),
-            policy,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         });

@@ -1,20 +1,22 @@
 //! The campaign transport abstraction: one claim/heartbeat/report protocol,
 //! two backends.
 //!
-//! [`CampaignTransport`] is the worker-facing face of the campaign round
-//! engine ([`crate::now::Campaign`]). The spool backend
-//! ([`SpoolTransport`]) locks the engine directly — in-process worker
+//! [`CampaignTransport`] is the worker-facing face of a campaign's slot
+//! table ([`crate::now::Campaign`]), and [`ClaimReply`]/[`WorkAssignment`]
+//! are the table's own answer to a claim. The spool backend
+//! ([`SpoolTransport`]) locks the table directly — in-process worker
 //! threads sharing one spool directory, the PR-1 topology. The socket
 //! backend ([`crate::worker::SocketTransport`]) speaks the same verbs over
 //! TCP to a [`crate::server::CampaignServer`], which locks the very same
-//! engine type on the workers' behalf. The generic worker loop
+//! type on the workers' behalf. The generic worker loop
 //! ([`crate::worker`]) is written against this trait and cannot tell the
 //! difference — which is the point: every recovery path (reap, backoff,
 //! zombie suppression, journal fold) is tested once and holds on both.
 
 use crate::now::{Campaign, CompletedExperiment};
-use crate::window::{fault_path, ClaimOutcome};
+use crate::window::fault_path;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
+use std::io::{Error, ErrorKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -130,7 +132,7 @@ pub trait CampaignTransport {
 }
 
 /// The spool-directory backend: in-process worker threads locking the
-/// campaign engine directly, exactly the PR-1 NoW executor's shape.
+/// campaign directly, exactly the PR-1 NoW executor's shape.
 pub(crate) struct SpoolTransport<'a> {
     pub(crate) campaign: &'a Mutex<Campaign>,
     pub(crate) share: PathBuf,
@@ -140,26 +142,31 @@ pub(crate) struct SpoolTransport<'a> {
 
 impl CampaignTransport for SpoolTransport<'_> {
     fn claim(&mut self, worker: &str) -> std::io::Result<ClaimReply> {
-        let claimed = self.campaign.lock().expect("campaign mutex").try_claim(worker, 0)?;
-        match claimed {
-            ClaimOutcome::Complete => Ok(ClaimReply::Complete),
-            ClaimOutcome::Idle => Ok(ClaimReply::Idle { backoff_ms: 1 }),
-            ClaimOutcome::Work { exp, attempt, deadline_ms, abort, .. } => {
-                // Execute the *spooled* fault file, not the in-memory spec:
-                // the share artifact is the protocol artifact a physical
-                // cluster would exchange, so the round-trip stays exercised.
-                let cfg = FaultConfig::load(&fault_path(&self.share, exp))
-                    .expect("spooled fault file readable");
-                let spec = cfg.faults()[0];
-                Ok(ClaimReply::Work(WorkAssignment {
-                    queue: "spool".to_string(),
-                    exp,
-                    attempt,
-                    deadline_ms,
-                    lease_ms: 0,
-                    spec,
-                    abort,
-                }))
+        let reply = self.campaign.lock().expect("campaign mutex").try_claim("spool", worker, 0)?;
+        let ClaimReply::Work(mut work) = reply else { return Ok(reply) };
+        // Execute the *spooled* fault file, not the in-memory spec: the
+        // share artifact is the protocol artifact a physical cluster would
+        // exchange, so the round-trip stays exercised.
+        let path = fault_path(&self.share, work.exp);
+        let spooled = FaultConfig::load(&path).and_then(|cfg| match *cfg.faults() {
+            [spec] => Ok(spec),
+            ref faults => Err(Error::new(
+                ErrorKind::InvalidData,
+                format!("holds {} faults, expected one", faults.len()),
+            )),
+        });
+        match spooled {
+            Ok(spec) => {
+                work.spec = spec;
+                Ok(ClaimReply::Work(work))
+            }
+            Err(e) => {
+                // A damaged share ends this worker with a campaign-level
+                // error, after handing the lease back (one burned attempt)
+                // so the share it leaves behind is resumable.
+                let reason = format!("spooled fault file {}: {e}", path.display());
+                self.report_failure(worker, &work, &reason)?;
+                Err(Error::new(ErrorKind::InvalidData, reason))
             }
         }
     }
@@ -180,7 +187,7 @@ impl CampaignTransport for SpoolTransport<'_> {
             resumed: false,
         };
         let mut campaign = self.campaign.lock().expect("campaign mutex");
-        campaign.report(|window| window.report_done(worker, Some(self.ws), done, exit))
+        campaign.report_done(worker, Some(self.ws), done, exit)
     }
 
     fn report_failure(
@@ -190,8 +197,6 @@ impl CampaignTransport for SpoolTransport<'_> {
         reason: &str,
     ) -> std::io::Result<ReportAck> {
         let mut campaign = self.campaign.lock().expect("campaign mutex");
-        campaign.report(|window| {
-            window.report_failed(assignment.exp, assignment.attempt, worker, reason)
-        })
+        campaign.report_failed(assignment.exp, assignment.attempt, worker, reason)
     }
 }

@@ -54,6 +54,17 @@ impl FlatObject {
         self.strings.get(key).cloned().ok_or_else(|| format!("missing string field `{key}`"))
     }
 
+    /// A worker or queue name: a string that ends up verbatim in
+    /// line-oriented files (leases) and directory names, so control
+    /// characters — which [`parse_string`] happily decodes — are refused.
+    fn name_field(&self, key: &str) -> Result<String, String> {
+        let name = self.str_field(key)?;
+        if name.chars().any(char::is_control) {
+            return Err(format!("`{key}` contains a control character"));
+        }
+        Ok(name)
+    }
+
     pub(crate) fn opt_str_field(&self, key: &str) -> Option<String> {
         self.strings.get(key).cloned()
     }
@@ -286,21 +297,21 @@ impl ClientMsg {
         let kind = fields.str_field("req")?;
         match kind.as_str() {
             "hello" => Ok(ClientMsg::Hello {
-                worker: fields.str_field("worker")?,
+                worker: fields.name_field("worker")?,
                 proto: fields.num_field("proto")?,
             }),
-            "claim" => Ok(ClientMsg::Claim { worker: fields.str_field("worker")? }),
-            "meta" => Ok(ClientMsg::Meta { queue: fields.str_field("queue")? }),
-            "checkpoint" => Ok(ClientMsg::Checkpoint { queue: fields.str_field("queue")? }),
+            "claim" => Ok(ClientMsg::Claim { worker: fields.name_field("worker")? }),
+            "meta" => Ok(ClientMsg::Meta { queue: fields.name_field("queue")? }),
+            "checkpoint" => Ok(ClientMsg::Checkpoint { queue: fields.name_field("queue")? }),
             "heartbeat" => Ok(ClientMsg::Heartbeat {
-                worker: fields.str_field("worker")?,
-                queue: fields.str_field("queue")?,
+                worker: fields.name_field("worker")?,
+                queue: fields.name_field("queue")?,
                 exp: fields.num_field("exp")?,
                 attempt: fields.num_field("attempt")?,
             }),
             "result" => Ok(ClientMsg::Result {
-                worker: fields.str_field("worker")?,
-                queue: fields.str_field("queue")?,
+                worker: fields.name_field("worker")?,
+                queue: fields.name_field("queue")?,
                 exp: fields.num_field("exp")?,
                 attempt: fields.num_field("attempt")?,
                 outcome: fields.str_field("outcome")?,
@@ -309,8 +320,8 @@ impl ClientMsg {
                 spec: fields.str_field("spec")?,
             }),
             "failed" => Ok(ClientMsg::Failed {
-                worker: fields.str_field("worker")?,
-                queue: fields.str_field("queue")?,
+                worker: fields.name_field("worker")?,
+                queue: fields.name_field("queue")?,
                 exp: fields.num_field("exp")?,
                 attempt: fields.num_field("attempt")?,
                 reason: fields.str_field("reason")?,
@@ -622,6 +633,33 @@ mod tests {
             let line = m.to_json();
             assert!(!line.contains('\n'), "one message, one line: {line}");
             assert_eq!(ClientMsg::parse(&line).unwrap(), m, "{line}");
+        }
+    }
+
+    #[test]
+    fn names_with_control_characters_are_refused() {
+        // `"w\nattempt=99"` would otherwise reach the line-oriented lease
+        // file verbatim and parse back as worker `w`.
+        let hostile = "w\nattempt=99";
+        let requests = [
+            ClientMsg::Hello { worker: hostile.into(), proto: PROTO_VERSION },
+            ClientMsg::Claim { worker: hostile.into() },
+            ClientMsg::Meta { queue: "pi\r".into() },
+            ClientMsg::Checkpoint { queue: "pi\u{0}".into() },
+            ClientMsg::Heartbeat { worker: "w1".into(), queue: "\t".into(), exp: 3, attempt: 2 },
+            ClientMsg::Failed {
+                worker: "w\u{7f}".into(),
+                queue: "pi".into(),
+                exp: 3,
+                attempt: 2,
+                reason: "newlines in a reason\nare fine".into(),
+                spec: "reg f $1 0x1 1:100:i".into(),
+            },
+        ];
+        for request in requests {
+            let line = request.to_json();
+            let err = ClientMsg::parse(&line).unwrap_err();
+            assert!(err.contains("control character"), "{line}: {err}");
         }
     }
 

@@ -10,7 +10,9 @@
 //!   still converges to the spool baseline;
 //! - adaptive sequential-sampling campaigns run over the socket backend and
 //!   agree with the spool backend;
-//! - the `STATUS` endpoint streams live per-queue and per-cell metrics.
+//! - the `STATUS` endpoint streams live per-queue and per-cell metrics;
+//! - a worker name carrying a newline is refused by the protocol parser
+//!   before it can forge a lease file's `attempt=` line.
 
 use gemfi_campaign::wire::{read_line, write_line};
 use gemfi_campaign::{
@@ -316,4 +318,55 @@ fn adaptive_campaign_over_the_socket_matches_the_spool_backend() {
         assert_eq!(a.drawn, b.drawn);
         assert_eq!(a.stats.table(), b.stats.table());
     }
+}
+
+#[test]
+fn a_worker_name_with_a_newline_is_refused_before_it_reaches_a_lease_file() {
+    let w = pi_workload();
+    let prepared = prepare_workload(&w).unwrap();
+    let mut sampler = FaultSampler::new(5, prepared.stage_events, 0, 0);
+    let specs: Vec<_> = (0..2).map(|_| sampler.sample_any()).collect();
+    let share = scratch("hostile-name");
+    let queue = QueueSpec {
+        name: "pi-fixed".to_string(),
+        priority: 1,
+        quota: 0,
+        workload: "pi".to_string(),
+        scale: "test".to_string(),
+        prepared,
+        kind: QueueKind::FixedN { specs },
+    };
+    let server = CampaignServer::start(fast_server_config(&share), vec![queue]).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |msg: ClientMsg| {
+        write_line(&mut stream, &msg.to_json()).unwrap();
+        read_line(&mut reader).unwrap().unwrap()
+    };
+    let leases = || {
+        let dir = std::fs::read_dir(share.join("pi-fixed")).unwrap();
+        dir.map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "lease"))
+            .collect::<Vec<_>>()
+    };
+
+    // Written verbatim into the line-oriented lease file this name would
+    // parse back as owner `w` on attempt 99: every renewal would mismatch
+    // and every attempt of the worker would be aborted and burned.
+    let hostile = "w\nattempt=99";
+    for msg in [
+        ClientMsg::Hello { worker: hostile.to_string(), proto: PROTO_VERSION },
+        ClientMsg::Claim { worker: hostile.to_string() },
+    ] {
+        let reply = ask(msg);
+        assert!(reply.contains("\"error\"") && reply.contains("control character"), "{reply}");
+        assert_eq!(leases(), Vec::<PathBuf>::new(), "no lease for a refused name");
+    }
+
+    // The connection survives the refusal, and an honest name owns its lease.
+    let reply = ask(ClientMsg::Claim { worker: "w".to_string() });
+    assert!(reply.contains("\"work\""), "{reply}");
+    let [lease] = leases().try_into().expect("one lease");
+    assert_eq!(std::fs::read_to_string(lease).unwrap().lines().next(), Some("worker=w"));
+    let _ = server.shutdown().unwrap();
 }
