@@ -7,11 +7,16 @@
 //! every lifecycle transition of every experiment
 //! (`pending → leased(worker, deadline) → done(outcome) | failed(attempts)`)
 //! is one JSON object on one line of `campaign.journal`, appended and
-//! flushed before the transition is acted on. A campaign process that dies
+//! flushed before the transition is acted on. It is the campaign's only
+//! per-experiment state on the share. A campaign process that dies
 //! mid-flight leaves a journal whose replay reconstructs exactly which
-//! experiments are finished, which were in flight (their leases now
-//! orphaned), and which were never started — the resume path schedules only
-//! the unfinished remainder.
+//! experiments are finished, which were in flight (a `leased` line nothing
+//! resolved: an orphan), and which were never started — the resume path
+//! reclaims the orphans and schedules only the unfinished remainder.
+//!
+//! Durability: [`Journal::append`] flushes each line to the operating
+//! system but never fsyncs. A killed process loses nothing; a power cut may
+//! lose the tail of the file, and resume re-runs whatever that tail held.
 //!
 //! The format is deliberately hand-rolled, flat JSON (string and integer
 //! fields only): the workspace builds fully offline, and a lifecycle log
@@ -320,8 +325,9 @@ impl Journal {
         &self.path
     }
 
-    /// Appends one event and flushes it to the file before returning, so a
-    /// crash immediately after a transition never loses the record of it.
+    /// Appends one event and flushes it to the operating system before
+    /// returning, so a process killed right after a transition never loses
+    /// the record of it. There is no fsync: a power cut may lose the tail.
     ///
     /// # Errors
     ///
@@ -365,9 +371,10 @@ impl Journal {
 }
 
 /// One experiment's lifecycle state, the same enum from journal replay to
-/// the final report: replay yields `Pending` and `Terminal`, and the
-/// campaign's slot table ([`crate::now::Campaign`]) moves it through
-/// `Leased` while the experiment's round is open.
+/// the final report: replay yields `Pending`, `Terminal` and — for an
+/// orphan — `Leased`, and the campaign's slot table
+/// ([`crate::now::Campaign`]) moves it through `Leased` while the
+/// experiment's round is open.
 #[derive(Debug, Clone)]
 pub(crate) enum ExpState {
     /// Waiting to run: `attempts` already burned (by this process or by
@@ -378,8 +385,9 @@ pub(crate) enum ExpState {
         /// Scheduler-clock time the retry backoff ends.
         not_before_ms: u64,
     },
-    /// In flight under a lease. Never replayed: liveness is the lease
-    /// files' business, the journal's `leased` line is the audit record.
+    /// In flight under a lease. Replay yields it for an *orphan*: a
+    /// `leased` line with no later terminal line and no `attempt-failed`
+    /// line for its attempt — a worker of a dead campaign process held it.
     Leased {
         /// 1-based attempt under lease.
         attempt: u64,
@@ -458,13 +466,19 @@ impl CampaignState {
                         state.experiments.push(ExpState::FRESH);
                     }
                 }
-                JournalEvent::Leased { exp, .. } => {
-                    // Liveness is tracked by the lease files; the journal
-                    // entry is the audit record. Claiming a finished
-                    // experiment is a protocol violation.
-                    if state.slot(*exp)?.terminal().is_some() {
+                JournalEvent::Leased { exp, worker, attempt, deadline_ms } => {
+                    // An orphan until a later line resolves it. Claiming a
+                    // finished experiment is a protocol violation.
+                    let s = state.slot(*exp)?;
+                    if s.terminal().is_some() {
                         return Err(format!("experiment {exp} leased after finishing"));
                     }
+                    *s = ExpState::Leased {
+                        attempt: *attempt,
+                        deadline_ms: *deadline_ms,
+                        worker: worker.clone(),
+                        abort: AbortToken::new(),
+                    };
                 }
                 JournalEvent::Done { exp, attempt, outcome, ticks, .. } => {
                     // First terminal event wins: a zombie worker completing
@@ -474,8 +488,13 @@ impl CampaignState {
                 }
                 JournalEvent::AttemptFailed { exp, attempt, .. } => {
                     let s = state.slot(*exp)?;
-                    if let ExpState::Pending { attempts, .. } = s {
-                        *attempts = (*attempts).max(*attempt);
+                    match s {
+                        ExpState::Pending { attempts, .. } => *attempts = (*attempts).max(*attempt),
+                        // The leased attempt's failure resolves the lease.
+                        ExpState::Leased { attempt: held, .. } if held == attempt => {
+                            *s = ExpState::Pending { attempts: *attempt, not_before_ms: 0 };
+                        }
+                        _ => {}
                     }
                 }
                 JournalEvent::Failed { exp, attempts, .. } => {
@@ -794,6 +813,42 @@ mod tests {
         assert!(CampaignState::from_events(&events, Some(3)).is_err());
         // An adaptive journal's experiments exist once drawn, not before.
         assert!(CampaignState::from_events(&events, None).is_err());
+    }
+
+    /// The replayed state of the only experiment of a fixed-n campaign
+    /// whose journal holds `events`.
+    fn replayed(events: &[JournalEvent]) -> ExpState {
+        CampaignState::from_events(events, Some(1)).unwrap().experiments.remove(0)
+    }
+
+    fn leased(attempt: u64) -> JournalEvent {
+        JournalEvent::Leased { exp: 0, worker: format!("w{attempt}"), attempt, deadline_ms: 7 }
+    }
+
+    fn attempt_failed(attempt: u64) -> JournalEvent {
+        let (worker, reason) = ("w".into(), "boom".into());
+        JournalEvent::AttemptFailed { exp: 0, attempt, worker, reason, spec: None }
+    }
+
+    #[test]
+    fn a_dangling_lease_replays_as_an_orphan() {
+        let state = replayed(&[leased(1)]);
+        let ExpState::Leased { attempt, deadline_ms, worker, .. } = state else {
+            panic!("expected an orphan, got {state:?}")
+        };
+        assert_eq!((attempt, deadline_ms, worker.as_str()), (1, 7, "w1"));
+    }
+
+    #[test]
+    fn a_lease_whose_attempt_failed_is_not_an_orphan() {
+        let state = replayed(&[leased(1), attempt_failed(1)]);
+        assert!(matches!(state, ExpState::Pending { attempts: 1, .. }), "{state:?}");
+    }
+
+    #[test]
+    fn a_dangling_lease_after_a_failed_attempt_is_an_orphan_of_the_later_attempt() {
+        let state = replayed(&[attempt_failed(1), leased(2)]);
+        assert!(matches!(state, ExpState::Leased { attempt: 2, .. }), "{state:?}");
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Expiring experiment leases on the network share.
+//! Expiring experiment leases as files on a network share.
 //!
-//! A worker claims experiment *i* by creating `exp{i:05}.lease` with
-//! `O_CREAT|O_EXCL` semantics ([`std::fs::OpenOptions::create_new`]) — the
-//! filesystem arbitrates races, so two workers (even on different machines
-//! mounting the same share) can never both own an experiment. The file
-//! carries the owner, the attempt number, and a wall-clock deadline; a
-//! worker that dies or hangs simply stops renewing reality, and once the
-//! deadline passes any other worker's reaper may break the lease and
-//! return the experiment to the pending pool.
+//! Kept for `benchmark/`, which times a claim and a release; nothing in the
+//! campaign calls it. A campaign's leases live in its slot table
+//! ([`crate::now`]) and its journal, and one mutex makes a claim exclusive.
 //!
-//! Leases are *liveness* state and deliberately separate from the journal
-//! (*history* state): a lease file exists only while an attempt is in
-//! flight, while the journal records every transition forever.
+//! The file protocol: a worker claims experiment *i* by creating
+//! `exp{i:05}.lease` with `O_CREAT|O_EXCL` semantics
+//! ([`std::fs::OpenOptions::create_new`]) — the filesystem arbitrates
+//! races, so two workers (even on different machines mounting the same
+//! share) can never both own an experiment. The file carries the owner, the
+//! attempt number, and a wall-clock deadline; once the deadline passes any
+//! other worker's reaper may break the lease.
 
 use std::fs::OpenOptions;
 use std::io::{ErrorKind, Write};

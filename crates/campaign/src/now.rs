@@ -1,20 +1,23 @@
 //! Campaign execution on a (simulated) network of workstations — the
 //! Sec. III-E protocol, hardened for real clusters:
 //!
-//! 1. fault-configuration files for all experiments go to a network share;
+//! 1. the fault configurations of all experiments go to a network share
+//!    (`campaign.faults`, the paper's Listing-1 format, line *i* for
+//!    experiment *i*);
 //! 2. one simulation runs to the activation point and the checkpoint is
 //!    stored on the share;
 //! 3. each workstation takes a local copy of the checkpoint;
-//! 4. each workstation repeatedly claims a remaining experiment from the
-//!    share by writing an **expiring lease** ([`crate::lease`]);
-//! 5. results move back to the share, and every lifecycle transition is
-//!    appended to a durable **journal** ([`crate::journal`]);
+//! 4. each workstation repeatedly claims a remaining experiment under an
+//!    **expiring lease**;
+//! 5. results move back, and every lifecycle transition is appended to a
+//!    durable **journal** ([`crate::journal`]);
 //! 6. until no experiments remain.
 //!
-//! "Workstations" are thread groups sharing one local checkpoint copy; the
-//! share is a real spool directory, so the artifacts (fault files, the
-//! checkpoint blob, lease files, result files, the journal) are the same
-//! ones a physical cluster would exchange over NFS.
+//! "Workstations" are thread groups sharing one local checkpoint copy. The
+//! share is a real spool directory holding `campaign.ckpt`,
+//! `campaign.journal` and `campaign.faults`, plus a mid-run snapshot per
+//! in-flight experiment when snapshots are on. There is no file per lease
+//! or per result: the journal is the only per-experiment state.
 //!
 //! # One slot table
 //!
@@ -24,15 +27,17 @@
 //! global experiment index and alive as long as the campaign: each slot
 //! carries its fault spec, its plan cell and one lifecycle state
 //! (`pending → leased → terminal`, `journal::ExpState`) that journal replay
-//! seeds and every claim, heartbeat, reap and report moves. A [`Plan`] yields
-//! rounds of draws (a fixed-n campaign is the one-round case); a round is
-//! the *open range* of the table — claims, the reaper and the lease quota
-//! look nowhere else, so their cost follows the round, not the campaign. A
-//! draw already terminal in the replayed journal folds straight into the
-//! plan and the outcome table; any other is spooled, its orphaned lease
-//! reaped. When the open range has drained the plan re-evaluates its
-//! stopping rule and the next round's draws extend the table. Workers only
-//! ever see `Campaign::{try_claim, heartbeat, report_done, report_failed}`.
+//! seeds and every claim, heartbeat, reap and report moves. The table is
+//! where leases live; one mutex around it arbitrates every claim. A
+//! [`Plan`] yields rounds of draws (a fixed-n campaign is the one-round
+//! case); a round is the *open range* of the table — claims, the reaper and
+//! the lease quota look nowhere else, so their cost follows the round, not
+//! the campaign. A draw already terminal in the replayed journal folds
+//! straight into the plan and the outcome table; an orphan (a `leased` line
+//! the dead process never resolved) is reclaimed. When the open range has
+//! drained the plan re-evaluates its stopping rule and the next round's
+//! draws extend the table. Workers only ever see
+//! `Campaign::{try_claim, heartbeat, report_done, report_failed}`.
 //! [`run_campaign_now`] and [`run_campaign_adaptive_now`] are this table
 //! with a fixed or adaptive plan behind [`SpoolTransport`] on in-process
 //! worker threads; [`crate::server::CampaignServer`] is the same table, one
@@ -42,9 +47,8 @@
 //!
 //! Fault tolerance, on top of the paper's protocol:
 //!
-//! - A worker that panics releases its lease and journals the failed
-//!   attempt; the experiment returns to the pending pool with capped
-//!   exponential backoff.
+//! - A worker that panics journals the failed attempt; the experiment
+//!   returns to the pending pool with capped exponential backoff.
 //! - A worker that hangs past its lease deadline is reaped: any other
 //!   worker's claim loop breaks the expired lease, raises the runaway
 //!   run's [`AbortToken`], and requeues the experiment.
@@ -52,9 +56,9 @@
 //!   campaign process burned its last permitted attempt — is terminally
 //!   classified [`Outcome::Infrastructure`]: counted, never silently
 //!   dropped, never run past the cap.
-//! - A spooled fault file that turns out missing, empty or corrupt ends
-//!   the claiming worker with a campaign-level [`ErrorKind::InvalidData`]
-//!   naming the file, the lease handed back — not a panic with it held.
+//! - Each transition's journal append is its last fallible step before the
+//!   table changes, so a report that fails is retried against an unchanged
+//!   slot and a retried report journals nothing twice.
 //! - With [`NowConfig::snapshot_ticks`] set, workers drop periodic mid-run
 //!   snapshots ([`crate::snapshot`]) onto the share; a retried attempt
 //!   resumes from the last snapshot instead of re-running from the
@@ -62,28 +66,28 @@
 //! - A killed campaign resumes: with [`NowConfig::resume`] the campaign
 //!   replays the journal, verifies it belongs to this campaign (the header
 //!   a fresh start would write: experiment count and fault-spec digest, or
-//!   seed, stopping rule and cell set — and the checkpoint digest), reaps
-//!   orphaned leases, and schedules only the unfinished remainder. The
-//!   merged [`OutcomeTable`] and every adaptive per-cell decision are
-//!   identical to an uninterrupted run.
+//!   seed, stopping rule and cell set — and the checkpoint digest),
+//!   reclaims the orphans replay finds, and schedules only the unfinished
+//!   remainder. The merged [`OutcomeTable`] and every adaptive per-cell
+//!   decision are identical to an uninterrupted run.
 //!
 //! [`AbortToken`]: gemfi::AbortToken
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveState, Draw, Plan};
 use crate::clock::{system_clock, Clock};
 use crate::journal::{CampaignState, ExpState, Journal, JournalEvent};
-use crate::lease::LeaseDir;
 use crate::report::OutcomeTable;
 use crate::runner::{PreparedWorkload, RunnerConfig};
 use crate::snapshot::{execute_leased, SnapshotPolicy};
 use crate::transport::{ClaimReply, SpoolTransport, WorkAssignment};
-use crate::window::{fault_path, result_path, snapshot_path, ReportAck, SchedulerPolicy};
+use crate::window::{snapshot_path, ReportAck, SchedulerPolicy, FAULTS_FILE};
 use crate::worker::{drive_worker, WorkerOptions};
-use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
+use gemfi::{AbortToken, FaultSpec, Outcome};
 use gemfi_sim::Checkpoint;
 use gemfi_workloads::Workload;
 use std::collections::BTreeMap;
-use std::io::{Error, ErrorKind};
+use std::fs::File;
+use std::io::{Error, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -122,7 +126,7 @@ pub struct NowConfig {
     /// Without a journal on the share this is an ordinary fresh start.
     pub resume: bool,
     /// Mid-run snapshot cadence in simulated ticks; `0` disables. Snapshot
-    /// files land on the share next to the experiment's fault file and are
+    /// files (`exp<i>.snap`) land on the share next to the journal and are
     /// deleted once the experiment reaches a terminal outcome.
     pub snapshot_ticks: u64,
     /// The clock leases and backoffs are judged by. Production uses
@@ -231,13 +235,15 @@ impl Slot {
 /// state machine.
 pub(crate) struct Campaign {
     plan: Plan,
-    share: PathBuf,
-    leases: LeaseDir,
     clock: Arc<dyn Clock>,
     policy: SchedulerPolicy,
     journal: Journal,
+    /// `campaign.faults`: one Listing-1 line per drawn experiment, appended
+    /// a round at a time and never read back.
+    faults: File,
     /// Replayed journal state of experiments not drawn yet, in experiment
-    /// order; each draw consumes one to seed its slot.
+    /// order (orphans replay `Leased`); each draw consumes one to seed its
+    /// slot.
     replayed: std::vec::IntoIter<ExpState>,
     /// Replayed `drawn` labels the re-derived trajectory must match.
     journaled_draws: std::vec::IntoIter<(String, u64)>,
@@ -267,7 +273,8 @@ impl Campaign {
     /// fresh start clears stale run artifacts, spools the checkpoint
     /// (step 2) and writes the identity header; `resume` over an existing
     /// journal replays it instead, after verifying it was recorded for
-    /// this very campaign and the checkpoint still on the share.
+    /// this very campaign and the checkpoint still on the share. Either
+    /// way `campaign.faults` is rewritten as the plan draws its rounds.
     /// `workstations` sizes the spool load-balance vector (0 for the
     /// server).
     ///
@@ -303,11 +310,10 @@ impl Campaign {
         }
         let mut campaign = Campaign {
             plan,
-            share: share.to_path_buf(),
-            leases: LeaseDir::new(share),
             clock,
             policy,
             journal,
+            faults: File::create(share.join(FAULTS_FILE))?,
             replayed: replay.experiments.into_iter(),
             journaled_draws: replay.drawn.into_iter(),
             slots: Vec::new(),
@@ -340,6 +346,9 @@ impl Campaign {
             }
             let draws = self.plan.next_round();
             self.done = draws.is_empty();
+            // Step 1: the round's fault configurations onto the share.
+            let listing: String = draws.iter().map(|d| format!("{}\n", d.spec)).collect();
+            self.faults.write_all(listing.as_bytes())?;
             for d in &draws {
                 self.draw(d)?;
             }
@@ -348,8 +357,8 @@ impl Campaign {
     }
 
     /// Appends `d`'s slot to the table. A draw already terminal in the
-    /// journal folds straight back; any other is spooled for execution,
-    /// its orphaned lease (if any) reaped.
+    /// journal folds straight back; any other is pending execution, its
+    /// orphaned lease (if replay found one) reclaimed.
     fn draw(&mut self, d: &Draw) -> std::io::Result<()> {
         let exp = d.exp as usize;
         debug_assert_eq!(exp, self.slots.len(), "draws arrive in experiment order");
@@ -379,40 +388,38 @@ impl Campaign {
             }
         }
         let state = self.replayed.next().unwrap_or(ExpState::FRESH);
-        self.slots.push(Slot { cell: d.cell, spec: d.spec, state });
-        let mut attempts = match &self.slots[exp].state {
+        self.slots.push(Slot { cell: d.cell, spec: d.spec, state: ExpState::FRESH });
+        let (attempts, reason) = match state {
             ExpState::Terminal(done) => {
                 // Infrastructure failures spent budget but are not
                 // evidence — `record` skips them, exactly as it does live.
                 self.plan.record(d.cell, done.outcome);
                 self.table.add(done.outcome);
                 self.resumed += 1;
+                self.slots[exp].state = ExpState::Terminal(done);
                 return Ok(());
             }
-            ExpState::Pending { attempts, .. } => *attempts,
-            ExpState::Leased { .. } => unreachable!("replay never yields a live lease"),
+            ExpState::Pending { attempts, .. } => {
+                (attempts, "retries exhausted before the campaign restarted")
+            }
+            ExpState::Leased { attempt, worker, .. } => {
+                // A worker of the dead campaign process died holding this
+                // experiment: break the lease whatever its deadline says,
+                // and journal the burned attempt so a *second* resume
+                // still counts it toward the retry cap.
+                let reason = "orphaned lease (campaign restart)";
+                self.journal.append(&JournalEvent::AttemptFailed {
+                    exp: d.exp,
+                    attempt,
+                    worker,
+                    reason: reason.to_string(),
+                    spec: Some(d.spec.to_string()),
+                })?;
+                self.reclaimed += 1;
+                (attempt, reason)
+            }
         };
         self.open += 1;
-        // Step 1: the experiment's configuration onto the share.
-        FaultConfig::from_specs(vec![d.spec]).save(&fault_path(&self.share, exp))?;
-        let mut reason = "retries exhausted before the campaign restarted";
-        if let Some(orphan) = self.leases.read(exp)? {
-            // A worker of the dead campaign process died holding this
-            // experiment: break the lease whatever its deadline says, and
-            // journal the burned attempt so a *second* resume still counts
-            // it toward the retry cap.
-            self.leases.release(exp)?;
-            self.reclaimed += 1;
-            reason = "orphaned lease (campaign restart)";
-            attempts = attempts.max(orphan.attempt);
-            self.journal.append(&JournalEvent::AttemptFailed {
-                exp: d.exp,
-                attempt: orphan.attempt,
-                worker: orphan.worker,
-                reason: reason.to_string(),
-                spec: Some(d.spec.to_string()),
-            })?;
-        }
         // The dead process may have burned the last permitted attempt —
         // orphaned it, or died between journaling its failure and the
         // terminal record: the cap holds across restarts.
@@ -425,14 +432,15 @@ impl Campaign {
 
     /// Claims the next runnable experiment of the open round for `worker`
     /// on behalf of `queue`: reaps expired leases, then leases the first
-    /// pending slot whose backoff has elapsed (lease file + journal + table,
-    /// in that order), drawing the next round when this one has drained.
+    /// pending slot whose backoff has elapsed (journal, then table),
+    /// drawing the next round when this one has drained.
     /// `quota` caps the concurrently leased experiments (`0` = unlimited).
     ///
     /// # Errors
     ///
-    /// I/O errors from the journal or the share; [`ErrorKind::InvalidData`]
-    /// when the journaled draws do not match the re-derived trajectory.
+    /// I/O errors from the journal or `campaign.faults`;
+    /// [`ErrorKind::InvalidData`] when the journaled draws do not match the
+    /// re-derived trajectory.
     pub(crate) fn try_claim(
         &mut self,
         queue: &str,
@@ -458,9 +466,6 @@ impl Campaign {
         });
         let Some((exp, attempt)) = claimable else { return Ok(idle) };
         let deadline_ms = now + self.policy.lease_ms;
-        self.leases
-            .claim(exp, worker, attempt, deadline_ms)?
-            .expect("a pending slot has no lease file");
         self.journal.append(&JournalEvent::Leased {
             exp: exp as u64,
             worker: worker.to_string(),
@@ -488,33 +493,18 @@ impl Campaign {
     /// Renews the lease on an in-flight attempt (the heartbeat path).
     /// Returns the new deadline, or `None` when the caller no longer owns
     /// the experiment (reaped, reassigned, or already terminal) and must
-    /// abandon the attempt.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the lease directory.
-    pub(crate) fn heartbeat(
-        &mut self,
-        exp: usize,
-        worker: &str,
-        attempt: u64,
-    ) -> std::io::Result<Option<u64>> {
-        let Some(ExpState::Leased { attempt: a, worker: w, deadline_ms, .. }) =
-            self.slots.get_mut(exp).map(|s| &mut s.state)
-        else {
-            return Ok(None);
-        };
-        let renewed = self.clock.now_ms() + self.policy.lease_ms;
-        // A lease file that vanished under us (external reaper on a real
-        // share) is surrendered rather than resurrected.
-        if *a != attempt
-            || w.as_str() != worker
-            || !self.leases.renew(exp, worker, attempt, renewed)?
-        {
-            return Ok(None);
+    /// abandon the attempt. A renewal is not journaled: the deadline only
+    /// matters to this process's reaper.
+    pub(crate) fn heartbeat(&mut self, exp: usize, worker: &str, attempt: u64) -> Option<u64> {
+        match self.slots.get_mut(exp).map(|s| &mut s.state) {
+            Some(ExpState::Leased { attempt: a, worker: w, deadline_ms, .. })
+                if *a == attempt && w.as_str() == worker =>
+            {
+                *deadline_ms = self.clock.now_ms() + self.policy.lease_ms;
+                Some(*deadline_ms)
+            }
+            _ => None,
         }
-        *deadline_ms = renewed;
-        Ok(Some(renewed))
     }
 
     /// Whether `attempt` still holds the lease on `exp`; a report from any
@@ -525,13 +515,15 @@ impl Campaign {
         matches!(state, Some(ExpState::Leased { attempt: a, .. }) if *a == attempt)
     }
 
-    /// Folds a successful terminal outcome: journal, result file, table,
-    /// plan, metrics — then advances the round loop. `ws` credits a spool
-    /// workstation.
+    /// Folds a successful terminal outcome: journal, then table, plan and
+    /// metrics — then advances the round loop. `ws` credits a spool
+    /// workstation. The journal append is the last fallible step before
+    /// the slot changes, so a report whose append failed can be retried
+    /// and one that landed is `Stale` the second time.
     ///
     /// # Errors
     ///
-    /// I/O errors from the journal or the share.
+    /// I/O errors from the journal or `campaign.faults`.
     pub(crate) fn report_done(
         &mut self,
         worker: &str,
@@ -550,11 +542,6 @@ impl Campaign {
             exit: exit.to_string(),
             ticks,
         })?;
-        std::fs::write(
-            result_path(&self.share, exp),
-            format!("{} outcome={} exit={}\n", self.slots[exp].spec, outcome, exit),
-        )?;
-        self.leases.release(exp)?;
         if let Some(n) = ws.and_then(|ws| self.per_ws.get_mut(ws)) {
             *n += 1;
         }
@@ -570,7 +557,7 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// I/O errors from the journal or the share.
+    /// I/O errors from the journal or `campaign.faults`.
     pub(crate) fn report_failed(
         &mut self,
         exp: usize,
@@ -603,7 +590,6 @@ impl Campaign {
             reason: reason.to_string(),
             spec: Some(self.slots[exp].spec.to_string()),
         })?;
-        self.leases.release(exp)?;
         if attempt >= self.policy.max_attempts {
             return self.give_up(exp, attempt, reason);
         }
@@ -616,7 +602,7 @@ impl Campaign {
     }
 
     /// Terminally classifies `exp` [`Outcome::Infrastructure`]: its retries
-    /// are exhausted. Counted and spooled like any result, never dropped.
+    /// are exhausted. Counted and journaled like any result, never dropped.
     fn give_up(&mut self, exp: usize, attempts: u64, reason: &str) -> std::io::Result<()> {
         self.journal.append(&JournalEvent::Failed {
             exp: exp as u64,
@@ -624,10 +610,6 @@ impl Campaign {
             reason: reason.to_string(),
             spec: Some(self.slots[exp].spec.to_string()),
         })?;
-        std::fs::write(
-            result_path(&self.share, exp),
-            format!("outcome={} attempts={attempts} reason={reason}\n", Outcome::Infrastructure),
-        )?;
         self.finish(CompletedExperiment {
             exp,
             outcome: Outcome::Infrastructure,
@@ -659,7 +641,8 @@ impl Campaign {
         }
         let now = self.clock.now_ms();
         for exp in self.round..self.slots.len() {
-            let ExpState::Leased { attempt, deadline_ms, ref abort, .. } = self.slots[exp].state
+            let ExpState::Leased { attempt, deadline_ms, ref abort, ref worker } =
+                self.slots[exp].state
             else {
                 continue;
             };
@@ -667,10 +650,9 @@ impl Campaign {
                 continue;
             }
             abort.abort();
-            let held = self.leases.reap(exp, now)?;
-            let worker = held.map_or_else(|| "unknown".to_string(), |l| l.worker);
-            self.reclaimed += 1;
+            let worker = worker.clone();
             self.attempt_failed(exp, attempt, &worker, "lease expired")?;
+            self.reclaimed += 1;
         }
         Ok(())
     }
@@ -764,8 +746,7 @@ fn spool_campaign(
                     let mut opts = WorkerOptions::new(format!("ws{ws}.slot{slot}"));
                     opts.runner = *runner;
                     opts.chaos_panic_on = config.chaos.panic_on.clone();
-                    let mut transport =
-                        SpoolTransport { campaign, share: config.share_dir.clone(), ws };
+                    let mut transport = SpoolTransport { campaign, ws };
                     let mut execute = |assignment: &WorkAssignment| {
                         let snap = snapshot_path(&config.share_dir, assignment.exp);
                         let snap = snapshot.enabled().then_some((snap.as_path(), snapshot));
@@ -840,7 +821,7 @@ pub fn run_campaign_now(
 ///
 /// Resume ([`NowConfig::resume`]): the campaign re-derives the identical
 /// draw trajectory from the seed, validates it against the journaled
-/// `drawn` records, folds terminal outcomes already recorded, reaps
+/// `drawn` records, folds terminal outcomes already recorded, reclaims
 /// orphaned leases, and executes only what is missing — reaching
 /// byte-identical per-cell decisions to an uninterrupted run.
 ///
@@ -865,9 +846,10 @@ pub fn run_campaign_adaptive_now(
     Ok((outcome, report))
 }
 
-/// Removes the journal and every per-experiment artifact (fault, lease,
-/// result, snapshot) so a fresh (non-resume) start cannot mix state from an
-/// earlier campaign in the same directory.
+/// Removes the journal and every per-experiment file — snapshots, and the
+/// fault, lease and result files older versions spooled — so a fresh
+/// (non-resume) start cannot mix state from an earlier campaign in the same
+/// directory.
 fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
     let journal = Journal::path_in(share);
     if journal.exists() {
@@ -887,9 +869,10 @@ fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lease::now_ms;
+    use crate::adaptive::CellKind;
     use crate::runner::prepare_workload;
-    use crate::sampler::FaultSampler;
+    use crate::sampler::{FaultSampler, LocationClass};
+    use crate::window::tests::assert_campaign_files;
     use gemfi_cpu::CpuKind;
     use gemfi_workloads::pi::MonteCarloPi;
 
@@ -923,24 +906,47 @@ mod tests {
         }
     }
 
+    fn slot_specs(campaign: &Campaign) -> Vec<FaultSpec> {
+        campaign.slots.iter().map(|slot| slot.spec).collect()
+    }
+
     #[test]
     fn now_executes_every_experiment_and_spools_artifacts() {
         let (w, p, specs, runner) = small_campaign(60, 3, 12);
         let dir = share("basic");
         let cfg = fast_config(3, 2, &dir);
-        let (table, results, report) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
-        assert_eq!(table.total(), 12);
-        assert_eq!(results.len(), 12);
+        let plan = Plan::fixed(specs.clone());
+        let (campaign, report) = spool_campaign(&p, &w, plan, &runner, &cfg).unwrap();
+        assert_eq!(campaign.table().total(), 12);
+        assert_eq!(campaign.records().len(), 12);
         assert_eq!(report.experiments, 12);
         assert_eq!(report.per_workstation.iter().sum::<usize>(), 12);
         assert_eq!(report.retries, 0);
         assert_eq!(report.infrastructure_failures, 0);
-        // Spool artifacts exist, including the journal and no leaked leases.
-        assert!(dir.join("campaign.ckpt").exists());
-        assert!(dir.join("exp00000.fault").exists());
-        assert!(dir.join("exp00011.result").exists());
-        assert!(Journal::path_in(&dir).exists());
-        assert!(!dir.join("exp00000.lease").exists(), "leases released");
+        assert_eq!(slot_specs(&campaign), specs);
+        assert_campaign_files(&dir, &specs);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_adaptive_campaign_lists_every_draw_in_experiment_order() {
+        let (w, p, _, runner) = small_campaign(50, 31, 0);
+        let dir = share("adaptive");
+        let adaptive = AdaptiveConfig {
+            ci_halfwidth: 0.3,
+            min_n: 4,
+            budget: 16,
+            batch: 4,
+            cells: vec![CellKind::Class(LocationClass::IntReg), CellKind::Class(LocationClass::Pc)],
+            ..AdaptiveConfig::default()
+        };
+        let plan = Plan::adaptive(adaptive, 31, p.stage_events);
+        let (campaign, report) =
+            spool_campaign(&p, &w, plan, &runner, &fast_config(2, 1, &dir)).unwrap();
+        let rounds = campaign.adaptive_outcome().unwrap().rounds;
+        assert!(rounds > 1, "more than one round was appended: {rounds}");
+        assert_eq!(campaign.slots.len(), report.experiments);
+        assert_campaign_files(&dir, &slot_specs(&campaign));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1002,7 +1008,7 @@ mod tests {
         assert_eq!(report.infrastructure_failures, 1);
         assert_eq!(results[1].outcome, Outcome::Infrastructure);
         assert_eq!(results[1].attempts, 3);
-        assert!(dir.join("exp00001.result").exists(), "infra failure still writes a result");
+        assert_campaign_files(&dir, &specs);
         let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
         assert!(events
             .iter()
@@ -1047,18 +1053,15 @@ mod tests {
         let mut cfg = fast_config(1, 1, &dir);
         cfg.chaos.halt_after = Some(1);
         let _ = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap_err();
-        // Fake a worker that died holding experiment 2: an expired lease
-        // plus its journaled claim.
-        let leases = LeaseDir::new(&dir);
-        leases.release(2).unwrap();
-        leases.claim(2, "ws9.slot9", 1, now_ms().saturating_sub(10_000)).unwrap().unwrap();
+        // Fake a worker that died holding experiment 2: its journaled claim
+        // with nothing after it, the lease long expired.
         let mut journal = Journal::open(&dir).unwrap();
         journal
             .append(&JournalEvent::Leased {
                 exp: 2,
                 worker: "ws9.slot9".into(),
                 attempt: 1,
-                deadline_ms: now_ms().saturating_sub(10_000),
+                deadline_ms: system_clock().now_ms().saturating_sub(10_000),
             })
             .unwrap();
         drop(journal);
@@ -1067,9 +1070,14 @@ mod tests {
         cfg.resume = true;
         let (table, results, report) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
         assert_eq!(table.total(), 3, "reclaimed experiment was re-run");
-        assert!(report.reclaimed_leases >= 1, "orphaned lease broken: {report:?}");
+        assert_eq!(report.reclaimed_leases, 1, "orphaned lease broken: {report:?}");
         assert!(results[2].outcome.is_experiment_outcome());
-        assert!(results[2].attempts >= 1);
+        assert_eq!(results[2].attempts, 2, "the orphaned attempt was burned");
+        let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
+        assert!(events.iter().any(|e| matches!(
+            e,
+            JournalEvent::AttemptFailed { exp: 2, attempt: 1, worker, .. } if worker == "ws9.slot9"
+        )));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1082,10 +1090,17 @@ mod tests {
         let _ = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap_err();
         // The dead campaign's worker held experiment 1 on its last
         // permitted attempt (max_retries 2 → attempt 3) ...
-        LeaseDir::new(&dir).claim(1, "ws9.slot9", 3, now_ms() + 60_000).unwrap().unwrap();
+        let mut journal = Journal::open(&dir).unwrap();
+        journal
+            .append(&JournalEvent::Leased {
+                exp: 1,
+                worker: "ws9.slot9".into(),
+                attempt: 3,
+                deadline_ms: system_clock().now_ms() + 60_000,
+            })
+            .unwrap();
         // ... and the campaign died between journaling experiment 2's last
         // failed attempt and its terminal record.
-        let mut journal = Journal::open(&dir).unwrap();
         journal
             .append(&JournalEvent::AttemptFailed {
                 exp: 2,
@@ -1107,10 +1122,8 @@ mod tests {
         }
         assert_eq!((report.reclaimed_leases, report.infrastructure_failures), (1, 2));
         let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
-        assert!(
-            !events.iter().any(|e| matches!(e, JournalEvent::Leased { exp: 1 | 2, .. })),
-            "no fourth attempt was leased"
-        );
+        let past_the_cap = |e: &JournalEvent| matches!(e, JournalEvent::Leased { exp: 1 | 2, attempt, .. } if *attempt > 3);
+        assert!(!events.iter().any(past_the_cap), "no fourth attempt was leased");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1125,65 +1138,15 @@ mod tests {
         let (_, p, specs, _) = small_campaign(50, 37, 3);
         let dir = share("fresh");
         std::fs::create_dir_all(&dir).unwrap();
-        // Leftovers of a larger campaign that ran in this directory.
+        // Leftovers of a larger campaign that ran in this directory,
+        // including the per-experiment files older versions spooled.
         let stale = ["exp00001.lease", "exp00002.result", "exp00007.snap", "exp00099.fault"];
-        for name in stale.iter().chain(&[crate::journal::JOURNAL_FILE]) {
+        for name in stale.iter().chain(&[crate::journal::JOURNAL_FILE, FAULTS_FILE]) {
             std::fs::write(dir.join(name), "stale\n").unwrap();
         }
         let campaign = open_campaign(&dir, &p, &specs);
-        for name in stale {
-            assert!(!dir.join(name).exists(), "{name} survived the fresh start");
-        }
         assert_eq!(campaign.progress(), (0, 3, 0));
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        let fresh = [
-            "campaign.ckpt",
-            "campaign.journal",
-            "exp00000.fault",
-            "exp00001.fault",
-            "exp00002.fault",
-        ];
-        assert_eq!(names, fresh);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_damaged_spooled_fault_file_is_a_campaign_error_not_a_worker_panic() {
-        use crate::transport::CampaignTransport;
-        let (_, p, specs, _) = small_campaign(50, 41, 2);
-        let dir = share("damaged");
-        let campaign = Mutex::new(open_campaign(&dir, &p, &specs));
-        let mut transport = SpoolTransport { campaign: &campaign, share: dir.clone(), ws: 0 };
-        // The share is damaged between spooling and the first claim: an
-        // empty file, then one that is not a fault spec, then none at all.
-        let fault = dir.join("exp00000.fault");
-        let damage: [&dyn Fn(); 3] = [
-            &|| std::fs::write(&fault, "").unwrap(),
-            &|| std::fs::write(&fault, "reg f $").unwrap(),
-            &|| std::fs::remove_file(&fault).unwrap(),
-        ];
-        for (attempt, damage) in (1u64..).zip(damage) {
-            damage();
-            let err = transport.claim("w").unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-            assert!(err.to_string().contains("exp00000.fault"), "names the file: {err}");
-            assert!(!dir.join("exp00000.lease").exists(), "the lease was handed back");
-            // The burned attempt is journaled; the share stays resumable.
-            let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
-            let burned = |e: &JournalEvent| matches!(e, JournalEvent::AttemptFailed { exp: 0, attempt: a, .. } if *a == attempt);
-            assert!(events.iter().any(burned), "attempt {attempt} journaled");
-            std::thread::sleep(Duration::from_millis(5)); // past the retry backoff
-        }
-        // Retries exhausted: the experiment is terminal, the other one
-        // still claimable.
-        let campaign = campaign.lock().unwrap();
-        assert_eq!(campaign.table().count(Outcome::Infrastructure), 1);
-        assert_eq!(campaign.progress(), (1, 2, 0));
-        drop(campaign);
+        assert_campaign_files(&dir, &specs);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1241,9 +1204,7 @@ mod tests {
             assert_eq!(plain.count(o), snapped.count(o), "{o}");
         }
         // Every experiment went terminal, so no snapshot survives.
-        for i in 0..specs.len() {
-            assert!(!snapshot_path(&dir, i).exists(), "exp {i} snapshot cleaned up");
-        }
+        assert_campaign_files(&dir, &specs);
         std::fs::remove_dir_all(&plain_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -228,9 +228,8 @@ impl Shared {
             return ServerMsg::HeartbeatLost;
         };
         match q.campaign.heartbeat(exp, worker, attempt) {
-            Ok(Some(deadline_ms)) => ServerMsg::HeartbeatAck { deadline_ms },
-            Ok(None) => ServerMsg::HeartbeatLost,
-            Err(e) => ServerMsg::Error { reason: format!("heartbeat lease renewal: {e}") },
+            Some(deadline_ms) => ServerMsg::HeartbeatAck { deadline_ms },
+            None => ServerMsg::HeartbeatLost,
         }
     }
 
@@ -353,9 +352,9 @@ pub struct CampaignServer {
 }
 
 impl CampaignServer {
-    /// Seeds every queue's share (spooling fault files and the checkpoint,
-    /// or replaying the journal on resume), binds the listener and starts
-    /// serving.
+    /// Seeds every queue's share (spooling the checkpoint and writing the
+    /// journal header, or replaying the journal on resume), binds the
+    /// listener and starts serving.
     ///
     /// # Errors
     ///

@@ -5,19 +5,17 @@
 //! table ([`crate::now::Campaign`]), and [`ClaimReply`]/[`WorkAssignment`]
 //! are the table's own answer to a claim. The spool backend
 //! ([`SpoolTransport`]) locks the table directly — in-process worker
-//! threads sharing one spool directory, the PR-1 topology. The socket
-//! backend ([`crate::worker::SocketTransport`]) speaks the same verbs over
-//! TCP to a [`crate::server::CampaignServer`], which locks the very same
-//! type on the workers' behalf. The generic worker loop
+//! threads sharing one spool directory — and hands each worker the slot's
+//! own fault spec; the mutex, not the filesystem, arbitrates claims. The
+//! socket backend ([`crate::worker::SocketTransport`]) speaks the same
+//! verbs over TCP to a [`crate::server::CampaignServer`], which locks the
+//! very same type on the workers' behalf. The generic worker loop
 //! ([`crate::worker`]) is written against this trait and cannot tell the
 //! difference — which is the point: every recovery path (reap, backoff,
 //! zombie suppression, journal fold) is tested once and holds on both.
 
 use crate::now::{Campaign, CompletedExperiment};
-use crate::window::fault_path;
-use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
-use std::io::{Error, ErrorKind};
-use std::path::PathBuf;
+use gemfi::{AbortToken, FaultSpec, Outcome};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -132,43 +130,16 @@ pub trait CampaignTransport {
 }
 
 /// The spool-directory backend: in-process worker threads locking the
-/// campaign directly, exactly the PR-1 NoW executor's shape.
+/// campaign directly, the NoW executor's shape.
 pub(crate) struct SpoolTransport<'a> {
     pub(crate) campaign: &'a Mutex<Campaign>,
-    pub(crate) share: PathBuf,
     /// Workstation index for load-balance accounting.
     pub(crate) ws: usize,
 }
 
 impl CampaignTransport for SpoolTransport<'_> {
     fn claim(&mut self, worker: &str) -> std::io::Result<ClaimReply> {
-        let reply = self.campaign.lock().expect("campaign mutex").try_claim("spool", worker, 0)?;
-        let ClaimReply::Work(mut work) = reply else { return Ok(reply) };
-        // Execute the *spooled* fault file, not the in-memory spec: the
-        // share artifact is the protocol artifact a physical cluster would
-        // exchange, so the round-trip stays exercised.
-        let path = fault_path(&self.share, work.exp);
-        let spooled = FaultConfig::load(&path).and_then(|cfg| match *cfg.faults() {
-            [spec] => Ok(spec),
-            ref faults => Err(Error::new(
-                ErrorKind::InvalidData,
-                format!("holds {} faults, expected one", faults.len()),
-            )),
-        });
-        match spooled {
-            Ok(spec) => {
-                work.spec = spec;
-                Ok(ClaimReply::Work(work))
-            }
-            Err(e) => {
-                // A damaged share ends this worker with a campaign-level
-                // error, after handing the lease back (one burned attempt)
-                // so the share it leaves behind is resumable.
-                let reason = format!("spooled fault file {}: {e}", path.display());
-                self.report_failure(worker, &work, &reason)?;
-                Err(Error::new(ErrorKind::InvalidData, reason))
-            }
-        }
+        self.campaign.lock().expect("campaign mutex").try_claim("spool", worker, 0)
     }
 
     fn report_result(

@@ -1,15 +1,16 @@
 //! The open window of a campaign's slot table: its fault-tolerance policy,
-//! the acknowledgement a report earns, and the per-experiment artifacts on
-//! the share.
+//! the acknowledgement a report earns, and the names of the files it leaves
+//! on the share.
 //!
 //! The table itself — one slot per drawn experiment, `pending → leased →
 //! terminal`, with claims, heartbeats, the reaper and reports as its
 //! transitions — is [`crate::now::Campaign`]; a round's *window* is the
 //! table's open range, the only slots a claim looks at. Whichever transport
 //! the workers arrive by, everything an attempt's lifecycle touches — the
-//! journal append, the lease file, the retry backoff, the result spool file
-//! — happens inside that one type, so a recovery-path fix lands on both
-//! backends at once.
+//! lease, the journal append, the retry backoff — happens inside that one
+//! type, so a recovery-path fix lands on both backends at once. The lease
+//! lives only in the table and the journal; no per-experiment file is
+//! written besides an optional mid-run snapshot.
 //!
 //! All timing goes through an injected [`Clock`](crate::clock::Clock): the
 //! tests below drive lease expiry, reaping, capped backoff and whole seeded
@@ -49,15 +50,9 @@ pub enum ReportAck {
     Stale,
 }
 
-/// The fault-configuration spool file for experiment `i`.
-pub(crate) fn fault_path(share: &Path, i: usize) -> PathBuf {
-    share.join(format!("exp{i:05}.fault"))
-}
-
-/// The result spool file for experiment `i`.
-pub(crate) fn result_path(share: &Path, i: usize) -> PathBuf {
-    share.join(format!("exp{i:05}.result"))
-}
+/// The share's fault-configuration file: the paper's Listing-1 format, line
+/// `i` for experiment `i`, written for the record and never read back.
+pub(crate) const FAULTS_FILE: &str = "campaign.faults";
 
 /// The mid-run snapshot file for experiment `i` (crash-resume state; local
 /// scratch, deleted on terminal completion).
@@ -66,7 +61,7 @@ pub(crate) fn snapshot_path(share: &Path, i: usize) -> PathBuf {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::adaptive::{AdaptiveConfig, CellKind, Plan};
     use crate::clock::TestClock;
@@ -77,9 +72,23 @@ mod tests {
     use crate::runner::{prepare_workload, PreparedWorkload};
     use crate::sampler::{FaultSampler, LocationClass};
     use crate::transport::{ClaimReply, WorkAssignment};
-    use gemfi::{AbortToken, Outcome};
+    use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
     use gemfi_workloads::pi::MonteCarloPi;
     use std::sync::{Arc, OnceLock};
+
+    /// The share contract: a campaign's share holds exactly its checkpoint,
+    /// its journal and `campaign.faults`, which lists `specs` — the slot
+    /// specs — in experiment order.
+    pub(crate) fn assert_campaign_files(dir: &Path, specs: &[FaultSpec]) {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["campaign.ckpt", "campaign.faults", "campaign.journal"]);
+        let listed = FaultConfig::load(&dir.join(FAULTS_FILE)).unwrap();
+        assert_eq!(listed.faults(), specs);
+    }
 
     /// The one simulator run of this module: a checkpoint to spool and a
     /// fault space to sample. Every outcome below is supplied by the test.
@@ -107,9 +116,13 @@ mod tests {
         }
     }
 
-    fn fixed_plan(n: usize) -> Plan {
+    fn fixed_specs(n: usize) -> Vec<FaultSpec> {
         let mut sampler = FaultSampler::new(9, prepared().stage_events, 0, 0);
-        Plan::fixed((0..n).map(|_| sampler.sample_any()).collect())
+        (0..n).map(|_| sampler.sample_any()).collect()
+    }
+
+    fn fixed_plan(n: usize) -> Plan {
+        Plan::fixed(fixed_specs(n))
     }
 
     /// A fresh fixed-n campaign of `n` experiments on its own share.
@@ -182,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_go_terminal_with_result_file() {
+    fn exhausted_retries_go_terminal() {
         let clock = TestClock::at(0);
         let dir = share("exhaust");
         let mut c = campaign("exhaust", 2, &clock, SchedulerPolicy { max_attempts: 2, ..policy() });
@@ -200,7 +213,28 @@ mod tests {
         assert_eq!((records[0].exp, records[0].outcome), (0, Outcome::Infrastructure));
         assert_eq!(records[0].attempts, 2);
         assert_eq!(c.table().count(Outcome::Infrastructure), 1);
-        assert!(result_path(&dir, 0).exists(), "infra failure writes a result");
+        assert_campaign_files(&dir, &fixed_specs(2));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_retried_report_is_journaled_once() {
+        let clock = TestClock::at(0);
+        let dir = share("retried-report");
+        let mut c = campaign("retried-report", 1, &clock, policy());
+        let ClaimReply::Work(work) = c.try_claim("q", "w", 0).unwrap() else { panic!() };
+        // A directory where a result file would go: a report that still
+        // wrote one would fail after journaling `done`, and so would its
+        // retry.
+        std::fs::create_dir_all(dir.join("exp00000.result")).unwrap();
+        let acks: Vec<_> =
+            (0..2).map(|_| c.report_done("w", None, done(&work, Outcome::Sdc), "halted")).collect();
+        let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
+        let done_lines = events.iter().filter(|e| matches!(e, JournalEvent::Done { .. })).count();
+        assert_eq!(done_lines, 1, "one `done` line per experiment, however often it is reported");
+        let acks: Vec<_> = acks.into_iter().map(Result::unwrap).collect();
+        assert_eq!(acks, [ReportAck::Accepted, ReportAck::Stale]);
+        assert_eq!(c.table().total(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -210,16 +244,16 @@ mod tests {
         let mut c = campaign("hb", 1, &clock, policy());
         let (exp, attempt, abort) = claim(&mut c, "w0");
         clock.advance(900);
-        let renewed = c.heartbeat(exp, "w0", attempt).unwrap().expect("owner renews");
+        let renewed = c.heartbeat(exp, "w0", attempt).expect("owner renews");
         assert_eq!(renewed, 900 + 1_000);
         // Past the *original* deadline: the renewed lease holds.
         clock.advance(200);
         assert!(is_idle(&mut c, "w1", 0));
         assert!(!abort.is_aborted(), "renewed lease is not reaped");
         // Strangers, stale attempts and unknown experiments cannot renew.
-        assert_eq!(c.heartbeat(exp, "w1", attempt).unwrap(), None);
-        assert_eq!(c.heartbeat(exp, "w0", attempt + 1).unwrap(), None);
-        assert_eq!(c.heartbeat(exp + 7, "w0", attempt).unwrap(), None);
+        assert_eq!(c.heartbeat(exp, "w1", attempt), None);
+        assert_eq!(c.heartbeat(exp, "w0", attempt + 1), None);
+        assert_eq!(c.heartbeat(exp + 7, "w0", attempt), None);
         // Silence past the renewed deadline: reaped after all.
         clock.advance(1_000);
         let _ = c.try_claim("q", "w1", 0).unwrap();
@@ -387,7 +421,7 @@ mod tests {
                 }
                 70..=77 if !in_flight.is_empty() => {
                     let work = &in_flight[pick(&mut rng, in_flight.len())];
-                    c.heartbeat(work.exp, &format!("w{}", rng.below(3)), work.attempt).unwrap();
+                    c.heartbeat(work.exp, &format!("w{}", rng.below(3)), work.attempt);
                 }
                 // A report whose sender stays in flight: its second report
                 // (or the first, if the reaper got there before) is a zombie's.
@@ -422,7 +456,8 @@ mod tests {
         assert_eq!(end.records.len() as u64, drawn);
         assert!(end.records.iter().all(|&(_, attempts)| attempts <= max_attempts));
         // The journal holds exactly one terminal event per experiment and
-        // no lease past the attempt cap; the share holds no lease file.
+        // no lease past the attempt cap; the share holds no per-experiment
+        // file.
         let mut terminal_events = vec![0; drawn as usize];
         for event in Journal::replay(&Journal::path_in(&dir)).unwrap() {
             match event {
@@ -434,10 +469,10 @@ mod tests {
             }
         }
         assert!(terminal_events.iter().all(|&n| n == 1), "{terminal_events:?}");
-        let leases = std::fs::read_dir(&dir).unwrap().filter(|entry| {
-            entry.as_ref().unwrap().path().extension().is_some_and(|ext| ext == "lease")
+        let per_experiment = std::fs::read_dir(&dir).unwrap().filter(|entry| {
+            entry.as_ref().unwrap().file_name().to_string_lossy().starts_with("exp")
         });
-        assert_eq!(leases.count(), 0, "no lease outlives the campaign");
+        assert_eq!(per_experiment.count(), 0, "no per-experiment file on the share");
         // Replaying the finished journal reproduces the live table: the
         // state an experiment reports from is the state replay yields.
         drop(c);

@@ -54,8 +54,8 @@ impl FlatObject {
         self.strings.get(key).cloned().ok_or_else(|| format!("missing string field `{key}`"))
     }
 
-    /// A worker or queue name: a string that ends up verbatim in
-    /// line-oriented files (leases) and directory names, so control
+    /// A worker or queue name: a string that ends up in journal and
+    /// `status` lines, plain-text summaries and directory names, so control
     /// characters — which [`parse_string`] happily decodes — are refused.
     fn name_field(&self, key: &str) -> Result<String, String> {
         let name = self.str_field(key)?;
@@ -638,8 +638,8 @@ mod tests {
 
     #[test]
     fn names_with_control_characters_are_refused() {
-        // `"w\nattempt=99"` would otherwise reach the line-oriented lease
-        // file verbatim and parse back as worker `w`.
+        // `"w\nattempt=99"` would otherwise split every plain-text line
+        // the name is printed in.
         let hostile = "w\nattempt=99";
         let requests = [
             ClientMsg::Hello { worker: hostile.into(), proto: PROTO_VERSION },

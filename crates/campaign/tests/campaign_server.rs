@@ -12,13 +12,13 @@
 //!   agree with the spool backend;
 //! - the `STATUS` endpoint streams live per-queue and per-cell metrics;
 //! - a worker name carrying a newline is refused by the protocol parser
-//!   before it can forge a lease file's `attempt=` line.
+//!   before it reaches the journal.
 
 use gemfi_campaign::wire::{read_line, write_line};
 use gemfi_campaign::{
     prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_socket_worker,
-    AdaptiveConfig, CampaignServer, CellKind, ClientMsg, FaultSampler, NowConfig, QueueKind,
-    QueueSpec, RunnerConfig, ServerConfig, WorkerOptions, PROTO_VERSION,
+    AdaptiveConfig, CampaignServer, CellKind, ClientMsg, FaultSampler, Journal, JournalEvent,
+    NowConfig, QueueKind, QueueSpec, RunnerConfig, ServerConfig, WorkerOptions, PROTO_VERSION,
 };
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::Workload;
@@ -130,8 +130,8 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
     assert_eq!(num_field(qline, "leased"), 1, "orphaned lease outstanding: {qline}");
     assert_eq!(num_field(qline, "done"), 0);
 
-    // Phase 2: kill the server mid-campaign. Journal and lease files stay
-    // on the share.
+    // Phase 2: kill the server mid-campaign. The journal, with the dead
+    // worker's dangling `leased` line, stays on the share.
     let partial = server1.shutdown().unwrap();
     assert!(partial.queues[0].table.total() < specs.len() as u64);
 
@@ -169,6 +169,18 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
     let mut want: Vec<_> = baseline_completed.iter().map(|c| (c.exp, c.outcome)).collect();
     want.sort_unstable_by_key(|(exp, _)| *exp);
     assert_eq!(got, want);
+
+    // The queue's share holds the campaign's files and nothing per
+    // experiment; `campaign.faults` lists the specs in experiment order.
+    let queue_share = share.join("pi-fixed");
+    let mut names: Vec<_> = std::fs::read_dir(&queue_share)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["campaign.ckpt", "campaign.faults", "campaign.journal"]);
+    let listed = gemfi::FaultConfig::load(&queue_share.join("campaign.faults")).unwrap();
+    assert_eq!(listed.faults(), specs);
 }
 
 #[test]
@@ -321,7 +333,7 @@ fn adaptive_campaign_over_the_socket_matches_the_spool_backend() {
 }
 
 #[test]
-fn a_worker_name_with_a_newline_is_refused_before_it_reaches_a_lease_file() {
+fn a_worker_name_with_a_newline_is_refused_before_it_reaches_the_journal() {
     let w = pi_workload();
     let prepared = prepare_workload(&w).unwrap();
     let mut sampler = FaultSampler::new(5, prepared.stage_events, 0, 0);
@@ -343,16 +355,18 @@ fn a_worker_name_with_a_newline_is_refused_before_it_reaches_a_lease_file() {
         write_line(&mut stream, &msg.to_json()).unwrap();
         read_line(&mut reader).unwrap().unwrap()
     };
+    // The lease owners the queue's journal records.
     let leases = || {
-        let dir = std::fs::read_dir(share.join("pi-fixed")).unwrap();
-        dir.map(|entry| entry.unwrap().path())
-            .filter(|path| path.extension().is_some_and(|ext| ext == "lease"))
-            .collect::<Vec<_>>()
+        let events = Journal::replay(&Journal::path_in(&share.join("pi-fixed"))).unwrap();
+        let owner = |e: JournalEvent| match e {
+            JournalEvent::Leased { worker, .. } => Some(worker),
+            _ => None,
+        };
+        events.into_iter().filter_map(owner).collect::<Vec<_>>()
     };
 
-    // Written verbatim into the line-oriented lease file this name would
-    // parse back as owner `w` on attempt 99: every renewal would mismatch
-    // and every attempt of the worker would be aborted and burned.
+    // A name that spans lines would split every plain-text line it is
+    // printed in, such as `gemfi_serve`'s `workers:` summary.
     let hostile = "w\nattempt=99";
     for msg in [
         ClientMsg::Hello { worker: hostile.to_string(), proto: PROTO_VERSION },
@@ -360,13 +374,12 @@ fn a_worker_name_with_a_newline_is_refused_before_it_reaches_a_lease_file() {
     ] {
         let reply = ask(msg);
         assert!(reply.contains("\"error\"") && reply.contains("control character"), "{reply}");
-        assert_eq!(leases(), Vec::<PathBuf>::new(), "no lease for a refused name");
+        assert_eq!(leases(), Vec::<String>::new(), "no lease for a refused name");
     }
 
     // The connection survives the refusal, and an honest name owns its lease.
     let reply = ask(ClientMsg::Claim { worker: "w".to_string() });
     assert!(reply.contains("\"work\""), "{reply}");
-    let [lease] = leases().try_into().expect("one lease");
-    assert_eq!(std::fs::read_to_string(lease).unwrap().lines().next(), Some("worker=w"));
+    assert_eq!(leases(), ["w"]);
     let _ = server.shutdown().unwrap();
 }

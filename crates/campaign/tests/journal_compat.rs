@@ -11,6 +11,13 @@
 //! `chaos: ChaosConfig { panic_on: vec![(3, 1)], halt_after: Some(5) }`
 //! (`Some(15)` for the adaptive one) on `NowConfig::new(2, 1, dir)` and copy
 //! `campaign.journal` out of the share.
+//!
+//! `fixed_pi_midflight/` is a share cut the way `kill -9` cuts it, written
+//! by the version that still kept a lease file per experiment: the fixed-n
+//! campaign below on `NowConfig::new(2, 1, dir)`, two experiments done, one
+//! attempt failed, and two `leased` lines nothing resolved, with the two
+//! `.lease` files that process left behind. Resume must find both orphans
+//! in the journal alone.
 
 use gemfi::{FaultSpec, Outcome};
 use gemfi_campaign::{
@@ -34,12 +41,26 @@ fn share(tag: &str) -> PathBuf {
     dir
 }
 
-/// A share as the killed campaign left it: its journal and the spooled
-/// checkpoint. Returns how many experiments the journal holds as terminal.
+/// The fixed-n campaign's specs.
+fn fixed_specs(prepared: &PreparedWorkload) -> Vec<FaultSpec> {
+    let mut sampler = FaultSampler::new(SEED, prepared.stage_events, 0, 0);
+    (0..12).map(|_| sampler.sample_any()).collect()
+}
+
+/// A share as the killed campaign left it: its journal (a fixture file) or
+/// every file of a fixture directory, and the spooled checkpoint. Returns
+/// how many experiments the journal holds as terminal.
 fn plant(dir: &Path, fixture: &str, prepared: &PreparedWorkload) -> usize {
     std::fs::create_dir_all(dir).unwrap();
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
-    std::fs::copy(fixture, Journal::path_in(dir)).unwrap();
+    if fixture.is_dir() {
+        for entry in std::fs::read_dir(&fixture).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+    } else {
+        std::fs::copy(fixture, Journal::path_in(dir)).unwrap();
+    }
     prepared.checkpoint.save(&dir.join("campaign.ckpt")).unwrap();
     let events = Journal::replay(&Journal::path_in(dir)).unwrap();
     events
@@ -56,8 +77,7 @@ fn resuming(dir: &Path) -> NowConfig {
 fn a_fixed_n_journal_from_before_the_refactor_resumes() {
     let (w, p) = guest();
     let runner = RunnerConfig::default();
-    let mut sampler = FaultSampler::new(SEED, p.stage_events, 0, 0);
-    let specs: Vec<FaultSpec> = (0..12).map(|_| sampler.sample_any()).collect();
+    let specs = fixed_specs(&p);
 
     let fresh_dir = share("fixed-fresh");
     let (fresh, fresh_records, _) =
@@ -80,6 +100,52 @@ fn a_fixed_n_journal_from_before_the_refactor_resumes() {
     for (r, f) in records.iter().zip(&fresh_records) {
         assert_eq!((r.exp, r.outcome, r.ticks), (f.exp, f.outcome, f.ticks));
     }
+    std::fs::remove_dir_all(&fresh_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_share_cut_mid_flight_reclaims_its_orphans_from_the_journal() {
+    let (w, p) = guest();
+    let runner = RunnerConfig::default();
+    let specs = fixed_specs(&p);
+
+    let fresh_dir = share("midflight-fresh");
+    let (fresh, fresh_records, _) =
+        run_campaign_now(&p, &w, &specs, &runner, &NowConfig::new(2, 1, &fresh_dir)).unwrap();
+
+    let dir = share("midflight-cut");
+    assert_eq!(plant(&dir, "fixed_pi_midflight", &p), 2, "experiments 0 and 2 finished");
+    let (table, records, report) =
+        run_campaign_now(&p, &w, &specs, &runner, &resuming(&dir)).unwrap();
+
+    assert_eq!(report.resumed, 2);
+    assert_eq!(report.reclaimed_leases, 2, "the dangling leases on experiments 3 and 4");
+    assert_eq!(report.per_workstation.iter().sum::<usize>(), specs.len() - 2);
+    // Experiment 1 failed once; 3 and 4 each lost an attempt to the kill.
+    let attempts: Vec<_> = records.iter().map(|r| r.attempts).collect();
+    assert_eq!(attempts, [1, 2, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1]);
+    assert_eq!(table, fresh);
+    for (r, f) in records.iter().zip(&fresh_records) {
+        assert_eq!((r.exp, r.outcome, r.ticks), (f.exp, f.outcome, f.ticks));
+    }
+    // Each orphan's burned attempt is journaled against the worker that
+    // held it, so a second resume does not reclaim it again.
+    let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
+    let burned: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            JournalEvent::AttemptFailed { exp, attempt: 1, worker, reason, .. }
+                if reason.starts_with("orphaned lease") =>
+            {
+                Some((*exp, worker.as_str()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(burned, [(3, "ws1.slot0"), (4, "ws0.slot0")]);
+    let (_, _, again) = run_campaign_now(&p, &w, &specs, &runner, &resuming(&dir)).unwrap();
+    assert_eq!((again.resumed, again.reclaimed_leases), (specs.len(), 0));
     std::fs::remove_dir_all(&fresh_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -98,11 +98,16 @@ fn interrupted_campaign_resumes_and_completes_every_experiment_exactly_once() {
         }
     }
     assert_eq!(done_per_exp, vec![1; EXPERIMENTS], "every experiment done exactly once");
-    // And every result file is spooled.
-    for i in 0..EXPERIMENTS {
-        assert!(dir.join(format!("exp{i:05}.result")).exists(), "result {i} spooled");
-        assert!(!dir.join(format!("exp{i:05}.lease")).exists(), "lease {i} released");
-    }
+    // And the share holds the campaign's files and nothing per experiment:
+    // `campaign.faults` lists the specs in experiment order.
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["campaign.ckpt", "campaign.faults", "campaign.journal"]);
+    let listed = gemfi::FaultConfig::load(&dir.join("campaign.faults")).unwrap();
+    assert_eq!(listed.faults(), specs);
     std::fs::remove_dir_all(&dir).ok();
 }
 
