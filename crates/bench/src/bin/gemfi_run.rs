@@ -40,7 +40,7 @@ use gemfi::{FaultConfig, GemFiEngine, Outcome};
 use gemfi_bench::Args;
 use gemfi_campaign::{
     prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_experiment_multi,
-    AdaptiveConfig, CellKind, FaultSampler, NowConfig, RunnerConfig,
+    AdaptiveConfig, CellKind, FaultSampler, NowConfig, NowReport, OutcomeTable, RunnerConfig,
 };
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig};
@@ -151,33 +151,28 @@ fn run_campaign_mode(
         config.resume,
     );
 
-    match run_campaign_now(&prepared, workload, &specs, &runner, &config) {
-        Ok((table, _, report)) => {
-            println!("\n{table}");
-            println!("acceptable: {:.1}%", table.acceptable_fraction() * 100.0);
-            println!(
-                "wall {:.2?} | resumed {} | retries {} | reclaimed leases {} | infra failures {}",
-                report.wall,
-                report.resumed,
-                report.retries,
-                report.reclaimed_leases,
-                report.infrastructure_failures,
-            );
-            if table.count(Outcome::Infrastructure) > 0 {
-                std::process::exit(3);
-            }
-            std::process::exit(0);
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            eprintln!("campaign interrupted: {e}");
-            eprintln!("re-run with --resume to finish");
-            std::process::exit(4);
-        }
-        Err(e) => {
+    let (table, _, report) = run_campaign_now(&prepared, workload, &specs, &runner, &config)
+        .unwrap_or_else(|e| {
             eprintln!("campaign failed: {e}");
             std::process::exit(1);
-        }
-    }
+        });
+    println!("\n{table}");
+    conclude(&table, &report);
+}
+
+/// Prints a finished campaign's summary lines and exits: 3 when any
+/// experiment ended as an infrastructure failure, 0 otherwise.
+fn conclude(table: &OutcomeTable, report: &NowReport) -> ! {
+    println!("acceptable: {:.1}%", table.acceptable_fraction() * 100.0);
+    println!(
+        "wall {:.2?} | resumed {} | retries {} | reclaimed leases {} | infra failures {}",
+        report.wall,
+        report.resumed,
+        report.retries,
+        report.reclaimed_leases,
+        report.infrastructure_failures,
+    );
+    std::process::exit(if table.count(Outcome::Infrastructure) > 0 { 3 } else { 0 });
 }
 
 /// Adaptive mode: sequential sampling with per-cell early stopping.
@@ -229,34 +224,15 @@ fn run_adaptive_campaign(
         config.resume,
     );
 
-    match run_campaign_adaptive_now(prepared, workload, runner, config, &adaptive, seed) {
-        Ok((outcome, report)) => {
-            println!("\n{outcome}");
-            println!("pooled: {}", outcome.table);
-            println!("acceptable: {:.1}%", outcome.table.acceptable_fraction() * 100.0);
-            println!(
-                "wall {:.2?} | resumed {} | retries {} | reclaimed leases {} | infra failures {}",
-                report.wall,
-                report.resumed,
-                report.retries,
-                report.reclaimed_leases,
-                report.infrastructure_failures,
-            );
-            if outcome.table.count(Outcome::Infrastructure) > 0 {
-                std::process::exit(3);
-            }
-            std::process::exit(0);
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            eprintln!("adaptive campaign interrupted: {e}");
-            eprintln!("re-run with --resume to finish");
-            std::process::exit(4);
-        }
-        Err(e) => {
-            eprintln!("adaptive campaign failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (outcome, report) =
+        run_campaign_adaptive_now(prepared, workload, runner, config, &adaptive, seed)
+            .unwrap_or_else(|e| {
+                eprintln!("adaptive campaign failed: {e}");
+                std::process::exit(1);
+            });
+    println!("\n{outcome}");
+    println!("pooled: {}", outcome.table);
+    conclude(&outcome.table, &report);
 }
 
 fn main() {

@@ -45,7 +45,6 @@ use crate::runner::{
 use gemfi::{AbortToken, FaultSpec, FireDistance, GemFiEngine};
 use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::Workload;
-use std::sync::Mutex;
 
 /// Upper bound on matching stage events the guest can serve per tick, used
 /// to convert an event-distance into a safe tick advance. Deliberately
@@ -57,9 +56,6 @@ pub const MAX_EVENTS_PER_TICK: u64 = 16;
 /// Fork-at-injection tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForkConfig {
-    /// Worker threads driving forked suffixes. `<= 1` runs sequentially on
-    /// the caller's thread (the bench's like-for-like ablation mode).
-    pub workers: usize,
     /// Safety margin, in stage events / ticks, kept between the fork point
     /// and the earliest point the fault could fire. Larger values fork
     /// earlier (longer suffixes); smaller values risk overshoot fallbacks.
@@ -68,7 +64,7 @@ pub struct ForkConfig {
 
 impl Default for ForkConfig {
     fn default() -> ForkConfig {
-        ForkConfig { workers: 1, slack: 512 }
+        ForkConfig { slack: 512 }
     }
 }
 
@@ -175,11 +171,11 @@ pub fn drive_suffix(
     drive_to_completion(&mut suffix.machine, runner, abort, origin, &mut unobserved)
 }
 
-/// Runs a whole campaign fork-at-injection style: plan, drive (optionally
-/// across [`ForkConfig::workers`] threads), classify. Results come back in
-/// experiment order and are element-wise equivalent to running
-/// [`crate::runner::run_experiment`] per spec — bit-identical machine
-/// states included, which `tests/fork_prefix_conformance.rs` enforces.
+/// Runs a whole campaign fork-at-injection style: plan, then drive and
+/// classify each suffix in turn. Results come back in experiment order and
+/// are element-wise equivalent to running [`crate::runner::run_experiment`]
+/// per spec — bit-identical machine states included, which
+/// `tests/fork_prefix_conformance.rs` enforces.
 pub fn run_campaign_forked(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
@@ -187,36 +183,10 @@ pub fn run_campaign_forked(
     runner: &RunnerConfig,
     fork: &ForkConfig,
 ) -> Vec<ExperimentResult> {
-    let suffixes = plan_suffixes(prepared, specs, runner, fork);
-    let drive_one = |mut s: ForkedSuffix| {
-        let drove = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
-        (s, drove)
-    };
-    let driven: Vec<(ForkedSuffix, (RunExit, bool))> = if fork.workers <= 1 {
-        suffixes.into_iter().map(drive_one).collect()
-    } else {
-        // Fan out over a shared work queue; classification stays on the
-        // caller's thread (`&dyn Workload` need not be `Sync`), so workers
-        // hand whole machines back.
-        let queue = Mutex::new(suffixes);
-        let driven = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..fork.workers {
-                scope.spawn(|| loop {
-                    let next = queue.lock().expect("queue lock").pop();
-                    let Some(suffix) = next else { break };
-                    let done = drive_one(suffix);
-                    driven.lock().expect("result lock").push(done);
-                });
-            }
-        });
-        driven.into_inner().expect("workers joined")
-    };
-
-    // Classify and restore experiment order.
     let origin = prepared.checkpoint.tick();
     let mut results: Vec<Option<ExperimentResult>> = specs.iter().map(|_| None).collect();
-    for (s, drove) in driven {
+    for mut s in plan_suffixes(prepared, specs, runner, fork) {
+        let drove = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
         let spec = specs[s.index];
         results[s.index] =
             Some(finish_result(&s.machine, origin, prepared, workload, spec, drove, None));
@@ -264,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn late_faults_actually_fork_and_parallel_agrees_with_sequential() {
+    fn late_faults_actually_fork() {
         let w = small_pi();
         let p = prepare_workload(&w).unwrap();
         let runner = RunnerConfig::default();
@@ -276,14 +246,6 @@ mod tests {
         );
         for s in planned.iter().filter(|s| s.forked_at.is_some()) {
             assert!(s.forked_at.unwrap() > p.checkpoint.tick(), "fork lies past the checkpoint");
-        }
-        let seq = run_campaign_forked(&p, &w, &specs, &runner, &ForkConfig::default());
-        let par =
-            run_campaign_forked(&p, &w, &specs, &runner, &ForkConfig { workers: 3, slack: 512 });
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.ticks, b.ticks);
-            assert_eq!(a.injections, b.injections);
         }
     }
 

@@ -533,9 +533,9 @@ impl CampaignState {
         Ok(())
     }
 
-    /// Replays the journal on `share` and validates it against this
-    /// campaign's identity: `expected` is the header a fresh start of the
-    /// very same campaign would write (for the checkpoint now on the
+    /// Folds a replayed journal's `events` after validating them against
+    /// this campaign's identity: `expected` is the header a fresh start of
+    /// the very same campaign would write (for the checkpoint now on the
     /// share). Identity checks come before state folding so a journal from
     /// a different campaign reports the mismatch, not a confusing
     /// out-of-range experiment.
@@ -543,10 +543,11 @@ impl CampaignState {
     /// # Errors
     ///
     /// [`ErrorKind::InvalidData`] when the journal has no header, belongs
-    /// to a different campaign, or is inconsistent; I/O errors from reading
-    /// it.
-    pub(crate) fn replay(share: &Path, expected: &JournalEvent) -> std::io::Result<CampaignState> {
-        let events = Journal::replay(&Journal::path_in(share))?;
+    /// to a different campaign, or is inconsistent.
+    pub(crate) fn replay(
+        events: &[JournalEvent],
+        expected: &JournalEvent,
+    ) -> std::io::Result<CampaignState> {
         let invalid = |e: String| Error::new(ErrorKind::InvalidData, e);
         let found = events
             .iter()
@@ -555,7 +556,7 @@ impl CampaignState {
             })
             .ok_or_else(|| invalid("journal has no campaign header".to_string()))?;
         let experiments = check_identity(found, expected).map_err(invalid)?;
-        CampaignState::from_events(&events, experiments).map_err(invalid)
+        CampaignState::from_events(events, experiments).map_err(invalid)
     }
 }
 

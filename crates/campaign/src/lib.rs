@@ -59,8 +59,7 @@ pub use fork::{drive_suffix, plan_suffixes, run_campaign_forked, ForkConfig, For
 pub use journal::{Journal, JournalEvent};
 pub use lease::{Lease, LeaseDir};
 pub use now::{
-    run_campaign_adaptive_now, run_campaign_now, ChaosConfig, CompletedExperiment, NowConfig,
-    NowReport,
+    run_campaign_adaptive_now, run_campaign_now, CompletedExperiment, NowConfig, NowReport,
 };
 pub use report::OutcomeTable;
 pub use rng::SplitMix64;

@@ -63,13 +63,15 @@
 //!   snapshots ([`crate::snapshot`]) onto the share; a retried attempt
 //!   resumes from the last snapshot instead of re-running from the
 //!   campaign checkpoint.
-//! - A killed campaign resumes: with [`NowConfig::resume`] the campaign
-//!   replays the journal, verifies it belongs to this campaign (the header
-//!   a fresh start would write: experiment count and fault-spec digest, or
-//!   seed, stopping rule and cell set — and the checkpoint digest),
-//!   reclaims the orphans replay finds, and schedules only the unfinished
-//!   remainder. The merged [`OutcomeTable`] and every adaptive per-cell
-//!   decision are identical to an uninterrupted run.
+//! - A killed campaign resumes. Appends are flushed in order, so `kill -9`
+//!   leaves a prefix of the journal, perhaps with a torn last line. With
+//!   [`NowConfig::resume`] the campaign replays it, verifies it belongs to
+//!   this campaign (the header a fresh start would write: experiment count
+//!   and fault-spec digest, or seed, stopping rule and cell set — and the
+//!   checkpoint digest), reclaims the orphans replay finds, and schedules
+//!   only the unfinished remainder; a prefix without one complete line is a
+//!   fresh start. The merged [`OutcomeTable`] and every adaptive per-cell
+//!   decision are identical to an uninterrupted run, whatever the cut.
 //!
 //! [`AbortToken`]: gemfi::AbortToken
 
@@ -91,19 +93,6 @@ use std::io::{Error, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Deterministic failure injection for testing the campaign harness itself.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosConfig {
-    /// `(experiment, attempt)` pairs whose execution panics (a simulated
-    /// workstation crash). Attempts are 1-based.
-    pub panic_on: Vec<(usize, u64)>,
-    /// Stop claiming after this many experiments finish *in this process*
-    /// and return [`ErrorKind::Interrupted`] — a controlled stand-in for
-    /// `kill -9` on the campaign driver. The journal survives; resume
-    /// finishes the rest.
-    pub halt_after: Option<usize>,
-}
 
 /// Cluster shape and fault-tolerance policy.
 #[derive(Debug, Clone)]
@@ -132,8 +121,6 @@ pub struct NowConfig {
     /// The clock leases and backoffs are judged by. Production uses
     /// [`system_clock`]; tests inject a [`crate::clock::TestClock`].
     pub clock: Arc<dyn Clock>,
-    /// Failure injection for harness tests.
-    pub chaos: ChaosConfig,
 }
 
 impl NowConfig {
@@ -155,7 +142,6 @@ impl NowConfig {
             resume: false,
             snapshot_ticks: 0,
             clock: system_clock(),
-            chaos: ChaosConfig::default(),
         }
     }
 
@@ -170,7 +156,6 @@ impl NowConfig {
             max_attempts: self.max_attempts(),
             backoff_ms: self.retry_backoff.as_millis() as u64,
             idle_backoff_ms: 1,
-            halt_after: self.chaos.halt_after,
         }
     }
 }
@@ -259,12 +244,8 @@ pub(crate) struct Campaign {
     resumed: usize,
     retries: u64,
     reclaimed: u64,
-    /// Experiments that went terminal in this process (the chaos halt's
-    /// count).
-    finished_here: usize,
     per_ws: Vec<usize>,
     per_worker: BTreeMap<String, usize>,
-    halted: bool,
     done: bool,
 }
 
@@ -273,10 +254,12 @@ impl Campaign {
     /// fresh start clears stale run artifacts, spools the checkpoint
     /// (step 2) and writes the identity header; `resume` over an existing
     /// journal replays it instead, after verifying it was recorded for
-    /// this very campaign and the checkpoint still on the share. Either
-    /// way `campaign.faults` is rewritten as the plan draws its rounds.
-    /// `workstations` sizes the spool load-balance vector (0 for the
-    /// server).
+    /// this very campaign and the checkpoint still on the share. A journal
+    /// that replays no event — the process died between creating it and
+    /// appending the header — records nothing, so resuming it is a fresh
+    /// start. Either way `campaign.faults` is rewritten as the plan draws
+    /// its rounds. `workstations` sizes the spool load-balance vector (0
+    /// for the server).
     ///
     /// # Errors
     ///
@@ -293,12 +276,18 @@ impl Campaign {
     ) -> std::io::Result<Campaign> {
         std::fs::create_dir_all(share)?;
         let ckpt_path = share.join("campaign.ckpt");
-        let resuming = resume && Journal::path_in(share).exists();
+        let journal_path = Journal::path_in(share);
+        let events = if resume && journal_path.exists() {
+            Journal::replay(&journal_path)?
+        } else {
+            Vec::new()
+        };
+        let resuming = !events.is_empty();
         let replay = if resuming {
             // The checkpoint must be the very one the journal was recorded
             // against; compare digests before trusting any replayed outcome.
             let spooled = Checkpoint::load_header(&ckpt_path)?;
-            CampaignState::replay(share, &plan.header(spooled.digest))?
+            CampaignState::replay(&events, &plan.header(spooled.digest))?
         } else {
             clear_run_artifacts(share)?;
             prepared.checkpoint.save(&ckpt_path)?;
@@ -323,10 +312,8 @@ impl Campaign {
             resumed: 0,
             retries: 0,
             reclaimed: 0,
-            finished_here: 0,
             per_ws: vec![0; workstations],
             per_worker: BTreeMap::new(),
-            halted: false,
             done: false,
         };
         campaign.advance()?;
@@ -339,7 +326,7 @@ impl Campaign {
     /// seeded from the replayed journal — until one has experiments left to
     /// execute or the plan is exhausted (the campaign is done).
     fn advance(&mut self) -> std::io::Result<()> {
-        while !self.done && !self.halted && self.open == 0 {
+        while !self.done && self.open == 0 {
             if self.round < self.slots.len() {
                 self.plan.end_round();
                 self.round = self.slots.len();
@@ -449,7 +436,7 @@ impl Campaign {
     ) -> std::io::Result<ClaimReply> {
         self.reap_expired()?;
         self.advance()?;
-        if self.done || self.halted {
+        if self.done {
             return Ok(ClaimReply::Complete);
         }
         let idle = ClaimReply::Idle { backoff_ms: self.policy.idle_backoff_ms };
@@ -620,25 +607,19 @@ impl Campaign {
         Ok(())
     }
 
-    /// Makes `done` its slot's terminal record: evidence for the plan, a
-    /// row of the table, one step toward the chaos halt.
+    /// Makes `done` its slot's terminal record: evidence for the plan and a
+    /// row of the table.
     fn finish(&mut self, done: CompletedExperiment) {
         let slot = &mut self.slots[done.exp];
         self.plan.record(slot.cell, done.outcome);
         self.table.add(done.outcome);
         slot.state = ExpState::Terminal(done);
         self.open -= 1;
-        self.finished_here += 1;
-        self.halted |= self.policy.halt_after.is_some_and(|n| self.finished_here >= n);
     }
 
     /// Breaks the open round's expired leases (raising the runaway runs'
     /// abort tokens) and requeues or terminally fails their experiments.
     fn reap_expired(&mut self) -> std::io::Result<()> {
-        if self.halted {
-            // A halted campaign schedules nothing more; its resume reaps.
-            return Ok(());
-        }
         let now = self.clock.now_ms();
         for exp in self.round..self.slots.len() {
             let ExpState::Leased { attempt, deadline_ms, ref abort, ref worker } =
@@ -745,7 +726,6 @@ fn spool_campaign(
                 handles.push(scope.spawn(move || {
                     let mut opts = WorkerOptions::new(format!("ws{ws}.slot{slot}"));
                     opts.runner = *runner;
-                    opts.chaos_panic_on = config.chaos.panic_on.clone();
                     let mut transport = SpoolTransport { campaign, ws };
                     let mut execute = |assignment: &WorkAssignment| {
                         let snap = snapshot_path(&config.share_dir, assignment.exp);
@@ -764,24 +744,10 @@ fn spool_campaign(
     let wall = started.elapsed();
 
     let campaign = campaign.into_inner().expect("no worker holds the campaign");
-    let (terminal, drawn, _) = campaign.progress();
-    if campaign.halted {
-        let finished = campaign.finished_here;
-        let progress = match campaign.plan {
-            Plan::Fixed { .. } => format!(
-                "campaign halted by chaos after {finished} experiments \
-                 ({terminal} of {drawn} terminal)"
-            ),
-            Plan::Adaptive { .. } => format!(
-                "adaptive campaign halted by chaos after {finished} experiments ({drawn} drawn)"
-            ),
-        };
-        return Err(Error::new(ErrorKind::Interrupted, format!("{progress}; resume to finish")));
-    }
     let report = NowReport {
         wall,
         per_workstation: campaign.per_ws.clone(),
-        experiments: drawn as usize,
+        experiments: campaign.slots.len(),
         resumed: campaign.resumed,
         retries: campaign.retries,
         reclaimed_leases: campaign.reclaimed,
@@ -798,9 +764,7 @@ fn spool_campaign(
 ///
 /// I/O errors from the share; [`ErrorKind::InvalidData`] when resume finds
 /// a journal from a different campaign (count, specs, or checkpoint
-/// mismatch); [`ErrorKind::Interrupted`] when
-/// [`ChaosConfig::halt_after`] stops the campaign early (the journal
-/// remains resumable).
+/// mismatch).
 pub fn run_campaign_now(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
@@ -829,9 +793,7 @@ pub fn run_campaign_now(
 ///
 /// I/O errors from the share; [`ErrorKind::InvalidData`] when resume finds
 /// a journal from a different campaign (seed, checkpoint, stopping rule,
-/// or cell set mismatch); [`ErrorKind::Interrupted`] when
-/// [`ChaosConfig::halt_after`] stops the campaign early (the journal
-/// remains resumable).
+/// or cell set mismatch).
 pub fn run_campaign_adaptive_now(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
@@ -910,6 +872,39 @@ mod tests {
         campaign.slots.iter().map(|slot| slot.spec).collect()
     }
 
+    /// Runs `specs` to completion the way [`spool_campaign`] does — one
+    /// workstation of `cfg.slots_per_workstation` [`drive_worker`] threads
+    /// claiming through a [`SpoolTransport`] — except that executing an
+    /// `(experiment, attempt)` listed in `crashes` panics, as a
+    /// workstation dying mid-experiment would.
+    fn run_with_crashes(
+        cfg: &NowConfig,
+        (w, p, specs, runner): &(MonteCarloPi, PreparedWorkload, Vec<FaultSpec>, RunnerConfig),
+        crashes: &[(usize, u64)],
+    ) -> Campaign {
+        let plan = Plan::fixed(specs.clone());
+        let policy = cfg.scheduler_policy();
+        let campaign =
+            Campaign::open(&cfg.share_dir, p, plan, false, system_clock(), policy, 1).unwrap();
+        let campaign = Mutex::new(campaign);
+        std::thread::scope(|scope| {
+            for slot in 0..cfg.slots_per_workstation {
+                let campaign = &campaign;
+                scope.spawn(move || {
+                    let mut execute = |work: &WorkAssignment| {
+                        let (exp, attempt) = (work.exp, work.attempt);
+                        assert!(!crashes.contains(&(exp, attempt)), "exp {exp} attempt {attempt}");
+                        Ok(crate::runner::run_experiment(p, w, work.spec, runner))
+                    };
+                    let opts = WorkerOptions::new(format!("ws0.slot{slot}"));
+                    let mut transport = SpoolTransport { campaign, ws: 0 };
+                    drive_worker(&mut transport, &opts, &mut execute).unwrap();
+                });
+            }
+        });
+        campaign.into_inner().unwrap()
+    }
+
     #[test]
     fn now_executes_every_experiment_and_spools_artifacts() {
         let (w, p, specs, runner) = small_campaign(60, 3, 12);
@@ -967,14 +962,15 @@ mod tests {
 
     #[test]
     fn panicking_worker_attempt_is_retried() {
-        let (w, p, specs, runner) = small_campaign(50, 5, 6);
+        let setup = small_campaign(50, 5, 6);
+        let specs = &setup.2;
         let dir = share("panic");
-        let mut cfg = fast_config(2, 2, &dir);
-        cfg.chaos.panic_on = vec![(2, 1)]; // first attempt of experiment 2 dies
-        let (table, results, report) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
+        // The first attempt of experiment 2 dies.
+        let campaign = run_with_crashes(&fast_config(1, 2, &dir), &setup, &[(2, 1)]);
+        let (table, results) = (campaign.table(), campaign.records());
         assert_eq!(table.total(), 6);
-        assert_eq!(report.retries, 1);
-        assert_eq!(report.infrastructure_failures, 0);
+        assert_eq!(campaign.retries(), 1);
+        assert_eq!(table.count(Outcome::Infrastructure), 0);
         assert_eq!(results[2].attempts, 2, "retry consumed a second attempt");
         assert!(results[2].outcome.is_experiment_outcome());
         // The journal recorded the failed attempt with full provenance:
@@ -996,19 +992,19 @@ mod tests {
 
     #[test]
     fn exhausted_retries_land_in_the_infrastructure_bucket() {
-        let (w, p, specs, runner) = small_campaign(50, 7, 4);
+        let setup = small_campaign(50, 7, 4);
         let dir = share("exhaust");
         let mut cfg = fast_config(1, 2, &dir);
         cfg.max_retries = 2;
         // Every attempt of experiment 1 panics.
-        cfg.chaos.panic_on = (1..=3).map(|a| (1, a)).collect();
-        let (table, results, report) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
+        let crashes: Vec<_> = (1..=3).map(|a| (1, a)).collect();
+        let campaign = run_with_crashes(&cfg, &setup, &crashes);
+        let (table, results) = (campaign.table(), campaign.records());
         assert_eq!(table.total(), 4, "no experiment goes missing");
         assert_eq!(table.count(Outcome::Infrastructure), 1);
-        assert_eq!(report.infrastructure_failures, 1);
         assert_eq!(results[1].outcome, Outcome::Infrastructure);
         assert_eq!(results[1].attempts, 3);
-        assert_campaign_files(&dir, &specs);
+        assert_campaign_files(&dir, &setup.2);
         let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
         assert!(events
             .iter()
@@ -1017,31 +1013,33 @@ mod tests {
     }
 
     #[test]
-    fn halted_campaign_resumes_to_the_identical_table() {
+    fn a_journal_without_one_complete_line_resumes_as_a_fresh_start() {
         let (w, p, specs, runner) = small_campaign(50, 13, 8);
-        let serial: Vec<_> = specs
-            .iter()
-            .map(|s| crate::runner::run_experiment(&p, &w, *s, &runner).outcome)
-            .collect();
-        let serial_table: OutcomeTable = serial.iter().copied().collect();
-
-        let dir = share("halt");
-        let mut cfg = fast_config(2, 1, &dir);
-        cfg.chaos.halt_after = Some(3); // ≥ 25% of 8, then "kill -9"
-        let err = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Interrupted, "{err}");
-
-        let mut cfg = fast_config(2, 1, &dir);
-        cfg.resume = true;
-        let (table, results, report) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
-        assert!(report.resumed >= 3, "journal replay skipped finished work: {}", report.resumed);
-        assert!(report.resumed < 8, "something was left to execute");
-        assert_eq!(results.iter().filter(|r| r.resumed).count(), report.resumed);
-        let resumed_outcomes: Vec<_> = results.iter().map(|r| r.outcome).collect();
-        assert_eq!(resumed_outcomes, serial, "resume reproduces the serial outcomes");
-        for o in Outcome::ALL {
-            assert_eq!(table.count(o), serial_table.count(o), "{o}");
+        let dir = share("headerless");
+        let cfg = fast_config(2, 1, &dir);
+        let (table, records, _) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
+        let outcomes = |records: &[CompletedExperiment]| -> Vec<Outcome> {
+            records.iter().map(|r| r.outcome).collect()
+        };
+        let journal = std::fs::read(Journal::path_in(&dir)).unwrap();
+        let resume = NowConfig { resume: true, ..fast_config(2, 1, &dir) };
+        // A kill between creating the journal and appending its header
+        // leaves it empty or holding a torn header: nothing to resume.
+        for cut in [0, 30] {
+            std::fs::write(Journal::path_in(&dir), &journal[..cut]).unwrap();
+            let (again, again_records, report) =
+                run_campaign_now(&p, &w, &specs, &runner, &resume).unwrap();
+            assert_eq!(again, table, "cut at byte {cut}");
+            assert_eq!(outcomes(&again_records), outcomes(&records), "cut at byte {cut}");
+            assert_eq!(report.resumed, 0);
+            assert_campaign_files(&dir, &specs);
         }
+        // Events without the header before them are damage, not a fresh
+        // start.
+        let body = journal.iter().position(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(Journal::path_in(&dir), &journal[body..]).unwrap();
+        let err = run_campaign_now(&p, &w, &specs, &runner, &resume).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1049,10 +1047,8 @@ mod tests {
     fn orphaned_expired_lease_is_reclaimed_on_resume() {
         let (w, p, specs, runner) = small_campaign(50, 17, 3);
         let dir = share("orphan");
-        // Interrupt immediately: journal exists, nothing finished.
-        let mut cfg = fast_config(1, 1, &dir);
-        cfg.chaos.halt_after = Some(1);
-        let _ = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap_err();
+        // A campaign killed right after opening: header, nothing finished.
+        drop(open_campaign(&dir, &p, &specs));
         // Fake a worker that died holding experiment 2: its journaled claim
         // with nothing after it, the lease long expired.
         let mut journal = Journal::open(&dir).unwrap();
@@ -1085,9 +1081,7 @@ mod tests {
     fn a_last_attempt_burned_by_a_dead_campaign_is_not_rerun_past_the_cap() {
         let (w, p, specs, runner) = small_campaign(50, 17, 3);
         let dir = share("last-attempt");
-        let mut cfg = fast_config(1, 1, &dir);
-        cfg.chaos.halt_after = Some(1);
-        let _ = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap_err();
+        drop(open_campaign(&dir, &p, &specs));
         // The dead campaign's worker held experiment 1 on its last
         // permitted attempt (max_retries 2 → attempt 3) ...
         let mut journal = Journal::open(&dir).unwrap();

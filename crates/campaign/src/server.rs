@@ -90,7 +90,6 @@ impl ServerConfig {
             max_attempts: self.max_retries + 1,
             backoff_ms: self.retry_backoff.as_millis() as u64,
             idle_backoff_ms: self.idle_backoff.as_millis().max(1) as u64,
-            halt_after: None,
         }
     }
 }

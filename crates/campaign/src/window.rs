@@ -35,9 +35,6 @@ pub(crate) struct SchedulerPolicy {
     /// Suggested idle retry delay handed to claimants when nothing is
     /// claimable.
     pub idle_backoff_ms: u64,
-    /// Chaos: stop scheduling after this many experiments finish in this
-    /// process.
-    pub halt_after: Option<usize>,
 }
 
 /// Whether a report landed or arrived from a zombie attempt.
@@ -107,13 +104,7 @@ pub(crate) mod tests {
     }
 
     fn policy() -> SchedulerPolicy {
-        SchedulerPolicy {
-            lease_ms: 1_000,
-            max_attempts: 10,
-            backoff_ms: 100,
-            idle_backoff_ms: 1,
-            halt_after: None,
-        }
+        SchedulerPolicy { lease_ms: 1_000, max_attempts: 10, backoff_ms: 100, idle_backoff_ms: 1 }
     }
 
     fn fixed_specs(n: usize) -> Vec<FaultSpec> {
@@ -365,23 +356,15 @@ pub(crate) mod tests {
 
     /// Runs one campaign to its end under a seeded interleaving of claims,
     /// heartbeats, reports, failures, zombie reports, clock jumps and
-    /// kill/halt-and-resume (`chaotic`), or straight through (claim,
-    /// report, repeat), then checks what every schedule must leave behind.
+    /// kill-and-resume (`chaotic`), or straight through (claim, report,
+    /// repeat), then checks what every schedule must leave behind.
     fn run_schedule(seed: u64, adaptive: bool, max_attempts: u64, chaotic: bool) -> Ending {
         let dir = share(&format!("sched-{seed}-{adaptive}-{max_attempts}-{chaotic}"));
         let clock = TestClock::at(1_000);
         let mut rng = SplitMix64::new(seed);
-        let base = SchedulerPolicy {
-            lease_ms: 1_000,
-            max_attempts,
-            backoff_ms: 10,
-            idle_backoff_ms: 1,
-            halt_after: None,
-        };
-        // The first incarnation of a chaotic schedule carries a chaos halt.
-        let halt_after = chaotic.then(|| 1 + rng.below(12) as usize);
-        let mut c =
-            open(&dir, adaptive, false, &clock, SchedulerPolicy { halt_after, ..base.clone() });
+        let base =
+            SchedulerPolicy { lease_ms: 1_000, max_attempts, backoff_ms: 10, idle_backoff_ms: 1 };
+        let mut c = open(&dir, adaptive, false, &clock, base.clone());
         // Every assignment ever handed out and not yet reported — live
         // attempts and zombies alike.
         let mut in_flight: Vec<WorkAssignment> = Vec::new();
@@ -404,10 +387,8 @@ pub(crate) mod tests {
                         }
                         ClaimReply::Idle { .. } if chaotic => {}
                         ClaimReply::Idle { .. } => clock.advance(10),
-                        // Not done, yet nothing more to claim: the halt.
-                        ClaimReply::Complete => {
-                            c = open(&dir, adaptive, true, &clock, base.clone());
-                        }
+                        // The claim's reap gave up on the last open slot.
+                        ClaimReply::Complete => assert!(c.is_done()),
                     }
                 }
                 35..=59 if !in_flight.is_empty() => {
@@ -506,7 +487,7 @@ pub(crate) mod tests {
     #[test]
     fn interrupted_schedules_end_where_an_uninterrupted_campaign_does() {
         // With retries to spare no experiment is given up on, so any
-        // interleaving — kills, halts and resumes included — must reach
+        // interleaving — kills and resumes included — must reach
         // the straight-through campaign's table, records and decisions.
         for adaptive in [false, true] {
             let straight = run_schedule(0, adaptive, 1_000, false);

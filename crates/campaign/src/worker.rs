@@ -4,8 +4,10 @@
 //! [`CampaignTransport`], so the in-process spool threads of
 //! [`crate::now`] and a remote process connected to a
 //! [`crate::server::CampaignServer`] run byte-for-byte the same protocol
-//! logic — `catch_unwind` containment, zombie-report suppression, chaos
-//! hooks and all.
+//! logic — `catch_unwind` containment and zombie-report suppression
+//! included. Tests reach the failure paths through the loop's own seams: a
+//! panicking attempt is an `execute` that panics, and a worker killed
+//! holding a lease is a [`SocketTransport`] that claims and is dropped.
 //!
 //! [`SocketTransport`] is the TCP backend: flat-JSON lines to the campaign
 //! server ([`crate::wire`]), transparent reconnect with capped backoff, and
@@ -54,12 +56,6 @@ pub struct WorkerOptions {
     /// snapshots on the socket backend (the spool backend snapshots onto
     /// the share).
     pub scratch_dir: Option<PathBuf>,
-    /// Chaos: `(experiment, attempt)` pairs whose execution panics.
-    pub chaos_panic_on: Vec<(usize, u64)>,
-    /// Chaos: die (return [`ErrorKind::Interrupted`], lease still held)
-    /// immediately after making this many claims — a stand-in for
-    /// `kill -9` on a worker.
-    pub die_after_claims: Option<u64>,
     /// Connection attempts per request before the socket transport gives
     /// up and surfaces the error.
     pub connect_attempts: u32,
@@ -69,16 +65,14 @@ pub struct WorkerOptions {
 }
 
 impl WorkerOptions {
-    /// Defaults: no snapshots, no chaos, 8 connection attempts with 50 ms
-    /// base backoff.
+    /// Defaults: no snapshots, 8 connection attempts with 50 ms base
+    /// backoff.
     pub fn new(name: impl Into<String>) -> WorkerOptions {
         WorkerOptions {
             name: name.into(),
             runner: RunnerConfig::default(),
             snapshot: SnapshotPolicy::disabled(),
             scratch_dir: None,
-            chaos_panic_on: Vec::new(),
-            die_after_claims: None,
             connect_attempts: 8,
             reconnect_delay: Duration::from_millis(50),
         }
@@ -116,8 +110,7 @@ pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 ///
 /// # Errors
 ///
-/// Transport I/O errors, and [`ErrorKind::Interrupted`] from the
-/// [`WorkerOptions::die_after_claims`] chaos hook.
+/// Transport I/O errors.
 pub(crate) fn drive_worker<T: CampaignTransport>(
     transport: &mut T,
     opts: &WorkerOptions,
@@ -134,25 +127,8 @@ pub(crate) fn drive_worker<T: CampaignTransport>(
             ClaimReply::Work(assignment) => assignment,
         };
         report.claims += 1;
-        if opts.die_after_claims.is_some_and(|n| report.claims >= n) {
-            // Simulated worker kill: the lease stays held until the
-            // scheduler's reaper expires it.
-            return Err(Error::new(
-                ErrorKind::Interrupted,
-                format!("chaos: worker {} died after {} claims", opts.name, report.claims),
-            ));
-        }
-
-        let chaos_panic = opts.chaos_panic_on.contains(&(assignment.exp, assignment.attempt));
         let guard = transport.begin_attempt(&opts.name, &assignment);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            assert!(
-                !chaos_panic,
-                "chaos: injected panic for experiment {} attempt {}",
-                assignment.exp, assignment.attempt
-            );
-            execute(&assignment)
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| execute(&assignment)));
         drop(guard);
 
         let verdict = match run {
@@ -500,8 +476,7 @@ fn fetch_queue_context(
 ///
 /// # Errors
 ///
-/// Transport errors that survive the reconnect budget, and
-/// [`ErrorKind::Interrupted`] from the chaos kill hook.
+/// Transport errors that survive the reconnect budget.
 pub fn run_socket_worker(
     addr: &str,
     resolver: &WorkloadResolver,

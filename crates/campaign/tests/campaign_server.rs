@@ -1,7 +1,8 @@
-//! Chaos tests for the campaign server: every recovery path the networked
-//! topology promises, exercised over real localhost sockets.
+//! Recovery tests for the campaign server: every recovery path the
+//! networked topology promises, exercised over real localhost sockets.
 //!
-//! - a worker killed mid-window (lease held) is reaped and its experiment
+//! - a worker killed mid-window (lease held: a [`SocketTransport`] that
+//!   claims and is dropped) is reaped and its experiment
 //!   retried, and a server killed mid-campaign restarts from the journal,
 //!   re-offering only the remainder — with the final outcome table
 //!   byte-identical to a single-host spool run of the same seed;
@@ -16,9 +17,10 @@
 
 use gemfi_campaign::wire::{read_line, write_line};
 use gemfi_campaign::{
-    prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_socket_worker,
-    AdaptiveConfig, CampaignServer, CellKind, ClientMsg, FaultSampler, Journal, JournalEvent,
-    NowConfig, QueueKind, QueueSpec, RunnerConfig, ServerConfig, WorkerOptions, PROTO_VERSION,
+    prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_experiment,
+    run_socket_worker, AdaptiveConfig, CampaignServer, CampaignTransport, CellKind, ClaimReply,
+    ClientMsg, FaultSampler, Journal, JournalEvent, NowConfig, QueueKind, QueueSpec, ReportAck,
+    RunnerConfig, ServerConfig, SocketTransport, WorkerOptions, PROTO_VERSION,
 };
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::Workload;
@@ -101,7 +103,8 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
     let (baseline, baseline_completed, _) =
         run_campaign_now(&prepared, &w, &specs, &runner, &now_config).unwrap();
 
-    // Phase 1: a worker that dies after its second claim, lease in hand.
+    // Phase 1: a worker that finishes one experiment, claims a second and
+    // dies with that lease in hand.
     let share = scratch("kill-share");
     let queue = || QueueSpec {
         name: "pi-fixed".to_string(),
@@ -114,13 +117,20 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
     };
     let server1 = CampaignServer::start(fast_server_config(&share), vec![queue()]).unwrap();
     let addr1 = server1.addr();
-    let doomed = std::thread::spawn(move || {
-        let mut opts = fast_worker("doomed");
-        opts.die_after_claims = Some(2);
-        run_socket_worker(&addr1.to_string(), &resolver, &opts)
-    });
-    let death = doomed.join().unwrap();
-    assert!(death.is_err(), "the doomed worker must die mid-campaign, got {death:?}");
+    let mut doomed = SocketTransport::new(addr1.to_string(), &fast_worker("doomed"));
+    let claim = |doomed: &mut SocketTransport| match doomed.claim("doomed").unwrap() {
+        ClaimReply::Work(work) => work,
+        other => panic!("expected work, got {other:?}"),
+    };
+    let first = claim(&mut doomed);
+    let ran = run_experiment(&prepared, &w, first.spec, &runner);
+    let exit = ran.exit.to_string();
+    let ack = doomed.report_result("doomed", &first, ran.outcome, &exit, ran.ticks).unwrap();
+    assert_eq!(ack, ReportAck::Accepted);
+    // The second claim is the doomed worker's last act: dropped, it never
+    // reports or heartbeats again.
+    claim(&mut doomed);
+    drop(doomed);
 
     // Mid-campaign metrics: the queue is visibly incomplete and a lease is
     // still outstanding (the dead worker's orphan).

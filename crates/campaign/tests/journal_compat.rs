@@ -1,16 +1,17 @@
 //! Journal compatibility: journals written before the campaign pipeline was
 //! unified must keep resuming. The fixtures are the first halves of a
-//! fixed-n and an adaptive small-`pi` campaign, cut by a chaos halt (with
-//! one worker panic each, so a burned attempt rides along) and committed
-//! verbatim; each is resumed here and must execute only what is missing and
-//! end where an uninterrupted run of the same seed ends.
+//! fixed-n and an adaptive small-`pi` campaign (with one worker panic each,
+//! on experiment 3's first attempt, so a burned attempt rides along),
+//! committed verbatim; each is resumed here and must execute only what is
+//! missing and end where an uninterrupted run of the same seed ends.
 //!
 //! The fixtures pin the checkpoint digest and the outcomes of this exact
 //! guest, so a deliberate change to the checkpoint encoding or to simulated
-//! timing needs them recaptured: run the campaigns below with
-//! `chaos: ChaosConfig { panic_on: vec![(3, 1)], halt_after: Some(5) }`
-//! (`Some(15)` for the adaptive one) on `NowConfig::new(2, 1, dir)` and copy
-//! `campaign.journal` out of the share.
+//! timing needs them recaptured: run the campaigns below uninterrupted on
+//! `NowConfig::new(2, 1, dir)` and keep the first N lines of
+//! `campaign.journal` — a prefix is exactly what `kill -9` leaves. Without
+//! the panic the recaptured journal has no `attempt-failed` line for
+//! experiment 3, so the `records[3].attempts` assertion below becomes 1.
 //!
 //! `fixed_pi_midflight/` is a share cut the way `kill -9` cuts it, written
 //! by the version that still kept a lease file per experiment: the fixed-n

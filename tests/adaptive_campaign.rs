@@ -6,11 +6,10 @@
 use gemfi::Outcome;
 use gemfi_campaign::{
     prepare_workload, run_campaign_adaptive, run_campaign_adaptive_now, AdaptiveConfig, CellKind,
-    ChaosConfig, NowConfig, RunnerConfig,
+    Journal, NowConfig, RunnerConfig,
 };
 use gemfi_cpu::CpuKind;
 use gemfi_workloads::pi::MonteCarloPi;
-use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -109,33 +108,54 @@ fn interrupted_adaptive_campaign_resumes_to_identical_decisions() {
     let (fresh, _) =
         run_campaign_adaptive_now(&p, &w, &runner, &config(&fresh_dir), &adaptive, seed).unwrap();
 
-    // Interrupted run: the driver halts a few completions in, then resumes.
+    // A killed driver leaves a prefix of that journal. Cut it right after
+    // the header, between two `drawn` lines of the first round, and
+    // mid-round, tearing the line after the fifth result.
+    let journal = std::fs::read_to_string(Journal::path_in(&fresh_dir)).unwrap();
+    let lines: Vec<&str> = journal.lines().collect();
+    let end_of = |i: usize| lines[..=i].iter().map(|l| l.len() + 1).sum::<usize>();
+    let is = |i: usize, event: &str| lines[i].contains(&format!("\"event\":\"{event}\""));
+    let draws = (1..lines.len()).take_while(|&i| is(i, "drawn")).count();
+    assert!(draws >= 2, "the first round journals its draws up front");
+    let fifth_done = (0..lines.len()).filter(|&i| is(i, "done")).nth(4).unwrap();
+    let cuts = [
+        ("after the header", end_of(0)),
+        ("between two draws", end_of(draws / 2)),
+        ("mid-round", end_of(fifth_done) + lines[fifth_done + 1].len() / 2),
+    ];
+
     let dir = share("kill");
-    let mut cfg = config(&dir);
-    cfg.chaos = ChaosConfig { halt_after: Some(5), ..ChaosConfig::default() };
-    let err = run_campaign_adaptive_now(&p, &w, &runner, &cfg, &adaptive, seed).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::Interrupted, "{err}");
+    for (cut, at) in cuts {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(fresh_dir.join("campaign.ckpt"), dir.join("campaign.ckpt")).unwrap();
+        std::fs::write(Journal::path_in(&dir), &journal[..at]).unwrap();
+        let complete = &journal[..journal[..at].rfind('\n').map_or(0, |i| i + 1)];
+        let terminal = complete
+            .lines()
+            .filter(|l| l.contains("\"event\":\"done\"") || l.contains("\"event\":\"failed\""))
+            .count();
 
-    let mut cfg = config(&dir);
-    cfg.resume = true;
-    let (resumed, report) =
-        run_campaign_adaptive_now(&p, &w, &runner, &cfg, &adaptive, seed).unwrap();
-    assert!(resumed.resumed > 0, "finished work was replayed from the journal, not re-run");
-    assert!(report.resumed > 0);
+        let cfg = NowConfig { resume: true, ..config(&dir) };
+        let (resumed, report) =
+            run_campaign_adaptive_now(&p, &w, &runner, &cfg, &adaptive, seed).unwrap();
+        assert_eq!(report.resumed, terminal, "{cut}: journaled work was replayed, not re-run");
+        assert_eq!(resumed.resumed, terminal as u64, "{cut}");
 
-    // Byte-identical decisions: same cells, same n, same decision state,
-    // same per-cell outcome counts, same totals.
-    assert_eq!(resumed.experiments, fresh.experiments);
-    assert_eq!(resumed.rounds, fresh.rounds);
-    assert_eq!(resumed.cells.len(), fresh.cells.len());
-    for (r, f) in resumed.cells.iter().zip(&fresh.cells) {
-        assert_eq!(r.cell, f.cell);
-        assert_eq!(r.n, f.n, "{}: replayed sample size differs", r.cell);
-        assert_eq!(r.decision, f.decision, "{}: decision differs", r.cell);
-        assert_eq!(r.stats, f.stats, "{}: outcome counts differ", r.cell);
-    }
-    for o in Outcome::ALL {
-        assert_eq!(resumed.table.count(o), fresh.table.count(o), "{o}");
+        // Byte-identical decisions: same cells, same n, same decision
+        // state, same per-cell outcome counts, same totals.
+        assert_eq!(resumed.experiments, fresh.experiments, "{cut}");
+        assert_eq!(resumed.rounds, fresh.rounds, "{cut}");
+        assert_eq!(resumed.cells.len(), fresh.cells.len(), "{cut}");
+        for (r, f) in resumed.cells.iter().zip(&fresh.cells) {
+            assert_eq!(r.cell, f.cell, "{cut}");
+            assert_eq!(r.n, f.n, "{cut}: {}: replayed sample size differs", r.cell);
+            assert_eq!(r.decision, f.decision, "{cut}: {}: decision differs", r.cell);
+            assert_eq!(r.stats, f.stats, "{cut}: {}: outcome counts differ", r.cell);
+        }
+        for o in Outcome::ALL {
+            assert_eq!(resumed.table.count(o), fresh.table.count(o), "{cut}: {o}");
+        }
     }
 
     std::fs::remove_dir_all(&dir).ok();
