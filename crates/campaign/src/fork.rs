@@ -39,8 +39,8 @@
 //! answer.
 
 use crate::runner::{
-    build_machine, drive_to_completion, finish_result, unobserved, ExperimentResult,
-    PreparedWorkload, RunnerConfig, Source,
+    build_machine, drive_to_completion, finish_result, ExperimentResult, PreparedWorkload,
+    RunnerConfig, Source,
 };
 use gemfi::{AbortToken, FaultSpec, FireDistance, GemFiEngine};
 use gemfi_sim::{Machine, RunExit};
@@ -168,7 +168,7 @@ pub fn drive_suffix(
     abort: &AbortToken,
 ) -> (RunExit, bool) {
     let origin = prepared.checkpoint.tick();
-    drive_to_completion(&mut suffix.machine, runner, abort, origin, &mut unobserved)
+    drive_to_completion(&mut suffix.machine, runner, abort, origin)
 }
 
 /// Runs a whole campaign fork-at-injection style: plan, then drive and
@@ -188,8 +188,7 @@ pub fn run_campaign_forked(
     for mut s in plan_suffixes(prepared, specs, runner, fork) {
         let drove = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
         let spec = specs[s.index];
-        results[s.index] =
-            Some(finish_result(&s.machine, origin, prepared, workload, spec, drove, None));
+        results[s.index] = Some(finish_result(&s.machine, origin, prepared, workload, spec, drove));
     }
     results.into_iter().map(|r| r.expect("every planned experiment was driven")).collect()
 }

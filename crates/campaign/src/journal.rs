@@ -28,7 +28,7 @@ use crate::now::CompletedExperiment;
 use crate::wire::{json_escape, parse_flat_object};
 use gemfi::{AbortToken, Outcome};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Error, ErrorKind, Write};
+use std::io::{Error, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 /// File name of the journal on the share.
@@ -281,7 +281,7 @@ impl JournalEvent {
 /// An open, append-only journal.
 #[derive(Debug)]
 pub struct Journal {
-    writer: BufWriter<File>,
+    file: File,
     path: PathBuf,
 }
 
@@ -317,7 +317,7 @@ impl Journal {
             Err(e) => return Err(e),
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Journal { writer: BufWriter::new(file), path })
+        Ok(Journal { file, path })
     }
 
     /// The journal file's location.
@@ -325,17 +325,19 @@ impl Journal {
         &self.path
     }
 
-    /// Appends one event and flushes it to the operating system before
-    /// returning, so a process killed right after a transition never loses
-    /// the record of it. There is no fsync: a power cut may lose the tail.
+    /// Appends one event with a single unbuffered write, so the line has
+    /// reached the operating system when this returns: a process killed
+    /// right after a transition never loses the record of it, and a refused
+    /// append leaves nothing behind for a later one to write. There is no
+    /// fsync: a power cut may lose the tail.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn append(&mut self, event: &JournalEvent) -> std::io::Result<()> {
-        self.writer.write_all(event.to_json().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        let mut line = event.to_json();
+        line.push('\n');
+        self.file.write_all(line.as_bytes())
     }
 
     /// Replays a journal file into its event sequence. A torn final line
@@ -713,6 +715,27 @@ mod tests {
         j.append(&events[1]).unwrap();
         drop(j);
         assert_eq!(Journal::replay(&Journal::path_in(&dir)).unwrap().len(), events.len() + 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_append_is_not_written_by_the_next_one() {
+        let dir =
+            std::env::temp_dir().join(format!("gemfi-journal-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut j = Journal::open(&dir).unwrap();
+        let events = sample_events();
+        // A handle the operating system refuses writes on: the `done`
+        // append fails, as a full or read-only share would make it.
+        let read_only = File::open(j.path()).unwrap();
+        let writable = std::mem::replace(&mut j.file, read_only);
+        assert!(j.append(&events[2]).is_err());
+        j.file = writable;
+        j.append(&events[1]).unwrap();
+        drop(j);
+        let replayed = Journal::replay(&Journal::path_in(&dir)).unwrap();
+        assert_eq!(replayed, vec![events[1].clone()], "only the accepted `leased` line");
         std::fs::remove_dir_all(&dir).ok();
     }
 

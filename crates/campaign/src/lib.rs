@@ -21,15 +21,16 @@
 //!    fleet of remote workers behind a campaign server (Sec. III-E).
 //!
 //! Steps 4–6 are one pipeline in three pieces (DESIGN.md §12): the
-//! experiment **driver** ([`runner`]: build a machine from the checkpoint,
-//! a mid-run snapshot or a fork plan's trunk; drive it; classify), a
-//! **plan** that hands out experiments in rounds ([`adaptive`]: a fixed
-//! list is the one-round case of the sequential sampler), and the **slot
-//! table** ([`now`]: one slot per drawn experiment, seeded from journal
-//! replay, a round being its open range — policy and share artifacts in
-//! [`window`]) that spool threads and socket workers claim from through one
-//! [`transport`] trait. Every `run_*` entry point is a thin composition of
-//! these.
+//! experiment **driver** ([`runner`]: build a machine from the checkpoint
+//! or a fork plan's trunk; drive it; classify), a **plan** that hands out
+//! experiments in rounds ([`adaptive`]: a fixed list is the one-round case
+//! of the sequential sampler), and the **slot table** ([`now`]: one slot
+//! per drawn experiment, seeded from journal replay, a round being its open
+//! range — policy and the fault listing's file name in [`window`]) that
+//! spool threads and socket workers claim from through one [`transport`]
+//! trait. A retried attempt re-runs from the checkpoint; the journal is the
+//! only per-experiment state. Every `run_*` entry point is a thin
+//! composition of these.
 
 pub mod adaptive;
 pub mod classify;
@@ -43,7 +44,6 @@ pub mod rng;
 pub mod runner;
 pub mod sampler;
 pub mod server;
-pub mod snapshot;
 pub mod stats;
 pub mod transport;
 pub mod window;
@@ -69,7 +69,6 @@ pub use runner::{
 };
 pub use sampler::{FaultSampler, LocationClass};
 pub use server::{CampaignServer, QueueKind, QueueReport, QueueSpec, ServerConfig, ServerReport};
-pub use snapshot::SnapshotPolicy;
 pub use stats::{leveugle_sample_size, wilson_interval, CellDecision, CellStats, Z_95, Z_99};
 pub use transport::{CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 pub use wire::{ClientMsg, ServerMsg, PROTO_VERSION};

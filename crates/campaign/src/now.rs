@@ -14,10 +14,9 @@
 //! 6. until no experiments remain.
 //!
 //! "Workstations" are thread groups sharing one local checkpoint copy. The
-//! share is a real spool directory holding `campaign.ckpt`,
-//! `campaign.journal` and `campaign.faults`, plus a mid-run snapshot per
-//! in-flight experiment when snapshots are on. There is no file per lease
-//! or per result: the journal is the only per-experiment state.
+//! share is a real spool directory holding exactly `campaign.ckpt`,
+//! `campaign.journal` and `campaign.faults`. There is no file per lease or
+//! per result: the journal is the only per-experiment state.
 //!
 //! # One slot table
 //!
@@ -48,7 +47,9 @@
 //! Fault tolerance, on top of the paper's protocol:
 //!
 //! - A worker that panics journals the failed attempt; the experiment
-//!   returns to the pending pool with capped exponential backoff.
+//!   returns to the pending pool with capped exponential backoff. Every
+//!   retry — of a failed report, a reaped lease or an orphan found at
+//!   resume — re-runs the experiment from the campaign checkpoint.
 //! - A worker that hangs past its lease deadline is reaped: any other
 //!   worker's claim loop breaks the expired lease, raises the runaway
 //!   run's [`AbortToken`], and requeues the experiment.
@@ -59,10 +60,6 @@
 //! - Each transition's journal append is its last fallible step before the
 //!   table changes, so a report that fails is retried against an unchanged
 //!   slot and a retried report journals nothing twice.
-//! - With [`NowConfig::snapshot_ticks`] set, workers drop periodic mid-run
-//!   snapshots ([`crate::snapshot`]) onto the share; a retried attempt
-//!   resumes from the last snapshot instead of re-running from the
-//!   campaign checkpoint.
 //! - A killed campaign resumes. Appends are flushed in order, so `kill -9`
 //!   leaves a prefix of the journal, perhaps with a torn last line. With
 //!   [`NowConfig::resume`] the campaign replays it, verifies it belongs to
@@ -79,10 +76,9 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptiveState, Draw, Plan
 use crate::clock::{system_clock, Clock};
 use crate::journal::{CampaignState, ExpState, Journal, JournalEvent};
 use crate::report::OutcomeTable;
-use crate::runner::{PreparedWorkload, RunnerConfig};
-use crate::snapshot::{execute_leased, SnapshotPolicy};
+use crate::runner::{run_experiment_from_with_abort, PreparedWorkload, RunnerConfig};
 use crate::transport::{ClaimReply, SpoolTransport, WorkAssignment};
-use crate::window::{snapshot_path, ReportAck, SchedulerPolicy, FAULTS_FILE};
+use crate::window::{ReportAck, SchedulerPolicy, FAULTS_FILE};
 use crate::worker::{drive_worker, WorkerOptions};
 use gemfi::{AbortToken, FaultSpec, Outcome};
 use gemfi_sim::Checkpoint;
@@ -114,10 +110,6 @@ pub struct NowConfig {
     /// Replay an existing journal and run only the unfinished remainder.
     /// Without a journal on the share this is an ordinary fresh start.
     pub resume: bool,
-    /// Mid-run snapshot cadence in simulated ticks; `0` disables. Snapshot
-    /// files (`exp<i>.snap`) land on the share next to the journal and are
-    /// deleted once the experiment reaches a terminal outcome.
-    pub snapshot_ticks: u64,
     /// The clock leases and backoffs are judged by. Production uses
     /// [`system_clock`]; tests inject a [`crate::clock::TestClock`].
     pub clock: Arc<dyn Clock>,
@@ -126,7 +118,7 @@ pub struct NowConfig {
 impl NowConfig {
     /// A config with the given cluster shape and default fault-tolerance
     /// policy (30 s leases, 2 retries, 50 ms base backoff, fresh start,
-    /// system clock, no snapshots).
+    /// system clock).
     pub fn new(
         workstations: usize,
         slots_per_workstation: usize,
@@ -140,7 +132,6 @@ impl NowConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(50),
             resume: false,
-            snapshot_ticks: 0,
             clock: system_clock(),
         }
     }
@@ -715,7 +706,6 @@ fn spool_campaign(
     let locals = (0..config.workstations)
         .map(|_| Checkpoint::load(&ckpt_path).map(Arc::new))
         .collect::<std::io::Result<Vec<_>>>()?;
-    let snapshot = SnapshotPolicy::every(config.snapshot_ticks);
 
     let started = Instant::now();
     std::thread::scope(|scope| -> std::io::Result<()> {
@@ -727,10 +717,15 @@ fn spool_campaign(
                     let mut opts = WorkerOptions::new(format!("ws{ws}.slot{slot}"));
                     opts.runner = *runner;
                     let mut transport = SpoolTransport { campaign, ws };
-                    let mut execute = |assignment: &WorkAssignment| {
-                        let snap = snapshot_path(&config.share_dir, assignment.exp);
-                        let snap = snapshot.enabled().then_some((snap.as_path(), snapshot));
-                        Ok(execute_leased(local, prepared, workload, assignment, runner, snap))
+                    let mut execute = |work: &WorkAssignment| {
+                        Ok(run_experiment_from_with_abort(
+                            local,
+                            prepared,
+                            workload,
+                            work.spec,
+                            runner,
+                            &work.abort,
+                        ))
                     };
                     drive_worker(&mut transport, &opts, &mut execute).map(|_| ())
                 }));
@@ -808,10 +803,10 @@ pub fn run_campaign_adaptive_now(
     Ok((outcome, report))
 }
 
-/// Removes the journal and every per-experiment file — snapshots, and the
-/// fault, lease and result files older versions spooled — so a fresh
-/// (non-resume) start cannot mix state from an earlier campaign in the same
-/// directory.
+/// Removes the journal and the per-experiment files older versions spooled
+/// — fault, lease, result and mid-run snapshot files, and a snapshot's
+/// `.snap.tmp` left by a crash before its rename — so a fresh (non-resume)
+/// start cannot mix state from an earlier campaign in the same directory.
 fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
     let journal = Journal::path_in(share);
     if journal.exists() {
@@ -819,9 +814,8 @@ fn clear_run_artifacts(share: &Path) -> std::io::Result<()> {
     }
     for entry in std::fs::read_dir(share)? {
         let path = entry?.path();
-        if let Some("fault" | "lease" | "result" | "snap") =
-            path.extension().and_then(|e| e.to_str())
-        {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if [".fault", ".lease", ".result", ".snap", ".snap.tmp"].iter().any(|e| name.ends_with(e)) {
             std::fs::remove_file(&path)?;
         }
     }
@@ -1134,7 +1128,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // Leftovers of a larger campaign that ran in this directory,
         // including the per-experiment files older versions spooled.
-        let stale = ["exp00001.lease", "exp00002.result", "exp00007.snap", "exp00099.fault"];
+        let stale = [
+            "exp00001.lease",
+            "exp00002.result",
+            "exp00003.snap.tmp",
+            "exp00007.snap",
+            "exp00099.fault",
+        ];
         for name in stale.iter().chain(&[crate::journal::JOURNAL_FILE, FAULTS_FILE]) {
             std::fs::write(dir.join(name), "stale\n").unwrap();
         }
@@ -1180,26 +1180,6 @@ mod tests {
         for o in Outcome::ALL {
             assert_eq!(first.count(o), again.count(o), "{o}");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshotting_campaign_matches_plain_and_cleans_up() {
-        let (w, p, specs, runner) = small_campaign(50, 29, 4);
-        let plain_dir = share("snapless");
-        let cfg = fast_config(2, 1, &plain_dir);
-        let (plain, ..) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
-
-        let dir = share("snapful");
-        let mut cfg = fast_config(2, 1, &dir);
-        cfg.snapshot_ticks = (p.kernel_ticks / 6).max(1);
-        let (snapped, ..) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
-        for o in Outcome::ALL {
-            assert_eq!(plain.count(o), snapped.count(o), "{o}");
-        }
-        // Every experiment went terminal, so no snapshot survives.
-        assert_campaign_files(&dir, &specs);
-        std::fs::remove_dir_all(&plain_dir).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

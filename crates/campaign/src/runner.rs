@@ -2,7 +2,6 @@
 //! execution (Sec. IV-B methodology).
 
 use crate::classify::classify;
-use crate::snapshot::Snapshot;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Checkpoint, Machine, RunExit};
@@ -143,7 +142,7 @@ pub fn prepare_workload(workload: &dyn Workload) -> Result<PreparedWorkload, Str
 
 /// The tick budget for one experiment: checkpoint time plus a multiple of
 /// the fault-free kernel time, plus slack for the grace window.
-pub(crate) fn watchdog_budget(
+fn watchdog_budget(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
     config: &RunnerConfig,
@@ -175,14 +174,6 @@ pub(crate) enum Source<'a> {
     /// A whole run: restore the campaign checkpoint (or a workstation-local
     /// copy of it) into the injection model.
     Checkpoint(&'a Checkpoint),
-    /// Resume a mid-run snapshot ([`crate::snapshot`]) of a run that
-    /// descends from `origin`.
-    Snapshot {
-        /// The campaign checkpoint the snapshotted run was restored from.
-        origin: &'a Checkpoint,
-        /// The decoded snapshot.
-        snapshot: &'a Snapshot,
-    },
     /// Fork the fault-free trunk of a fork-at-injection plan
     /// ([`crate::fork`]) where it stands.
     Trunk(&'a Machine<GemFiEngine>),
@@ -203,26 +194,16 @@ pub(crate) fn build_machine(
     specs: &[FaultSpec],
     config: &RunnerConfig,
 ) -> Machine<GemFiEngine> {
-    let faults = || FaultConfig::from_specs(specs.to_vec());
-    let (image, cpu, budget, faults) = match source {
+    let faults = FaultConfig::from_specs(specs.to_vec());
+    let checkpoint = match source {
         // A fork is warm and inherits the trunk's switches along with its
         // pipeline, tick clock and watchdog.
-        Source::Trunk(trunk) => return trunk.fork_with(trunk.hooks().fork_with_faults(faults())),
-        Source::Checkpoint(checkpoint) => (
-            checkpoint,
-            Some(config.inject_cpu),
-            watchdog_budget(checkpoint, prepared, config),
-            faults(),
-        ),
-        // Captured post-switch and dormant: the fault has already fired,
-        // so the resumed engine carries none. `None` keeps the snapshot's
-        // CPU model (the finish model) and the stored absolute budget keeps
-        // the watchdog anchored to the original run, not restarted here.
-        Source::Snapshot { snapshot, .. } => {
-            (&snapshot.checkpoint, None, snapshot.budget, FaultConfig::empty())
-        }
+        Source::Trunk(trunk) => return trunk.fork_with(trunk.hooks().fork_with_faults(faults)),
+        Source::Checkpoint(checkpoint) => checkpoint,
     };
-    let mut machine = Machine::restore_with(image, cpu, Some(budget), GemFiEngine::new(faults));
+    let budget = Some(watchdog_budget(checkpoint, prepared, config));
+    let engine = GemFiEngine::new(faults);
+    let mut machine = Machine::restore_with(checkpoint, Some(config.inject_cpu), budget, engine);
     machine.set_elide(config.elide);
     machine.set_superblock(config.superblock);
     machine
@@ -232,10 +213,7 @@ pub(crate) fn build_machine(
 /// protocol, horizon-aware chunked scheduling, and abort polling — the one
 /// loop every experiment path runs. `origin` is the checkpoint tick the
 /// experiment descends from; pre-switch boundaries are anchored to it (see
-/// [`next_boundary`]). `observer` is invoked once per scheduling chunk (with
-/// the machine and whether the CPU switch has happened) and must not advance
-/// the machine; the mid-run snapshot policy ([`crate::snapshot`]) hangs off
-/// it.
+/// [`next_boundary`]).
 ///
 /// Pre-switch polling always runs at the fine granularity, even while the
 /// engine is dormant: the boundary at which `pending_faults() == 0` is
@@ -250,7 +228,6 @@ pub(crate) fn drive_to_completion(
     config: &RunnerConfig,
     abort: &AbortToken,
     origin: u64,
-    observer: &mut dyn FnMut(&Machine<GemFiEngine>, bool),
 ) -> (RunExit, bool) {
     machine.hooks_mut().set_abort_token(abort.clone());
     let mut switched = config.inject_cpu == config.finish_cpu;
@@ -258,7 +235,6 @@ pub(crate) fn drive_to_completion(
         if abort.is_aborted() {
             return (RunExit::Watchdog, true);
         }
-        observer(machine, switched);
         if !switched && machine.hooks_mut().pending_faults() == 0 {
             // The fault fired (or expired): give the affected instruction
             // time to commit or squash, then fast-forward in the cheap model.
@@ -291,55 +267,37 @@ pub(crate) fn drive_to_completion(
     }
 }
 
-/// The observer of a run nobody watches.
-pub(crate) fn unobserved(_: &Machine<GemFiEngine>, _: bool) {}
-
-/// The one experiment driver: builds the machine from `source` loaded with
-/// `specs`, drives it under `abort`, and classifies. Every `run_*` entry
-/// point — whole run, multi-fault, snapshot resume — is a call into this.
-pub(crate) fn experiment(
-    source: Source<'_>,
+/// The one experiment driver: restores `checkpoint` loaded with `specs`,
+/// drives the whole run under `abort`, and classifies. Every `run_*` entry
+/// point — single fault, multi-fault, a campaign worker's lease — is a call
+/// into this.
+fn experiment(
+    checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
     specs: &[FaultSpec],
     config: &RunnerConfig,
     abort: &AbortToken,
-    observer: &mut dyn FnMut(&Machine<GemFiEngine>, bool),
 ) -> ExperimentResult {
     assert!(!specs.is_empty(), "at least one fault");
-    let mut machine = build_machine(source, prepared, specs, config);
-    let (origin, config, stored) = match source {
-        Source::Checkpoint(checkpoint) => (checkpoint.tick(), *config, None),
-        Source::Trunk(_) => (prepared.checkpoint.tick(), *config, None),
-        // Already switched: drive with inject == finish so the loop never
-        // re-enters the grace/switch protocol. The resumed engine never saw
-        // the injection — the records that classify the run were persisted
-        // in the snapshot.
-        Source::Snapshot { origin, snapshot } => (
-            origin.tick(),
-            RunnerConfig { inject_cpu: config.finish_cpu, ..*config },
-            Some(snapshot.records.clone()),
-        ),
-    };
-    let drove = drive_to_completion(&mut machine, &config, abort, origin, observer);
-    finish_result(&machine, origin, prepared, workload, specs[0], drove, stored)
+    let (machine, exit, aborted) = drive_whole_run(checkpoint, prepared, specs, config, abort);
+    finish_result(&machine, checkpoint.tick(), prepared, workload, specs[0], (exit, aborted))
 }
 
-/// Restores from `checkpoint` with a fresh single-fault engine and drives
-/// the whole experiment — everything [`run_experiment_from_with_abort`]
+/// Restores from `checkpoint` with a fresh engine loaded with `specs` and
+/// drives the whole experiment — everything [`run_experiment_from_with_abort`]
 /// does short of classification. The fork-at-injection conformance suite
 /// compares this machine's terminal state bit-for-bit against a forked
 /// suffix's, so the full machine comes back, not just the result.
 pub fn drive_whole_run(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
-    spec: FaultSpec,
+    specs: &[FaultSpec],
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> (Machine<GemFiEngine>, RunExit, bool) {
-    let mut machine = build_machine(Source::Checkpoint(checkpoint), prepared, &[spec], config);
-    let (exit, aborted) =
-        drive_to_completion(&mut machine, config, abort, checkpoint.tick(), &mut unobserved);
+    let mut machine = build_machine(Source::Checkpoint(checkpoint), prepared, specs, config);
+    let (exit, aborted) = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
     (machine, exit, aborted)
 }
 
@@ -357,15 +315,11 @@ pub fn run_experiment_from_with_abort(
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> ExperimentResult {
-    let source = Source::Checkpoint(checkpoint);
-    experiment(source, prepared, workload, &[spec], config, abort, &mut unobserved)
+    experiment(checkpoint, prepared, workload, &[spec], config, abort)
 }
 
 /// Classification and result assembly shared by every experiment path.
-/// `drove` is what [`drive_to_completion`] returned. `stored` are the
-/// injection records of a run resumed from a mid-run snapshot
-/// ([`crate::snapshot`]), whose finishing engine never saw the injection;
-/// every other run classifies by its own engine's records.
+/// `drove` is what [`drive_to_completion`] returned.
 pub(crate) fn finish_result(
     machine: &Machine<GemFiEngine>,
     checkpoint_tick: u64,
@@ -373,9 +327,8 @@ pub(crate) fn finish_result(
     workload: &dyn Workload,
     spec: FaultSpec,
     (exit, aborted): (RunExit, bool),
-    stored: Option<Vec<InjectionRecord>>,
 ) -> ExperimentResult {
-    let injections = stored.unwrap_or_else(|| machine.hooks().records().to_vec());
+    let injections = machine.hooks().records().to_vec();
     let output = machine
         .mem()
         .read_slice(prepared.guest.output_addr(), prepared.guest.output_len)
@@ -409,8 +362,7 @@ pub fn run_experiment_multi(
     specs: &[FaultSpec],
     config: &RunnerConfig,
 ) -> ExperimentResult {
-    let source = Source::Checkpoint(&prepared.checkpoint);
-    experiment(source, prepared, workload, specs, config, &AbortToken::new(), &mut unobserved)
+    experiment(&prepared.checkpoint, prepared, workload, specs, config, &AbortToken::new())
 }
 
 /// Runs one experiment using the prepared workload's own checkpoint.

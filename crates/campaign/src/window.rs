@@ -1,6 +1,6 @@
 //! The open window of a campaign's slot table: its fault-tolerance policy,
-//! the acknowledgement a report earns, and the names of the files it leaves
-//! on the share.
+//! the acknowledgement a report earns, and the name of the fault listing it
+//! leaves on the share.
 //!
 //! The table itself — one slot per drawn experiment, `pending → leased →
 //! terminal`, with claims, heartbeats, the reaper and reports as its
@@ -10,15 +10,13 @@
 //! lease, the journal append, the retry backoff — happens inside that one
 //! type, so a recovery-path fix lands on both backends at once. The lease
 //! lives only in the table and the journal; no per-experiment file is
-//! written besides an optional mid-run snapshot.
+//! written, and a retried attempt re-runs from the campaign checkpoint.
 //!
 //! All timing goes through an injected [`Clock`](crate::clock::Clock): the
 //! tests below drive lease expiry, reaping, capped backoff and whole seeded
 //! claim/report/restart schedules against a
 //! [`TestClock`](crate::clock::TestClock), with outcomes supplied by the
 //! test instead of a simulator.
-
-use std::path::{Path, PathBuf};
 
 /// Fault-tolerance policy of a campaign's scheduler (derived from
 /// `NowConfig` or the server's configuration).
@@ -51,12 +49,6 @@ pub enum ReportAck {
 /// `i` for experiment `i`, written for the record and never read back.
 pub(crate) const FAULTS_FILE: &str = "campaign.faults";
 
-/// The mid-run snapshot file for experiment `i` (crash-resume state; local
-/// scratch, deleted on terminal completion).
-pub(crate) fn snapshot_path(share: &Path, i: usize) -> PathBuf {
-    share.join(format!("exp{i:05}.snap"))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -71,6 +63,7 @@ pub(crate) mod tests {
     use crate::transport::{ClaimReply, WorkAssignment};
     use gemfi::{AbortToken, FaultConfig, FaultSpec, Outcome};
     use gemfi_workloads::pi::MonteCarloPi;
+    use std::path::{Path, PathBuf};
     use std::sync::{Arc, OnceLock};
 
     /// The share contract: a campaign's share holds exactly its checkpoint,

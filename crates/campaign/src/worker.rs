@@ -22,10 +22,12 @@
 //! queue it fetches campaign metadata once, rebuilds the workload through a
 //! caller-supplied resolver, and fetches the checkpoint image once per
 //! distinct digest (shared across queues that campaign the same prepared
-//! workload).
+//! workload). Every attempt — a retry included — runs the whole experiment
+//! from that checkpoint; a worker keeps nothing on disk.
 
-use crate::runner::{ExperimentResult, PreparedWorkload, RunnerConfig};
-use crate::snapshot::{execute_leased, SnapshotPolicy};
+use crate::runner::{
+    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig,
+};
 use crate::transport::{AttemptGuard, CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 use crate::wire::{
     hex_decode, read_blob, read_line, write_line, ClientMsg, ServerMsg, PROTO_VERSION,
@@ -38,7 +40,6 @@ use std::collections::HashMap;
 use std::io::{BufReader, Error, ErrorKind};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,12 +51,6 @@ pub struct WorkerOptions {
     pub name: String,
     /// Experiment execution configuration.
     pub runner: RunnerConfig,
-    /// Mid-run snapshot cadence (disabled by default).
-    pub snapshot: SnapshotPolicy,
-    /// Worker-local scratch directory for snapshot files; required for
-    /// snapshots on the socket backend (the spool backend snapshots onto
-    /// the share).
-    pub scratch_dir: Option<PathBuf>,
     /// Connection attempts per request before the socket transport gives
     /// up and surfaces the error.
     pub connect_attempts: u32,
@@ -65,14 +60,11 @@ pub struct WorkerOptions {
 }
 
 impl WorkerOptions {
-    /// Defaults: no snapshots, 8 connection attempts with 50 ms base
-    /// backoff.
+    /// Defaults: 8 connection attempts with 50 ms base backoff.
     pub fn new(name: impl Into<String>) -> WorkerOptions {
         WorkerOptions {
             name: name.into(),
             runner: RunnerConfig::default(),
-            snapshot: SnapshotPolicy::disabled(),
-            scratch_dir: None,
             connect_attempts: 8,
             reconnect_delay: Duration::from_millis(50),
         }
@@ -105,8 +97,8 @@ pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 
 /// The generic worker loop: claim, execute under `catch_unwind`, report,
 /// until the transport says the campaign is complete. `execute` runs one
-/// assignment and returns its result, or a failure description (context
-/// fetch errors, snapshot I/O) that burns the attempt like a panic would.
+/// assignment and returns its result, or a failure description (a socket
+/// worker's context fetch errors) that burns the attempt like a panic would.
 ///
 /// # Errors
 ///
@@ -488,8 +480,6 @@ pub fn run_socket_worker(
     let addr = addr.to_string();
     let name = opts.name.clone();
     let runner = opts.runner;
-    let snapshot = opts.snapshot;
-    let scratch = opts.scratch_dir.clone();
 
     let mut execute = move |assignment: &WorkAssignment| -> Result<ExperimentResult, String> {
         if !contexts.contains_key(&assignment.queue) {
@@ -498,19 +488,13 @@ pub fn run_socket_worker(
             contexts.insert(assignment.queue.clone(), ctx);
         }
         let ctx = contexts.get(&assignment.queue).expect("context just inserted");
-        let snap_path = scratch
-            .as_ref()
-            .filter(|_| snapshot.enabled())
-            .map(|dir| dir.join(format!("{}-exp{:05}.snap", assignment.queue, assignment.exp)));
-        let snap = snap_path.as_deref().map(|path| (path, snapshot));
-        let checkpoint = &ctx.prepared.checkpoint;
-        Ok(execute_leased(
-            checkpoint,
+        Ok(run_experiment_from_with_abort(
+            &ctx.prepared.checkpoint,
             &ctx.prepared,
             ctx.workload.as_ref(),
-            assignment,
+            assignment.spec,
             &runner,
-            snap,
+            &assignment.abort,
         ))
     };
     drive_worker(&mut transport, opts, &mut execute)

@@ -12,9 +12,12 @@
 //! - adaptive sequential-sampling campaigns run over the socket backend and
 //!   agree with the spool backend;
 //! - the `STATUS` endpoint streams live per-queue and per-cell metrics;
+//! - a worker that cannot rebuild a queue's workload burns every attempt,
+//!   and the queue ends all `Infrastructure` with the reason journaled;
 //! - a worker name carrying a newline is refused by the protocol parser
 //!   before it reaches the journal.
 
+use gemfi::Outcome;
 use gemfi_campaign::wire::{read_line, write_line};
 use gemfi_campaign::{
     prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_experiment,
@@ -26,7 +29,7 @@ use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::Workload;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -42,6 +45,17 @@ fn pi_workload() -> MonteCarloPi {
 
 fn resolver(workload: &str, scale: &str) -> Option<Box<dyn Workload>> {
     (workload == "pi" && scale == "test").then(|| Box::new(pi_workload()) as Box<dyn Workload>)
+}
+
+/// A queue's share holds the campaign's three files and nothing per
+/// experiment.
+fn assert_only_campaign_files(queue_share: &Path) {
+    let mut names: Vec<_> = std::fs::read_dir(queue_share)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["campaign.ckpt", "campaign.faults", "campaign.journal"]);
 }
 
 fn fast_server_config(share: &PathBuf) -> ServerConfig {
@@ -183,12 +197,7 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
     // The queue's share holds the campaign's files and nothing per
     // experiment; `campaign.faults` lists the specs in experiment order.
     let queue_share = share.join("pi-fixed");
-    let mut names: Vec<_> = std::fs::read_dir(&queue_share)
-        .unwrap()
-        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert_eq!(names, ["campaign.ckpt", "campaign.faults", "campaign.journal"]);
+    assert_only_campaign_files(&queue_share);
     let listed = gemfi::FaultConfig::load(&queue_share.join("campaign.faults")).unwrap();
     assert_eq!(listed.faults(), specs);
 }
@@ -340,6 +349,55 @@ fn adaptive_campaign_over_the_socket_matches_the_spool_backend() {
         assert_eq!(a.drawn, b.drawn);
         assert_eq!(a.stats.table(), b.stats.table());
     }
+}
+
+#[test]
+fn a_worker_without_the_queue_workload_fails_every_attempt_into_infrastructure() {
+    let w = pi_workload();
+    let prepared = prepare_workload(&w).unwrap();
+    let mut sampler = FaultSampler::new(13, prepared.stage_events, 0, 0);
+    let specs: Vec<_> = (0..3).map(|_| sampler.sample_any()).collect();
+    let share = scratch("no-workload");
+    let queue = QueueSpec {
+        name: "pi-fixed".to_string(),
+        priority: 1,
+        quota: 0,
+        workload: "pi".to_string(),
+        scale: "test".to_string(),
+        prepared,
+        kind: QueueKind::FixedN { specs: specs.clone() },
+    };
+    let config = ServerConfig { max_retries: 1, ..fast_server_config(&share) };
+    let server = CampaignServer::start(config, vec![queue]).unwrap();
+    let knows_nothing = |_: &str, _: &str| -> Option<Box<dyn Workload>> { None };
+    let report =
+        run_socket_worker(&server.addr().to_string(), &knows_nothing, &fast_worker("w")).unwrap();
+    assert!(server.wait_complete(Duration::from_secs(60)));
+
+    // Every claim burned its attempt on the missing workload: two per
+    // experiment under `max_retries: 1`.
+    assert_eq!((report.completed, report.failed), (0, report.claims), "{report:?}");
+    assert_eq!(report.claims, 2 * specs.len() as u64);
+    let q = &server.shutdown().unwrap().queues[0];
+    assert_eq!(q.table.count(Outcome::Infrastructure), specs.len() as u64);
+    assert!(q.completed.iter().all(|c| c.outcome == Outcome::Infrastructure));
+
+    // Each terminal `failed` line names the cause and the experiment's spec.
+    let queue_share = share.join("pi-fixed");
+    let events = Journal::replay(&Journal::path_in(&queue_share)).unwrap();
+    let failed: Vec<_> = events
+        .into_iter()
+        .filter_map(|e| match e {
+            JournalEvent::Failed { exp, reason, spec, .. } => Some((exp, reason, spec)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failed.len(), specs.len());
+    for (exp, reason, spec) in failed {
+        assert!(reason.contains("no local workload for `pi`"), "exp {exp}: {reason}");
+        assert_eq!(spec, Some(specs[exp as usize].to_string()));
+    }
+    assert_only_campaign_files(&queue_share);
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn conformance(model: CpuKind) {
             let (fork_exit, fork_aborted) =
                 drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
             let (whole, whole_exit, whole_aborted) =
-                drive_whole_run(&p.checkpoint, &p, spec, &runner, &AbortToken::new());
+                drive_whole_run(&p.checkpoint, &p, &[spec], &runner, &AbortToken::new());
             assert!(!fork_aborted && !whole_aborted, "{tag}");
             assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
             if !superblock {
