@@ -33,16 +33,18 @@
 //!    the identical tick.
 //!
 //! The planner is conservative where it cannot be exact: fork distance is
-//! derived from [`gemfi::FireDistance`] lower bounds with a slack margin,
-//! and any spec found already armed (the trunk overshot its window) falls
-//! back to a plain whole-run restore — a perf penalty, never a wrong
+//! derived from [`gemfi::GemFiEngine::arming`] (the engine's one arming
+//! rule; a lower bound until the spec's thread activates) with a slack
+//! margin, and any spec found already armed (the trunk overshot its window)
+//! falls back to a plain whole-run restore — a perf penalty, never a wrong
 //! answer.
 
 use crate::runner::{
     build_machine, drive_to_completion, finish_result, ExperimentResult, PreparedWorkload,
     RunnerConfig, Source,
 };
-use gemfi::{AbortToken, FaultSpec, FireDistance, GemFiEngine};
+use gemfi::{AbortToken, FaultSpec, GemFiEngine};
+use gemfi_cpu::Dormancy;
 use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::Workload;
 
@@ -82,13 +84,14 @@ pub struct ForkedSuffix {
     pub machine: Machine<GemFiEngine>,
 }
 
-/// How far (in safe trunk ticks) a spec is from needing its fork, given a
-/// [`FireDistance`] and a slack margin. `0` means fork now; `u64::MAX`
-/// means the spec can never fire and may fork anywhere.
-fn safe_advance(distance: FireDistance, slack: u64) -> u64 {
+/// How far (in safe trunk ticks) a spec is from needing its fork, given its
+/// [`GemFiEngine::arming`] distance and a slack margin. `0` means fork now;
+/// `u64::MAX` means the spec can never fire and may fork anywhere.
+fn safe_advance(distance: Dormancy, slack: u64) -> u64 {
     match distance {
-        FireDistance::Armed => 0,
-        FireDistance::Quiet { events, ticks } => {
+        Dormancy::Active => 0,
+        Dormancy::Dormant => u64::MAX,
+        Dormancy::Quiet { events, ticks } => {
             let by_events = if events == u64::MAX {
                 u64::MAX
             } else {
@@ -122,7 +125,7 @@ pub fn plan_suffixes(
     // fallback, never a wrong result.
     let mut order: Vec<usize> = (0..specs.len()).collect();
     let t0 = trunk.tick();
-    order.sort_by_key(|&i| safe_advance(trunk.hooks().fire_distance(0, t0, &specs[i]), 0));
+    order.sort_by_key(|&i| safe_advance(trunk.hooks().arming(0, t0, &specs[i]), 0));
 
     let mut out = Vec::with_capacity(specs.len());
     let mut trunk_done = false;
@@ -133,8 +136,8 @@ pub fn plan_suffixes(
                 break None;
             }
             let now = trunk.tick();
-            let distance = trunk.hooks().fire_distance(0, now, &spec);
-            if distance == FireDistance::Armed {
+            let distance = trunk.hooks().arming(0, now, &spec);
+            if distance == Dormancy::Active {
                 // Overshot this spec's window (ordering estimate was off, or
                 // the spec was armed from the start): replay it whole.
                 break None;

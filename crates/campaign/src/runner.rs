@@ -229,7 +229,6 @@ pub(crate) fn drive_to_completion(
     abort: &AbortToken,
     origin: u64,
 ) -> (RunExit, bool) {
-    machine.hooks_mut().set_abort_token(abort.clone());
     let mut switched = config.inject_cpu == config.finish_cpu;
     loop {
         if abort.is_aborted() {

@@ -556,12 +556,22 @@ pub fn read_line<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
 
 /// Reads the `len` raw bytes following a [`ServerMsg::Blob`] header.
 ///
+/// `len` comes from the peer, so nothing is allocated for it up front: the
+/// buffer grows with the bytes that actually arrive.
+///
 /// # Errors
 ///
-/// Propagates I/O errors (including truncation as `UnexpectedEof`).
+/// Propagates I/O errors; a stream that ends before `len` bytes is
+/// `UnexpectedEof`.
 pub fn read_blob<R: Read>(r: &mut R, len: u64) -> std::io::Result<Vec<u8>> {
-    let mut bytes = vec![0u8; len as usize];
-    r.read_exact(&mut bytes)?;
+    let mut bytes = Vec::new();
+    r.take(len).read_to_end(&mut bytes)?;
+    if (bytes.len() as u64) < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("blob ended after {} of {len} bytes", bytes.len()),
+        ));
+    }
     Ok(bytes)
 }
 
@@ -718,6 +728,14 @@ mod tests {
             ServerMsg::Complete
         );
         assert_eq!(read_line(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn a_blob_header_longer_than_the_stream_is_an_eof_not_an_allocation() {
+        let err = read_blob(&mut &b"abc"[..], u64::MAX).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let err = read_blob(&mut &b"abc"[..], 4).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

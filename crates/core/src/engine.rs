@@ -1,20 +1,24 @@
 //! The GemFI injection engine: a [`FaultHooks`] implementation.
 //!
 //! Fig. 2 of the paper, as code: on each simulated instruction the engine
-//! (1) checks whether the running thread has fault injection enabled — via
-//! the per-core cached pointer refreshed on context switches, or via a hash
-//! lookup when the optimization is disabled for the ablation — (2) updates
-//! the thread's per-stage counters, (3) scans the stage's fault queue for
-//! matching faults, and (4) corrupts the targeted value, logging an
-//! [`InjectionRecord`] with the affected instruction's disassembly.
+//! (1) resolves the running thread through [`ThreadTable::running`] — the
+//! per-core cached pointer refreshed on context switches, or a hash lookup
+//! when the optimization is disabled for the ablation — and so checks that
+//! it has fault injection enabled, (2) updates the thread's per-stage
+//! counters, (3) scans the stage's fault queue for matching faults, and (4)
+//! corrupts the targeted value, logging an [`InjectionRecord`] with the
+//! affected instruction's disassembly.
+//!
+//! Whether a queued spec is armed is [`FaultSpec::arming`]'s answer
+//! everywhere: in the queue scan, in the elision horizon
+//! ([`FaultHooks::dormancy`]) and for the fork planner
+//! ([`GemFiEngine::arming`]).
 
 use crate::config::FaultConfig;
 use crate::corrupt::apply;
 use crate::queues::StageQueues;
 use crate::record::InjectionRecord;
-use crate::spec::{
-    FaultBehavior, FaultLocation, FaultSpec, FaultTiming, MbuPattern, MemTarget, Stage,
-};
+use crate::spec::{FaultBehavior, FaultLocation, FaultSpec, MbuPattern, MemTarget, Stage};
 use crate::thread::ThreadTable;
 use gemfi_cpu::{Dormancy, ElisionBatch, FaultHooks};
 use gemfi_isa::{disassemble, ArchState, FpReg, Instr, IntReg, RawInstr, RegRef};
@@ -25,9 +29,9 @@ use std::sync::Arc;
 /// A shared, clonable abort flag — the campaign-side watchdog plumbing.
 ///
 /// Campaign coordinators (lease reapers, wall-clock watchdogs, shutdown
-/// paths) hold one end; the engine driving an experiment holds the other.
-/// Raising the flag asks the experiment's chunked run loop to stop at the
-/// next scheduling boundary, so a hung or orphaned simulation is abandoned
+/// paths) hold one end; the run loop driving an experiment holds the other.
+/// Raising the flag asks that chunked run loop to stop at the next
+/// scheduling boundary, so a hung or orphaned simulation is abandoned
 /// promptly instead of burning its whole simulated-tick budget.
 #[derive(Debug, Clone, Default)]
 pub struct AbortToken(Arc<AtomicBool>);
@@ -67,28 +71,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// How far a single fault spec is from its firing point, as seen from the
-/// engine's current thread-activation state — the per-spec refinement of
-/// [`Dormancy`](gemfi_cpu::Dormancy). Fork-at-injection planning uses it to
-/// decide where along the fault-free trunk to fork each experiment's suffix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FireDistance {
-    /// The spec can fire on the very next matching event (or is already in
-    /// its tick window): fork *before* advancing any further.
-    Armed,
-    /// At least `events` more matching stage events, or `ticks` more ticks,
-    /// must elapse before the spec can fire. When the spec's thread has not
-    /// activated injection yet these are lower bounds (activation resets
-    /// the counters, so the full distance still lies ahead); either field is
-    /// `u64::MAX` when that axis does not constrain the spec.
-    Quiet {
-        /// Matching stage events remaining before the spec can fire.
-        events: u64,
-        /// Ticks remaining before the spec's window opens.
-        ticks: u64,
-    },
-}
-
 /// In decode-stage faults, the corruptible space is the concatenation of the
 /// three register-selector fields: `Ra`(5) | `Rb`(5) | `Rc`(5) = 15 bits.
 pub const DECODE_SELECTOR_BITS: u8 = 15;
@@ -101,6 +83,28 @@ fn with_selectors(word: RawInstr, sel: u64) -> RawInstr {
     word.with_field(gemfi_isa::format::RA, ((sel >> 10) & 0x1f) as u32)
         .with_field(gemfi_isa::format::RB, ((sel >> 5) & 0x1f) as u32)
         .with_field(gemfi_isa::format::RC, (sel & 0x1f) as u32)
+}
+
+/// The nearest of several [`FaultSpec::arming`] answers: `Active` as soon as
+/// one is, otherwise each axis's minimum, and `Dormant` when neither axis is
+/// constrained.
+fn nearest(distances: impl Iterator<Item = Dormancy>) -> Dormancy {
+    let (mut events, mut ticks) = (u64::MAX, u64::MAX);
+    for distance in distances {
+        match distance {
+            Dormancy::Active => return Dormancy::Active,
+            Dormancy::Quiet { events: e, ticks: t } => {
+                events = events.min(e);
+                ticks = ticks.min(t);
+            }
+            Dormancy::Dormant => {}
+        }
+    }
+    if events == u64::MAX && ticks == u64::MAX {
+        Dormancy::Dormant
+    } else {
+        Dormancy::Quiet { events, ticks }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,13 +144,10 @@ struct Watch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GemFiEngine {
-    config: EngineConfig,
     queues: StageQueues,
     threads: ThreadTable,
     records: Vec<InjectionRecord>,
     watches: Vec<Watch>,
-    /// Current PCB base per core (for the uncached lookup path).
-    current_pcbb: Vec<u64>,
     last_tick: Ticks,
     /// Events processed per stage while a thread was enabled (engine-side
     /// statistics; used by overhead analyses).
@@ -157,8 +158,6 @@ pub struct GemFiEngine {
     pending_lesions: Vec<CacheLesion>,
     /// Per-core armed instruction-skip flags ([`FaultHooks::take_skip`]).
     skip_armed: Vec<bool>,
-    /// External abort flag (campaign watchdog plumbing).
-    abort: AbortToken,
 }
 
 impl GemFiEngine {
@@ -170,45 +169,15 @@ impl GemFiEngine {
     /// An engine with explicit tuning.
     pub fn with_config(faults: FaultConfig, config: EngineConfig) -> GemFiEngine {
         GemFiEngine {
-            config,
             queues: StageQueues::from_faults(faults.faults()),
-            threads: ThreadTable::new(config.cores),
+            threads: ThreadTable::new(config.cores, config.pcb_pointer_cache),
             records: Vec::new(),
             watches: Vec::new(),
-            current_pcbb: vec![0; config.cores],
             last_tick: 0,
             stage_events: [0; 5],
             pending_lesions: Vec::new(),
             skip_armed: vec![false; config.cores],
-            abort: AbortToken::new(),
         }
-    }
-
-    /// Installs a shared abort token; the campaign raises it to stop this
-    /// engine's experiment at the next run-loop boundary.
-    pub fn set_abort_token(&mut self, token: AbortToken) {
-        self.abort = token;
-    }
-
-    /// The engine's abort token (clone to hand to a watchdog).
-    pub fn abort_token(&self) -> AbortToken {
-        self.abort.clone()
-    }
-
-    /// Whether an external abort was requested.
-    pub fn abort_requested(&self) -> bool {
-        self.abort.is_aborted()
-    }
-
-    /// Resets all internal state and installs a new fault configuration —
-    /// the `fi_read_init_all()` restore semantics ("Upon restoring from the
-    /// checkpoint, it resets all the internal information of GemFI, allowing
-    /// the same checkpoint to be used … with potentially different fault
-    /// injection configurations").
-    pub fn reset(&mut self, faults: FaultConfig) {
-        let abort = self.abort.clone();
-        *self = GemFiEngine::with_config(faults, self.config);
-        self.abort = abort;
     }
 
     /// The faults injected so far.
@@ -231,12 +200,6 @@ impl GemFiEngine {
         self.stage_events
     }
 
-    /// Whether any fired fault may have propagated (register faults must
-    /// have been consumed; in-flight faults must have changed the value).
-    pub fn any_propagated(&self) -> bool {
-        self.records.iter().any(InjectionRecord::propagated)
-    }
-
     /// Whether the engine is fully dormant on `core` at `now`: no pending
     /// fault can ever fire in the current thread-activation state, and no
     /// consumption watch is live. Campaign schedulers use this to pick a
@@ -245,67 +208,36 @@ impl GemFiEngine {
         matches!(FaultHooks::dormancy(self, core, now), Dormancy::Dormant)
     }
 
-    /// How far `spec` is from firing on `core`, given this engine's current
-    /// thread-activation state. The per-spec analogue of the [`Dormancy`]
-    /// horizon: where `dormancy` folds every queued fault into one scalar,
-    /// this answers for a single spec that need not even be queued here —
-    /// fork-at-injection asks a fault-free trunk engine how close each
-    /// *planned* experiment's fault is.
+    /// How far `spec` is from arming on `core` at `now`, given this engine's
+    /// thread activations: [`FaultSpec::arming`] for every activated thread
+    /// with the spec's id, the nearest of them — the queue scan fires the
+    /// spec on whichever gets there first. The spec need not be queued here:
+    /// fork-at-injection asks a fault-free trunk engine about each planned
+    /// experiment's fault.
     ///
-    /// The answer is conservative in exactly one direction: when the spec's
-    /// thread has activated injection the distance is exact, and when it has
-    /// not (activation resets counters, so the whole distance still lies
-    /// ahead) the returned `Quiet` fields are lower bounds. A spec that can
-    /// never fire on this core reports `Quiet { u64::MAX, u64::MAX }`.
-    pub fn fire_distance(&self, core: usize, now: Ticks, spec: &FaultSpec) -> FireDistance {
+    /// A spec whose thread has not activated yet is evaluated at `(0, 0)`:
+    /// activation resets the counters, so its whole offset still lies ahead
+    /// (a lower bound). A spec for another core can never fire here and
+    /// reports `Dormant`.
+    pub fn arming(&self, core: usize, now: Ticks, spec: &FaultSpec) -> Dormancy {
         if spec.location.core() != core {
-            return FireDistance::Quiet { events: u64::MAX, ticks: u64::MAX };
+            return Dormancy::Dormant;
         }
-        match self.threads.by_id(spec.thread) {
-            Some(rec) => match spec.timing {
-                FaultTiming::Instructions(start) => {
-                    let served = rec.count(spec.stage());
-                    if served >= start {
-                        FireDistance::Armed
-                    } else {
-                        FireDistance::Quiet { events: start - served, ticks: u64::MAX }
-                    }
-                }
-                FaultTiming::Ticks(_) => {
-                    let since = rec.ticks_since_activation(now);
-                    let (start, _) = spec.window();
-                    if since >= start {
-                        FireDistance::Armed
-                    } else {
-                        FireDistance::Quiet { events: u64::MAX, ticks: start - since }
-                    }
-                }
-            },
-            // Not activated yet: counters start from zero at activation, so
-            // the spec's full offset is still ahead of us — a valid lower
-            // bound. A zero offset could fire immediately after activation.
-            None => match spec.timing {
-                FaultTiming::Instructions(0) => FireDistance::Armed,
-                FaultTiming::Instructions(start) => {
-                    FireDistance::Quiet { events: start, ticks: u64::MAX }
-                }
-                FaultTiming::Ticks(_) => {
-                    let (start, _) = spec.window();
-                    if start == 0 {
-                        FireDistance::Armed
-                    } else {
-                        FireDistance::Quiet { events: u64::MAX, ticks: start }
-                    }
-                }
-            },
+        let mut threads = self.threads.with_id(spec.thread).peekable();
+        if threads.peek().is_none() {
+            return spec.arming(0, 0);
         }
+        nearest(
+            threads
+                .map(|rec| spec.arming(rec.count(spec.stage()), rec.ticks_since_activation(now))),
+        )
     }
 
     /// An engine for a forked machine: carries over everything the guest's
     /// execution history determines — thread activations, per-core PCB
     /// bases, per-stage event counters, the tick clock — while installing a
     /// *fresh* fault queue built from `faults`, empty injection records and
-    /// watches, and a private abort token.
+    /// watches.
     ///
     /// Valid strictly *before* any of `faults` could have fired: queue scans
     /// ahead of a spec's window never mutate the queue, so an engine that
@@ -315,61 +247,49 @@ impl GemFiEngine {
     /// trunk.
     pub fn fork_with_faults(&self, faults: FaultConfig) -> GemFiEngine {
         GemFiEngine {
-            config: self.config,
             queues: StageQueues::from_faults(faults.faults()),
             threads: self.threads.clone(),
             records: Vec::new(),
             watches: Vec::new(),
-            current_pcbb: self.current_pcbb.clone(),
             last_tick: self.last_tick,
             stage_events: self.stage_events,
             // Valid pre-fire only (see above), so nothing can be armed or
             // awaiting planting at the fork point.
             pending_lesions: Vec::new(),
-            skip_armed: vec![false; self.config.cores],
-            abort: AbortToken::new(),
+            skip_armed: vec![false; self.skip_armed.len()],
         }
     }
 
-    fn resolve_thread(
-        threads: &mut ThreadTable,
-        config: &EngineConfig,
-        current_pcbb: &[u64],
-        core: usize,
-    ) -> Option<ThreadKey> {
-        let rec = if config.pcb_pointer_cache {
-            threads.active_mut(core)?
-        } else {
-            threads.active_mut_uncached(core, *current_pcbb.get(core)?)?
-        };
-        Some(ThreadKey { id: rec.id })
-    }
-
-    /// Common stage-event processing: resolve thread, bump the stage
-    /// counter, and scan the queue. Returns fired specs (usually 0 or 1).
+    /// One stage event on `core`: resolve the running thread, advance its
+    /// `stage` counter if `bump` (the event counts toward the stage's
+    /// timing), and scan the stage's queue, narrowed by `filter`. Returns
+    /// the fired specs (usually 0 or 1).
     ///
     /// This is the per-simulated-instruction hot path (Fig. 2): one thread
-    /// resolution (cached pointer or hash lookup), one counter bump, and a
-    /// queue scan that early-outs when the stage has nothing pending.
+    /// resolution, one counter bump, and a queue scan that early-outs when
+    /// the stage has nothing pending. An unbumped event reads the counter as
+    /// it stands, so with nothing pending it has nothing to do at all.
     #[inline]
     fn stage_event(
         &mut self,
         core: usize,
         stage: Stage,
+        bump: bool,
         filter: impl FnMut(&FaultSpec) -> bool,
     ) -> Vec<FaultSpec> {
-        let rec = if self.config.pcb_pointer_cache {
-            self.threads.active_mut(core)
+        let pending = self.queues.pending_in(stage) != 0;
+        if !(pending || bump) {
+            return Vec::new();
+        }
+        let Some(rec) = self.threads.running_mut(core) else { return Vec::new() };
+        let count = if bump {
+            self.stage_events[stage.index()] += 1;
+            rec.bump(stage)
         } else {
-            let pcbb = self.current_pcbb.get(core).copied().unwrap_or(0);
-            self.threads.active_mut_uncached(core, pcbb)
+            rec.count(stage)
         };
-        let Some(rec) = rec else { return Vec::new() };
-        let id = rec.id;
-        let count = rec.bump(stage);
-        let ticks_since = rec.ticks_since_activation(self.last_tick);
-        self.stage_events[stage.index()] += 1;
-        if self.queues.pending_in(stage) == 0 {
+        let (id, ticks_since) = (rec.id, rec.ticks_since_activation(self.last_tick));
+        if !pending {
             return Vec::new();
         }
         let mut fired = Vec::new();
@@ -377,6 +297,51 @@ impl GemFiEngine {
             fired.push(*spec);
         });
         fired
+    }
+
+    /// A load (`direction` = `Load`) or store (`Store`) of `value` at
+    /// `addr`. L1D/L2 cache faults ride the memory-stage timeline: any data
+    /// memory event can fire them, planting a lesion without corrupting the
+    /// firing transaction itself.
+    fn mem_event(&mut self, core: usize, addr: u64, value: u64, direction: MemTarget) -> u64 {
+        let fired = self.stage_event(core, Stage::Memory, true, |spec| match spec.location {
+            FaultLocation::Mem { target, .. } => target == direction || target == MemTarget::Any,
+            location => location.is_cache(),
+        });
+        let mut v = value;
+        for spec in fired {
+            if let Some(lesion) = Self::lesion_for(&spec) {
+                self.pending_lesions.push(lesion);
+                self.push_record(Stage::Memory, &spec, addr, None, v, v);
+                continue;
+            }
+            let before = v;
+            v = apply(spec.behavior, before, 64);
+            self.push_record(Stage::Memory, &spec, addr, None, before, v);
+        }
+        v
+    }
+
+    /// Retires every consumption watch on `reg` of `core`, marking its
+    /// record consumed (a `read`) or overwritten (a write).
+    fn retire_watches(&mut self, core: usize, reg: RegRef, read: bool) {
+        // Every register access lands here; almost none has a watch.
+        if self.watches.is_empty() {
+            return;
+        }
+        let records = &mut self.records;
+        self.watches.retain(|w| {
+            let hit = w.core == core && w.reg == reg;
+            if hit {
+                let record = &mut records[w.record];
+                if read {
+                    record.consumed = true;
+                } else {
+                    record.overwritten = true;
+                }
+            }
+            !hit
+        });
     }
 
     /// Compiles a fired cache-fault spec into the lesion the memory system
@@ -446,51 +411,13 @@ impl GemFiEngine {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ThreadKey {
-    id: u32,
-}
-
 impl FaultHooks for GemFiEngine {
     fn before_instruction(&mut self, core: usize, now: Ticks, arch: &mut ArchState) {
         self.last_tick = now;
-        if core < self.current_pcbb.len() {
-            self.current_pcbb[core] = arch.pcbb;
-        }
-        // Fast path: nothing queued for the register stage.
-        if self.queues.pending_in(Stage::Register) == 0 {
-            return;
-        }
+        self.threads.set_pcbb(core, arch.pcbb);
         // Register-stage timing counts *committed* instructions (bumped in
         // `on_commit`); read without bumping here.
-        let Some(key) =
-            Self::resolve_thread(&mut self.threads, &self.config, &self.current_pcbb, core)
-        else {
-            return;
-        };
-        let (count, ticks_since) = {
-            let rec = if self.config.pcb_pointer_cache {
-                self.threads.active_mut(core).expect("resolved above")
-            } else {
-                self.threads
-                    .active_mut_uncached(core, self.current_pcbb[core])
-                    .expect("resolved above")
-            };
-            (rec.count(Stage::Register), rec.ticks_since_activation(now))
-        };
-        let mut fired = Vec::new();
-        self.queues.scan(
-            Stage::Register,
-            core,
-            key.id,
-            count,
-            ticks_since,
-            |_| true,
-            |spec| {
-                fired.push(*spec);
-            },
-        );
-        for spec in fired {
+        for spec in self.stage_event(core, Stage::Register, false, |_| true) {
             let (before, after, watch_reg) = match spec.location {
                 FaultLocation::IntReg { reg, .. } => {
                     let r = IntReg::from_bits(reg as u32);
@@ -530,7 +457,7 @@ impl FaultHooks for GemFiEngine {
     }
 
     fn on_fetch(&mut self, core: usize, pc: u64, word: RawInstr) -> RawInstr {
-        let fired = self.stage_event(core, Stage::Fetch, |_| true);
+        let fired = self.stage_event(core, Stage::Fetch, true, |_| true);
         let mut w = word;
         for spec in fired {
             // An L1I cache fault plants a lesion instead of corrupting the
@@ -562,7 +489,7 @@ impl FaultHooks for GemFiEngine {
     }
 
     fn on_decode(&mut self, core: usize, word: RawInstr) -> RawInstr {
-        let fired = self.stage_event(core, Stage::Decode, |_| true);
+        let fired = self.stage_event(core, Stage::Decode, true, |_| true);
         let mut w = word;
         for spec in fired {
             let before = selectors_of(w);
@@ -576,8 +503,9 @@ impl FaultHooks for GemFiEngine {
     fn on_execute_result(&mut self, core: usize, instr: &Instr, value: u64) -> u64 {
         // Branch-inversion faults fire on branch *resolution* (`on_branch`),
         // never on a produced value.
-        let fired = self
-            .stage_event(core, Stage::Execute, |spec| spec.behavior != FaultBehavior::InvertBranch);
+        let fired = self.stage_event(core, Stage::Execute, true, |spec| {
+            spec.behavior != FaultBehavior::InvertBranch
+        });
         let mut v = value;
         for spec in fired {
             let before = v;
@@ -588,50 +516,11 @@ impl FaultHooks for GemFiEngine {
     }
 
     fn on_mem_load(&mut self, core: usize, addr: u64, value: u64) -> u64 {
-        // L1D/L2 cache faults ride the memory-stage timeline: any data
-        // memory event can fire them, planting a lesion without corrupting
-        // the firing transaction itself.
-        let fired = self.stage_event(core, Stage::Memory, |spec| {
-            spec.location.is_cache()
-                || matches!(
-                    spec.location,
-                    FaultLocation::Mem { target: MemTarget::Load | MemTarget::Any, .. }
-                )
-        });
-        let mut v = value;
-        for spec in fired {
-            if let Some(lesion) = Self::lesion_for(&spec) {
-                self.pending_lesions.push(lesion);
-                self.push_record(Stage::Memory, &spec, addr, None, v, v);
-                continue;
-            }
-            let before = v;
-            v = apply(spec.behavior, before, 64);
-            self.push_record(Stage::Memory, &spec, addr, None, before, v);
-        }
-        v
+        self.mem_event(core, addr, value, MemTarget::Load)
     }
 
     fn on_mem_store(&mut self, core: usize, addr: u64, value: u64) -> u64 {
-        let fired = self.stage_event(core, Stage::Memory, |spec| {
-            spec.location.is_cache()
-                || matches!(
-                    spec.location,
-                    FaultLocation::Mem { target: MemTarget::Store | MemTarget::Any, .. }
-                )
-        });
-        let mut v = value;
-        for spec in fired {
-            if let Some(lesion) = Self::lesion_for(&spec) {
-                self.pending_lesions.push(lesion);
-                self.push_record(Stage::Memory, &spec, addr, None, v, v);
-                continue;
-            }
-            let before = v;
-            v = apply(spec.behavior, before, 64);
-            self.push_record(Stage::Memory, &spec, addr, None, before, v);
-        }
-        v
+        self.mem_event(core, addr, value, MemTarget::Store)
     }
 
     fn take_skip(&mut self, core: usize) -> bool {
@@ -645,38 +534,12 @@ impl FaultHooks for GemFiEngine {
     }
 
     fn on_branch(&mut self, core: usize, instr: &Instr, taken: bool) -> bool {
-        // Fast path: nothing queued for the execute stage.
-        if self.queues.pending_in(Stage::Execute) == 0 {
-            return taken;
-        }
-        let Some(key) =
-            Self::resolve_thread(&mut self.threads, &self.config, &self.current_pcbb, core)
-        else {
-            return taken;
-        };
         // Branch inversion shares the execute-stage timeline but fires on
         // branch *resolution*, which is not itself a counted event: read
         // the counter without bumping (the register-stage convention).
-        let (count, ticks_since) = {
-            let rec = if self.config.pcb_pointer_cache {
-                self.threads.active_mut(core).expect("resolved above")
-            } else {
-                self.threads
-                    .active_mut_uncached(core, self.current_pcbb[core])
-                    .expect("resolved above")
-            };
-            (rec.count(Stage::Execute), rec.ticks_since_activation(self.last_tick))
-        };
-        let mut fired = Vec::new();
-        self.queues.scan(
-            Stage::Execute,
-            core,
-            key.id,
-            count,
-            ticks_since,
-            |spec| spec.behavior == FaultBehavior::InvertBranch,
-            |spec| fired.push(*spec),
-        );
+        let fired = self.stage_event(core, Stage::Execute, false, |spec| {
+            spec.behavior == FaultBehavior::InvertBranch
+        });
         let mut t = taken;
         for spec in fired {
             let before = t as u64;
@@ -695,46 +558,17 @@ impl FaultHooks for GemFiEngine {
     }
 
     fn on_reg_read(&mut self, core: usize, reg: RegRef) {
-        if self.watches.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.watches.len() {
-            let w = self.watches[i];
-            if w.core == core && w.reg == reg {
-                self.records[w.record].consumed = true;
-                self.watches.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        self.retire_watches(core, reg, true);
     }
 
     fn on_reg_write(&mut self, core: usize, reg: RegRef) {
-        if self.watches.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.watches.len() {
-            let w = self.watches[i];
-            if w.core == core && w.reg == reg {
-                self.records[w.record].overwritten = true;
-                self.watches.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        self.retire_watches(core, reg, false);
     }
 
     fn on_commit(&mut self, core: usize, now: Ticks, _pc: u64, _instr: &Instr) {
         self.last_tick = now;
         // Advance the register-stage (committed-instruction) counter.
-        let rec = if self.config.pcb_pointer_cache {
-            self.threads.active_mut(core)
-        } else {
-            self.threads.active_mut_uncached(core, self.current_pcbb[core])
-        };
-        if let Some(rec) = rec {
+        if let Some(rec) = self.threads.running_mut(core) {
             rec.bump(Stage::Register);
             self.stage_events[Stage::Register.index()] += 1;
         }
@@ -742,27 +576,23 @@ impl FaultHooks for GemFiEngine {
 
     fn on_fi_activate(&mut self, core: usize, now: Ticks, id: u32, pcbb: u64) {
         self.last_tick = now;
-        if core < self.current_pcbb.len() {
-            self.current_pcbb[core] = pcbb;
-        }
         self.threads.toggle(core, id, pcbb, now);
     }
 
     fn on_context_switch(&mut self, core: usize, new_pcbb: u64) {
-        if core < self.current_pcbb.len() {
-            self.current_pcbb[core] = new_pcbb;
-        }
         self.threads.on_context_switch(core, new_pcbb);
     }
 
     /// The dormancy horizon (the event-queue idea of gem5's scheduler,
-    /// applied to fault arming): walk the queued faults that the *running*
-    /// thread on `core` could reach and report how many stage events / ticks
-    /// must elapse before the earliest of them can fire. Faults belonging to
-    /// other threads or cores are frozen — their counters cannot advance
-    /// while this thread runs — and any thread-activation change arrives
-    /// through a batch-interrupting passthrough hook, so the horizon stays
-    /// valid for the whole sprint.
+    /// applied to fault arming): the nearest [`FaultSpec::arming`] over the
+    /// queued faults that the *running* thread on `core` could reach — how
+    /// many stage events / ticks must elapse before the earliest of them can
+    /// fire. An armed spec, even one whose tick window has passed but which
+    /// the lazy queue scan has not pruned yet, keeps the horizon `Active`.
+    /// Faults belonging to other threads or cores are frozen — their
+    /// counters cannot advance while this thread runs — and any
+    /// thread-activation change arrives through a batch-interrupting
+    /// passthrough hook, so the horizon stays valid for the whole sprint.
     fn dormancy(&self, core: usize, now: Ticks) -> Dormancy {
         // Live consumption watches need per-event reg-read/write tracking.
         if !self.watches.is_empty() {
@@ -776,46 +606,18 @@ impl FaultHooks for GemFiEngine {
         if self.queues.pending() == 0 {
             return Dormancy::Dormant;
         }
-        let rec = if self.config.pcb_pointer_cache {
-            self.threads.active(core)
-        } else {
-            self.threads.active_uncached(self.current_pcbb.get(core).copied().unwrap_or(0))
-        };
         // No activated thread running: every queued fault is frozen.
-        let Some(rec) = rec else { return Dormancy::Dormant };
-        let mut events = u64::MAX;
-        let mut ticks = u64::MAX;
-        for q in self.queues.iter() {
-            if q.spec.thread != rec.id || q.spec.location.core() != core {
-                continue;
+        let Some(rec) = self.threads.running(core) else { return Dormancy::Dormant };
+        let since = rec.ticks_since_activation(now);
+        // A map, not a filter: the frozen faults of other threads and cores
+        // fold in as `Dormant`, which keeps this per-step call a plain walk.
+        nearest(self.queues.iter().map(|q| {
+            if q.spec.thread == rec.id && q.spec.location.core() == core {
+                q.spec.arming(rec.count(q.spec.stage()), since)
+            } else {
+                Dormancy::Dormant
             }
-            match q.spec.timing {
-                FaultTiming::Instructions(start) => {
-                    let served = rec.count(q.spec.stage());
-                    if served >= start {
-                        // Armed: fires on the next matching event.
-                        return Dormancy::Active;
-                    }
-                    events = events.min(start - served);
-                }
-                FaultTiming::Ticks(_) => {
-                    let since = rec.ticks_since_activation(now);
-                    let (start, _) = q.spec.window();
-                    if since >= start {
-                        // In (or past) its window: the fully hooked path
-                        // fires it — or lazily expires it, exactly as the
-                        // queue scan always has.
-                        return Dormancy::Active;
-                    }
-                    ticks = ticks.min(start - since);
-                }
-            }
-        }
-        if events == u64::MAX && ticks == u64::MAX {
-            Dormancy::Dormant
-        } else {
-            Dormancy::Quiet { events, ticks }
-        }
+        }))
     }
 
     /// Bulk equivalent of the per-event counter maintenance: credit the
@@ -828,13 +630,7 @@ impl FaultHooks for GemFiEngine {
         if let Some(n) = now {
             self.last_tick = n;
         }
-        let rec = if self.config.pcb_pointer_cache {
-            self.threads.active_mut(core)
-        } else {
-            let pcbb = self.current_pcbb.get(core).copied().unwrap_or(0);
-            self.threads.active_mut_uncached(core, pcbb)
-        };
-        if let Some(rec) = rec {
+        if let Some(rec) = self.threads.running_mut(core) {
             for (i, n) in batch.stage_events.iter().enumerate() {
                 rec.stage_counts[i] += n;
                 self.stage_events[i] += n;
@@ -921,7 +717,7 @@ mod tests {
         // Reading the register marks the fault consumed.
         e.on_reg_read(0, RegRef::Int(IntReg::from_bits(1)));
         assert!(e.records()[0].consumed);
-        assert!(e.any_propagated());
+        assert!(e.records()[0].propagated());
     }
 
     #[test]
@@ -935,7 +731,7 @@ mod tests {
         e.on_reg_write(0, RegRef::Int(IntReg::from_bits(2)));
         assert!(e.records()[0].overwritten);
         assert!(!e.records()[0].consumed);
-        assert!(!e.any_propagated());
+        assert!(!e.records()[0].propagated());
     }
 
     #[test]
@@ -1000,22 +796,6 @@ mod tests {
             assert_eq!(e.on_execute_result(0, &nop, 0), 0);
             assert_eq!(e.on_execute_result(0, &nop, 0), 2, "cache={cache}");
         }
-    }
-
-    #[test]
-    fn reset_reinstalls_configuration() {
-        let mut e =
-            engine_with("ExecutionStageInjectedFault Inst:1 Flip:0 Threadid:0 system.cpu0 occ:1");
-        e.on_fi_activate(0, 0, 0, 0x4000);
-        let nop = Instr::FiReadInit;
-        e.on_execute_result(0, &nop, 0);
-        assert_eq!(e.records().len(), 1);
-        e.reset(
-            "MemoryInjectedFault Inst:1 AllOne Threadid:0 system.cpu0 occ:1 load".parse().unwrap(),
-        );
-        assert!(e.records().is_empty());
-        assert_eq!(e.active_threads(), 0);
-        assert_eq!(e.pending_faults(), 1);
     }
 
     #[test]
@@ -1106,52 +886,37 @@ mod tests {
     }
 
     #[test]
-    fn fire_distance_tracks_a_single_spec() {
+    fn arming_tracks_a_single_spec() {
         let mut e =
             engine_with("ExecutionStageInjectedFault Inst:40 Flip:0 Threadid:0 system.cpu0 occ:1");
         let spec = *e.queues.iter().next().map(|q| &q.spec).unwrap();
         // Before activation the full offset is a lower bound.
-        assert_eq!(
-            e.fire_distance(0, 0, &spec),
-            FireDistance::Quiet { events: 40, ticks: u64::MAX }
-        );
+        assert_eq!(e.arming(0, 0, &spec), Dormancy::Quiet { events: 40, ticks: u64::MAX });
         e.on_fi_activate(0, 0, 0, 0x4000);
         let nop = Instr::FiReadInit;
         for _ in 0..10 {
             e.on_execute_result(0, &nop, 1);
         }
         // Activated: the distance is exact and shrinks with served events.
-        assert_eq!(
-            e.fire_distance(0, 0, &spec),
-            FireDistance::Quiet { events: 30, ticks: u64::MAX }
-        );
+        assert_eq!(e.arming(0, 0, &spec), Dormancy::Quiet { events: 30, ticks: u64::MAX });
         for _ in 0..30 {
             e.on_execute_result(0, &nop, 1);
         }
         // 40 served >= start 40: armed (and in fact it just fired).
-        assert_eq!(e.fire_distance(0, 0, &spec), FireDistance::Armed);
+        assert_eq!(e.arming(0, 0, &spec), Dormancy::Active);
         // Wrong core: unreachable.
-        assert_eq!(
-            e.fire_distance(1, 0, &spec),
-            FireDistance::Quiet { events: u64::MAX, ticks: u64::MAX }
-        );
+        assert_eq!(e.arming(1, 0, &spec), Dormancy::Dormant);
     }
 
     #[test]
-    fn fire_distance_handles_tick_timed_and_immediate_specs() {
+    fn arming_handles_tick_timed_and_immediate_specs() {
         let mut e =
             engine_with("ExecutionStageInjectedFault Tick:500 Flip:0 Threadid:0 system.cpu0 occ:4");
         let tick_spec = *e.queues.iter().next().map(|q| &q.spec).unwrap();
-        assert_eq!(
-            e.fire_distance(0, 0, &tick_spec),
-            FireDistance::Quiet { events: u64::MAX, ticks: 500 }
-        );
+        assert_eq!(e.arming(0, 0, &tick_spec), Dormancy::Quiet { events: u64::MAX, ticks: 500 });
         e.on_fi_activate(0, 100, 0, 0x4000);
-        assert_eq!(
-            e.fire_distance(0, 350, &tick_spec),
-            FireDistance::Quiet { events: u64::MAX, ticks: 250 }
-        );
-        assert_eq!(e.fire_distance(0, 600, &tick_spec), FireDistance::Armed);
+        assert_eq!(e.arming(0, 350, &tick_spec), Dormancy::Quiet { events: u64::MAX, ticks: 250 });
+        assert_eq!(e.arming(0, 600, &tick_spec), Dormancy::Active);
 
         // An Inst:0 spec for an unactivated thread can fire the moment the
         // thread activates: never quiet.
@@ -1162,7 +927,27 @@ mod tests {
             behavior: FaultBehavior::AllZero,
             occurrences: 1,
         };
-        assert_eq!(e.fire_distance(0, 0, &immediate), FireDistance::Armed);
+        assert_eq!(e.arming(0, 0, &immediate), Dormancy::Active);
+    }
+
+    #[test]
+    fn arming_answers_for_the_nearest_thread_sharing_the_id() {
+        // Two threads activate under id 0; the queue scan fires the spec on
+        // whichever reaches it first, so the planner must see the nearer.
+        let spec = FaultSpec {
+            location: FaultLocation::Fetch { core: 0 },
+            thread: 0,
+            timing: FaultTiming::Instructions(40),
+            behavior: FaultBehavior::Flip(0),
+            occurrences: 1,
+        };
+        let mut e = GemFiEngine::new(FaultConfig::empty());
+        e.on_fi_activate(0, 0, 0, 0x4000);
+        e.on_fi_activate(0, 0, 0, 0x4400);
+        for pc in 0..10 {
+            e.on_fetch(0, pc * 4, RawInstr(0));
+        }
+        assert_eq!(e.arming(0, 0, &spec), Dormancy::Quiet { events: 30, ticks: u64::MAX });
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod thread;
 pub mod vdd;
 
 pub use config::{FaultConfig, ParseFaultError};
-pub use engine::{AbortToken, EngineConfig, FireDistance, GemFiEngine};
+pub use engine::{AbortToken, EngineConfig, GemFiEngine};
 pub use outcome::Outcome;
 pub use record::InjectionRecord;
 pub use spec::{

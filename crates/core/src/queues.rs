@@ -3,8 +3,12 @@
 //! "The file is parsed at startup and each fault is inserted to one of five
 //! internal queues. Each queue corresponds to a different pipeline stage.
 //! […] Queue entries are sorted according to the timing of each fault."
+//!
+//! When a queued spec arms is [`FaultSpec::arming`]'s answer; a scan only
+//! adds what happens once it is armed (fire, or expire).
 
 use crate::spec::{FaultSpec, FaultTiming, Stage};
+use gemfi_cpu::Dormancy;
 
 /// A queued fault plus its firing bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,31 +30,23 @@ enum Match {
     Expired,
 }
 
-/// Instruction-timed faults arm at their event index and fire on the next
-/// `occurrences` *matching* events (a load-value fault whose index lands on
-/// a store must fire on the following load, not expire). Tick-timed faults
-/// keep strict window semantics: "active for the next N simulation cycles".
+/// A spec is `NotYet` until [`FaultSpec::arming`] answers `Active`. Armed
+/// instruction-timed faults fire on the next `occurrences` *matching* events
+/// (a load-value fault whose index lands on a store must fire on the
+/// following load, not expire). Tick-timed faults keep strict window
+/// semantics: "active for the next N simulation cycles".
 fn classify(spec: &FaultSpec, fired: u64, stage_count: u64, ticks_since: u64) -> Match {
-    match spec.timing {
-        FaultTiming::Instructions(start) => {
-            if stage_count < start {
-                Match::NotYet
-            } else if fired < spec.occurrences {
-                Match::Fire
-            } else {
-                Match::Expired
-            }
-        }
-        FaultTiming::Ticks(_) => {
-            let (start, end) = spec.window();
-            if ticks_since < start {
-                Match::NotYet
-            } else if ticks_since < end && fired < spec.occurrences {
-                Match::Fire
-            } else {
-                Match::Expired
-            }
-        }
+    if spec.arming(stage_count, ticks_since) != Dormancy::Active {
+        return Match::NotYet;
+    }
+    let in_window = match spec.timing {
+        FaultTiming::Instructions(_) => true,
+        FaultTiming::Ticks(_) => ticks_since < spec.window().1,
+    };
+    if in_window && fired < spec.occurrences {
+        Match::Fire
+    } else {
+        Match::Expired
     }
 }
 
@@ -238,6 +234,27 @@ mod tests {
         assert_eq!(n, 0, "too early in ticks");
         q.scan(Stage::Execute, 0, 0, 1000, 100, |_| true, |_| n += 1);
         assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn scan_fires_exactly_when_the_arming_rule_answers_active() {
+        let points = [0, 4, 5, 6, 50];
+        for timing in [FaultTiming::Instructions(5), FaultTiming::Ticks(5)] {
+            let spec = FaultSpec { timing, ..exec_fault(0, OCC_PERMANENT) };
+            for count in points {
+                for ticks in points {
+                    let mut q = StageQueues::from_faults(&[spec]);
+                    let mut n = 0;
+                    q.scan(Stage::Execute, 0, 0, count, ticks, |_| true, |_| n += 1);
+                    let armed = spec.arming(count, ticks) == Dormancy::Active;
+                    assert_eq!(n == 1, armed, "{timing} at count {count}, ticks {ticks}");
+                }
+            }
+        }
+        let inst = exec_fault(5, 1);
+        assert_eq!(inst.arming(4, 50), Dormancy::Quiet { events: 1, ticks: u64::MAX });
+        let tick = FaultSpec { timing: FaultTiming::Ticks(5), ..inst };
+        assert_eq!(tick.arming(50, 4), Dormancy::Quiet { events: u64::MAX, ticks: 1 });
     }
 
     #[test]

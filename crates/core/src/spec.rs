@@ -2,6 +2,7 @@
 //! extended with memory-hierarchy (cache-array) locations and
 //! security-style behaviors.
 
+use gemfi_cpu::Dormancy;
 use gemfi_isa::SpecialReg;
 pub use gemfi_mem::CacheLevel;
 use std::fmt;
@@ -424,6 +425,27 @@ impl FaultSpec {
             FaultTiming::Instructions(n) | FaultTiming::Ticks(n) => n,
         };
         (start, start.saturating_add(self.occurrences))
+    }
+
+    /// The arming rule: how far this spec is from arming on a thread that
+    /// has served `stage_count` events at the spec's stage and run for
+    /// `ticks_since` ticks since it activated injection. `Active` once the
+    /// spec is armed (the next matching event may fire it, or a scan may
+    /// expire it); otherwise `Quiet`, with `u64::MAX` on the axis that does
+    /// not constrain the spec. Never `Dormant`.
+    ///
+    /// The queue scan, the elision horizon and the fork planner all ask
+    /// this one question.
+    pub fn arming(&self, stage_count: u64, ticks_since: u64) -> Dormancy {
+        match self.timing {
+            FaultTiming::Instructions(start) if stage_count < start => {
+                Dormancy::Quiet { events: start - stage_count, ticks: u64::MAX }
+            }
+            FaultTiming::Ticks(start) if ticks_since < start => {
+                Dormancy::Quiet { events: u64::MAX, ticks: start - ticks_since }
+            }
+            _ => Dormancy::Active,
+        }
     }
 }
 

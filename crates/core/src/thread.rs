@@ -10,9 +10,12 @@
 //! GemFI to eliminate the overhead of checking the fault injection status
 //! of the executing thread in the hash table on each simulated clock tick."
 //!
-//! The per-core pointer cache is reproduced (as a per-core index into the
-//! thread arena) and can be disabled via
-//! [`crate::EngineConfig::pcb_pointer_cache`] for the ablation benchmark.
+//! The table sees every activation and context switch, and the engine
+//! hands it each instruction's PCB base, so it alone answers "which record
+//! is running on this core" ([`ThreadTable::running`]). It answers through
+//! the per-core pointer cache (a per-core index into the thread arena), or,
+//! for the ablation with [`crate::EngineConfig::pcb_pointer_cache`] off,
+//! through a hash lookup of the core's current PCB base on every call.
 
 use crate::spec::Stage;
 use std::collections::HashMap;
@@ -55,7 +58,7 @@ impl ThreadEnabledFault {
 }
 
 /// The thread table: an arena of [`ThreadEnabledFault`] records, a PCB-keyed
-/// hash index, and the per-core pointer cache.
+/// hash index, each core's current PCB base, and the per-core pointer cache.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadTable {
     arena: Vec<ThreadEnabledFault>,
@@ -63,12 +66,25 @@ pub struct ThreadTable {
     /// Per-core cached index of the running thread's record (`None` when the
     /// running thread has not activated injection).
     core_active: Vec<Option<usize>>,
+    /// Per-core PCB base of the running thread (the hash path's key).
+    core_pcbb: Vec<u64>,
+    /// Resolve through `core_active` (the Sec. III-C optimization) rather
+    /// than hashing `core_pcbb`.
+    pcb_pointer_cache: bool,
 }
 
 impl ThreadTable {
-    /// A table for `cores` hardware contexts.
-    pub fn new(cores: usize) -> ThreadTable {
-        ThreadTable { arena: Vec::new(), by_pcbb: HashMap::new(), core_active: vec![None; cores] }
+    /// A table for `cores` hardware contexts, resolving the running thread
+    /// through the per-core pointer cache or, when `pcb_pointer_cache` is
+    /// off, through the hash table.
+    pub fn new(cores: usize, pcb_pointer_cache: bool) -> ThreadTable {
+        ThreadTable {
+            arena: Vec::new(),
+            by_pcbb: HashMap::new(),
+            core_active: vec![None; cores],
+            core_pcbb: vec![0; cores],
+            pcb_pointer_cache,
+        }
     }
 
     /// Number of threads currently enabled for injection.
@@ -76,10 +92,11 @@ impl ThreadTable {
         self.by_pcbb.len()
     }
 
-    /// Handles `fi_activate_inst(id)`: successive occurrences toggle
-    /// injection for the thread (Sec. III-A). Returns `true` if the thread
-    /// is now active.
+    /// Handles `fi_activate_inst(id)` by the thread at `pcbb`, which is now
+    /// running on `core`: successive occurrences toggle injection for the
+    /// thread (Sec. III-A). Returns `true` if the thread is now active.
     pub fn toggle(&mut self, core: usize, id: u32, pcbb: u64, now: u64) -> bool {
+        self.core_pcbb[core] = pcbb;
         if let Some(&idx) = self.by_pcbb.get(&pcbb) {
             // Deactivation: drop the record, compact the arena.
             self.by_pcbb.remove(&pcbb);
@@ -108,47 +125,52 @@ impl ThreadTable {
     /// Context-switch notification: re-resolves the per-core cached pointer
     /// (the Sec. III-C optimization point).
     pub fn on_context_switch(&mut self, core: usize, new_pcbb: u64) {
+        self.core_pcbb[core] = new_pcbb;
         self.core_active[core] = self.by_pcbb.get(&new_pcbb).copied();
     }
 
-    /// The running thread's record on `core`, via the cached pointer.
-    pub fn active_mut(&mut self, core: usize) -> Option<&mut ThreadEnabledFault> {
-        let idx = self.core_active.get(core).copied().flatten()?;
+    /// Records the PCB base `core` is about to execute under. Only the hash
+    /// path reads it: the pointer cache follows context switches instead.
+    pub fn set_pcbb(&mut self, core: usize, pcbb: u64) {
+        if let Some(slot) = self.core_pcbb.get_mut(core) {
+            *slot = pcbb;
+        }
+    }
+
+    #[inline]
+    fn running_index(&self, core: usize) -> Option<usize> {
+        if self.pcb_pointer_cache {
+            self.core_active.get(core).copied().flatten()
+        } else {
+            self.hashed_index(core)
+        }
+    }
+
+    /// The hash path, kept out of line: inlined into every per-event hook
+    /// with the cached path, the lookup made the default (cached) engine
+    /// measurably slower per event.
+    #[inline(never)]
+    fn hashed_index(&self, core: usize) -> Option<usize> {
+        self.by_pcbb.get(self.core_pcbb.get(core)?).copied()
+    }
+
+    /// The record of the thread running on `core`, if it has activated
+    /// injection.
+    pub fn running(&self, core: usize) -> Option<&ThreadEnabledFault> {
+        Some(&self.arena[self.running_index(core)?])
+    }
+
+    /// Mutable twin of [`ThreadTable::running`].
+    pub fn running_mut(&mut self, core: usize) -> Option<&mut ThreadEnabledFault> {
+        let idx = self.running_index(core)?;
         Some(&mut self.arena[idx])
     }
 
-    /// The running thread's record, resolved through the hash table instead
-    /// of the cache (the un-optimized path, for the ablation).
-    pub fn active_mut_uncached(
-        &mut self,
-        core: usize,
-        current_pcbb: u64,
-    ) -> Option<&mut ThreadEnabledFault> {
-        let _ = core;
-        let idx = *self.by_pcbb.get(&current_pcbb)?;
-        Some(&mut self.arena[idx])
-    }
-
-    /// Read-only view of the running thread's record.
-    pub fn active(&self, core: usize) -> Option<&ThreadEnabledFault> {
-        let idx = self.core_active.get(core).copied().flatten()?;
-        Some(&self.arena[idx])
-    }
-
-    /// Read-only hash-table resolution (the uncached-path twin of
-    /// [`ThreadTable::active`], for horizon computation under the ablation
-    /// configuration).
-    pub fn active_uncached(&self, current_pcbb: u64) -> Option<&ThreadEnabledFault> {
-        let idx = *self.by_pcbb.get(&current_pcbb)?;
-        Some(&self.arena[idx])
-    }
-
-    /// Looks a thread up by its `fi_activate_inst(id)` identity rather than
-    /// its PCB address. Linear over the (tiny) arena — this is a planning
-    /// query, not a per-event path; fork-at-injection uses it to ask how far
-    /// a specific spec's thread is from its firing point.
-    pub fn by_id(&self, id: u32) -> Option<&ThreadEnabledFault> {
-        self.arena.iter().find(|rec| rec.id == id)
+    /// Every activated record whose `fi_activate_inst(id)` identity is `id`
+    /// — more than one when several threads activated under the same id.
+    /// Linear over the (tiny) arena: a planning query, not a per-event path.
+    pub fn with_id(&self, id: u32) -> impl Iterator<Item = &ThreadEnabledFault> {
+        self.arena.iter().filter(move |rec| rec.id == id)
     }
 }
 
@@ -158,37 +180,41 @@ mod tests {
 
     #[test]
     fn toggle_activates_and_deactivates() {
-        let mut t = ThreadTable::new(1);
+        let mut t = ThreadTable::new(1, true);
         assert!(t.toggle(0, 7, 0x4000, 100));
-        assert_eq!(t.active(0).unwrap().id, 7);
+        assert_eq!(t.running(0).unwrap().id, 7);
         assert_eq!(t.active_threads(), 1);
         // Second occurrence toggles off.
         assert!(!t.toggle(0, 7, 0x4000, 200));
-        assert!(t.active(0).is_none());
+        assert!(t.running(0).is_none());
         assert_eq!(t.active_threads(), 0);
     }
 
     #[test]
     fn context_switch_resolves_pointer() {
-        let mut t = ThreadTable::new(1);
-        t.toggle(0, 0, 0x4000, 0);
-        t.on_context_switch(0, 0x4400); // switched-in thread not activated
-        assert!(t.active(0).is_none());
-        t.on_context_switch(0, 0x4000); // back to the activated thread
-        assert_eq!(t.active(0).unwrap().pcbb, 0x4000);
+        for cached in [true, false] {
+            let mut t = ThreadTable::new(1, cached);
+            t.toggle(0, 0, 0x4000, 0);
+            t.on_context_switch(0, 0x4400); // switched-in thread not activated
+            assert!(t.running(0).is_none());
+            t.on_context_switch(0, 0x4000); // back to the activated thread
+            assert_eq!(t.running(0).unwrap().pcbb, 0x4000);
+        }
     }
 
     #[test]
     fn swap_remove_reindexes_moved_record() {
-        let mut t = ThreadTable::new(2);
-        t.toggle(0, 0, 0x4000, 0);
-        t.on_context_switch(1, 0x4400);
-        t.toggle(1, 1, 0x4400, 0);
-        // Deactivate the first; the second's record moves into slot 0.
-        t.toggle(0, 0, 0x4000, 10);
-        assert_eq!(t.active_threads(), 1);
-        assert_eq!(t.active(1).unwrap().pcbb, 0x4400);
-        assert_eq!(t.active_mut_uncached(1, 0x4400).unwrap().id, 1);
+        for cached in [true, false] {
+            let mut t = ThreadTable::new(2, cached);
+            t.toggle(0, 0, 0x4000, 0);
+            t.on_context_switch(1, 0x4400);
+            t.toggle(1, 1, 0x4400, 0);
+            // Deactivate the first; the second's record moves into slot 0.
+            t.toggle(0, 0, 0x4000, 10);
+            assert_eq!(t.active_threads(), 1);
+            assert_eq!(t.running(1).unwrap().pcbb, 0x4400);
+            assert_eq!(t.running_mut(1).unwrap().id, 1);
+        }
     }
 
     #[test]
@@ -203,11 +229,16 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_uncached_paths_agree() {
-        let mut t = ThreadTable::new(1);
-        t.toggle(0, 3, 0x5000, 0);
-        let cached = t.active_mut(0).unwrap().id;
-        let uncached = t.active_mut_uncached(0, 0x5000).unwrap().id;
-        assert_eq!(cached, uncached);
+    fn only_the_hash_path_follows_the_instruction_pcb_base() {
+        // The cache is refreshed by context switches alone; the hash path
+        // resolves whatever PCB base the core last executed under.
+        for cached in [true, false] {
+            let mut t = ThreadTable::new(1, cached);
+            t.toggle(0, 3, 0x5000, 0);
+            t.set_pcbb(0, 0x6000);
+            assert_eq!(t.running(0).is_some(), cached, "cached={cached}");
+            t.set_pcbb(0, 0x5000);
+            assert_eq!(t.running(0).unwrap().id, 3);
+        }
     }
 }

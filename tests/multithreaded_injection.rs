@@ -3,7 +3,7 @@
 //! with `Threadid:N` only ever hits the thread that called
 //! `fi_activate_inst(N)`.
 
-use gemfi::GemFiEngine;
+use gemfi::{EngineConfig, GemFiEngine, InjectionRecord};
 use gemfi_asm::{Assembler, Reg};
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig, RunExit};
@@ -56,7 +56,10 @@ fn two_thread_program(iters: i16) -> gemfi_asm::Program {
     a.finish().expect("assembles")
 }
 
-fn run(faults: &str, cpu: CpuKind) -> (RunExit, Vec<u64>, usize) {
+/// What a run leaves behind: its exit, the words it wrote, its injections.
+type Outcome = (RunExit, Vec<u64>, Vec<InjectionRecord>);
+
+fn run_with(faults: &str, cpu: CpuKind, pcb_pointer_cache: bool) -> Outcome {
     let program = two_thread_program(200);
     let config = MachineConfig {
         cpu,
@@ -66,13 +69,22 @@ fn run(faults: &str, cpu: CpuKind) -> (RunExit, Vec<u64>, usize) {
     };
     let engine = GemFiEngine::with_config(
         faults.parse().expect("valid faults"),
-        gemfi::EngineConfig::default(),
+        EngineConfig { pcb_pointer_cache, ..EngineConfig::default() },
     );
     let mut machine = Machine::boot(config, &program, engine).expect("boots");
     let exit = machine.run();
-    let words = machine.out_words().to_vec();
-    let records = machine.hooks().records().len();
-    (exit, words, records)
+    (exit, machine.out_words().to_vec(), machine.hooks().records().to_vec())
+}
+
+/// Runs under the per-core PCB pointer cache and under the per-event hash
+/// lookup, which must agree on everything; returns the exit, the words
+/// written and the injection count.
+fn run(faults: &str, cpu: CpuKind) -> (RunExit, Vec<u64>, usize) {
+    let cached = run_with(faults, cpu, true);
+    let hashed = run_with(faults, cpu, false);
+    assert_eq!(cached, hashed, "the thread lookup must not change the run ({cpu:?})");
+    let (exit, words, records) = cached;
+    (exit, words, records.len())
 }
 
 #[test]
