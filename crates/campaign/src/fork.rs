@@ -32,10 +32,12 @@
 //!    the same absolute ticks a whole run does and switches CPU models at
 //!    the identical tick.
 //!
-//! The planner is conservative where it cannot be exact: fork distance is
-//! derived from [`gemfi::GemFiEngine::arming`] (the engine's one arming
-//! rule; a lower bound until the spec's thread activates) with a slack
-//! margin, and any spec found already armed (the trunk overshot its window)
+//! The planner is a sweep. At every trunk stop it asks
+//! [`gemfi::GemFiEngine::arming`] (the engine's one arming rule; a lower
+//! bound until the spec's thread activates) how far each unplanned spec is
+//! from firing, forks the ones within a slack margin, and advances the
+//! trunk by the smallest remaining safe distance, so no spec's window is
+//! ever passed. A spec armed at the checkpoint, or one the trunk outlives,
 //! falls back to a plain whole-run restore — a perf penalty, never a wrong
 //! answer.
 
@@ -50,9 +52,9 @@ use gemfi_workloads::Workload;
 
 /// Upper bound on matching stage events the guest can serve per tick, used
 /// to convert an event-distance into a safe tick advance. Deliberately
-/// generous — underestimating the rate only forks earlier than necessary,
-/// and even a violation is caught (the planner re-checks after every
-/// advance and falls back to a whole run on overshoot).
+/// generous: it only makes the trunk stop more often on its way to a fork.
+/// A guest that outran it would leave its spec armed at the next stop,
+/// which the planner replays whole rather than fork late.
 pub const MAX_EVENTS_PER_TICK: u64 = 16;
 
 /// Fork-at-injection tuning.
@@ -60,7 +62,8 @@ pub const MAX_EVENTS_PER_TICK: u64 = 16;
 pub struct ForkConfig {
     /// Safety margin, in stage events / ticks, kept between the fork point
     /// and the earliest point the fault could fire. Larger values fork
-    /// earlier (longer suffixes); smaller values risk overshoot fallbacks.
+    /// earlier (longer suffixes); smaller values fork later, at the cost of
+    /// more trunk stops on the way.
     pub slack: u64,
 }
 
@@ -77,7 +80,8 @@ pub struct ForkedSuffix {
     /// Index of the experiment in the campaign's spec list.
     pub index: usize,
     /// Trunk tick the suffix forked at; `None` for a whole-run fallback
-    /// (armed-at-plan-time overshoot, or the trunk terminated first).
+    /// (the spec was armed at the checkpoint, or the trunk terminated
+    /// before it).
     pub forked_at: Option<u64>,
     /// The machine to drive: engine loaded with exactly this experiment's
     /// fault, elision configured, watchdog installed.
@@ -103,15 +107,18 @@ fn safe_advance(distance: Dormancy, slack: u64) -> u64 {
     }
 }
 
-/// Plans the campaign: sprints one fault-free trunk along the shared
+/// Plans the campaign: sweeps one fault-free trunk along the shared
 /// prefix, forking each experiment's suffix shortly before its fault can
-/// fire. Experiments are visited in ascending estimated injection order so
-/// the trunk only ever moves forward; specs the trunk overshot (or that
-/// outlive it) fall back to whole-run restores, built exactly as
+/// fire. At every trunk stop each unplanned spec is re-checked: one whose
+/// [`safe_advance`] is `0` (or `u64::MAX`) forks there, and the trunk then
+/// advances by the smallest remaining `safe_advance`. Each is a lower bound
+/// on its spec's distance, so the trunk never passes a spec's fork window.
+/// A spec already armed at the checkpoint, or still pending when the trunk
+/// terminates, falls back to a whole-run restore, built exactly as
 /// [`crate::runner::drive_whole_run`] builds its machine.
 ///
-/// The returned suffixes are in planning (injection) order; each carries
-/// its original experiment `index`.
+/// The returned suffixes are in trunk-stop sequence (by experiment index
+/// within one stop); each carries its original experiment `index`.
 pub fn plan_suffixes(
     prepared: &PreparedWorkload,
     specs: &[FaultSpec],
@@ -120,43 +127,37 @@ pub fn plan_suffixes(
 ) -> Vec<ForkedSuffix> {
     let checkpoint = Source::Checkpoint(&prepared.checkpoint);
     let mut trunk = build_machine(checkpoint, prepared, &[], runner);
-
-    // Injection-order heuristic only: a bad estimate costs an overshoot
-    // fallback, never a wrong result.
-    let mut order: Vec<usize> = (0..specs.len()).collect();
-    let t0 = trunk.tick();
-    order.sort_by_key(|&i| safe_advance(trunk.hooks().arming(0, t0, &specs[i]), 0));
-
     let mut out = Vec::with_capacity(specs.len());
-    let mut trunk_done = false;
-    for index in order {
-        let spec = specs[index];
-        let forked_at = loop {
-            if trunk_done {
-                break None;
-            }
-            let now = trunk.tick();
-            let distance = trunk.hooks().arming(0, now, &spec);
-            if distance == Dormancy::Active {
-                // Overshot this spec's window (ordering estimate was off, or
-                // the spec was armed from the start): replay it whole.
-                break None;
-            }
+    let mut pending: Vec<usize> = (0..specs.len()).collect();
+    while !pending.is_empty() {
+        let now = trunk.tick();
+        let mut step = u64::MAX;
+        pending.retain(|&index| {
+            let distance = trunk.hooks().arming(0, now, &specs[index]);
             let advance = safe_advance(distance, fork.slack);
-            if advance == 0 || advance == u64::MAX {
+            let (source, forked_at) = if distance == Dormancy::Active {
+                // Armed before the trunk could fork it: replay it whole.
+                (checkpoint, None)
+            } else if advance == 0 || advance == u64::MAX {
                 // Close enough to fork — or unreachable (`MAX`), in which
                 // case the fault is frozen and any fork point is exact.
-                break Some(now);
+                (Source::Trunk(&trunk), Some(now))
+            } else {
+                step = step.min(advance);
+                return true;
+            };
+            let machine = build_machine(source, prepared, &[specs[index]], runner);
+            out.push(ForkedSuffix { index, forked_at, machine });
+            false
+        });
+        if !pending.is_empty() && trunk.run_to_tick(now.saturating_add(step)).is_some() {
+            // The trunk terminated before these specs' injection points:
+            // they replay whole.
+            for index in pending.drain(..) {
+                let machine = build_machine(checkpoint, prepared, &[specs[index]], runner);
+                out.push(ForkedSuffix { index, forked_at: None, machine });
             }
-            if trunk.run_to_tick(now.saturating_add(advance)).is_some() {
-                // The trunk terminated before this spec's injection point;
-                // it and everything later replays whole.
-                trunk_done = true;
-            }
-        };
-        let source = if forked_at.is_some() { Source::Trunk(&trunk) } else { checkpoint };
-        let machine = build_machine(source, prepared, &[spec], runner);
-        out.push(ForkedSuffix { index, forked_at, machine });
+        }
     }
     out
 }
@@ -175,7 +176,7 @@ pub fn drive_suffix(
 }
 
 /// Runs a whole campaign fork-at-injection style: plan, then drive and
-/// classify each suffix in turn. Results come back in experiment order and
+/// classify each suffix in turn. Results come back indexed like `specs` and
 /// are element-wise equivalent to running [`crate::runner::run_experiment`]
 /// per spec — bit-identical machine states included, which
 /// `tests/fork_prefix_conformance.rs` enforces.
@@ -200,7 +201,8 @@ pub fn run_campaign_forked(
 mod tests {
     use super::*;
     use crate::runner::{prepare_workload, run_experiment};
-    use gemfi::{FaultBehavior, FaultLocation, FaultTiming};
+    use gemfi::{FaultBehavior, FaultLocation, FaultTiming, MemTarget};
+    use gemfi_workloads::jacobi::Jacobi;
     use gemfi_workloads::pi::MonteCarloPi;
 
     fn small_pi() -> MonteCarloPi {
@@ -217,22 +219,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forked_campaign_matches_whole_runs() {
-        let w = small_pi();
-        let p = prepare_workload(&w).unwrap();
+    fn assert_forked_campaign_matches_whole_runs(
+        p: &PreparedWorkload,
+        w: &dyn Workload,
+        specs: &[FaultSpec],
+    ) {
         let runner = RunnerConfig::default();
-        let specs = vec![late_fp_flip(&p, 100), late_fp_flip(&p, 400), late_fp_flip(&p, 50)];
-        let forked = run_campaign_forked(&p, &w, &specs, &runner, &ForkConfig::default());
+        let forked = run_campaign_forked(p, w, specs, &runner, &ForkConfig::default());
         assert_eq!(forked.len(), specs.len());
         for (spec, got) in specs.iter().zip(&forked) {
-            let whole = run_experiment(&p, &w, *spec, &runner);
+            let whole = run_experiment(p, w, *spec, &runner);
             assert_eq!(got.outcome, whole.outcome);
             assert_eq!(got.exit, whole.exit);
             assert_eq!(got.ticks, whole.ticks);
             assert_eq!(got.injections, whole.injections);
             assert_eq!(got.output, whole.output);
         }
+    }
+
+    #[test]
+    fn forked_campaign_matches_whole_runs() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        let specs = vec![late_fp_flip(&p, 100), late_fp_flip(&p, 400), late_fp_flip(&p, 50)];
+        assert_forked_campaign_matches_whole_runs(&p, &w, &specs);
+    }
+
+    #[test]
+    fn a_later_counted_spec_that_fires_first_still_forks() {
+        // Stages advance at different rates per tick: this memory-stage
+        // spec has the smaller count, but the register-stage spec fires
+        // thousands of ticks earlier. Both must fork off the trunk.
+        let w = Jacobi::default();
+        let p = prepare_workload(&w).unwrap();
+        let mem_count = p.stage_events[3] / 4;
+        let spec = |location, count| FaultSpec {
+            location,
+            thread: 0,
+            timing: FaultTiming::Instructions(count),
+            behavior: FaultBehavior::Flip(7),
+            occurrences: 1,
+        };
+        let specs = vec![
+            spec(FaultLocation::Mem { core: 0, target: MemTarget::Any }, mem_count),
+            spec(FaultLocation::IntReg { core: 0, reg: 1 }, mem_count + 64),
+        ];
+        let planned = plan_suffixes(&p, &specs, &RunnerConfig::default(), &ForkConfig::default());
+        for s in &planned {
+            assert!(s.forked_at.is_some(), "spec #{} must fork, not replay whole", s.index);
+        }
+        assert_forked_campaign_matches_whole_runs(&p, &w, &specs);
+    }
+
+    #[test]
+    fn specs_past_the_trunks_end_fall_back_to_whole_runs() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        // More committed instructions than the kernel has: the trunk halts
+        // before the spec's fork point.
+        let spec = FaultSpec {
+            location: FaultLocation::IntReg { core: 0, reg: 1 },
+            thread: 0,
+            timing: FaultTiming::Instructions(p.stage_events[4] + 10_000),
+            behavior: FaultBehavior::Flip(3),
+            occurrences: 1,
+        };
+        let planned = plan_suffixes(&p, &[spec], &RunnerConfig::default(), &ForkConfig::default());
+        assert_eq!(planned.len(), 1);
+        assert_eq!(planned[0].forked_at, None, "a spec the trunk never reaches replays whole");
+        assert_forked_campaign_matches_whole_runs(&p, &w, &[spec]);
     }
 
     #[test]

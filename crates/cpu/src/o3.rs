@@ -592,18 +592,25 @@ impl O3Cpu {
                 self.predictor.update_direction(e.pc, taken, e.predicted_taken);
             }
             Instr::Mem { op, disp, .. } => {
-                let addr =
-                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64));
                 let Some(m) = mem_state.as_mut() else {
                     return Err(SimError::new("o3", "memory entries carry mem state", e.pc));
                 };
-                m.addr = Some(addr);
+                // Address generation and its hook run once: a load retried
+                // behind an older store reuses the hooked address.
+                let addr = *m.addr.get_or_insert_with(|| {
+                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64))
+                });
                 if op.is_store() {
                     m.store_val = hooks.on_mem_store(core, addr, src(1));
                     // Address generation only; data drains at commit.
                 } else {
                     match self.load_check(idx, addr, m.width) {
-                        Err(()) => return Ok(false), // retry next cycle
+                        Err(()) => {
+                            // Retry next cycle. Only older stores' addresses
+                            // gate `load_check`, so keeping a load's is safe.
+                            self.rob[idx].mem = mem_state;
+                            return Ok(false);
+                        }
                         Ok(Some(fwd)) => {
                             let v =
                                 if m.width == 4 { (fwd as u32) as i32 as i64 as u64 } else { fwd };
@@ -628,14 +635,17 @@ impl O3Cpu {
                 }
             }
             Instr::Ldt { disp, .. } => {
-                let addr =
-                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64));
                 let Some(m) = mem_state.as_mut() else {
                     return Err(SimError::new("o3", "memory entries carry mem state", e.pc));
                 };
-                m.addr = Some(addr);
+                let addr = *m.addr.get_or_insert_with(|| {
+                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64))
+                });
                 match self.load_check(idx, addr, 8) {
-                    Err(()) => return Ok(false),
+                    Err(()) => {
+                        self.rob[idx].mem = mem_state;
+                        return Ok(false);
+                    }
                     Ok(Some(fwd)) => {
                         result = hooks.on_mem_load(core, addr, fwd);
                         lat = 1;

@@ -87,8 +87,8 @@ fn conformance(model: CpuKind) {
         let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig::default());
         assert_eq!(planned.len(), specs.len());
         assert!(
-            planned.iter().any(|s| s.forked_at.is_some()),
-            "{model}: no suffix forked — the matrix would be vacuous"
+            planned.iter().all(|s| s.forked_at.is_some()),
+            "{model} elide={elide} superblock={superblock}: every spec must fork off the trunk"
         );
         for mut suffix in planned {
             let spec = specs[suffix.index];
@@ -96,20 +96,18 @@ fn conformance(model: CpuKind) {
                 "{model} elide={elide} superblock={superblock} spec#{} forked_at={:?}",
                 suffix.index, suffix.forked_at
             );
-            if suffix.forked_at.is_some() {
-                // The trunk ran warm; the fork must not inherit the
-                // (never-serialized) predecode or superblock caches.
-                assert_eq!(
-                    suffix.machine.mem().stats().predecode,
-                    gemfi_isa::PredecodeStats::default(),
-                    "{tag}: fork must start decode-cold"
-                );
-                assert_eq!(
-                    suffix.machine.mem().stats().superblock,
-                    gemfi_isa::SuperblockStats::default(),
-                    "{tag}: fork must start translation-cold"
-                );
-            }
+            // The trunk ran warm; the fork must not inherit the
+            // (never-serialized) predecode or superblock caches.
+            assert_eq!(
+                suffix.machine.mem().stats().predecode,
+                gemfi_isa::PredecodeStats::default(),
+                "{tag}: fork must start decode-cold"
+            );
+            assert_eq!(
+                suffix.machine.mem().stats().superblock,
+                gemfi_isa::SuperblockStats::default(),
+                "{tag}: fork must start translation-cold"
+            );
             let (fork_exit, fork_aborted) =
                 drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
             let (whole, whole_exit, whole_aborted) =
@@ -117,8 +115,7 @@ fn conformance(model: CpuKind) {
             assert!(!fork_aborted && !whole_aborted, "{tag}");
             assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
             if !superblock {
-                // The switch reaches every machine the planner builds,
-                // forked off the trunk or restored as a fallback.
+                // The switch reaches every machine the planner builds.
                 assert_eq!(
                     suffix.machine.stats().mem.superblock.uops_executed,
                     0,
