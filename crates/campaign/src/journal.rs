@@ -7,12 +7,18 @@
 //! every lifecycle transition of every experiment
 //! (`pending → leased(worker, deadline) → done(outcome) | failed(attempts)`)
 //! is one JSON object on one line of `campaign.journal`, appended and
-//! flushed before the transition is acted on. It is the campaign's only
+//! flushed before the transition is applied. It is the campaign's only
 //! per-experiment state on the share. A campaign process that dies
 //! mid-flight leaves a journal whose replay reconstructs exactly which
 //! experiments are finished, which were in flight (a `leased` line nothing
 //! resolved: an orphan), and which were never started — the resume path
 //! reclaims the orphans and schedules only the unfinished remainder.
+//!
+//! This module is the durable format only: the events and their codec, the
+//! append-only file, and the identity check a resumed journal's header
+//! must pass. What an event *means* — the lifecycle rule it applies, and
+//! the fold that replays a journal into a slot table — is stated once, in
+//! [`crate::now`].
 //!
 //! Durability: [`Journal::append`] flushes each line to the operating
 //! system but never fsyncs. A killed process loses nothing; a power cut may
@@ -24,11 +30,10 @@
 //! encoding itself lives in [`crate::wire`], where the campaign server's
 //! socket protocol speaks the same dialect.
 
-use crate::now::CompletedExperiment;
 use crate::wire::{json_escape, parse_flat_object};
-use gemfi::{AbortToken, Outcome};
+use gemfi::Outcome;
 use std::fs::{File, OpenOptions};
-use std::io::{Error, ErrorKind, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File name of the journal on the share.
@@ -372,201 +377,27 @@ impl Journal {
     }
 }
 
-/// One experiment's lifecycle state, the same enum from journal replay to
-/// the final report: replay yields `Pending`, `Terminal` and — for an
-/// orphan — `Leased`, and the campaign's slot table
-/// ([`crate::now::Campaign`]) moves it through `Leased` while the
-/// experiment's round is open.
-#[derive(Debug, Clone)]
-pub(crate) enum ExpState {
-    /// Waiting to run: `attempts` already burned (by this process or by
-    /// dead workers of an earlier one), claimable at `not_before_ms`.
-    Pending {
-        /// Attempts already consumed.
-        attempts: u64,
-        /// Scheduler-clock time the retry backoff ends.
-        not_before_ms: u64,
-    },
-    /// In flight under a lease. Replay yields it for an *orphan*: a
-    /// `leased` line with no later terminal line and no `attempt-failed`
-    /// line for its attempt — a worker of a dead campaign process held it.
-    Leased {
-        /// 1-based attempt under lease.
-        attempt: u64,
-        /// Lease expiry (scheduler clock, ms since the epoch).
-        deadline_ms: u64,
-        /// The lease owner.
-        worker: String,
-        /// Raised by the reaper when the lease expires.
-        abort: AbortToken,
-    },
-    /// Finished: a classified outcome, or [`Outcome::Infrastructure`] once
-    /// the harness exhausted its retries (no ticks).
-    Terminal(CompletedExperiment),
-}
-
-impl ExpState {
-    /// A never-attempted experiment.
-    pub(crate) const FRESH: ExpState = ExpState::Pending { attempts: 0, not_before_ms: 0 };
-
-    /// The terminal record, once there is one.
-    pub(crate) fn terminal(&self) -> Option<&CompletedExperiment> {
-        match self {
-            ExpState::Terminal(done) => Some(done),
-            _ => None,
-        }
-    }
-}
-
-/// The reconstruction of a campaign — fixed-n or adaptive — from its
-/// journal.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CampaignState {
-    /// The campaign header, if the journal got far enough to record one.
-    pub(crate) header: Option<JournalEvent>,
-    /// Per-experiment state, indexed by experiment number.
-    pub(crate) experiments: Vec<ExpState>,
-    /// `(cell label, draw ordinal)` per journaled adaptive draw, in draw
-    /// (= experiment) order. Empty for fixed-n campaigns.
-    pub(crate) drawn: Vec<(String, u64)>,
-}
-
-impl CampaignState {
-    /// Folds an event sequence into per-experiment terminal state.
-    /// `experiments` is the size of a fixed-n campaign; [`None`] is an
-    /// adaptive campaign, whose experiments exist once drawn. Events
-    /// naming an experiment beyond either are rejected.
-    ///
-    /// # Errors
-    ///
-    /// A message when the journal references out-of-range experiments,
-    /// records draws out of order, or leases a finished experiment.
-    pub(crate) fn from_events(
-        events: &[JournalEvent],
-        experiments: Option<usize>,
-    ) -> Result<CampaignState, String> {
-        let mut state = CampaignState {
-            experiments: vec![ExpState::FRESH; experiments.unwrap_or(0)],
-            ..CampaignState::default()
-        };
-        for event in events {
-            match event {
-                JournalEvent::Campaign { .. } | JournalEvent::AdaptiveCampaign { .. } => {
-                    if state.header.is_none() {
-                        state.header = Some(event.clone());
-                    }
-                }
-                JournalEvent::Drawn { exp, cell, draw } => {
-                    if *exp != state.drawn.len() as u64 {
-                        return Err(format!(
-                            "draw record out of order: exp {exp} after {}",
-                            state.drawn.len()
-                        ));
-                    }
-                    state.drawn.push((cell.clone(), *draw));
-                    if experiments.is_none() {
-                        state.experiments.push(ExpState::FRESH);
-                    }
-                }
-                JournalEvent::Leased { exp, worker, attempt, deadline_ms } => {
-                    // An orphan until a later line resolves it. Claiming a
-                    // finished experiment is a protocol violation.
-                    let s = state.slot(*exp)?;
-                    if s.terminal().is_some() {
-                        return Err(format!("experiment {exp} leased after finishing"));
-                    }
-                    *s = ExpState::Leased {
-                        attempt: *attempt,
-                        deadline_ms: *deadline_ms,
-                        worker: worker.clone(),
-                        abort: AbortToken::new(),
-                    };
-                }
-                JournalEvent::Done { exp, attempt, outcome, ticks, .. } => {
-                    // First terminal event wins: a zombie worker completing
-                    // after its lease was reaped and the experiment re-ran
-                    // must not double-count.
-                    state.finish(*exp, *outcome, *attempt, *ticks)?;
-                }
-                JournalEvent::AttemptFailed { exp, attempt, .. } => {
-                    let s = state.slot(*exp)?;
-                    match s {
-                        ExpState::Pending { attempts, .. } => *attempts = (*attempts).max(*attempt),
-                        // The leased attempt's failure resolves the lease.
-                        ExpState::Leased { attempt: held, .. } if held == attempt => {
-                            *s = ExpState::Pending { attempts: *attempt, not_before_ms: 0 };
-                        }
-                        _ => {}
-                    }
-                }
-                JournalEvent::Failed { exp, attempts, .. } => {
-                    state.finish(*exp, Outcome::Infrastructure, *attempts, 0)?;
-                }
-            }
-        }
-        Ok(state)
-    }
-
-    fn slot(&mut self, exp: u64) -> Result<&mut ExpState, String> {
-        self.experiments
-            .get_mut(exp as usize)
-            .ok_or_else(|| format!("experiment {exp} out of range"))
-    }
-
-    /// Records a replayed terminal event unless an earlier one already won.
-    fn finish(
-        &mut self,
-        exp: u64,
-        outcome: Outcome,
-        attempts: u64,
-        ticks: u64,
-    ) -> Result<(), String> {
-        let slot = self.slot(exp)?;
-        if slot.terminal().is_none() {
-            let exp = exp as usize;
-            *slot = ExpState::Terminal(CompletedExperiment {
-                exp,
-                outcome,
-                attempts,
-                ticks,
-                resumed: true,
-            });
-        }
-        Ok(())
-    }
-
-    /// Folds a replayed journal's `events` after validating them against
-    /// this campaign's identity: `expected` is the header a fresh start of
-    /// the very same campaign would write (for the checkpoint now on the
-    /// share). Identity checks come before state folding so a journal from
-    /// a different campaign reports the mismatch, not a confusing
-    /// out-of-range experiment.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::InvalidData`] when the journal has no header, belongs
-    /// to a different campaign, or is inconsistent.
-    pub(crate) fn replay(
-        events: &[JournalEvent],
-        expected: &JournalEvent,
-    ) -> std::io::Result<CampaignState> {
-        let invalid = |e: String| Error::new(ErrorKind::InvalidData, e);
-        let found = events
-            .iter()
-            .find(|e| {
-                matches!(e, JournalEvent::Campaign { .. } | JournalEvent::AdaptiveCampaign { .. })
-            })
-            .ok_or_else(|| invalid("journal has no campaign header".to_string()))?;
-        let experiments = check_identity(found, expected).map_err(invalid)?;
-        CampaignState::from_events(events, experiments).map_err(invalid)
-    }
-}
-
-/// Compares a journal's header against the one this campaign would write,
-/// naming what differs. Returns the fixed-n experiment count ([`None`] for
-/// an adaptive campaign).
-fn check_identity(found: &JournalEvent, expected: &JournalEvent) -> Result<Option<usize>, String> {
+/// Compares the header of a replayed journal's `events` against
+/// `expected`, the header a fresh start of the very same campaign would
+/// write (for the checkpoint now on the share), naming what differs.
+/// Returns the fixed-n experiment count ([`None`] for an adaptive
+/// campaign). Resume checks identity before folding any state, so a
+/// journal from a different campaign reports the mismatch, not a confusing
+/// out-of-range experiment.
+///
+/// # Errors
+///
+/// A message when the journal has no header or belongs to a different
+/// campaign.
+pub(crate) fn check_identity(
+    events: &[JournalEvent],
+    expected: &JournalEvent,
+) -> Result<Option<usize>, String> {
     use JournalEvent::{AdaptiveCampaign, Campaign};
+    let found = events
+        .iter()
+        .find(|e| matches!(e, Campaign { .. } | AdaptiveCampaign { .. }))
+        .ok_or_else(|| "journal has no campaign header".to_string())?;
     match (found, expected) {
         (
             Campaign { version, experiments, checkpoint_digest, spec_digest },
@@ -624,10 +455,13 @@ pub fn spec_digest(specs: &[gemfi::FaultSpec]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<JournalEvent> {
+    /// One event of every kind: a fixed-n header, a finished experiment 0,
+    /// a failed attempt of experiment 1, a given-up experiment 2, then an
+    /// adaptive header and its first draw.
+    pub(crate) fn sample_events() -> Vec<JournalEvent> {
         vec![
             JournalEvent::Campaign {
                 version: JOURNAL_VERSION,
@@ -772,43 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn state_folding_tracks_lifecycles() {
-        let state = CampaignState::from_events(&sample_events(), Some(3)).unwrap();
-        assert!(state.header.is_some());
-        let done = state.experiments[0].terminal().expect("exp 0 finished");
-        assert_eq!(
-            (done.exp, done.outcome, done.attempts, done.ticks),
-            (0, Outcome::Sdc, 1, 12_345)
-        );
-        assert!(done.resumed, "replayed records are marked as such");
-        assert!(matches!(
-            state.experiments[1],
-            ExpState::Pending { attempts: 1, not_before_ms: 0 }
-        ));
-        let failed = state.experiments[2].terminal().expect("exp 2 gave up");
-        assert_eq!(
-            (failed.outcome, failed.attempts, failed.ticks),
-            (Outcome::Infrastructure, 3, 0)
-        );
-        assert_eq!(state.drawn, vec![("fp-reg".to_string(), 0)]);
-    }
-
-    #[test]
-    fn duplicate_done_keeps_the_first_record() {
-        let mut events = sample_events();
-        events.push(JournalEvent::Done {
-            exp: 0,
-            attempt: 2,
-            outcome: Outcome::Crashed,
-            exit: "zombie".into(),
-            ticks: 1,
-        });
-        let state = CampaignState::from_events(&events, Some(3)).unwrap();
-        let done = state.experiments[0].terminal().expect("exp 0 finished");
-        assert_eq!((done.outcome, done.attempts, done.ticks), (Outcome::Sdc, 1, 12_345));
-    }
-
-    #[test]
     fn pre_spec_journal_lines_still_parse() {
         // Lines written before the `spec` field existed must keep replaying.
         let old = "{\"event\":\"attempt-failed\",\"exp\":1,\"attempt\":2,\
@@ -828,51 +625,6 @@ mod tests {
             JournalEvent::parse(old).unwrap(),
             JournalEvent::Failed { exp: 3, attempts: 4, reason: "gone".into(), spec: None }
         );
-    }
-
-    #[test]
-    fn out_of_range_experiments_are_rejected() {
-        let events =
-            vec![JournalEvent::Failed { exp: 9, attempts: 1, reason: "x".into(), spec: None }];
-        assert!(CampaignState::from_events(&events, Some(3)).is_err());
-        // An adaptive journal's experiments exist once drawn, not before.
-        assert!(CampaignState::from_events(&events, None).is_err());
-    }
-
-    /// The replayed state of the only experiment of a fixed-n campaign
-    /// whose journal holds `events`.
-    fn replayed(events: &[JournalEvent]) -> ExpState {
-        CampaignState::from_events(events, Some(1)).unwrap().experiments.remove(0)
-    }
-
-    fn leased(attempt: u64) -> JournalEvent {
-        JournalEvent::Leased { exp: 0, worker: format!("w{attempt}"), attempt, deadline_ms: 7 }
-    }
-
-    fn attempt_failed(attempt: u64) -> JournalEvent {
-        let (worker, reason) = ("w".into(), "boom".into());
-        JournalEvent::AttemptFailed { exp: 0, attempt, worker, reason, spec: None }
-    }
-
-    #[test]
-    fn a_dangling_lease_replays_as_an_orphan() {
-        let state = replayed(&[leased(1)]);
-        let ExpState::Leased { attempt, deadline_ms, worker, .. } = state else {
-            panic!("expected an orphan, got {state:?}")
-        };
-        assert_eq!((attempt, deadline_ms, worker.as_str()), (1, 7, "w1"));
-    }
-
-    #[test]
-    fn a_lease_whose_attempt_failed_is_not_an_orphan() {
-        let state = replayed(&[leased(1), attempt_failed(1)]);
-        assert!(matches!(state, ExpState::Pending { attempts: 1, .. }), "{state:?}");
-    }
-
-    #[test]
-    fn a_dangling_lease_after_a_failed_attempt_is_an_orphan_of_the_later_attempt() {
-        let state = replayed(&[attempt_failed(1), leased(2)]);
-        assert!(matches!(state, ExpState::Leased { attempt: 2, .. }), "{state:?}");
     }
 
     #[test]

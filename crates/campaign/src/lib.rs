@@ -25,12 +25,11 @@
 //! or a fork plan's trunk; drive it; classify), a **plan** that hands out
 //! experiments in rounds ([`adaptive`]: a fixed list is the one-round case
 //! of the sequential sampler), and the **slot table** ([`now`]: one slot
-//! per drawn experiment, seeded from journal replay, a round being its open
-//! range — policy and the fault listing's file name in [`window`]) that
-//! spool threads and socket workers claim from through one [`transport`]
-//! trait. A retried attempt re-runs from the checkpoint; the journal is the
-//! only per-experiment state. Every `run_*` entry point is a thin
-//! composition of these.
+//! per drawn experiment, the fold of its journal, a round being its open
+//! range) that spool threads and socket workers claim from through one
+//! [`transport`] trait. A retried attempt re-runs from the checkpoint; the
+//! journal is the only per-experiment state. Every `run_*` entry point is a
+//! thin composition of these.
 
 pub mod adaptive;
 pub mod classify;
@@ -46,7 +45,6 @@ pub mod sampler;
 pub mod server;
 pub mod stats;
 pub mod transport;
-pub mod window;
 pub mod wire;
 pub mod worker;
 

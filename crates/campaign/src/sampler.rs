@@ -185,15 +185,6 @@ impl FaultSampler {
         spec
     }
 
-    /// Draws a batch of `k` transient single-bit-flip faults in `class` —
-    /// the draw-on-demand entry point of the sequential engine, which asks
-    /// for one round's worth of faults at a time instead of an up-front
-    /// Leveugle-sized worklist. Equivalent to `k` calls of
-    /// [`FaultSampler::sample`].
-    pub fn sample_batch(&mut self, class: LocationClass, k: usize) -> Vec<FaultSpec> {
-        (0..k).map(|_| self.sample(class)).collect()
-    }
-
     /// Draws a fault from a uniformly chosen class (the whole-space model).
     pub fn sample_any(&mut self) -> FaultSpec {
         let class = LocationClass::ALL[self.rng.below(LocationClass::ALL.len() as u64) as usize];
@@ -329,15 +320,6 @@ mod tests {
         let diverged =
             (0..50).any(|_| d.sample(LocationClass::Fetch) != c.sample(LocationClass::Fetch));
         assert!(diverged, "distinct cells draw distinct streams");
-    }
-
-    #[test]
-    fn batched_draws_equal_repeated_single_draws() {
-        let mut a = sampler();
-        let mut b = sampler();
-        let batch = a.sample_batch(LocationClass::Mem, 20);
-        let singles: Vec<_> = (0..20).map(|_| b.sample(LocationClass::Mem)).collect();
-        assert_eq!(batch, singles);
     }
 
     #[test]

@@ -27,11 +27,10 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveOutcome, Plan};
 use crate::clock::{system_clock, Clock};
-use crate::now::{Campaign, CompletedExperiment};
+use crate::now::{Campaign, CompletedExperiment, SchedulerPolicy};
 use crate::report::OutcomeTable;
 use crate::runner::PreparedWorkload;
 use crate::transport::{ClaimReply, ReportAck};
-use crate::window::SchedulerPolicy;
 use crate::wire::{hex_encode, json_escape, read_line, write_line, ClientMsg, ServerMsg};
 use crate::PROTO_VERSION;
 use gemfi::{FaultSpec, Outcome};

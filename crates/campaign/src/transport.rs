@@ -55,7 +55,7 @@ pub enum ClaimReply {
 }
 
 /// Whether a report landed or was dropped as a zombie.
-pub use crate::window::ReportAck;
+pub use crate::now::ReportAck;
 
 /// Keeps an attempt's liveness machinery (the socket backend's heartbeat
 /// thread) running for exactly the duration of the execution; dropping the

@@ -44,7 +44,7 @@ mod simple;
 pub use hooks::{Dormancy, ElidedHooks, ElisionBatch, FaultHooks, NoopHooks};
 pub use inorder::InOrderCpu;
 pub use model::{Cpu, CpuKind};
-pub use o3::{O3Config, O3Cpu};
+pub use o3::O3Cpu;
 pub use predictor::{PredictorStats, TournamentPredictor};
 pub use simple::{AtomicCpu, TimingCpu};
 

@@ -2,7 +2,7 @@
 
 use crate::hooks::FaultHooks;
 use crate::inorder::InOrderCpu;
-use crate::o3::{O3Config, O3Cpu};
+use crate::o3::O3Cpu;
 use crate::simple::{AtomicCpu, TimingCpu};
 use crate::StepResult;
 use gemfi_isa::{ArchState, ExecError};
@@ -56,7 +56,7 @@ impl Cpu {
             CpuKind::Atomic => Cpu::Atomic(AtomicCpu),
             CpuKind::Timing => Cpu::Timing(TimingCpu),
             CpuKind::InOrder => Cpu::InOrder(InOrderCpu::new()),
-            CpuKind::O3 => Cpu::O3(Box::new(O3Cpu::new(O3Config::default(), entry_pc))),
+            CpuKind::O3 => Cpu::O3(Box::new(O3Cpu::new(entry_pc))),
         }
     }
 

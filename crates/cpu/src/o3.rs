@@ -27,32 +27,16 @@ use gemfi_kernel::{Kernel, PalOutcome};
 use gemfi_mem::{MemorySystem, Ticks};
 use std::collections::VecDeque;
 
-/// Width/size parameters of the out-of-order engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct O3Config {
-    /// Instructions fetched/dispatched per cycle.
-    pub fetch_width: usize,
-    /// Instructions issued to execution per cycle.
-    pub issue_width: usize,
-    /// Instructions committed per cycle.
-    pub commit_width: usize,
-    /// Reorder-buffer capacity.
-    pub rob_size: usize,
-    /// Front-end refill delay after a squash, in ticks.
-    pub mispredict_penalty: Ticks,
-}
-
-impl Default for O3Config {
-    fn default() -> O3Config {
-        O3Config {
-            fetch_width: 4,
-            issue_width: 4,
-            commit_width: 4,
-            rob_size: 64,
-            mispredict_penalty: 5,
-        }
-    }
-}
+/// Instructions fetched/dispatched per cycle.
+const FETCH_WIDTH: usize = 4;
+/// Instructions issued to execution per cycle.
+const ISSUE_WIDTH: usize = 4;
+/// Instructions committed per cycle.
+const COMMIT_WIDTH: usize = 4;
+/// Reorder-buffer capacity.
+const ROB_SIZE: usize = 64;
+/// Front-end refill delay after a squash, in ticks.
+const MISPREDICT_PENALTY: Ticks = 5;
 
 /// Aggregate statistics of the out-of-order engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,7 +105,6 @@ struct RobEntry {
 /// The out-of-order CPU.
 #[derive(Debug, Clone)]
 pub struct O3Cpu {
-    config: O3Config,
     rob: VecDeque<RobEntry>,
     next_seq: u64,
     fetch_pc: u64,
@@ -137,10 +120,9 @@ pub struct O3Cpu {
 
 impl O3Cpu {
     /// A fresh core that will start fetching at `entry_pc`.
-    pub fn new(config: O3Config, entry_pc: u64) -> O3Cpu {
+    pub fn new(entry_pc: u64) -> O3Cpu {
         O3Cpu {
-            config,
-            rob: VecDeque::with_capacity(config.rob_size),
+            rob: VecDeque::with_capacity(ROB_SIZE),
             next_seq: 0,
             fetch_pc: entry_pc,
             fetch_ready_at: 0,
@@ -225,7 +207,7 @@ impl O3Cpu {
         }
         self.fetch_pc = redirect;
         self.fetch_parked = false;
-        self.fetch_ready_at = now + self.config.mispredict_penalty;
+        self.fetch_ready_at = now + MISPREDICT_PENALTY;
     }
 
     /// Broadcasts a completed result to waiting consumers.
@@ -257,7 +239,7 @@ impl O3Cpu {
         hooks: &mut H,
         now: Ticks,
     ) -> Result<bool, SimError> {
-        if self.rob.len() >= self.config.rob_size || self.fetch_parked {
+        if self.rob.len() >= ROB_SIZE || self.fetch_parked {
             return Ok(false);
         }
         let pc = self.fetch_pc;
@@ -707,7 +689,7 @@ impl O3Cpu {
         if arch.pc != pc_before {
             // A PC fault redirected control: flush and refetch.
             self.flush(arch);
-            self.fetch_ready_at = now + self.config.mispredict_penalty;
+            self.fetch_ready_at = now + MISPREDICT_PENALTY;
             return Ok(false);
         }
         // The head's presence was checked above and nothing in between can
@@ -840,7 +822,7 @@ impl O3Cpu {
         let mut committed = 0;
 
         // 1. Commit.
-        for _ in 0..self.config.commit_width {
+        for _ in 0..COMMIT_WIDTH {
             if !self.commit_head(core, arch, mem, kernel, hooks, now, &mut event)? {
                 break;
             }
@@ -882,7 +864,7 @@ impl O3Cpu {
         // 3. Issue.
         let mut issued = 0;
         let mut idx = 0;
-        while idx < self.rob.len() && issued < self.config.issue_width {
+        while idx < self.rob.len() && issued < ISSUE_WIDTH {
             if self.rob[idx].state == EntryState::Dispatched
                 && self.rob[idx].srcs.iter().flatten().all(|s| s.ready)
                 && self.execute_entry(idx, core, mem, hooks, now)?
@@ -894,7 +876,7 @@ impl O3Cpu {
 
         // 4. Fetch/dispatch.
         if self.fetch_ready_at <= now {
-            for _ in 0..self.config.fetch_width {
+            for _ in 0..FETCH_WIDTH {
                 if !self.dispatch_one(core, arch, mem, hooks, now)? {
                     break;
                 }
@@ -938,7 +920,7 @@ mod tests {
         max_cycles: u64,
     ) -> Result<(u64, O3Stats, Vec<u64>), ExecError> {
         let (mut arch, mut mem, mut kernel) = boot(p);
-        let mut cpu = O3Cpu::new(O3Config::default(), arch.pc);
+        let mut cpu = O3Cpu::new(arch.pc);
         let mut now = 0;
         for _ in 0..max_cycles {
             let r = cpu.step(0, &mut arch, &mut mem, &mut kernel, &mut NoopHooks, now)?;
@@ -1073,7 +1055,7 @@ mod tests {
         a.exit(0);
         let p = a.finish().unwrap();
         let (mut arch, mut mem, mut kernel) = boot(&p);
-        let mut cpu = O3Cpu::new(O3Config::default(), arch.pc);
+        let mut cpu = O3Cpu::new(arch.pc);
         let mut now = 0;
         let mut trapped = false;
         for _ in 0..10_000 {
@@ -1114,7 +1096,7 @@ mod tests {
 
         // O3 cycles:
         let (mut arch, mut mem, mut kernel) = boot(&p);
-        let mut cpu = O3Cpu::new(O3Config::default(), arch.pc);
+        let mut cpu = O3Cpu::new(arch.pc);
         let mut o3_cycles = 0u64;
         loop {
             let r =

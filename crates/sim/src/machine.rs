@@ -117,7 +117,7 @@ impl<H: FaultHooks> Machine<H> {
         let mut mem = MemorySystem::new(config.mem);
         load_program(&mut mem, program)?;
         let mut arch = ArchState::default();
-        let mut kernel = Kernel::boot(
+        let kernel = Kernel::boot(
             &mut arch,
             &mut mem,
             program.entry(),
@@ -126,9 +126,6 @@ impl<H: FaultHooks> Machine<H> {
         )?;
         if config.boot_spin > 0 {
             install_boot_stub(&mut mem, &mut arch, config.boot_spin, program.entry())?;
-            // Re-save the boot thread's context so its PCB records the stub
-            // as the resume point (it has not run yet).
-            let _ = &mut kernel;
         }
         let cpu = Cpu::new(config.cpu, arch.pc);
         Ok(Machine {
@@ -308,23 +305,6 @@ impl<H: FaultHooks> Machine<H> {
         )
     }
 
-    /// Captures a checkpoint *without stopping*: the machine is untouched
-    /// and keeps running afterwards. Returns `None` when the CPU still has
-    /// speculative work in flight (O3 mid-burst) — callers advance to the
-    /// next quiesced point and retry. On the simple models every
-    /// instruction boundary is quiesced, so mid-run capture always
-    /// succeeds there.
-    ///
-    /// Snapshot cost is O(pages) regardless of memory size: the captured
-    /// image shares guest pages copy-on-write with the running machine,
-    /// and the machine's later writes dirty private copies.
-    pub fn try_checkpoint(&self) -> Option<Checkpoint> {
-        if self.cpu.has_in_flight() {
-            return None;
-        }
-        Some(self.checkpoint())
-    }
-
     /// Switches the CPU model at an instruction boundary, discarding
     /// speculative state (the Sec. IV-B methodology: O3 until the injected
     /// fault commits or squashes, atomic afterwards).
@@ -449,8 +429,7 @@ impl<H: FaultHooks> Machine<H> {
     /// traps, or exhausts the watchdog first; `None` once `target` is
     /// reached with the machine still live. The stopping tick is the first
     /// step-start tick at or past `target`, a deterministic function of the
-    /// machine's execution alone — snapshot-point capture and fork
-    /// scheduling both rely on that.
+    /// machine's execution alone — fork scheduling relies on that.
     pub fn run_to_tick(&mut self, target: Ticks) -> Option<RunExit> {
         while self.tick < target {
             match self.run_for(target - self.tick) {
@@ -930,11 +909,11 @@ mod tests {
     }
 
     #[test]
-    fn try_checkpoint_captures_without_stopping() {
+    fn checkpoint_captures_without_stopping() {
         let p = counting_program(1_000);
         let mut m = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
         assert!(m.run_to_tick(500).is_none());
-        let ckpt = m.try_checkpoint().expect("atomic machines are always quiesced");
+        let ckpt = m.checkpoint();
         assert_eq!(ckpt.tick(), m.tick());
         // The capture is a pure read: the machine keeps running to the same
         // result, and a restore of the snapshot agrees with it.

@@ -245,7 +245,7 @@ fn mid_run_capture_is_byte_identical_to_stop_and_capture() {
     assert_eq!(a.run(), RunExit::CheckpointRequest);
     let target = a.tick() + 5_000;
     assert!(a.run_to_tick(target).is_none(), "kernel outlives the target");
-    let mid = a.try_checkpoint().expect("atomic machines are always quiesced");
+    let mid = a.checkpoint();
     assert_eq!(mid.tick(), a.tick());
 
     // The capture had no side effects: the machine finishes the golden
@@ -264,7 +264,7 @@ fn mid_run_capture_is_byte_identical_to_stop_and_capture() {
     assert_eq!(b.run(), RunExit::CheckpointRequest);
     assert!(b.run_to_tick(target).is_none());
     assert_eq!(
-        b.try_checkpoint().expect("quiesced").to_bytes(),
+        b.checkpoint().to_bytes(),
         mid.to_bytes(),
         "mid-run capture diverged from stop-and-capture"
     );
