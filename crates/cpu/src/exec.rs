@@ -1,15 +1,19 @@
 //! Shared instruction semantics.
 //!
-//! Every CPU model funnels through the helpers here so that architectural
-//! behaviour is identical across models (the paper's methodology switches
-//! models mid-run, which is only sound if they agree functionally). The
-//! in-order models use [`step_instruction`] wholesale; the out-of-order core
-//! reuses the pure [`alu`]/[`fpu`]/[`cmov_cond`] helpers inside its own
-//! machinery.
+//! The paper's methodology switches CPU models mid-run, which is only sound
+//! if they run every instruction, and call every fault hook, the same way.
+//! The in-order models use [`step_instruction`] wholesale. The out-of-order
+//! core splits an instruction across dispatch, execute and commit but shares
+//! the rest: [`fetch_decode`] with its fetch/decode hooks, the operand lists
+//! ([`src_regs`], [`dst_reg`]), the pure [`alu`]/[`fpu`]/[`cmov_cond`]
+//! helpers, the data accesses ([`load`], [`store`]), [`branch_target`], and
+//! the ISA's operand views ([`Instr::mem_operand`], [`Instr::cond_branch`],
+//! [`ArchState::read_reg`]), so each model handles every load and store in
+//! one place and every conditional branch in one place.
 
 use crate::hooks::FaultHooks;
 use crate::StepEvent;
-use gemfi_isa::{ArchState, FpFunc, Instr, IntFunc, IntReg, Operand, RawInstr, RegRef, Trap};
+use gemfi_isa::{ArchState, FpFunc, Instr, IntFunc, MemOperand, Operand, RawInstr, RegRef, Trap};
 use gemfi_kernel::{Kernel, PalOutcome};
 use gemfi_mem::{MemorySystem, Ticks};
 
@@ -41,18 +45,11 @@ pub fn src_regs(instr: &Instr) -> [Option<RegRef>; 3] {
             [None, None, None]
         }
         Lda { rb, .. } | Ldah { rb, .. } => [Some(RegRef::Int(rb)), None, None],
-        Mem { op, ra, rb, .. } => {
-            if op.is_store() {
-                [Some(RegRef::Int(rb)), Some(RegRef::Int(ra)), None]
-            } else {
-                [Some(RegRef::Int(rb)), None, None]
-            }
-        }
-        Ldt { rb, .. } => [Some(RegRef::Int(rb)), None, None],
-        Stt { fa, rb, .. } => [Some(RegRef::Int(rb)), Some(RegRef::Fp(fa)), None],
+        Mem { .. } | Ldt { .. } | Stt { .. } => instr
+            .mem_operand()
+            .map_or([None; 3], |m| [Some(RegRef::Int(m.base)), m.store.then_some(m.data), None]),
         Jump { rb, .. } => [Some(RegRef::Int(rb)), None, None],
-        CondBr { ra, .. } => [Some(RegRef::Int(ra)), None, None],
-        FpCondBr { fa, .. } => [Some(RegRef::Fp(fa)), None, None],
+        CondBr { .. } | FpCondBr { .. } => [instr.cond_branch().map(|b| b.reg), None, None],
         IntOp { func, ra, rb, rc } => {
             let b = match rb {
                 Operand::Reg(r) => Some(RegRef::Int(r)),
@@ -75,14 +72,57 @@ pub fn dst_reg(instr: &Instr) -> Option<RegRef> {
     use Instr::*;
     match *instr {
         Lda { ra, .. } | Ldah { ra, .. } => Some(RegRef::Int(ra)),
-        Mem { op, ra, .. } => (!op.is_store()).then_some(RegRef::Int(ra)),
-        Ldt { fa, .. } => Some(RegRef::Fp(fa)),
+        Mem { .. } | Ldt { .. } => instr.mem_operand().filter(|m| !m.store).map(|m| m.data),
         Jump { ra, .. } | Br { ra, .. } | Bsr { ra, .. } => Some(RegRef::Int(ra)),
         IntOp { rc, .. } => Some(RegRef::Int(rc)),
         FpOp { fc, .. } => Some(RegRef::Fp(fc)),
         Itoft { fc, .. } => Some(RegRef::Fp(fc)),
         Ftoit { rc, .. } => Some(RegRef::Int(rc)),
         _ => None,
+    }
+}
+
+/// The target of a PC-relative branch at `pc` with word displacement `disp`.
+pub fn branch_target(pc: u64, disp: i32) -> u64 {
+    pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
+}
+
+/// Loads `m.width` bytes at `addr`, extended as the data register receives
+/// them.
+///
+/// # Errors
+///
+/// The memory system's trap for an unmapped or misaligned access.
+pub fn load(
+    mem: &mut MemorySystem,
+    m: MemOperand,
+    addr: u64,
+    pc: u64,
+) -> Result<(u64, Ticks), Trap> {
+    let (v, lat) = if m.width == 4 {
+        mem.read_u32(addr, pc).map(|(v, lat)| (v as u64, lat))?
+    } else {
+        mem.read_u64(addr, pc)?
+    };
+    Ok((m.extend(v), lat))
+}
+
+/// Stores the low `m.width` bytes of `value` at `addr`.
+///
+/// # Errors
+///
+/// The memory system's trap for an unmapped or misaligned access.
+pub fn store(
+    mem: &mut MemorySystem,
+    m: MemOperand,
+    addr: u64,
+    value: u64,
+    pc: u64,
+) -> Result<Ticks, Trap> {
+    if m.width == 4 {
+        mem.write_u32(addr, value as u32, pc)
+    } else {
+        mem.write_u64(addr, value, pc)
     }
 }
 
@@ -209,9 +249,13 @@ pub fn step_instruction<H: FaultHooks>(
         return Ok(rec);
     }
 
-    let read_int = |hooks: &mut H, arch: &ArchState, r: IntReg| -> u64 {
-        hooks.on_reg_read(core, RegRef::Int(r));
-        arch.regs.read_int(r)
+    let read = |hooks: &mut H, arch: &ArchState, r: RegRef| -> u64 {
+        hooks.on_reg_read(core, r);
+        arch.read_reg(r)
+    };
+    let write = |hooks: &mut H, arch: &mut ArchState, r: RegRef, v: u64| {
+        arch.write_reg(r, v);
+        hooks.on_reg_write(core, r);
     };
 
     match instr {
@@ -239,155 +283,93 @@ pub fn step_instruction<H: FaultHooks>(
         Instr::FiActivate { id } => hooks.on_fi_activate(core, now, id, arch.pcbb),
         Instr::FiReadInit => rec.event = StepEvent::CheckpointRequest,
         Instr::Lda { ra, rb, disp } => {
-            let base = read_int(hooks, arch, rb);
-            let v = base.wrapping_add(disp as i64 as u64);
+            let v = read(hooks, arch, RegRef::Int(rb)).wrapping_add(disp as i64 as u64);
             let v = hooks.on_execute_result(core, &instr, v);
-            arch.regs.write_int(ra, v);
-            hooks.on_reg_write(core, RegRef::Int(ra));
+            write(hooks, arch, RegRef::Int(ra), v);
         }
         Instr::Ldah { ra, rb, disp } => {
-            let base = read_int(hooks, arch, rb);
-            let v = base.wrapping_add((disp as i64 as u64).wrapping_shl(16));
+            let v = read(hooks, arch, RegRef::Int(rb))
+                .wrapping_add((disp as i64 as u64).wrapping_shl(16));
             let v = hooks.on_execute_result(core, &instr, v);
-            arch.regs.write_int(ra, v);
-            hooks.on_reg_write(core, RegRef::Int(ra));
+            write(hooks, arch, RegRef::Int(ra), v);
         }
-        Instr::Mem { op, ra, rb, disp } => {
-            let base = read_int(hooks, arch, rb);
-            let addr = base.wrapping_add(disp as i64 as u64);
-            let addr = hooks.on_execute_result(core, &instr, addr);
-            if op.is_store() {
-                let v = read_int(hooks, arch, ra);
-                let v = hooks.on_mem_store(core, addr, v);
-                rec.mem_latency = match op.width() {
-                    4 => mem.write_u32(addr, v as u32, pc)?,
-                    _ => mem.write_u64(addr, v, pc)?,
-                };
-            } else {
-                let (v, lat) = match op.width() {
-                    4 => {
-                        let (v, lat) = mem.read_u32(addr, pc)?;
-                        (v as i32 as i64 as u64, lat)
-                    }
-                    _ => mem.read_u64(addr, pc)?,
-                };
-                let v = hooks.on_mem_load(core, addr, v);
-                rec.mem_latency = lat;
-                arch.regs.write_int(ra, v);
-                hooks.on_reg_write(core, RegRef::Int(ra));
-                rec.load_dest = Some(RegRef::Int(ra));
+        // The operand views are `Some` for exactly the variants of their
+        // arm; matching them with `if let` keeps this path panic-free.
+        Instr::Mem { .. } | Instr::Ldt { .. } | Instr::Stt { .. } => {
+            if let Some(m) = instr.mem_operand() {
+                let addr = m.address(read(hooks, arch, RegRef::Int(m.base)));
+                let addr = hooks.on_execute_result(core, &instr, addr);
+                if m.store {
+                    let v = read(hooks, arch, m.data);
+                    let v = hooks.on_mem_store(core, addr, v);
+                    rec.mem_latency = store(mem, m, addr, v, pc)?;
+                } else {
+                    let (v, lat) = load(mem, m, addr, pc)?;
+                    let v = hooks.on_mem_load(core, addr, v);
+                    rec.mem_latency = lat;
+                    write(hooks, arch, m.data, v);
+                    rec.load_dest = Some(m.data);
+                }
             }
         }
-        Instr::Ldt { fa, rb, disp } => {
-            let base = read_int(hooks, arch, rb);
-            let addr = base.wrapping_add(disp as i64 as u64);
-            let addr = hooks.on_execute_result(core, &instr, addr);
-            let (v, lat) = mem.read_u64(addr, pc)?;
-            let v = hooks.on_mem_load(core, addr, v);
-            rec.mem_latency = lat;
-            arch.regs.write_fp_bits(fa, v);
-            hooks.on_reg_write(core, RegRef::Fp(fa));
-            rec.load_dest = Some(RegRef::Fp(fa));
-        }
-        Instr::Stt { fa, rb, disp } => {
-            let base = read_int(hooks, arch, rb);
-            let addr = base.wrapping_add(disp as i64 as u64);
-            let addr = hooks.on_execute_result(core, &instr, addr);
-            hooks.on_reg_read(core, RegRef::Fp(fa));
-            let v = arch.regs.read_fp_bits(fa);
-            let v = hooks.on_mem_store(core, addr, v);
-            rec.mem_latency = mem.write_u64(addr, v, pc)?;
-        }
         Instr::Jump { ra, rb, .. } => {
-            let target = read_int(hooks, arch, rb) & !3;
+            let target = read(hooks, arch, RegRef::Int(rb)) & !3;
             let target = hooks.on_execute_result(core, &instr, target);
-            arch.regs.write_int(ra, pc.wrapping_add(4));
-            hooks.on_reg_write(core, RegRef::Int(ra));
+            write(hooks, arch, RegRef::Int(ra), pc.wrapping_add(4));
             rec.next_pc = target;
         }
         Instr::Br { ra, disp } | Instr::Bsr { ra, disp } => {
-            let target = pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2);
-            let target = hooks.on_execute_result(core, &instr, target);
-            arch.regs.write_int(ra, pc.wrapping_add(4));
-            hooks.on_reg_write(core, RegRef::Int(ra));
+            let target = hooks.on_execute_result(core, &instr, branch_target(pc, disp));
+            write(hooks, arch, RegRef::Int(ra), pc.wrapping_add(4));
             rec.next_pc = target;
         }
-        Instr::CondBr { cond, ra, disp } => {
-            let v = read_int(hooks, arch, ra);
-            rec.is_cond_branch = true;
-            rec.taken = hooks.on_branch(core, &instr, cond.eval(v));
-            let target = if rec.taken {
-                pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
-            } else {
-                pc.wrapping_add(4)
-            };
-            rec.next_pc = hooks.on_execute_result(core, &instr, target);
-        }
-        Instr::FpCondBr { cond, fa, disp } => {
-            hooks.on_reg_read(core, RegRef::Fp(fa));
-            let v = arch.regs.read_fp_bits(fa);
-            rec.is_cond_branch = true;
-            rec.taken = hooks.on_branch(core, &instr, cond.eval(v));
-            let target = if rec.taken {
-                pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
-            } else {
-                pc.wrapping_add(4)
-            };
-            rec.next_pc = hooks.on_execute_result(core, &instr, target);
+        Instr::CondBr { .. } | Instr::FpCondBr { .. } => {
+            if let Some(b) = instr.cond_branch() {
+                let v = read(hooks, arch, b.reg);
+                rec.is_cond_branch = true;
+                rec.taken = hooks.on_branch(core, &instr, b.taken(v));
+                let target = if rec.taken { branch_target(pc, b.disp) } else { pc.wrapping_add(4) };
+                rec.next_pc = hooks.on_execute_result(core, &instr, target);
+            }
         }
         Instr::IntOp { func, ra, rb, rc } => {
-            let a = read_int(hooks, arch, ra);
+            let a = read(hooks, arch, RegRef::Int(ra));
             let b = match rb {
-                Operand::Reg(r) => read_int(hooks, arch, r),
+                Operand::Reg(r) => read(hooks, arch, RegRef::Int(r)),
                 Operand::Lit(v) => v as u64,
             };
-            match cmov_cond(func, a) {
-                Some(cond) => {
-                    if cond {
-                        let v = hooks.on_execute_result(core, &instr, b);
-                        arch.regs.write_int(rc, v);
-                        hooks.on_reg_write(core, RegRef::Int(rc));
-                    }
-                }
-                None => {
-                    let v = hooks.on_execute_result(core, &instr, alu(func, a, b));
-                    arch.regs.write_int(rc, v);
-                    hooks.on_reg_write(core, RegRef::Int(rc));
-                }
+            let v = match cmov_cond(func, a) {
+                Some(false) => None,
+                Some(true) => Some(b),
+                None => Some(alu(func, a, b)),
+            };
+            if let Some(v) = v {
+                let v = hooks.on_execute_result(core, &instr, v);
+                write(hooks, arch, RegRef::Int(rc), v);
             }
         }
         Instr::FpOp { func, fa, fb, fc } => {
-            hooks.on_reg_read(core, RegRef::Fp(fa));
-            hooks.on_reg_read(core, RegRef::Fp(fb));
-            let a = arch.regs.read_fp_bits(fa);
-            let b = arch.regs.read_fp_bits(fb);
-            match fp_cmov_cond(func, a) {
-                Some(cond) => {
-                    if cond {
-                        let v = hooks.on_execute_result(core, &instr, b);
-                        arch.regs.write_fp_bits(fc, v);
-                        hooks.on_reg_write(core, RegRef::Fp(fc));
-                    }
-                }
-                None => {
-                    let v = hooks.on_execute_result(core, &instr, fpu(func, a, b));
-                    arch.regs.write_fp_bits(fc, v);
-                    hooks.on_reg_write(core, RegRef::Fp(fc));
-                }
+            let a = read(hooks, arch, RegRef::Fp(fa));
+            let b = read(hooks, arch, RegRef::Fp(fb));
+            let v = match fp_cmov_cond(func, a) {
+                Some(false) => None,
+                Some(true) => Some(b),
+                None => Some(fpu(func, a, b)),
+            };
+            if let Some(v) = v {
+                let v = hooks.on_execute_result(core, &instr, v);
+                write(hooks, arch, RegRef::Fp(fc), v);
             }
         }
         Instr::Itoft { rb, fc } => {
-            let v = read_int(hooks, arch, rb);
+            let v = read(hooks, arch, RegRef::Int(rb));
             let v = hooks.on_execute_result(core, &instr, v);
-            arch.regs.write_fp_bits(fc, v);
-            hooks.on_reg_write(core, RegRef::Fp(fc));
+            write(hooks, arch, RegRef::Fp(fc), v);
         }
         Instr::Ftoit { fa, rc } => {
-            hooks.on_reg_read(core, RegRef::Fp(fa));
-            let v = arch.regs.read_fp_bits(fa);
+            let v = read(hooks, arch, RegRef::Fp(fa));
             let v = hooks.on_execute_result(core, &instr, v);
-            arch.regs.write_int(rc, v);
-            hooks.on_reg_write(core, RegRef::Int(rc));
+            write(hooks, arch, RegRef::Int(rc), v);
         }
     }
 

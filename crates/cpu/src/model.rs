@@ -108,16 +108,6 @@ impl Cpu {
     pub fn has_in_flight(&self) -> bool {
         matches!(self, Cpu::O3(c) if c.in_flight() > 0)
     }
-
-    /// Instructions committed by this CPU instance (only the O3 engine
-    /// tracks this internally; in-order models report through
-    /// [`StepResult::committed`]).
-    pub fn o3_stats(&self) -> Option<crate::o3::O3Stats> {
-        match self {
-            Cpu::O3(c) => Some(*c.stats()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

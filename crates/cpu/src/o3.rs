@@ -18,11 +18,16 @@
 //! * stores drain from a **store buffer** at commit; loads forward from
 //!   older in-flight stores or wait on unresolved store addresses.
 
-use crate::exec::{alu, cmov_cond, exec_latency, fp_cmov_cond, fpu, src_regs};
+use crate::exec::{
+    alu, branch_target, cmov_cond, dst_reg, exec_latency, fetch_decode, fp_cmov_cond, fpu, load,
+    src_regs, store,
+};
 use crate::hooks::FaultHooks;
 use crate::predictor::TournamentPredictor;
 use crate::{StepEvent, StepResult};
-use gemfi_isa::{ArchState, ExecError, Instr, JumpKind, Operand, RegRef, SimError, Trap};
+use gemfi_isa::{
+    ArchState, ExecError, Instr, JumpKind, MemOperand, Operand, RegRef, SimError, Trap,
+};
 use gemfi_kernel::{Kernel, PalOutcome};
 use gemfi_mem::{MemorySystem, Ticks};
 use std::collections::VecDeque;
@@ -61,9 +66,6 @@ enum EntryState {
 
 #[derive(Debug, Clone, Copy)]
 struct SrcOperand {
-    /// Kept for debugging dumps of in-flight state.
-    #[allow(dead_code)]
-    reg: RegRef,
     /// Sequence number of the in-flight producer, if any.
     producer: Option<u64>,
     value: u64,
@@ -72,8 +74,7 @@ struct SrcOperand {
 
 #[derive(Debug, Clone, Copy)]
 struct MemAccess {
-    is_store: bool,
-    width: u64,
+    op: MemOperand,
     /// Effective address, known after execute.
     addr: Option<u64>,
     /// Value to store (post-hook), captured at execute.
@@ -82,7 +83,6 @@ struct MemAccess {
 
 #[derive(Debug, Clone)]
 struct RobEntry {
-    seq: u64,
     pc: u64,
     /// The PC fetch redirected to after this instruction.
     predicted_next: u64,
@@ -102,19 +102,53 @@ struct RobEntry {
     predicted_taken: bool,
 }
 
+impl RobEntry {
+    /// An entry with no operands, no destination and no memory access.
+    fn new(pc: u64, instr: Option<Instr>, next: u64, state: EntryState, now: Ticks) -> RobEntry {
+        RobEntry {
+            pc,
+            predicted_next: next,
+            actual_next: next,
+            instr,
+            trap: None,
+            state,
+            srcs: [None, None, None],
+            dst: None,
+            result: 0,
+            done_at: now,
+            serialize: false,
+            mem: None,
+            predicted_taken: false,
+        }
+    }
+}
+
+/// Rename-table slot of `reg`: the int bank, then the fp bank. The zero
+/// registers and the special registers are never renamed.
+fn rename_slot(reg: RegRef) -> Option<usize> {
+    match reg {
+        RegRef::Int(r) if !r.is_zero() => Some(r.index()),
+        RegRef::Fp(r) if !r.is_zero() => Some(32 + r.index()),
+        _ => None,
+    }
+}
+
 /// The out-of-order CPU.
 #[derive(Debug, Clone)]
 pub struct O3Cpu {
     rob: VecDeque<RobEntry>,
+    /// Sequence number of the next dispatched entry. A squash rolls it back
+    /// to the survivor's successor, so the in-flight entries always carry
+    /// `next_seq - rob.len() .. next_seq`, oldest first.
     next_seq: u64,
     fetch_pc: u64,
     fetch_ready_at: Ticks,
     /// Fetch parked until a redirect (post-serialize or fetch fault).
     fetch_parked: bool,
     predictor: TournamentPredictor,
-    /// Rename table: most recent in-flight producer of each register.
-    rename_int: [Option<u64>; 32],
-    rename_fp: [Option<u64>; 32],
+    /// Rename table: most recent in-flight producer of each register, the
+    /// int bank then the fp bank ([`rename_slot`]).
+    rename: [Option<u64>; 64],
     stats: O3Stats,
 }
 
@@ -128,8 +162,7 @@ impl O3Cpu {
             fetch_ready_at: 0,
             fetch_parked: false,
             predictor: TournamentPredictor::new(),
-            rename_int: [None; 32],
-            rename_fp: [None; 32],
+            rename: [None; 64],
             stats: O3Stats::default(),
         }
     }
@@ -158,51 +191,35 @@ impl O3Cpu {
             self.stats.squash_events += 1;
         }
         self.rob.clear();
-        self.rename_int = [None; 32];
-        self.rename_fp = [None; 32];
+        self.rename = [None; 64];
         self.fetch_pc = arch.pc;
         self.fetch_parked = false;
     }
 
-    fn rename_lookup(&self, reg: RegRef) -> Option<u64> {
-        match reg {
-            RegRef::Int(r) => self.rename_int[r.index()],
-            RegRef::Fp(r) => self.rename_fp[r.index()],
-            RegRef::Special(_) => None,
-        }
+    /// Sequence number of the oldest in-flight entry.
+    fn head_seq(&self) -> u64 {
+        self.next_seq - self.rob.len() as u64
     }
 
-    fn rename_set(&mut self, reg: RegRef, seq: u64) {
-        match reg {
-            RegRef::Int(r) if !r.is_zero() => self.rename_int[r.index()] = Some(seq),
-            RegRef::Fp(r) if !r.is_zero() => self.rename_fp[r.index()] = Some(seq),
-            _ => {}
-        }
-    }
-
-    /// Index of the entry with sequence number `seq`. A linear scan: the ROB
-    /// is small and sequence numbers are *not* contiguous after a squash
-    /// (`next_seq` is never rolled back).
+    /// Index of the in-flight entry with sequence number `seq`.
     fn entry_index(&self, seq: u64) -> Option<usize> {
-        self.rob.iter().position(|e| e.seq == seq)
+        let idx = seq.checked_sub(self.head_seq())? as usize;
+        (idx < self.rob.len()).then_some(idx)
     }
 
-    /// Kills every entry younger than `seq` and rebuilds the rename table.
-    fn squash_after(&mut self, seq: u64, redirect: u64, now: Ticks) {
-        let keep = match self.entry_index(seq) {
-            Some(i) => i + 1,
-            None => 0,
-        };
-        let killed = self.rob.len().saturating_sub(keep);
-        self.rob.truncate(keep);
+    /// Kills every entry younger than the one at `idx` and rebuilds the
+    /// rename table.
+    fn squash_after(&mut self, idx: usize, redirect: u64, now: Ticks) {
+        let killed = self.rob.len() - (idx + 1);
+        self.rob.truncate(idx + 1);
+        self.next_seq -= killed as u64;
         self.stats.squashed += killed as u64;
         self.stats.squash_events += 1;
-        self.rename_int = [None; 32];
-        self.rename_fp = [None; 32];
-        for i in 0..self.rob.len() {
-            if let Some(d) = self.rob[i].dst {
-                let s = self.rob[i].seq;
-                self.rename_set(d, s);
+        self.rename = [None; 64];
+        let head = self.head_seq();
+        for (seq, e) in (head..).zip(&self.rob) {
+            if let Some(slot) = e.dst.and_then(rename_slot) {
+                self.rename[slot] = Some(seq);
             }
         }
         self.fetch_pc = redirect;
@@ -245,7 +262,7 @@ impl O3Cpu {
         let pc = self.fetch_pc;
         let seq = self.next_seq;
 
-        let (instr, fetch_lat) = match crate::exec::fetch_decode(core, mem, hooks, pc) {
+        let (instr, fetch_lat) = match fetch_decode(core, mem, hooks, pc) {
             Ok(v) => v,
             Err(t) => {
                 // Possibly a wrong-path fetch (unmapped PC) or a word that
@@ -257,20 +274,8 @@ impl O3Cpu {
                     pc
                 };
                 self.rob.push_back(RobEntry {
-                    seq,
-                    pc,
-                    predicted_next: next,
-                    actual_next: next,
-                    instr: None,
                     trap: Some(t),
-                    state: EntryState::Done,
-                    srcs: [None, None, None],
-                    dst: None,
-                    result: 0,
-                    done_at: now,
-                    serialize: false,
-                    mem: None,
-                    predicted_taken: false,
+                    ..RobEntry::new(pc, None, next, EntryState::Done, now)
                 });
                 self.next_seq += 1;
                 self.fetch_parked = true;
@@ -288,43 +293,15 @@ impl O3Cpu {
         // fetch is consumed here and squashed away — harmless, exactly like
         // any other fault on a squashed instruction.
         if hooks.take_skip(core) {
-            self.rob.push_back(RobEntry {
-                seq,
-                pc,
-                predicted_next: pc.wrapping_add(4),
-                actual_next: pc.wrapping_add(4),
-                instr: Some(instr),
-                trap: None,
-                state: EntryState::Done,
-                srcs: [None, None, None],
-                dst: None,
-                result: 0,
-                done_at: now,
-                serialize: false,
-                mem: None,
-                predicted_taken: false,
-            });
+            let next = pc.wrapping_add(4);
+            self.rob.push_back(RobEntry::new(pc, Some(instr), next, EntryState::Done, now));
             self.next_seq += 1;
-            self.fetch_pc = pc.wrapping_add(4);
+            self.fetch_pc = next;
             return Ok(true);
         }
 
-        let mut entry = RobEntry {
-            seq,
-            pc,
-            predicted_next: pc.wrapping_add(4),
-            actual_next: pc.wrapping_add(4),
-            instr: Some(instr),
-            trap: None,
-            state: EntryState::Dispatched,
-            srcs: [None, None, None],
-            dst: None,
-            result: 0,
-            done_at: now,
-            serialize: false,
-            mem: None,
-            predicted_taken: false,
-        };
+        let mut entry =
+            RobEntry::new(pc, Some(instr), pc.wrapping_add(4), EntryState::Dispatched, now);
 
         // Serializing instructions execute at the commit head.
         if matches!(instr, Instr::CallPal { .. } | Instr::FiActivate { .. } | Instr::FiReadInit) {
@@ -343,64 +320,43 @@ impl O3Cpu {
         // dispatch: that is the moment a register-file fault is consumed,
         // so the read hook fires now (forwarded operands never touch the
         // register file and must not count as consumption).
-        let srcs = src_regs(&instr);
-        for (slot, reg) in entry.srcs.iter_mut().zip(srcs) {
-            if let Some(reg) = reg {
-                let producer = self.rename_lookup(reg);
-                let (value, ready) = match (producer, reg) {
-                    (Some(seq), _) => {
-                        let idx = self.entry_index(seq).ok_or_else(|| {
-                            SimError::new("o3", "renamed producer present in ROB", pc)
-                        })?;
-                        if self.rob[idx].state == EntryState::Done {
-                            (self.rob[idx].result, true)
-                        } else {
-                            (0, false)
-                        }
+        for (slot, reg) in entry.srcs.iter_mut().zip(src_regs(&instr)) {
+            let Some(reg) = reg else { continue };
+            let producer = rename_slot(reg).and_then(|r| self.rename[r]);
+            let (value, ready) = match producer {
+                Some(seq) => {
+                    let idx = self.entry_index(seq).ok_or_else(|| {
+                        SimError::new("o3", "renamed producer present in ROB", pc)
+                    })?;
+                    let p = &self.rob[idx];
+                    if p.state == EntryState::Done {
+                        (p.result, true)
+                    } else {
+                        (0, false)
                     }
-                    (None, RegRef::Int(r)) => {
-                        hooks.on_reg_read(core, reg);
-                        (arch.regs.read_int(r), true)
-                    }
-                    (None, RegRef::Fp(r)) => {
-                        hooks.on_reg_read(core, reg);
-                        (arch.regs.read_fp_bits(r), true)
-                    }
-                    (None, RegRef::Special(s)) => {
-                        hooks.on_reg_read(core, reg);
-                        (arch.read_special(s), true)
-                    }
-                };
-                *slot = Some(SrcOperand { reg, producer, value, ready });
-            }
+                }
+                None => {
+                    hooks.on_reg_read(core, reg);
+                    (arch.read_reg(reg), true)
+                }
+            };
+            *slot = Some(SrcOperand { producer, value, ready });
         }
-        entry.dst = crate::exec::dst_reg(&instr);
-
-        if let Instr::Mem { op, .. } = instr {
-            entry.mem = Some(MemAccess {
-                is_store: op.is_store(),
-                width: op.width(),
-                addr: None,
-                store_val: 0,
-            });
-        } else if matches!(instr, Instr::Ldt { .. }) {
-            entry.mem = Some(MemAccess { is_store: false, width: 8, addr: None, store_val: 0 });
-        } else if matches!(instr, Instr::Stt { .. }) {
-            entry.mem = Some(MemAccess { is_store: true, width: 8, addr: None, store_val: 0 });
-        }
+        entry.dst = dst_reg(&instr);
+        entry.mem = instr.mem_operand().map(|op| MemAccess { op, addr: None, store_val: 0 });
 
         // Front-end next-PC selection.
         let next = match instr {
-            Instr::Br { disp, .. } => pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2),
+            Instr::Br { disp, .. } => branch_target(pc, disp),
             Instr::Bsr { disp, .. } => {
                 self.predictor.push_return(pc.wrapping_add(4));
-                pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
+                branch_target(pc, disp)
             }
             Instr::CondBr { disp, .. } | Instr::FpCondBr { disp, .. } => {
                 let taken = self.predictor.predict_direction(pc);
                 entry.predicted_taken = taken;
                 if taken {
-                    pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
+                    branch_target(pc, disp)
                 } else {
                     pc.wrapping_add(4)
                 }
@@ -420,8 +376,8 @@ impl O3Cpu {
         };
         entry.predicted_next = next;
 
-        if let Some(d) = entry.dst {
-            self.rename_set(d, seq);
+        if let Some(slot) = entry.dst.and_then(rename_slot) {
+            self.rename[slot] = Some(seq);
         }
         self.rob.push_back(entry);
         self.next_seq += 1;
@@ -437,7 +393,7 @@ impl O3Cpu {
         for j in (0..idx).rev() {
             let e = &self.rob[j];
             let Some(m) = e.mem else { continue };
-            if !m.is_store {
+            if !m.op.store {
                 continue;
             }
             match m.addr {
@@ -448,11 +404,11 @@ impl O3Cpu {
                     // `addr` (or `sa`) near u64::MAX, where `addr + width`
                     // would overflow and abort a debug build.
                     let overlap = (sa as u128) < addr as u128 + width as u128
-                        && (addr as u128) < sa as u128 + m.width as u128;
+                        && (addr as u128) < sa as u128 + m.op.width as u128;
                     if !overlap {
                         continue;
                     }
-                    if sa == addr && m.width == width && e.state == EntryState::Done {
+                    if sa == addr && m.op.width == width && e.state == EntryState::Done {
                         return Ok(Some(m.store_val));
                     }
                     // Partial overlap or store not finished: wait until the
@@ -479,114 +435,95 @@ impl O3Cpu {
         hooks: &mut H,
         now: Ticks,
     ) -> Result<bool, SimError> {
-        let e = self.rob[idx].clone();
+        let e = &self.rob[idx];
+        let (pc, mut mem_state) = (e.pc, e.mem);
         let Some(instr) = e.instr else {
-            return Err(SimError::new("o3", "dispatched entries are decoded", e.pc));
+            return Err(SimError::new("o3", "dispatched entries are decoded", pc));
         };
-        let src = |n: usize| e.srcs[n].map(|s| s.value).unwrap_or(0);
+        let [a, b, old] = e.srcs.map(|s| s.map_or(0, |s| s.value));
 
         let mut result = 0u64;
-        let mut actual_next = e.pc.wrapping_add(4);
+        let mut actual_next = pc.wrapping_add(4);
         let mut lat = exec_latency(&instr);
         let mut trap = None;
-        let mut mem_state = e.mem;
 
         match instr {
             Instr::Lda { disp, .. } => {
-                result =
-                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64));
+                result = hooks.on_execute_result(core, &instr, a.wrapping_add(disp as i64 as u64));
             }
             Instr::Ldah { disp, .. } => {
                 result = hooks.on_execute_result(
                     core,
                     &instr,
-                    src(0).wrapping_add((disp as i64 as u64) << 16),
+                    a.wrapping_add((disp as i64 as u64) << 16),
                 );
             }
             Instr::IntOp { func, rb, .. } => {
-                let a = src(0);
                 let b = match rb {
-                    Operand::Reg(_) => src(1),
+                    Operand::Reg(_) => b,
                     Operand::Lit(v) => v as u64,
                 };
                 result = match cmov_cond(func, a) {
-                    Some(cond) => {
-                        let moved = hooks.on_execute_result(core, &instr, b);
-                        if cond {
-                            moved
-                        } else {
-                            src(2) // keep old destination value
-                        }
+                    Some(true) => hooks.on_execute_result(core, &instr, b),
+                    // A cmov whose condition is false still runs the execute
+                    // hook, then keeps the old destination value.
+                    Some(false) => {
+                        hooks.on_execute_result(core, &instr, b);
+                        old
                     }
                     None => hooks.on_execute_result(core, &instr, alu(func, a, b)),
                 };
             }
             Instr::FpOp { func, .. } => {
-                let a = src(0);
-                let b = src(1);
                 result = match fp_cmov_cond(func, a) {
-                    Some(cond) => {
-                        let moved = hooks.on_execute_result(core, &instr, b);
-                        if cond {
-                            moved
-                        } else {
-                            src(2)
-                        }
+                    Some(true) => hooks.on_execute_result(core, &instr, b),
+                    Some(false) => {
+                        hooks.on_execute_result(core, &instr, b);
+                        old
                     }
                     None => hooks.on_execute_result(core, &instr, fpu(func, a, b)),
                 };
             }
             Instr::Itoft { .. } | Instr::Ftoit { .. } => {
-                result = hooks.on_execute_result(core, &instr, src(0));
+                result = hooks.on_execute_result(core, &instr, a);
             }
             Instr::Br { .. } | Instr::Bsr { .. } => {
                 // Target already selected at fetch (always correct); the
                 // result is the link value.
                 actual_next = e.predicted_next;
-                result = e.pc.wrapping_add(4);
+                result = pc.wrapping_add(4);
             }
             Instr::Jump { .. } => {
-                let target = hooks.on_execute_result(core, &instr, src(0) & !3);
-                actual_next = target;
-                result = e.pc.wrapping_add(4);
+                actual_next = hooks.on_execute_result(core, &instr, a & !3);
+                result = pc.wrapping_add(4);
             }
-            Instr::CondBr { cond, disp, .. } => {
+            Instr::CondBr { .. } | Instr::FpCondBr { .. } => {
+                let Some(br) = instr.cond_branch() else {
+                    return Err(SimError::new("o3", "conditional branches test a register", pc));
+                };
                 // Branch inversion hooks in at resolution; the predictor
                 // trains on the post-inversion (architecturally committed)
                 // direction.
-                let taken = hooks.on_branch(core, &instr, cond.eval(src(0)));
-                let target = if taken {
-                    e.pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
-                } else {
-                    e.pc.wrapping_add(4)
-                };
+                let taken = hooks.on_branch(core, &instr, br.taken(a));
+                let target = if taken { branch_target(pc, br.disp) } else { pc.wrapping_add(4) };
                 actual_next = hooks.on_execute_result(core, &instr, target);
-                self.predictor.update_direction(e.pc, taken, e.predicted_taken);
+                self.predictor.update_direction(pc, taken, e.predicted_taken);
             }
-            Instr::FpCondBr { cond, disp, .. } => {
-                let taken = hooks.on_branch(core, &instr, cond.eval(src(0)));
-                let target = if taken {
-                    e.pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2)
-                } else {
-                    e.pc.wrapping_add(4)
-                };
-                actual_next = hooks.on_execute_result(core, &instr, target);
-                self.predictor.update_direction(e.pc, taken, e.predicted_taken);
-            }
-            Instr::Mem { op, disp, .. } => {
+            Instr::Mem { .. } | Instr::Ldt { .. } | Instr::Stt { .. } => {
                 let Some(m) = mem_state.as_mut() else {
-                    return Err(SimError::new("o3", "memory entries carry mem state", e.pc));
+                    return Err(SimError::new("o3", "memory entries carry mem state", pc));
                 };
                 // Address generation and its hook run once: a load retried
                 // behind an older store reuses the hooked address.
-                let addr = *m.addr.get_or_insert_with(|| {
-                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64))
-                });
-                if op.is_store() {
-                    m.store_val = hooks.on_mem_store(core, addr, src(1));
+                let op = m.op;
+                let addr = *m
+                    .addr
+                    .get_or_insert_with(|| hooks.on_execute_result(core, &instr, op.address(a)));
+                if op.store {
                     // Address generation only; data drains at commit.
+                    m.store_val = hooks.on_mem_store(core, addr, b);
                 } else {
-                    match self.load_check(idx, addr, m.width) {
+                    match self.load_check(idx, addr, op.width) {
                         Err(()) => {
                             // Retry next cycle. Only older stores' addresses
                             // gate `load_check`, so keeping a load's is safe.
@@ -594,64 +531,21 @@ impl O3Cpu {
                             return Ok(false);
                         }
                         Ok(Some(fwd)) => {
-                            let v =
-                                if m.width == 4 { (fwd as u32) as i32 as i64 as u64 } else { fwd };
-                            result = hooks.on_mem_load(core, addr, v);
+                            result = hooks.on_mem_load(core, addr, op.extend(fwd));
                             lat = 1; // store-buffer forward
                         }
-                        Ok(None) => {
-                            let r = if m.width == 4 {
-                                mem.read_u32(addr, e.pc).map(|(v, l)| (v as i32 as i64 as u64, l))
-                            } else {
-                                mem.read_u64(addr, e.pc)
-                            };
-                            match r {
-                                Ok((v, l)) => {
-                                    result = hooks.on_mem_load(core, addr, v);
-                                    lat = l;
-                                }
-                                Err(t) => trap = Some(t), // precise at commit
+                        Ok(None) => match load(mem, op, addr, pc) {
+                            Ok((v, l)) => {
+                                result = hooks.on_mem_load(core, addr, v);
+                                lat = l;
                             }
-                        }
+                            Err(t) => trap = Some(t), // precise at commit
+                        },
                     }
                 }
-            }
-            Instr::Ldt { disp, .. } => {
-                let Some(m) = mem_state.as_mut() else {
-                    return Err(SimError::new("o3", "memory entries carry mem state", e.pc));
-                };
-                let addr = *m.addr.get_or_insert_with(|| {
-                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64))
-                });
-                match self.load_check(idx, addr, 8) {
-                    Err(()) => {
-                        self.rob[idx].mem = mem_state;
-                        return Ok(false);
-                    }
-                    Ok(Some(fwd)) => {
-                        result = hooks.on_mem_load(core, addr, fwd);
-                        lat = 1;
-                    }
-                    Ok(None) => match mem.read_u64(addr, e.pc) {
-                        Ok((v, l)) => {
-                            result = hooks.on_mem_load(core, addr, v);
-                            lat = l;
-                        }
-                        Err(t) => trap = Some(t),
-                    },
-                }
-            }
-            Instr::Stt { disp, .. } => {
-                let addr =
-                    hooks.on_execute_result(core, &instr, src(0).wrapping_add(disp as i64 as u64));
-                let Some(m) = mem_state.as_mut() else {
-                    return Err(SimError::new("o3", "memory entries carry mem state", e.pc));
-                };
-                m.addr = Some(addr);
-                m.store_val = hooks.on_mem_store(core, addr, src(1));
             }
             Instr::CallPal { .. } | Instr::FiActivate { .. } | Instr::FiReadInit => {
-                return Err(SimError::new("o3", "serializers never reach execute", e.pc));
+                return Err(SimError::new("o3", "serializers never reach execute", pc));
             }
         }
 
@@ -694,6 +588,7 @@ impl O3Cpu {
         }
         // The head's presence was checked above and nothing in between can
         // shrink the ROB; an empty queue here is just "nothing to commit".
+        let seq = self.head_seq();
         let Some(e) = self.rob.pop_front() else { return Ok(false) };
         if e.pc != arch.pc {
             // A committing entry off the architectural path is a renaming /
@@ -755,43 +650,28 @@ impl O3Cpu {
         };
 
         // Stores drain to memory at commit (store buffer semantics).
-        if let Some(m) = e.mem {
-            if m.is_store {
-                let Some(addr) = m.addr else {
-                    return Err(SimError::new(
-                        "o3",
-                        "stores resolve their address before commit",
-                        e.pc,
-                    )
-                    .into());
-                };
-                let r = if m.width == 4 {
-                    mem.write_u32(addr, m.store_val as u32, e.pc).map(|_| ())
-                } else {
-                    mem.write_u64(addr, m.store_val, e.pc).map(|_| ())
-                };
-                if let Err(t) = r {
-                    arch.exc_addr = e.pc;
-                    return Err(t.into());
-                }
+        if let Some(m) = e.mem.filter(|m| m.op.store) {
+            let Some(addr) = m.addr else {
+                return Err(SimError::new(
+                    "o3",
+                    "stores resolve their address before commit",
+                    e.pc,
+                )
+                .into());
+            };
+            if let Err(t) = store(mem, m.op, addr, m.store_val, e.pc) {
+                arch.exc_addr = e.pc;
+                return Err(t.into());
             }
         }
 
         if let Some(d) = e.dst {
-            match d {
-                RegRef::Int(r) => arch.regs.write_int(r, e.result),
-                RegRef::Fp(r) => arch.regs.write_fp_bits(r, e.result),
-                RegRef::Special(s) => arch.write_special(s, e.result),
-            }
+            arch.write_reg(d, e.result);
             hooks.on_reg_write(core, d);
             // Retire from the rename table if this entry is still the
             // youngest producer.
-            if self.rename_lookup(d) == Some(e.seq) {
-                match d {
-                    RegRef::Int(r) => self.rename_int[r.index()] = None,
-                    RegRef::Fp(r) => self.rename_fp[r.index()] = None,
-                    RegRef::Special(_) => {}
-                }
+            if let Some(slot) = rename_slot(d).filter(|&r| self.rename[r] == Some(seq)) {
+                self.rename[slot] = None;
             }
         }
 
@@ -841,10 +721,9 @@ impl O3Cpu {
         while i < self.rob.len() {
             if self.rob[i].state == EntryState::Issued && self.rob[i].done_at <= now {
                 self.rob[i].state = EntryState::Done;
-                let seq = self.rob[i].seq;
                 let result = self.rob[i].result;
                 if self.rob[i].dst.is_some() {
-                    self.wakeup(seq, result);
+                    self.wakeup(self.head_seq() + i as u64, result);
                 }
                 // Control misprediction?
                 let mispredicted = self.rob[i].actual_next != self.rob[i].predicted_next
@@ -853,7 +732,7 @@ impl O3Cpu {
                     let redirect = self.rob[i].actual_next;
                     let pc = self.rob[i].pc;
                     self.predictor.update_target(pc, redirect);
-                    self.squash_after(seq, redirect, now);
+                    self.squash_after(i, redirect, now);
                     // Everything younger is gone; stop scanning.
                     break;
                 }

@@ -1,6 +1,6 @@
 //! Architectural (software-visible) state of one hardware thread context.
 
-use crate::regs::{RegFile, SpecialReg};
+use crate::regs::{RegFile, RegRef, SpecialReg};
 
 /// Processor-status bit: executing in kernel (PAL) mode.
 pub const PSR_KERNEL: u64 = 1 << 0;
@@ -50,6 +50,25 @@ impl ArchState {
         }
     }
 
+    /// Reads any register: FP registers as raw bits.
+    pub fn read_reg(&self, r: RegRef) -> u64 {
+        match r {
+            RegRef::Int(r) => self.regs.read_int(r),
+            RegRef::Fp(r) => self.regs.read_fp_bits(r),
+            RegRef::Special(r) => self.read_special(r),
+        }
+    }
+
+    /// Writes any register: FP registers as raw bits. Writes to the zero
+    /// registers are discarded.
+    pub fn write_reg(&mut self, r: RegRef, value: u64) {
+        match r {
+            RegRef::Int(r) => self.regs.write_int(r, value),
+            RegRef::Fp(r) => self.regs.write_fp_bits(r, value),
+            RegRef::Special(r) => self.write_special(r, value),
+        }
+    }
+
     /// Whether the context is in kernel (PAL) mode.
     pub fn in_kernel(&self) -> bool {
         self.psr & PSR_KERNEL != 0
@@ -78,6 +97,22 @@ mod tests {
             a.write_special(r, 0xabcd);
             assert_eq!(a.read_special(r), 0xabcd);
         }
+    }
+
+    #[test]
+    fn read_reg_and_write_reg_reach_every_bank() {
+        use crate::regs::{FpReg, IntReg};
+        let mut a = ArchState::new(0);
+        let (r5, f5) = (IntReg::new(5).unwrap(), FpReg::new(5).unwrap());
+        for (r, v) in [(RegRef::Int(r5), 7), (RegRef::Fp(f5), 1.5f64.to_bits())] {
+            a.write_reg(r, v);
+            assert_eq!(a.read_reg(r), v);
+        }
+        assert_eq!(a.regs.read_fp(f5), 1.5);
+        a.write_reg(RegRef::Special(SpecialReg::Psr), 3);
+        assert_eq!(a.psr, 3);
+        a.write_reg(RegRef::Int(IntReg::ZERO), 9);
+        assert_eq!(a.read_reg(RegRef::Int(IntReg::ZERO)), 0);
     }
 
     #[test]

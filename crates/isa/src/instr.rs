@@ -9,7 +9,7 @@
 
 use crate::format::{self, RawInstr};
 use crate::opcode::{BranchCond, FpBranchCond, FpFunc, IntFunc, Opcode, PalFunc};
-use crate::regs::{FpReg, IntReg};
+use crate::regs::{FpReg, IntReg, RegRef};
 use crate::trap::Trap;
 use std::fmt;
 
@@ -278,27 +278,97 @@ impl Instr {
         matches!(self, Instr::CondBr { .. } | Instr::FpCondBr { .. })
     }
 
-    /// Whether this instruction accesses data memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Instr::Mem { .. } | Instr::Ldt { .. } | Instr::Stt { .. })
+    /// The memory operand of a load or store (`Mem`, `Ldt`, `Stt`).
+    pub fn mem_operand(&self) -> Option<MemOperand> {
+        Some(match *self {
+            Instr::Mem { op, ra, rb, disp } => MemOperand {
+                base: rb,
+                disp,
+                data: RegRef::Int(ra),
+                width: op.width(),
+                store: op.is_store(),
+            },
+            Instr::Ldt { fa, rb, disp } => {
+                MemOperand { base: rb, disp, data: RegRef::Fp(fa), width: 8, store: false }
+            }
+            Instr::Stt { fa, rb, disp } => {
+                MemOperand { base: rb, disp, data: RegRef::Fp(fa), width: 8, store: true }
+            }
+            _ => return None,
+        })
     }
 
-    /// Whether this instruction writes data memory.
-    pub fn is_store(&self) -> bool {
-        matches!(self, Instr::Mem { op, .. } if op.is_store()) || matches!(self, Instr::Stt { .. })
+    /// The operands of a conditional branch (`CondBr`, `FpCondBr`).
+    pub fn cond_branch(&self) -> Option<CondBranch> {
+        Some(match *self {
+            Instr::CondBr { cond, ra, disp } => {
+                CondBranch { reg: RegRef::Int(ra), disp, test: BranchTest::Int(cond) }
+            }
+            Instr::FpCondBr { cond, fa, disp } => {
+                CondBranch { reg: RegRef::Fp(fa), disp, test: BranchTest::Fp(cond) }
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// One view over the three memory instructions: an integer or FP data
+/// register moved to or from `base + disp`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemOperand {
+    /// Base address register.
+    pub base: IntReg,
+    /// Signed byte displacement.
+    pub disp: i16,
+    /// The register loaded into or stored from.
+    pub data: RegRef,
+    /// Access width in bytes (4 or 8).
+    pub width: u64,
+    /// Whether the access writes memory.
+    pub store: bool,
+}
+
+impl MemOperand {
+    /// The effective address for a base register value.
+    pub fn address(self, base: u64) -> u64 {
+        base.wrapping_add(self.disp as i64 as u64)
     }
 
-    /// Whether this instruction reads or writes the FP register file.
-    pub fn is_fp(&self) -> bool {
-        matches!(
-            self,
-            Instr::Ldt { .. }
-                | Instr::Stt { .. }
-                | Instr::FpCondBr { .. }
-                | Instr::FpOp { .. }
-                | Instr::Itoft { .. }
-                | Instr::Ftoit { .. }
-        )
+    /// A loaded value as the data register receives it: a 4-byte load
+    /// sign-extends.
+    pub fn extend(self, value: u64) -> u64 {
+        if self.width == 4 {
+            value as u32 as i32 as i64 as u64
+        } else {
+            value
+        }
+    }
+}
+
+/// One view over the two conditional branches: a test of one integer or
+/// FP register, and a displacement taken when it holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CondBranch {
+    /// The tested register.
+    pub reg: RegRef,
+    /// Signed word displacement of the taken target.
+    pub disp: i32,
+    test: BranchTest,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BranchTest {
+    Int(BranchCond),
+    Fp(FpBranchCond),
+}
+
+impl CondBranch {
+    /// Whether the branch is taken when the tested register holds `bits`.
+    pub fn taken(self, bits: u64) -> bool {
+        match self.test {
+            BranchTest::Int(c) => c.eval(bits),
+            BranchTest::Fp(c) => c.eval(bits),
+        }
     }
 }
 
@@ -592,10 +662,35 @@ mod tests {
     #[test]
     fn classification_predicates() {
         let br = Instr::CondBr { cond: BranchCond::Eq, ra: r(0), disp: 0 };
-        assert!(br.is_control() && br.is_cond_branch() && !br.is_mem());
+        assert!(br.is_control() && br.is_cond_branch() && br.mem_operand().is_none());
         let st = Instr::Stt { fa: fr(0), rb: r(1), disp: 0 };
-        assert!(st.is_mem() && st.is_store() && st.is_fp());
-        let ld = Instr::Mem { op: MemOp::Ldl, ra: r(0), rb: r(1), disp: 0 };
-        assert!(ld.is_mem() && !ld.is_store() && !ld.is_fp());
+        assert!(!st.is_control() && st.cond_branch().is_none());
+    }
+
+    #[test]
+    fn mem_operand_views_every_load_and_store() {
+        let ldl = Instr::Mem { op: MemOp::Ldl, ra: r(2), rb: r(3), disp: -8 };
+        let m = ldl.mem_operand().unwrap();
+        assert_eq!((m.base, m.data, m.width, m.store), (r(3), RegRef::Int(r(2)), 4, false));
+        assert_eq!(m.address(0x108), 0x100);
+        assert_eq!(m.extend(0x8000_0000), 0xffff_ffff_8000_0000);
+        let stt = Instr::Stt { fa: fr(5), rb: r(1), disp: 16 };
+        let m = stt.mem_operand().unwrap();
+        assert_eq!((m.data, m.width, m.store), (RegRef::Fp(fr(5)), 8, true));
+        assert_eq!(m.extend(0x8000_0000), 0x8000_0000);
+        let ldt = Instr::Ldt { fa: fr(6), rb: r(1), disp: 0 };
+        assert_eq!(ldt.mem_operand().unwrap().data, RegRef::Fp(fr(6)));
+    }
+
+    #[test]
+    fn cond_branch_views_int_and_fp_tests() {
+        let beq = Instr::CondBr { cond: BranchCond::Eq, ra: r(4), disp: -3 };
+        let b = beq.cond_branch().unwrap();
+        assert_eq!((b.reg, b.disp), (RegRef::Int(r(4)), -3));
+        assert!(b.taken(0) && !b.taken(1));
+        let fblt = Instr::FpCondBr { cond: FpBranchCond::Lt, fa: fr(2), disp: 7 };
+        let b = fblt.cond_branch().unwrap();
+        assert_eq!((b.reg, b.disp), (RegRef::Fp(fr(2)), 7));
+        assert!(b.taken((-1.0f64).to_bits()) && !b.taken((-0.0f64).to_bits()));
     }
 }

@@ -58,7 +58,7 @@ pub mod trap;
 pub use arch::{ArchState, PSR_INT_ENABLE, PSR_KERNEL};
 pub use disasm::disassemble;
 pub use format::{Field, Format, RawInstr};
-pub use instr::{decode, encode, Instr, JumpKind, MemOp, Operand};
+pub use instr::{decode, encode, CondBranch, Instr, JumpKind, MemOp, MemOperand, Operand};
 pub use opcode::{BranchCond, FpBranchCond, FpFunc, IntFunc, Opcode, PalFunc};
 pub use predecode::{PredecodeCache, PredecodeStats, DEFAULT_PREDECODE_ENTRIES};
 pub use regs::{FpReg, IntReg, RegFile, RegRef, SpecialReg};
