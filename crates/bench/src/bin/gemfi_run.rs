@@ -21,7 +21,7 @@
 //! ```text
 //! gemfi_run --workload pi --campaign 200 --share /mnt/spool/pi \
 //!     [--seed N] [--workstations N] [--slots N] \
-//!     [--lease-secs N] [--max-retries N] [--resume]
+//!     [--max-retries N] [--resume]
 //! ```
 //!
 //! Adaptive mode replaces the fixed experiment count with the sequential
@@ -44,13 +44,12 @@ use gemfi_campaign::{
 };
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig};
-use std::time::Duration;
 
 const USAGE: &str = "\
 usage: gemfi_run (--workload <name> | --program <file.s>) [--faults <file>] \
 [--cpu o3|atomic|inorder|timing] [--scale small|default|paper] [--no-elide] [--no-superblock]
        gemfi_run --workload <name> --campaign <experiments> --share <dir> \
-[--seed N] [--workstations N] [--slots N] [--lease-secs N] [--max-retries N] [--resume]
+[--seed N] [--workstations N] [--slots N] [--max-retries N] [--resume]
        gemfi_run --workload <name> --adaptive --share <dir> \
 [--ci-halfwidth H] [--min-n N] [--budget N] [--batch N] [--cells a,b,...] [--seed N] [--resume]
 workloads: dct jacobi pi knapsack deblock canneal";
@@ -126,7 +125,6 @@ fn run_campaign_mode(
     });
     let seed = args.number("seed", 1u64);
     let config = NowConfig {
-        lease: Duration::from_secs(args.number("lease-secs", 30u64)),
         max_retries: args.number("max-retries", 2u64),
         resume: args.has("resume"),
         ..NowConfig::new(args.number("workstations", 3usize), args.number("slots", 2usize), share)

@@ -20,7 +20,7 @@
 //! are evaluated only at round boundaries over commutative counts, so the
 //! whole draw/stop trajectory is a pure function of the seed, the config,
 //! and the per-experiment outcomes. The journaling slot table
-//! ([`crate::now::Campaign`]) writes every draw of a round (`drawn`
+//! (`now::Campaign`) writes every draw of a round (`drawn`
 //! events) before executing any of it; a resumed
 //! campaign re-derives the identical trajectory, verifies it against the
 //! journaled draws, folds the outcomes already recorded, executes only the
@@ -447,7 +447,7 @@ impl fmt::Display for AdaptiveOutcome {
 /// sprints the shared fault-free prefix once per round), or serially
 /// otherwise, and the outcomes fold straight back into the engine. There is
 /// no share here, so nothing is journaled, leased or resumable: the round
-/// protocol is driven directly instead of through [`crate::now::Campaign`].
+/// protocol is driven directly instead of through `now::Campaign`.
 pub fn run_campaign_adaptive(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,

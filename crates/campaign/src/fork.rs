@@ -110,7 +110,7 @@ fn safe_advance(distance: Dormancy, slack: u64) -> u64 {
 /// Plans the campaign: sweeps one fault-free trunk along the shared
 /// prefix, forking each experiment's suffix shortly before its fault can
 /// fire. At every trunk stop each unplanned spec is re-checked: one whose
-/// [`safe_advance`] is `0` (or `u64::MAX`) forks there, and the trunk then
+/// `safe_advance` is `0` (or `u64::MAX`) forks there, and the trunk then
 /// advances by the smallest remaining `safe_advance`. Each is a lower bound
 /// on its spec's distance, so the trunk never passes a spec's fork window.
 /// A spec already armed at the checkpoint, or still pending when the trunk

@@ -30,7 +30,7 @@
 //! encoding itself lives in [`crate::wire`], where the campaign server's
 //! socket protocol speaks the same dialect.
 
-use crate::wire::{json_escape, parse_flat_object};
+use crate::wire::flat_messages;
 use gemfi::Outcome;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -42,244 +42,118 @@ pub const JOURNAL_FILE: &str = "campaign.journal";
 /// Journal format version (bumped on incompatible event-schema changes).
 pub const JOURNAL_VERSION: u64 = 1;
 
-/// One lifecycle event. Serialized as one JSON object per line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalEvent {
-    /// Campaign header: written once at the start, replayed on resume to
-    /// verify the journal belongs to the same campaign (same experiment
-    /// count, same fault specs, same checkpoint).
-    Campaign {
-        /// Journal format version.
-        version: u64,
-        /// Total number of experiments.
-        experiments: u64,
-        /// Digest of the spooled checkpoint file (see
-        /// `gemfi_sim::Checkpoint::digest`); resume rejects a share whose
-        /// checkpoint no longer matches.
-        checkpoint_digest: u64,
-        /// FNV-1a digest over the rendered fault specs; resume rejects a
-        /// journal recorded for different faults.
-        spec_digest: u64,
-    },
-    /// Adaptive-campaign header: written once at the start of a sequential
-    /// (early-stopping) campaign instead of [`JournalEvent::Campaign`]. The
-    /// experiment count is open-ended — the engine draws until the stopping
-    /// rule or the budget ends it — so identity is pinned by the sampler
-    /// seed, the checkpoint, and the stopping-rule parameters instead.
-    /// Fractional parameters are stored in parts-per-million because the
-    /// journal's flat format is integers-and-strings only.
-    AdaptiveCampaign {
-        /// Journal format version.
-        version: u64,
-        /// Campaign sampler seed (per-cell streams derive from it).
-        seed: u64,
-        /// Digest of the spooled checkpoint file.
-        checkpoint_digest: u64,
-        /// Confidence z-value, in parts per million (1.96 → 1_960_000).
-        z_ppm: u64,
-        /// Target CI half-width, in parts per million (0.05 → 50_000).
-        halfwidth_ppm: u64,
-        /// Minimum experiments per cell before it may stop.
-        min_n: u64,
-        /// Global experiment budget.
-        budget: u64,
-        /// Draws per undecided cell per round.
-        batch: u64,
-        /// Comma-joined cell labels, in sampling order.
-        cells: String,
-    },
-    /// The sequential engine drew one fault point for a cell and assigned
-    /// it the next experiment index. Journaled for the whole round *before*
-    /// any of the round's experiments execute, so a resumed campaign can
-    /// verify it re-derives the identical draw sequence.
-    Drawn {
-        /// Experiment index (globally sequential in draw order).
-        exp: u64,
-        /// Cell label (e.g. `int-reg`, `l1d-cache`, `security`).
-        cell: String,
-        /// 0-based ordinal of this draw within its cell's stream.
-        draw: u64,
-    },
-    /// A worker claimed the experiment under an expiring lease.
-    Leased {
-        /// Experiment index.
-        exp: u64,
-        /// Claiming worker id (`ws<W>.slot<S>` for the simulated NoW).
-        worker: String,
-        /// 1-based attempt number.
-        attempt: u64,
-        /// Lease expiry, milliseconds since the Unix epoch.
-        deadline_ms: u64,
-    },
-    /// The experiment finished and its outcome is final.
-    Done {
-        /// Experiment index.
-        exp: u64,
-        /// Attempt that completed it.
-        attempt: u64,
-        /// Classified outcome.
-        outcome: Outcome,
-        /// Human-readable termination (`RunExit` display; audit only).
-        exit: String,
-        /// Total simulated ticks of the run.
-        ticks: u64,
-    },
-    /// One attempt failed (worker panic, expired lease, abort); the
-    /// experiment goes back to pending unless retries are exhausted.
-    AttemptFailed {
-        /// Experiment index.
-        exp: u64,
-        /// The failed attempt number.
-        attempt: u64,
-        /// Worker that held the lease.
-        worker: String,
-        /// Failure description (for a worker panic, the panic payload).
-        reason: String,
-        /// Rendered fault spec of the offending experiment, when known —
-        /// the reproduction handle that makes `Infrastructure` rows
-        /// triageable. Optional so journals written before this field (or
-        /// failures with no spec context) still replay.
-        spec: Option<String>,
-    },
-    /// Terminal infrastructure failure: retries exhausted.
-    Failed {
-        /// Experiment index.
-        exp: u64,
-        /// Attempts consumed.
-        attempts: u64,
-        /// Last failure description.
-        reason: String,
-        /// Rendered fault spec of the offending experiment, when known.
-        spec: Option<String>,
-    },
-}
-
-/// Renders the optional `"spec"` member (empty when absent, so old-format
-/// lines stay byte-identical).
-fn spec_suffix(spec: Option<&str>) -> String {
-    match spec {
-        Some(s) => format!(",\"spec\":\"{}\"", json_escape(s)),
-        None => String::new(),
-    }
-}
-
-impl JournalEvent {
-    /// Renders the event as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        match self {
-            JournalEvent::Campaign { version, experiments, checkpoint_digest, spec_digest } => {
-                format!(
-                    "{{\"event\":\"campaign\",\"version\":{version},\"experiments\":{experiments},\
-                     \"checkpoint_digest\":{checkpoint_digest},\"spec_digest\":{spec_digest}}}"
-                )
-            }
-            JournalEvent::AdaptiveCampaign {
-                version,
-                seed,
-                checkpoint_digest,
-                z_ppm,
-                halfwidth_ppm,
-                min_n,
-                budget,
-                batch,
-                cells,
-            } => format!(
-                "{{\"event\":\"adaptive-campaign\",\"version\":{version},\"seed\":{seed},\
-                 \"checkpoint_digest\":{checkpoint_digest},\"z_ppm\":{z_ppm},\
-                 \"halfwidth_ppm\":{halfwidth_ppm},\"min_n\":{min_n},\"budget\":{budget},\
-                 \"batch\":{batch},\"cells\":\"{}\"}}",
-                json_escape(cells)
-            ),
-            JournalEvent::Drawn { exp, cell, draw } => format!(
-                "{{\"event\":\"drawn\",\"exp\":{exp},\"cell\":\"{}\",\"draw\":{draw}}}",
-                json_escape(cell)
-            ),
-            JournalEvent::Leased { exp, worker, attempt, deadline_ms } => format!(
-                "{{\"event\":\"leased\",\"exp\":{exp},\"worker\":\"{}\",\"attempt\":{attempt},\
-                 \"deadline_ms\":{deadline_ms}}}",
-                json_escape(worker)
-            ),
-            JournalEvent::Done { exp, attempt, outcome, exit, ticks } => format!(
-                "{{\"event\":\"done\",\"exp\":{exp},\"attempt\":{attempt},\"outcome\":\"{}\",\
-                 \"exit\":\"{}\",\"ticks\":{ticks}}}",
-                outcome.name(),
-                json_escape(exit)
-            ),
-            JournalEvent::AttemptFailed { exp, attempt, worker, reason, spec } => format!(
-                "{{\"event\":\"attempt-failed\",\"exp\":{exp},\"attempt\":{attempt},\
-                 \"worker\":\"{}\",\"reason\":\"{}\"{}}}",
-                json_escape(worker),
-                json_escape(reason),
-                spec_suffix(spec.as_deref())
-            ),
-            JournalEvent::Failed { exp, attempts, reason, spec } => format!(
-                "{{\"event\":\"failed\",\"exp\":{exp},\"attempts\":{attempts},\"reason\":\"{}\"{}}}",
-                json_escape(reason),
-                spec_suffix(spec.as_deref())
-            ),
-        }
-    }
-
-    /// Parses one JSON line back into an event.
-    ///
-    /// # Errors
-    ///
-    /// A message describing the malformed line.
-    pub fn parse(line: &str) -> Result<JournalEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let kind = fields.str_field("event")?;
-        match kind.as_str() {
-            "campaign" => Ok(JournalEvent::Campaign {
-                version: fields.num_field("version")?,
-                experiments: fields.num_field("experiments")?,
-                checkpoint_digest: fields.num_field("checkpoint_digest")?,
-                spec_digest: fields.num_field("spec_digest")?,
-            }),
-            "adaptive-campaign" => Ok(JournalEvent::AdaptiveCampaign {
-                version: fields.num_field("version")?,
-                seed: fields.num_field("seed")?,
-                checkpoint_digest: fields.num_field("checkpoint_digest")?,
-                z_ppm: fields.num_field("z_ppm")?,
-                halfwidth_ppm: fields.num_field("halfwidth_ppm")?,
-                min_n: fields.num_field("min_n")?,
-                budget: fields.num_field("budget")?,
-                batch: fields.num_field("batch")?,
-                cells: fields.str_field("cells")?,
-            }),
-            "drawn" => Ok(JournalEvent::Drawn {
-                exp: fields.num_field("exp")?,
-                cell: fields.str_field("cell")?,
-                draw: fields.num_field("draw")?,
-            }),
-            "leased" => Ok(JournalEvent::Leased {
-                exp: fields.num_field("exp")?,
-                worker: fields.str_field("worker")?,
-                attempt: fields.num_field("attempt")?,
-                deadline_ms: fields.num_field("deadline_ms")?,
-            }),
-            "done" => Ok(JournalEvent::Done {
-                exp: fields.num_field("exp")?,
-                attempt: fields.num_field("attempt")?,
-                outcome: fields.str_field("outcome")?.parse()?,
-                exit: fields.str_field("exit")?,
-                ticks: fields.num_field("ticks")?,
-            }),
-            "attempt-failed" => Ok(JournalEvent::AttemptFailed {
-                exp: fields.num_field("exp")?,
-                attempt: fields.num_field("attempt")?,
-                worker: fields.str_field("worker")?,
-                reason: fields.str_field("reason")?,
-                // Lenient: absent in journals written before this field.
-                spec: fields.opt_str_field("spec"),
-            }),
-            "failed" => Ok(JournalEvent::Failed {
-                exp: fields.num_field("exp")?,
-                attempts: fields.num_field("attempts")?,
-                reason: fields.str_field("reason")?,
-                spec: fields.opt_str_field("spec"),
-            }),
-            other => Err(format!("unknown journal event `{other}`")),
-        }
+flat_messages! {
+    /// One lifecycle event. Serialized as one JSON object per line.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalEvent: tag "event", unknown "journal event" {
+        /// Campaign header: written once at the start, replayed on resume to
+        /// verify the journal belongs to the same campaign (same experiment
+        /// count, same fault specs, same checkpoint).
+        Campaign = "campaign" {
+            /// Journal format version.
+            version: u64 = num "version",
+            /// Total number of experiments.
+            experiments: u64 = num "experiments",
+            /// Digest of the spooled checkpoint file (see
+            /// `gemfi_sim::Checkpoint::digest`); resume rejects a share whose
+            /// checkpoint no longer matches.
+            checkpoint_digest: u64 = num "checkpoint_digest",
+            /// FNV-1a digest over the rendered fault specs; resume rejects a
+            /// journal recorded for different faults.
+            spec_digest: u64 = num "spec_digest",
+        },
+        /// Adaptive-campaign header: written once at the start of a sequential
+        /// (early-stopping) campaign instead of [`JournalEvent::Campaign`]. The
+        /// experiment count is open-ended — the engine draws until the stopping
+        /// rule or the budget ends it — so identity is pinned by the sampler
+        /// seed, the checkpoint, and the stopping-rule parameters instead.
+        /// Fractional parameters are stored in parts-per-million because the
+        /// journal's flat format is integers-and-strings only.
+        AdaptiveCampaign = "adaptive-campaign" {
+            /// Journal format version.
+            version: u64 = num "version",
+            /// Campaign sampler seed (per-cell streams derive from it).
+            seed: u64 = num "seed",
+            /// Digest of the spooled checkpoint file.
+            checkpoint_digest: u64 = num "checkpoint_digest",
+            /// Confidence z-value, in parts per million (1.96 → 1_960_000).
+            z_ppm: u64 = num "z_ppm",
+            /// Target CI half-width, in parts per million (0.05 → 50_000).
+            halfwidth_ppm: u64 = num "halfwidth_ppm",
+            /// Minimum experiments per cell before it may stop.
+            min_n: u64 = num "min_n",
+            /// Global experiment budget.
+            budget: u64 = num "budget",
+            /// Draws per undecided cell per round.
+            batch: u64 = num "batch",
+            /// Comma-joined cell labels, in sampling order.
+            cells: String = str "cells",
+        },
+        /// The sequential engine drew one fault point for a cell and assigned
+        /// it the next experiment index. Journaled for the whole round *before*
+        /// any of the round's experiments execute, so a resumed campaign can
+        /// verify it re-derives the identical draw sequence.
+        Drawn = "drawn" {
+            /// Experiment index (globally sequential in draw order).
+            exp: u64 = num "exp",
+            /// Cell label (e.g. `int-reg`, `l1d-cache`, `security`).
+            cell: String = str "cell",
+            /// 0-based ordinal of this draw within its cell's stream.
+            draw: u64 = num "draw",
+        },
+        /// A worker claimed the experiment under a lease.
+        Leased = "leased" {
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// Claiming worker id (`ws<W>.slot<S>` for the simulated NoW).
+            worker: String = str "worker",
+            /// 1-based attempt number.
+            attempt: u64 = num "attempt",
+            /// Lease expiry, milliseconds since the Unix epoch (`u64::MAX`
+            /// for a spool lease, which never expires).
+            deadline_ms: u64 = num "deadline_ms",
+        },
+        /// The experiment finished and its outcome is final.
+        Done = "done" {
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// Attempt that completed it.
+            attempt: u64 = num "attempt",
+            /// Classified outcome.
+            outcome: Outcome = text "outcome",
+            /// Human-readable termination (`RunExit` display; audit only).
+            exit: String = str "exit",
+            /// Total simulated ticks of the run.
+            ticks: u64 = num "ticks",
+        },
+        /// One attempt failed (worker panic, expired lease, abort); the
+        /// experiment goes back to pending unless retries are exhausted.
+        AttemptFailed = "attempt-failed" {
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// The failed attempt number.
+            attempt: u64 = num "attempt",
+            /// Worker that held the lease.
+            worker: String = str "worker",
+            /// Failure description (for a worker panic, the panic payload).
+            reason: String = str "reason",
+            /// Rendered fault spec of the offending experiment, when known —
+            /// the reproduction handle that makes `Infrastructure` rows
+            /// triageable. Optional so journals written before this field (or
+            /// failures with no spec context) still replay.
+            spec: Option<String> = opt "spec",
+        },
+        /// Terminal infrastructure failure: retries exhausted.
+        Failed = "failed" {
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// Attempts consumed.
+            attempts: u64 = num "attempts",
+            /// Last failure description.
+            reason: String = str "reason",
+            /// Rendered fault spec of the offending experiment, when known.
+            spec: Option<String> = opt "spec",
+        },
     }
 }
 
@@ -510,10 +384,63 @@ pub(crate) mod tests {
         ]
     }
 
+    /// Every event kind paired with its exact line: [`sample_events`], then
+    /// the optional `spec` the other way round (present on `failed`,
+    /// absent on `attempt-failed`).
+    pub(crate) fn pinned_events() -> Vec<(JournalEvent, &'static str)> {
+        let lines = [
+            concat!(
+                r#"{"event":"campaign","version":1,"experiments":3,"#,
+                r#""checkpoint_digest":3735928559,"spec_digest":42}"#
+            ),
+            r#"{"event":"leased","exp":0,"worker":"ws0.slot1","attempt":1,"deadline_ms":1700000000000}"#,
+            concat!(
+                r#"{"event":"done","exp":0,"attempt":1,"outcome":"sdc","#,
+                r#""exit":"halted (exit code 0)","ticks":12345}"#
+            ),
+            concat!(
+                r#"{"event":"attempt-failed","exp":1,"attempt":1,"worker":"ws1.slot0","#,
+                r#""reason":"worker panic: \"chaos\"\nbacktrace","spec":"reg f $1 0x1 1:100:i"}"#
+            ),
+            r#"{"event":"failed","exp":2,"attempts":3,"reason":"lease expired"}"#,
+            concat!(
+                r#"{"event":"adaptive-campaign","version":1,"seed":7,"checkpoint_digest":3735928559,"#,
+                r#""z_ppm":1960000,"halfwidth_ppm":50000,"min_n":25,"budget":5000,"batch":16,"#,
+                r#""cells":"int-reg,fp-reg,pc"}"#
+            ),
+            r#"{"event":"drawn","exp":0,"cell":"fp-reg","draw":0}"#,
+        ];
+        let mut pinned: Vec<_> = sample_events().into_iter().zip(lines).collect();
+        pinned.push((
+            JournalEvent::AttemptFailed {
+                exp: 4,
+                attempt: 2,
+                worker: "ws0.slot0".into(),
+                reason: "orphaned lease (campaign restart)".into(),
+                spec: None,
+            },
+            concat!(
+                r#"{"event":"attempt-failed","exp":4,"attempt":2,"worker":"ws0.slot0","#,
+                r#""reason":"orphaned lease (campaign restart)"}"#
+            ),
+        ));
+        pinned.push((
+            JournalEvent::Failed {
+                exp: 5,
+                attempts: 3,
+                reason: "worker panic: \\".into(),
+                spec: Some("mem \"x\"".into()),
+            },
+            r#"{"event":"failed","exp":5,"attempts":3,"reason":"worker panic: \\","spec":"mem \"x\""}"#,
+        ));
+        pinned
+    }
+
     #[test]
     fn events_roundtrip_through_json() {
-        for event in sample_events() {
+        for (event, pinned) in pinned_events() {
             let line = event.to_json();
+            assert_eq!(line, pinned, "the encoded bytes are pinned");
             assert_eq!(JournalEvent::parse(&line).unwrap(), event, "{line}");
         }
     }

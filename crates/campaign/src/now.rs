@@ -7,8 +7,8 @@
 //! 2. one simulation runs to the activation point and the checkpoint is
 //!    stored on the share;
 //! 3. each workstation takes a local copy of the checkpoint;
-//! 4. each workstation repeatedly claims a remaining experiment under an
-//!    **expiring lease**;
+//! 4. each workstation repeatedly claims a remaining experiment under a
+//!    **lease**;
 //! 5. results move back, and every lifecycle transition is appended to a
 //!    durable **journal** ([`crate::journal`]);
 //! 6. until no experiments remain.
@@ -20,7 +20,7 @@
 //!
 //! # One slot table
 //!
-//! [`Campaign`] is the campaign pipeline's state machine, and the only
+//! `Campaign` is the campaign pipeline's state machine, and the only
 //! one — the paper's single pool of remaining experiments. It owns the
 //! journal and one table with a slot per drawn experiment, indexed by the
 //! global experiment index and alive as long as the campaign: each slot
@@ -30,7 +30,7 @@
 //! journaled and then applied (`Campaign::commit`, the table's one
 //! mutator), and replay is the same apply folded over the journal — so the
 //! table is, at every step, the fold of its journal. One mutex around the
-//! table arbitrates every claim. A [`Plan`] yields rounds of draws (a
+//! table arbitrates every claim. A `Plan` yields rounds of draws (a
 //! fixed-n campaign is the one-round case); a round is the *open range* of
 //! the table — claims, the reaper and the lease quota look nowhere else, so
 //! their cost follows the round, not the campaign. A draw already terminal
@@ -40,9 +40,9 @@
 //! stopping rule and the next round's draws extend the table. Workers only
 //! ever see `Campaign::{try_claim, heartbeat, report_done, report_failed}`.
 //! [`run_campaign_now`] and [`run_campaign_adaptive_now`] are this table
-//! with a fixed or adaptive plan behind [`SpoolTransport`] on in-process
+//! with a fixed or adaptive plan behind `SpoolTransport` on in-process
 //! worker threads; [`crate::server::CampaignServer`] is the same table, one
-//! per queue, behind the socket. Each worker thread is [`drive_worker`],
+//! per queue, behind the socket. Each worker thread is `drive_worker`,
 //! the very loop a remote socket worker runs — so every recovery path
 //! tested here holds for the network backend too. All timing goes through
 //! an injected [`Clock`]: the tests drive lease expiry, reaping, backoff
@@ -56,9 +56,12 @@
 //!   returns to the pending pool with capped exponential backoff. Every
 //!   retry — of a failed report, a reaped lease or an orphan found at
 //!   resume — re-runs the experiment from the campaign checkpoint.
-//! - A worker that hangs past its lease deadline is reaped: any other
-//!   worker's claim loop breaks the expired lease, raises the runaway
-//!   run's [`AbortToken`], and requeues the experiment.
+//! - A spool lease never expires. Its workers are threads of the campaign
+//!   process and cannot vanish without it: a panic is caught and
+//!   journaled, and a runaway run is bounded by its watchdog. Expiry is
+//!   the server's business — a remote worker that stops heartbeating
+//!   loses its lease to the reaper, which raises the run's
+//!   [`AbortToken`] and requeues the experiment.
 //! - An experiment that exhausts its retries — live, or because a killed
 //!   campaign process burned its last permitted attempt — is terminally
 //!   classified [`Outcome::Infrastructure`]: counted, never silently
@@ -104,9 +107,6 @@ pub struct NowConfig {
     pub slots_per_workstation: usize,
     /// The shared spool directory ("network share").
     pub share_dir: PathBuf,
-    /// Lease duration: a worker silent for longer than this is presumed
-    /// dead and its experiment is reaped.
-    pub lease: Duration,
     /// Retries after the first attempt before an experiment is terminally
     /// classified [`Outcome::Infrastructure`].
     pub max_retries: u64,
@@ -122,8 +122,7 @@ pub struct NowConfig {
 
 impl NowConfig {
     /// A config with the given cluster shape and default fault-tolerance
-    /// policy (30 s leases, 2 retries, 50 ms base backoff, fresh start,
-    /// system clock).
+    /// policy (2 retries, 50 ms base backoff, fresh start, system clock).
     pub fn new(
         workstations: usize,
         slots_per_workstation: usize,
@@ -133,7 +132,6 @@ impl NowConfig {
             workstations,
             slots_per_workstation,
             share_dir: share_dir.into(),
-            lease: Duration::from_secs(30),
             max_retries: 2,
             retry_backoff: Duration::from_millis(50),
             resume: false,
@@ -145,10 +143,14 @@ impl NowConfig {
         self.max_retries + 1
     }
 
-    /// The scheduler policy this config implies.
+    /// The scheduler policy this config implies. A spool lease never
+    /// expires: its workers are threads of the campaign process, which
+    /// cannot vanish without it. A panic is caught and reported, a runaway
+    /// run is stopped by its watchdog, and a lease left by a killed process
+    /// is an orphan the journal shows on resume, whatever its deadline.
     pub(crate) fn scheduler_policy(&self) -> SchedulerPolicy {
         SchedulerPolicy {
-            lease_ms: self.lease.as_millis() as u64,
+            lease_ms: u64::MAX,
             max_attempts: self.max_attempts(),
             backoff_ms: self.retry_backoff.as_millis() as u64,
             idle_backoff_ms: 1,
@@ -160,7 +162,7 @@ impl NowConfig {
 /// [`NowConfig`] or the server's configuration).
 #[derive(Debug, Clone)]
 pub(crate) struct SchedulerPolicy {
-    /// Lease duration in milliseconds.
+    /// Lease duration in milliseconds (`u64::MAX`: never expires).
     pub lease_ms: u64,
     /// Attempts before an experiment is terminally
     /// [`Outcome::Infrastructure`].
@@ -643,7 +645,7 @@ impl Campaign {
             _ => None,
         });
         let Some((exp, attempt)) = claimable else { return Ok(idle) };
-        let deadline_ms = now + self.policy.lease_ms;
+        let deadline_ms = now.saturating_add(self.policy.lease_ms);
         let worker = worker.to_string();
         self.commit(exp, JournalEvent::Leased { exp: exp as u64, worker, attempt, deadline_ms })?;
         let ExpState::Leased { ref abort, .. } = self.slots[exp].state else {
@@ -670,7 +672,7 @@ impl Campaign {
             Some(ExpState::Leased { attempt: a, worker: w, deadline_ms, .. })
                 if *a == attempt && w.as_str() == worker =>
             {
-                *deadline_ms = self.clock.now_ms() + self.policy.lease_ms;
+                *deadline_ms = self.clock.now_ms().saturating_add(self.policy.lease_ms);
                 Some(*deadline_ms)
             }
             _ => None,
@@ -1507,6 +1509,24 @@ mod tests {
         clock.advance(100);
         let (_, attempt2, _) = claim(&mut c, "w1");
         assert_eq!(attempt2, 2, "reclaim burns an attempt");
+    }
+
+    #[test]
+    fn a_spool_lease_never_expires() {
+        let clock = TestClock::at(1_000);
+        let policy = NowConfig::new(1, 2, share("spool-lease")).scheduler_policy();
+        let mut c = campaign("spool-lease", 2, &clock, policy);
+        let ClaimReply::Work(first) = c.try_claim("spool", "ws0.slot0", 0).unwrap() else {
+            panic!("expected work");
+        };
+        // A day later the first run is still going; another slot claims.
+        clock.advance(24 * 60 * 60 * 1_000);
+        let (exp, attempt, _) = claim(&mut c, "ws0.slot1");
+        assert_eq!((exp, attempt), (1, 1), "the next experiment, not a retry");
+        assert!(!first.abort.is_aborted(), "the first lease was not reaped");
+        assert_eq!((c.reclaimed(), c.retries()), (0, 0));
+        let report = c.report_done("ws0.slot0", None, done(&first, Outcome::StrictlyCorrect), "");
+        assert_eq!(report.unwrap(), ReportAck::Accepted);
     }
 
     #[test]

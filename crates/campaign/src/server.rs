@@ -1,6 +1,6 @@
 //! The campaign server: the NoW spool share lifted onto a socket.
 //!
-//! [`CampaignServer`] owns one [`Campaign`] per queue and speaks the
+//! [`CampaignServer`] owns one `Campaign` per queue and speaks the
 //! line-delimited JSON protocol of [`crate::wire`] to a fleet of remote
 //! [`crate::worker`] processes. The server side of every verb is a direct
 //! call into the same slot table the spool backend locks in-process —
@@ -31,7 +31,9 @@ use crate::now::{Campaign, CompletedExperiment, SchedulerPolicy};
 use crate::report::OutcomeTable;
 use crate::runner::PreparedWorkload;
 use crate::transport::{ClaimReply, ReportAck};
-use crate::wire::{hex_encode, json_escape, read_line, write_line, ClientMsg, ServerMsg};
+use crate::wire::{
+    hex_encode, read_line_within, write_line, ClientMsg, FlatWriter, ServerMsg, MAX_REQUEST_LINE,
+};
 use crate::PROTO_VERSION;
 use gemfi::{FaultSpec, Outcome};
 use gemfi_isa::codec::Codec;
@@ -269,69 +271,72 @@ impl Shared {
     fn status_lines(&self) -> Vec<String> {
         let queues = self.queues.lock().expect("queue mutex");
         let done = queues.iter().all(|q| q.campaign.is_done());
-        let mut lines = vec![format!(
-            "{{\"status\":\"server\",\"queues\":{},\"uptime_ms\":{},\"done\":{}}}",
-            queues.len(),
-            self.started.elapsed().as_millis(),
-            u64::from(done)
-        )];
+        let status = |kind| FlatWriter::new("status", kind);
+        let mut lines = vec![status("server")
+            .num("queues", queues.len() as u64)
+            .num("uptime_ms", self.started.elapsed().as_millis() as u64)
+            .num("done", u64::from(done))
+            .finish()];
         for q in queues.iter() {
             let sequential = q.campaign.sequential();
-            let kind = if sequential.is_some() { "adaptive" } else { "fixed" };
             let (terminal, total, leased) = q.campaign.progress();
-            let (retries, reclaimed) = (q.campaign.retries(), q.campaign.reclaimed());
-            lines.push(format!(
-                "{{\"status\":\"queue\",\"queue\":\"{}\",\"kind\":\"{kind}\",\"priority\":{},\
-                 \"quota\":{},\"workload\":\"{}\",\"terminal\":{terminal},\"total\":{total},\
-                 \"leased\":{leased},\"retries\":{retries},\"reclaimed\":{reclaimed},\
-                 \"resumed\":{},\"done\":{}}}",
-                json_escape(&q.name),
-                q.priority,
-                q.quota,
-                json_escape(&q.workload),
-                q.campaign.resumed(),
-                u64::from(q.campaign.is_done())
-            ));
+            lines.push(
+                status("queue")
+                    .str("queue", &q.name)
+                    .str("kind", if sequential.is_some() { "adaptive" } else { "fixed" })
+                    .num("priority", u64::from(q.priority))
+                    .num("quota", q.quota as u64)
+                    .str("workload", &q.workload)
+                    .num("terminal", terminal)
+                    .num("total", total)
+                    .num("leased", leased)
+                    .num("retries", q.campaign.retries())
+                    .num("reclaimed", q.campaign.reclaimed())
+                    .num("resumed", q.campaign.resumed() as u64)
+                    .num("done", u64::from(q.campaign.is_done()))
+                    .finish(),
+            );
             for (worker, n) in q.campaign.worker_counts() {
-                lines.push(format!(
-                    "{{\"status\":\"worker\",\"queue\":\"{}\",\"worker\":\"{}\",\
-                     \"completed\":{n}}}",
-                    json_escape(&q.name),
-                    json_escape(worker)
-                ));
+                lines.push(
+                    status("worker")
+                        .str("queue", &q.name)
+                        .str("worker", worker)
+                        .num("completed", *n as u64)
+                        .finish(),
+                );
             }
             if let Some((config, state)) = sequential {
                 // Per-cell sequential-sampling telemetry: the live Wilson
                 // intervals the stopping rule is watching, in ppm.
                 for cell in state.reports(config.z) {
-                    lines.push(format!(
-                        "{{\"status\":\"cell\",\"queue\":\"{}\",\"cell\":\"{}\",\
-                         \"decision\":\"{}\",\"n\":{},\"drawn\":{},\"max_hw_ppm\":{}}}",
-                        json_escape(&q.name),
-                        json_escape(&cell.cell.to_string()),
-                        json_escape(&cell.decision.to_string()),
-                        cell.n,
-                        cell.drawn,
-                        ppm(cell.stats.max_halfwidth(config.z))
-                    ));
+                    lines.push(
+                        status("cell")
+                            .str("queue", &q.name)
+                            .text("cell", cell.cell)
+                            .text("decision", cell.decision)
+                            .num("n", cell.n)
+                            .num("drawn", cell.drawn)
+                            .num("max_hw_ppm", ppm(cell.stats.max_halfwidth(config.z)))
+                            .finish(),
+                    );
                     for outcome in Outcome::ALL {
                         if !outcome.is_experiment_outcome() {
                             continue;
                         }
-                        lines.push(format!(
-                            "{{\"status\":\"rate\",\"queue\":\"{}\",\"cell\":\"{}\",\
-                             \"outcome\":\"{}\",\"rate_ppm\":{},\"hw_ppm\":{}}}",
-                            json_escape(&q.name),
-                            json_escape(&cell.cell.to_string()),
-                            outcome.name(),
-                            ppm(cell.stats.rate(outcome)),
-                            ppm(cell.stats.halfwidth(outcome, config.z))
-                        ));
+                        lines.push(
+                            status("rate")
+                                .str("queue", &q.name)
+                                .text("cell", cell.cell)
+                                .text("outcome", outcome)
+                                .num("rate_ppm", ppm(cell.stats.rate(outcome)))
+                                .num("hw_ppm", ppm(cell.stats.halfwidth(outcome, config.z)))
+                                .finish(),
+                        );
                     }
                 }
             }
         }
-        lines.push("{\"status\":\"end\"}".to_string());
+        lines.push(status("end").finish());
         lines
     }
 }
@@ -505,9 +510,16 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let line = match read_line(&mut reader) {
+        let line = match read_line_within(&mut reader, MAX_REQUEST_LINE) {
             Ok(Some(line)) => line,
-            Ok(None) | Err(_) => return,
+            Ok(None) => return,
+            // An overlong line cannot be resynchronised: refuse it and drop
+            // the connection.
+            Err(e) => {
+                let reply = ServerMsg::Error { reason: e.to_string() };
+                let _ = write_line(&mut writer, &reply.to_json());
+                return;
+            }
         };
         let msg = match ClientMsg::parse(&line) {
             Ok(msg) => msg,

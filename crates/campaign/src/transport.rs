@@ -2,9 +2,9 @@
 //! two backends.
 //!
 //! [`CampaignTransport`] is the worker-facing face of a campaign's slot
-//! table ([`crate::now::Campaign`]), and [`ClaimReply`]/[`WorkAssignment`]
+//! table (`now::Campaign`), and [`ClaimReply`]/[`WorkAssignment`]
 //! are the table's own answer to a claim. The spool backend
-//! ([`SpoolTransport`]) locks the table directly — in-process worker
+//! (`SpoolTransport`) locks the table directly — in-process worker
 //! threads sharing one spool directory — and hands each worker the slot's
 //! own fault spec; the mutex, not the filesystem, arbitrates claims. The
 //! socket backend ([`crate::worker::SocketTransport`]) speaks the same
@@ -96,8 +96,7 @@ pub trait CampaignTransport {
     fn claim(&mut self, worker: &str) -> std::io::Result<ClaimReply>;
 
     /// Starts attempt-scoped liveness machinery (heartbeats). The default
-    /// is inert: the spool backend's fixed-deadline lease semantics need
-    /// none.
+    /// is inert: a spool lease never expires, so it needs none.
     fn begin_attempt(&mut self, _worker: &str, _assignment: &WorkAssignment) -> AttemptGuard {
         AttemptGuard::inert()
     }

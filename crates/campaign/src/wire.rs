@@ -13,9 +13,19 @@
 //! Nothing here allocates a general JSON tree: no nesting, no arrays, no
 //! floats, no booleans. Fractions travel in parts-per-million and flags as
 //! `0`/`1`, mirroring the journal's conventions.
+//!
+//! Each message is declared once. The `flat_messages!` macro takes a
+//! message family's tag key and, per variant, its wire tag and its fields
+//! as `name: Type = kind "key"`; from that one declaration it generates the
+//! enum, `to_json` and `parse`. So the keys of every request and reply are
+//! written in exactly one place — [`ClientMsg`] and [`ServerMsg`] below —
+//! and those of every journal event in
+//! [`JournalEvent`](crate::journal::JournalEvent). Every line, the
+//! server's STATUS lines included, is written by one `FlatWriter`, the
+//! only place that quotes and escapes.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::io::{BufRead, Read, Write};
 
 /// Wire-protocol version, sent in `hello`/`welcome`. Bumped on
@@ -23,9 +33,8 @@ use std::io::{BufRead, Read, Write};
 /// workers rather than guessing.
 pub const PROTO_VERSION: u64 = 1;
 
-/// Escapes a string for embedding in a flat JSON object.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out`, escaped for a JSON string.
+fn json_escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -39,8 +48,172 @@ pub(crate) fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
+
+/// Writes one flat JSON object, members in call order:
+/// `FlatWriter::new("req", "claim").str("worker", "w1").finish()` is
+/// `{"req":"claim","worker":"w1"}`.
+pub(crate) struct FlatWriter {
+    out: String,
+}
+
+impl FlatWriter {
+    /// Opens an object whose first member is its tag.
+    pub(crate) fn new(key: &str, tag: &str) -> FlatWriter {
+        FlatWriter { out: String::with_capacity(128) }.str(key, tag)
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    /// A string member.
+    pub(crate) fn str(mut self, key: &str, value: &str) -> FlatWriter {
+        self.key(key);
+        self.out.push('"');
+        json_escape(&mut self.out, value);
+        self.out.push('"');
+        self
+    }
+
+    /// A string member holding `value`'s `Display` form.
+    pub(crate) fn text(self, key: &str, value: impl Display) -> FlatWriter {
+        self.str(key, &value.to_string())
+    }
+
+    /// An unsigned-integer member.
+    pub(crate) fn num(mut self, key: &str, value: u64) -> FlatWriter {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// One integer member per element, keyed `{prefix}0`, `{prefix}1`, ….
+    pub(crate) fn nums(mut self, prefix: &str, values: &[u64]) -> FlatWriter {
+        for (i, &v) in values.iter().enumerate() {
+            self = self.num(&format!("{prefix}{i}"), v);
+        }
+        self
+    }
+
+    /// Closes the object and returns the line (no trailing newline).
+    pub(crate) fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+}
+
+/// Declares a family of flat-JSON messages once and generates the enum,
+/// its `to_json` and its `parse`:
+///
+/// ```text
+/// flat_messages! {
+///     /// Docs and derives of the enum.
+///     #[derive(Debug)]
+///     pub enum Request: tag "req", unknown "request" {
+///         /// Docs of a variant.
+///         Claim = "claim" {
+///             /// Docs of a field.
+///             worker: String = name "worker",
+///         },
+///         Status = "status",
+///     }
+/// }
+/// ```
+///
+/// A line is the tag member (`{"req":"claim"`) followed by the fields in
+/// declaration order; `parse` reads the same keys in the same order, so
+/// the first missing field names the error. A field's kind says how it is
+/// written and read:
+///
+/// - `str`: a `String`;
+/// - `name`: a `String` whose decoder refuses control characters — worker
+///   and queue names end up in journal and status lines, plain-text
+///   summaries and directory names;
+/// - `num`: a `u64`;
+/// - `opt`: an `Option<String>`, left out when `None` and `None` when
+///   absent (lines written before the field existed still parse);
+/// - `text`: a `Display` value written as a string, read with `FromStr`;
+/// - `nums`: a `[u64; N]`, one key per element (`"ev"` → `ev0`, `ev1`, …).
+macro_rules! flat_messages {
+    (@put $w:ident, str, $key:literal, $v:ident) => { $w.str($key, $v) };
+    (@put $w:ident, name, $key:literal, $v:ident) => { $w.str($key, $v) };
+    (@put $w:ident, num, $key:literal, $v:ident) => { $w.num($key, *$v) };
+    (@put $w:ident, opt, $key:literal, $v:ident) => {
+        match $v {
+            Some(v) => $w.str($key, v),
+            None => $w,
+        }
+    };
+    (@put $w:ident, text, $key:literal, $v:ident) => { $w.text($key, $v) };
+    (@put $w:ident, nums, $key:literal, $v:ident) => { $w.nums($key, $v) };
+    (@get $f:ident, str, $key:literal) => { $f.str_field($key)? };
+    (@get $f:ident, name, $key:literal) => { $f.name_field($key)? };
+    (@get $f:ident, num, $key:literal) => { $f.num_field($key)? };
+    (@get $f:ident, opt, $key:literal) => { $f.opt_str_field($key) };
+    (@get $f:ident, text, $key:literal) => { $f.str_field($key)?.parse()? };
+    (@get $f:ident, nums, $key:literal) => { $f.nums_field($key)? };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident: tag $tag:literal, unknown $noun:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $wire:literal $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty = $kind:ident $key:literal
+                    ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $ty ),* })?,
+            )*
+        }
+
+        impl $name {
+            /// Renders the message as one JSON line (no trailing newline).
+            pub fn to_json(&self) -> String {
+                match self {
+                    $(
+                        $name::$variant $({ $($field),* })? => {
+                            let w = $crate::wire::FlatWriter::new($tag, $wire);
+                            $($(
+                                let w = $crate::wire::flat_messages!(@put w, $kind, $key, $field);
+                            )*)?
+                            w.finish()
+                        }
+                    )*
+                }
+            }
+
+            /// Parses one JSON line back into a message.
+            ///
+            /// # Errors
+            ///
+            /// A message describing the malformed line.
+            pub fn parse(line: &str) -> Result<$name, String> {
+                let fields = $crate::wire::parse_flat_object(line)?;
+                match fields.str_field($tag)?.as_str() {
+                    $(
+                        $wire => Ok($name::$variant $({ $(
+                            $field: $crate::wire::flat_messages!(@get fields, $kind, $key)
+                        ),* })?),
+                    )*
+                    other => Err(format!(concat!("unknown ", $noun, " `{}`"), other)),
+                }
+            }
+        }
+    };
+}
+pub(crate) use flat_messages;
 
 /// A parsed flat JSON object: string and unsigned-integer values only.
 #[derive(Debug, Default)]
@@ -57,7 +230,7 @@ impl FlatObject {
     /// A worker or queue name: a string that ends up in journal and
     /// `status` lines, plain-text summaries and directory names, so control
     /// characters — which [`parse_string`] happily decodes — are refused.
-    fn name_field(&self, key: &str) -> Result<String, String> {
+    pub(crate) fn name_field(&self, key: &str) -> Result<String, String> {
         let name = self.str_field(key)?;
         if name.chars().any(char::is_control) {
             return Err(format!("`{key}` contains a control character"));
@@ -71,6 +244,15 @@ impl FlatObject {
 
     pub(crate) fn num_field(&self, key: &str) -> Result<u64, String> {
         self.numbers.get(key).copied().ok_or_else(|| format!("missing numeric field `{key}`"))
+    }
+
+    /// The members `{prefix}0` … `{prefix}{N-1}`, read in order.
+    pub(crate) fn nums_field<const N: usize>(&self, prefix: &str) -> Result<[u64; N], String> {
+        let mut values = [0; N];
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = self.num_field(&format!("{prefix}{i}"))?;
+        }
+        Ok(values)
     }
 }
 
@@ -160,367 +342,167 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
     }
 }
 
-/// A worker → server request. One JSON line on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientMsg {
-    /// Registration: announces the worker and its protocol version.
-    Hello {
-        /// Worker id (unique per connection owner).
-        worker: String,
-        /// The worker's [`PROTO_VERSION`].
-        proto: u64,
-    },
-    /// Ask for one experiment lease.
-    Claim {
-        /// Claiming worker id.
-        worker: String,
-    },
-    /// Ask for a queue's campaign metadata (workload identity, golden
-    /// reference, timing) — everything a worker needs besides the
-    /// checkpoint image to execute experiments locally.
-    Meta {
-        /// Queue name.
-        queue: String,
-    },
-    /// Ask for a queue's checkpoint image. Answered with
-    /// [`ServerMsg::Blob`] followed by the raw bytes.
-    Checkpoint {
-        /// Queue name.
-        queue: String,
-    },
-    /// Renew the lease on an in-flight attempt.
-    Heartbeat {
-        /// Owning worker id.
-        worker: String,
-        /// Queue name.
-        queue: String,
-        /// Experiment index.
-        exp: u64,
-        /// 1-based attempt under lease.
-        attempt: u64,
-    },
-    /// Report a finished experiment.
-    Result {
-        /// Reporting worker id.
-        worker: String,
-        /// Queue name.
-        queue: String,
-        /// Experiment index.
-        exp: u64,
-        /// Attempt that completed it.
-        attempt: u64,
-        /// Classified outcome name (`Outcome::name`).
-        outcome: String,
-        /// Human-readable termination (`RunExit` display).
-        exit: String,
-        /// Simulated ticks of the run.
-        ticks: u64,
-        /// Rendered fault spec (audit; lets the server re-verify).
-        spec: String,
-    },
-    /// Report a failed attempt (panic, abort, simulated death).
-    Failed {
-        /// Reporting worker id.
-        worker: String,
-        /// Queue name.
-        queue: String,
-        /// Experiment index.
-        exp: u64,
-        /// The failed attempt number.
-        attempt: u64,
-        /// Failure description.
-        reason: String,
-        /// Rendered fault spec, when known.
-        spec: String,
-    },
-    /// Ask for the live metrics snapshot. Answered with a stream of
-    /// status lines terminated by `{"status":"end"}`.
-    Status,
-}
-
-impl ClientMsg {
-    /// Renders the request as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        match self {
-            ClientMsg::Hello { worker, proto } => {
-                format!(
-                    "{{\"req\":\"hello\",\"worker\":\"{}\",\"proto\":{proto}}}",
-                    json_escape(worker)
-                )
-            }
-            ClientMsg::Claim { worker } => {
-                format!("{{\"req\":\"claim\",\"worker\":\"{}\"}}", json_escape(worker))
-            }
-            ClientMsg::Meta { queue } => {
-                format!("{{\"req\":\"meta\",\"queue\":\"{}\"}}", json_escape(queue))
-            }
-            ClientMsg::Checkpoint { queue } => {
-                format!("{{\"req\":\"checkpoint\",\"queue\":\"{}\"}}", json_escape(queue))
-            }
-            ClientMsg::Heartbeat { worker, queue, exp, attempt } => format!(
-                "{{\"req\":\"heartbeat\",\"worker\":\"{}\",\"queue\":\"{}\",\"exp\":{exp},\
-                 \"attempt\":{attempt}}}",
-                json_escape(worker),
-                json_escape(queue)
-            ),
-            ClientMsg::Result { worker, queue, exp, attempt, outcome, exit, ticks, spec } => {
-                format!(
-                    "{{\"req\":\"result\",\"worker\":\"{}\",\"queue\":\"{}\",\"exp\":{exp},\
-                     \"attempt\":{attempt},\"outcome\":\"{}\",\"exit\":\"{}\",\"ticks\":{ticks},\
-                     \"spec\":\"{}\"}}",
-                    json_escape(worker),
-                    json_escape(queue),
-                    json_escape(outcome),
-                    json_escape(exit),
-                    json_escape(spec)
-                )
-            }
-            ClientMsg::Failed { worker, queue, exp, attempt, reason, spec } => format!(
-                "{{\"req\":\"failed\",\"worker\":\"{}\",\"queue\":\"{}\",\"exp\":{exp},\
-                 \"attempt\":{attempt},\"reason\":\"{}\",\"spec\":\"{}\"}}",
-                json_escape(worker),
-                json_escape(queue),
-                json_escape(reason),
-                json_escape(spec)
-            ),
-            ClientMsg::Status => "{\"req\":\"status\"}".to_string(),
-        }
-    }
-
-    /// Parses one JSON line back into a request.
-    ///
-    /// # Errors
-    ///
-    /// A message describing the malformed line.
-    pub fn parse(line: &str) -> Result<ClientMsg, String> {
-        let fields = parse_flat_object(line)?;
-        let kind = fields.str_field("req")?;
-        match kind.as_str() {
-            "hello" => Ok(ClientMsg::Hello {
-                worker: fields.name_field("worker")?,
-                proto: fields.num_field("proto")?,
-            }),
-            "claim" => Ok(ClientMsg::Claim { worker: fields.name_field("worker")? }),
-            "meta" => Ok(ClientMsg::Meta { queue: fields.name_field("queue")? }),
-            "checkpoint" => Ok(ClientMsg::Checkpoint { queue: fields.name_field("queue")? }),
-            "heartbeat" => Ok(ClientMsg::Heartbeat {
-                worker: fields.name_field("worker")?,
-                queue: fields.name_field("queue")?,
-                exp: fields.num_field("exp")?,
-                attempt: fields.num_field("attempt")?,
-            }),
-            "result" => Ok(ClientMsg::Result {
-                worker: fields.name_field("worker")?,
-                queue: fields.name_field("queue")?,
-                exp: fields.num_field("exp")?,
-                attempt: fields.num_field("attempt")?,
-                outcome: fields.str_field("outcome")?,
-                exit: fields.str_field("exit")?,
-                ticks: fields.num_field("ticks")?,
-                spec: fields.str_field("spec")?,
-            }),
-            "failed" => Ok(ClientMsg::Failed {
-                worker: fields.name_field("worker")?,
-                queue: fields.name_field("queue")?,
-                exp: fields.num_field("exp")?,
-                attempt: fields.num_field("attempt")?,
-                reason: fields.str_field("reason")?,
-                spec: fields.str_field("spec")?,
-            }),
-            "status" => Ok(ClientMsg::Status),
-            other => Err(format!("unknown request `{other}`")),
-        }
+flat_messages! {
+    /// A worker → server request. One JSON line on the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ClientMsg: tag "req", unknown "request" {
+        /// Registration: announces the worker and its protocol version.
+        Hello = "hello" {
+            /// Worker id (unique per connection owner).
+            worker: String = name "worker",
+            /// The worker's [`PROTO_VERSION`].
+            proto: u64 = num "proto",
+        },
+        /// Ask for one experiment lease.
+        Claim = "claim" {
+            /// Claiming worker id.
+            worker: String = name "worker",
+        },
+        /// Ask for a queue's campaign metadata (workload identity, golden
+        /// reference, timing) — everything a worker needs besides the
+        /// checkpoint image to execute experiments locally.
+        Meta = "meta" {
+            /// Queue name.
+            queue: String = name "queue",
+        },
+        /// Ask for a queue's checkpoint image. Answered with
+        /// [`ServerMsg::Blob`] followed by the raw bytes.
+        Checkpoint = "checkpoint" {
+            /// Queue name.
+            queue: String = name "queue",
+        },
+        /// Renew the lease on an in-flight attempt.
+        Heartbeat = "heartbeat" {
+            /// Owning worker id.
+            worker: String = name "worker",
+            /// Queue name.
+            queue: String = name "queue",
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// 1-based attempt under lease.
+            attempt: u64 = num "attempt",
+        },
+        /// Report a finished experiment.
+        Result = "result" {
+            /// Reporting worker id.
+            worker: String = name "worker",
+            /// Queue name.
+            queue: String = name "queue",
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// Attempt that completed it.
+            attempt: u64 = num "attempt",
+            /// Classified outcome name (`Outcome::name`).
+            outcome: String = str "outcome",
+            /// Human-readable termination (`RunExit` display).
+            exit: String = str "exit",
+            /// Simulated ticks of the run.
+            ticks: u64 = num "ticks",
+            /// Rendered fault spec (audit; lets the server re-verify).
+            spec: String = str "spec",
+        },
+        /// Report a failed attempt (panic, abort, simulated death).
+        Failed = "failed" {
+            /// Reporting worker id.
+            worker: String = name "worker",
+            /// Queue name.
+            queue: String = name "queue",
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// The failed attempt number.
+            attempt: u64 = num "attempt",
+            /// Failure description.
+            reason: String = str "reason",
+            /// Rendered fault spec, when known.
+            spec: String = str "spec",
+        },
+        /// Ask for the live metrics snapshot. Answered with a stream of
+        /// status lines terminated by `{"status":"end"}`.
+        Status = "status",
     }
 }
 
-/// A server → worker reply. One JSON line on the wire (plus raw bytes
-/// after a [`ServerMsg::Blob`] header).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServerMsg {
-    /// Registration accepted.
-    Welcome {
-        /// The server's [`PROTO_VERSION`].
-        proto: u64,
-        /// Number of campaign queues currently configured.
-        queues: u64,
-    },
-    /// A leased experiment window entry.
-    Work {
-        /// Queue the experiment belongs to.
-        queue: String,
-        /// Experiment index.
-        exp: u64,
-        /// 1-based attempt this lease covers.
-        attempt: u64,
-        /// Lease expiry, ms since the Unix epoch (server clock).
-        deadline_ms: u64,
-        /// Lease duration — the worker derives its heartbeat cadence
-        /// (`lease_ms / 3`) from this.
-        lease_ms: u64,
-        /// Rendered fault spec (Listing-1 line) to execute.
-        spec: String,
-    },
-    /// Nothing claimable right now (all leased or backing off); retry
-    /// after the hinted delay.
-    Idle {
-        /// Suggested retry delay.
-        backoff_ms: u64,
-    },
-    /// Every queue is terminal: the worker may exit.
-    Complete,
-    /// Campaign metadata for one queue.
-    Meta {
-        /// Queue name.
-        queue: String,
-        /// Workload name (resolved by the worker's own registry).
-        workload: String,
-        /// Workload scale label.
-        scale: String,
-        /// Digest of the queue's checkpoint image.
-        checkpoint_digest: u64,
-        /// Ticks consumed by boot (checkpoint capture point).
-        boot_ticks: u64,
-        /// Fault-free kernel ticks (watchdog sizing).
-        kernel_ticks: u64,
-        /// Golden per-stage event counts (sampler space), fetch→writeback.
-        stage_events: [u64; 5],
-        /// Hex-encoded golden output bytes (classification reference).
-        golden_hex: String,
-    },
-    /// Binary transfer header: exactly `len` raw bytes follow this line.
-    Blob {
-        /// Byte count following the header line.
-        len: u64,
-        /// Digest of the payload (checkpoint digest).
-        digest: u64,
-    },
-    /// Heartbeat accepted: the lease now expires at `deadline_ms`.
-    HeartbeatAck {
-        /// Renewed expiry, ms since the Unix epoch.
-        deadline_ms: u64,
-    },
-    /// Heartbeat rejected: the lease was reaped or reassigned. The worker
-    /// must abandon the window.
-    HeartbeatLost,
-    /// Result/failure report acknowledged; `accepted` is `0` when the
-    /// report was stale (a newer attempt owns the experiment).
-    Ack {
-        /// `1` accepted, `0` stale.
-        accepted: u64,
-    },
-    /// Protocol or server-side error.
-    Error {
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-impl ServerMsg {
-    /// Renders the reply as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        match self {
-            ServerMsg::Welcome { proto, queues } => {
-                format!("{{\"reply\":\"welcome\",\"proto\":{proto},\"queues\":{queues}}}")
-            }
-            ServerMsg::Work { queue, exp, attempt, deadline_ms, lease_ms, spec } => format!(
-                "{{\"reply\":\"work\",\"queue\":\"{}\",\"exp\":{exp},\"attempt\":{attempt},\
-                 \"deadline_ms\":{deadline_ms},\"lease_ms\":{lease_ms},\"spec\":\"{}\"}}",
-                json_escape(queue),
-                json_escape(spec)
-            ),
-            ServerMsg::Idle { backoff_ms } => {
-                format!("{{\"reply\":\"idle\",\"backoff_ms\":{backoff_ms}}}")
-            }
-            ServerMsg::Complete => "{\"reply\":\"complete\"}".to_string(),
-            ServerMsg::Meta {
-                queue,
-                workload,
-                scale,
-                checkpoint_digest,
-                boot_ticks,
-                kernel_ticks,
-                stage_events,
-                golden_hex,
-            } => format!(
-                "{{\"reply\":\"meta\",\"queue\":\"{}\",\"workload\":\"{}\",\"scale\":\"{}\",\
-                 \"checkpoint_digest\":{checkpoint_digest},\"boot_ticks\":{boot_ticks},\
-                 \"kernel_ticks\":{kernel_ticks},\"ev0\":{},\"ev1\":{},\"ev2\":{},\"ev3\":{},\
-                 \"ev4\":{},\"golden_hex\":\"{}\"}}",
-                json_escape(queue),
-                json_escape(workload),
-                json_escape(scale),
-                stage_events[0],
-                stage_events[1],
-                stage_events[2],
-                stage_events[3],
-                stage_events[4],
-                json_escape(golden_hex)
-            ),
-            ServerMsg::Blob { len, digest } => {
-                format!("{{\"reply\":\"blob\",\"len\":{len},\"digest\":{digest}}}")
-            }
-            ServerMsg::HeartbeatAck { deadline_ms } => {
-                format!("{{\"reply\":\"heartbeat-ack\",\"deadline_ms\":{deadline_ms}}}")
-            }
-            ServerMsg::HeartbeatLost => "{\"reply\":\"heartbeat-lost\"}".to_string(),
-            ServerMsg::Ack { accepted } => format!("{{\"reply\":\"ack\",\"accepted\":{accepted}}}"),
-            ServerMsg::Error { reason } => {
-                format!("{{\"reply\":\"error\",\"reason\":\"{}\"}}", json_escape(reason))
-            }
-        }
-    }
-
-    /// Parses one JSON line back into a reply.
-    ///
-    /// # Errors
-    ///
-    /// A message describing the malformed line.
-    pub fn parse(line: &str) -> Result<ServerMsg, String> {
-        let fields = parse_flat_object(line)?;
-        let kind = fields.str_field("reply")?;
-        match kind.as_str() {
-            "welcome" => Ok(ServerMsg::Welcome {
-                proto: fields.num_field("proto")?,
-                queues: fields.num_field("queues")?,
-            }),
-            "work" => Ok(ServerMsg::Work {
-                queue: fields.str_field("queue")?,
-                exp: fields.num_field("exp")?,
-                attempt: fields.num_field("attempt")?,
-                deadline_ms: fields.num_field("deadline_ms")?,
-                lease_ms: fields.num_field("lease_ms")?,
-                spec: fields.str_field("spec")?,
-            }),
-            "idle" => Ok(ServerMsg::Idle { backoff_ms: fields.num_field("backoff_ms")? }),
-            "complete" => Ok(ServerMsg::Complete),
-            "meta" => Ok(ServerMsg::Meta {
-                queue: fields.str_field("queue")?,
-                workload: fields.str_field("workload")?,
-                scale: fields.str_field("scale")?,
-                checkpoint_digest: fields.num_field("checkpoint_digest")?,
-                boot_ticks: fields.num_field("boot_ticks")?,
-                kernel_ticks: fields.num_field("kernel_ticks")?,
-                stage_events: [
-                    fields.num_field("ev0")?,
-                    fields.num_field("ev1")?,
-                    fields.num_field("ev2")?,
-                    fields.num_field("ev3")?,
-                    fields.num_field("ev4")?,
-                ],
-                golden_hex: fields.str_field("golden_hex")?,
-            }),
-            "blob" => Ok(ServerMsg::Blob {
-                len: fields.num_field("len")?,
-                digest: fields.num_field("digest")?,
-            }),
-            "heartbeat-ack" => {
-                Ok(ServerMsg::HeartbeatAck { deadline_ms: fields.num_field("deadline_ms")? })
-            }
-            "heartbeat-lost" => Ok(ServerMsg::HeartbeatLost),
-            "ack" => Ok(ServerMsg::Ack { accepted: fields.num_field("accepted")? }),
-            "error" => Ok(ServerMsg::Error { reason: fields.str_field("reason")? }),
-            other => Err(format!("unknown reply `{other}`")),
-        }
+flat_messages! {
+    /// A server → worker reply. One JSON line on the wire (plus raw bytes
+    /// after a [`ServerMsg::Blob`] header).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ServerMsg: tag "reply", unknown "reply" {
+        /// Registration accepted.
+        Welcome = "welcome" {
+            /// The server's [`PROTO_VERSION`].
+            proto: u64 = num "proto",
+            /// Number of campaign queues currently configured.
+            queues: u64 = num "queues",
+        },
+        /// A leased experiment window entry.
+        Work = "work" {
+            /// Queue the experiment belongs to.
+            queue: String = str "queue",
+            /// Experiment index.
+            exp: u64 = num "exp",
+            /// 1-based attempt this lease covers.
+            attempt: u64 = num "attempt",
+            /// Lease expiry, ms since the Unix epoch (server clock).
+            deadline_ms: u64 = num "deadline_ms",
+            /// Lease duration — the worker derives its heartbeat cadence
+            /// (`lease_ms / 3`) from this.
+            lease_ms: u64 = num "lease_ms",
+            /// Rendered fault spec (Listing-1 line) to execute.
+            spec: String = str "spec",
+        },
+        /// Nothing claimable right now (all leased or backing off); retry
+        /// after the hinted delay.
+        Idle = "idle" {
+            /// Suggested retry delay.
+            backoff_ms: u64 = num "backoff_ms",
+        },
+        /// Every queue is terminal: the worker may exit.
+        Complete = "complete",
+        /// Campaign metadata for one queue.
+        Meta = "meta" {
+            /// Queue name.
+            queue: String = str "queue",
+            /// Workload name (resolved by the worker's own registry).
+            workload: String = str "workload",
+            /// Workload scale label.
+            scale: String = str "scale",
+            /// Digest of the queue's checkpoint image.
+            checkpoint_digest: u64 = num "checkpoint_digest",
+            /// Ticks consumed by boot (checkpoint capture point).
+            boot_ticks: u64 = num "boot_ticks",
+            /// Fault-free kernel ticks (watchdog sizing).
+            kernel_ticks: u64 = num "kernel_ticks",
+            /// Golden per-stage event counts (sampler space), fetch→writeback.
+            stage_events: [u64; 5] = nums "ev",
+            /// Hex-encoded golden output bytes (classification reference).
+            golden_hex: String = str "golden_hex",
+        },
+        /// Binary transfer header: exactly `len` raw bytes follow this line.
+        Blob = "blob" {
+            /// Byte count following the header line.
+            len: u64 = num "len",
+            /// Digest of the payload (checkpoint digest).
+            digest: u64 = num "digest",
+        },
+        /// Heartbeat accepted: the lease now expires at `deadline_ms`.
+        HeartbeatAck = "heartbeat-ack" {
+            /// Renewed expiry, ms since the Unix epoch.
+            deadline_ms: u64 = num "deadline_ms",
+        },
+        /// Heartbeat rejected: the lease was reaped or reassigned. The worker
+        /// must abandon the window.
+        HeartbeatLost = "heartbeat-lost",
+        /// Result/failure report acknowledged; `accepted` is `0` when the
+        /// report was stale (a newer attempt owns the experiment).
+        Ack = "ack" {
+            /// `1` accepted, `0` stale.
+            accepted: u64 = num "accepted",
+        },
+        /// Protocol or server-side error.
+        Error = "error" {
+            /// Human-readable reason.
+            reason: String = str "reason",
+        },
     }
 }
 
@@ -535,23 +517,62 @@ pub fn write_line<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
     w.flush()
 }
 
+/// The longest failure reason a socket worker reports, in bytes. A panic
+/// message can be any size; a longer reason is cut at a character
+/// boundary, so every legitimate request fits in [`MAX_REQUEST_LINE`].
+pub(crate) const MAX_REASON_BYTES: usize = 4096;
+
+/// The longest request line the server reads, `\n` excluded. The longest
+/// legitimate request is a `failed` report: about a hundred bytes of keys
+/// and numbers, a worker name, a queue name and a rendered fault spec (tens
+/// of bytes each), and a reason of at most [`MAX_REASON_BYTES`], which
+/// escaping grows at most sixfold (`\u0001` for a control byte) — under
+/// 25 KiB. 64 KiB leaves room for long names; a longer line is refused, so
+/// a client that never sends `\n` cannot grow the server's buffer.
+pub(crate) const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// Reads one `\n`-terminated line; `Ok(None)` on clean EOF.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; `InvalidData` on non-UTF-8.
 pub fn read_line<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
+    read_line_within(r, usize::MAX)
+}
+
+/// [`read_line`] for a line of at most `max` bytes before its `\n`. A
+/// longer line is refused after `max + 1` of its bytes have been read.
+///
+/// # Errors
+///
+/// Propagates I/O errors; `InvalidData` on non-UTF-8 or a longer line.
+pub(crate) fn read_line_within<R: BufRead>(
+    r: &mut R,
+    max: usize,
+) -> std::io::Result<Option<String>> {
     let mut buf = Vec::new();
-    let n = r.read_until(b'\n', &mut buf)?;
+    let n = r.by_ref().take((max as u64).saturating_add(1)).read_until(b'\n', &mut buf)?;
     if n == 0 {
         return Ok(None);
     }
     if buf.last() == Some(&b'\n') {
         buf.pop();
+    } else if buf.len() > max {
+        let e = format!("line longer than {max} bytes");
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
     }
     String::from_utf8(buf)
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// `s` cut to at most `max` bytes at a character boundary.
+pub(crate) fn clip(s: &str, max: usize) -> &str {
+    let mut end = s.len().min(max);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 /// Reads the `len` raw bytes following a [`ServerMsg::Blob`] header.
@@ -608,40 +629,130 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::journal::{Journal, JournalEvent};
+    use crate::rng::SplitMix64;
+
+    /// Every request kind paired with its exact line: the bytes a worker
+    /// sends are pinned, not just their roundtrip.
+    pub(crate) fn pinned_client_messages() -> Vec<(ClientMsg, &'static str)> {
+        vec![
+            (
+                ClientMsg::Hello { worker: "w\"1\"".into(), proto: PROTO_VERSION },
+                r#"{"req":"hello","worker":"w\"1\"","proto":1}"#,
+            ),
+            (ClientMsg::Claim { worker: "w1".into() }, r#"{"req":"claim","worker":"w1"}"#),
+            (ClientMsg::Meta { queue: "pi".into() }, r#"{"req":"meta","queue":"pi"}"#),
+            (ClientMsg::Checkpoint { queue: "pi".into() }, r#"{"req":"checkpoint","queue":"pi"}"#),
+            (
+                ClientMsg::Heartbeat {
+                    worker: "w1".into(),
+                    queue: "pi".into(),
+                    exp: 3,
+                    attempt: 2,
+                },
+                r#"{"req":"heartbeat","worker":"w1","queue":"pi","exp":3,"attempt":2}"#,
+            ),
+            (
+                ClientMsg::Result {
+                    worker: "w1".into(),
+                    queue: "pi".into(),
+                    exp: 3,
+                    attempt: 2,
+                    outcome: "sdc".into(),
+                    exit: "halted (exit code 0)".into(),
+                    ticks: 123_456,
+                    spec: "reg f $1 0x1 1:100:i".into(),
+                },
+                concat!(
+                    r#"{"req":"result","worker":"w1","queue":"pi","exp":3,"attempt":2,"#,
+                    r#""outcome":"sdc","exit":"halted (exit code 0)","ticks":123456,"#,
+                    r#""spec":"reg f $1 0x1 1:100:i"}"#
+                ),
+            ),
+            (
+                ClientMsg::Failed {
+                    worker: "w1".into(),
+                    queue: "pi".into(),
+                    exp: 3,
+                    attempt: 2,
+                    reason: "worker panic: \"chaos\"\nline2\t\u{1}".into(),
+                    spec: "reg f $1 0x1 1:100:i".into(),
+                },
+                concat!(
+                    r#"{"req":"failed","worker":"w1","queue":"pi","exp":3,"attempt":2,"#,
+                    r#""reason":"worker panic: \"chaos\"\nline2\t\u0001","#,
+                    r#""spec":"reg f $1 0x1 1:100:i"}"#
+                ),
+            ),
+            (ClientMsg::Status, r#"{"req":"status"}"#),
+        ]
+    }
+
+    /// Every reply kind paired with its exact line.
+    pub(crate) fn pinned_server_messages() -> Vec<(ServerMsg, &'static str)> {
+        vec![
+            (
+                ServerMsg::Welcome { proto: PROTO_VERSION, queues: 2 },
+                r#"{"reply":"welcome","proto":1,"queues":2}"#,
+            ),
+            (
+                ServerMsg::Work {
+                    queue: "pi".into(),
+                    exp: 7,
+                    attempt: 3,
+                    deadline_ms: 1_700_000_000_000,
+                    lease_ms: 30_000,
+                    spec: "reg f $1 0x1 1:100:i".into(),
+                },
+                concat!(
+                    r#"{"reply":"work","queue":"pi","exp":7,"attempt":3,"#,
+                    r#""deadline_ms":1700000000000,"lease_ms":30000,"spec":"reg f $1 0x1 1:100:i"}"#
+                ),
+            ),
+            (ServerMsg::Idle { backoff_ms: 50 }, r#"{"reply":"idle","backoff_ms":50}"#),
+            (ServerMsg::Complete, r#"{"reply":"complete"}"#),
+            (
+                ServerMsg::Meta {
+                    queue: "pi".into(),
+                    workload: "pi".into(),
+                    scale: "small".into(),
+                    checkpoint_digest: 0xdead_beef,
+                    boot_ticks: 1_000,
+                    kernel_ticks: 50_000,
+                    stage_events: [1, 2, 3, 4, u64::MAX],
+                    golden_hex: "00ff10".into(),
+                },
+                concat!(
+                    r#"{"reply":"meta","queue":"pi","workload":"pi","scale":"small","#,
+                    r#""checkpoint_digest":3735928559,"boot_ticks":1000,"kernel_ticks":50000,"#,
+                    r#""ev0":1,"ev1":2,"ev2":3,"ev3":4,"ev4":18446744073709551615,"#,
+                    r#""golden_hex":"00ff10"}"#
+                ),
+            ),
+            (
+                ServerMsg::Blob { len: 4096, digest: 99 },
+                r#"{"reply":"blob","len":4096,"digest":99}"#,
+            ),
+            (
+                ServerMsg::HeartbeatAck { deadline_ms: 42 },
+                r#"{"reply":"heartbeat-ack","deadline_ms":42}"#,
+            ),
+            (ServerMsg::HeartbeatLost, r#"{"reply":"heartbeat-lost"}"#),
+            (ServerMsg::Ack { accepted: 1 }, r#"{"reply":"ack","accepted":1}"#),
+            (
+                ServerMsg::Error { reason: "unknown queue \"x\" \\ \r".into() },
+                r#"{"reply":"error","reason":"unknown queue \"x\" \\ \r"}"#,
+            ),
+        ]
+    }
 
     #[test]
     fn client_messages_roundtrip() {
-        let msgs = vec![
-            ClientMsg::Hello { worker: "w\"1\"".into(), proto: PROTO_VERSION },
-            ClientMsg::Claim { worker: "w1".into() },
-            ClientMsg::Meta { queue: "pi".into() },
-            ClientMsg::Checkpoint { queue: "pi".into() },
-            ClientMsg::Heartbeat { worker: "w1".into(), queue: "pi".into(), exp: 3, attempt: 2 },
-            ClientMsg::Result {
-                worker: "w1".into(),
-                queue: "pi".into(),
-                exp: 3,
-                attempt: 2,
-                outcome: "sdc".into(),
-                exit: "halted (exit code 0)".into(),
-                ticks: 123_456,
-                spec: "reg f $1 0x1 1:100:i".into(),
-            },
-            ClientMsg::Failed {
-                worker: "w1".into(),
-                queue: "pi".into(),
-                exp: 3,
-                attempt: 2,
-                reason: "worker panic: \"chaos\"\nline2".into(),
-                spec: "reg f $1 0x1 1:100:i".into(),
-            },
-            ClientMsg::Status,
-        ];
-        for m in msgs {
+        for (m, pinned) in pinned_client_messages() {
             let line = m.to_json();
-            assert!(!line.contains('\n'), "one message, one line: {line}");
+            assert_eq!(line, pinned, "the encoded bytes are pinned");
             assert_eq!(ClientMsg::parse(&line).unwrap(), m, "{line}");
         }
     }
@@ -675,37 +786,9 @@ mod tests {
 
     #[test]
     fn server_messages_roundtrip() {
-        let msgs = vec![
-            ServerMsg::Welcome { proto: PROTO_VERSION, queues: 2 },
-            ServerMsg::Work {
-                queue: "pi".into(),
-                exp: 7,
-                attempt: 3,
-                deadline_ms: 1_700_000_000_000,
-                lease_ms: 30_000,
-                spec: "reg f $1 0x1 1:100:i".into(),
-            },
-            ServerMsg::Idle { backoff_ms: 50 },
-            ServerMsg::Complete,
-            ServerMsg::Meta {
-                queue: "pi".into(),
-                workload: "pi".into(),
-                scale: "small".into(),
-                checkpoint_digest: 0xdead_beef,
-                boot_ticks: 1_000,
-                kernel_ticks: 50_000,
-                stage_events: [1, 2, 3, 4, 5],
-                golden_hex: "00ff10".into(),
-            },
-            ServerMsg::Blob { len: 4096, digest: 99 },
-            ServerMsg::HeartbeatAck { deadline_ms: 42 },
-            ServerMsg::HeartbeatLost,
-            ServerMsg::Ack { accepted: 1 },
-            ServerMsg::Error { reason: "unknown queue \"x\"".into() },
-        ];
-        for m in msgs {
+        for (m, pinned) in pinned_server_messages() {
             let line = m.to_json();
-            assert!(!line.contains('\n'), "one message, one line: {line}");
+            assert_eq!(line, pinned, "the encoded bytes are pinned");
             assert_eq!(ServerMsg::parse(&line).unwrap(), m, "{line}");
         }
     }
@@ -746,5 +829,146 @@ mod tests {
         assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
         assert!(hex_decode("abc").is_err(), "odd length");
         assert!(hex_decode("zz").is_err(), "non-hex");
+    }
+
+    #[test]
+    fn a_request_line_is_read_up_to_its_cap_and_refused_past_it() {
+        let read = |bytes: &[u8], max| read_line_within(&mut &bytes[..], max);
+        assert_eq!(read(b"abcd\nrest", 4).unwrap().as_deref(), Some("abcd"));
+        assert_eq!(read(b"abcd", 4).unwrap().as_deref(), Some("abcd"), "EOF ends a line");
+        assert_eq!(read(b"abcde\n", 4).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(read(b"abcde", 4).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(read(b"", 4).unwrap(), None);
+    }
+
+    #[test]
+    fn the_longest_failure_report_fits_the_request_cap() {
+        // Control characters escape to six bytes each, the worst case.
+        let reason = "\u{1}".repeat(2 * MAX_REASON_BYTES);
+        assert_eq!(clip("aé", 2), "a", "cut at a character boundary");
+        let failed = ClientMsg::Failed {
+            worker: "w".repeat(256),
+            queue: "q".repeat(256),
+            exp: u64::MAX,
+            attempt: u64::MAX,
+            reason: clip(&reason, MAX_REASON_BYTES).to_string(),
+            spec: "s".repeat(256),
+        };
+        assert!(failed.to_json().len() <= MAX_REQUEST_LINE);
+    }
+
+    /// The fuzzer's seed; a seed that ever finds a defect stays here as a
+    /// regression case.
+    const FUZZ_SEEDS: [u64; 1] = [0x36_5EED];
+
+    /// Every pinned line of the three message families and every line of
+    /// the committed journal fixtures.
+    fn corpus() -> Vec<String> {
+        let client = pinned_client_messages().into_iter().map(|(_, line)| line);
+        let server = pinned_server_messages().into_iter().map(|(_, line)| line);
+        let journal = crate::journal::tests::pinned_events().into_iter().map(|(_, line)| line);
+        let mut lines: Vec<String> =
+            client.chain(server).chain(journal).map(String::from).collect();
+        lines.extend(fixture_journal().lines().map(String::from));
+        lines
+    }
+
+    fn fixture_journal() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/fixed_pi_cut.journal");
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    /// One mutation of `line`: truncated, a bit flipped, spliced with
+    /// `other`, a member repeated (from `line` or `other`), or a control
+    /// character inserted.
+    fn mutate(rng: &mut SplitMix64, line: &str, other: &str) -> Vec<u8> {
+        let mut bytes = line.as_bytes().to_vec();
+        let at = |rng: &mut SplitMix64, bytes: &[u8]| rng.below(bytes.len() as u64 + 1) as usize;
+        match rng.below(5) {
+            0 => bytes.truncate(at(rng, &bytes)),
+            1 if !bytes.is_empty() => {
+                let i = rng.below(bytes.len() as u64) as usize;
+                bytes[i] ^= 1 << rng.below(8);
+            }
+            2 => {
+                let (i, j) = (at(rng, &bytes), at(rng, other.as_bytes()));
+                bytes.truncate(i);
+                bytes.extend_from_slice(&other.as_bytes()[j..]);
+            }
+            3 => {
+                // A `,"key":value` member of either line, inserted again.
+                let source = if rng.coin() { line } else { other };
+                let starts: Vec<usize> = source.match_indices(",\"").map(|(i, _)| i).collect();
+                if let Some(&start) = starts.get(rng.below(starts.len() as u64 + 1) as usize) {
+                    let len = source[start + 1..].find([',', '}']).map_or(0, |n| n + 1);
+                    let member = &source.as_bytes()[start..start + len];
+                    let i = bytes.iter().rposition(|&b| b == b'}').unwrap_or(bytes.len());
+                    bytes.splice(i..i, member.iter().copied());
+                }
+            }
+            _ => {
+                let i = at(rng, &bytes);
+                let c = [0x00, 0x01, b'\t', b'\n', b'\r', 0x1b, 0x1f, 0x7f][rng.below(8) as usize];
+                bytes.insert(i, c);
+            }
+        }
+        bytes
+    }
+
+    /// No decoder panics, and whatever one accepts re-encodes to a line it
+    /// decodes to the same value.
+    fn check_decoders(line: &str) {
+        if let Ok(m) = ClientMsg::parse(line) {
+            assert_eq!(ClientMsg::parse(&m.to_json()), Ok(m), "{line:?}");
+        }
+        if let Ok(m) = ServerMsg::parse(line) {
+            assert_eq!(ServerMsg::parse(&m.to_json()), Ok(m), "{line:?}");
+        }
+        if let Ok(e) = JournalEvent::parse(line) {
+            assert_eq!(JournalEvent::parse(&e.to_json()), Ok(e), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn decoders_survive_byte_fuzzing() {
+        let lines = corpus();
+        let dir = std::env::temp_dir().join(format!("gemfi-wire-fuzz-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = Journal::path_in(&dir);
+        for seed in FUZZ_SEEDS {
+            let mut rng = SplitMix64::new(seed);
+            for _ in 0..100 {
+                for line in &lines {
+                    let other = &lines[rng.below(lines.len() as u64) as usize];
+                    let mut bytes = mutate(&mut rng, line, other);
+                    if rng.coin() {
+                        bytes = mutate(&mut rng, &String::from_utf8_lossy(&bytes), other);
+                    }
+                    check_decoders(&String::from_utf8_lossy(&bytes));
+                }
+            }
+            // Whole journals: a few lines of the fixture mutated in place,
+            // raw bytes on disk (so not always UTF-8).
+            let fixture = fixture_journal();
+            let fixture: Vec<&str> = fixture.lines().collect();
+            for _ in 0..50 {
+                let mut file = Vec::new();
+                for line in &fixture {
+                    match rng.below(8) {
+                        0 => file.extend(mutate(&mut rng, line, fixture[0])),
+                        _ => file.extend_from_slice(line.as_bytes()),
+                    }
+                    file.push(b'\n');
+                }
+                file.truncate(file.len() - rng.below(3) as usize);
+                std::fs::write(&journal, &file).unwrap();
+                if let Ok(events) = Journal::replay(&journal) {
+                    for e in events {
+                        assert_eq!(JournalEvent::parse(&e.to_json()), Ok(e));
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

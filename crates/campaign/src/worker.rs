@@ -1,6 +1,6 @@
 //! The campaign worker: one loop, any transport.
 //!
-//! [`drive_worker`] is the claim → execute → report cycle written against
+//! `drive_worker` is the claim → execute → report cycle written against
 //! [`CampaignTransport`], so the in-process spool threads of
 //! [`crate::now`] and a remote process connected to a
 //! [`crate::server::CampaignServer`] run byte-for-byte the same protocol
@@ -30,7 +30,8 @@ use crate::runner::{
 };
 use crate::transport::{AttemptGuard, CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 use crate::wire::{
-    hex_decode, read_blob, read_line, write_line, ClientMsg, ServerMsg, PROTO_VERSION,
+    clip, hex_decode, read_blob, read_line, write_line, ClientMsg, ServerMsg, MAX_REASON_BYTES,
+    PROTO_VERSION,
 };
 use gemfi::{AbortToken, FaultConfig, Outcome};
 use gemfi_isa::codec::Codec;
@@ -374,7 +375,7 @@ impl CampaignTransport for SocketTransport {
             queue: assignment.queue.clone(),
             exp: assignment.exp as u64,
             attempt: assignment.attempt,
-            reason: reason.to_string(),
+            reason: clip(reason, MAX_REASON_BYTES).to_string(),
             spec: assignment.spec.to_string(),
         };
         self.report(worker, &msg)

@@ -16,6 +16,8 @@
 //!   and the queue ends all `Infrastructure` with the reason journaled;
 //! - a worker name carrying a newline is refused by the protocol parser
 //!   before it reaches the journal.
+//! - a request line that never ends is refused, and the server keeps
+//!   serving other connections.
 
 use gemfi::Outcome;
 use gemfi_campaign::wire::{read_line, write_line};
@@ -27,7 +29,7 @@ use gemfi_campaign::{
 };
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::Workload;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -450,4 +452,45 @@ fn a_worker_name_with_a_newline_is_refused_before_it_reaches_the_journal() {
     assert!(reply.contains("\"work\""), "{reply}");
     assert_eq!(leases(), ["w"]);
     let _ = server.shutdown().unwrap();
+}
+
+#[test]
+fn an_endless_request_line_is_refused_and_the_server_keeps_serving() {
+    let w = pi_workload();
+    let prepared = prepare_workload(&w).unwrap();
+    let mut sampler = FaultSampler::new(5, prepared.stage_events, 0, 0);
+    let specs: Vec<_> = (0..2).map(|_| sampler.sample_any()).collect();
+    let share = scratch("endless-line");
+    let queue = QueueSpec {
+        name: "pi-fixed".to_string(),
+        priority: 1,
+        quota: 0,
+        workload: "pi".to_string(),
+        scale: "test".to_string(),
+        prepared,
+        kind: QueueKind::FixedN { specs },
+    };
+    let server = CampaignServer::start(fast_server_config(&share), vec![queue]).unwrap();
+
+    // A client that streams bytes and never a newline: 1 MiB, far past any
+    // legitimate request. The server must hang up rather than buffer it all.
+    let mut flood = TcpStream::connect(server.addr()).unwrap();
+    flood.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    flood.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+    for _ in 0..128 {
+        if flood.write_all(&[b'x'; 8192]).is_err() {
+            break; // the server hung up
+        }
+    }
+    match read_line(&mut BufReader::new(flood)) {
+        Ok(Some(reply)) => assert!(reply.contains("\"error\""), "{reply}"),
+        Ok(None) => {}
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "the server kept reading: {e}"),
+    }
+
+    // Other connections are still served.
+    let lines = status_lines(server.addr());
+    assert!(lines[0].contains("\"status\":\"server\""), "{lines:?}");
+    let _ = server.shutdown().unwrap();
+    std::fs::remove_dir_all(&share).ok();
 }

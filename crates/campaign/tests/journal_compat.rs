@@ -193,3 +193,19 @@ fn an_adaptive_journal_from_before_the_refactor_resumes() {
     std::fs::remove_dir_all(&fresh_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn every_fixture_line_reencodes_to_itself() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for name in
+        ["fixed_pi_cut.journal", "adaptive_pi_cut.journal", "fixed_pi_midflight/campaign.journal"]
+    {
+        let text = std::fs::read_to_string(fixtures.join(name)).unwrap();
+        assert!(text.ends_with('\n'), "{name}: no torn tail");
+        for (i, line) in text.lines().enumerate() {
+            let event =
+                JournalEvent::parse(line).unwrap_or_else(|e| panic!("{name}:{}: {e}", i + 1));
+            assert_eq!(event.to_json(), line, "{name}:{}", i + 1);
+        }
+    }
+}

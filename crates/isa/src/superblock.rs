@@ -24,7 +24,7 @@
 //! instruction regardless of memory latency) and apply no per-event fault
 //! hooks. The executor returns the exact per-stage event counts the
 //! per-instruction path would have produced, so bulk absorption into the
-//! engine ([`FaultHooks::absorb_elided`]-style accounting) stays
+//! engine (`gemfi_cpu::FaultHooks::absorb_elided`-style accounting) stays
 //! event-for-event identical.
 //!
 //! Coherence: like the predecode cache, translations are *derived state* —

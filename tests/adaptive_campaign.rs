@@ -31,11 +31,7 @@ fn share(tag: &str) -> PathBuf {
 }
 
 fn config(dir: &PathBuf) -> NowConfig {
-    NowConfig {
-        lease: Duration::from_secs(30),
-        retry_backoff: Duration::from_millis(1),
-        ..NowConfig::new(2, 2, dir)
-    }
+    NowConfig { retry_backoff: Duration::from_millis(1), ..NowConfig::new(2, 2, dir) }
 }
 
 #[test]

@@ -56,12 +56,7 @@ fn share(tag: &str) -> PathBuf {
 }
 
 fn config(dir: &Path, resume: bool) -> NowConfig {
-    NowConfig {
-        lease: Duration::from_secs(30),
-        retry_backoff: Duration::from_millis(1),
-        resume,
-        ..NowConfig::new(1, 2, dir)
-    }
+    NowConfig { retry_backoff: Duration::from_millis(1), resume, ..NowConfig::new(1, 2, dir) }
 }
 
 /// Runs (or, with `resume`, finishes) the campaign on `dir`.
