@@ -17,6 +17,16 @@
 //!   until the affected instruction commits or squashes");
 //! * stores drain from a **store buffer** at commit; loads forward from
 //!   older in-flight stores or wait on unresolved store addresses.
+//!
+//! The scheduler never scans the ROB. In-flight entries carry contiguous
+//! sequence numbers, so `seq % 64` names a slot no other in-flight entry
+//! shares, and three slot bitmasks hold the scheduling state: `ready` (the
+//! `Dispatched` entries whose operands are all ready), `issued` (the
+//! executing entries) and, per producer, `waiters` (the entries waiting on
+//! its result). Writeback and issue walk their mask oldest first (rotated
+//! to the head's slot), a completion wakes only its registered waiters,
+//! and a squash clears the killed slots from all three, since the next
+//! dispatch reuses them.
 
 use crate::exec::{
     alu, branch_target, cmov_cond, dst_reg, exec_latency, fetch_decode, fp_cmov_cond, fpu, load,
@@ -40,6 +50,10 @@ const ISSUE_WIDTH: usize = 4;
 const COMMIT_WIDTH: usize = 4;
 /// Reorder-buffer capacity.
 const ROB_SIZE: usize = 64;
+/// Scheduler slots: one bit of a `u64` mask per slot.
+const SLOTS: usize = u64::BITS as usize;
+// At most `SLOTS` contiguous sequence numbers never share a slot.
+const _: () = assert!(ROB_SIZE <= SLOTS);
 /// Front-end refill delay after a squash, in ticks.
 const MISPREDICT_PENALTY: Ticks = 5;
 
@@ -133,6 +147,16 @@ fn rename_slot(reg: RegRef) -> Option<usize> {
     }
 }
 
+/// The scheduler slot of the in-flight entry with sequence number `seq`.
+fn slot(seq: u64) -> usize {
+    (seq % SLOTS as u64) as usize
+}
+
+/// A mask of the first `n` bits.
+fn first(n: usize) -> u64 {
+    u64::MAX.checked_shr((SLOTS - n) as u32).unwrap_or(0)
+}
+
 /// The out-of-order CPU.
 #[derive(Debug, Clone)]
 pub struct O3Cpu {
@@ -149,6 +173,12 @@ pub struct O3Cpu {
     /// Rename table: most recent in-flight producer of each register, the
     /// int bank then the fp bank ([`rename_slot`]).
     rename: [Option<u64>; 64],
+    /// Slots of the `Dispatched` entries whose operands are all ready.
+    ready: u64,
+    /// Slots of the `Issued` entries.
+    issued: u64,
+    /// Per producer slot, the slots of the entries waiting on its result.
+    waiters: [u64; SLOTS],
     stats: O3Stats,
 }
 
@@ -163,6 +193,9 @@ impl O3Cpu {
             fetch_parked: false,
             predictor: TournamentPredictor::new(),
             rename: [None; 64],
+            ready: 0,
+            issued: 0,
+            waiters: [0; SLOTS],
             stats: O3Stats::default(),
         }
     }
@@ -192,6 +225,9 @@ impl O3Cpu {
         }
         self.rob.clear();
         self.rename = [None; 64];
+        self.ready = 0;
+        self.issued = 0;
+        self.waiters = [0; SLOTS];
         self.fetch_pc = arch.pc;
         self.fetch_parked = false;
     }
@@ -207,9 +243,24 @@ impl O3Cpu {
         (idx < self.rob.len()).then_some(idx)
     }
 
-    /// Kills every entry younger than the one at `idx` and rebuilds the
-    /// rename table.
+    /// `mask` re-based on the head's slot: bit `i` is the entry at ROB
+    /// index `i`, so trailing zeros walk it oldest first.
+    fn by_age(&self, mask: u64) -> u64 {
+        mask.rotate_right(slot(self.head_seq()) as u32)
+    }
+
+    /// Kills every entry younger than the one at `idx`, clears their slots
+    /// from the scheduler masks and rebuilds the rename table.
     fn squash_after(&mut self, idx: usize, redirect: u64, now: Ticks) {
+        let dead =
+            (first(self.rob.len()) & !first(idx + 1)).rotate_left(slot(self.head_seq()) as u32);
+        self.ready &= !dead;
+        self.issued &= !dead;
+        // Consumers are younger than their producer, so this also empties
+        // the killed producers' own lists.
+        for w in &mut self.waiters {
+            *w &= !dead;
+        }
         let killed = self.rob.len() - (idx + 1);
         self.rob.truncate(idx + 1);
         self.next_seq -= killed as u64;
@@ -227,14 +278,22 @@ impl O3Cpu {
         self.fetch_ready_at = now + MISPREDICT_PENALTY;
     }
 
-    /// Broadcasts a completed result to waiting consumers.
+    /// Delivers a completed result to the consumers waiting on it; those
+    /// left with every operand ready become issue candidates.
     fn wakeup(&mut self, seq: u64, value: u64) {
-        for e in &mut self.rob {
-            for s in e.srcs.iter_mut().flatten() {
-                if s.producer == Some(seq) {
-                    s.value = value;
-                    s.ready = true;
-                }
+        let head = self.head_seq();
+        let waiting = std::mem::take(&mut self.waiters[slot(seq)]);
+        let mut waiting = self.by_age(waiting);
+        while waiting != 0 {
+            let idx = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let e = &mut self.rob[idx];
+            for s in e.srcs.iter_mut().flatten().filter(|s| s.producer == Some(seq)) {
+                s.value = value;
+                s.ready = true;
+            }
+            if e.srcs.iter().flatten().all(|s| s.ready) {
+                self.ready |= 1 << slot(head + idx as u64);
             }
         }
     }
@@ -319,19 +378,21 @@ impl O3Cpu {
         // in-flight producer read the *architectural* register file here at
         // dispatch: that is the moment a register-file fault is consumed,
         // so the read hook fires now (forwarded operands never touch the
-        // register file and must not count as consumption).
-        for (slot, reg) in entry.srcs.iter_mut().zip(src_regs(&instr)) {
+        // register file and must not count as consumption). An operand
+        // whose producer is still executing makes the entry its waiter.
+        for (src, reg) in entry.srcs.iter_mut().zip(src_regs(&instr)) {
             let Some(reg) = reg else { continue };
             let producer = rename_slot(reg).and_then(|r| self.rename[r]);
             let (value, ready) = match producer {
-                Some(seq) => {
-                    let idx = self.entry_index(seq).ok_or_else(|| {
+                Some(p) => {
+                    let idx = self.entry_index(p).ok_or_else(|| {
                         SimError::new("o3", "renamed producer present in ROB", pc)
                     })?;
-                    let p = &self.rob[idx];
-                    if p.state == EntryState::Done {
-                        (p.result, true)
+                    let p_entry = &self.rob[idx];
+                    if p_entry.state == EntryState::Done {
+                        (p_entry.result, true)
                     } else {
+                        self.waiters[slot(p)] |= 1 << slot(seq);
                         (0, false)
                     }
                 }
@@ -340,7 +401,10 @@ impl O3Cpu {
                     (arch.read_reg(reg), true)
                 }
             };
-            *slot = Some(SrcOperand { producer, value, ready });
+            *src = Some(SrcOperand { producer, value, ready });
+        }
+        if entry.srcs.iter().flatten().all(|s| s.ready) {
+            self.ready |= 1 << slot(seq);
         }
         entry.dst = dst_reg(&instr);
         entry.mem = instr.mem_operand().map(|op| MemAccess { op, addr: None, store_val: 0 });
@@ -549,6 +613,9 @@ impl O3Cpu {
             }
         }
 
+        let bit = 1 << slot(self.head_seq() + idx as u64);
+        self.ready &= !bit;
+        self.issued |= bit;
         let entry = &mut self.rob[idx];
         entry.state = EntryState::Issued;
         entry.done_at = now + lat;
@@ -717,13 +784,17 @@ impl O3Cpu {
         }
 
         // 2. Writeback/complete + branch resolution (oldest first).
-        let mut i = 0;
-        while i < self.rob.len() {
-            if self.rob[i].state == EntryState::Issued && self.rob[i].done_at <= now {
+        let mut executing = self.by_age(self.issued);
+        while executing != 0 {
+            let i = executing.trailing_zeros() as usize;
+            executing &= executing - 1;
+            if self.rob[i].done_at <= now {
                 self.rob[i].state = EntryState::Done;
+                let seq = self.head_seq() + i as u64;
+                self.issued &= !(1 << slot(seq));
                 let result = self.rob[i].result;
                 if self.rob[i].dst.is_some() {
-                    self.wakeup(self.head_seq() + i as u64, result);
+                    self.wakeup(seq, result);
                 }
                 // Control misprediction?
                 let mispredicted = self.rob[i].actual_next != self.rob[i].predicted_next
@@ -733,24 +804,21 @@ impl O3Cpu {
                     let pc = self.rob[i].pc;
                     self.predictor.update_target(pc, redirect);
                     self.squash_after(i, redirect, now);
-                    // Everything younger is gone; stop scanning.
+                    // Everything younger is gone; stop walking.
                     break;
                 }
             }
-            i += 1;
         }
 
-        // 3. Issue.
+        // 3. Issue (oldest ready first).
         let mut issued = 0;
-        let mut idx = 0;
-        while idx < self.rob.len() && issued < ISSUE_WIDTH {
-            if self.rob[idx].state == EntryState::Dispatched
-                && self.rob[idx].srcs.iter().flatten().all(|s| s.ready)
-                && self.execute_entry(idx, core, mem, hooks, now)?
-            {
+        let mut candidates = self.by_age(self.ready);
+        while candidates != 0 && issued < ISSUE_WIDTH {
+            let idx = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            if self.execute_entry(idx, core, mem, hooks, now)? {
                 issued += 1;
             }
-            idx += 1;
         }
 
         // 4. Fetch/dispatch.
@@ -767,6 +835,28 @@ impl O3Cpu {
         crate::exec::drain_lesions(hooks, mem);
 
         Ok(StepResult { ticks: 1, committed, event })
+    }
+
+    /// Recomputes the scheduler masks from the ROB entries and asserts
+    /// that the live ones equal them.
+    #[cfg(test)]
+    fn check_schedule(&self) {
+        let (mut ready, mut issued, mut waiters) = (0, 0, [0u64; SLOTS]);
+        for (seq, e) in (self.head_seq()..).zip(&self.rob) {
+            let bit = 1 << slot(seq);
+            match e.state {
+                EntryState::Dispatched if e.srcs.iter().flatten().all(|s| s.ready) => ready |= bit,
+                EntryState::Issued => issued |= bit,
+                _ => {}
+            }
+            for s in e.srcs.iter().flatten().filter(|s| !s.ready) {
+                let p = s.producer.expect("an operand waits on an in-flight producer");
+                waiters[slot(p)] |= bit;
+            }
+        }
+        assert_eq!(self.ready, ready, "ready mask");
+        assert_eq!(self.issued, issued, "issued mask");
+        assert_eq!(self.waiters, waiters, "waiters");
     }
 }
 
@@ -793,7 +883,8 @@ mod tests {
 
     /// Runs to halt, or reports a watchdog-style `Trap::WatchdogTimeout`
     /// when the cycle budget runs out — a hung drain is an outcome
-    /// (Crashed), never a panic.
+    /// (Crashed), never a panic. The scheduler masks are checked against
+    /// the ROB after every cycle.
     fn try_run_o3(
         p: &gemfi_asm::Program,
         max_cycles: u64,
@@ -803,6 +894,7 @@ mod tests {
         let mut now = 0;
         for _ in 0..max_cycles {
             let r = cpu.step(0, &mut arch, &mut mem, &mut kernel, &mut NoopHooks, now)?;
+            cpu.check_schedule();
             now += r.ticks;
             if let StepEvent::Halted(code) = r.event {
                 return Ok((code, *cpu.stats(), kernel.out_words().to_vec()));
@@ -980,6 +1072,7 @@ mod tests {
         loop {
             let r =
                 cpu.step(0, &mut arch, &mut mem, &mut kernel, &mut NoopHooks, o3_cycles).unwrap();
+            cpu.check_schedule();
             o3_cycles += 1;
             if matches!(r.event, StepEvent::Halted(_)) {
                 break;

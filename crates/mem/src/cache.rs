@@ -15,10 +15,38 @@ pub struct CacheConfig {
     pub hit_latency: u64,
 }
 
+/// Most lines one cache level may hold: 2^20, 64× the default L2's 16 384.
+/// Each line costs 24 bytes of tag array, so a geometry read from a file
+/// can make [`Cache::new`] allocate at most 24 MiB.
+const MAX_LINES: usize = 1 << 20;
+
 impl CacheConfig {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> usize {
         self.size / (self.ways * self.line)
+    }
+
+    /// Checks that the geometry describes a cache [`Cache::new`] can build.
+    ///
+    /// # Errors
+    ///
+    /// The first inconsistency: a non-power-of-two line size, more than
+    /// `MAX_LINES` lines, no whole set, or a capacity the sets do not tile.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !self.line.is_power_of_two() {
+            return Err("line size must be a power of two");
+        }
+        let lines = self.size / self.line;
+        if lines > MAX_LINES {
+            return Err("capacity must fit the line limit");
+        }
+        if self.ways == 0 || lines < self.ways {
+            return Err("capacity must hold at least one set");
+        }
+        if !lines.is_multiple_of(self.ways) || !self.size.is_multiple_of(self.line) {
+            return Err("geometry must tile the capacity exactly");
+        }
+        Ok(())
     }
 }
 
@@ -67,16 +95,11 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (non-power-of-two line size or
-    /// a capacity not divisible by `ways * line`).
+    /// Panics if [`CacheConfig::validate`] rejects the geometry.
     pub fn new(config: CacheConfig) -> Cache {
-        assert!(config.line.is_power_of_two(), "line size must be a power of two");
-        assert!(config.sets() > 0, "capacity must hold at least one set");
-        assert_eq!(
-            config.sets() * config.ways * config.line,
-            config.size,
-            "geometry must tile the capacity exactly"
-        );
+        if let Err(why) = config.validate() {
+            panic!("invalid cache geometry: {why}");
+        }
         let sets = config.sets();
         Cache {
             config,

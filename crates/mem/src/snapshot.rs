@@ -14,6 +14,12 @@ const TAG_ZEROS: u8 = 0;
 const TAG_LITERAL: u8 = 1;
 /// Zero runs shorter than this are cheaper to store literally.
 const MIN_RUN: usize = 32;
+/// Largest memory a checkpoint may declare: 1 GiB, 16× the largest guest
+/// any configuration builds (`MemConfig::default`'s 64 MiB). Decoding
+/// builds the whole image in one buffer and a page table of one entry per
+/// 4 KiB before the records can prove they fill it, so this also caps what
+/// a small corrupt file can make the decoder allocate.
+const MAX_PHYS_SIZE: usize = 1 << 30;
 
 /// Run-length encodes `bytes` into `w`.
 pub fn encode_image(bytes: &[u8], w: &mut ByteWriter) {
@@ -45,36 +51,59 @@ pub fn encode_image(bytes: &[u8], w: &mut ByteWriter) {
     }
 }
 
-/// Decodes an image produced by [`encode_image`].
+/// Decodes an image produced by [`encode_image`]. Only the encoder's own
+/// output is accepted: zero runs of at least `MIN_RUN` bytes alternating
+/// with non-empty literals that hold no such run and do not extend a
+/// neighbouring run. Every decoded image therefore re-encodes to the same
+/// bytes, which is what lets a decoded checkpoint keep its file's digest.
 ///
 /// # Errors
 ///
-/// [`CodecError`] on truncation, bad tags, or a size mismatch.
+/// [`CodecError`] on truncation, bad tags, a size mismatch, an image
+/// larger than `MAX_PHYS_SIZE`, or a record the encoder would not write.
 pub fn decode_image(r: &mut ByteReader<'_>) -> Result<Vec<u8>, CodecError> {
     let total = r.get_len()?;
+    if total > MAX_PHYS_SIZE {
+        return Err(CodecError::LengthOverflow { len: total as u64 });
+    }
     // `total` is attacker-controlled until the records check out: cap the
     // preallocation by what the stream could plausibly still hold so a
     // corrupt/truncated file errors out instead of reserving gigabytes
     // up front. Legitimate zero-run expansion beyond this grows amortized.
     let mut out = Vec::with_capacity(total.min(r.remaining()));
+    let mut last = None;
     while out.len() < total {
-        match r.get_u8()? {
+        let tag = r.get_u8()?;
+        let canonical = match tag {
             TAG_ZEROS => {
                 let n = r.get_len()?;
                 if out.len() + n > total {
                     return Err(CodecError::LengthOverflow { len: n as u64 });
                 }
+                let canonical = n >= MIN_RUN && last != Some(TAG_ZEROS) && out.last() != Some(&0);
                 out.resize(out.len() + n, 0);
+                canonical
             }
             TAG_LITERAL => {
                 let b = r.get_bytes()?;
                 if out.len() + b.len() > total {
                     return Err(CodecError::LengthOverflow { len: b.len() as u64 });
                 }
+                let canonical = last != Some(TAG_LITERAL)
+                    && b.first().is_some_and(|&x| x != 0 || last.is_none())
+                    && !b.split(|&x| x != 0).any(|zeros| zeros.len() >= MIN_RUN);
                 out.extend_from_slice(b);
+                canonical
             }
             v => return Err(CodecError::InvalidTag { what: "image record", value: v as u64 }),
+        };
+        if !canonical {
+            return Err(CodecError::InvalidTag {
+                what: "non-canonical image record",
+                value: tag as u64,
+            });
         }
+        last = Some(tag);
     }
     Ok(out)
 }
@@ -98,6 +127,9 @@ impl Codec for MemorySystem {
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let phys_size = r.get_len()?;
+        if phys_size > MAX_PHYS_SIZE {
+            return Err(CodecError::LengthOverflow { len: phys_size as u64 });
+        }
         let dram_latency = r.get_u64()?;
         let mut caches =
             [crate::cache::CacheConfig { size: 0, ways: 0, line: 0, hit_latency: 0 }; 3];
@@ -106,6 +138,12 @@ impl Codec for MemorySystem {
             c.ways = r.get_len()?;
             c.line = r.get_len()?;
             c.hit_latency = r.get_u64()?;
+            if c.validate().is_err() {
+                return Err(CodecError::InvalidTag {
+                    what: "cache geometry",
+                    value: c.size as u64,
+                });
+            }
         }
         let config =
             MemConfig { phys_size, l1i: caches[0], l1d: caches[1], l2: caches[2], dram_latency };

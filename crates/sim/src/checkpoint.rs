@@ -243,9 +243,18 @@ impl Codec for Checkpoint {
         if fnv1a(payload) != digest {
             return Err(CodecError::InvalidTag { what: "checkpoint digest", value: digest });
         }
-        let ckpt = Checkpoint::decode_payload(&mut ByteReader::new(payload))?;
-        // The header digest was just verified against the payload — prime
-        // the cache so resume validation never re-encodes the image.
+        let mut pr = ByteReader::new(payload);
+        let ckpt = Checkpoint::decode_payload(&mut pr)?;
+        if pr.remaining() != 0 {
+            return Err(CodecError::InvalidTag {
+                what: "trailing payload bytes",
+                value: pr.remaining() as u64,
+            });
+        }
+        // The header digest was just verified against the payload, and the
+        // payload decoders accept only canonical encodings, so re-encoding
+        // would give the same bytes: prime the cache so resume validation
+        // never re-encodes the image.
         let _ = ckpt.digest.set(digest);
         Ok(ckpt)
     }
@@ -404,6 +413,161 @@ mod tests {
         let decoded = Checkpoint::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(decoded.digest.get().copied(), Some(first), "decode must prime the cache");
         assert_eq!(decoded.digest(), first);
+    }
+
+    /// The payload bytes of `c`, without the file header.
+    fn payload_of(c: &Checkpoint) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        c.encode_payload(&mut w);
+        w.into_bytes()
+    }
+
+    /// `payload` behind a valid file header: the digest matches, so the
+    /// bytes reach the payload decoder.
+    fn signed(payload: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(MAGIC);
+        w.put_u32(VERSION);
+        w.put_u64(fnv1a(payload));
+        w.put_bytes(payload);
+        w.into_bytes()
+    }
+
+    /// Offset of the memory system in a payload: after the CPU kind, the
+    /// three `u64` machine settings and the architectural state.
+    fn mem_offset(c: &Checkpoint) -> usize {
+        1 + 3 * 8 + c.arch().to_bytes().len()
+    }
+
+    /// Bytes of the memory system's configuration: `phys_size`,
+    /// `dram_latency`, then four `u64`s per cache level.
+    const MEM_CONFIG_BYTES: usize = (2 + 3 * 4) * 8;
+
+    #[test]
+    fn a_signed_payload_with_impossible_cache_geometry_is_refused() {
+        let (_, c) = checkpointing_machine();
+        let mut payload = payload_of(&c);
+        // phys_size, dram_latency, then l1i's size and ways before its line.
+        let line = mem_offset(&c) + 4 * 8;
+        assert_eq!(payload[line..line + 8], 64u64.to_le_bytes(), "l1i.line");
+        payload[line..line + 8].copy_from_slice(&3u64.to_le_bytes());
+        let err = Checkpoint::from_bytes(&signed(&payload)).unwrap_err();
+        assert!(format!("{err:?}").contains("cache geometry"), "{err:?}");
+    }
+
+    #[test]
+    fn a_tiny_image_may_not_demand_a_huge_memory() {
+        let (_, c) = checkpointing_machine();
+        let payload = payload_of(&c);
+        let (start, end) = (mem_offset(&c), mem_offset(&c) + c.mem().to_bytes().len());
+        // A 64 GiB machine whose image is one zero run: a few dozen bytes.
+        let huge = (1u64 << 36).to_le_bytes();
+        let config = &payload[start + 8..start + MEM_CONFIG_BYTES];
+        let image = [&huge[..], &[0], &huge].concat(); // one zero run
+        let spliced = [&payload[..start], &huge, config, &image, &payload[end..]].concat();
+        let err = Checkpoint::from_bytes(&signed(&spliced)).unwrap_err();
+        assert_eq!(err, CodecError::LengthOverflow { len: 1 << 36 });
+    }
+
+    /// SplitMix64 (Steele et al.): a copy of `gemfi_campaign::rng`'s
+    /// generator, which this crate cannot depend on.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Seeds of the payload fuzzer; a seed that ever fails is added here.
+    const FUZZ_SEEDS: [u64; 2] = [0xC4EC_4901, 0x0DEC_0DE5];
+
+    /// Values a mutated `u64` field takes: edges of every length, count and
+    /// geometry check in the decoder.
+    const INTERESTING: [u64; 10] = [0, 1, 3, 63, 64, 65, 1 << 20, 1 << 30, 1 << 40, u64::MAX];
+
+    /// One mutation of `p`. Three in four land in the dense fields (the
+    /// header up to the cache geometry, and the kernel at the tail) rather
+    /// than in the image's literal bytes.
+    fn mutate(rng: &mut SplitMix64, p: &mut Vec<u8>, fields: usize, tail: usize) {
+        let len = p.len().max(1);
+        let at = match rng.below(4) {
+            0 => rng.below(len),
+            1 | 2 => rng.below(fields.min(len)),
+            _ => len - 1 - rng.below(tail.min(len)),
+        };
+        let at = at.min(p.len());
+        match rng.below(5) {
+            0 if at < p.len() => p[at] ^= 1 << rng.below(8),
+            1 => {
+                let v = match rng.below(3) {
+                    0 => rng.next(),
+                    _ => INTERESTING[rng.below(INTERESTING.len())],
+                };
+                let end = (at + 8).min(p.len());
+                p[at..end].copy_from_slice(&v.to_le_bytes()[..end - at]);
+            }
+            2 => p.truncate(at),
+            3 => {
+                let end = (at + 1 + rng.below(16)).min(p.len());
+                p.drain(at..end);
+            }
+            _ => {
+                let bytes: Vec<u8> = (0..1 + rng.below(8)).map(|_| rng.next() as u8).collect();
+                p.splice(at..at, bytes);
+            }
+        }
+    }
+
+    /// A checkpoint of a 128 KiB machine that has written one output word,
+    /// so the fuzzer's rounds stay cheap and the kernel state is not empty.
+    fn small_checkpoint() -> Checkpoint {
+        let mut a = Assembler::new();
+        a.li(Reg::A0, 5);
+        a.write_word();
+        a.fi_read_init();
+        a.exit(0);
+        let p = a.finish().unwrap();
+        let cfg = MachineConfig {
+            mem: gemfi_mem::MemConfig { phys_size: 128 << 10, ..gemfi_mem::MemConfig::default() },
+            ..MachineConfig::default()
+        };
+        let mut m = Machine::boot(cfg, &p, NoopHooks).unwrap();
+        assert_eq!(m.run(), RunExit::CheckpointRequest);
+        assert_eq!(m.out_words(), [5]);
+        m.checkpoint()
+    }
+
+    #[test]
+    fn signed_payload_mutations_decode_or_fail_without_panicking() {
+        let c = small_checkpoint();
+        let payload = payload_of(&c);
+        let fields = mem_offset(&c) + MEM_CONFIG_BYTES + 16;
+        let tail = c.kernel().to_bytes().len() + 16;
+        for seed in FUZZ_SEEDS {
+            let mut rng = SplitMix64(seed);
+            for round in 0..300 {
+                let mut p = payload.clone();
+                for _ in 0..=rng.below(3) {
+                    mutate(&mut rng, &mut p, fields, tail);
+                }
+                let file = signed(&p);
+                if let Ok(decoded) = Checkpoint::from_bytes(&file) {
+                    let bytes = decoded.to_bytes();
+                    assert!(bytes == file, "seed {seed:#x} round {round}: re-encodes differently");
+                    let again = Checkpoint::from_bytes(&bytes);
+                    assert!(again.is_ok_and(|a| a == decoded), "seed {seed:#x} round {round}");
+                }
+            }
+        }
     }
 
     #[test]

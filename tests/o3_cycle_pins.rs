@@ -1,0 +1,200 @@
+//! Pins the O3 model's cycle stream.
+//!
+//! The O3 core's timing is state the campaign depends on: an `Inst:N`
+//! fault lands where the pipeline puts it, and the switch to Atomic
+//! happens at a tick. A change to how the core finds ready, issued or
+//! waiting entries must not move a single cycle. Each of the six guests at
+//! `Scale::Small` is restored from its checkpoint on `CpuKind::O3` with
+//! `NoopHooks` and run to the halt; a squash-heavy micro-program covers
+//! mispredicts and a load parked behind a store with a late address. The
+//! exact tick, instruction, predictor, squash and cache counts are pinned.
+
+use gemfi_asm::{Assembler, Program, Reg};
+use gemfi_bench::{workloads, Scale};
+use gemfi_cpu::{CpuKind, NoopHooks};
+use gemfi_sim::{Machine, MachineConfig, RunExit, SimStats};
+use gemfi_workloads::workload_machine_config;
+
+/// The pinned counters of one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pin {
+    tick: u64,
+    instret: u64,
+    branch_lookups: u64,
+    branch_mispredicts: u64,
+    squashed: u64,
+    /// (hits, misses) of L1I, L1D and L2.
+    caches: [(u64, u64); 3],
+}
+
+impl Pin {
+    fn of(s: &SimStats) -> Pin {
+        let m = &s.mem;
+        Pin {
+            tick: s.ticks,
+            instret: s.instructions,
+            branch_lookups: s.branch_lookups,
+            branch_mispredicts: s.branch_mispredicts,
+            squashed: s.squashed,
+            caches: [m.l1i, m.l1d, m.l2].map(|c| (c.hits, c.misses)),
+        }
+    }
+}
+
+/// Runs `machine` to the halt, stepping over further checkpoint requests.
+fn run_to_halt(machine: &mut Machine<NoopHooks>, tag: &str) {
+    let mut exit = machine.run();
+    while exit == RunExit::CheckpointRequest {
+        exit = machine.run();
+    }
+    assert_eq!(exit, RunExit::Halted(0), "{tag} must halt cleanly");
+}
+
+const GUEST_PINS: [(&str, Pin); 6] = [
+    (
+        "dct",
+        Pin {
+            tick: 59878,
+            instret: 146732,
+            branch_lookups: 9956,
+            branch_mispredicts: 78,
+            squashed: 1150,
+            caches: [(142921, 12), (18617, 105), (0, 117)],
+        },
+    ),
+    (
+        "jacobi",
+        Pin {
+            tick: 10231,
+            instret: 17900,
+            branch_lookups: 3196,
+            branch_mispredicts: 196,
+            squashed: 2123,
+            caches: [(18704, 5), (3076, 12), (0, 17)],
+        },
+    ),
+    (
+        "pi",
+        Pin {
+            tick: 14514,
+            instret: 16360,
+            branch_lookups: 1296,
+            branch_mispredicts: 111,
+            squashed: 5971,
+            caches: [(14313, 4), (6, 1), (0, 5)],
+        },
+    ),
+    (
+        "knapsack",
+        Pin {
+            tick: 86154,
+            instret: 139156,
+            branch_lookups: 48676,
+            branch_mispredicts: 5899,
+            squashed: 76526,
+            caches: [(215095, 12), (15398, 12), (0, 24)],
+        },
+    ),
+    (
+        "deblock",
+        Pin {
+            tick: 20560,
+            instret: 18134,
+            branch_lookups: 524,
+            branch_mispredicts: 31,
+            squashed: 659,
+            caches: [(5661, 6), (650, 96), (0, 102)],
+        },
+    ),
+    (
+        "canneal",
+        Pin {
+            tick: 99170,
+            instret: 372188,
+            branch_lookups: 8708,
+            branch_mispredicts: 213,
+            squashed: 4580,
+            caches: [(372763, 9), (25847, 19), (0, 28)],
+        },
+    ),
+];
+
+#[test]
+fn every_small_guest_runs_the_pinned_o3_cycle_stream() {
+    let guests = workloads(Scale::Small);
+    assert_eq!(guests.len(), GUEST_PINS.len());
+    for (workload, (name, want)) in guests.iter().zip(GUEST_PINS) {
+        assert_eq!(workload.name(), name);
+        let guest = workload.build();
+        let mut boot =
+            Machine::boot(workload_machine_config(CpuKind::Atomic), &guest.program, NoopHooks)
+                .expect("boots");
+        assert_eq!(boot.run(), RunExit::CheckpointRequest, "{name} reaches its checkpoint");
+        let mut machine = Machine::restore(&boot.checkpoint(), Some(CpuKind::O3), NoopHooks);
+        run_to_halt(&mut machine, name);
+        assert_eq!(Pin::of(&machine.stats()), want, "{name}");
+    }
+}
+
+/// Iterations of the micro-program's loop.
+const TRIPS: i64 = 200;
+
+/// The micro-program's output word.
+const SQUASH_HEAVY_OUT: u64 = 1273;
+
+/// A loop with an unpredictable branch (a bit of an LCG state) and, on
+/// every trip, a load parked behind an older store whose address waits
+/// on a `mulq` chain. Mispredicts squash the parked work over and over.
+fn squash_heavy_program() -> Program {
+    let mut a = Assembler::new();
+    a.dsym("buf");
+    a.data_u64(&[5, 0, 0, 0]);
+    a.la(Reg::R1, "buf");
+    a.li(Reg::R2, 0); // acc
+    a.li(Reg::R3, TRIPS);
+    a.li(Reg::R5, 0x9E37_79B9); // LCG multiplier
+    a.li(Reg::R7, 1); // LCG state
+    a.label("loop");
+    a.mulq(Reg::R7, Reg::R5, Reg::R7);
+    a.addq_lit(Reg::R7, 77, Reg::R7);
+    // The store's address is `buf`, known only after a `mulq` chain.
+    a.mulq_lit(Reg::R7, 0, Reg::R8);
+    a.mulq(Reg::R8, Reg::R8, Reg::R8);
+    a.addq(Reg::R1, Reg::R8, Reg::R9);
+    a.stq(Reg::R7, 16, Reg::R9);
+    a.ldq(Reg::R10, 0, Reg::R1); // parked behind the store
+    a.addq(Reg::R2, Reg::R10, Reg::R2);
+    // Unpredictable: bit 17 of the LCG state.
+    a.srl_lit(Reg::R7, 17, Reg::R11);
+    a.and_lit(Reg::R11, 1, Reg::R11);
+    a.beq(Reg::R11, "skip");
+    a.addq_lit(Reg::R2, 3, Reg::R2);
+    a.label("skip");
+    a.subq_lit(Reg::R3, 1, Reg::R3);
+    a.bne(Reg::R3, "loop");
+    a.mov(Reg::R2, Reg::A0);
+    a.write_word();
+    a.exit(0);
+    a.finish().expect("assembles")
+}
+
+const SQUASH_HEAVY_PIN: Pin = Pin {
+    tick: 2016,
+    instret: 2703,
+    branch_lookups: 703,
+    branch_mispredicts: 126,
+    squashed: 2078,
+    caches: [(4779, 2), (400, 1), (0, 3)],
+};
+
+#[test]
+fn a_squash_heavy_program_runs_the_pinned_o3_cycle_stream() {
+    let config =
+        MachineConfig { cpu: CpuKind::O3, max_ticks: 10_000_000, ..MachineConfig::default() };
+    let mut machine = Machine::boot(config, &squash_heavy_program(), NoopHooks).expect("boots");
+    run_to_halt(&mut machine, "squash-heavy");
+    let stats = machine.stats();
+    assert!(stats.branch_mispredicts > 20 && stats.squashed > 200, "{stats:?}");
+    assert_eq!(Pin::of(&stats), SQUASH_HEAVY_PIN);
+    assert_eq!(machine.out_words(), [SQUASH_HEAVY_OUT]);
+}
