@@ -21,8 +21,8 @@
 //!    fleet of remote workers behind a campaign server (Sec. III-E).
 //!
 //! Steps 4–6 are one pipeline in three pieces (DESIGN.md §12): the
-//! experiment **driver** ([`runner`]: build a machine from the checkpoint
-//! or a fork plan's trunk; drive it; classify), a **plan** that hands out
+//! experiment **driver** ([`runner`]: build a machine from the checkpoint,
+//! a station of it, or a fork plan's trunk; drive it; classify), a **plan** that hands out
 //! experiments in rounds ([`adaptive`]: a fixed list is the one-round case
 //! of the sequential sampler), and the **slot table** ([`now`]: one slot
 //! per drawn experiment, the fold of its journal, a round being its open
@@ -62,8 +62,9 @@ pub use now::{
 pub use report::OutcomeTable;
 pub use rng::SplitMix64;
 pub use runner::{
-    drive_whole_run, prepare_workload, run_experiment, run_experiment_from_with_abort,
-    run_experiment_multi, ExperimentResult, PreparedWorkload, RunnerConfig, DORMANT_CHUNK_FACTOR,
+    drive_experiment, drive_whole_run, prepare_workload, run_experiment,
+    run_experiment_from_with_abort, run_experiment_multi, DrivenRun, ExperimentResult,
+    PreparedWorkload, RunnerConfig, Stations, DORMANT_CHUNK_FACTOR, MAX_STATIONS,
 };
 pub use sampler::{FaultSampler, LocationClass};
 pub use server::{CampaignServer, QueueKind, QueueReport, QueueSpec, ServerConfig, ServerReport};

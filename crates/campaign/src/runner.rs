@@ -1,12 +1,26 @@
 //! The experiment runner: checkpoint preparation and single-experiment
 //! execution (Sec. IV-B methodology).
+//!
+//! An experiment runs on the injection model up to its fault and on the
+//! finish model after it. Everything before the fault is the fault-free
+//! run every experiment shares, so the runner does not re-simulate it per
+//! experiment: a [`PreparedWorkload`] lazily walks one fault-free *trunk*
+//! from its checkpoint and keeps warm forks of it, *stations*, on the
+//! checkpoint-anchored tick grid. An experiment forks the latest station
+//! at which none of its specs has armed ([`GemFiEngine::arming`]) and
+//! drives the fork with the same loop a whole run uses. Such a fork is
+//! bit-identical to a whole run for the reasons [`crate::fork`] gives for
+//! its sweep; `tests/fork_prefix_conformance.rs` compares the two. Runs
+//! from any other checkpoint (a spool workstation's local copy) restore
+//! whole, as [`drive_whole_run`] always does.
 
 use crate::classify::classify;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
-use gemfi_cpu::CpuKind;
+use gemfi_cpu::{CpuKind, Dormancy};
 use gemfi_sim::{Checkpoint, Machine, RunExit};
 use gemfi_workloads::{workload_machine_config, GuestWorkload, RunOutput, Workload};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Everything a campaign needs about one workload, produced once and shared
 /// by all experiments.
@@ -16,8 +30,9 @@ pub struct PreparedWorkload {
     pub guest: GuestWorkload,
     /// Snapshot taken at the `fi_read_init_all()` marker (post-boot,
     /// post-initialization — the Fig. 3 fast-forward point). Shared: every
-    /// experiment restores straight from this one immutable checkpoint —
-    /// restoring bumps page refcounts instead of copying guest memory.
+    /// experiment descends from this one immutable checkpoint, through a
+    /// station or a whole restore — restoring bumps page refcounts instead
+    /// of copying guest memory.
     pub checkpoint: Arc<Checkpoint>,
     /// The fault-free reference run (output bytes, stats).
     pub golden: RunOutput,
@@ -29,6 +44,121 @@ pub struct PreparedWorkload {
     pub boot_ticks: u64,
     /// Fault-free ticks from the checkpoint to termination.
     pub kernel_ticks: u64,
+    /// Warm fault-free forks experiments start from, built on first use
+    /// and shared by every clone of this value.
+    pub stations: Stations,
+}
+
+/// Most stations one line keeps. Full, a line drops every other station
+/// and doubles its spacing, so the walk covers any kernel length in
+/// bounded memory: about 0.7 MiB a station (mostly the L2 tag and LRU
+/// array, the predecode table and the page table), so 45 MiB a line.
+pub const MAX_STATIONS: usize = 64;
+
+/// Stations per scheduling chunk ([`RunnerConfig::chunk`]) at a line's
+/// starting spacing.
+const STATIONS_PER_CHUNK: u64 = 4;
+
+/// The stations of a [`PreparedWorkload`]: one *line* per checkpoint and
+/// [`RunnerConfig`] it has run experiments with. Opaque; its one
+/// constructor is [`Default`], an empty set.
+#[derive(Clone, Default)]
+pub struct Stations(Arc<Mutex<Vec<Line>>>);
+
+impl fmt::Debug for Stations {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Stations({})", self.count())
+    }
+}
+
+impl Stations {
+    /// Stations held over all lines.
+    pub fn count(&self) -> usize {
+        self.0.lock().map_or(0, |lines| lines.iter().map(|l| l.stations.len()).sum())
+    }
+
+    /// The latest station of `prepared`'s line for `config` at which none
+    /// of `specs` has armed, walking the line's trunk as far as `specs`
+    /// need first. `None` when no station qualifies or the lock is
+    /// poisoned: the experiment then restores whole.
+    fn latest_unarmed(
+        &self,
+        prepared: &PreparedWorkload,
+        specs: &[FaultSpec],
+        config: &RunnerConfig,
+    ) -> Option<Arc<Machine<GemFiEngine>>> {
+        let mut lines = self.0.lock().ok()?;
+        let at = lines
+            .iter()
+            .position(|l| Arc::ptr_eq(&l.checkpoint, &prepared.checkpoint) && l.config == *config);
+        let line = match at {
+            Some(at) => &mut lines[at],
+            None => {
+                lines.push(Line::new(prepared, config));
+                lines.last_mut()?
+            }
+        };
+        line.walk(specs);
+        let qualifying = line.stations.partition_point(|s| !armed_at(s, specs));
+        Some(Arc::clone(&line.stations[qualifying.checked_sub(1)?]))
+    }
+}
+
+/// One fault-free trunk walked from a checkpoint under one config, and the
+/// stations it left behind, in tick order.
+struct Line {
+    /// The checkpoint the trunk was restored from; the line serves no other.
+    checkpoint: Arc<Checkpoint>,
+    config: RunnerConfig,
+    trunk: Machine<GemFiEngine>,
+    stations: Vec<Arc<Machine<GemFiEngine>>>,
+    /// Ticks between stations, on the grid anchored at the checkpoint.
+    spacing: u64,
+    /// The trunk terminated: no station lies past the last one.
+    done: bool,
+}
+
+impl Line {
+    fn new(prepared: &PreparedWorkload, config: &RunnerConfig) -> Line {
+        let checkpoint = Arc::clone(&prepared.checkpoint);
+        let trunk = build_machine(Source::Checkpoint(&checkpoint), prepared, &[], config);
+        let spacing = (config.chunk / STATIONS_PER_CHUNK).max(1);
+        Line { checkpoint, config: *config, trunk, stations: Vec::new(), spacing, done: false }
+    }
+
+    /// Walks the trunk until one of `specs` has armed at it or it
+    /// terminates, leaving a station at every grid point on the way.
+    fn walk(&mut self, specs: &[FaultSpec]) {
+        let origin = self.checkpoint.tick();
+        while !self.done && !armed_at(&self.trunk, specs) {
+            let tick = self.trunk.tick();
+            if self.stations.last().is_none_or(|s| s.tick() < tick) {
+                if self.stations.len() == MAX_STATIONS {
+                    // Station 2k stands at grid point 2k: what is left lies
+                    // on the grid of twice the spacing.
+                    let mut index = 0;
+                    self.stations.retain(|_| {
+                        index += 1;
+                        index % 2 == 1
+                    });
+                    self.spacing = self.spacing.saturating_mul(2);
+                }
+                let faultless = self.trunk.hooks().fork_with_faults(FaultConfig::empty());
+                self.stations.push(Arc::new(self.trunk.fork_with(faultless)));
+            }
+            let target = next_boundary(tick, origin, self.spacing);
+            self.done = self.trunk.run_to_tick(target).is_some();
+        }
+    }
+}
+
+/// Whether any of `specs` has armed at `machine`'s position. Monotone
+/// along a run, which makes the stations that qualify a prefix of a line.
+fn armed_at(machine: &Machine<GemFiEngine>, specs: &[FaultSpec]) -> bool {
+    let now = machine.tick();
+    specs
+        .iter()
+        .any(|spec| machine.hooks().arming(spec.location.core(), now, spec) == Dormancy::Active)
 }
 
 /// How experiments are executed.
@@ -137,7 +267,15 @@ pub fn prepare_workload(workload: &dyn Workload) -> Result<PreparedWorkload, Str
         RunOutput { exit, bytes, console: machine.console().to_vec(), stats: machine.stats() };
     let stage_events = machine.hooks().stage_events();
     let kernel_ticks = machine.tick() - boot_ticks;
-    Ok(PreparedWorkload { guest, checkpoint, golden, stage_events, boot_ticks, kernel_ticks })
+    Ok(PreparedWorkload {
+        guest,
+        checkpoint,
+        golden,
+        stage_events,
+        boot_ticks,
+        kernel_ticks,
+        stations: Stations::default(),
+    })
 }
 
 /// The tick budget for one experiment: checkpoint time plus a multiple of
@@ -174,8 +312,8 @@ pub(crate) enum Source<'a> {
     /// A whole run: restore the campaign checkpoint (or a workstation-local
     /// copy of it) into the injection model.
     Checkpoint(&'a Checkpoint),
-    /// Fork the fault-free trunk of a fork-at-injection plan
-    /// ([`crate::fork`]) where it stands.
+    /// Fork a fault-free machine where it stands: a station, or the trunk
+    /// of a fork-at-injection plan ([`crate::fork`]).
     Trunk(&'a Machine<GemFiEngine>),
 }
 
@@ -266,8 +404,8 @@ pub(crate) fn drive_to_completion(
     }
 }
 
-/// The one experiment driver: restores `checkpoint` loaded with `specs`,
-/// drives the whole run under `abort`, and classifies. Every `run_*` entry
+/// The one experiment driver: drives `specs` from `checkpoint` under
+/// `abort` ([`drive_experiment`]) and classifies. Every `run_*` entry
 /// point — single fault, multi-fault, a campaign worker's lease — is a call
 /// into this.
 fn experiment(
@@ -279,15 +417,52 @@ fn experiment(
     abort: &AbortToken,
 ) -> ExperimentResult {
     assert!(!specs.is_empty(), "at least one fault");
-    let (machine, exit, aborted) = drive_whole_run(checkpoint, prepared, specs, config, abort);
-    finish_result(&machine, checkpoint.tick(), prepared, workload, specs[0], (exit, aborted))
+    let run = drive_experiment(checkpoint, prepared, specs, config, abort);
+    finish_result(&run.machine, checkpoint.tick(), prepared, workload, specs[0], run.drove)
+}
+
+/// A driven experiment, before classification.
+#[derive(Debug)]
+pub struct DrivenRun {
+    /// The machine at termination.
+    pub machine: Machine<GemFiEngine>,
+    /// Tick of the station the run forked; `None` for a whole restore.
+    pub station: Option<u64>,
+    /// The terminal exit, and whether the abort token cut the run short.
+    pub drove: (RunExit, bool),
+}
+
+/// Drives one experiment loaded with `specs` from `checkpoint`: from the
+/// latest unarmed station when `checkpoint` is `prepared`'s own and the
+/// run is not already aborted, otherwise from a whole restore. Either way
+/// the result is bit-identical to [`drive_whole_run`]'s; the full machine
+/// comes back so the conformance suite can compare them.
+pub fn drive_experiment(
+    checkpoint: &Checkpoint,
+    prepared: &PreparedWorkload,
+    specs: &[FaultSpec],
+    config: &RunnerConfig,
+    abort: &AbortToken,
+) -> DrivenRun {
+    let own = std::ptr::eq(checkpoint, &*prepared.checkpoint);
+    let station = if own && !abort.is_aborted() {
+        prepared.stations.latest_unarmed(prepared, specs, config)
+    } else {
+        None
+    };
+    let mut machine = match &station {
+        Some(station) => build_machine(Source::Trunk(station), prepared, specs, config),
+        None => build_machine(Source::Checkpoint(checkpoint), prepared, specs, config),
+    };
+    let drove = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
+    DrivenRun { machine, station: station.map(|s| s.tick()), drove }
 }
 
 /// Restores from `checkpoint` with a fresh engine loaded with `specs` and
-/// drives the whole experiment — everything [`run_experiment_from_with_abort`]
-/// does short of classification. The fork-at-injection conformance suite
-/// compares this machine's terminal state bit-for-bit against a forked
-/// suffix's, so the full machine comes back, not just the result.
+/// drives the whole experiment: the restore-only reference. The
+/// conformance suite compares this machine's terminal state bit-for-bit
+/// against a station fork's and a forked suffix's, so the full machine
+/// comes back, not just the result.
 pub fn drive_whole_run(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
@@ -301,8 +476,9 @@ pub fn drive_whole_run(
 }
 
 /// Runs one experiment from an explicit checkpoint (the NoW path passes a
-/// workstation-local copy) with an external abort token checked between
-/// scheduling chunks. The campaign's lease reaper raises the token when
+/// workstation-local copy, which restores whole; `prepared`'s own
+/// checkpoint starts from a station) with an external abort token checked
+/// between scheduling chunks. The campaign's lease reaper raises the token when
 /// this experiment's lease expires; the run then stops at the next chunk
 /// boundary and classifies as [`Outcome::Infrastructure`] (the harness gave
 /// up — the guest's own behavior is unknown).

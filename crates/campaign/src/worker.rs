@@ -22,11 +22,13 @@
 //! queue it fetches campaign metadata once, rebuilds the workload through a
 //! caller-supplied resolver, and fetches the checkpoint image once per
 //! distinct digest (shared across queues that campaign the same prepared
-//! workload). Every attempt — a retry included — runs the whole experiment
-//! from that checkpoint; a worker keeps nothing on disk.
+//! workload). Every attempt — a retry included — runs the experiment from
+//! that checkpoint, starting at the latest unarmed station of the queue's
+//! prepared context (`runner::Stations`, rebuilt locally from the
+//! checkpoint); a worker keeps nothing on disk.
 
 use crate::runner::{
-    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig,
+    run_experiment_from_with_abort, ExperimentResult, PreparedWorkload, RunnerConfig, Stations,
 };
 use crate::transport::{AttemptGuard, CampaignTransport, ClaimReply, ReportAck, WorkAssignment};
 use crate::wire::{
@@ -458,6 +460,7 @@ fn fetch_queue_context(
         stage_events,
         boot_ticks,
         kernel_ticks,
+        stations: Stations::default(),
     };
     Ok(QueueContext { workload, prepared })
 }

@@ -217,11 +217,21 @@ impl GemFiEngine {
     ///
     /// A spec whose thread has not activated yet is evaluated at `(0, 0)`:
     /// activation resets the counters, so its whole offset still lies ahead
-    /// (a lower bound). A spec for another core can never fire here and
-    /// reports `Dormant`.
+    /// (a lower bound). An ended activation that reached the spec's window
+    /// keeps it `Active` for good — the spec may have fired or expired
+    /// there — so the answer never goes back from `Active` as the machine
+    /// runs on. A spec for another core can never fire here and reports
+    /// `Dormant`.
     pub fn arming(&self, core: usize, now: Ticks, spec: &FaultSpec) -> Dormancy {
         if spec.location.core() != core {
             return Dormancy::Dormant;
+        }
+        if let Some(ended) = self.threads.ended(spec.thread) {
+            // Each timing kind reads one axis, so the maxima suffice.
+            let reached = spec.arming(ended.stage_counts[spec.stage().index()], ended.ticks);
+            if reached == Dormancy::Active {
+                return Dormancy::Active;
+            }
         }
         let mut threads = self.threads.with_id(spec.thread).peekable();
         if threads.peek().is_none() {
@@ -906,6 +916,41 @@ mod tests {
         assert_eq!(e.arming(0, 0, &spec), Dormancy::Active);
         // Wrong core: unreachable.
         assert_eq!(e.arming(1, 0, &spec), Dormancy::Dormant);
+    }
+
+    #[test]
+    fn arming_remembers_ended_activations() {
+        // A closing fi_activate drops the thread's record; a spec whose
+        // window that activation reached must stay armed, while one beyond
+        // it still lies ahead of the next activation.
+        const N: u64 = 40;
+        let spec = |start| FaultSpec {
+            location: FaultLocation::Execute { core: 0 },
+            thread: 0,
+            timing: FaultTiming::Instructions(start),
+            behavior: FaultBehavior::Flip(0),
+            occurrences: 1,
+        };
+        let mut e = GemFiEngine::new(FaultConfig::empty());
+        e.on_fi_activate(0, 0, 0, 0x4000);
+        let nop = Instr::FiReadInit;
+        for _ in 0..N {
+            e.on_execute_result(0, &nop, 1);
+        }
+        e.on_fi_activate(0, 10, 0, 0x4000);
+        assert_eq!(e.active_threads(), 0);
+        assert_eq!(e.arming(0, 10, &spec(N - 1)), Dormancy::Active);
+        assert_eq!(
+            e.arming(0, 10, &spec(N + 5)),
+            Dormancy::Quiet { events: N + 5, ticks: u64::MAX }
+        );
+        // A fresh activation restarts the count but not the memory.
+        e.on_fi_activate(0, 20, 0, 0x4000);
+        assert_eq!(e.arming(0, 20, &spec(N - 1)), Dormancy::Active);
+        assert_eq!(
+            e.arming(0, 20, &spec(N + 5)),
+            Dormancy::Quiet { events: N + 5, ticks: u64::MAX }
+        );
     }
 
     #[test]

@@ -57,11 +57,30 @@ impl ThreadEnabledFault {
     }
 }
 
+/// What the ended activations under one `fi_activate_inst(id)` identity
+/// reached: the largest per-stage counts and the longest duration among
+/// them. A spec's window is reached within an activation once its stage
+/// count or its ticks since activation reach the start; both only grow
+/// while the activation lasts, and each timing kind reads one axis, so
+/// these maxima answer "did any ended activation reach the window".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EndedActivations {
+    /// The `fi_activate_inst(id)` identity.
+    id: u32,
+    /// Per-stage maximum of the ended activations' stage counts.
+    pub(crate) stage_counts: [u64; 5],
+    /// The longest ended activation, in ticks.
+    pub(crate) ticks: u64,
+}
+
 /// The thread table: an arena of [`ThreadEnabledFault`] records, a PCB-keyed
-/// hash index, each core's current PCB base, and the per-core pointer cache.
+/// hash index, each core's current PCB base, the per-core pointer cache,
+/// and what the ended activations reached.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadTable {
     arena: Vec<ThreadEnabledFault>,
+    /// One entry per id that ended an activation (a handful at most).
+    ended: Vec<EndedActivations>,
     by_pcbb: HashMap<u64, usize>,
     /// Per-core cached index of the running thread's record (`None` when the
     /// running thread has not activated injection).
@@ -80,6 +99,7 @@ impl ThreadTable {
     pub fn new(cores: usize, pcb_pointer_cache: bool) -> ThreadTable {
         ThreadTable {
             arena: Vec::new(),
+            ended: Vec::new(),
             by_pcbb: HashMap::new(),
             core_active: vec![None; cores],
             core_pcbb: vec![0; cores],
@@ -98,9 +118,11 @@ impl ThreadTable {
     pub fn toggle(&mut self, core: usize, id: u32, pcbb: u64, now: u64) -> bool {
         self.core_pcbb[core] = pcbb;
         if let Some(&idx) = self.by_pcbb.get(&pcbb) {
-            // Deactivation: drop the record, compact the arena.
+            // Deactivation: fold the record into its id's ended maxima,
+            // drop it, compact the arena.
             self.by_pcbb.remove(&pcbb);
-            self.arena.swap_remove(idx);
+            let rec = self.arena.swap_remove(idx);
+            self.end_activation(&rec, now);
             if idx < self.arena.len() {
                 // The swapped-in record moved; re-index it.
                 let moved_pcbb = self.arena[idx].pcbb;
@@ -120,6 +142,28 @@ impl ThreadTable {
             self.core_active[core] = Some(idx);
             true
         }
+    }
+
+    fn end_activation(&mut self, rec: &ThreadEnabledFault, now: u64) {
+        let ticks = rec.ticks_since_activation(now);
+        match self.ended.iter_mut().find(|e| e.id == rec.id) {
+            Some(e) => {
+                for (max, n) in e.stage_counts.iter_mut().zip(rec.stage_counts) {
+                    *max = (*max).max(n);
+                }
+                e.ticks = e.ticks.max(ticks);
+            }
+            None => self.ended.push(EndedActivations {
+                id: rec.id,
+                stage_counts: rec.stage_counts,
+                ticks,
+            }),
+        }
+    }
+
+    /// What the ended activations under `id` reached, if any has ended.
+    pub(crate) fn ended(&self, id: u32) -> Option<&EndedActivations> {
+        self.ended.iter().find(|e| e.id == id)
     }
 
     /// Context-switch notification: re-resolves the per-core cached pointer
@@ -188,6 +232,22 @@ mod tests {
         assert!(!t.toggle(0, 7, 0x4000, 200));
         assert!(t.running(0).is_none());
         assert_eq!(t.active_threads(), 0);
+    }
+
+    #[test]
+    fn ended_activations_keep_their_maxima() {
+        let mut t = ThreadTable::new(1, true);
+        assert!(t.ended(7).is_none());
+        t.toggle(0, 7, 0x4000, 100);
+        t.running_mut(0).unwrap().stage_counts = [5, 0, 9, 0, 3];
+        t.toggle(0, 7, 0x4000, 150);
+        t.toggle(0, 7, 0x4000, 200);
+        t.running_mut(0).unwrap().stage_counts = [2, 4, 1, 0, 8];
+        t.toggle(0, 7, 0x4000, 220);
+        let ended = t.ended(7).unwrap();
+        assert_eq!(ended.stage_counts, [5, 4, 9, 0, 8]);
+        assert_eq!(ended.ticks, 50);
+        assert!(t.ended(8).is_none());
     }
 
     #[test]

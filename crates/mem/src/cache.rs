@@ -20,6 +20,13 @@ pub struct CacheConfig {
 /// can make [`Cache::new`] allocate at most 24 MiB.
 const MAX_LINES: usize = 1 << 20;
 
+/// Longest latency, in ticks, any one cache level or DRAM may declare:
+/// 2^20, about 13 000× the default DRAM latency of 80. An access sums at
+/// most three of them (L1 + L2 + DRAM), and the CPU models add that sum to
+/// a `u64` tick clock, so the bound keeps every such sum far from overflow
+/// for any tick a watchdog-bounded run can reach.
+pub(crate) const MAX_LATENCY: u64 = 1 << 20;
+
 impl CacheConfig {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> usize {
@@ -31,8 +38,12 @@ impl CacheConfig {
     /// # Errors
     ///
     /// The first inconsistency: a non-power-of-two line size, more than
-    /// `MAX_LINES` lines, no whole set, or a capacity the sets do not tile.
+    /// `MAX_LINES` lines, no whole set, a capacity the sets do not tile, or
+    /// a hit latency above `MAX_LATENCY`.
     pub fn validate(&self) -> Result<(), &'static str> {
+        if self.hit_latency > MAX_LATENCY {
+            return Err("hit latency must fit the latency limit");
+        }
         if !self.line.is_power_of_two() {
             return Err("line size must be a power of two");
         }

@@ -6,6 +6,7 @@
 //! matching gem5's behaviour when restoring a checkpoint into a different
 //! CPU model (the paper's campaign methodology restores into O3 mode).
 
+use crate::cache::MAX_LATENCY;
 use crate::config::MemConfig;
 use crate::hierarchy::MemorySystem;
 use gemfi_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
@@ -108,6 +109,15 @@ pub fn decode_image(r: &mut ByteReader<'_>) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
+/// Refuses a latency above `MAX_LATENCY`, which the access path could not
+/// sum without overflow.
+fn check_latency(what: &'static str, latency: u64) -> Result<(), CodecError> {
+    if latency > MAX_LATENCY {
+        return Err(CodecError::InvalidTag { what, value: latency });
+    }
+    Ok(())
+}
+
 impl Codec for MemorySystem {
     fn encode(&self, w: &mut ByteWriter) {
         let cfg = self.config();
@@ -131,6 +141,7 @@ impl Codec for MemorySystem {
             return Err(CodecError::LengthOverflow { len: phys_size as u64 });
         }
         let dram_latency = r.get_u64()?;
+        check_latency("dram latency", dram_latency)?;
         let mut caches =
             [crate::cache::CacheConfig { size: 0, ways: 0, line: 0, hit_latency: 0 }; 3];
         for c in &mut caches {
@@ -138,6 +149,7 @@ impl Codec for MemorySystem {
             c.ways = r.get_len()?;
             c.line = r.get_len()?;
             c.hit_latency = r.get_u64()?;
+            check_latency("cache hit latency", c.hit_latency)?;
             if c.validate().is_err() {
                 return Err(CodecError::InvalidTag {
                     what: "cache geometry",

@@ -456,6 +456,24 @@ mod tests {
     }
 
     #[test]
+    fn a_signed_payload_with_an_overflowing_latency_is_refused() {
+        let (_, c) = checkpointing_machine();
+        // phys_size, dram_latency, then l1i's size, ways and line before
+        // its hit latency.
+        let dram = mem_offset(&c) + 8;
+        let l1i_hit = mem_offset(&c) + 5 * 8;
+        let payload = payload_of(&c);
+        assert_eq!(payload[dram..dram + 8], 80u64.to_le_bytes(), "dram_latency");
+        assert_eq!(payload[l1i_hit..l1i_hit + 8], 1u64.to_le_bytes(), "l1i.hit_latency");
+        for (offset, what) in [(l1i_hit, "cache hit latency"), (dram, "dram latency")] {
+            let mut patched = payload.clone();
+            patched[offset..offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = Checkpoint::from_bytes(&signed(&patched)).unwrap_err();
+            assert_eq!(err, CodecError::InvalidTag { what, value: u64::MAX });
+        }
+    }
+
+    #[test]
     fn a_tiny_image_may_not_demand_a_huge_memory() {
         let (_, c) = checkpointing_machine();
         let payload = payload_of(&c);

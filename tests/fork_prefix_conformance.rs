@@ -1,6 +1,7 @@
 //! Fork-at-injection conformance (the non-negotiable half of the
-//! shared-prefix executor): a forked-suffix run must be *bit-identical* to
-//! a whole run of the same experiment — same `RunExit`, same complete
+//! shared-prefix executors): a run forked off a fault-free trunk — a
+//! sweep's suffix or a station fork — must be *bit-identical* to a whole
+//! run of the same experiment — same `RunExit`, same complete
 //! [`ArchState`], same every-byte-of-physical-memory, same injection
 //! records, same tick and instruction counts.
 //!
@@ -9,13 +10,61 @@
 //! contract at the fork (the never-serialized rule): the trunk runs with
 //! warm predecode and superblock caches, but a fork must come out
 //! decode-cold and translation-cold — asserted here rather than trusted.
+//! Stations are further checked on a fault that fires right before its
+//! activation ends, on a trunk long enough to thin its stations, and on a
+//! seeded sample of every small guest.
 
-use gemfi::{AbortToken, FaultBehavior, FaultLocation, FaultSpec, FaultTiming};
+use gemfi::{AbortToken, FaultBehavior, FaultLocation, FaultSpec, FaultTiming, GemFiEngine};
+use gemfi_bench::{workloads, Scale};
 use gemfi_campaign::fork::{drive_suffix, plan_suffixes, ForkConfig};
-use gemfi_campaign::runner::{drive_whole_run, prepare_workload, RunnerConfig};
-use gemfi_campaign::PreparedWorkload;
+use gemfi_campaign::runner::{
+    drive_experiment, drive_whole_run, prepare_workload, RunnerConfig, MAX_STATIONS,
+};
+use gemfi_campaign::{FaultSampler, PreparedWorkload, Stations};
 use gemfi_cpu::CpuKind;
+use gemfi_sim::Machine;
+use gemfi_workloads::canneal::Canneal;
 use gemfi_workloads::pi::MonteCarloPi;
+
+const MODELS: [CpuKind; 4] = [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3];
+
+/// Asserts two terminated experiment machines are bit-identical.
+fn assert_same_machine(got: &Machine<GemFiEngine>, want: &Machine<GemFiEngine>, tag: &str) {
+    assert_eq!(got.tick(), want.tick(), "{tag}: tick differs");
+    assert_eq!(got.instret(), want.instret(), "{tag}: instret differs");
+    assert_eq!(got.arch(), want.arch(), "{tag}: ArchState differs");
+    assert_eq!(got.hooks().records(), want.hooks().records(), "{tag}: injection records differ");
+    let size = want.mem().size() as usize;
+    assert!(
+        got.mem().read_slice(0, size).expect("memory")
+            == want.mem().read_slice(0, size).expect("memory"),
+        "{tag}: physical memory differs"
+    );
+}
+
+/// Drives `specs` through [`drive_experiment`] and through a whole
+/// restore, asserts the two bit-identical, and returns the tick of the
+/// station the first run forked (`None`: it restored whole).
+fn station_matches_whole_run(
+    p: &PreparedWorkload,
+    specs: &[FaultSpec],
+    runner: &RunnerConfig,
+    tag: &str,
+) -> Option<u64> {
+    let run = drive_experiment(&p.checkpoint, p, specs, runner, &AbortToken::new());
+    let (whole, exit, aborted) =
+        drive_whole_run(&p.checkpoint, p, specs, runner, &AbortToken::new());
+    let tag = format!("{tag} station={:?}", run.station);
+    assert!(!aborted, "{tag}");
+    assert_eq!(run.drove, (exit, aborted), "{tag}: exit differs");
+    assert_same_machine(&run.machine, &whole, &tag);
+    run.station
+}
+
+/// `p` with no stations walked yet.
+fn unwalked(p: &PreparedWorkload) -> PreparedWorkload {
+    PreparedWorkload { stations: Stations::default(), ..p.clone() }
+}
 
 fn specs_for(p: &PreparedWorkload) -> Vec<FaultSpec> {
     let committed = p.stage_events[4];
@@ -122,20 +171,28 @@ fn conformance(model: CpuKind) {
                     "{tag}: superblock uops executed with superblocks off"
                 );
             }
-            assert_eq!(suffix.machine.tick(), whole.tick(), "{tag}: tick differs");
-            assert_eq!(suffix.machine.instret(), whole.instret(), "{tag}: instret differs");
-            assert_eq!(suffix.machine.arch(), whole.arch(), "{tag}: ArchState differs");
-            assert_eq!(
-                suffix.machine.hooks().records(),
-                whole.hooks().records(),
-                "{tag}: injection records differ"
-            );
-            let size = whole.mem().size() as usize;
-            assert!(
-                suffix.machine.mem().read_slice(0, size).expect("memory")
-                    == whole.mem().read_slice(0, size).expect("memory"),
-                "{tag}: physical memory differs"
-            );
+            assert_same_machine(&suffix.machine, &whole, &tag);
+        }
+        // Stations, walked in spec order and again in reverse: the order
+        // decides how far the trunk stands when each spec asks. This
+        // kernel runs for only a few default chunks, so a finer chunk
+        // puts several stations ahead of its faults.
+        let runner = RunnerConfig { chunk: 2_000, ..runner };
+        let tag = format!("{model} elide={elide} superblock={superblock}");
+        for reverse in [false, true] {
+            let walked = unwalked(&p);
+            let mut indices: Vec<usize> = (0..specs.len()).collect();
+            if reverse {
+                indices.reverse();
+            }
+            for index in indices {
+                let tag = format!("{tag} reverse={reverse} spec#{index}");
+                let station = station_matches_whole_run(&walked, &[specs[index]], &runner, &tag);
+                let station = station.expect("no spec of the list is armed at the checkpoint");
+                if index == 0 {
+                    assert!(station > p.checkpoint.tick(), "{tag}: the late fault starts late");
+                }
+            }
         }
     }
 }
@@ -158,4 +215,84 @@ fn fork_prefix_conformance_inorder() {
 #[test]
 fn fork_prefix_conformance_o3() {
     conformance(CpuKind::O3);
+}
+
+/// Small canneal's kernel activation ends shortly after this fault fires
+/// on O3. A station past the closing `fi_activate` must not be taken for
+/// one before the fault's window: the whole run fires it.
+#[test]
+fn a_fault_near_the_end_of_its_activation_still_fires() {
+    let w = Canneal { steps: 128, ..Canneal::default() };
+    let p = prepare_workload(&w).expect("prepares");
+    let spec = FaultSpec {
+        location: FaultLocation::FpReg { core: 0, reg: 7 },
+        thread: 0,
+        timing: FaultTiming::Instructions(350_393),
+        behavior: FaultBehavior::Flip(17),
+        occurrences: 1,
+    };
+    let runner = RunnerConfig::default();
+    // Walk the trunk past the kernel first, then ask for the fault.
+    let past_the_kernel = FaultSpec { timing: FaultTiming::Instructions(u64::MAX), ..spec };
+    station_matches_whole_run(&p, &[past_the_kernel], &runner, "past the kernel");
+    let station = station_matches_whole_run(&p, &[spec], &runner, "canneal f7");
+    assert!(station.is_some(), "a station before the fault's window serves it");
+    let run = drive_experiment(&p.checkpoint, &p, &[spec], &runner, &AbortToken::new());
+    assert_eq!(run.machine.hooks().records().len(), 1, "the fault fires");
+}
+
+/// Small canneal on Atomic walks about 73 stations at the starting spacing:
+/// the line must thin itself to stay within `MAX_STATIONS` and still serve
+/// exact forks.
+#[test]
+fn a_long_trunk_keeps_at_most_max_stations() {
+    let w = Canneal { steps: 128, ..Canneal::default() };
+    let p = prepare_workload(&w).expect("prepares");
+    let runner = RunnerConfig {
+        inject_cpu: CpuKind::Atomic,
+        finish_cpu: CpuKind::Atomic,
+        ..RunnerConfig::default()
+    };
+    let late = FaultSpec {
+        location: FaultLocation::IntReg { core: 0, reg: 9 },
+        thread: 0,
+        timing: FaultTiming::Instructions(p.stage_events[4] - 40),
+        behavior: FaultBehavior::Flip(2),
+        occurrences: 1,
+    };
+    let never = FaultSpec { timing: FaultTiming::Instructions(u64::MAX), ..late };
+    let grid_points = p.kernel_ticks / (runner.chunk / 4);
+    assert!(grid_points > MAX_STATIONS as u64, "the trunk must outgrow one line");
+    for (i, spec) in [never, late].into_iter().enumerate() {
+        let station = station_matches_whole_run(&p, &[spec], &runner, &format!("spec#{i}"));
+        assert!(station.is_some());
+        let count = p.stations.count();
+        assert!((2..=MAX_STATIONS).contains(&count), "{count} stations");
+    }
+    let mid = FaultSpec { timing: FaultTiming::Instructions(p.stage_events[4] / 3), ..late };
+    station_matches_whole_run(&p, &[mid, late], &runner, "two faults");
+}
+
+/// A seeded sample of faults of every kind on every small guest, on every
+/// injection model: each station fork matches its whole run.
+#[test]
+fn stations_match_whole_runs_on_every_small_guest() {
+    for (g, w) in workloads(Scale::Small).into_iter().enumerate() {
+        let p = prepare_workload(w.as_ref()).expect("prepares");
+        let mut sampler = FaultSampler::new(0x5ea7_0000 + g as u64, p.stage_events, 0, 0);
+        let specs: Vec<FaultSpec> = (0..3)
+            .map(|i| match i {
+                0 => sampler.sample_any(),
+                1 => sampler.sample_cache(gemfi::CacheLevel::L1D),
+                _ => sampler.sample_security(),
+            })
+            .collect();
+        for model in MODELS {
+            let runner = RunnerConfig { inject_cpu: model, ..RunnerConfig::default() };
+            for (i, spec) in specs.iter().enumerate() {
+                let tag = format!("{} {model} spec#{i} {spec}", w.name());
+                station_matches_whole_run(&p, &[*spec], &runner, &tag);
+            }
+        }
+    }
 }
