@@ -51,8 +51,9 @@ pub struct PreparedWorkload {
 
 /// Most stations one line keeps. Full, a line drops every other station
 /// and doubles its spacing, so the walk covers any kernel length in
-/// bounded memory: about 0.7 MiB a station (mostly the L2 tag and LRU
-/// array, the predecode table and the page table), so 45 MiB a line.
+/// bounded memory: about 0.5 MiB a station (mostly the L2 tag and LRU
+/// array and the page table; a station is decode-cold, so it holds no
+/// predecode or superblock table), so 32 MiB a line.
 pub const MAX_STATIONS: usize = 64;
 
 /// Stations per scheduling chunk ([`RunnerConfig::chunk`]) at a line's
@@ -385,7 +386,9 @@ pub(crate) fn drive_to_completion(
         }
         // Horizon-aware scheduling: after the switch, once the engine is
         // fully dormant nothing can fire and the chunk exists only to bound
-        // abort latency, so poll far more coarsely.
+        // abort latency, so poll far more coarsely. A live consumption
+        // watch does not hold this back: the sprint reports its register
+        // at any chunk size.
         let target = if switched {
             let chunk = if machine.hooks().is_dormant(0, machine.tick()) {
                 config.chunk.saturating_mul(DORMANT_CHUNK_FACTOR)

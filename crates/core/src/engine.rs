@@ -201,9 +201,11 @@ impl GemFiEngine {
     }
 
     /// Whether the engine is fully dormant on `core` at `now`: no pending
-    /// fault can ever fire in the current thread-activation state, and no
-    /// consumption watch is live. Campaign schedulers use this to pick a
-    /// coarser chunk granularity for the post-fault fast-forward.
+    /// fault can ever fire in the current thread-activation state. A live
+    /// consumption watch does not count against it — the elided sprint
+    /// still reports the watched registers' accesses. Campaign schedulers
+    /// use this to pick a coarser chunk granularity for the post-fault
+    /// fast-forward, which only changes how often they poll for an abort.
     pub fn is_dormant(&self, core: usize, now: Ticks) -> bool {
         matches!(FaultHooks::dormancy(self, core, now), Dormancy::Dormant)
     }
@@ -603,11 +605,11 @@ impl FaultHooks for GemFiEngine {
     /// counters cannot advance while this thread runs — and any
     /// thread-activation change arrives through a batch-interrupting
     /// passthrough hook, so the horizon stays valid for the whole sprint.
+    ///
+    /// Live consumption watches do not shorten the horizon: a watch
+    /// corrupts nothing, and [`FaultHooks::watched_regs`] hands the elided
+    /// sprint the registers it must still report.
     fn dormancy(&self, core: usize, now: Ticks) -> Dormancy {
-        // Live consumption watches need per-event reg-read/write tracking.
-        if !self.watches.is_empty() {
-            return Dormancy::Active;
-        }
         // An armed skip or a fired-but-unplanted lesion must reach the CPU
         // model on the very next instruction: never elide over it.
         if !self.pending_lesions.is_empty() || self.skip_armed.iter().any(|armed| *armed) {
@@ -628,6 +630,12 @@ impl FaultHooks for GemFiEngine {
                 Dormancy::Dormant
             }
         }))
+    }
+
+    /// The registers of every live consumption watch, on any core. Retiring
+    /// a watch is the only thing a register access does to this engine.
+    fn watched_regs(&self) -> u64 {
+        self.watches.iter().fold(0, |mask, w| mask | w.reg.mask_bit())
     }
 
     /// Bulk equivalent of the per-event counter maintenance: credit the
@@ -852,19 +860,63 @@ mod tests {
     }
 
     #[test]
-    fn dormancy_is_active_while_a_watch_is_outstanding() {
-        let mut e =
-            engine_with("RegisterInjectedFault Inst:0 Flip:0 Threadid:0 system.cpu0 occ:1 int 3");
+    fn a_watch_leaves_the_horizon_to_the_queue_and_holds_its_register_bit() {
+        let mut e = engine_with(
+            "RegisterInjectedFault Inst:0 Flip:0 Threadid:0 system.cpu0 occ:1 int 3\n\
+             ExecutionStageInjectedFault Inst:50 Flip:0 Threadid:0 system.cpu0 occ:1",
+        );
         e.on_fi_activate(0, 0, 0, 0x4000);
         let mut arch = ArchState::new(0);
         arch.pcbb = 0x4000;
         e.before_instruction(0, 1, &mut arch);
-        // The fault fired, but the consumption monitor still watches r3:
-        // elision would miss the read/write that classifies propagation.
-        assert_eq!(e.pending_faults(), 0);
-        assert_eq!(FaultHooks::dormancy(&e, 0, 1), Dormancy::Active);
-        e.on_reg_write(0, RegRef::Int(IntReg::from_bits(3)));
-        assert_eq!(FaultHooks::dormancy(&e, 0, 1), Dormancy::Dormant, "watch retired");
+        // The register fault fired and the consumption monitor watches r3.
+        // The horizon is the queued execute fault's alone; the watch shows
+        // up in the mask instead.
+        let r3 = RegRef::Int(IntReg::from_bits(3));
+        assert_eq!(e.pending_faults(), 1);
+        assert_eq!(FaultHooks::dormancy(&e, 0, 1), Dormancy::Quiet { events: 50, ticks: u64::MAX });
+        assert_eq!(e.watched_regs(), 1 << 3);
+        e.on_reg_read(0, RegRef::Int(IntReg::from_bits(4)));
+        assert_eq!(e.watched_regs(), 1 << 3, "another register leaves the watch live");
+        e.on_reg_write(0, r3);
+        assert!(e.records()[0].overwritten);
+        assert_eq!(e.watched_regs(), 0, "watch retired");
+        assert_eq!(FaultHooks::dormancy(&e, 0, 1), Dormancy::Quiet { events: 50, ticks: u64::MAX });
+    }
+
+    #[test]
+    fn fp_watches_sit_in_the_high_half_of_the_mask() {
+        let mut e = engine_with(
+            "RegisterInjectedFault Inst:0 Flip:0 Threadid:0 system.cpu0 occ:1 float 31",
+        );
+        e.on_fi_activate(0, 0, 0, 0x4000);
+        let mut arch = ArchState::new(0);
+        arch.pcbb = 0x4000;
+        e.before_instruction(0, 1, &mut arch);
+        assert_eq!(FaultHooks::dormancy(&e, 0, 1), Dormancy::Dormant);
+        assert_eq!(e.watched_regs(), 1 << 63);
+    }
+
+    #[test]
+    fn an_elided_hit_retires_the_watch_and_clears_its_bit() {
+        let mut e =
+            engine_with("RegisterInjectedFault Inst:0 Flip:0 Threadid:0 system.cpu0 occ:1 int 5");
+        e.on_fi_activate(0, 0, 0, 0x4000);
+        let mut arch = ArchState::new(0);
+        arch.pcbb = 0x4000;
+        e.before_instruction(0, 1, &mut arch);
+        let mut shim = gemfi_cpu::ElidedHooks::new(&mut e);
+        assert_eq!(shim.watched(), 1 << 5);
+        // Accesses to unwatched registers are counted away, never delivered.
+        shim.on_reg_write(0, RegRef::Int(IntReg::from_bits(6)));
+        shim.on_reg_read(0, RegRef::Fp(FpReg::from_bits(5)));
+        assert_eq!(shim.watched(), 1 << 5);
+        shim.on_reg_read(0, RegRef::Int(IntReg::from_bits(5)));
+        assert_eq!(shim.watched(), 0, "the hit drops the bit");
+        shim.finish();
+        let record = &e.records()[0];
+        assert!(record.consumed && !record.overwritten, "retired exactly as on the hooked path");
+        assert_eq!(e.watched_regs(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The in-order models use [`step_instruction`] wholesale. The out-of-order
 //! core splits an instruction across dispatch, execute and commit but shares
 //! the rest: [`fetch_decode`] with its fetch/decode hooks, the operand lists
-//! ([`src_regs`], [`dst_reg`]), the pure [`alu`]/[`fpu`]/[`cmov_cond`]
+//! ([`Instr::src_regs`], [`Instr::dst_reg`]), the pure [`alu`]/[`fpu`]/[`cmov_cond`]
 //! helpers, the data accesses ([`load`], [`store`]), [`branch_target`], and
 //! the ISA's operand views ([`Instr::mem_operand`], [`Instr::cond_branch`],
 //! [`ArchState::read_reg`]), so each model handles every load and store in
@@ -32,53 +32,6 @@ pub fn exec_latency(instr: &Instr) -> Ticks {
         Instr::FpOp { func: FpFunc::Cpys | FpFunc::Cpysn, .. } => 1,
         Instr::FpOp { .. } => 4,
         _ => 1,
-    }
-}
-
-/// The source registers an instruction reads, in operand order. Conditional
-/// moves list their destination as a third source (they need its old value
-/// when the move is not performed — the classic renaming wrinkle).
-pub fn src_regs(instr: &Instr) -> [Option<RegRef>; 3] {
-    use Instr::*;
-    match *instr {
-        CallPal { .. } | FiActivate { .. } | FiReadInit | Br { .. } | Bsr { .. } => {
-            [None, None, None]
-        }
-        Lda { rb, .. } | Ldah { rb, .. } => [Some(RegRef::Int(rb)), None, None],
-        Mem { .. } | Ldt { .. } | Stt { .. } => instr
-            .mem_operand()
-            .map_or([None; 3], |m| [Some(RegRef::Int(m.base)), m.store.then_some(m.data), None]),
-        Jump { rb, .. } => [Some(RegRef::Int(rb)), None, None],
-        CondBr { .. } | FpCondBr { .. } => [instr.cond_branch().map(|b| b.reg), None, None],
-        IntOp { func, ra, rb, rc } => {
-            let b = match rb {
-                Operand::Reg(r) => Some(RegRef::Int(r)),
-                Operand::Lit(_) => None,
-            };
-            let c = cmov_cond(func, 0).is_some().then_some(RegRef::Int(rc));
-            [Some(RegRef::Int(ra)), b, c]
-        }
-        FpOp { func, fa, fb, fc } => {
-            let c = fp_cmov_cond(func, 0).is_some().then_some(RegRef::Fp(fc));
-            [Some(RegRef::Fp(fa)), Some(RegRef::Fp(fb)), c]
-        }
-        Itoft { rb, .. } => [Some(RegRef::Int(rb)), None, None],
-        Ftoit { fa, .. } => [Some(RegRef::Fp(fa)), None, None],
-    }
-}
-
-/// The register an instruction writes, if any.
-pub fn dst_reg(instr: &Instr) -> Option<RegRef> {
-    use Instr::*;
-    match *instr {
-        Lda { ra, .. } | Ldah { ra, .. } => Some(RegRef::Int(ra)),
-        Mem { .. } | Ldt { .. } => instr.mem_operand().filter(|m| !m.store).map(|m| m.data),
-        Jump { ra, .. } | Br { ra, .. } | Bsr { ra, .. } => Some(RegRef::Int(ra)),
-        IntOp { rc, .. } => Some(RegRef::Int(rc)),
-        FpOp { fc, .. } => Some(RegRef::Fp(fc)),
-        Itoft { fc, .. } => Some(RegRef::Fp(fc)),
-        Ftoit { rc, .. } => Some(RegRef::Int(rc)),
-        _ => None,
     }
 }
 

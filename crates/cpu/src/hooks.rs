@@ -24,6 +24,12 @@ use gemfi_mem::{CacheLesion, Ticks};
 /// a counting shim ([`ElidedHooks`]) instead of the full per-event hook
 /// dispatch, and deliver the accumulated stage-event counters in one
 /// [`FaultHooks::absorb_elided`] call at the batch boundary.
+///
+/// The horizon speaks only of *corruption*. Consumption watches — a fired
+/// register fault waiting for the first read or write of its register —
+/// do not shorten it: the hooks report them separately as
+/// [`FaultHooks::watched_regs`], and the shim passes exactly those
+/// registers' accesses through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dormancy {
     /// Something observable may happen on the very next event: run fully
@@ -42,7 +48,8 @@ pub enum Dormancy {
     },
     /// Nothing observable can ever happen in the current state (no pending
     /// faults, or none that the running thread can reach): sprint freely
-    /// until the next machine-level boundary.
+    /// until the next machine-level boundary, delivering only the accesses
+    /// to [`FaultHooks::watched_regs`].
     Dormant,
 }
 
@@ -197,6 +204,17 @@ pub trait FaultHooks {
         Dormancy::Active
     }
 
+    /// The registers whose next read or write these hooks must see even
+    /// inside an elided sprint — live consumption watches — as a
+    /// [`RegRef::mask_bit`] mask (integer registers in the low half,
+    /// floating-point registers in the high half). The default is empty.
+    /// Implementations whose register hooks do anything else must keep
+    /// reporting [`Dormancy::Active`] instead.
+    #[inline]
+    fn watched_regs(&self) -> u64 {
+        0
+    }
+
     /// Delivers the stage events of one elided sprint in bulk. `now` is the
     /// boundary tick of the last committed instruction in the batch (absent
     /// when the batch carried no instruction boundary). Implementations that
@@ -243,7 +261,10 @@ impl FaultHooks for NoopHooks {
 /// are identity, event hooks bump an [`ElisionBatch`] counter, and the two
 /// state-changing pseudo-op hooks (`fi_activate`, context switch) flush the
 /// batch, pass through to the inner hooks, and mark the sprint interrupted
-/// so the machine re-evaluates the dormancy horizon.
+/// so the machine re-evaluates the dormancy horizon. A read or write of a
+/// watched register ([`FaultHooks::watched_regs`], read when the shim is
+/// built) passes through too, without a flush: retiring a watch reads no
+/// stage counter, so it needs no batch boundary.
 ///
 /// Because every CPU model drives this shim through the *same* call sites as
 /// the real hooks, the counters it accumulates are event-for-event identical
@@ -260,12 +281,16 @@ pub struct ElidedHooks<'h, H> {
     /// hooks, whose sprint then counts nothing).
     count: bool,
     interrupted: bool,
+    /// The inner hooks' [`FaultHooks::watched_regs`], refreshed after every
+    /// passthrough access.
+    watched: u64,
 }
 
 impl<'h, H: FaultHooks> ElidedHooks<'h, H> {
     /// Wraps `inner` for one sprint.
     pub fn new(inner: &'h mut H) -> ElidedHooks<'h, H> {
         let count = inner.absorbs_elided();
+        let watched = inner.watched_regs();
         ElidedHooks {
             inner,
             batch: ElisionBatch::default(),
@@ -273,7 +298,15 @@ impl<'h, H: FaultHooks> ElidedHooks<'h, H> {
             last_now: None,
             count,
             interrupted: false,
+            watched,
         }
+    }
+
+    /// The registers still watched, as a [`RegRef::mask_bit`] mask. The
+    /// machine runs a superblock whole only when its footprint misses this.
+    #[inline]
+    pub fn watched(&self) -> u64 {
+        self.watched
     }
 
     /// The largest per-stage counter accumulated so far.
@@ -377,10 +410,25 @@ impl<H: FaultHooks> FaultHooks for ElidedHooks<'_, H> {
         value
     }
 
-    // Register consumption tracking is only live while the inner hooks hold
-    // watches, and a watch-holding engine reports `Dormancy::Active` — so a
-    // sprint never has reg-read/write traffic worth recording.
-    //
+    // A watched register's access reaches the inner hooks, which retire the
+    // watch exactly as on the hooked path; the shim then re-reads the mask
+    // so the retired register drops out. Every other access is dropped.
+    #[inline]
+    fn on_reg_read(&mut self, core: usize, reg: RegRef) {
+        if self.watched & reg.mask_bit() != 0 {
+            self.inner.on_reg_read(core, reg);
+            self.watched = self.inner.watched_regs();
+        }
+    }
+
+    #[inline]
+    fn on_reg_write(&mut self, core: usize, reg: RegRef) {
+        if self.watched & reg.mask_bit() != 0 {
+            self.inner.on_reg_write(core, reg);
+            self.watched = self.inner.watched_regs();
+        }
+    }
+
     // `take_skip`, `on_branch`, `has_cache_lesions` and `take_cache_lesions`
     // likewise keep their identity defaults: an armed skip or pending lesion
     // forces `Dormancy::Active`, and the sprint's horizon ends before any

@@ -6,7 +6,7 @@
 //! load-use interlock, multi-cycle execution units, and a tournament branch
 //! predictor charging a redirect penalty on mispredictions.
 
-use crate::exec::{exec_latency, src_regs, step_instruction};
+use crate::exec::{exec_latency, step_instruction};
 use crate::hooks::FaultHooks;
 use crate::predictor::TournamentPredictor;
 use crate::StepResult;
@@ -77,7 +77,7 @@ impl InOrderCpu {
         // load's destination?
         let mut stall: Ticks = 0;
         if let (Some(dest), Some(i)) = (self.last_load_dest, peeked) {
-            if src_regs(&i).iter().flatten().any(|&s| s == dest) {
+            if i.src_regs().iter().flatten().any(|&s| s == dest) {
                 stall += 1;
             }
         }

@@ -29,8 +29,7 @@
 //! dispatch reuses them.
 
 use crate::exec::{
-    alu, branch_target, cmov_cond, dst_reg, exec_latency, fetch_decode, fp_cmov_cond, fpu, load,
-    src_regs, store,
+    alu, branch_target, cmov_cond, exec_latency, fetch_decode, fp_cmov_cond, fpu, load, store,
 };
 use crate::hooks::FaultHooks;
 use crate::predictor::TournamentPredictor;
@@ -380,7 +379,7 @@ impl O3Cpu {
         // so the read hook fires now (forwarded operands never touch the
         // register file and must not count as consumption). An operand
         // whose producer is still executing makes the entry its waiter.
-        for (src, reg) in entry.srcs.iter_mut().zip(src_regs(&instr)) {
+        for (src, reg) in entry.srcs.iter_mut().zip(instr.src_regs()) {
             let Some(reg) = reg else { continue };
             let producer = rename_slot(reg).and_then(|r| self.rename[r]);
             let (value, ready) = match producer {
@@ -406,7 +405,7 @@ impl O3Cpu {
         if entry.srcs.iter().flatten().all(|s| s.ready) {
             self.ready |= 1 << slot(seq);
         }
-        entry.dst = dst_reg(&instr);
+        entry.dst = instr.dst_reg();
         entry.mem = instr.mem_operand().map(|op| MemAccess { op, addr: None, store_val: 0 });
 
         // Front-end next-PC selection.

@@ -10,6 +10,7 @@
 use crate::format::{self, RawInstr};
 use crate::opcode::{BranchCond, FpBranchCond, FpFunc, IntFunc, Opcode, PalFunc};
 use crate::regs::{FpReg, IntReg, RegRef};
+use crate::semantics::{cmov_cond, fp_cmov_cond};
 use crate::trap::Trap;
 use std::fmt;
 
@@ -309,6 +310,66 @@ impl Instr {
             }
             _ => return None,
         })
+    }
+
+    /// The source registers this instruction reads, in operand order.
+    /// Conditional moves list their destination as a third source (they
+    /// need its old value when the move is not performed — the classic
+    /// renaming wrinkle).
+    pub fn src_regs(&self) -> [Option<RegRef>; 3] {
+        use Instr::*;
+        match *self {
+            CallPal { .. } | FiActivate { .. } | FiReadInit | Br { .. } | Bsr { .. } => {
+                [None, None, None]
+            }
+            Lda { rb, .. } | Ldah { rb, .. } => [Some(RegRef::Int(rb)), None, None],
+            Mem { .. } | Ldt { .. } | Stt { .. } => self.mem_operand().map_or([None; 3], |m| {
+                [Some(RegRef::Int(m.base)), m.store.then_some(m.data), None]
+            }),
+            Jump { rb, .. } => [Some(RegRef::Int(rb)), None, None],
+            CondBr { .. } | FpCondBr { .. } => [self.cond_branch().map(|b| b.reg), None, None],
+            IntOp { func, ra, rb, rc } => {
+                let b = match rb {
+                    Operand::Reg(r) => Some(RegRef::Int(r)),
+                    Operand::Lit(_) => None,
+                };
+                let c = cmov_cond(func, 0).is_some().then_some(RegRef::Int(rc));
+                [Some(RegRef::Int(ra)), b, c]
+            }
+            FpOp { func, fa, fb, fc } => {
+                let c = fp_cmov_cond(func, 0).is_some().then_some(RegRef::Fp(fc));
+                [Some(RegRef::Fp(fa)), Some(RegRef::Fp(fb)), c]
+            }
+            Itoft { rb, .. } => [Some(RegRef::Int(rb)), None, None],
+            Ftoit { fa, .. } => [Some(RegRef::Fp(fa)), None, None],
+        }
+    }
+
+    /// The register this instruction writes, if any.
+    pub fn dst_reg(&self) -> Option<RegRef> {
+        use Instr::*;
+        match *self {
+            Lda { ra, .. } | Ldah { ra, .. } => Some(RegRef::Int(ra)),
+            Mem { .. } | Ldt { .. } => self.mem_operand().filter(|m| !m.store).map(|m| m.data),
+            Jump { ra, .. } | Br { ra, .. } | Bsr { ra, .. } => Some(RegRef::Int(ra)),
+            IntOp { rc, .. } => Some(RegRef::Int(rc)),
+            FpOp { fc, .. } => Some(RegRef::Fp(fc)),
+            Itoft { fc, .. } => Some(RegRef::Fp(fc)),
+            Ftoit { rc, .. } => Some(RegRef::Int(rc)),
+            _ => None,
+        }
+    }
+
+    /// Every register this instruction may read or write, as a
+    /// [`RegRef::mask_bit`] mask: [`Instr::src_regs`] and
+    /// [`Instr::dst_reg`] together, which is a superset of what any CPU
+    /// model reports through its register hooks for it.
+    pub fn reg_footprint(&self) -> u64 {
+        self.src_regs()
+            .into_iter()
+            .chain([self.dst_reg()])
+            .flatten()
+            .fold(0, |m, r| m | r.mask_bit())
     }
 }
 

@@ -66,6 +66,11 @@ struct Entry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredecodeCache {
     mask: u64,
+    /// The slot table, allocated by the first install and released by
+    /// [`PredecodeCache::clear`]: a cold cache — every fork, restore and
+    /// checkpoint holds one — carries no table to copy. An empty table
+    /// answers every lookup with a miss, exactly like a table of empty
+    /// slots.
     entries: Vec<Option<Entry>>,
     stats: PredecodeStats,
 }
@@ -83,7 +88,7 @@ impl PredecodeCache {
         let entries = entries.next_power_of_two().max(1);
         PredecodeCache {
             mask: (entries - 1) as u64,
-            entries: vec![None; entries],
+            entries: Vec::new(),
             stats: PredecodeStats::default(),
         }
     }
@@ -103,8 +108,8 @@ impl PredecodeCache {
     #[inline]
     pub fn lookup(&mut self, pc: u64) -> Option<(u32, Instr)> {
         let idx = self.index(pc);
-        match self.entries[idx] {
-            Some(e) if e.pc == pc => {
+        match self.entries.get(idx) {
+            Some(Some(e)) if e.pc == pc => {
                 self.stats.hits += 1;
                 Some((e.raw, e.instr))
             }
@@ -119,8 +124,8 @@ impl PredecodeCache {
     /// interlock checks) that must not perturb the statistics surface.
     #[inline]
     pub fn peek(&self, pc: u64) -> Option<Instr> {
-        match self.entries[self.index(pc)] {
-            Some(e) if e.pc == pc => Some(e.instr),
+        match self.entries.get(self.index(pc)) {
+            Some(Some(e)) if e.pc == pc => Some(e.instr),
             _ => None,
         }
     }
@@ -130,6 +135,9 @@ impl PredecodeCache {
     /// fault-corrupted decode.
     #[inline]
     pub fn install(&mut self, pc: u64, raw: u32, instr: Instr) {
+        if self.entries.is_empty() {
+            self.entries = vec![None; self.mask as usize + 1];
+        }
         let idx = self.index(pc);
         self.entries[idx] = Some(Entry { pc, raw, instr });
     }
@@ -137,7 +145,7 @@ impl PredecodeCache {
     /// Drops every entry whose word overlaps `[addr, addr + len)` — called
     /// on every store so self-modifying code always refetches.
     pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        if len == 0 {
+        if len == 0 || self.entries.is_empty() {
             return;
         }
         let bytes = (self.entries.len() as u64) * 4;
@@ -162,12 +170,11 @@ impl PredecodeCache {
         }
     }
 
-    /// Drops every entry *and* the counters: the derived-state reset used on
-    /// checkpoint capture/restore and CPU-model switch.
+    /// Drops every entry *and* the counters, releasing the slot table: the
+    /// derived-state reset used on checkpoint capture/restore, fork and
+    /// CPU-model switch.
     pub fn clear(&mut self) {
-        for slot in &mut self.entries {
-            *slot = None;
-        }
+        self.entries = Vec::new();
         self.stats = PredecodeStats::default();
     }
 }
@@ -260,6 +267,20 @@ mod tests {
         c.clear();
         assert!(c.peek(0x1000).is_none());
         assert_eq!(c.stats(), PredecodeStats::default());
+    }
+
+    #[test]
+    fn the_slot_table_exists_only_between_first_install_and_clear() {
+        let mut c = PredecodeCache::with_entries(16);
+        assert!(c.entries.is_empty(), "a new cache holds no table");
+        assert!(c.lookup(0x1000).is_none());
+        c.invalidate_range(0x1000, 4);
+        assert_eq!(c.stats(), PredecodeStats { hits: 0, misses: 1, invalidations: 0 });
+        let i = addq();
+        c.install(0x1000, encode(&i).0, i);
+        assert_eq!(c.entries.len(), 16);
+        c.clear();
+        assert!(c.entries.is_empty(), "clear releases the table");
     }
 
     #[test]

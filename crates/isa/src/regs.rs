@@ -155,6 +155,22 @@ pub enum RegRef {
     Special(SpecialReg),
 }
 
+impl RegRef {
+    /// This register's bit in a 64-bit register mask: integer registers
+    /// 0–31 in the low half, floating-point registers 0–31 in the high
+    /// half. Special registers have no bit (0). Superblock footprints and
+    /// the live consumption watches a hooks implementation reports use
+    /// this one layout, so a footprint meets a watch with one `&`.
+    #[inline]
+    pub fn mask_bit(self) -> u64 {
+        match self {
+            RegRef::Int(r) => 1 << r.index(),
+            RegRef::Fp(r) => 1 << (32 + r.index()),
+            RegRef::Special(_) => 0,
+        }
+    }
+}
+
 impl fmt::Display for RegRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

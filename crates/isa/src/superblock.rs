@@ -19,12 +19,14 @@
 //!
 //! Execution discipline (enforced by `Machine::sprint`, not here): blocks
 //! run only while the fault engine is dormant, on the atomic CPU model, with
-//! no cache lesions planted — the micro-op handlers skip the cache-hierarchy
-//! walk (tick-invisible on atomic, which charges one tick per committed
-//! instruction regardless of memory latency) and apply no per-event fault
-//! hooks. The executor returns the exact per-stage event counts the
-//! per-instruction path would have produced, so bulk absorption into the
-//! engine (`gemfi_cpu::FaultHooks::absorb_elided`-style accounting) stays
+//! no cache lesions planted, and only when the block's register footprint
+//! misses every register a live consumption watch waits on — the micro-op
+//! handlers skip the cache-hierarchy walk (tick-invisible on atomic, which
+//! charges one tick per committed instruction regardless of memory latency)
+//! and call no per-event fault hooks, register hooks included. The executor
+//! returns the exact per-stage event counts the per-instruction path would
+//! have produced, so bulk absorption into the engine
+//! (`gemfi_cpu::FaultHooks::absorb_elided`-style accounting) stays
 //! event-for-event identical.
 //!
 //! Coherence: like the predecode cache, translations are *derived state* —
@@ -545,6 +547,9 @@ pub struct Superblock {
     start: u64,
     end: u64,
     uops: Vec<MicroOp>,
+    /// Every register the block's instructions may read or write, as a
+    /// [`crate::RegRef::mask_bit`] mask (see [`Superblock::footprint`]).
+    footprint: u64,
 }
 
 /// The result of running one superblock.
@@ -582,6 +587,16 @@ impl Superblock {
     /// Whether the block is empty (never true for installed blocks).
     pub fn is_empty(&self) -> bool {
         self.uops.is_empty()
+    }
+
+    /// The block's register footprint: the union of
+    /// [`Instr::reg_footprint`] over its instructions, recorded at
+    /// translation. A superset of every register the stepped path reports
+    /// through its register hooks for the same instructions, so a block
+    /// whose footprint misses every watched register can run whole without
+    /// any consumption watch noticing.
+    pub fn footprint(&self) -> u64 {
+        self.footprint
     }
 
     /// Executes the block from its first micro-op, stopping at the terminal
@@ -630,27 +645,27 @@ impl Superblock {
 /// handles the pseudo-op.
 pub fn translate(start: u64, mut fetch: impl FnMut(u64) -> Option<u32>) -> Option<Superblock> {
     let mut uops = Vec::new();
+    let mut footprint = 0;
     let mut pc = start;
     while uops.len() < MAX_SUPERBLOCK_UOPS {
         let Some(word) = fetch(pc) else { break };
         let Ok(instr) = decode(RawInstr(word)) else { break };
-        match lower(instr, pc) {
-            Lowered::Op(op) => {
-                uops.push(op);
-                pc = pc.wrapping_add(4);
-            }
-            Lowered::Terminal(op) => {
-                uops.push(op);
-                pc = pc.wrapping_add(4);
-                break;
-            }
+        let (op, terminal) = match lower(instr, pc) {
+            Lowered::Op(op) => (op, false),
+            Lowered::Terminal(op) => (op, true),
             Lowered::Refuse => break,
+        };
+        uops.push(op);
+        footprint |= instr.reg_footprint();
+        pc = pc.wrapping_add(4);
+        if terminal {
+            break;
         }
     }
     if uops.is_empty() {
         return None;
     }
-    Some(Superblock { start, end: pc, uops })
+    Some(Superblock { start, end: pc, uops, footprint })
 }
 
 /// Counters of the superblock machinery (derived state, reset with it).
@@ -671,6 +686,9 @@ pub struct SuperblockStats {
     /// Fallbacks because a cached block did not fit the sprint's remaining
     /// tick or event budget.
     pub budget_fallbacks: u64,
+    /// Blocks stepped instead of run whole because their footprint holds a
+    /// register a live consumption watch waits on.
+    pub watch_fallbacks: u64,
 }
 
 /// Direct-mapped superblock cache, keyed by block start PC.
@@ -683,6 +701,9 @@ pub struct SuperblockStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuperblockCache {
     mask: u64,
+    /// The slot table, allocated by the first install and released by
+    /// [`SuperblockCache::clear`] (the predecode cache's rule: a cold cache
+    /// carries no table).
     entries: Vec<Option<Arc<Superblock>>>,
     /// `(min start, max end)` over live entries; `None` when empty. May
     /// overstate after evictions — only ever conservative.
@@ -703,7 +724,7 @@ impl SuperblockCache {
         let n = entries.next_power_of_two().max(1);
         SuperblockCache {
             mask: (n - 1) as u64,
-            entries: vec![None; n],
+            entries: Vec::new(),
             span: None,
             stats: SuperblockStats::default(),
         }
@@ -717,8 +738,8 @@ impl SuperblockCache {
     /// The cached block starting exactly at `pc`, counting hit/miss.
     pub fn lookup(&mut self, pc: u64) -> Option<Arc<Superblock>> {
         let i = self.index(pc);
-        match &self.entries[i] {
-            Some(b) if b.start == pc => {
+        match self.entries.get(i) {
+            Some(Some(b)) if b.start == pc => {
                 self.stats.hits += 1;
                 Some(Arc::clone(b))
             }
@@ -734,6 +755,9 @@ impl SuperblockCache {
     /// block is evicted.
     pub fn install(&mut self, block: Superblock) -> Arc<Superblock> {
         let handle = Arc::new(block);
+        if self.entries.is_empty() {
+            self.entries = vec![None; self.mask as usize + 1];
+        }
         self.stats.blocks_built += 1;
         self.span = Some(match self.span {
             Some((lo, hi)) => (lo.min(handle.start), hi.max(handle.end)),
@@ -755,6 +779,13 @@ impl SuperblockCache {
     #[inline]
     pub fn note_budget_fallback(&mut self) {
         self.stats.budget_fallbacks += 1;
+    }
+
+    /// Notes a cached block stepped because its footprint meets a watched
+    /// register.
+    #[inline]
+    pub fn note_watch_fallback(&mut self) {
+        self.stats.watch_fallbacks += 1;
     }
 
     /// Notes a head instruction that refused translation.
@@ -790,12 +821,11 @@ impl SuperblockCache {
         self.span = span;
     }
 
-    /// Drops every translation *and* every counter (derived-state reset on
-    /// checkpoint capture/restore and CPU-model switch).
+    /// Drops every translation *and* every counter, releasing the slot
+    /// table (derived-state reset on checkpoint capture/restore, fork and
+    /// CPU-model switch).
     pub fn clear(&mut self) {
-        for slot in &mut self.entries {
-            *slot = None;
-        }
+        self.entries = Vec::new();
         self.span = None;
         self.stats = SuperblockStats::default();
     }
@@ -1078,6 +1108,7 @@ mod tests {
         cache.install(translate(0x100, |a| mem.word(a)).expect("translates"));
         cache.lookup(0x100);
         cache.clear();
+        assert!(cache.entries.is_empty(), "clear releases the table");
         assert!(cache.lookup(0x100).is_none());
         // clear resets counters too (the lookup above re-counted one miss).
         assert_eq!(cache.stats().misses, 1);

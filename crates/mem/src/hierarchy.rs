@@ -371,6 +371,12 @@ impl MemorySystem {
         self.superblocks.note_budget_fallback();
     }
 
+    /// Notes a cached superblock stepped because its register footprint
+    /// meets a register a live consumption watch waits on.
+    pub fn note_superblock_watch_fallback(&mut self) {
+        self.superblocks.note_watch_fallback();
+    }
+
     /// Timed 64-bit data read.
     ///
     /// # Errors

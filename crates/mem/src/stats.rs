@@ -81,14 +81,15 @@ impl fmt::Display for MemStats {
         write!(
             f,
             "superblock: built={} hits={} misses={} uops={} invalidations={} \
-             untranslatable={} budget_fallbacks={}",
+             untranslatable={} budget_fallbacks={} watch_fallbacks={}",
             self.superblock.blocks_built,
             self.superblock.hits,
             self.superblock.misses,
             self.superblock.uops_executed,
             self.superblock.invalidations,
             self.superblock.untranslatable,
-            self.superblock.budget_fallbacks
+            self.superblock.budget_fallbacks,
+            self.superblock.watch_fallbacks
         )
     }
 }

@@ -489,8 +489,16 @@ impl<H: FaultHooks> Machine<H> {
         // pending fault windows never reach here: armed state forces
         // `Dormancy::Active` and pending windows bound `event_bound`/
         // `tick_limit`, which the per-block budget check below honors.
+        //
+        // A block runs whole only when its register footprint misses every
+        // register a live consumption watch waits on. Otherwise its
+        // instructions are stepped under the shim, which reports the
+        // watched accesses; `stepping` holds the rest of that block so its
+        // tail is stepped too, instead of translating a block at every PC
+        // inside it. A branch back to the block's start looks it up again.
         let sb_ok =
             self.superblock && self.config.cpu == CpuKind::Atomic && self.mem.lesions().is_empty();
+        let mut stepping = 0..0;
         // Deadline bucketing: a block holds at most MAX_SUPERBLOCK_UOPS
         // micro-ops (n ticks, ≤ n events per stage on atomic), so while the
         // sprint is strictly below these saturating thresholds *any* block
@@ -505,7 +513,7 @@ impl<H: FaultHooks> Machine<H> {
             && (unbounded
                 || elided.max_stage_events().saturating_add(Self::EVENT_SLACK) <= event_bound)
         {
-            if sb_ok {
+            if sb_ok && !stepping.contains(&self.arch.pc) {
                 if let Some(block) = self.mem.superblock_at(self.arch.pc) {
                     let n = block.len() as u64;
                     // The whole block must fit below every sprint bound:
@@ -525,7 +533,10 @@ impl<H: FaultHooks> Machine<H> {
                                     .saturating_add(n)
                                     .saturating_add(Self::EVENT_SLACK)
                                     <= event_bound));
-                    if fits {
+                    if block.footprint() & elided.watched() != 0 {
+                        stepping = block.start().wrapping_add(4)..block.end();
+                        self.mem.note_superblock_watch_fallback();
+                    } else if fits {
                         let start_tick = self.tick;
                         let run = block.execute(&mut self.arch, &mut self.mem);
                         self.tick += run.committed;
@@ -542,8 +553,9 @@ impl<H: FaultHooks> Machine<H> {
                             break;
                         }
                         continue;
+                    } else {
+                        self.mem.note_superblock_fallback();
                     }
-                    self.mem.note_superblock_fallback();
                 }
             }
             match self.cpu.step(
