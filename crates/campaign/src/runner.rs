@@ -61,8 +61,9 @@ pub const MAX_STATIONS: usize = 64;
 const STATIONS_PER_CHUNK: u64 = 4;
 
 /// The stations of a [`PreparedWorkload`]: one *line* per checkpoint and
-/// [`RunnerConfig`] it has run experiments with. Opaque; its one
-/// constructor is [`Default`], an empty set.
+/// [`RunnerConfig`] it has run experiments with, while anyone besides the
+/// line holds that checkpoint. Opaque; its one constructor is
+/// [`Default`], an empty set.
 #[derive(Clone, Default)]
 pub struct Stations(Arc<Mutex<Vec<Line>>>);
 
@@ -95,6 +96,10 @@ impl Stations {
         let line = match at {
             Some(at) => &mut lines[at],
             None => {
+                // A line whose checkpoint only the line itself still holds
+                // can never match again: clones of a context that carry
+                // their own checkpoint would otherwise pile up lines.
+                lines.retain(|l| Arc::strong_count(&l.checkpoint) > 1);
                 lines.push(Line::new(prepared, config));
                 lines.last_mut()?
             }
@@ -574,6 +579,34 @@ mod tests {
         assert!(p.boot_ticks > 0 && p.kernel_ticks > 0);
         // The kernel is ~120 iterations × ~20 instructions.
         assert!(p.stage_events[4] > 1_000 && p.stage_events[4] < 100_000);
+    }
+
+    #[test]
+    fn a_line_whose_checkpoint_is_gone_makes_way_for_the_next() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        let spec = FaultSpec {
+            location: FaultLocation::FpReg { core: 0, reg: 20 },
+            thread: 0,
+            timing: FaultTiming::Instructions(p.stage_events[4] / 2),
+            behavior: FaultBehavior::Flip(40),
+            occurrences: 1,
+        };
+        let config = RunnerConfig::default();
+        run_experiment(&p, &w, spec, &config);
+        let per_line = p.stations.count();
+        assert!(per_line > 0);
+        // Clones sharing the stations, each with its own checkpoint
+        // allocation, as a caller that clones the context around each
+        // fetched image builds them.
+        let copy =
+            || PreparedWorkload { checkpoint: Arc::new((*p.checkpoint).clone()), ..p.clone() };
+        let first = copy();
+        run_experiment(&first, &w, spec, &config);
+        assert_eq!(p.stations.count(), 2 * per_line);
+        drop(first);
+        run_experiment(&copy(), &w, spec, &config);
+        assert_eq!(p.stations.count(), 2 * per_line, "the dropped copy's line is gone");
     }
 
     #[test]

@@ -507,9 +507,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let mut writer = writer;
     let mut reader = BufReader::new(stream);
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let line = match read_line_within(&mut reader, MAX_REQUEST_LINE) {
             Ok(Some(line)) => line,
             Ok(None) => return,
@@ -521,6 +518,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 return;
             }
         };
+        // The read may have blocked across `shutdown`: a request that lands
+        // after it is dropped unanswered, so it can neither lease nor fold
+        // into a journal a resumed server may own.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         let msg = match ClientMsg::parse(&line) {
             Ok(msg) => msg,
             Err(reason) => {

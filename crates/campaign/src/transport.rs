@@ -57,9 +57,9 @@ pub enum ClaimReply {
 /// Whether a report landed or was dropped as a zombie.
 pub use crate::now::ReportAck;
 
-/// Keeps an attempt's liveness machinery (the socket backend's heartbeat
-/// thread) running for exactly the duration of the execution; dropping the
-/// guard stops it.
+/// Bounds an attempt's liveness machinery to the execution: the socket
+/// backend's heartbeat thread (one per transport, shared by its attempts)
+/// beats the attempt until its guard drops, then waits for the next one.
 #[derive(Debug, Default)]
 pub struct AttemptGuard {
     stop: Option<Arc<AtomicBool>>,

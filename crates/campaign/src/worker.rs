@@ -11,12 +11,13 @@
 //!
 //! [`SocketTransport`] is the TCP backend: flat-JSON lines to the campaign
 //! server ([`crate::wire`]), transparent reconnect with capped backoff, and
-//! a per-attempt heartbeat thread that renews the lease at a third of its
-//! duration and raises the assignment's [`AbortToken`] when the server is
-//! unreachable or answers [`ServerMsg::HeartbeatLost`] — the
-//! network-partition recovery path: the in-flight run stops at its next
-//! chunk boundary, the worker re-registers, and the server re-offers the
-//! reaped experiment to the fleet.
+//! one heartbeat thread per transport. `begin_attempt` hands that thread the
+//! attempt over a channel; it renews the lease at a third of its duration on
+//! its own connection, whose every step gives up after one period, and
+//! raises the assignment's [`AbortToken`] after three missed beats or on
+//! [`ServerMsg::HeartbeatLost`] — the network-partition recovery path: the
+//! in-flight run stops at its next chunk boundary, the worker re-registers,
+//! and the server re-offers the reaped experiment to the fleet.
 //!
 //! [`run_socket_worker`] stacks the workload-context bootstrap on top: per
 //! queue it fetches campaign metadata once, rebuilds the workload through a
@@ -41,11 +42,13 @@ use gemfi_sim::{Checkpoint, RunExit};
 use gemfi_workloads::{RunOutput, Workload};
 use std::collections::HashMap;
 use std::io::{BufReader, Error, ErrorKind};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// How a worker behaves, for either backend.
 #[derive(Debug, Clone)]
@@ -167,7 +170,23 @@ struct Conn {
 }
 
 fn open_conn(addr: &str, worker: &str) -> std::io::Result<Conn> {
-    let stream = TcpStream::connect(addr)?;
+    register(TcpStream::connect(addr)?, worker)
+}
+
+/// [`open_conn`] for the heartbeat: connecting, and every later read and
+/// write on the connection, gives up after `timeout`.
+fn open_conn_within(addr: &str, worker: &str, timeout: Duration) -> std::io::Result<Conn> {
+    let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        Error::new(ErrorKind::InvalidInput, format!("`{addr}` resolves to no address"))
+    })?;
+    let stream = TcpStream::connect_timeout(&sock, timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    register(stream, worker)
+}
+
+/// Registers a fresh connection via `hello`/`welcome`.
+fn register(stream: TcpStream, worker: &str) -> std::io::Result<Conn> {
     stream.set_nodelay(true).ok();
     let writer = stream.try_clone()?;
     let mut conn = Conn { reader: BufReader::new(stream), writer };
@@ -206,6 +225,78 @@ pub struct SocketTransport {
     conn: Option<Conn>,
     connect_attempts: u32,
     reconnect_delay: Duration,
+    /// The heartbeat thread and the channel that hands it attempts:
+    /// spawned by the first `begin_attempt`, ended by dropping the transport.
+    heartbeat: Option<(Sender<Beat>, JoinHandle<()>)>,
+}
+
+/// One attempt as the heartbeat thread sees it.
+struct Beat {
+    msg: ClientMsg,
+    abort: AbortToken,
+    period: Duration,
+    /// Raised when the attempt's [`AttemptGuard`] drops.
+    stop: Arc<AtomicBool>,
+}
+
+/// Beats the current attempt every period on one persistent connection,
+/// until the channel disconnects. A new attempt replaces the current one;
+/// an attempt stops being beaten when its guard drops, when the server
+/// answers anything but `heartbeat-ack`, or after three misses in a row
+/// (a failed connect, write or read, each bounded by one period). The last
+/// two raise its abort token.
+fn heartbeat_loop(addr: &str, worker: &str, attempts: &Receiver<Beat>) {
+    let mut conn: Option<Conn> = None;
+    let mut current: Option<Beat> = None;
+    let mut misses = 0u32;
+    let mut due = Instant::now();
+    loop {
+        let next = match &current {
+            None => attempts.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(_) => attempts.recv_timeout(due.saturating_duration_since(Instant::now())),
+        };
+        let beat = match next {
+            Ok(beat) => {
+                due = Instant::now() + beat.period;
+                misses = 0;
+                current = Some(beat);
+                continue;
+            }
+            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) => {
+                current.as_ref().expect("a timed wait has an attempt")
+            }
+        };
+        if beat.stop.load(Ordering::SeqCst) {
+            current = None;
+            continue;
+        }
+        // Beats stay on the period grid: a miss that used up its period
+        // leaves the next beat due at once.
+        due += beat.period;
+        let reply = match &mut conn {
+            Some(c) => exchange(c, &beat.msg),
+            None => open_conn_within(addr, worker, beat.period)
+                .and_then(|c| exchange(conn.insert(c), &beat.msg)),
+        };
+        let lost = match reply {
+            Ok(ServerMsg::HeartbeatAck { .. }) => {
+                misses = 0;
+                false
+            }
+            // `heartbeat-lost` (or anything unexpected): the lease is gone.
+            Ok(_) => true,
+            Err(_) => {
+                conn = None;
+                misses += 1;
+                misses >= 3
+            }
+        };
+        if lost {
+            beat.abort.abort();
+            current = None;
+        }
+    }
 }
 
 impl SocketTransport {
@@ -217,6 +308,7 @@ impl SocketTransport {
             conn: None,
             connect_attempts: opts.connect_attempts.max(1),
             reconnect_delay: opts.reconnect_delay,
+            heartbeat: None,
         }
     }
 
@@ -262,6 +354,16 @@ impl SocketTransport {
     }
 }
 
+impl Drop for SocketTransport {
+    fn drop(&mut self) {
+        if let Some((attempts, thread)) = self.heartbeat.take() {
+            // Disconnecting the channel ends the thread's wait.
+            drop(attempts);
+            let _ = thread.join();
+        }
+    }
+}
+
 impl CampaignTransport for SocketTransport {
     fn claim(&mut self, worker: &str) -> std::io::Result<ClaimReply> {
         match self.request(worker, &ClientMsg::Claim { worker: worker.to_string() })? {
@@ -291,57 +393,31 @@ impl CampaignTransport for SocketTransport {
 
     fn begin_attempt(&mut self, worker: &str, assignment: &WorkAssignment) -> AttemptGuard {
         let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let abort = assignment.abort.clone();
-        let addr = self.addr.clone();
-        let worker = worker.to_string();
-        let msg = ClientMsg::Heartbeat {
-            worker: worker.clone(),
-            queue: assignment.queue.clone(),
-            exp: assignment.exp as u64,
-            attempt: assignment.attempt,
+        let beat = Beat {
+            msg: ClientMsg::Heartbeat {
+                worker: worker.to_string(),
+                queue: assignment.queue.clone(),
+                exp: assignment.exp as u64,
+                attempt: assignment.attempt,
+            },
+            abort: assignment.abort.clone(),
+            // Renew at a third of the lease: two beats can be lost before
+            // the server-side reaper fires.
+            period: Duration::from_millis((assignment.lease_ms / 3).max(10)),
+            stop: Arc::clone(&stop),
         };
-        // Renew at a third of the lease: two beats can be lost before the
-        // server-side reaper fires.
-        let period = Duration::from_millis((assignment.lease_ms / 3).max(10));
-        std::thread::spawn(move || {
-            let mut misses = 0u32;
-            loop {
-                // Sleep in short steps so dropping the guard stops the
-                // thread promptly.
-                let deadline = std::time::Instant::now() + period;
-                while std::time::Instant::now() < deadline {
-                    if thread_stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                if thread_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Each beat uses a fresh connection: heartbeat liveness
-                // must not depend on the state of the main request stream.
-                let beat = open_conn(&addr, &worker).and_then(|mut c| exchange(&mut c, &msg));
-                match beat {
-                    Ok(ServerMsg::HeartbeatAck { .. }) => misses = 0,
-                    Ok(_) => {
-                        // `heartbeat-lost` (or anything unexpected): the
-                        // lease is gone; stop the doomed run now.
-                        abort.abort();
-                        return;
-                    }
-                    Err(_) => {
-                        misses += 1;
-                        if misses >= 3 {
-                            // Partition detected: abandon the window; the
-                            // worker loop will re-register and re-claim.
-                            abort.abort();
-                            return;
-                        }
-                    }
-                }
-            }
+        let (attempts, _) = self.heartbeat.get_or_insert_with(|| {
+            let (attempts, rx) = mpsc::channel();
+            let (addr, worker) = (self.addr.clone(), worker.to_string());
+            let thread = std::thread::Builder::new()
+                .name("gemfi-heartbeat".to_string())
+                .spawn(move || heartbeat_loop(&addr, &worker, &rx))
+                .expect("spawn heartbeat thread");
+            (attempts, thread)
         });
+        // The send fails only if the thread is gone; the lease then expires
+        // on the server and the report comes back stale.
+        let _ = attempts.send(beat);
         AttemptGuard::stopping(stop)
     }
 
@@ -502,4 +578,133 @@ pub fn run_socket_worker(
         ))
     };
     drive_worker(&mut transport, opts, &mut execute)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
+
+    /// What a stand-in server saw: connections accepted and closed by the
+    /// worker, and the experiment of every heartbeat it acked.
+    #[derive(Default)]
+    struct Seen {
+        opened: AtomicUsize,
+        closed: AtomicUsize,
+        beats: Mutex<Vec<usize>>,
+    }
+
+    /// A stand-in campaign server that welcomes every `hello` and acks
+    /// every heartbeat.
+    fn acking_server() -> (String, Arc<Seen>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let seen = Arc::new(Seen::default());
+        let server_seen = Arc::clone(&seen);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let stream = stream.unwrap();
+                server_seen.opened.fetch_add(1, Ordering::SeqCst);
+                let seen = Arc::clone(&server_seen);
+                std::thread::spawn(move || {
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = BufReader::new(stream);
+                    while let Ok(Some(line)) = read_line(&mut reader) {
+                        let reply = match ClientMsg::parse(&line).unwrap() {
+                            ClientMsg::Hello { .. } => {
+                                ServerMsg::Welcome { proto: PROTO_VERSION, queues: 1 }
+                            }
+                            ClientMsg::Heartbeat { exp, .. } => {
+                                seen.beats.lock().unwrap().push(exp as usize);
+                                ServerMsg::HeartbeatAck { deadline_ms: 0 }
+                            }
+                            other => panic!("a heartbeat connection sent {other:?}"),
+                        };
+                        write_line(&mut writer, &reply.to_json()).unwrap();
+                    }
+                    seen.closed.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        (addr, seen)
+    }
+
+    fn assignment(exp: usize, lease_ms: u64) -> WorkAssignment {
+        WorkAssignment {
+            queue: "q".to_string(),
+            exp,
+            attempt: 1,
+            deadline_ms: 0,
+            lease_ms,
+            spec: crate::FaultSampler::new(1, [100; 5], 0, 0).sample_any(),
+            abort: AbortToken::new(),
+        }
+    }
+
+    fn wait_for(what: &str, timeout: Duration, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + timeout;
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn attempts_share_one_heartbeat_connection() {
+        let (addr, seen) = acking_server();
+        let mut transport = SocketTransport::new(addr, &WorkerOptions::new("w"));
+        let lease_ms = 150;
+        let period = Duration::from_millis(lease_ms / 3);
+        for exp in 0..5 {
+            let work = assignment(exp, lease_ms);
+            let guard = transport.begin_attempt("w", &work);
+            std::thread::sleep(period * 3);
+            drop(guard);
+            assert!(!work.abort.is_aborted(), "an acked attempt runs on");
+        }
+        assert_eq!(seen.opened.load(Ordering::SeqCst), 1, "one connection for every beat");
+        let beats = seen.beats.lock().unwrap().clone();
+        for exp in 0..5 {
+            assert!(beats.contains(&exp), "attempt {exp} was never beaten: {beats:?}");
+        }
+    }
+
+    #[test]
+    fn a_server_that_never_answers_aborts_the_attempt_within_five_periods() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Accepts every connection and holds it open, never reading.
+        std::thread::spawn(move || {
+            let held: Vec<_> = listener.incoming().collect();
+            drop(held);
+        });
+        let mut transport = SocketTransport::new(addr, &WorkerOptions::new("w"));
+        let lease_ms = 600;
+        let period = Duration::from_millis(lease_ms / 3);
+        let work = assignment(0, lease_ms);
+        let began = Instant::now();
+        let _guard = transport.begin_attempt("w", &work);
+        wait_for("the abort token", period * 5, || work.abort.is_aborted());
+        // Three misses, each a read that waited out its period.
+        assert!(began.elapsed() >= period * 3, "aborted after {:?}", began.elapsed());
+    }
+
+    #[test]
+    fn dropping_the_transport_ends_its_heartbeat_thread() {
+        let (addr, seen) = acking_server();
+        let mut transport = SocketTransport::new(addr, &WorkerOptions::new("w"));
+        let work = assignment(7, 60);
+        let _guard = transport.begin_attempt("w", &work);
+        wait_for("a first beat", Duration::from_secs(10), || {
+            !seen.beats.lock().unwrap().is_empty()
+        });
+        // The connection belongs to the thread: it closes when the thread
+        // returns, which `drop` waits for.
+        drop(transport);
+        wait_for("the connection to close", Duration::from_secs(10), || {
+            seen.closed.load(Ordering::SeqCst) == 1
+        });
+    }
 }

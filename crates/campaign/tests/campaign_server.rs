@@ -18,6 +18,10 @@
 //!   before it reaches the journal.
 //! - a request line that never ends is refused, and the server keeps
 //!   serving other connections.
+//! - a request on a connection opened before `shutdown` is dropped
+//!   unanswered and never reaches the journal.
+//! - a lease lost under a beating worker raises that attempt's abort token,
+//!   and the worker's next attempt is beaten on.
 
 use gemfi::Outcome;
 use gemfi_campaign::wire::{read_line, write_line};
@@ -491,6 +495,115 @@ fn an_endless_request_line_is_refused_and_the_server_keeps_serving() {
     // Other connections are still served.
     let lines = status_lines(server.addr());
     assert!(lines[0].contains("\"status\":\"server\""), "{lines:?}");
+    let _ = server.shutdown().unwrap();
+    std::fs::remove_dir_all(&share).ok();
+}
+
+/// A one-queue server on a fresh share, serving `n` small-pi experiments.
+fn small_fixed_server(tag: &str, n: usize) -> (CampaignServer, PathBuf) {
+    let w = pi_workload();
+    let prepared = prepare_workload(&w).unwrap();
+    let mut sampler = FaultSampler::new(5, prepared.stage_events, 0, 0);
+    let specs: Vec<_> = (0..n).map(|_| sampler.sample_any()).collect();
+    let share = scratch(tag);
+    let queue = QueueSpec {
+        name: "pi-fixed".to_string(),
+        priority: 1,
+        quota: 0,
+        workload: "pi".to_string(),
+        scale: "test".to_string(),
+        prepared,
+        kind: QueueKind::FixedN { specs },
+    };
+    (CampaignServer::start(fast_server_config(&share), vec![queue]).unwrap(), share)
+}
+
+/// A raw protocol connection: sends one request, returns the reply line.
+fn raw_client(addr: SocketAddr) -> impl FnMut(ClientMsg) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    move |msg: ClientMsg| {
+        write_line(&mut stream, &msg.to_json()).unwrap();
+        read_line(&mut reader).unwrap().unwrap()
+    }
+}
+
+fn journal_events(share: &Path) -> Vec<JournalEvent> {
+    Journal::replay(&Journal::path_in(&share.join("pi-fixed"))).unwrap()
+}
+
+#[test]
+fn a_request_on_a_connection_open_at_shutdown_is_dropped_unanswered() {
+    let (server, share) = small_fixed_server("open-at-shutdown", 2);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let hello = ClientMsg::Hello { worker: "late".to_string(), proto: PROTO_VERSION };
+    write_line(&mut stream, &hello.to_json()).unwrap();
+    assert!(read_line(&mut reader).unwrap().unwrap().contains("welcome"));
+
+    let _ = server.shutdown().unwrap();
+    write_line(&mut stream, &ClientMsg::Claim { worker: "late".to_string() }.to_json()).unwrap();
+    assert_eq!(read_line(&mut reader).unwrap(), None, "the claim must meet EOF");
+    let leased = journal_events(&share)
+        .into_iter()
+        .filter(|e| matches!(e, JournalEvent::Leased { .. }))
+        .count();
+    assert_eq!(leased, 0, "no lease after shutdown");
+    std::fs::remove_dir_all(&share).ok();
+}
+
+#[test]
+fn a_lost_lease_aborts_its_attempt_and_the_next_attempt_is_beaten_on() {
+    let (server, share) = small_fixed_server("heartbeat-lost", 1);
+    let period = Duration::from_millis(100); // a third of the 300 ms lease
+    let mut worker = SocketTransport::new(server.addr().to_string(), &fast_worker("a"));
+    let claim = |worker: &mut SocketTransport| loop {
+        match worker.claim("a").unwrap() {
+            ClaimReply::Work(work) => return work,
+            ClaimReply::Idle { backoff_ms } => {
+                std::thread::sleep(Duration::from_millis(backoff_ms))
+            }
+            ClaimReply::Complete => panic!("the queue finished early"),
+        }
+    };
+    let first = claim(&mut worker);
+    let first_guard = worker.begin_attempt("a", &first);
+
+    // Someone else fails the attempt under the worker's feet: its next beat
+    // is answered `heartbeat-lost`.
+    let mut other = raw_client(server.addr());
+    let reply = other(ClientMsg::Failed {
+        worker: "a".to_string(),
+        queue: first.queue.clone(),
+        exp: first.exp as u64,
+        attempt: first.attempt,
+        reason: "failed from elsewhere".to_string(),
+        spec: first.spec.to_string(),
+    });
+    assert!(reply.contains("\"accepted\":1"), "{reply}");
+    let deadline = std::time::Instant::now() + period * 20;
+    while !first.abort.is_aborted() {
+        assert!(std::time::Instant::now() < deadline, "the lost attempt was never aborted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(first_guard);
+
+    // The retry is beaten on, past several leases: its token stays down
+    // and the reaper finds nothing to reclaim.
+    let second = claim(&mut worker);
+    assert_eq!((second.exp, second.attempt), (first.exp, 2));
+    let second_guard = worker.begin_attempt("a", &second);
+    std::thread::sleep(period * 10);
+    assert!(!second.abort.is_aborted(), "an acked attempt was aborted");
+    let reply = other(ClientMsg::Claim { worker: "b".to_string() });
+    assert!(reply.contains("\"idle\""), "the live lease was reaped: {reply}");
+    let status = status_lines(server.addr());
+    let qline = status.iter().find(|l| l.contains("\"pi-fixed\"")).unwrap();
+    assert_eq!(num_field(qline, "reclaimed"), 0, "{qline}");
+    assert_eq!(num_field(qline, "leased"), 1, "{qline}");
+    drop(second_guard);
+    drop(worker);
     let _ = server.shutdown().unwrap();
     std::fs::remove_dir_all(&share).ok();
 }
