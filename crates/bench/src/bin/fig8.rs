@@ -4,7 +4,9 @@
 //! Three configurations per workload, as in Sec. V:
 //!
 //! 1. **baseline** — every experiment simulates from machine boot through
-//!    application initialization and the kernel;
+//!    application initialization and the kernel, restoring its freshly
+//!    booted checkpoint whole (with `--boot 0` that checkpoint equals the
+//!    prepared one, and only a whole restore keeps the arm a baseline);
 //! 2. **checkpoint** — experiments restore the post-initialization
 //!    checkpoint and simulate only the kernel (Fig. 3 fast-forwarding;
 //!    the paper reports 3×–244×, average 64.5×). They start from the
@@ -13,7 +15,8 @@
 //!    reported in its own `walk` column;
 //! 3. **NoW** — the checkpointed experiments spread over a simulated
 //!    network of workstations (the paper: 27 machines × 4 slots ≈ 108×
-//!    on top of checkpointing).
+//!    on top of checkpointing). Each workstation's local checkpoint copy
+//!    has the prepared checkpoint's digest, so it forks the same stations.
 //!
 //! ```text
 //! cargo run --release -p gemfi-bench --bin fig8 -- \
@@ -24,8 +27,9 @@
 use gemfi::{AbortToken, FaultSpec, FaultTiming};
 use gemfi_bench::Args;
 use gemfi_campaign::{
+    classify, drive_whole_run,
     now::{run_campaign_now, NowConfig},
-    prepare_workload, run_experiment, run_experiment_from_with_abort, FaultSampler, RunnerConfig,
+    prepare_workload, run_experiment, FaultSampler, RunnerConfig,
 };
 use gemfi_cpu::CpuKind;
 use std::time::Instant;
@@ -81,7 +85,8 @@ fn main() {
         let specs: Vec<_> = (0..experiments).map(|_| sampler.sample_any()).collect();
 
         // 1. Baseline: every experiment re-simulates boot + application
-        //    initialization, then its kernel (no checkpoint reuse).
+        //    initialization, then its kernel from a whole restore (no
+        //    checkpoint reuse, no stations).
         let t0 = Instant::now();
         for spec in &specs {
             let guest = workload.build();
@@ -92,14 +97,14 @@ fn main() {
                     .expect("boots");
             assert_eq!(machine.run(), gemfi_sim::RunExit::CheckpointRequest);
             let fresh_ckpt = machine.checkpoint();
-            let _ = run_experiment_from_with_abort(
-                &fresh_ckpt,
-                &prepared,
-                workload.as_ref(),
-                *spec,
-                &runner,
-                &AbortToken::new(),
-            );
+            let (machine, exit, _) =
+                drive_whole_run(&fresh_ckpt, &prepared, &[*spec], &runner, &AbortToken::new());
+            let output = machine
+                .mem()
+                .read_slice(prepared.guest.output_addr(), prepared.guest.output_len)
+                .unwrap_or_default();
+            let records = machine.hooks().records();
+            let _ = classify(workload.as_ref(), &prepared.golden.bytes, exit, &output, records);
         }
         let baseline = t0.elapsed().as_secs_f64();
 

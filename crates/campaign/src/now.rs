@@ -6,7 +6,9 @@
 //!    experiment *i*);
 //! 2. one simulation runs to the activation point and the checkpoint is
 //!    stored on the share;
-//! 3. each workstation takes a local copy of the checkpoint;
+//! 3. each workstation takes a local copy of the checkpoint; the copy has
+//!    the campaign checkpoint's digest, so its experiments fork the
+//!    prepared workload's stations like in-process ones;
 //! 4. each workstation repeatedly claims a remaining experiment under a
 //!    **lease**;
 //! 5. results move back, and every lifecycle transition is appended to a

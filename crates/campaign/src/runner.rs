@@ -10,9 +10,11 @@
 //! at which none of its specs has armed ([`GemFiEngine::arming`]) and
 //! drives the fork with the same loop a whole run uses. Such a fork is
 //! bit-identical to a whole run for the reasons [`crate::fork`] gives for
-//! its sweep; `tests/fork_prefix_conformance.rs` compares the two. Runs
-//! from any other checkpoint (a spool workstation's local copy) restore
-//! whole, as [`drive_whole_run`] always does.
+//! its sweep; `tests/fork_prefix_conformance.rs` compares the two. Lines
+//! of stations are keyed by [`Checkpoint::digest`], the identity resume and
+//! the wire already trust, so a spool workstation's local copy of the
+//! campaign checkpoint forks the same stations; a run from a checkpoint
+//! with another digest restores whole, as [`drive_whole_run`] always does.
 
 use crate::classify::classify;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
@@ -60,10 +62,11 @@ pub const MAX_STATIONS: usize = 64;
 /// starting spacing.
 const STATIONS_PER_CHUNK: u64 = 4;
 
-/// The stations of a [`PreparedWorkload`]: one *line* per checkpoint and
-/// [`RunnerConfig`] it has run experiments with, while anyone besides the
-/// line holds that checkpoint. Opaque; its one constructor is
-/// [`Default`], an empty set.
+/// The stations of a [`PreparedWorkload`]: one *line* per checkpoint
+/// digest and [`RunnerConfig`] it has run experiments with. Equal
+/// checkpoints (copies of one file, say) share a line; a line whose own
+/// checkpoint nobody else holds any more is dropped when another line is
+/// made. Opaque; its one constructor is [`Default`], an empty set.
 #[derive(Clone, Default)]
 pub struct Stations(Arc<Mutex<Vec<Line>>>);
 
@@ -89,16 +92,16 @@ impl Stations {
         specs: &[FaultSpec],
         config: &RunnerConfig,
     ) -> Option<Arc<Machine<GemFiEngine>>> {
+        let digest = prepared.checkpoint.digest();
         let mut lines = self.0.lock().ok()?;
-        let at = lines
-            .iter()
-            .position(|l| Arc::ptr_eq(&l.checkpoint, &prepared.checkpoint) && l.config == *config);
+        let at = lines.iter().position(|l| l.checkpoint.digest() == digest && l.config == *config);
         let line = match at {
             Some(at) => &mut lines[at],
             None => {
                 // A line whose checkpoint only the line itself still holds
-                // can never match again: clones of a context that carry
-                // their own checkpoint would otherwise pile up lines.
+                // has most likely served its last experiment: contexts
+                // that each carry a checkpoint of their own would
+                // otherwise pile up lines.
                 lines.retain(|l| Arc::strong_count(&l.checkpoint) > 1);
                 lines.push(Line::new(prepared, config));
                 lines.last_mut()?
@@ -113,7 +116,8 @@ impl Stations {
 /// One fault-free trunk walked from a checkpoint under one config, and the
 /// stations it left behind, in tick order.
 struct Line {
-    /// The checkpoint the trunk was restored from; the line serves no other.
+    /// The checkpoint the trunk was restored from; the line serves every
+    /// checkpoint with its digest.
     checkpoint: Arc<Checkpoint>,
     config: RunnerConfig,
     trunk: Machine<GemFiEngine>,
@@ -441,10 +445,11 @@ pub struct DrivenRun {
 }
 
 /// Drives one experiment loaded with `specs` from `checkpoint`: from the
-/// latest unarmed station when `checkpoint` is `prepared`'s own and the
-/// run is not already aborted, otherwise from a whole restore. Either way
-/// the result is bit-identical to [`drive_whole_run`]'s; the full machine
-/// comes back so the conformance suite can compare them.
+/// latest unarmed station when `checkpoint` has the digest of `prepared`'s
+/// own (it is that checkpoint, or a copy such as a spool workstation's)
+/// and the run is not already aborted, otherwise from a whole restore.
+/// Either way the result is bit-identical to [`drive_whole_run`]'s; the
+/// full machine comes back so the conformance suite can compare them.
 pub fn drive_experiment(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
@@ -452,7 +457,7 @@ pub fn drive_experiment(
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> DrivenRun {
-    let own = std::ptr::eq(checkpoint, &*prepared.checkpoint);
+    let own = checkpoint.digest() == prepared.checkpoint.digest();
     let station = if own && !abort.is_aborted() {
         prepared.stations.latest_unarmed(prepared, specs, config)
     } else {
@@ -484,8 +489,8 @@ pub fn drive_whole_run(
 }
 
 /// Runs one experiment from an explicit checkpoint (the NoW path passes a
-/// workstation-local copy, which restores whole; `prepared`'s own
-/// checkpoint starts from a station) with an external abort token checked
+/// workstation-local copy; it starts from a station, like `prepared`'s
+/// own, whenever its digest matches) with an external abort token checked
 /// between scheduling chunks. The campaign's lease reaper raises the token when
 /// this experiment's lease expires; the run then stops at the next chunk
 /// boundary and classifies as [`Outcome::Infrastructure`] (the harness gave
@@ -563,6 +568,7 @@ pub fn run_experiment(
 mod tests {
     use super::*;
     use gemfi::{FaultBehavior, FaultLocation, FaultTiming};
+    use gemfi_isa::codec::Codec;
     use gemfi_workloads::pi::MonteCarloPi;
 
     fn small_pi() -> MonteCarloPi {
@@ -582,7 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn a_line_whose_checkpoint_is_gone_makes_way_for_the_next() {
+    fn equal_checkpoints_share_a_line_and_a_dead_line_makes_way() {
         let w = small_pi();
         let p = prepare_workload(&w).unwrap();
         let spec = FaultSpec {
@@ -593,20 +599,34 @@ mod tests {
             occurrences: 1,
         };
         let config = RunnerConfig::default();
+        let lines = || p.stations.0.lock().unwrap().len();
         run_experiment(&p, &w, spec, &config);
         let per_line = p.stations.count();
         assert!(per_line > 0);
-        // Clones sharing the stations, each with its own checkpoint
-        // allocation, as a caller that clones the context around each
-        // fetched image builds them.
-        let copy =
-            || PreparedWorkload { checkpoint: Arc::new((*p.checkpoint).clone()), ..p.clone() };
-        let first = copy();
-        run_experiment(&first, &w, spec, &config);
-        assert_eq!(p.stations.count(), 2 * per_line);
+        // A byte round-tripped copy, as a workstation loads or a socket
+        // worker fetches it, has the same digest and forks p's stations.
+        let bytes = p.checkpoint.to_bytes();
+        let copy = PreparedWorkload {
+            checkpoint: Arc::new(Checkpoint::from_bytes(&bytes).unwrap()),
+            ..p.clone()
+        };
+        run_experiment(&copy, &w, spec, &config);
+        assert_eq!((lines(), p.stations.count()), (1, per_line), "equal checkpoints share");
+        // Contexts with checkpoints of their own sharing the stations, as
+        // a caller that clones the context around each fetched image
+        // builds them.
+        let other = |init_spins| {
+            let w = MonteCarloPi { init_spins, ..small_pi() };
+            let q =
+                PreparedWorkload { stations: p.stations.clone(), ..prepare_workload(&w).unwrap() };
+            run_experiment(&q, &w, spec, &config);
+            q
+        };
+        let first = other(61);
+        assert_eq!(lines(), 2);
         drop(first);
-        run_experiment(&copy(), &w, spec, &config);
-        assert_eq!(p.stations.count(), 2 * per_line, "the dropped copy's line is gone");
+        let _second = other(62);
+        assert_eq!(lines(), 2, "the dropped context's line is gone, p's stays");
     }
 
     #[test]

@@ -521,6 +521,11 @@ impl MemorySystem {
         self.phys.shared_pages_with(&other.phys)
     }
 
+    /// The physical backing store (the checkpoint encoder walks its pages).
+    pub(crate) fn phys(&self) -> &PhysMem {
+        &self.phys
+    }
+
     /// Physical memory size in bytes.
     pub fn size(&self) -> u64 {
         self.phys.size()

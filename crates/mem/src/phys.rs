@@ -2,13 +2,16 @@
 //!
 //! Guest memory is carved into 4 KiB pages, each behind an [`Arc`]. Cloning
 //! a [`PhysMem`] therefore copies only the page *table* (one `Arc` bump per
-//! page), and a clone's writes copy just the pages they dirty
+//! touched page), and a clone's writes copy just the pages they dirty
 //! ([`Arc::make_mut`]) — fork-style semantics, which is what makes
 //! checkpoint fan-out O(dirty pages) instead of O(memory size): thousands
 //! of experiments can restore from one shared snapshot and each pays only
-//! for the working set it actually touches. Untouched memory additionally
-//! shares one process-wide zero page, so a freshly allocated guest costs a
-//! page table, not an image.
+//! for the working set it actually touches. A page nothing has written yet
+//! is an empty table entry: reads of it see a `static` zero page, the first
+//! write materializes it, and cloning, comparing or encoding it touches no
+//! refcount and reads no frame. A freshly allocated guest costs a table of
+//! empty entries, not an image, and only the pages a machine touched cost
+//! anything afterwards.
 //!
 //! The paging is invisible to the architecture: all accesses are
 //! bounds-checked against the configured size (*not* the page-rounded
@@ -20,7 +23,7 @@
 //! operations walk page boundaries.
 
 use gemfi_isa::Trap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Page size in bytes. 4 KiB balances snapshot granularity (copy cost per
 /// dirtied page) against page-table size (entries per GiB).
@@ -31,17 +34,8 @@ const PAGE_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
 #[derive(Clone, PartialEq, Eq)]
 struct Page([u8; PAGE_SIZE]);
 
-impl Page {
-    fn zeroed() -> Page {
-        Page([0; PAGE_SIZE])
-    }
-}
-
-/// The process-wide shared all-zeros page backing untouched memory.
-fn zero_page() -> &'static Arc<Page> {
-    static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
-    ZERO.get_or_init(|| Arc::new(Page::zeroed()))
-}
+/// What every untouched page reads as.
+static ZERO_PAGE: Page = Page([0; PAGE_SIZE]);
 
 /// Byte-addressable guest physical memory (paged, copy-on-write).
 ///
@@ -49,16 +43,16 @@ fn zero_page() -> &'static Arc<Page> {
 /// checkpoint restores and forks.
 #[derive(Clone)]
 pub struct PhysMem {
-    pages: Vec<Arc<Page>>,
+    /// `None` is a page nothing has written: it reads as [`ZERO_PAGE`].
+    pages: Vec<Option<Arc<Page>>>,
     size: u64,
 }
 
 impl PhysMem {
     /// Allocates `size` bytes of zeroed memory (O(page-table): every page
-    /// starts as the shared zero page).
+    /// starts untouched).
     pub fn new(size: usize) -> PhysMem {
-        let pages = size.div_ceil(PAGE_SIZE);
-        PhysMem { pages: vec![Arc::clone(zero_page()); pages], size: size as u64 }
+        PhysMem { pages: vec![None; size.div_ceil(PAGE_SIZE)], size: size as u64 }
     }
 
     /// Memory size in bytes.
@@ -66,13 +60,10 @@ impl PhysMem {
         self.size
     }
 
-    /// Pages this instance owns privately (dirtied relative to the shared
-    /// zero page and any snapshot siblings). Diagnostic only.
+    /// Pages this instance owns privately (written, and not shared with
+    /// any snapshot sibling). Diagnostic only.
     pub fn owned_pages(&self) -> usize {
-        self.pages
-            .iter()
-            .filter(|p| !Arc::ptr_eq(p, zero_page()) && Arc::strong_count(p) == 1)
-            .count()
+        self.pages.iter().flatten().filter(|p| Arc::strong_count(p) == 1).count()
     }
 
     /// Total pages in the page table.
@@ -81,12 +72,32 @@ impl PhysMem {
     }
 
     /// Pages whose frames this instance shares with `other` (the same `Arc`
-    /// at the same page index). This is the fork-at-injection footprint
-    /// question — how much of a forked suffix's memory is still the trunk's
-    /// — so pristine zero pages count too: sharing is sharing, whatever the
-    /// frame holds. Diagnostic only, like [`PhysMem::owned_pages`].
+    /// at the same page index, or untouched in both). This is the
+    /// fork-at-injection footprint question — how much of a forked suffix's
+    /// memory is still the trunk's — so untouched zero pages count too:
+    /// sharing is sharing, whatever the frame holds. Diagnostic only, like
+    /// [`PhysMem::owned_pages`].
     pub fn shared_pages_with(&self, other: &PhysMem) -> usize {
-        self.pages.iter().zip(&other.pages).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        self.pages
+            .iter()
+            .zip(&other.pages)
+            .filter(|(a, b)| match (a, b) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            })
+            .count()
+    }
+
+    /// The pages in address order, each cut to the configured size: `None`
+    /// for an untouched page, which holds only zeros. The checkpoint
+    /// encoder walks this instead of reading the whole extent.
+    pub(crate) fn page_slices(&self) -> impl Iterator<Item = (usize, Option<&[u8]>)> + '_ {
+        let size = self.size as usize;
+        self.pages.iter().enumerate().map(move |(pi, page)| {
+            let len = (size - pi * PAGE_SIZE).min(PAGE_SIZE);
+            (len, page.as_deref().map(|p| &p.0[..len]))
+        })
     }
 
     fn check(&self, addr: u64, width: u64, pc: u64) -> Result<usize, Trap> {
@@ -108,8 +119,16 @@ impl PhysMem {
     }
 
     #[inline]
+    fn page(&self, pi: usize) -> &[u8; PAGE_SIZE] {
+        &self.pages[pi].as_deref().unwrap_or(&ZERO_PAGE).0
+    }
+
+    /// The page for writing: an untouched page materializes, a shared one
+    /// is copied.
+    #[inline]
     fn page_mut(&mut self, pi: usize) -> &mut [u8; PAGE_SIZE] {
-        &mut Arc::make_mut(&mut self.pages[pi]).0
+        let page = self.pages[pi].get_or_insert_with(|| Arc::new(ZERO_PAGE.clone()));
+        &mut Arc::make_mut(page).0
     }
 
     /// Reads one byte.
@@ -119,7 +138,7 @@ impl PhysMem {
     /// [`Trap::UnmappedAccess`] when out of bounds.
     pub fn read_u8(&self, addr: u64, pc: u64) -> Result<u8, Trap> {
         let (pi, off) = Self::locate(self.check(addr, 1, pc)?);
-        Ok(self.pages[pi].0[off])
+        Ok(self.page(pi)[off])
     }
 
     /// Writes one byte.
@@ -143,7 +162,7 @@ impl PhysMem {
         // Infallible: check() proved the aligned 4-byte window is in bounds,
         // so the slice is exactly 4 bytes and never crosses a page.
         #[allow(clippy::unwrap_used)]
-        Ok(u32::from_le_bytes(self.pages[pi].0[off..off + 4].try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.page(pi)[off..off + 4].try_into().unwrap()))
     }
 
     /// Writes a little-endian 32-bit word.
@@ -167,7 +186,7 @@ impl PhysMem {
         // Infallible: check() proved the aligned 8-byte window is in bounds,
         // so the slice is exactly 8 bytes and never crosses a page.
         #[allow(clippy::unwrap_used)]
-        Ok(u64::from_le_bytes(self.pages[pi].0[off..off + 8].try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.page(pi)[off..off + 8].try_into().unwrap()))
     }
 
     /// Writes a little-endian 64-bit word.
@@ -189,9 +208,9 @@ impl PhysMem {
     }
 
     /// Copies a byte slice into memory (host-side loader use), walking page
-    /// boundaries. Zero chunks aimed at still-pristine (shared-zero) pages
-    /// are skipped without dirtying them, so bulk-loading a sparse image —
-    /// the checkpoint decode path — materializes only its nonzero pages.
+    /// boundaries. Zero chunks aimed at still-untouched pages are skipped
+    /// without materializing them, so bulk-loading a sparse image — the
+    /// checkpoint decode path — materializes only its nonzero pages.
     ///
     /// # Errors
     ///
@@ -203,8 +222,7 @@ impl PhysMem {
         while !data.is_empty() {
             let n = data.len().min(PAGE_SIZE - off);
             let (chunk, rest) = data.split_at(n);
-            let pristine = Arc::ptr_eq(&self.pages[pi], zero_page());
-            if !(pristine && chunk.iter().all(|&b| b == 0)) {
+            if !(self.pages[pi].is_none() && chunk.iter().all(|&b| b == 0)) {
                 self.page_mut(pi)[off..off + n].copy_from_slice(chunk);
             }
             data = rest;
@@ -227,7 +245,7 @@ impl PhysMem {
         let (mut pi, mut off) = Self::locate(addr as usize);
         while out.len() < len {
             let n = (len - out.len()).min(PAGE_SIZE - off);
-            out.extend_from_slice(&self.pages[pi].0[off..off + n]);
+            out.extend_from_slice(&self.page(pi)[off..off + n]);
             pi += 1;
             off = 0;
         }
@@ -240,7 +258,11 @@ impl PartialEq for PhysMem {
     /// state).
     fn eq(&self, other: &PhysMem) -> bool {
         self.size == other.size
-            && self.pages.iter().zip(&other.pages).all(|(a, b)| Arc::ptr_eq(a, b) || a.0 == b.0)
+            && self.pages.iter().zip(&other.pages).all(|(a, b)| match (a, b) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.0 == b.0,
+                (Some(p), None) | (None, Some(p)) => p.0 == ZERO_PAGE.0,
+                (None, None) => true,
+            })
     }
 }
 
@@ -327,7 +349,7 @@ mod tests {
     #[test]
     fn fresh_memory_owns_no_pages() {
         let m = PhysMem::new(1 << 20);
-        assert_eq!(m.owned_pages(), 0, "untouched memory shares the zero page");
+        assert_eq!(m.owned_pages(), 0, "untouched memory owns no frame");
         assert!(m.read_slice(0, 1 << 20).unwrap().iter().all(|&b| b == 0));
     }
 
@@ -365,6 +387,19 @@ mod tests {
         let c = PhysMem::new(8 * PAGE_SIZE);
         let d = PhysMem::new(8 * PAGE_SIZE);
         assert_eq!(c.shared_pages_with(&d), 8);
+    }
+
+    #[test]
+    fn a_page_written_back_to_zero_equals_an_untouched_one() {
+        let fresh = PhysMem::new(2 * PAGE_SIZE);
+        let mut m = fresh.clone();
+        m.write_u64(PAGE_SIZE as u64, 5, 0).unwrap();
+        assert_ne!(m, fresh);
+        m.write_u64(PAGE_SIZE as u64, 0, 0).unwrap();
+        assert_eq!(m.owned_pages(), 1, "the page stays materialized");
+        assert_eq!(m, fresh, "equality is logical");
+        assert_eq!(fresh, m);
+        assert_eq!(m.shared_pages_with(&fresh), 1, "only the untouched page is shared");
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Seeded lockstep property test: the paged copy-on-write [`PhysMem`] must
 //! be observationally identical to a flat `Vec<u8>` store — same bytes,
 //! same traps, same serialized image — across thousands of mixed
-//! operations, snapshots, and snapshot mutations.
+//! operations, snapshots, and snapshot mutations. A second property holds
+//! the page-walking checkpoint codec of [`MemorySystem`] to the flat image
+//! codec: same bytes out, same memory back.
 //!
 //! The flat reference model here reimplements the pre-paging semantics
 //! independently (bounds checked against the true size, natural alignment,
 //! little-endian words), so a divergence means the paged store changed
 //! guest-visible behavior, not that the test drifted with it.
 
-use gemfi_isa::codec::ByteWriter;
+use gemfi_isa::codec::{ByteReader, ByteWriter, Codec};
 use gemfi_isa::Trap;
-use gemfi_mem::{encode_image, PhysMem, PAGE_SIZE};
+use gemfi_mem::{decode_image, encode_image, MemConfig, MemorySystem, PhysMem, PAGE_SIZE};
 
 /// SplitMix64 — the workspace is offline, so the test carries its own
 /// tiny deterministic generator (same algorithm the campaign crate uses).
@@ -228,5 +230,109 @@ fn run_lockstep(seed: u64) {
 fn paged_cow_store_matches_flat_reference() {
     for seed in [1, 2, 0xdead_beef, 0xcafe_f00d, 0x6765_6d66_6921] {
         run_lockstep(seed);
+    }
+}
+
+/// The image codec's shortest zero-run record: runs one byte shorter are
+/// stored inside literals.
+const MIN_RUN: u64 = 32;
+const PAGE: u64 = PAGE_SIZE as u64;
+
+/// Writes one nonzero byte (the bytes that bound the zero runs below).
+fn mark(m: &mut MemorySystem, addr: u64, rng: &mut SplitMix64) {
+    m.write_slice(addr, &[1 + rng.below(255) as u8]).unwrap();
+}
+
+/// `MemorySystem::encode` walks pages and `MemorySystem::decode` streams
+/// records into them; both must agree with the flat codec over the whole
+/// extent.
+fn assert_page_codec_matches_flat(m: &MemorySystem, context: &str) {
+    let size = m.size() as usize;
+    let image = m.read_slice(0, size).unwrap();
+    let mut flat = ByteWriter::new();
+    encode_image(&image, &mut flat);
+    let flat = flat.into_bytes();
+    // The configuration header comes first; a fresh memory of the same
+    // configuration writes the same one.
+    let bytes = m.to_bytes();
+    let fresh = MemorySystem::new(*m.config()).to_bytes();
+    let mut zeros = ByteWriter::new();
+    encode_image(&vec![0; size], &mut zeros);
+    let header = fresh.len() - zeros.len();
+    assert_eq!(bytes[..header], fresh[..header], "header: {context}");
+    assert_eq!(bytes[header..], flat[..], "image: {context}");
+
+    let streamed = MemorySystem::from_bytes(&bytes).unwrap();
+    let decoded = decode_image(&mut ByteReader::new(&flat)).unwrap();
+    assert_eq!(decoded, image, "flat decode: {context}");
+    let mut bulk = MemorySystem::new(*m.config());
+    bulk.write_slice(0, &decoded).unwrap();
+    assert_eq!(streamed, bulk, "streamed decode: {context}");
+    assert_eq!(streamed.page_footprint(), bulk.page_footprint(), "pages: {context}");
+    assert_eq!(streamed.read_slice(0, size).unwrap(), image, "bytes: {context}");
+}
+
+#[test]
+fn page_walking_checkpoint_codec_matches_the_flat_image_codec() {
+    let mut rng = SplitMix64(0x5eed_c0de);
+    for case in 0..400 {
+        // Most sizes are not a multiple of the page size: the last page is
+        // cut short in the image.
+        let size = match case % 4 {
+            0 => 6 * PAGE,
+            _ => 5 * PAGE + 1 + rng.below(PAGE - 1),
+        };
+        let config = MemConfig { phys_size: size as usize, ..MemConfig::default() };
+        let mut m = MemorySystem::new(config);
+        let mut ops = Vec::new();
+        for _ in 0..rng.below(10) {
+            let op = rng.below(6);
+            ops.push(op);
+            match op {
+                // A zero run of MIN_RUN − 1, MIN_RUN or MIN_RUN + 1 bytes
+                // straddling a page edge, bounded by nonzero bytes.
+                0 => {
+                    let edge = PAGE * (1 + rng.below(size / PAGE));
+                    let run = MIN_RUN - 1 + rng.below(3);
+                    let start = edge - 1 - rng.below(run - 1);
+                    let end = start + run;
+                    if start > 0 && end < size {
+                        mark(&mut m, start - 1, &mut rng);
+                        m.write_slice(start, &vec![0; run as usize]).unwrap();
+                        mark(&mut m, end, &mut rng);
+                    }
+                }
+                // A page dirtied and written back to zero: it is owned,
+                // yet must encode like an untouched one.
+                1 => {
+                    let page = rng.below(size.div_ceil(PAGE));
+                    let at = page * PAGE;
+                    let len = (size - at).min(PAGE) as usize;
+                    let junk: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+                    m.write_slice(at, &junk).unwrap();
+                    m.write_slice(at, &vec![0; len]).unwrap();
+                }
+                // A leading zero run just shorter than, equal to or longer
+                // than a record.
+                2 => mark(&mut m, MIN_RUN - 1 + rng.below(3), &mut rng),
+                // The same at the end.
+                3 => mark(&mut m, size - MIN_RUN - rng.below(3), &mut rng),
+                // Nonzero bytes on both sides of the image's edges.
+                4 => {
+                    mark(&mut m, rng.below(2), &mut rng);
+                    mark(&mut m, size - 1 - rng.below(2), &mut rng);
+                }
+                // A burst of bytes with short and long zero gaps.
+                _ => {
+                    let len = rng.below(2 * PAGE) as usize;
+                    let at = rng.below(size - len as u64);
+                    let data: Vec<u8> = (0..len)
+                        .map(|_| if rng.below(3) == 0 { rng.next() as u8 } else { 0 })
+                        .collect();
+                    m.write_slice(at, &data).unwrap();
+                }
+            }
+        }
+        assert_page_codec_matches_flat(&m, &format!("case {case}, size {size}, ops {ops:?}"));
     }
 }

@@ -11,8 +11,9 @@
 //! warm predecode and superblock caches, but a fork must come out
 //! decode-cold and translation-cold — asserted here rather than trusted.
 //! Stations are further checked on a fault that fires right before its
-//! activation ends, on a trunk long enough to thin its stations, and on a
-//! seeded sample of every small guest.
+//! activation ends, on a trunk long enough to thin its stations, on a
+//! seeded sample of every small guest, and from a byte copy of the
+//! checkpoint, as a spool workstation runs them.
 
 use gemfi::{AbortToken, FaultBehavior, FaultLocation, FaultSpec, FaultTiming, GemFiEngine};
 use gemfi_bench::{workloads, Scale};
@@ -21,10 +22,12 @@ use gemfi_campaign::runner::{
     drive_experiment, drive_whole_run, prepare_workload, RunnerConfig, MAX_STATIONS,
 };
 use gemfi_campaign::{FaultSampler, PreparedWorkload, Stations};
-use gemfi_cpu::CpuKind;
-use gemfi_sim::Machine;
+use gemfi_cpu::{CpuKind, NoopHooks};
+use gemfi_isa::codec::Codec;
+use gemfi_sim::{Checkpoint, Machine, RunExit};
 use gemfi_workloads::canneal::Canneal;
 use gemfi_workloads::pi::MonteCarloPi;
+use gemfi_workloads::workload_machine_config;
 
 const MODELS: [CpuKind; 4] = [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3];
 
@@ -294,5 +297,38 @@ fn stations_match_whole_runs_on_every_small_guest() {
                 station_matches_whole_run(&p, &[*spec], &runner, &tag);
             }
         }
+    }
+}
+
+/// A spool workstation runs from its own copy of the campaign checkpoint.
+/// A byte round-tripped copy has the prepared checkpoint's digest, so it
+/// forks the prepared workload's stations, and the fork matches a whole run
+/// from the copy on every model. A checkpoint with another digest restores
+/// whole.
+#[test]
+fn a_local_checkpoint_copy_forks_stations_and_another_checkpoint_does_not() {
+    let w = MonteCarloPi { points: 120, init_spins: 60, ..MonteCarloPi::default() };
+    let p = prepare_workload(&w).expect("prepares");
+    let copy = Checkpoint::from_bytes(&p.checkpoint.to_bytes()).expect("round-trips");
+    let mid_kernel = specs_for(&p)[1];
+    // The same guest booted through a longer boot spin: another digest.
+    let mut config = workload_machine_config(CpuKind::Atomic);
+    config.boot_spin = 1_000;
+    let mut machine = Machine::boot(config, &p.guest.program, NoopHooks).expect("boots");
+    assert_eq!(machine.run(), RunExit::CheckpointRequest);
+    let other = machine.checkpoint();
+    assert_ne!(other.digest(), p.checkpoint.digest());
+    for model in MODELS {
+        // A fine chunk puts stations ahead of the fault, as in `conformance`.
+        let runner = RunnerConfig { inject_cpu: model, chunk: 2_000, ..RunnerConfig::default() };
+        let tag = format!("{model} local copy");
+        let run = drive_experiment(&copy, &p, &[mid_kernel], &runner, &AbortToken::new());
+        assert!(run.station.is_some(), "{tag}: the copy forks a station");
+        let (whole, exit, aborted) =
+            drive_whole_run(&copy, &p, &[mid_kernel], &runner, &AbortToken::new());
+        assert_eq!(run.drove, (exit, aborted), "{tag}: exit differs");
+        assert_same_machine(&run.machine, &whole, &tag);
+        let run = drive_experiment(&other, &p, &[mid_kernel], &runner, &AbortToken::new());
+        assert_eq!(run.station, None, "{model}: another checkpoint restores whole");
     }
 }
