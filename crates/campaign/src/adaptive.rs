@@ -27,7 +27,7 @@
 //! remainder, and keeps drawing — reaching byte-identical per-cell
 //! decisions to an uninterrupted run.
 
-use crate::fork::{run_campaign_forked, ForkConfig};
+use crate::fork::ForkConfig;
 use crate::journal::{spec_digest, JournalEvent, JOURNAL_VERSION};
 use crate::report::OutcomeTable;
 use crate::runner::{run_experiment, PreparedWorkload, RunnerConfig};
@@ -443,16 +443,19 @@ impl fmt::Display for AdaptiveOutcome {
 }
 
 /// Runs a whole adaptive campaign in-process: each round's batch executes
-/// through the fork-at-injection executor when `fork` is given (the trunk
-/// sprints the shared fault-free prefix once per round), or serially
-/// otherwise, and the outcomes fold straight back into the engine. There is
-/// no share here, so nothing is journaled, leased or resumable: the round
-/// protocol is driven directly instead of through `now::Campaign`.
+/// one [`run_experiment`] at a time, each forking the latest unarmed
+/// station of `prepared` (the fault-free prefix is walked once per
+/// prepared workload, not once per round), and the outcomes fold straight
+/// back into the engine. The [`ForkConfig`] is accepted and ignored: the
+/// sweep no longer drives any executor, and the argument goes when the
+/// planner does. There is no share here, so nothing is journaled, leased or
+/// resumable: the round protocol is driven directly instead of through
+/// `now::Campaign`.
 pub fn run_campaign_adaptive(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
     runner: &RunnerConfig,
-    fork: Option<&ForkConfig>,
+    _fork: Option<&ForkConfig>,
     config: &AdaptiveConfig,
     seed: u64,
 ) -> AdaptiveOutcome {
@@ -463,20 +466,10 @@ pub fn run_campaign_adaptive(
         if draws.is_empty() {
             break;
         }
-        let specs: Vec<FaultSpec> = draws.iter().map(|d| d.spec).collect();
-        let outcomes: Vec<Outcome> = match fork {
-            Some(fork) => run_campaign_forked(prepared, workload, &specs, runner, fork)
-                .iter()
-                .map(|r| r.outcome)
-                .collect(),
-            None => specs
-                .iter()
-                .map(|s| run_experiment(prepared, workload, *s, runner).outcome)
-                .collect(),
-        };
-        for (draw, outcome) in draws.iter().zip(&outcomes) {
-            state.record(draw.cell, *outcome);
-            table.add(*outcome);
+        for draw in &draws {
+            let outcome = run_experiment(prepared, workload, draw.spec, runner).outcome;
+            state.record(draw.cell, outcome);
+            table.add(outcome);
         }
         state.end_round();
     }

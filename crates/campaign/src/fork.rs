@@ -1,19 +1,22 @@
-//! Fork-at-injection: shared-prefix campaign execution.
+//! Fork-at-injection: the shared-prefix sweep planner.
 //!
 //! Every experiment in a campaign replays an identical fault-free
-//! instruction stream from the checkpoint up to its injection point; with
-//! CoW restores and dormancy elision landed, that redundant prefix is the
-//! dominant cost of a campaign. This module removes it: one *trunk*
-//! machine sprints along the fault-free path, and each experiment forks a
-//! warm machine ([`gemfi_sim::Machine::fork_with`]) shortly before its
-//! fault can fire, running only its divergent *suffix*. Campaign cost
-//! becomes O(run-length + Σ suffixes) instead of O(experiments ×
-//! run-length).
+//! instruction stream from the checkpoint up to its injection point. The
+//! runner's stations ([`crate::runner`]) keep that prefix off every
+//! experiment, including [`run_campaign_forked`]'s, which now runs each
+//! spec through [`crate::runner::run_experiment`]. This module's planner is
+//! the older answer to the same cost, kept for the conformance suite and
+//! the benchmark's replica, which call [`plan_suffixes`] and
+//! [`drive_suffix`] directly: one *trunk* machine sprints along the
+//! fault-free path, and each experiment forks a warm machine
+//! ([`gemfi_sim::Machine::fork_with`]) shortly before its fault can fire,
+//! running only its divergent *suffix*.
 //!
 //! # Why the results are bit-identical
 //!
 //! Three facts compose into the conformance guarantee that
-//! `tests/fork_prefix_conformance.rs` pins:
+//! `tests/fork_prefix_conformance.rs` pins, for the sweep's forks and the
+//! stations' alike:
 //!
 //! 1. **The trunk is state-identical to any experiment's prefix.** Before
 //!    a spec's window opens, queue scans never mutate the engine, and the
@@ -42,7 +45,7 @@
 //! answer.
 
 use crate::runner::{
-    build_machine, drive_to_completion, finish_result, ExperimentResult, PreparedWorkload,
+    build_machine, drive_to_completion, run_experiment, ExperimentResult, PreparedWorkload,
     RunnerConfig, Source,
 };
 use gemfi::{AbortToken, FaultSpec, GemFiEngine};
@@ -175,32 +178,26 @@ pub fn drive_suffix(
     drive_to_completion(&mut suffix.machine, runner, abort, origin)
 }
 
-/// Runs a whole campaign fork-at-injection style: plan, then drive and
-/// classify each suffix in turn. Results come back indexed like `specs` and
-/// are element-wise equivalent to running [`crate::runner::run_experiment`]
-/// per spec — bit-identical machine states included, which
-/// `tests/fork_prefix_conformance.rs` enforces.
+/// Runs a whole campaign, one [`run_experiment`] per spec in order, so
+/// every experiment forks the latest unarmed station of `prepared` and the
+/// fault-free prefix is walked once per prepared workload, not once per
+/// call. Results come back indexed like `specs`. The [`ForkConfig`] is
+/// accepted and ignored: the sweep no longer drives any executor, and the
+/// argument goes when the planner does.
 pub fn run_campaign_forked(
     prepared: &PreparedWorkload,
     workload: &dyn Workload,
     specs: &[FaultSpec],
     runner: &RunnerConfig,
-    fork: &ForkConfig,
+    _fork: &ForkConfig,
 ) -> Vec<ExperimentResult> {
-    let origin = prepared.checkpoint.tick();
-    let mut results: Vec<Option<ExperimentResult>> = specs.iter().map(|_| None).collect();
-    for mut s in plan_suffixes(prepared, specs, runner, fork) {
-        let drove = drive_suffix(&mut s, prepared, runner, &AbortToken::new());
-        let spec = specs[s.index];
-        results[s.index] = Some(finish_result(&s.machine, origin, prepared, workload, spec, drove));
-    }
-    results.into_iter().map(|r| r.expect("every planned experiment was driven")).collect()
+    specs.iter().map(|spec| run_experiment(prepared, workload, *spec, runner)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{prepare_workload, run_experiment};
+    use crate::runner::prepare_workload;
     use gemfi::{FaultBehavior, FaultLocation, FaultTiming, MemTarget};
     use gemfi_workloads::jacobi::Jacobi;
     use gemfi_workloads::pi::MonteCarloPi;
@@ -219,7 +216,10 @@ mod tests {
         }
     }
 
-    fn assert_forked_campaign_matches_whole_runs(
+    /// Checks `run_campaign_forked` (stations) against the sweep: every
+    /// suffix [`plan_suffixes`] plans, driven to the end, must leave the
+    /// exit, tick, records and output of its spec's result.
+    fn assert_forked_campaign_matches_the_sweep(
         p: &PreparedWorkload,
         w: &dyn Workload,
         specs: &[FaultSpec],
@@ -227,13 +227,18 @@ mod tests {
         let runner = RunnerConfig::default();
         let forked = run_campaign_forked(p, w, specs, &runner, &ForkConfig::default());
         assert_eq!(forked.len(), specs.len());
-        for (spec, got) in specs.iter().zip(&forked) {
-            let whole = run_experiment(p, w, *spec, &runner);
-            assert_eq!(got.outcome, whole.outcome);
-            assert_eq!(got.exit, whole.exit);
-            assert_eq!(got.ticks, whole.ticks);
-            assert_eq!(got.injections, whole.injections);
-            assert_eq!(got.output, whole.output);
+        let planned = plan_suffixes(p, specs, &runner, &ForkConfig::default());
+        assert_eq!(planned.len(), specs.len());
+        for mut s in planned {
+            let (exit, aborted) = drive_suffix(&mut s, p, &runner, &AbortToken::new());
+            let got = &forked[s.index];
+            assert!(!aborted);
+            assert_eq!(got.spec, specs[s.index]);
+            assert_eq!(got.exit, exit);
+            assert_eq!(got.ticks, s.machine.tick());
+            assert_eq!(got.injections, s.machine.hooks().records());
+            let output = s.machine.mem().read_slice(p.guest.output_addr(), p.guest.output_len);
+            assert_eq!(Ok(&got.output), output.as_ref());
         }
     }
 
@@ -242,7 +247,7 @@ mod tests {
         let w = small_pi();
         let p = prepare_workload(&w).unwrap();
         let specs = vec![late_fp_flip(&p, 100), late_fp_flip(&p, 400), late_fp_flip(&p, 50)];
-        assert_forked_campaign_matches_whole_runs(&p, &w, &specs);
+        assert_forked_campaign_matches_the_sweep(&p, &w, &specs);
     }
 
     #[test]
@@ -268,7 +273,7 @@ mod tests {
         for s in &planned {
             assert!(s.forked_at.is_some(), "spec #{} must fork, not replay whole", s.index);
         }
-        assert_forked_campaign_matches_whole_runs(&p, &w, &specs);
+        assert_forked_campaign_matches_the_sweep(&p, &w, &specs);
     }
 
     #[test]
@@ -287,7 +292,7 @@ mod tests {
         let planned = plan_suffixes(&p, &[spec], &RunnerConfig::default(), &ForkConfig::default());
         assert_eq!(planned.len(), 1);
         assert_eq!(planned[0].forked_at, None, "a spec the trunk never reaches replays whole");
-        assert_forked_campaign_matches_whole_runs(&p, &w, &[spec]);
+        assert_forked_campaign_matches_the_sweep(&p, &w, &[spec]);
     }
 
     #[test]
@@ -322,9 +327,6 @@ mod tests {
         let planned = plan_suffixes(&p, &[spec], &runner, &ForkConfig::default());
         assert_eq!(planned.len(), 1);
         assert_eq!(planned[0].forked_at, None, "armed spec must replay whole");
-        let results = run_campaign_forked(&p, &w, &[spec], &runner, &ForkConfig::default());
-        let whole = run_experiment(&p, &w, spec, &runner);
-        assert_eq!(results[0].outcome, whole.outcome);
-        assert_eq!(results[0].ticks, whole.ticks);
+        assert_forked_campaign_matches_the_sweep(&p, &w, &[spec]);
     }
 }

@@ -10,11 +10,13 @@
 //! at which none of its specs has armed ([`GemFiEngine::arming`]) and
 //! drives the fork with the same loop a whole run uses. Such a fork is
 //! bit-identical to a whole run for the reasons [`crate::fork`] gives for
-//! its sweep; `tests/fork_prefix_conformance.rs` compares the two. Lines
-//! of stations are keyed by [`Checkpoint::digest`], the identity resume and
-//! the wire already trust, so a spool workstation's local copy of the
-//! campaign checkpoint forks the same stations; a run from a checkpoint
-//! with another digest restores whole, as [`drive_whole_run`] always does.
+//! its sweep; `tests/fork_prefix_conformance.rs` compares the two. Every
+//! executor starts from stations, [`crate::fork::run_campaign_forked`]
+//! included. Lines of stations are keyed by [`Checkpoint::digest`], the
+//! identity resume and the wire already trust, so a spool workstation's
+//! local copy of the campaign checkpoint forks the same stations; a run
+//! from a checkpoint with another digest restores whole, as
+//! [`drive_whole_run`] always does.
 
 use crate::classify::classify;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
@@ -508,7 +510,7 @@ pub fn run_experiment_from_with_abort(
 
 /// Classification and result assembly shared by every experiment path.
 /// `drove` is what [`drive_to_completion`] returned.
-pub(crate) fn finish_result(
+fn finish_result(
     machine: &Machine<GemFiEngine>,
     checkpoint_tick: u64,
     prepared: &PreparedWorkload,

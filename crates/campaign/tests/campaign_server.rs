@@ -23,7 +23,7 @@
 //! - a lease lost under a beating worker raises that attempt's abort token,
 //!   and the worker's next attempt is beaten on.
 
-use gemfi::Outcome;
+use gemfi::{FaultBehavior, FaultLocation, FaultSpec, FaultTiming, Outcome};
 use gemfi_campaign::wire::{read_line, write_line};
 use gemfi_campaign::{
     prepare_workload, run_campaign_adaptive_now, run_campaign_now, run_experiment,
@@ -31,6 +31,7 @@ use gemfi_campaign::{
     ClientMsg, FaultSampler, Journal, JournalEvent, NowConfig, QueueKind, QueueSpec, ReportAck,
     RunnerConfig, ServerConfig, SocketTransport, WorkerOptions, PROTO_VERSION,
 };
+use gemfi_sim::RunExit;
 use gemfi_workloads::pi::MonteCarloPi;
 use gemfi_workloads::Workload;
 use std::io::{BufReader, ErrorKind, Write};
@@ -210,11 +211,26 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
 
 #[test]
 fn partitioned_worker_abandons_via_heartbeat_loss_and_the_campaign_recovers() {
-    let w = MonteCarloPi { points: 4_000, init_spins: 200, ..MonteCarloPi::default() };
+    let w = MonteCarloPi { points: 400, init_spins: 200, ..MonteCarloPi::default() };
     let prepared = prepare_workload(&w).unwrap();
+    // Experiment 0 never ends on its own: halfway through the kernel it
+    // sets pi's loop bound (r4) out of reach. Under the default runner the
+    // watchdog ends it; the stranded worker below has no watchdog, so it
+    // holds that lease until heartbeat loss aborts the run, however fast
+    // the host simulates.
+    let endless = FaultSpec {
+        location: FaultLocation::IntReg { core: 0, reg: 4 },
+        thread: 0,
+        timing: FaultTiming::Instructions(prepared.stage_events[4] / 2),
+        behavior: FaultBehavior::Set(1 << 62),
+        occurrences: 1,
+    };
     let mut sampler = FaultSampler::new(23, prepared.stage_events, 0, 0);
-    let specs: Vec<_> = (0..2).map(|_| sampler.sample_any()).collect();
+    let specs: Vec<_> =
+        std::iter::once(endless).chain((0..2).map(|_| sampler.sample_any())).collect();
     let runner = RunnerConfig::default();
+    let watchdog = run_experiment(&prepared, &w, endless, &runner).exit;
+    assert_eq!(watchdog, RunExit::Watchdog, "only the watchdog ends experiment 0");
 
     let spool = scratch("part-spool");
     let (baseline, _, _) =
@@ -238,8 +254,11 @@ fn partitioned_worker_abandons_via_heartbeat_loss_and_the_campaign_recovers() {
     let addr = server.addr();
     let stranded = std::thread::spawn(move || {
         let mut opts = fast_worker("stranded");
-        // Poll the abort token often so heartbeat loss cuts the run fast.
-        opts.runner = RunnerConfig { chunk: 2_000, ..RunnerConfig::default() };
+        // Poll the abort token often so heartbeat loss cuts the run fast,
+        // and never stop a run by watchdog: only the abort ends the
+        // endless experiment.
+        opts.runner =
+            RunnerConfig { chunk: 2_000, watchdog_factor: u64::MAX, ..RunnerConfig::default() };
         run_socket_worker(&addr.to_string(), &resolve, &opts)
     });
 

@@ -20,13 +20,15 @@
 //!
 //! The scheduler never scans the ROB. In-flight entries carry contiguous
 //! sequence numbers, so `seq % 64` names a slot no other in-flight entry
-//! shares, and three slot bitmasks hold the scheduling state: `ready` (the
-//! `Dispatched` entries whose operands are all ready), `issued` (the
-//! executing entries) and, per producer, `waiters` (the entries waiting on
-//! its result). Writeback and issue walk their mask oldest first (rotated
-//! to the head's slot), a completion wakes only its registered waiters,
-//! and a squash clears the killed slots from all three, since the next
-//! dispatch reuses them.
+//! shares. The ROB is a fixed ring of 64 entries that holds entry `seq` at
+//! that slot, written in place at dispatch, and four slot bitmasks hold the
+//! scheduling state: `ready` (the `Dispatched` entries whose operands are
+//! all ready), `issued` (the executing entries), `stores` (the store
+//! entries) and, per producer, `waiters` (the entries waiting on its
+//! result). Writeback and issue walk their mask oldest first (rotated to
+//! the head's slot), a load checks only the older stores, youngest first,
+//! a completion wakes only its registered waiters, and a squash clears the
+//! killed slots from every mask, since the next dispatch reuses them.
 
 use crate::exec::{
     alu, branch_target, cmov_cond, exec_latency, fetch_decode, fp_cmov_cond, fpu, load, store,
@@ -39,7 +41,6 @@ use gemfi_isa::{
 };
 use gemfi_kernel::{Kernel, PalOutcome};
 use gemfi_mem::{MemorySystem, Ticks};
-use std::collections::VecDeque;
 
 /// Instructions fetched/dispatched per cycle.
 const FETCH_WIDTH: usize = 4;
@@ -94,8 +95,10 @@ struct MemAccess {
     store_val: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
+    /// Sequence number; the entry sits at `slot(seq)`.
+    seq: u64,
     pc: u64,
     /// The PC fetch redirected to after this instruction.
     predicted_next: u64,
@@ -119,6 +122,7 @@ impl RobEntry {
     /// An entry with no operands, no destination and no memory access.
     fn new(pc: u64, instr: Option<Instr>, next: u64, state: EntryState, now: Ticks) -> RobEntry {
         RobEntry {
+            seq: 0,
             pc,
             predicted_next: next,
             actual_next: next,
@@ -159,10 +163,14 @@ fn first(n: usize) -> u64 {
 /// The out-of-order CPU.
 #[derive(Debug, Clone)]
 pub struct O3Cpu {
-    rob: VecDeque<RobEntry>,
+    /// The reorder buffer: in-flight entry `seq` at `rob[slot(seq)]`. The
+    /// other slots hold dead entries the next dispatches overwrite.
+    rob: [RobEntry; SLOTS],
+    /// Number of in-flight entries.
+    len: usize,
     /// Sequence number of the next dispatched entry. A squash rolls it back
     /// to the survivor's successor, so the in-flight entries always carry
-    /// `next_seq - rob.len() .. next_seq`, oldest first.
+    /// `next_seq - len .. next_seq`, oldest first.
     next_seq: u64,
     fetch_pc: u64,
     fetch_ready_at: Ticks,
@@ -176,6 +184,8 @@ pub struct O3Cpu {
     ready: u64,
     /// Slots of the `Issued` entries.
     issued: u64,
+    /// Slots of the store entries.
+    stores: u64,
     /// Per producer slot, the slots of the entries waiting on its result.
     waiters: [u64; SLOTS],
     stats: O3Stats,
@@ -185,7 +195,8 @@ impl O3Cpu {
     /// A fresh core that will start fetching at `entry_pc`.
     pub fn new(entry_pc: u64) -> O3Cpu {
         O3Cpu {
-            rob: VecDeque::with_capacity(ROB_SIZE),
+            rob: [RobEntry::new(0, None, 0, EntryState::Done, 0); SLOTS],
+            len: 0,
             next_seq: 0,
             fetch_pc: entry_pc,
             fetch_ready_at: 0,
@@ -194,6 +205,7 @@ impl O3Cpu {
             rename: [None; 64],
             ready: 0,
             issued: 0,
+            stores: 0,
             waiters: [0; SLOTS],
             stats: O3Stats::default(),
         }
@@ -211,21 +223,22 @@ impl O3Cpu {
 
     /// Number of in-flight (uncommitted) instructions.
     pub fn in_flight(&self) -> usize {
-        self.rob.len()
+        self.len
     }
 
     /// Discards all speculative state and restarts fetch at the committed
     /// PC. Used by the machine before delivering a timer interrupt and when
     /// switching CPU models.
     pub fn flush(&mut self, arch: &ArchState) {
-        self.stats.squashed += self.rob.len() as u64;
-        if !self.rob.is_empty() {
+        self.stats.squashed += self.len as u64;
+        if self.len > 0 {
             self.stats.squash_events += 1;
         }
-        self.rob.clear();
+        self.len = 0;
         self.rename = [None; 64];
         self.ready = 0;
         self.issued = 0;
+        self.stores = 0;
         self.waiters = [0; SLOTS];
         self.fetch_pc = arch.pc;
         self.fetch_parked = false;
@@ -233,43 +246,57 @@ impl O3Cpu {
 
     /// Sequence number of the oldest in-flight entry.
     fn head_seq(&self) -> u64 {
-        self.next_seq - self.rob.len() as u64
+        self.next_seq - self.len as u64
     }
 
-    /// Index of the in-flight entry with sequence number `seq`.
-    fn entry_index(&self, seq: u64) -> Option<usize> {
-        let idx = seq.checked_sub(self.head_seq())? as usize;
-        (idx < self.rob.len()).then_some(idx)
+    /// Whether `seq` names an in-flight entry.
+    fn live(&self, seq: u64) -> bool {
+        (self.head_seq()..self.next_seq).contains(&seq)
     }
 
-    /// `mask` re-based on the head's slot: bit `i` is the entry at ROB
-    /// index `i`, so trailing zeros walk it oldest first.
+    /// The slot of the entry at age `idx` (0 is the head).
+    fn slot_at(&self, idx: usize) -> usize {
+        slot(self.head_seq() + idx as u64)
+    }
+
+    /// `mask` re-based on the head's slot: bit `i` is the entry at age `i`,
+    /// so trailing zeros walk it oldest first.
     fn by_age(&self, mask: u64) -> u64 {
         mask.rotate_right(slot(self.head_seq()) as u32)
     }
 
-    /// Kills every entry younger than the one at `idx`, clears their slots
-    /// from the scheduler masks and rebuilds the rename table.
+    /// Writes `entry` into the next sequence number's slot.
+    fn push(&mut self, entry: RobEntry) {
+        let seq = self.next_seq;
+        if entry.mem.is_some_and(|m| m.op.store) {
+            self.stores |= 1 << slot(seq);
+        }
+        self.rob[slot(seq)] = RobEntry { seq, ..entry };
+        self.next_seq += 1;
+        self.len += 1;
+    }
+
+    /// Kills every entry younger than the one at age `idx`, clears their
+    /// slots from the scheduler masks and rebuilds the rename table.
     fn squash_after(&mut self, idx: usize, redirect: u64, now: Ticks) {
-        let dead =
-            (first(self.rob.len()) & !first(idx + 1)).rotate_left(slot(self.head_seq()) as u32);
+        let dead = (first(self.len) & !first(idx + 1)).rotate_left(slot(self.head_seq()) as u32);
         self.ready &= !dead;
         self.issued &= !dead;
+        self.stores &= !dead;
         // Consumers are younger than their producer, so this also empties
         // the killed producers' own lists.
         for w in &mut self.waiters {
             *w &= !dead;
         }
-        let killed = self.rob.len() - (idx + 1);
-        self.rob.truncate(idx + 1);
+        let killed = self.len - (idx + 1);
+        self.len = idx + 1;
         self.next_seq -= killed as u64;
         self.stats.squashed += killed as u64;
         self.stats.squash_events += 1;
         self.rename = [None; 64];
-        let head = self.head_seq();
-        for (seq, e) in (head..).zip(&self.rob) {
-            if let Some(slot) = e.dst.and_then(rename_slot) {
-                self.rename[slot] = Some(seq);
+        for seq in self.head_seq()..self.next_seq {
+            if let Some(r) = self.rob[slot(seq)].dst.and_then(rename_slot) {
+                self.rename[r] = Some(seq);
             }
         }
         self.fetch_pc = redirect;
@@ -280,19 +307,17 @@ impl O3Cpu {
     /// Delivers a completed result to the consumers waiting on it; those
     /// left with every operand ready become issue candidates.
     fn wakeup(&mut self, seq: u64, value: u64) {
-        let head = self.head_seq();
-        let waiting = std::mem::take(&mut self.waiters[slot(seq)]);
-        let mut waiting = self.by_age(waiting);
+        let mut waiting = std::mem::take(&mut self.waiters[slot(seq)]);
         while waiting != 0 {
-            let idx = waiting.trailing_zeros() as usize;
+            let at = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
-            let e = &mut self.rob[idx];
+            let e = &mut self.rob[at];
             for s in e.srcs.iter_mut().flatten().filter(|s| s.producer == Some(seq)) {
                 s.value = value;
                 s.ready = true;
             }
             if e.srcs.iter().flatten().all(|s| s.ready) {
-                self.ready |= 1 << slot(head + idx as u64);
+                self.ready |= 1 << at;
             }
         }
     }
@@ -314,7 +339,7 @@ impl O3Cpu {
         hooks: &mut H,
         now: Ticks,
     ) -> Result<bool, SimError> {
-        if self.rob.len() >= ROB_SIZE || self.fetch_parked {
+        if self.len >= ROB_SIZE || self.fetch_parked {
             return Ok(false);
         }
         let pc = self.fetch_pc;
@@ -331,11 +356,10 @@ impl O3Cpu {
                 } else {
                     pc
                 };
-                self.rob.push_back(RobEntry {
+                self.push(RobEntry {
                     trap: Some(t),
                     ..RobEntry::new(pc, None, next, EntryState::Done, now)
                 });
-                self.next_seq += 1;
                 self.fetch_parked = true;
                 return Ok(false);
             }
@@ -352,8 +376,7 @@ impl O3Cpu {
         // any other fault on a squashed instruction.
         if hooks.take_skip(core) {
             let next = pc.wrapping_add(4);
-            self.rob.push_back(RobEntry::new(pc, Some(instr), next, EntryState::Done, now));
-            self.next_seq += 1;
+            self.push(RobEntry::new(pc, Some(instr), next, EntryState::Done, now));
             self.fetch_pc = next;
             return Ok(true);
         }
@@ -365,8 +388,7 @@ impl O3Cpu {
         if matches!(instr, Instr::CallPal { .. } | Instr::FiActivate { .. } | Instr::FiReadInit) {
             entry.serialize = true;
             entry.state = EntryState::Done;
-            self.rob.push_back(entry);
-            self.next_seq += 1;
+            self.push(entry);
             self.fetch_parked = true; // resume at the post-commit PC
             return Ok(false);
         }
@@ -384,10 +406,10 @@ impl O3Cpu {
             let producer = rename_slot(reg).and_then(|r| self.rename[r]);
             let (value, ready) = match producer {
                 Some(p) => {
-                    let idx = self.entry_index(p).ok_or_else(|| {
-                        SimError::new("o3", "renamed producer present in ROB", pc)
-                    })?;
-                    let p_entry = &self.rob[idx];
+                    if !self.live(p) {
+                        return Err(SimError::new("o3", "renamed producer present in ROB", pc));
+                    }
+                    let p_entry = &self.rob[slot(p)];
                     if p_entry.state == EntryState::Done {
                         (p_entry.result, true)
                     } else {
@@ -439,26 +461,26 @@ impl O3Cpu {
         };
         entry.predicted_next = next;
 
-        if let Some(slot) = entry.dst.and_then(rename_slot) {
-            self.rename[slot] = Some(seq);
+        if let Some(r) = entry.dst.and_then(rename_slot) {
+            self.rename[r] = Some(seq);
         }
-        self.rob.push_back(entry);
-        self.next_seq += 1;
+        self.push(entry);
         self.fetch_pc = next;
         Ok(true)
     }
 
     // ------------------------------------------------------------- execute
 
-    /// Whether a load at `idx` may proceed given older stores, and the
-    /// forwarded value, if any. `Err(())` means it must wait.
+    /// Whether a load at age `idx` may proceed given older stores, and the
+    /// forwarded value, if any. `Err(())` means it must wait. Only the
+    /// older store entries are visited, youngest first.
     fn load_check(&self, idx: usize, addr: u64, width: u64) -> Result<Option<u64>, ()> {
-        for j in (0..idx).rev() {
-            let e = &self.rob[j];
+        let mut older = self.by_age(self.stores) & first(idx);
+        while older != 0 {
+            let j = (u64::BITS - 1 - older.leading_zeros()) as usize;
+            older &= !(1 << j);
+            let e = &self.rob[self.slot_at(j)];
             let Some(m) = e.mem else { continue };
-            if !m.op.store {
-                continue;
-            }
             match m.addr {
                 // Older store address unknown: conservative wait.
                 None => return Err(()),
@@ -483,8 +505,8 @@ impl O3Cpu {
         Ok(None)
     }
 
-    /// Executes the dispatched entry at `idx`. `Ok(false)` means it could
-    /// not issue this cycle (e.g. a load waiting on an older store).
+    /// Executes the dispatched entry at age `idx`. `Ok(false)` means it
+    /// could not issue this cycle (e.g. a load waiting on an older store).
     ///
     /// # Errors
     ///
@@ -498,7 +520,8 @@ impl O3Cpu {
         hooks: &mut H,
         now: Ticks,
     ) -> Result<bool, SimError> {
-        let e = &self.rob[idx];
+        let at = self.slot_at(idx);
+        let e = &self.rob[at];
         let (pc, mut mem_state) = (e.pc, e.mem);
         let Some(instr) = e.instr else {
             return Err(SimError::new("o3", "dispatched entries are decoded", pc));
@@ -590,7 +613,7 @@ impl O3Cpu {
                         Err(()) => {
                             // Retry next cycle. Only older stores' addresses
                             // gate `load_check`, so keeping a load's is safe.
-                            self.rob[idx].mem = mem_state;
+                            self.rob[at].mem = mem_state;
                             return Ok(false);
                         }
                         Ok(Some(fwd)) => {
@@ -612,10 +635,10 @@ impl O3Cpu {
             }
         }
 
-        let bit = 1 << slot(self.head_seq() + idx as u64);
+        let bit = 1 << at;
         self.ready &= !bit;
         self.issued |= bit;
-        let entry = &mut self.rob[idx];
+        let entry = &mut self.rob[at];
         entry.state = EntryState::Issued;
         entry.done_at = now + lat;
         entry.result = result;
@@ -638,8 +661,8 @@ impl O3Cpu {
         now: Ticks,
         event: &mut StepEvent,
     ) -> Result<bool, ExecError> {
-        let Some(head) = self.rob.front() else { return Ok(false) };
-        if head.state != EntryState::Done {
+        let seq = self.head_seq();
+        if self.len == 0 || self.rob[slot(seq)].state != EntryState::Done {
             return Ok(false);
         }
         // Register/PC fault window at the committed-instruction boundary
@@ -653,9 +676,10 @@ impl O3Cpu {
             return Ok(false);
         }
         // The head's presence was checked above and nothing in between can
-        // shrink the ROB; an empty queue here is just "nothing to commit".
-        let seq = self.head_seq();
-        let Some(e) = self.rob.pop_front() else { return Ok(false) };
+        // shrink the ROB.
+        let e = self.rob[slot(seq)];
+        self.len -= 1;
+        self.stores &= !(1 << slot(seq));
         if e.pc != arch.pc {
             // A committing entry off the architectural path is a renaming /
             // squash bookkeeping bug, not a guest outcome: report it as an
@@ -787,20 +811,20 @@ impl O3Cpu {
         while executing != 0 {
             let i = executing.trailing_zeros() as usize;
             executing &= executing - 1;
-            if self.rob[i].done_at <= now {
-                self.rob[i].state = EntryState::Done;
-                let seq = self.head_seq() + i as u64;
-                self.issued &= !(1 << slot(seq));
-                let result = self.rob[i].result;
-                if self.rob[i].dst.is_some() {
+            let at = self.slot_at(i);
+            let e = &mut self.rob[at];
+            if e.done_at <= now {
+                e.state = EntryState::Done;
+                let (seq, result, dst) = (e.seq, e.result, e.dst);
+                // Control misprediction?
+                let mispredicted = e.actual_next != e.predicted_next
+                    && e.instr.map(|ins| ins.is_control()).unwrap_or(false);
+                let (redirect, pc) = (e.actual_next, e.pc);
+                self.issued &= !(1 << at);
+                if dst.is_some() {
                     self.wakeup(seq, result);
                 }
-                // Control misprediction?
-                let mispredicted = self.rob[i].actual_next != self.rob[i].predicted_next
-                    && self.rob[i].instr.map(|ins| ins.is_control()).unwrap_or(false);
                 if mispredicted {
-                    let redirect = self.rob[i].actual_next;
-                    let pc = self.rob[i].pc;
                     self.predictor.update_target(pc, redirect);
                     self.squash_after(i, redirect, now);
                     // Everything younger is gone; stop walking.
@@ -837,12 +861,19 @@ impl O3Cpu {
     }
 
     /// Recomputes the scheduler masks from the ROB entries and asserts
-    /// that the live ones equal them.
+    /// that the live ones equal them, and that every live entry sits at
+    /// its sequence number's slot.
     #[cfg(test)]
     fn check_schedule(&self) {
-        let (mut ready, mut issued, mut waiters) = (0, 0, [0u64; SLOTS]);
-        for (seq, e) in (self.head_seq()..).zip(&self.rob) {
+        let (mut ready, mut issued, mut stores, mut waiters) = (0, 0, 0, [0u64; SLOTS]);
+        assert!(self.len <= ROB_SIZE, "ROB occupancy");
+        for seq in self.head_seq()..self.next_seq {
+            let e = &self.rob[slot(seq)];
+            assert_eq!(e.seq, seq, "entry at slot {}", slot(seq));
             let bit = 1 << slot(seq);
+            if e.mem.is_some_and(|m| m.op.store) {
+                stores |= bit;
+            }
             match e.state {
                 EntryState::Dispatched if e.srcs.iter().flatten().all(|s| s.ready) => ready |= bit,
                 EntryState::Issued => issued |= bit,
@@ -855,6 +886,7 @@ impl O3Cpu {
         }
         assert_eq!(self.ready, ready, "ready mask");
         assert_eq!(self.issued, issued, "issued mask");
+        assert_eq!(self.stores, stores, "stores mask");
         assert_eq!(self.waiters, waiters, "waiters");
     }
 }

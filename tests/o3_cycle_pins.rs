@@ -6,8 +6,10 @@
 //! waiting entries must not move a single cycle. Each of the six guests at
 //! `Scale::Small` is restored from its checkpoint on `CpuKind::O3` with
 //! `NoopHooks` and run to the halt; a squash-heavy micro-program covers
-//! mispredicts and a load parked behind a store with a late address. The
-//! exact tick, instruction, predictor, squash and cache counts are pinned.
+//! mispredicts and a load parked behind a store with a late address, and a
+//! store-forwarding micro-program covers every way a load meets an older
+//! store. The exact tick, instruction, predictor, squash and cache counts
+//! are pinned.
 
 use gemfi_asm::{Assembler, Program, Reg};
 use gemfi_bench::{workloads, Scale};
@@ -197,4 +199,82 @@ fn a_squash_heavy_program_runs_the_pinned_o3_cycle_stream() {
     assert!(stats.branch_mispredicts > 20 && stats.squashed > 200, "{stats:?}");
     assert_eq!(Pin::of(&stats), SQUASH_HEAVY_PIN);
     assert_eq!(machine.out_words(), [SQUASH_HEAVY_OUT]);
+}
+
+/// The store-forwarding micro-program's output word.
+const FORWARDING_OUT: u64 = 919;
+
+/// A loop in which every load meets older in-flight stores in one of the
+/// ways `load_check` tells apart: an exact forward (same address and
+/// width), a 4-byte store under an 8-byte load (a partial overlap, which
+/// waits for the store to commit), and a store whose address resolves late
+/// behind several non-store entries, which holds back a younger load of a
+/// disjoint address and then forwards to one of its own.
+fn store_forwarding_program() -> Program {
+    let mut a = Assembler::new();
+    a.dsym("buf");
+    a.data_u64(&[0, 0, 0, 9]);
+    a.la(Reg::R1, "buf");
+    a.li(Reg::R2, 0); // acc
+    a.li(Reg::R3, TRIPS);
+    a.li(Reg::R5, 0x9E37_79B9); // LCG multiplier
+    a.li(Reg::R7, 1); // LCG state
+    a.label("loop");
+    a.mulq(Reg::R7, Reg::R5, Reg::R7);
+    a.addq_lit(Reg::R7, 77, Reg::R7);
+    // Exact forward: same address, same width.
+    a.stq(Reg::R7, 0, Reg::R1);
+    a.ldq(Reg::R10, 0, Reg::R1);
+    a.addq(Reg::R2, Reg::R10, Reg::R2);
+    // A 4-byte store under an 8-byte load.
+    a.stl(Reg::R7, 8, Reg::R1);
+    a.ldq(Reg::R11, 8, Reg::R1);
+    a.xor(Reg::R2, Reg::R11, Reg::R2);
+    // The store's address is `buf`, known only after a `mulq` chain.
+    a.mulq_lit(Reg::R7, 0, Reg::R8);
+    a.mulq(Reg::R8, Reg::R8, Reg::R8);
+    a.addq(Reg::R1, Reg::R8, Reg::R9);
+    a.stq(Reg::R2, 16, Reg::R9);
+    // Non-store entries between the late store and the loads behind it.
+    a.addq_lit(Reg::R12, 1, Reg::R12);
+    a.srl_lit(Reg::R7, 5, Reg::R13);
+    a.and_lit(Reg::R13, 7, Reg::R13);
+    a.addq(Reg::R12, Reg::R13, Reg::R12);
+    a.ldq(Reg::R14, 24, Reg::R1); // disjoint: waits for the address only
+    a.ldq(Reg::R15, 16, Reg::R1); // forwards from the late store
+    a.addq(Reg::R2, Reg::R14, Reg::R2);
+    a.subq(Reg::R2, Reg::R15, Reg::R2);
+    a.addq(Reg::R2, Reg::R12, Reg::R2);
+    a.subq_lit(Reg::R3, 1, Reg::R3);
+    a.bne(Reg::R3, "loop");
+    a.mov(Reg::R2, Reg::A0);
+    a.write_word();
+    a.exit(0);
+    a.finish().expect("assembles")
+}
+
+const FORWARDING_PIN: Pin = Pin {
+    tick: 2420,
+    instret: 4612,
+    branch_lookups: 200,
+    branch_mispredicts: 12,
+    squashed: 23,
+    // 1 400 memory instructions but about 1 000 L1D accesses: both
+    // forwards skip the cache on every trip.
+    caches: [(4632, 3), (1000, 1), (0, 4)],
+};
+
+#[test]
+fn a_store_forwarding_program_runs_the_pinned_o3_cycle_stream() {
+    let config =
+        MachineConfig { cpu: CpuKind::O3, max_ticks: 10_000_000, ..MachineConfig::default() };
+    let mut machine = Machine::boot(config, &store_forwarding_program(), NoopHooks).expect("boots");
+    run_to_halt(&mut machine, "store-forwarding");
+    assert_eq!(Pin::of(&machine.stats()), FORWARDING_PIN);
+    assert_eq!(machine.out_words(), [FORWARDING_OUT]);
+    // Forwarded or read from memory, every load sees what Atomic sees.
+    let config = MachineConfig { cpu: CpuKind::Atomic, ..config };
+    let mut atomic = Machine::boot(config, &store_forwarding_program(), NoopHooks).expect("boots");
+    run_to_halt(&mut atomic, "store-forwarding on Atomic");
+    assert_eq!(atomic.out_words(), [FORWARDING_OUT]);
 }
