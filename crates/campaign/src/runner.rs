@@ -53,16 +53,26 @@ pub struct PreparedWorkload {
     pub stations: Stations,
 }
 
-/// Most stations one line keeps. Full, a line drops every other station
-/// and doubles its spacing, so the walk covers any kernel length in
-/// bounded memory: about 0.5 MiB a station (mostly the L2 tag and LRU
-/// array and the page table; a station is decode-cold, so it holds no
-/// predecode or superblock table), so 32 MiB a line.
-pub const MAX_STATIONS: usize = 64;
+/// The byte budget of one line of stations: 24 MiB. A station owns what it
+/// does not share with the station before it ([`Machine::unshared_bytes`]):
+/// the machine and its CPU model, and the copy-on-write cache chunks,
+/// page-table leaves and pages the trunk wrote since that station, with the
+/// chunk and leaf tables that point to them. The first station is priced
+/// over the checkpoint. On the six Default guests a paper-default (O3)
+/// station owns 53–76 KiB, 43 KiB of it the O3 core and its predictor, so
+/// a full line holds about 380; an Atomic station owns about 13 KiB. A
+/// line over budget drops every other station and doubles its spacing, so
+/// the walk covers any kernel length in bounded memory. The budget keeps
+/// `paper_inproc`'s peak RSS below what its lines of 64 whole-array
+/// stations (≈ 0.7 MiB each) cost.
+pub const MAX_STATIONS: usize = 24 << 20;
 
 /// Stations per scheduling chunk ([`RunnerConfig::chunk`]) at a line's
-/// starting spacing.
-const STATIONS_PER_CHUNK: u64 = 4;
+/// starting spacing: 500 ticks at the default chunk. With 60 sampled
+/// faults per Default guest the mean O3 run from a station to its fault
+/// measured 238–918 ticks, against 2 192–4 477 at a quarter chunk;
+/// eighty stations per chunk measured no faster.
+const STATIONS_PER_CHUNK: u64 = 40;
 
 /// The stations of a [`PreparedWorkload`]: one *line* per checkpoint
 /// digest and [`RunnerConfig`] it has run experiments with. Equal
@@ -82,6 +92,12 @@ impl Stations {
     /// Stations held over all lines.
     pub fn count(&self) -> usize {
         self.0.lock().map_or(0, |lines| lines.iter().map(|l| l.stations.len()).sum())
+    }
+
+    /// Bytes the stations own over all lines, as [`MAX_STATIONS`] prices
+    /// them.
+    pub fn owned_bytes(&self) -> usize {
+        self.0.lock().map_or(0, |lines| lines.iter().map(|l| l.owned).sum())
     }
 
     /// The latest station of `prepared`'s line for `config` at which none
@@ -124,6 +140,9 @@ struct Line {
     config: RunnerConfig,
     trunk: Machine<GemFiEngine>,
     stations: Vec<Arc<Machine<GemFiEngine>>>,
+    /// Bytes the stations own, each over the station before it (the first
+    /// over the checkpoint), summed.
+    owned: usize,
     /// Ticks between stations, on the grid anchored at the checkpoint.
     spacing: u64,
     /// The trunk terminated: no station lies past the last one.
@@ -135,7 +154,15 @@ impl Line {
         let checkpoint = Arc::clone(&prepared.checkpoint);
         let trunk = build_machine(Source::Checkpoint(&checkpoint), prepared, &[], config);
         let spacing = (config.chunk / STATIONS_PER_CHUNK).max(1);
-        Line { checkpoint, config: *config, trunk, stations: Vec::new(), spacing, done: false }
+        Line {
+            checkpoint,
+            config: *config,
+            trunk,
+            stations: Vec::new(),
+            owned: 0,
+            spacing,
+            done: false,
+        }
     }
 
     /// Walks the trunk until one of `specs` has armed at it or it
@@ -145,23 +172,43 @@ impl Line {
         while !self.done && !armed_at(&self.trunk, specs) {
             let tick = self.trunk.tick();
             if self.stations.last().is_none_or(|s| s.tick() < tick) {
-                if self.stations.len() == MAX_STATIONS {
-                    // Station 2k stands at grid point 2k: what is left lies
-                    // on the grid of twice the spacing.
-                    let mut index = 0;
-                    self.stations.retain(|_| {
-                        index += 1;
-                        index % 2 == 1
-                    });
-                    self.spacing = self.spacing.saturating_mul(2);
+                let station = fork_faultless(&self.trunk);
+                // The trunk goes on as a fork of the station, so it shares
+                // every cache chunk, leaf and page with it, and the next
+                // station owns only what the trunk writes until then.
+                self.trunk = fork_faultless(&station);
+                self.push(Arc::new(station));
+                while self.owned > MAX_STATIONS && self.stations.len() > 1 {
+                    self.thin();
                 }
-                let faultless = self.trunk.hooks().fork_with_faults(FaultConfig::empty());
-                self.stations.push(Arc::new(self.trunk.fork_with(faultless)));
             }
             let target = next_boundary(tick, origin, self.spacing);
             self.done = self.trunk.run_to_tick(target).is_some();
         }
     }
+
+    fn push(&mut self, station: Arc<Machine<GemFiEngine>>) {
+        let base = self.stations.last().map_or(self.checkpoint.mem(), |prev| prev.mem());
+        self.owned += station.unshared_bytes(base);
+        self.stations.push(station);
+    }
+
+    /// Drops every other station and doubles the spacing: station 2k stands
+    /// at grid point 2k, so what is left lies on the grid of twice the
+    /// spacing. Each survivor is re-priced over its new predecessor.
+    fn thin(&mut self) {
+        let kept = std::mem::take(&mut self.stations).into_iter().step_by(2);
+        self.owned = 0;
+        for station in kept {
+            self.push(station);
+        }
+        self.spacing = self.spacing.saturating_mul(2);
+    }
+}
+
+/// A fork of `machine` with a fault-free engine.
+fn fork_faultless(machine: &Machine<GemFiEngine>) -> Machine<GemFiEngine> {
+    machine.fork_with(machine.hooks().fork_with_faults(FaultConfig::empty()))
 }
 
 /// Whether any of `specs` has armed at `machine`'s position. Monotone

@@ -104,6 +104,16 @@ impl Cpu {
         }
     }
 
+    /// Bytes the model holds on the heap: the boxed O3 core and the branch
+    /// predictor's tables. A fork copies all of them.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Cpu::Atomic(_) | Cpu::Timing(_) => 0,
+            Cpu::InOrder(c) => c.predictor().table_bytes(),
+            Cpu::O3(c) => std::mem::size_of::<O3Cpu>() + c.predictor().table_bytes(),
+        }
+    }
+
     /// Whether the CPU has uncommitted speculative work in flight.
     pub fn has_in_flight(&self) -> bool {
         matches!(self, Cpu::O3(c) if c.in_flight() > 0)

@@ -79,6 +79,17 @@ impl TournamentPredictor {
         &self.stats
     }
 
+    /// Bytes of the predictor's tables (its heap; not the struct itself).
+    pub(crate) fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.local_history[..])
+            + self.local_counters.len()
+            + self.global_counters.len()
+            + self.chooser.len()
+            + std::mem::size_of_val(&self.btb_tags[..])
+            + std::mem::size_of_val(&self.btb_targets[..])
+            + self.ras.capacity() * std::mem::size_of::<u64>()
+    }
+
     fn local_index(pc: u64) -> usize {
         (pc >> 2) as usize % LOCAL_ENTRIES
     }

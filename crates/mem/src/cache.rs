@@ -1,5 +1,6 @@
 //! Set-associative tag cache with LRU replacement.
 
+use crate::cow::Block;
 use crate::stats::CacheStats;
 
 /// Geometry and latency of one cache level.
@@ -19,6 +20,11 @@ pub struct CacheConfig {
 /// Each line costs 24 bytes of tag array, so a geometry read from a file
 /// can make [`Cache::new`] allocate at most 24 MiB.
 const MAX_LINES: usize = 1 << 20;
+
+/// Lines per copy-on-write chunk of the line array: whole sets, a power of
+/// two of them, so a set never straddles two chunks (a set wider than this
+/// is one chunk). 64 lines are 1.5 KiB, and the default L2 is 256 chunks.
+const CHUNK_LINES: usize = 64;
 
 /// Longest latency, in ticks, any one cache level or DRAM may declare:
 /// 2^20, about 13 000× the default DRAM latency of 80. An access sums at
@@ -88,7 +94,11 @@ pub struct CacheAccess {
 /// physical memory. That keeps functional state in one place (important for
 /// fault injection on memory transactions) while the cache contributes
 /// timing and the hit/miss statistics the paper's validation compares.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The line array is cut into copy-on-write chunks of whole sets: a clone
+/// shares them, and the first access to a chunk after a clone copies it. A cold cache holds no array at all, so
+/// building or resetting one costs a table of chunk handles.
+#[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     /// `log2(line)` — the line size is asserted to be a power of two.
@@ -96,7 +106,11 @@ pub struct Cache {
     /// `sets - 1` when the set count is a power of two (the common case);
     /// indexing then needs no division on the fetch/load critical path.
     set_mask: Option<u64>,
-    lines: Vec<Line>,
+    /// Number of sets (`config.sets()` without its division).
+    sets: usize,
+    /// `log2` of the sets in one chunk.
+    chunk_shift: u32,
+    chunks: Vec<Block<Line>>,
     clock: u64,
     stats: CacheStats,
 }
@@ -112,14 +126,25 @@ impl Cache {
             panic!("invalid cache geometry: {why}");
         }
         let sets = config.sets();
+        let chunk_sets = (CHUNK_LINES / config.ways).max(1);
+        // The largest power of two of sets that fits a chunk.
+        let chunk_shift = chunk_sets.ilog2();
         Cache {
             config,
             line_shift: config.line.trailing_zeros(),
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            lines: vec![Line::default(); sets * config.ways],
+            sets,
+            chunk_shift,
+            chunks: (0..sets.div_ceil(1 << chunk_shift)).map(|_| Block::Cold).collect(),
             clock: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Lines in chunk `c`: whole sets, fewer in a last partial chunk.
+    #[inline]
+    fn chunk_lines(&self, c: usize) -> usize {
+        (self.sets - (c << self.chunk_shift)).min(1 << self.chunk_shift) * self.config.ways
     }
 
     /// The cache geometry.
@@ -157,8 +182,11 @@ impl Cache {
         self.clock += 1;
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        let base = set * self.config.ways;
-        let ways = &mut self.lines[base..base + self.config.ways];
+        let chunk = set >> self.chunk_shift;
+        let len = self.chunk_lines(chunk);
+        let lines = self.chunks[chunk].get_mut(len);
+        let base = (set & ((1 << self.chunk_shift) - 1)) * self.config.ways;
+        let ways = &mut lines[base..base + self.config.ways];
 
         if let Some((way, line)) =
             ways.iter_mut().enumerate().find(|(_, l)| l.valid && l.tag == tag)
@@ -216,10 +244,9 @@ impl Cache {
 
     /// Invalidates everything (used when restoring checkpoints taken with a
     /// different CPU model, mirroring gem5's cache-cold switch).
+    /// Every chunk goes cold, so this is O(chunks), not O(lines).
     pub fn invalidate_all(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
+        self.chunks.fill_with(|| Block::Cold);
     }
 
     /// Returns the cache to its freshly-built state: lines, LRU clock, and
@@ -231,7 +258,52 @@ impl Cache {
         self.clock = 0;
         self.stats = CacheStats::default();
     }
+
+    /// Bytes this cache holds that `base` does not share: its chunk table
+    /// and every chunk whose storage is not `base`'s chunk at that index.
+    pub(crate) fn unshared_bytes(&self, base: &Cache) -> usize {
+        let shared = |i: usize, chunk: &Block<Line>| {
+            base.chunks.get(i).is_some_and(|b| chunk.shares_storage_with(b))
+        };
+        let chunks = self.chunks.iter().enumerate().filter(|&(i, c)| !shared(i, c));
+        std::mem::size_of_val(&self.chunks[..]) + chunks.map(|(_, c)| c.bytes()).sum::<usize>()
+    }
 }
+
+impl Clone for Cache {
+    /// Shares every chunk with the clone; neither copies a chunk until it
+    /// next accesses it.
+    fn clone(&self) -> Cache {
+        Cache {
+            config: self.config,
+            line_shift: self.line_shift,
+            set_mask: self.set_mask,
+            sets: self.sets,
+            chunk_shift: self.chunk_shift,
+            chunks: self.chunks.iter().map(Block::share).collect(),
+            clock: self.clock,
+            stats: self.stats,
+        }
+    }
+}
+
+impl PartialEq for Cache {
+    /// Equal geometry, clock, statistics and lines; how the lines are
+    /// shared is representation, not state.
+    fn eq(&self, other: &Cache) -> bool {
+        let cold = |lines: &[Line]| lines.iter().all(|l| *l == Line::default());
+        self.config == other.config
+            && self.clock == other.clock
+            && self.stats == other.stats
+            && self.chunks.iter().zip(&other.chunks).all(|(a, b)| match (a.get(), b.get()) {
+                (Some(a), Some(b)) => a == b,
+                (Some(lines), None) | (None, Some(lines)) => cold(lines),
+                (None, None) => true,
+            })
+    }
+}
+
+impl Eq for Cache {}
 
 #[cfg(test)]
 mod tests {

@@ -40,7 +40,13 @@ struct AccessPath {
 /// program loader, the kernel substrate's bookkeeping, checkpoint capture,
 /// and host-side output extraction, none of which exist on the simulated
 /// timeline.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A clone shares guest memory and every cache array with its original
+/// copy-on-write, and starts decode-cold: the predecode and superblock
+/// tables are derived state that every fork, restore and checkpoint drops,
+/// so cloning does not copy them only for the copy to be cleared.
+/// Equality ignores them for the same reason.
+#[derive(Debug)]
 pub struct MemorySystem {
     config: MemConfig,
     phys: PhysMem,
@@ -514,6 +520,19 @@ impl MemorySystem {
         (self.phys.owned_pages(), self.phys.total_pages())
     }
 
+    /// Bytes this memory system holds that `base` does not share with it:
+    /// the cache chunks, page-table leaves and page frames whose storage
+    /// differs, with the tables that point to them. Derived state (the
+    /// predecode and superblock tables) is not counted. This is what a
+    /// clone of `base` has come to cost on its own since the clone, or a
+    /// station over the station before it.
+    pub fn unshared_bytes(&self, base: &MemorySystem) -> usize {
+        self.phys.unshared_bytes(&base.phys)
+            + self.l1i.unshared_bytes(&base.l1i)
+            + self.l1d.unshared_bytes(&base.l1d)
+            + self.l2.unshared_bytes(&base.l2)
+    }
+
     /// Diagnostic: physical pages this memory still shares frame-for-frame
     /// with `other` — e.g. a forked suffix against the trunk it forked from.
     /// See [`crate::PhysMem::shared_pages_with`].
@@ -568,6 +587,37 @@ impl MemorySystem {
     }
 }
 
+impl Clone for MemorySystem {
+    /// A decode-cold copy that shares memory and caches copy-on-write.
+    fn clone(&self) -> MemorySystem {
+        MemorySystem {
+            config: self.config,
+            phys: self.phys.clone(),
+            l1i: self.l1i.clone(),
+            l1d: self.l1d.clone(),
+            l2: self.l2.clone(),
+            dram_accesses: self.dram_accesses,
+            predecode: PredecodeCache::default(),
+            superblocks: SuperblockCache::default(),
+            lesions: self.lesions.clone(),
+        }
+    }
+}
+
+impl PartialEq for MemorySystem {
+    /// Equal machine state: memory, caches, the DRAM counter and lesions.
+    /// The derived predecode and superblock tables are not state.
+    fn eq(&self, other: &MemorySystem) -> bool {
+        self.config == other.config
+            && self.phys == other.phys
+            && self.l1i == other.l1i
+            && self.l1d == other.l1d
+            && self.l2 == other.l2
+            && self.dram_accesses == other.dram_accesses
+            && self.lesions == other.lesions
+    }
+}
+
 /// The memory surface superblock micro-ops execute against: direct
 /// physical loads and stores, no hierarchy walk. Only reachable while the
 /// machine is dormant on the atomic model with no lesions planted
@@ -604,6 +654,7 @@ impl SbMemory for MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAGE_SIZE;
 
     #[test]
     fn cold_access_pays_dram_then_hits_l1() {
@@ -958,6 +1009,33 @@ mod tests {
         d.install_predecoded(0x4000, word, i);
         let (raw, cached, _) = d.fetch_predecoded(0x4000).unwrap();
         assert_eq!((raw, cached), (word, Some(i)));
+    }
+
+    #[test]
+    fn a_clone_owns_only_the_blocks_it_writes() {
+        const LEAF: usize = 512 * 8;
+        const CHUNK: usize = 64 * 24;
+        let config = MemConfig::default();
+        let tables = MemorySystem::new(config).unshared_bytes(&MemorySystem::new(config));
+        let mut base = MemorySystem::new(config);
+        base.write_u64(0x2000, 1, 0).unwrap();
+        let mut fork = base.clone();
+        assert_eq!(fork, base);
+        assert_eq!(
+            fork.unshared_bytes(&base),
+            tables + LEAF + 2 * CHUNK,
+            "the clone's copies of the leaf and L1D/L2 chunks its parent wrote in place"
+        );
+        let sibling = fork.clone();
+        assert_eq!(sibling.unshared_bytes(&fork), tables, "a clone of shared blocks shares them");
+        fork.write_u64(0x2000, 2, 0).unwrap();
+        assert_eq!(
+            fork.unshared_bytes(&sibling),
+            tables + LEAF + PAGE_SIZE + CHUNK,
+            "a write copies its leaf, its page and its L1D chunk (an L1 hit leaves L2 alone)"
+        );
+        assert_eq!(sibling.read_u64_functional(0x2000).unwrap(), 1, "the write stays in the fork");
+        assert_ne!(fork, sibling);
     }
 
     #[test]

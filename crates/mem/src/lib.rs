@@ -30,6 +30,7 @@
 
 mod cache;
 mod config;
+mod cow;
 mod hierarchy;
 mod lesion;
 mod phys;

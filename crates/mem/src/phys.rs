@@ -1,16 +1,18 @@
 //! Physical memory backing store — a paged, copy-on-write page table.
 //!
-//! Guest memory is carved into 4 KiB pages, each behind an [`Arc`]. Cloning
-//! a [`PhysMem`] therefore copies only the page *table* (one `Arc` bump per
-//! touched page), and a clone's writes copy just the pages they dirty
-//! ([`Arc::make_mut`]) — fork-style semantics, which is what makes
-//! checkpoint fan-out O(dirty pages) instead of O(memory size): thousands
-//! of experiments can restore from one shared snapshot and each pays only
-//! for the working set it actually touches. A page nothing has written yet
-//! is an empty table entry: reads of it see a `static` zero page, the first
+//! Guest memory is carved into 4 KiB pages, each behind an [`Arc`], and the
+//! page table into leaves of `LEAF_PAGES` entries, each a copy-on-write
+//! block (`crate::cow`). Cloning a [`PhysMem`] therefore copies one
+//! handle per leaf, and a clone's writes copy just the leaves and pages
+//! they dirty ([`Arc::make_mut`] for a page) — fork-style semantics, which
+//! is what makes checkpoint fan-out O(dirty pages) instead of O(memory
+//! size): thousands of experiments can restore from one shared snapshot
+//! and each pays only for the working set it actually touches. A page
+//! nothing has written yet is an empty table entry, and a leaf nothing has
+//! written a cold one: reads of either see a `static` zero page, the first
 //! write materializes it, and cloning, comparing or encoding it touches no
 //! refcount and reads no frame. A freshly allocated guest costs a table of
-//! empty entries, not an image, and only the pages a machine touched cost
+//! cold leaves, not an image, and only the pages a machine touched cost
 //! anything afterwards.
 //!
 //! The paging is invisible to the architecture: all accesses are
@@ -22,6 +24,7 @@
 //! `u32`/`u64` access never straddles a page; only the bulk slice
 //! operations walk page boundaries.
 
+use crate::cow::Block;
 use gemfi_isa::Trap;
 use std::sync::Arc;
 
@@ -29,6 +32,11 @@ use std::sync::Arc;
 /// dirtied page) against page-table size (entries per GiB).
 pub const PAGE_SIZE: usize = 4096;
 const PAGE_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
+
+/// Page-table entries per leaf: 512 entries of 8 bytes are 4 KiB, and 64 MiB
+/// of guest memory is 32 leaves.
+const LEAF_PAGES: usize = 512;
+const LEAF_SHIFT: u32 = LEAF_PAGES.trailing_zeros();
 
 /// One page of guest memory.
 #[derive(Clone, PartialEq, Eq)]
@@ -39,20 +47,39 @@ static ZERO_PAGE: Page = Page([0; PAGE_SIZE]);
 
 /// Byte-addressable guest physical memory (paged, copy-on-write).
 ///
-/// `clone()` is O(page-table) — the snapshot operation behind cheap
-/// checkpoint restores and forks.
-#[derive(Clone)]
+/// `clone()` is O(leaves) — the snapshot operation behind cheap checkpoint
+/// restores and forks.
 pub struct PhysMem {
-    /// `None` is a page nothing has written: it reads as [`ZERO_PAGE`].
-    pages: Vec<Option<Arc<Page>>>,
+    /// The page table's leaves; a `None` entry is a page nothing has
+    /// written, and a cold leaf holds only such pages: they read as
+    /// [`ZERO_PAGE`].
+    leaves: Vec<Block<Option<Arc<Page>>>>,
+    /// Page-table entries over all leaves.
+    pages: usize,
     size: u64,
 }
 
 impl PhysMem {
-    /// Allocates `size` bytes of zeroed memory (O(page-table): every page
+    /// Allocates `size` bytes of zeroed memory (O(leaves): every page
     /// starts untouched).
     pub fn new(size: usize) -> PhysMem {
-        PhysMem { pages: vec![None; size.div_ceil(PAGE_SIZE)], size: size as u64 }
+        let pages = size.div_ceil(PAGE_SIZE);
+        let leaves = (0..pages.div_ceil(LEAF_PAGES)).map(|_| Block::Cold).collect();
+        PhysMem { leaves, pages, size: size as u64 }
+    }
+
+    /// Every page-table entry in page order (`None` for an untouched page).
+    fn entries(&self) -> impl Iterator<Item = Option<&Arc<Page>>> + '_ {
+        self.leaves.iter().enumerate().flat_map(move |(li, leaf)| {
+            let len = self.leaf_len(li);
+            (0..len).map(move |i| leaf.get().and_then(|entries| entries[i].as_ref()))
+        })
+    }
+
+    /// Entries in leaf `li`: [`LEAF_PAGES`], fewer in a last partial leaf.
+    #[inline]
+    fn leaf_len(&self, li: usize) -> usize {
+        (self.pages - (li << LEAF_SHIFT)).min(LEAF_PAGES)
     }
 
     /// Memory size in bytes.
@@ -63,12 +90,19 @@ impl PhysMem {
     /// Pages this instance owns privately (written, and not shared with
     /// any snapshot sibling). Diagnostic only.
     pub fn owned_pages(&self) -> usize {
-        self.pages.iter().flatten().filter(|p| Arc::strong_count(p) == 1).count()
+        self.leaves
+            .iter()
+            .filter(|leaf| leaf.is_sole())
+            .filter_map(Block::get)
+            .flatten()
+            .flatten()
+            .filter(|p| Arc::strong_count(p) == 1)
+            .count()
     }
 
     /// Total pages in the page table.
     pub fn total_pages(&self) -> usize {
-        self.pages.len()
+        self.pages
     }
 
     /// Pages whose frames this instance shares with `other` (the same `Arc`
@@ -78,9 +112,8 @@ impl PhysMem {
     /// sharing is sharing, whatever the frame holds. Diagnostic only, like
     /// [`PhysMem::owned_pages`].
     pub fn shared_pages_with(&self, other: &PhysMem) -> usize {
-        self.pages
-            .iter()
-            .zip(&other.pages)
+        self.entries()
+            .zip(other.entries())
             .filter(|(a, b)| match (a, b) {
                 (None, None) => true,
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -89,14 +122,41 @@ impl PhysMem {
             .count()
     }
 
+    /// Bytes this memory holds that `base` does not share: its leaf table,
+    /// every leaf whose storage differs from `base`'s, and every page frame
+    /// that is not `base`'s frame at the same index.
+    pub(crate) fn unshared_bytes(&self, base: &PhysMem) -> usize {
+        let table = std::mem::size_of_val(&self.leaves[..]);
+        let leaves = self.leaves.iter().enumerate().map(|(li, leaf)| {
+            let theirs = base.leaves.get(li);
+            if theirs.is_some_and(|b| leaf.shares_storage_with(b)) {
+                return 0;
+            }
+            let frames = leaf.get().map_or(0, |entries| {
+                let base_entries = theirs.and_then(Block::get);
+                let shared = |i: usize, page: &Arc<Page>| {
+                    base_entries
+                        .and_then(|b| b.get(i)?.as_ref())
+                        .is_some_and(|b| Arc::ptr_eq(b, page))
+                };
+                let frame = |(i, page): (usize, &Option<Arc<Page>>)| {
+                    page.as_ref().filter(|page| !shared(i, page)).map_or(0, |_| PAGE_SIZE)
+                };
+                entries.iter().enumerate().map(frame).sum()
+            });
+            leaf.bytes() + frames
+        });
+        table + leaves.sum::<usize>()
+    }
+
     /// The pages in address order, each cut to the configured size: `None`
     /// for an untouched page, which holds only zeros. The checkpoint
     /// encoder walks this instead of reading the whole extent.
     pub(crate) fn page_slices(&self) -> impl Iterator<Item = (usize, Option<&[u8]>)> + '_ {
         let size = self.size as usize;
-        self.pages.iter().enumerate().map(move |(pi, page)| {
+        self.entries().enumerate().map(move |(pi, page)| {
             let len = (size - pi * PAGE_SIZE).min(PAGE_SIZE);
-            (len, page.as_deref().map(|p| &p.0[..len]))
+            (len, page.map(|p| &p.0[..len]))
         })
     }
 
@@ -118,16 +178,25 @@ impl PhysMem {
         (i >> PAGE_SHIFT, i & (PAGE_SIZE - 1))
     }
 
+    /// The table entry of page `pi`; `None` for an untouched page.
+    #[inline]
+    fn entry(&self, pi: usize) -> Option<&Arc<Page>> {
+        self.leaves[pi >> LEAF_SHIFT].get()?[pi & (LEAF_PAGES - 1)].as_ref()
+    }
+
     #[inline]
     fn page(&self, pi: usize) -> &[u8; PAGE_SIZE] {
-        &self.pages[pi].as_deref().unwrap_or(&ZERO_PAGE).0
+        &self.entry(pi).map_or(&ZERO_PAGE, |p| p).0
     }
 
     /// The page for writing: an untouched page materializes, a shared one
-    /// is copied.
+    /// is copied, and so is a shared leaf on the way to it.
     #[inline]
     fn page_mut(&mut self, pi: usize) -> &mut [u8; PAGE_SIZE] {
-        let page = self.pages[pi].get_or_insert_with(|| Arc::new(ZERO_PAGE.clone()));
+        let li = pi >> LEAF_SHIFT;
+        let len = self.leaf_len(li);
+        let entry = &mut self.leaves[li].get_mut(len)[pi & (LEAF_PAGES - 1)];
+        let page = entry.get_or_insert_with(|| Arc::new(ZERO_PAGE.clone()));
         &mut Arc::make_mut(page).0
     }
 
@@ -222,7 +291,7 @@ impl PhysMem {
         while !data.is_empty() {
             let n = data.len().min(PAGE_SIZE - off);
             let (chunk, rest) = data.split_at(n);
-            if !(self.pages[pi].is_none() && chunk.iter().all(|&b| b == 0)) {
+            if !(self.entry(pi).is_none() && chunk.iter().all(|&b| b == 0)) {
                 self.page_mut(pi)[off..off + n].copy_from_slice(chunk);
             }
             data = rest;
@@ -253,12 +322,24 @@ impl PhysMem {
     }
 }
 
+impl Clone for PhysMem {
+    /// Shares every leaf with the clone (a leaf this memory wrote since it
+    /// was last cloned is copied once, into shared storage).
+    fn clone(&self) -> PhysMem {
+        PhysMem {
+            leaves: self.leaves.iter().map(Block::share).collect(),
+            pages: self.pages,
+            size: self.size,
+        }
+    }
+}
+
 impl PartialEq for PhysMem {
     /// Logical byte equality (page sharing is a representation detail, not
     /// state).
     fn eq(&self, other: &PhysMem) -> bool {
         self.size == other.size
-            && self.pages.iter().zip(&other.pages).all(|(a, b)| match (a, b) {
+            && self.entries().zip(other.entries()).all(|(a, b)| match (a, b) {
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.0 == b.0,
                 (Some(p), None) | (None, Some(p)) => p.0 == ZERO_PAGE.0,
                 (None, None) => true,
@@ -272,7 +353,7 @@ impl std::fmt::Debug for PhysMem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhysMem")
             .field("size", &self.size)
-            .field("pages", &self.pages.len())
+            .field("pages", &self.pages)
             .field("owned_pages", &self.owned_pages())
             .finish()
     }

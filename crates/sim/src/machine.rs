@@ -159,9 +159,9 @@ impl<H: FaultHooks> Machine<H> {
     /// the (shared, immutable) checkpoint.
     ///
     /// The checkpoint is never written to: guest memory comes back as a
-    /// copy-on-write page-table snapshot, so restore cost is O(pages)
-    /// regardless of memory size and each restored machine pays only for
-    /// the pages it subsequently dirties.
+    /// copy-on-write snapshot of the page table's leaves, so restore cost
+    /// is O(leaves) regardless of memory size and each restored machine
+    /// pays only for the leaves and pages it subsequently dirties.
     ///
     /// A restore always starts the CPU model *fresh* (cold pipeline, cold
     /// predictor) and decode-cold, even when the checkpoint was captured
@@ -187,12 +187,11 @@ impl<H: FaultHooks> Machine<H> {
         let arch = checkpoint.arch().clone();
         let cpu = Cpu::new(config.cpu, arch.pc);
         // The predecode cache is derived state: a restored machine starts
-        // with it empty, exactly like one rebuilt from the serialized image.
-        // Cache tag/LRU state is likewise never serialized, so the restore
-        // goes cache-cold even from an in-memory checkpoint.
+        // with it empty (a clone is decode-cold), exactly like one rebuilt
+        // from the serialized image. Cache tag/LRU state is likewise never
+        // serialized, so the restore goes cache-cold even from an in-memory
+        // checkpoint; cold caches hold no arrays, so this is O(chunks).
         let mut mem = checkpoint.mem().clone();
-        mem.clear_predecode();
-        mem.clear_superblocks();
         mem.reset_caches();
         let tick = checkpoint.tick();
         Machine {
@@ -245,22 +244,20 @@ impl<H: FaultHooks> Machine<H> {
     /// serialized image, a fork keeps the model warm — pipeline contents,
     /// branch-predictor state, the tick clock and the preempt phase all
     /// carry over — so the fork's future tick stream is bit-identical to
-    /// this machine's. Guest memory is shared copy-on-write, making a fork
-    /// O(page-table) like a restore.
+    /// this machine's. Guest memory and the cache arrays are shared
+    /// copy-on-write, making a fork O(page-table leaves + cache chunks) like
+    /// a restore; each side copies a chunk or page when it first writes it.
     ///
     /// Derived state is *not* carried: the predecode and superblock caches
-    /// drop at the fork, per the never-serialized contract (they are
-    /// architecturally and tick-invisible, so dropping them cannot change
-    /// behavior). The fork does inherit this machine's
+    /// are not copied at the fork, per the never-serialized contract (they
+    /// are architecturally and tick-invisible, so dropping them cannot
+    /// change behavior). The fork does inherit this machine's
     /// [`Machine::set_elide`]/[`Machine::set_superblock`] positions.
     pub fn fork_with<H2: FaultHooks>(&self, hooks: H2) -> Machine<H2> {
-        let mut mem = self.mem.clone();
-        mem.clear_predecode();
-        mem.clear_superblocks();
         Machine {
             config: self.config,
             arch: self.arch.clone(),
-            mem,
+            mem: self.mem.clone(),
             kernel: self.kernel.clone(),
             cpu: self.cpu.clone(),
             hooks,
@@ -274,6 +271,17 @@ impl<H: FaultHooks> Machine<H> {
         }
     }
 
+    /// Bytes this machine holds that it does not share with `base`, the
+    /// memory system of a machine or checkpoint it descends from: the
+    /// machine itself, its CPU model, and the cache chunks, page-table
+    /// leaves and pages whose storage differs from `base`'s
+    /// ([`MemorySystem::unshared_bytes`]). For a fork this is what it has
+    /// come to cost on its own; a line of stations charges each station
+    /// this over the station before it.
+    pub fn unshared_bytes(&self, base: &MemorySystem) -> usize {
+        std::mem::size_of::<Self>() + self.cpu.heap_bytes() + self.mem.unshared_bytes(base)
+    }
+
     /// Captures a checkpoint of the architectural machine state. Only valid
     /// at a quiesced point (no speculative work in flight) — [`Machine::run`]
     /// returns [`RunExit::CheckpointRequest`] exactly at such points.
@@ -283,17 +291,15 @@ impl<H: FaultHooks> Machine<H> {
     /// Panics if the CPU still has speculative work in flight.
     pub fn checkpoint(&self) -> Checkpoint {
         assert!(!self.cpu.has_in_flight(), "checkpoint requires a quiesced CPU");
-        // Drop the (derived) predecode cache from the captured image so a
-        // checkpoint taken from a warm machine is byte-identical to one
-        // taken from a cold machine in the same architectural state. The
-        // cache hierarchy goes cold too: the serialized image carries no
-        // tag/LRU state, and the in-memory checkpoint must be
-        // indistinguishable from its own byte round-trip — warm capture-time
-        // tags differ between stepped and superblock execution, and must
-        // not leak into restored runs.
+        // The clone leaves the (derived) predecode and superblock tables
+        // behind, so a checkpoint taken from a warm machine is
+        // byte-identical to one taken from a cold machine in the same
+        // architectural state. The cache hierarchy goes cold too: the
+        // serialized image carries no tag/LRU state, and the in-memory
+        // checkpoint must be indistinguishable from its own byte round-trip
+        // — warm capture-time tags differ between stepped and superblock
+        // execution, and must not leak into restored runs.
         let mut mem = self.mem.clone();
-        mem.clear_predecode();
-        mem.clear_superblocks();
         mem.reset_caches();
         Checkpoint::new(
             self.config,

@@ -11,7 +11,7 @@
 //! warm predecode and superblock caches, but a fork must come out
 //! decode-cold and translation-cold — asserted here rather than trusted.
 //! Stations are further checked on a fault that fires right before its
-//! activation ends, on a trunk long enough to thin its stations, on a
+//! activation ends, on a trunk that outgrows its line's byte budget, on a
 //! seeded sample of every small guest, and from a byte copy of the
 //! checkpoint, as a spool workstation runs them.
 
@@ -244,16 +244,19 @@ fn a_fault_near_the_end_of_its_activation_still_fires() {
     assert_eq!(run.machine.hooks().records().len(), 1, "the fault fires");
 }
 
-/// Small canneal on Atomic walks about 73 stations at the starting spacing:
-/// the line must thin itself to stay within `MAX_STATIONS` and still serve
-/// exact forks.
+/// A line prices its stations in bytes. Small canneal on Atomic at a fine
+/// chunk walks about 7 300 grid points at the starting spacing (chunk / 40),
+/// far more than one line's budget holds: the line must thin itself until
+/// its stations own at most `MAX_STATIONS` bytes, and still serve exact
+/// forks.
 #[test]
-fn a_long_trunk_keeps_at_most_max_stations() {
+fn a_line_over_its_byte_budget_thins_and_still_forks_exactly() {
     let w = Canneal { steps: 128, ..Canneal::default() };
     let p = prepare_workload(&w).expect("prepares");
     let runner = RunnerConfig {
         inject_cpu: CpuKind::Atomic,
         finish_cpu: CpuKind::Atomic,
+        chunk: 2_000,
         ..RunnerConfig::default()
     };
     let late = FaultSpec {
@@ -264,13 +267,17 @@ fn a_long_trunk_keeps_at_most_max_stations() {
         occurrences: 1,
     };
     let never = FaultSpec { timing: FaultTiming::Instructions(u64::MAX), ..late };
-    let grid_points = p.kernel_ticks / (runner.chunk / 4);
-    assert!(grid_points > MAX_STATIONS as u64, "the trunk must outgrow one line");
+    let grid_points = p.kernel_ticks / (runner.chunk / 40);
     for (i, spec) in [never, late].into_iter().enumerate() {
         let station = station_matches_whole_run(&p, &[spec], &runner, &format!("spec#{i}"));
         assert!(station.is_some());
-        let count = p.stations.count();
-        assert!((2..=MAX_STATIONS).contains(&count), "{count} stations");
+        let (count, bytes) = (p.stations.count(), p.stations.owned_bytes());
+        assert!(bytes <= MAX_STATIONS, "{bytes} bytes in {count} stations");
+        assert!(count >= 2, "{count} stations");
+        assert!(
+            (count as u64) < grid_points / 2,
+            "{count} of {grid_points} grid points: no thinning"
+        );
     }
     let mid = FaultSpec { timing: FaultTiming::Instructions(p.stage_events[4] / 3), ..late };
     station_matches_whole_run(&p, &[mid, late], &runner, "two faults");
