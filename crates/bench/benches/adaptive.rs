@@ -29,10 +29,10 @@
 
 use gemfi::Outcome;
 use gemfi_bench::Args;
-use gemfi_campaign::fork::{run_campaign_forked, ForkConfig};
 use gemfi_campaign::{
-    leveugle_sample_size, prepare_workload, run_campaign_adaptive, wilson_interval, AdaptiveConfig,
-    CellKind, FaultSampler, OutcomeTable, RunnerConfig, Z_95,
+    leveugle_sample_size, prepare_workload, run_campaign_adaptive, run_campaign_forked,
+    wilson_interval, AdaptiveConfig, CellKind, FaultSampler, ForkConfig, OutcomeTable,
+    RunnerConfig, Z_95,
 };
 use gemfi_cpu::CpuKind;
 use gemfi_workloads::dct::Dct;
@@ -71,7 +71,6 @@ fn main() {
         finish_cpu: CpuKind::Atomic,
         ..RunnerConfig::default()
     };
-    let fork = ForkConfig::default();
     let prepared = prepare_workload(&workload).expect("workload prepares");
 
     let config = AdaptiveConfig {
@@ -91,16 +90,18 @@ fn main() {
         let population = kind.population(&sampler);
         let n = leveugle_sample_size(population, config.ci_halfwidth, Z_95, 0.5);
         let specs: Vec<_> = (0..n).map(|_| kind.draw(&mut sampler)).collect();
-        let table: OutcomeTable = run_campaign_forked(&prepared, &workload, &specs, &runner, &fork)
-            .iter()
-            .map(|r| r.outcome)
-            .collect();
+        let table: OutcomeTable =
+            run_campaign_forked(&prepared, &workload, &specs, &runner, &ForkConfig)
+                .iter()
+                .map(|r| r.outcome)
+                .collect();
         println!("fixed    {kind:<12} n={n:<5} {table}");
         fixed_tables.push(table);
     }
 
     // Sequential arm: same cells, same target, draw-on-demand.
-    let adaptive = run_campaign_adaptive(&prepared, &workload, &runner, Some(&fork), &config, seed);
+    let adaptive =
+        run_campaign_adaptive(&prepared, &workload, &runner, Some(&ForkConfig), &config, seed);
     assert_eq!(
         adaptive.table.count(Outcome::Infrastructure),
         0,

@@ -27,10 +27,9 @@
 //! remainder, and keeps drawing — reaching byte-identical per-cell
 //! decisions to an uninterrupted run.
 
-use crate::fork::ForkConfig;
 use crate::journal::{spec_digest, JournalEvent, JOURNAL_VERSION};
 use crate::report::OutcomeTable;
-use crate::runner::{run_experiment, PreparedWorkload, RunnerConfig};
+use crate::runner::{run_experiment, ForkConfig, PreparedWorkload, RunnerConfig};
 use crate::sampler::{FaultSampler, LocationClass};
 use crate::stats::{CellDecision, CellStats, StopRule, Z_95};
 use gemfi::{CacheLevel, FaultSpec, Outcome};
@@ -447,8 +446,8 @@ impl fmt::Display for AdaptiveOutcome {
 /// station of `prepared` (the fault-free prefix is walked once per
 /// prepared workload, not once per round), and the outcomes fold straight
 /// back into the engine. The [`ForkConfig`] is accepted and ignored: the
-/// sweep no longer drives any executor, and the argument goes when the
-/// planner does. There is no share here, so nothing is journaled, leased or
+/// benchmark passes one, and the argument goes with the benchmark's traced
+/// replica. There is no share here, so nothing is journaled, leased or
 /// resumable: the round protocol is driven directly instead of through
 /// `now::Campaign`.
 pub fn run_campaign_adaptive(
@@ -769,8 +768,7 @@ mod tests {
             ..AdaptiveConfig::default()
         };
         let serial = run_campaign_adaptive(&p, &w, &runner, None, &config, 5);
-        let fork = ForkConfig::default();
-        let forked = run_campaign_adaptive(&p, &w, &runner, Some(&fork), &config, 5);
+        let forked = run_campaign_adaptive(&p, &w, &runner, Some(&ForkConfig), &config, 5);
         assert_eq!(serial.experiments, forked.experiments);
         for (a, b) in serial.cells.iter().zip(&forked.cells) {
             assert_eq!(a.decision, b.decision, "{}", a.cell);

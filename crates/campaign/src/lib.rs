@@ -21,9 +21,9 @@
 //!    fleet of remote workers behind a campaign server (Sec. III-E).
 //!
 //! Steps 4–6 are one pipeline in three pieces (DESIGN.md §12): the
-//! experiment **driver** ([`runner`]: build a machine from the checkpoint,
-//! a station of it, or a fork plan's trunk; drive it; classify), a **plan** that hands out
-//! experiments in rounds ([`adaptive`]: a fixed list is the one-round case
+//! experiment **driver** ([`runner`]: fork a station of the checkpoint's
+//! fault-free run or restore the checkpoint; drive it; classify), a
+//! **plan** that hands out experiments in rounds ([`adaptive`]: a fixed list is the one-round case
 //! of the sequential sampler), and the **slot table** ([`now`]: one slot
 //! per drawn experiment, the fold of its journal, a round being its open
 //! range) that spool threads and socket workers claim from through one
@@ -34,7 +34,6 @@
 pub mod adaptive;
 pub mod classify;
 pub mod clock;
-pub mod fork;
 pub mod journal;
 pub mod lease;
 pub mod now;
@@ -53,7 +52,6 @@ pub use adaptive::{
 };
 pub use classify::classify;
 pub use clock::Clock;
-pub use fork::{drive_suffix, plan_suffixes, run_campaign_forked, ForkConfig, ForkedSuffix};
 pub use journal::{Journal, JournalEvent};
 pub use lease::{Lease, LeaseDir};
 pub use now::{
@@ -62,9 +60,10 @@ pub use now::{
 pub use report::OutcomeTable;
 pub use rng::SplitMix64;
 pub use runner::{
-    drive_experiment, drive_whole_run, prepare_workload, run_experiment,
-    run_experiment_from_with_abort, run_experiment_multi, DrivenRun, ExperimentResult,
-    PreparedWorkload, RunnerConfig, Stations, DORMANT_CHUNK_FACTOR, MAX_STATIONS,
+    drive_experiment, drive_suffix, drive_whole_run, plan_suffixes, prepare_workload,
+    run_campaign_forked, run_experiment, run_experiment_from_with_abort, run_experiment_multi,
+    DrivenRun, ExperimentResult, ForkConfig, ForkedSuffix, PreparedWorkload, RunnerConfig,
+    Stations, DORMANT_CHUNK_FACTOR, MAX_STATIONS,
 };
 pub use sampler::{FaultSampler, LocationClass};
 pub use server::{CampaignServer, QueueKind, QueueReport, QueueSpec, ServerConfig, ServerReport};

@@ -1065,10 +1065,27 @@ mod tests {
         (w, p, specs, runner)
     }
 
-    fn share(tag: &str) -> PathBuf {
+    /// A scratch share in the temp dir, removed when dropped, also when
+    /// the test panics.
+    struct Share(PathBuf);
+
+    impl Drop for Share {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for Share {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn share(tag: &str) -> Share {
         let d = std::env::temp_dir().join(format!("gemfi-now-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
-        d
+        Share(d)
     }
 
     fn fast_config(workstations: usize, slots: usize, dir: &Path) -> NowConfig {
@@ -1130,7 +1147,6 @@ mod tests {
         assert_eq!(report.infrastructure_failures, 0);
         assert_eq!(slot_specs(&campaign), specs);
         assert_campaign_files(&dir, &specs);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1152,7 +1168,6 @@ mod tests {
         assert!(rounds > 1, "more than one round was appended: {rounds}");
         assert_eq!(campaign.slots.len(), report.experiments);
         assert_campaign_files(&dir, &slot_specs(&campaign));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Runs `run` on a pool without a workstation and on one without a
@@ -1163,7 +1178,6 @@ mod tests {
             let err = run(&fast_config(workstations, slots, &dir)).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
             assert!(!Journal::path_in(&dir).exists(), "{workstations}×{slots}: journal created");
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -1197,7 +1211,6 @@ mod tests {
         let (_, results, _) = run_campaign_now(&p, &w, &specs, &runner, &cfg).unwrap();
         let parallel: Vec<_> = results.iter().map(|r| r.outcome).collect();
         assert_eq!(serial, parallel, "determinism across execution modes");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1227,7 +1240,6 @@ mod tests {
             .expect("journal has the failed attempt");
         assert!(failed.0.contains("worker panic"), "payload recorded: {}", failed.0);
         assert_eq!(failed.1.as_deref(), Some(specs[2].to_string().as_str()));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1249,7 +1261,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, JournalEvent::Failed { exp: 1, attempts: 3, .. })));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1280,7 +1291,6 @@ mod tests {
         std::fs::write(Journal::path_in(&dir), &journal[body..]).unwrap();
         let err = run_campaign_now(&p, &w, &specs, &runner, &resume).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1314,7 +1324,6 @@ mod tests {
             e,
             JournalEvent::AttemptFailed { exp: 2, attempt: 1, worker, .. } if worker == "ws9.slot9"
         )));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1358,7 +1367,6 @@ mod tests {
         let events = Journal::replay(&Journal::path_in(&dir)).unwrap();
         let past_the_cap = |e: &JournalEvent| matches!(e, JournalEvent::Leased { exp: 1 | 2, attempt, .. } if *attempt > 3);
         assert!(!events.iter().any(past_the_cap), "no fourth attempt was leased");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn open_campaign(dir: &Path, p: &PreparedWorkload, specs: &[FaultSpec]) -> Campaign {
@@ -1371,7 +1379,7 @@ mod tests {
     fn a_fresh_start_clears_every_artifact_of_the_campaign_before_it() {
         let (_, p, specs, _) = small_campaign(50, 37, 3);
         let dir = share("fresh");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&*dir).unwrap();
         // Leftovers of a larger campaign that ran in this directory,
         // including the per-experiment files older versions spooled.
         let stale = [
@@ -1387,7 +1395,6 @@ mod tests {
         let campaign = open_campaign(&dir, &p, &specs);
         assert_eq!(campaign.progress(), (0, 3, 0));
         assert_campaign_files(&dir, &specs);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1408,7 +1415,6 @@ mod tests {
         cfg.resume = true;
         let err = run_campaign_now(&p, &w, &specs[..3], &runner, &cfg).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1426,7 +1432,6 @@ mod tests {
         for o in Outcome::ALL {
             assert_eq!(first.count(o), again.count(o), "{o}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The share contract: a campaign's share holds exactly its checkpoint,
@@ -1466,10 +1471,10 @@ mod tests {
         Plan::fixed(fixed_specs(n))
     }
 
-    /// A fresh fixed-n campaign of `n` experiments on its own share.
-    fn campaign(tag: &str, n: usize, clock: &TestClock, policy: SchedulerPolicy) -> Campaign {
+    /// A fresh fixed-n campaign of `n` experiments on the share `dir`.
+    fn campaign(dir: &Path, n: usize, clock: &TestClock, policy: SchedulerPolicy) -> Campaign {
         let clock = Arc::new(clock.clone());
-        Campaign::open(&share(tag), prepared(), fixed_plan(n), false, clock, policy, 1).unwrap()
+        Campaign::open(dir, prepared(), fixed_plan(n), false, clock, policy, 1).unwrap()
     }
 
     fn done(work: &WorkAssignment, outcome: Outcome) -> CompletedExperiment {
@@ -1496,7 +1501,8 @@ mod tests {
     #[test]
     fn reap_fires_only_past_the_deadline_and_aborts_the_runaway() {
         let clock = TestClock::at(1_000);
-        let mut c = campaign("reap", 1, &clock, policy());
+        let dir = share("reap");
+        let mut c = campaign(&dir, 1, &clock, policy());
         let (exp, attempt, abort) = claim(&mut c, "w0");
         assert_eq!((exp, attempt), (0, 1));
         // Within the lease: nothing claimable, nothing reaped.
@@ -1516,8 +1522,9 @@ mod tests {
     #[test]
     fn a_spool_lease_never_expires() {
         let clock = TestClock::at(1_000);
-        let policy = NowConfig::new(1, 2, share("spool-lease")).scheduler_policy();
-        let mut c = campaign("spool-lease", 2, &clock, policy);
+        let dir = share("spool-lease");
+        let policy = NowConfig::new(1, 2, dir.to_path_buf()).scheduler_policy();
+        let mut c = campaign(&dir, 2, &clock, policy);
         let ClaimReply::Work(first) = c.try_claim("spool", "ws0.slot0", 0).unwrap() else {
             panic!("expected work");
         };
@@ -1536,7 +1543,8 @@ mod tests {
         // Drive the backoff directly (no probe claims): fail attempts
         // 1..=9 and read the reopen delay off the claim boundary.
         let clock = TestClock::at(0);
-        let mut c = campaign("backoff", 1, &clock, policy());
+        let dir = share("backoff");
+        let mut c = campaign(&dir, 1, &clock, policy());
         for attempt in 1..=9u64 {
             let (_, a, _) = claim(&mut c, "w");
             assert_eq!(a, attempt);
@@ -1557,7 +1565,7 @@ mod tests {
     fn exhausted_retries_go_terminal() {
         let clock = TestClock::at(0);
         let dir = share("give-up");
-        let mut c = campaign("give-up", 2, &clock, SchedulerPolicy { max_attempts: 2, ..policy() });
+        let mut c = campaign(&dir, 2, &clock, SchedulerPolicy { max_attempts: 2, ..policy() });
         for attempt in 1..=2u64 {
             let (exp, a, _) = claim(&mut c, "w");
             assert_eq!((exp, a), (0, attempt));
@@ -1573,14 +1581,13 @@ mod tests {
         assert_eq!(records[0].attempts, 2);
         assert_eq!(c.table().count(Outcome::Infrastructure), 1);
         assert_campaign_files(&dir, &fixed_specs(2));
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn a_retried_report_is_journaled_once() {
         let clock = TestClock::at(0);
         let dir = share("retried-report");
-        let mut c = campaign("retried-report", 1, &clock, policy());
+        let mut c = campaign(&dir, 1, &clock, policy());
         let ClaimReply::Work(work) = c.try_claim("q", "w", 0).unwrap() else { panic!() };
         // A directory where a result file would go: a report that still
         // wrote one would fail after journaling `done`, and so would its
@@ -1594,13 +1601,13 @@ mod tests {
         let acks: Vec<_> = acks.into_iter().map(Result::unwrap).collect();
         assert_eq!(acks, [ReportAck::Accepted, ReportAck::Stale]);
         assert_eq!(c.table().total(), 1);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn heartbeat_renews_the_lease_and_defers_the_reaper() {
         let clock = TestClock::at(0);
-        let mut c = campaign("hb", 1, &clock, policy());
+        let dir = share("hb");
+        let mut c = campaign(&dir, 1, &clock, policy());
         let (exp, attempt, abort) = claim(&mut c, "w0");
         clock.advance(900);
         let renewed = c.heartbeat(exp, "w0", attempt).expect("owner renews");
@@ -1622,7 +1629,8 @@ mod tests {
     #[test]
     fn zombie_reports_are_stale_and_do_not_double_count() {
         let clock = TestClock::at(0);
-        let mut c = campaign("zombie", 1, &clock, policy());
+        let dir = share("zombie");
+        let mut c = campaign(&dir, 1, &clock, policy());
         let ClaimReply::Work(first) = c.try_claim("q", "w0", 0).unwrap() else { panic!() };
         // Reap w0, back off, re-claim as w1.
         clock.advance(1_001);
@@ -1650,7 +1658,8 @@ mod tests {
     #[test]
     fn a_full_quota_of_dead_leases_is_still_reaped() {
         let clock = TestClock::at(0);
-        let mut c = campaign("quota", 3, &clock, policy());
+        let dir = share("quota");
+        let mut c = campaign(&dir, 3, &clock, policy());
         let quota = 2;
         for worker in ["w0", "w1"] {
             assert!(matches!(c.try_claim("q", worker, quota).unwrap(), ClaimReply::Work(_)));
@@ -1848,7 +1857,7 @@ mod tests {
             }
         }
         assert!(terminal_events.iter().all(|&n| n == 1), "{terminal_events:?}");
-        let per_experiment = std::fs::read_dir(&dir).unwrap().filter(|entry| {
+        let per_experiment = std::fs::read_dir(&*dir).unwrap().filter(|entry| {
             entry.as_ref().unwrap().file_name().to_string_lossy().starts_with("exp")
         });
         assert_eq!(per_experiment.count(), 0, "no per-experiment file on the share");
@@ -1859,7 +1868,6 @@ mod tests {
         assert!(replayed.is_done());
         assert_eq!(replayed.resumed() as u64, drawn);
         assert_eq!(ending(&replayed), end);
-        std::fs::remove_dir_all(&dir).ok();
         end
     }
 

@@ -8,15 +8,34 @@
 //! from its checkpoint and keeps warm forks of it, *stations*, on the
 //! checkpoint-anchored tick grid. An experiment forks the latest station
 //! at which none of its specs has armed ([`GemFiEngine::arming`]) and
-//! drives the fork with the same loop a whole run uses. Such a fork is
-//! bit-identical to a whole run for the reasons [`crate::fork`] gives for
-//! its sweep; `tests/fork_prefix_conformance.rs` compares the two. Every
-//! executor starts from stations, [`crate::fork::run_campaign_forked`]
-//! included. Lines of stations are keyed by [`Checkpoint::digest`], the
-//! identity resume and the wire already trust, so a spool workstation's
-//! local copy of the campaign checkpoint forks the same stations; a run
-//! from a checkpoint with another digest restores whole, as
-//! [`drive_whole_run`] always does.
+//! drives the fork with the same loop a whole run uses. Every executor
+//! starts from stations. Lines of stations are keyed by
+//! [`Checkpoint::digest`], the identity resume and the wire already trust,
+//! so a spool workstation's local copy of the campaign checkpoint forks the
+//! same stations; a run from a checkpoint with another digest restores
+//! whole, as [`drive_whole_run`] always does.
+//!
+//! # Why a station fork is bit-identical to a whole run
+//!
+//! Three facts compose into the guarantee that
+//! `tests/fork_prefix_conformance.rs` pins against [`drive_whole_run`]:
+//!
+//! 1. **The trunk is state-identical to any experiment's prefix.** Before
+//!    a spec's window opens, queue scans never mutate the engine, and the
+//!    per-event hooks are value-preserving; so a fault-free engine and an
+//!    engine carrying the not-yet-armed spec drive the machine through the
+//!    exact same tick stream. [`GemFiEngine::fork_with_faults`] then
+//!    reconstructs the carried engine's state at the station from the
+//!    trunk's.
+//! 2. **A fork is warm.** [`Machine::fork_with`] keeps the pipeline,
+//!    branch predictor, tick clock and preempt phase, so the fork's future
+//!    tick stream is the trunk's (only the tick-invisible predecode and
+//!    superblock caches drop, per the never-serialized contract).
+//! 3. **The drive loop's decisions are tick-aligned.** Pre-switch
+//!    scheduling boundaries are anchored to the *checkpoint* tick (see
+//!    `next_boundary`), so a fork polls `pending_faults()` at the same
+//!    absolute ticks a whole run does and switches CPU models at the
+//!    identical tick.
 
 use crate::classify::classify;
 use gemfi::{AbortToken, FaultConfig, FaultSpec, GemFiEngine, InjectionRecord, Outcome};
@@ -152,7 +171,7 @@ struct Line {
 impl Line {
     fn new(prepared: &PreparedWorkload, config: &RunnerConfig) -> Line {
         let checkpoint = Arc::clone(&prepared.checkpoint);
-        let trunk = build_machine(Source::Checkpoint(&checkpoint), prepared, &[], config);
+        let trunk = build_machine(&checkpoint, prepared, &[], config);
         let spacing = (config.chunk / STATIONS_PER_CHUNK).max(1);
         Line {
             checkpoint,
@@ -172,11 +191,11 @@ impl Line {
         while !self.done && !armed_at(&self.trunk, specs) {
             let tick = self.trunk.tick();
             if self.stations.last().is_none_or(|s| s.tick() < tick) {
-                let station = fork_faultless(&self.trunk);
+                let station = fork_loaded(&self.trunk, &[]);
                 // The trunk goes on as a fork of the station, so it shares
                 // every cache chunk, leaf and page with it, and the next
                 // station owns only what the trunk writes until then.
-                self.trunk = fork_faultless(&station);
+                self.trunk = fork_loaded(&station, &[]);
                 self.push(Arc::new(station));
                 while self.owned > MAX_STATIONS && self.stations.len() > 1 {
                     self.thin();
@@ -206,9 +225,12 @@ impl Line {
     }
 }
 
-/// A fork of `machine` with a fault-free engine.
-fn fork_faultless(machine: &Machine<GemFiEngine>) -> Machine<GemFiEngine> {
-    machine.fork_with(machine.hooks().fork_with_faults(FaultConfig::empty()))
+/// A warm fork of `machine` whose engine carries exactly `specs` (none: a
+/// fault-free fork). It inherits the machine's switches along with its
+/// pipeline, tick clock and watchdog.
+fn fork_loaded(machine: &Machine<GemFiEngine>, specs: &[FaultSpec]) -> Machine<GemFiEngine> {
+    let faults = FaultConfig::from_specs(specs.to_vec());
+    machine.fork_with(machine.hooks().fork_with_faults(faults))
 }
 
 /// Whether any of `specs` has armed at `machine`'s position. Monotone
@@ -355,58 +377,41 @@ fn watchdog_budget(
 ///
 /// Anchoring boundaries to the *checkpoint's* tick rather than to wherever
 /// the loop happens to stand makes the pre-switch polling schedule a pure
-/// function of the machine's execution: a suffix forked mid-run lands on
+/// function of the machine's execution: a station forked mid-run lands on
 /// the same grid as a whole run from the checkpoint, so both observe "the
 /// fault has fired" at the identical tick and switch CPU models at the
-/// identical tick — the load-bearing half of fork-at-injection's
+/// identical tick — the load-bearing half of a station fork's
 /// bit-identical guarantee.
 fn next_boundary(tick: u64, origin: u64, granularity: u64) -> u64 {
     let rel = tick.saturating_sub(origin);
     origin.saturating_add((rel / granularity + 1).saturating_mul(granularity))
 }
 
-/// Where an experiment's machine comes from.
-#[derive(Clone, Copy)]
-pub(crate) enum Source<'a> {
-    /// A whole run: restore the campaign checkpoint (or a workstation-local
-    /// copy of it) into the injection model.
-    Checkpoint(&'a Checkpoint),
-    /// Fork a fault-free machine where it stands: a station, or the trunk
-    /// of a fork-at-injection plan ([`crate::fork`]).
-    Trunk(&'a Machine<GemFiEngine>),
-}
-
-/// Builds the machine of one experiment — the one place a campaign machine
-/// is restored and handed the [`RunnerConfig`] fast-path switches. An empty
-/// `specs` builds a fault-free machine (the fork planner's trunk).
+/// Restores the machine of one experiment from `checkpoint` — the one
+/// place a campaign machine is restored and handed the [`RunnerConfig`]
+/// fast-path switches. An empty `specs` builds a fault-free machine (a
+/// line's trunk).
 ///
 /// `fi_read_init_all` restore semantics: a fresh engine re-reads the fault
 /// configuration for this experiment. The shared checkpoint is restored in
 /// place — no per-experiment deep copy; the watchdog bound (corrupted
 /// control flow loops forever, so cap the run relative to the fault-free
 /// kernel time) rides along as a restore override.
-pub(crate) fn build_machine(
-    source: Source<'_>,
+fn build_machine(
+    checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
     specs: &[FaultSpec],
     config: &RunnerConfig,
 ) -> Machine<GemFiEngine> {
-    let faults = FaultConfig::from_specs(specs.to_vec());
-    let checkpoint = match source {
-        // A fork is warm and inherits the trunk's switches along with its
-        // pipeline, tick clock and watchdog.
-        Source::Trunk(trunk) => return trunk.fork_with(trunk.hooks().fork_with_faults(faults)),
-        Source::Checkpoint(checkpoint) => checkpoint,
-    };
     let budget = Some(watchdog_budget(checkpoint, prepared, config));
-    let engine = GemFiEngine::new(faults);
+    let engine = GemFiEngine::new(FaultConfig::from_specs(specs.to_vec()));
     let mut machine = Machine::restore_with(checkpoint, Some(config.inject_cpu), budget, engine);
     machine.set_elide(config.elide);
     machine.set_superblock(config.superblock);
     machine
 }
 
-/// Drives a built machine to completion: the switch-grace/model-switch
+/// Drives a started machine to completion: the switch-grace/model-switch
 /// protocol, horizon-aware chunked scheduling, and abort polling — the one
 /// loop every experiment path runs. `origin` is the checkpoint tick the
 /// experiment descends from; pre-switch boundaries are anchored to it (see
@@ -415,12 +420,12 @@ pub(crate) fn build_machine(
 /// Pre-switch polling always runs at the fine granularity, even while the
 /// engine is dormant: the boundary at which `pending_faults() == 0` is
 /// first observed decides the CPU-switch tick, so it must not depend on a
-/// dormancy observation a forked suffix (whose engine starts with its fault
+/// dormancy observation a station fork (whose engine starts with its fault
 /// queued) would make differently. Once switched, boundaries are
 /// state-neutral and the dormant coarsening is pure abort-latency tuning.
 ///
 /// Returns the terminal exit and whether the abort token cut the run short.
-pub(crate) fn drive_to_completion(
+fn drive_to_completion(
     machine: &mut Machine<GemFiEngine>,
     config: &RunnerConfig,
     abort: &AbortToken,
@@ -493,12 +498,10 @@ pub struct DrivenRun {
     pub drove: (RunExit, bool),
 }
 
-/// Drives one experiment loaded with `specs` from `checkpoint`: from the
-/// latest unarmed station when `checkpoint` has the digest of `prepared`'s
-/// own (it is that checkpoint, or a copy such as a spool workstation's)
-/// and the run is not already aborted, otherwise from a whole restore.
-/// Either way the result is bit-identical to [`drive_whole_run`]'s; the
-/// full machine comes back so the conformance suite can compare them.
+/// Drives one experiment loaded with `specs` from `checkpoint`
+/// (`start_experiment`, then the drive loop). The result is
+/// bit-identical to [`drive_whole_run`]'s; the full machine comes back so
+/// the conformance suite can compare them.
 pub fn drive_experiment(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
@@ -506,25 +509,40 @@ pub fn drive_experiment(
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> DrivenRun {
+    let (mut machine, station) = start_experiment(checkpoint, prepared, specs, config, abort);
+    let drove = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
+    DrivenRun { machine, station, drove }
+}
+
+/// The machine of one experiment loaded with `specs`, and the tick of the
+/// station it forked: the latest unarmed station when `checkpoint` has the
+/// digest of `prepared`'s own (it is that checkpoint, or a copy such as a
+/// spool workstation's) and the run is not already aborted, otherwise a
+/// whole restore (`None`).
+fn start_experiment(
+    checkpoint: &Checkpoint,
+    prepared: &PreparedWorkload,
+    specs: &[FaultSpec],
+    config: &RunnerConfig,
+    abort: &AbortToken,
+) -> (Machine<GemFiEngine>, Option<u64>) {
     let own = checkpoint.digest() == prepared.checkpoint.digest();
     let station = if own && !abort.is_aborted() {
         prepared.stations.latest_unarmed(prepared, specs, config)
     } else {
         None
     };
-    let mut machine = match &station {
-        Some(station) => build_machine(Source::Trunk(station), prepared, specs, config),
-        None => build_machine(Source::Checkpoint(checkpoint), prepared, specs, config),
-    };
-    let drove = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
-    DrivenRun { machine, station: station.map(|s| s.tick()), drove }
+    match station {
+        Some(station) => (fork_loaded(&station, specs), Some(station.tick())),
+        None => (build_machine(checkpoint, prepared, specs, config), None),
+    }
 }
 
 /// Restores from `checkpoint` with a fresh engine loaded with `specs` and
 /// drives the whole experiment: the restore-only reference. The
 /// conformance suite compares this machine's terminal state bit-for-bit
-/// against a station fork's and a forked suffix's, so the full machine
-/// comes back, not just the result.
+/// against a station fork's, so the full machine comes back, not just the
+/// result.
 pub fn drive_whole_run(
     checkpoint: &Checkpoint,
     prepared: &PreparedWorkload,
@@ -532,7 +550,7 @@ pub fn drive_whole_run(
     config: &RunnerConfig,
     abort: &AbortToken,
 ) -> (Machine<GemFiEngine>, RunExit, bool) {
-    let mut machine = build_machine(Source::Checkpoint(checkpoint), prepared, specs, config);
+    let mut machine = build_machine(checkpoint, prepared, specs, config);
     let (exit, aborted) = drive_to_completion(&mut machine, config, abort, checkpoint.tick());
     (machine, exit, aborted)
 }
@@ -613,11 +631,80 @@ pub fn run_experiment(
     run_experiment_from_with_abort(&prepared.checkpoint, prepared, workload, spec, config, &abort)
 }
 
+/// Runs a whole campaign, one [`run_experiment`] per spec in order, so
+/// every experiment forks a station of `prepared`. Results come back
+/// indexed like `specs`. It stays only for the benchmark's traced replica,
+/// and goes with it.
+pub fn run_campaign_forked(
+    prepared: &PreparedWorkload,
+    workload: &dyn Workload,
+    specs: &[FaultSpec],
+    runner: &RunnerConfig,
+    _fork: &ForkConfig,
+) -> Vec<ExperimentResult> {
+    specs.iter().map(|spec| run_experiment(prepared, workload, *spec, runner)).collect()
+}
+
+/// The argument of [`plan_suffixes`], [`run_campaign_forked`] and
+/// [`crate::run_campaign_adaptive`]; it has nothing to tune. It stays only
+/// for the benchmark's traced replica, and goes with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ForkConfig;
+
+/// One experiment's machine as [`plan_suffixes`] starts it. It stays only
+/// for the benchmark's traced replica, and goes with it.
+#[derive(Debug)]
+pub struct ForkedSuffix {
+    /// Index of the experiment in the campaign's spec list.
+    pub index: usize,
+    /// Tick of the station the machine forked; `None` for a whole restore.
+    pub forked_at: Option<u64>,
+    /// The machine to drive: engine loaded with exactly this experiment's
+    /// fault, elision configured, watchdog installed.
+    pub machine: Machine<GemFiEngine>,
+}
+
+/// Starts every spec's experiment as [`drive_experiment`] does, in spec
+/// order, from `prepared`'s own checkpoint. It stays only for the
+/// benchmark's traced replica, and goes with it.
+pub fn plan_suffixes(
+    prepared: &PreparedWorkload,
+    specs: &[FaultSpec],
+    runner: &RunnerConfig,
+    _fork: &ForkConfig,
+) -> Vec<ForkedSuffix> {
+    let abort = AbortToken::new();
+    let checkpoint = &prepared.checkpoint;
+    specs
+        .iter()
+        .enumerate()
+        .map(|(index, spec)| {
+            let (machine, forked_at) =
+                start_experiment(checkpoint, prepared, &[*spec], runner, &abort);
+            ForkedSuffix { index, forked_at, machine }
+        })
+        .collect()
+}
+
+/// Drives a machine [`plan_suffixes`] started to completion under `abort`,
+/// with the loop every experiment runs. Returns the terminal exit and
+/// whether the abort cut it short. It stays only for the benchmark's
+/// traced replica, and goes with it.
+pub fn drive_suffix(
+    suffix: &mut ForkedSuffix,
+    prepared: &PreparedWorkload,
+    runner: &RunnerConfig,
+    abort: &AbortToken,
+) -> (RunExit, bool) {
+    drive_to_completion(&mut suffix.machine, runner, abort, prepared.checkpoint.tick())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gemfi::{FaultBehavior, FaultLocation, FaultTiming};
+    use gemfi::{FaultBehavior, FaultLocation, FaultTiming, MemTarget};
     use gemfi_isa::codec::Codec;
+    use gemfi_workloads::jacobi::Jacobi;
     use gemfi_workloads::pi::MonteCarloPi;
 
     fn small_pi() -> MonteCarloPi {
@@ -825,5 +912,126 @@ mod tests {
         assert_eq!(o3.injections.len(), 1);
         assert_eq!(atomic.injections.len(), 1);
         assert_ne!(atomic.outcome, Outcome::Crashed, "{:?}", atomic.exit);
+    }
+
+    fn late_fp_flip(p: &PreparedWorkload, offset: u64) -> FaultSpec {
+        FaultSpec {
+            location: FaultLocation::FpReg { core: 0, reg: 20 },
+            thread: 0,
+            timing: FaultTiming::Instructions(p.stage_events[4].saturating_sub(offset)),
+            behavior: FaultBehavior::Flip(40),
+            occurrences: 1,
+        }
+    }
+
+    /// Checks `run_campaign_forked` and every machine [`plan_suffixes`]
+    /// starts, driven to the end, against a whole run of its spec: same
+    /// exit, tick, records and output. Returns where each spec started.
+    fn assert_planned_campaign_matches_whole_runs(
+        p: &PreparedWorkload,
+        w: &dyn Workload,
+        specs: &[FaultSpec],
+    ) -> Vec<Option<u64>> {
+        let runner = RunnerConfig::default();
+        let forked = run_campaign_forked(p, w, specs, &runner, &ForkConfig);
+        let planned = plan_suffixes(p, specs, &runner, &ForkConfig);
+        assert_eq!((forked.len(), planned.len()), (specs.len(), specs.len()));
+        let mut starts = Vec::new();
+        for (i, mut s) in planned.into_iter().enumerate() {
+            assert_eq!(s.index, i, "suffixes come in spec order");
+            let (exit, aborted) = drive_suffix(&mut s, p, &runner, &AbortToken::new());
+            let (whole, whole_exit, _) =
+                drive_whole_run(&p.checkpoint, p, &[specs[i]], &runner, &AbortToken::new());
+            let got = &forked[i];
+            assert!(!aborted);
+            assert_eq!(got.spec, specs[i]);
+            assert_eq!((got.exit, exit), (whole_exit, whole_exit));
+            assert_eq!((got.ticks, s.machine.tick()), (whole.tick(), whole.tick()));
+            assert_eq!(got.injections, whole.hooks().records());
+            assert_eq!(s.machine.hooks().records(), whole.hooks().records());
+            let output = s.machine.mem().read_slice(p.guest.output_addr(), p.guest.output_len);
+            assert_eq!(Ok(&got.output), output.as_ref());
+            starts.push(s.forked_at);
+        }
+        starts
+    }
+
+    #[test]
+    fn forked_campaign_matches_whole_runs() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        let specs = vec![late_fp_flip(&p, 100), late_fp_flip(&p, 400), late_fp_flip(&p, 50)];
+        assert_planned_campaign_matches_whole_runs(&p, &w, &specs);
+    }
+
+    #[test]
+    fn a_later_counted_spec_that_fires_first_still_forks() {
+        // Stages advance at different rates per tick: this memory-stage
+        // spec has the smaller count, but the register-stage spec fires
+        // thousands of ticks earlier. Both must fork a station.
+        let w = Jacobi::default();
+        let p = prepare_workload(&w).unwrap();
+        let mem_count = p.stage_events[3] / 4;
+        let spec = |location, count| FaultSpec {
+            location,
+            thread: 0,
+            timing: FaultTiming::Instructions(count),
+            behavior: FaultBehavior::Flip(7),
+            occurrences: 1,
+        };
+        let specs = vec![
+            spec(FaultLocation::Mem { core: 0, target: MemTarget::Any }, mem_count),
+            spec(FaultLocation::IntReg { core: 0, reg: 1 }, mem_count + 64),
+        ];
+        let starts = assert_planned_campaign_matches_whole_runs(&p, &w, &specs);
+        for (i, start) in starts.iter().enumerate() {
+            assert!(start.is_some(), "spec #{i} must fork, not restore whole");
+        }
+    }
+
+    #[test]
+    fn specs_past_the_trunks_end_fork_its_last_station() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        // More committed instructions than the kernel has: the trunk halts
+        // before the spec arms, so its last station serves the spec.
+        let spec = FaultSpec {
+            location: FaultLocation::IntReg { core: 0, reg: 1 },
+            thread: 0,
+            timing: FaultTiming::Instructions(p.stage_events[4] + 10_000),
+            behavior: FaultBehavior::Flip(3),
+            occurrences: 1,
+        };
+        let starts = assert_planned_campaign_matches_whole_runs(&p, &w, &[spec]);
+        assert!(starts[0].is_some(), "a spec the trunk never reaches forks its last station");
+    }
+
+    #[test]
+    fn late_faults_actually_fork() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        let specs = vec![late_fp_flip(&p, 60), late_fp_flip(&p, 200)];
+        for (i, start) in
+            assert_planned_campaign_matches_whole_runs(&p, &w, &specs).iter().enumerate()
+        {
+            let start = start.expect("late faults must fork, not restore whole");
+            assert!(start > p.checkpoint.tick(), "spec #{i}: the station lies past the checkpoint");
+        }
+    }
+
+    #[test]
+    fn armed_spec_falls_back_to_a_whole_run() {
+        let w = small_pi();
+        let p = prepare_workload(&w).unwrap();
+        // Inst:0 is armed the moment its thread activates: never forkable.
+        let spec = FaultSpec {
+            location: FaultLocation::FpReg { core: 0, reg: 20 },
+            thread: 0,
+            timing: FaultTiming::Instructions(0),
+            behavior: FaultBehavior::Flip(40),
+            occurrences: 1,
+        };
+        let starts = assert_planned_campaign_matches_whole_runs(&p, &w, &[spec]);
+        assert_eq!(starts, [None], "armed spec must restore whole");
     }
 }

@@ -39,11 +39,28 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-fn scratch(tag: &str) -> PathBuf {
+/// A scratch directory in the temp dir, removed when dropped, also when
+/// the test panics.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
     let d = std::env::temp_dir().join(format!("gemfi-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    Scratch(d)
 }
 
 fn pi_workload() -> MonteCarloPi {
@@ -65,7 +82,7 @@ fn assert_only_campaign_files(queue_share: &Path) {
     assert_eq!(names, ["campaign.ckpt", "campaign.faults", "campaign.journal"]);
 }
 
-fn fast_server_config(share: &PathBuf) -> ServerConfig {
+fn fast_server_config(share: &Path) -> ServerConfig {
     ServerConfig {
         lease: Duration::from_millis(300),
         retry_backoff: Duration::from_millis(10),
@@ -120,7 +137,7 @@ fn killed_worker_and_restarted_server_match_the_spool_baseline() {
 
     // Single-host spool baseline of the same seed.
     let spool = scratch("kill-spool");
-    let now_config = NowConfig::new(2, 1, &spool);
+    let now_config = NowConfig::new(2, 1, &*spool);
     let (baseline, baseline_completed, _) =
         run_campaign_now(&prepared, &w, &specs, &runner, &now_config).unwrap();
 
@@ -234,7 +251,7 @@ fn partitioned_worker_abandons_via_heartbeat_loss_and_the_campaign_recovers() {
 
     let spool = scratch("part-spool");
     let (baseline, _, _) =
-        run_campaign_now(&prepared, &w, &specs, &runner, &NowConfig::new(1, 1, &spool)).unwrap();
+        run_campaign_now(&prepared, &w, &specs, &runner, &NowConfig::new(1, 1, &*spool)).unwrap();
 
     let resolve = move |workload: &str, scale: &str| -> Option<Box<dyn Workload>> {
         (workload == "pi" && scale == "test").then(|| Box::new(w) as Box<dyn Workload>)
@@ -315,7 +332,7 @@ fn adaptive_campaign_over_the_socket_matches_the_spool_backend() {
         &prepared,
         &w,
         &runner,
-        &NowConfig::new(2, 1, &spool),
+        &NowConfig::new(2, 1, &*spool),
         &adaptive,
         seed,
     )
@@ -515,11 +532,10 @@ fn an_endless_request_line_is_refused_and_the_server_keeps_serving() {
     let lines = status_lines(server.addr());
     assert!(lines[0].contains("\"status\":\"server\""), "{lines:?}");
     let _ = server.shutdown().unwrap();
-    std::fs::remove_dir_all(&share).ok();
 }
 
 /// A one-queue server on a fresh share, serving `n` small-pi experiments.
-fn small_fixed_server(tag: &str, n: usize) -> (CampaignServer, PathBuf) {
+fn small_fixed_server(tag: &str, n: usize) -> (CampaignServer, Scratch) {
     let w = pi_workload();
     let prepared = prepare_workload(&w).unwrap();
     let mut sampler = FaultSampler::new(5, prepared.stage_events, 0, 0);
@@ -569,12 +585,11 @@ fn a_request_on_a_connection_open_at_shutdown_is_dropped_unanswered() {
         .filter(|e| matches!(e, JournalEvent::Leased { .. }))
         .count();
     assert_eq!(leased, 0, "no lease after shutdown");
-    std::fs::remove_dir_all(&share).ok();
 }
 
 #[test]
 fn a_lost_lease_aborts_its_attempt_and_the_next_attempt_is_beaten_on() {
-    let (server, share) = small_fixed_server("heartbeat-lost", 1);
+    let (server, _share) = small_fixed_server("heartbeat-lost", 1);
     let period = Duration::from_millis(100); // a third of the 300 ms lease
     let mut worker = SocketTransport::new(server.addr().to_string(), &fast_worker("a"));
     let claim = |worker: &mut SocketTransport| loop {
@@ -624,5 +639,4 @@ fn a_lost_lease_aborts_its_attempt_and_the_next_attempt_is_beaten_on() {
     drop(second_guard);
     drop(worker);
     let _ = server.shutdown().unwrap();
-    std::fs::remove_dir_all(&share).ok();
 }

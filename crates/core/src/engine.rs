@@ -11,7 +11,7 @@
 //!
 //! Whether a queued spec is armed is [`FaultSpec::arming`]'s answer
 //! everywhere: in the queue scan, in the elision horizon
-//! ([`FaultHooks::dormancy`]) and for the fork planner
+//! ([`FaultHooks::dormancy`]) and for the campaign's choice of station
 //! ([`GemFiEngine::arming`]).
 
 use crate::config::FaultConfig;
@@ -214,8 +214,8 @@ impl GemFiEngine {
     /// thread activations: [`FaultSpec::arming`] for every activated thread
     /// with the spec's id, the nearest of them — the queue scan fires the
     /// spec on whichever gets there first. The spec need not be queued here:
-    /// fork-at-injection asks a fault-free trunk engine about each planned
-    /// experiment's fault.
+    /// a campaign asks a fault-free station's engine about an experiment's
+    /// fault before it forks the station.
     ///
     /// A spec whose thread has not activated yet is evaluated at `(0, 0)`:
     /// activation resets the counters, so its whole offset still lies ahead
@@ -1030,7 +1030,7 @@ mod tests {
     #[test]
     fn arming_answers_for_the_nearest_thread_sharing_the_id() {
         // Two threads activate under id 0; the queue scan fires the spec on
-        // whichever reaches it first, so the planner must see the nearer.
+        // whichever reaches it first, so a station fork must see the nearer.
         let spec = FaultSpec {
             location: FaultLocation::Fetch { core: 0 },
             thread: 0,

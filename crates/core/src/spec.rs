@@ -434,8 +434,8 @@ impl FaultSpec {
     /// expire it); otherwise `Quiet`, with `u64::MAX` on the axis that does
     /// not constrain the spec. Never `Dormant`.
     ///
-    /// The queue scan, the elision horizon and the fork planner all ask
-    /// this one question.
+    /// The queue scan, the elision horizon and a campaign's choice of
+    /// station all ask this one question.
     pub fn arming(&self, stage_count: u64, ticks_since: u64) -> Dormancy {
         match self.timing {
             FaultTiming::Instructions(start) if stage_count < start => {

@@ -534,7 +534,7 @@ impl MemorySystem {
     }
 
     /// Diagnostic: physical pages this memory still shares frame-for-frame
-    /// with `other` — e.g. a forked suffix against the trunk it forked from.
+    /// with `other` — e.g. a fork against the station it forked from.
     /// See [`crate::PhysMem::shared_pages_with`].
     pub fn shared_pages_with(&self, other: &MemorySystem) -> usize {
         self.phys.shared_pages_with(&other.phys)

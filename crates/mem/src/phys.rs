@@ -107,8 +107,8 @@ impl PhysMem {
 
     /// Pages whose frames this instance shares with `other` (the same `Arc`
     /// at the same page index, or untouched in both). This is the
-    /// fork-at-injection footprint question — how much of a forked suffix's
-    /// memory is still the trunk's — so untouched zero pages count too:
+    /// station footprint question — how much of a fork's memory is still
+    /// the station's — so untouched zero pages count too:
     /// sharing is sharing, whatever the frame holds. Diagnostic only, like
     /// [`PhysMem::owned_pages`].
     pub fn shared_pages_with(&self, other: &PhysMem) -> usize {

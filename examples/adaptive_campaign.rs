@@ -7,10 +7,9 @@
 //! cargo run --release --example adaptive_campaign
 //! ```
 
-use gemfi_campaign::fork::ForkConfig;
 use gemfi_campaign::{
     leveugle_sample_size, prepare_workload, run_campaign_adaptive, AdaptiveConfig, CellKind,
-    FaultSampler, RunnerConfig, Z_95,
+    FaultSampler, ForkConfig, RunnerConfig, Z_95,
 };
 use gemfi_cpu::CpuKind;
 use gemfi_workloads::dct::Dct;
@@ -37,14 +36,8 @@ fn main() {
         finish_cpu: CpuKind::Atomic,
         ..RunnerConfig::default()
     };
-    let outcome = run_campaign_adaptive(
-        &prepared,
-        &workload,
-        &runner,
-        Some(&ForkConfig::default()),
-        &config,
-        9,
-    );
+    let outcome =
+        run_campaign_adaptive(&prepared, &workload, &runner, Some(&ForkConfig), &config, 9);
     println!("{outcome}");
 
     // What would the fixed-n ablation baseline have spent? The worst-case

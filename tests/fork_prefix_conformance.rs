@@ -1,15 +1,16 @@
-//! Fork-at-injection conformance (the non-negotiable half of the
-//! shared-prefix executors): a run forked off a fault-free trunk — a
-//! sweep's suffix or a station fork — must be *bit-identical* to a whole
-//! run of the same experiment — same `RunExit`, same complete
-//! [`ArchState`], same every-byte-of-physical-memory, same injection
-//! records, same tick and instruction counts.
+//! Station conformance (the non-negotiable half of the shared-prefix
+//! executors): a run forked off a station of the fault-free trunk must be
+//! *bit-identical* to a whole run of the same experiment — same `RunExit`,
+//! same complete [`ArchState`], same every-byte-of-physical-memory, same
+//! injection records, same tick and instruction counts.
 //!
 //! The matrix covers all 4 CPU models as the injection model × dormancy
-//! elision on/off × superblock on/off. It also pins the derived-state
-//! contract at the fork (the never-serialized rule): the trunk runs with
-//! warm predecode and superblock caches, but a fork must come out
-//! decode-cold and translation-cold — asserted here rather than trusted.
+//! elision on/off × superblock on/off, reaching stations both through
+//! `drive_experiment` and through the benchmark-facing `plan_suffixes` /
+//! `drive_suffix`. It also pins the derived-state contract at the fork
+//! (the never-serialized rule): the trunk runs with warm predecode and
+//! superblock caches, but a fork must come out decode-cold and
+//! translation-cold — asserted here rather than trusted.
 //! Stations are further checked on a fault that fires right before its
 //! activation ends, on a trunk that outgrows its line's byte budget, on a
 //! seeded sample of every small guest, and from a byte copy of the
@@ -17,9 +18,9 @@
 
 use gemfi::{AbortToken, FaultBehavior, FaultLocation, FaultSpec, FaultTiming, GemFiEngine};
 use gemfi_bench::{workloads, Scale};
-use gemfi_campaign::fork::{drive_suffix, plan_suffixes, ForkConfig};
 use gemfi_campaign::runner::{
-    drive_experiment, drive_whole_run, prepare_workload, RunnerConfig, MAX_STATIONS,
+    drive_experiment, drive_suffix, drive_whole_run, plan_suffixes, prepare_workload, ForkConfig,
+    RunnerConfig, MAX_STATIONS,
 };
 use gemfi_campaign::{FaultSampler, PreparedWorkload, Stations};
 use gemfi_cpu::{CpuKind, NoopHooks};
@@ -91,7 +92,7 @@ fn specs_for(p: &PreparedWorkload) -> Vec<FaultSpec> {
             occurrences: 1,
         },
         // Tick-timed window: exercises the second timing axis of the
-        // fire-distance planner (and its window-expiry semantics).
+        // arming rule (and its window-expiry semantics).
         FaultSpec {
             location: FaultLocation::IntReg { core: 0, reg: 3 },
             thread: 0,
@@ -101,7 +102,7 @@ fn specs_for(p: &PreparedWorkload) -> Vec<FaultSpec> {
         },
         // Cache-line lesion (memory-hierarchy axis): one-shot firing plants
         // persistent damage in the memory system — state that lives outside
-        // ArchState, so a forked suffix must plant and apply it exactly as
+        // ArchState, so a station fork must plant and apply it exactly as
         // a whole run does. Memory-stage timing counts *memory events*, of
         // which this kernel serves only a handful — time it to the second.
         FaultSpec {
@@ -136,11 +137,11 @@ fn conformance(model: CpuKind) {
     for (elide, superblock) in [(true, true), (true, false), (false, true), (false, false)] {
         let runner =
             RunnerConfig { inject_cpu: model, elide, superblock, ..RunnerConfig::default() };
-        let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig::default());
+        let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig);
         assert_eq!(planned.len(), specs.len());
         assert!(
             planned.iter().all(|s| s.forked_at.is_some()),
-            "{model} elide={elide} superblock={superblock}: every spec must fork off the trunk"
+            "{model} elide={elide} superblock={superblock}: every spec must fork a station"
         );
         for mut suffix in planned {
             let spec = specs[suffix.index];
@@ -167,7 +168,7 @@ fn conformance(model: CpuKind) {
             assert!(!fork_aborted && !whole_aborted, "{tag}");
             assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
             if !superblock {
-                // The switch reaches every machine the planner builds.
+                // The switch reaches every machine a station forks.
                 assert_eq!(
                     suffix.machine.stats().mem.superblock.uops_executed,
                     0,
