@@ -1,9 +1,11 @@
-//! Ablation for the dormancy-aware hook-elision fast path.
+//! Ablation for the host-side fast paths: dormancy-aware hook elision and,
+//! on the Atomic model, superblocks.
 //!
 //! The paper's headline performance claim (Sec. V, Fig. 5/6) is near-zero
-//! overhead whenever fault injection is dormant. This bench measures the
-//! elided sprint loop against the fully hooked loop in the three states an
-//! experiment passes through:
+//! overhead whenever fault injection is dormant. This bench measures
+//! `Machine::run` — the elided sprint, which runs translated superblocks on
+//! Atomic — against the fully hooked `Machine::step()` loop in the states
+//! an experiment passes through:
 //!
 //! * `nofi` — no engine at all (`NoopHooks`): the unmodified-simulator
 //!   baseline, dormant from the first tick.
@@ -21,12 +23,14 @@
 //!   [`FaultHooks::watched_regs`] mask. The sprint keeps running
 //!   superblocks whose footprint misses the register.
 //!
-//! Each configuration runs with elision on and off; the two runs must agree
-//! on the *entire* outcome vector — exit, full `ArchState`, guest output,
-//! injection records, and committed instruction count — proving the fast
-//! path architecturally invisible. The bench prints its table
-//! (instructions/sec and on/off speedups) and fails when a floored ratio
-//! ([`floor`]) is not met.
+//! Each configuration runs both ways; the two runs must agree on the
+//! *entire* outcome vector — exit, full `ArchState`, guest output,
+//! injection records, committed instruction count and tick — proving the
+//! fast paths architecturally invisible. On Atomic the fast run must
+//! execute translated micro-ops, and the stepped run never does, so the
+//! ablation cannot silently measure the same path twice. The bench prints
+//! its table (instructions/sec and fast/stepped speedups) and fails when a
+//! floored ratio ([`floor`]) is not met.
 //!
 //! Options: `--samples N` (default 10), `--points N` (Monte-Carlo points,
 //! default 20000).
@@ -39,24 +43,25 @@ use gemfi_cpu::{CpuKind, FaultHooks, NoopHooks};
 use gemfi_isa::ArchState;
 use gemfi_sim::{Machine, RunExit};
 use gemfi_workloads::pi::MonteCarloPi;
-use gemfi_workloads::{workload_machine_config, Workload};
+use gemfi_workloads::{workload_machine_config, GuestWorkload, Workload};
 
-/// The on/off speedup a configuration must reach, if it is floored. The
-/// floor sits well under the ratios the Atomic model measures even at CI's
-/// small budget (`--samples 3 --points 2000`), so only a real regression —
-/// not runner noise — trips it. O3 is reported but not floored: elision
-/// there saves only the hook calls around each cycle, about 1.3x on
-/// `pending`/`dormant` at the default budget (it was about 1.0x while the
-/// O3 scheduler still scanned its ROB every cycle), too thin a margin to
-/// floor on a shared runner.
+/// The fast/stepped speedup a configuration must reach, if it is floored.
+/// Each floor sits well under the ratio the Atomic model measures even at
+/// CI's small budget (`--samples 3 --points 2000`), so only a real
+/// regression — not runner noise — trips it. O3 is reported but not
+/// floored: elision there saves only the hook calls around each cycle,
+/// about 1.3x on `pending`/`dormant` at the default budget (it was about
+/// 1.0x while the O3 scheduler still scanned its ROB every cycle), too thin
+/// a margin to floor on a shared runner.
 ///
-/// `watched` has a floor of its own: with the live watch holding the run in
-/// the fully hooked loop, as it once did, the ratio reads about 1.0x, while
-/// sprinting past the watch measures 8-9x at CI's budget.
+/// `dormant` is the post-fault fast-forward, where dispatching pre-resolved
+/// micro-ops must stay well ahead of stepping. `watched` reads about 1.0x
+/// if the live watch holds the run in the fully hooked loop, as it once
+/// did, while sprinting past the watch measures 8-9x at CI's budget.
 fn floor(cpu: CpuKind, scenario: Scenario) -> Option<f64> {
     match (cpu, scenario) {
-        (CpuKind::Atomic, Scenario::Pending | Scenario::Dormant) => Some(1.2),
-        (CpuKind::Atomic, Scenario::Watched) => Some(2.0),
+        (CpuKind::Atomic, Scenario::Pending) => Some(1.2),
+        (CpuKind::Atomic, Scenario::Dormant | Scenario::Watched) => Some(2.0),
         _ => None,
     }
 }
@@ -116,7 +121,7 @@ impl Scenario {
     }
 }
 
-/// Everything elision must leave bit-identical.
+/// Everything the fast paths must leave bit-identical.
 #[derive(Debug, PartialEq)]
 struct OutcomeVector {
     exit: RunExit,
@@ -124,35 +129,57 @@ struct OutcomeVector {
     output: Vec<u8>,
     records: Vec<InjectionRecord>,
     instret: u64,
+    tick: u64,
 }
 
-fn drive<H: FaultHooks>(m: &mut Machine<H>) -> RunExit {
-    let mut exit = m.run();
-    while exit == RunExit::CheckpointRequest {
-        exit = m.run();
+/// Runs to a terminal exit, skipping checkpoint requests: through
+/// `Machine::run`, or with `stepped` through the fully hooked reference.
+fn drive<H: FaultHooks>(m: &mut Machine<H>, stepped: bool) -> RunExit {
+    loop {
+        let exit = if stepped { m.step() } else { Some(m.run()) };
+        match exit {
+            None | Some(RunExit::CheckpointRequest) => {}
+            Some(exit) => return exit,
+        }
     }
-    exit
 }
 
-/// One full run; returns the outcome vector and instructions committed.
-fn run_once(pi: &MonteCarloPi, cpu: CpuKind, scenario: Scenario, elide: bool) -> OutcomeVector {
+/// One full run; returns the outcome vector and the micro-ops the run
+/// committed through translated superblocks.
+fn run_once(
+    pi: &MonteCarloPi,
+    cpu: CpuKind,
+    scenario: Scenario,
+    stepped: bool,
+) -> (OutcomeVector, u64) {
     let guest = pi.build();
-    let cfg = workload_machine_config(cpu);
-    let (exit, arch, output, records, instret) = if scenario == Scenario::NoFi {
-        let mut m = Machine::boot(cfg, &guest.program, NoopHooks).expect("boots");
-        m.set_elide(elide);
-        let exit = drive(&mut m);
-        let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
-        (exit, m.arch().clone(), output, Vec::new(), m.instret())
+    if scenario == Scenario::NoFi {
+        run_guest(&guest, cpu, NoopHooks, stepped, |_| Vec::new())
     } else {
         let engine = GemFiEngine::new(FaultConfig::from_specs(scenario.faults()));
-        let mut m = Machine::boot(cfg, &guest.program, engine).expect("boots");
-        m.set_elide(elide);
-        let exit = drive(&mut m);
-        let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
-        (exit, m.arch().clone(), output, m.hooks().records().to_vec(), m.instret())
+        run_guest(&guest, cpu, engine, stepped, |e| e.records().to_vec())
+    }
+}
+
+fn run_guest<H: FaultHooks>(
+    guest: &GuestWorkload,
+    cpu: CpuKind,
+    hooks: H,
+    stepped: bool,
+    records: impl Fn(&H) -> Vec<InjectionRecord>,
+) -> (OutcomeVector, u64) {
+    let mut m = Machine::boot(workload_machine_config(cpu), &guest.program, hooks).expect("boots");
+    let exit = drive(&mut m, stepped);
+    let output = m.mem().read_slice(guest.output_addr(), guest.output_len).unwrap_or_default();
+    let outcome = OutcomeVector {
+        exit,
+        arch: m.arch().clone(),
+        output,
+        records: records(m.hooks()),
+        instret: m.instret(),
+        tick: m.tick(),
     };
-    OutcomeVector { exit, arch, output, records, instret }
+    (outcome, m.mem().stats().superblock.uops_executed)
 }
 
 struct Measurement {
@@ -178,36 +205,44 @@ fn main() {
     let mut results = Vec::new();
     for cpu in [CpuKind::Atomic, CpuKind::O3] {
         for scenario in [Scenario::NoFi, Scenario::Pending, Scenario::Dormant, Scenario::Watched] {
-            // Architectural invisibility first: both modes must produce the
-            // same outcome vector, bit for bit.
-            let on = run_once(&pi, cpu, scenario, true);
-            let off = run_once(&pi, cpu, scenario, false);
-            assert_eq!(
-                on,
-                off,
-                "{cpu}/{}: elision must be architecturally invisible",
-                scenario.name()
-            );
-            assert_eq!(on.exit, RunExit::Halted(0), "{cpu}/{}", scenario.name());
+            // Architectural invisibility first: both ways must produce the
+            // same outcome vector, bit for bit — and the ablation must be
+            // real (translated micro-ops on the fast Atomic run, none on
+            // the stepped one).
+            let (fast, fast_uops) = run_once(&pi, cpu, scenario, false);
+            let (stepped, stepped_uops) = run_once(&pi, cpu, scenario, true);
+            let tag = format!("{cpu}/{}", scenario.name());
+            assert_eq!(fast, stepped, "{tag}: the fast paths must be architecturally invisible");
+            assert_eq!(fast.exit, RunExit::Halted(0), "{tag}");
+            assert!(cpu != CpuKind::Atomic || fast_uops > 0, "{tag}: no superblock uops executed");
+            assert_eq!(stepped_uops, 0, "{tag}: the stepped reference touched superblocks");
             if scenario == Scenario::Dormant {
-                assert_eq!(on.records.len(), 1, "{cpu}: harmless fault must fire and be logged");
+                assert_eq!(fast.records.len(), 1, "{cpu}: harmless fault must fire and be logged");
             } else if scenario == Scenario::Watched {
-                let [record] = on.records.as_slice() else { panic!("{cpu}: one record") };
+                let [record] = fast.records.as_slice() else { panic!("{cpu}: one record") };
                 assert!(
                     !record.consumed && !record.overwritten,
                     "{cpu}: the watched register must stay untouched to the end"
                 );
             } else {
-                assert!(on.records.is_empty(), "{cpu}/{}: no fault may fire", scenario.name());
+                assert!(fast.records.is_empty(), "{tag}: no fault may fire");
             }
 
-            for elide in [true, false] {
-                let label =
-                    format!("{cpu}_{}_{}", scenario.name(), if elide { "elide" } else { "hooked" });
+            for stepped in [false, true] {
+                let label = format!(
+                    "{cpu}_{}_{}",
+                    scenario.name(),
+                    if stepped { "stepped" } else { "fast" }
+                );
                 let (median_secs, _) = time_it_secs(&label, samples, || {
-                    run_once(&pi, cpu, scenario, elide);
+                    run_once(&pi, cpu, scenario, stepped);
                 });
-                results.push(Measurement { cpu, scenario, median_secs, instructions: on.instret });
+                results.push(Measurement {
+                    cpu,
+                    scenario,
+                    median_secs,
+                    instructions: fast.instret,
+                });
             }
         }
     }
@@ -215,13 +250,17 @@ fn main() {
     println!();
     let mut regressed = Vec::new();
     for pair in results.chunks(2) {
-        let [on, off] = pair else { continue };
-        let name = format!("speedup_{}_{}", on.cpu, on.scenario.name());
-        let ratio = on.ips() / off.ips();
-        println!("{name:<32} {ratio:.2}x  ({:.0} vs {:.0} instructions/sec)", on.ips(), off.ips());
-        if let Some(floor) = floor(on.cpu, on.scenario).filter(|floor| ratio < *floor) {
+        let [fast, stepped] = pair else { continue };
+        let name = format!("speedup_{}_{}", fast.cpu, fast.scenario.name());
+        let ratio = fast.ips() / stepped.ips();
+        println!(
+            "{name:<32} {ratio:.2}x  ({:.0} vs {:.0} instructions/sec)",
+            fast.ips(),
+            stepped.ips()
+        );
+        if let Some(floor) = floor(fast.cpu, fast.scenario).filter(|floor| ratio < *floor) {
             regressed.push(format!("{name} {ratio:.2}x is under its {floor}x floor"));
         }
     }
-    assert!(regressed.is_empty(), "hook elision regressed: {}", regressed.join("; "));
+    assert!(regressed.is_empty(), "the fast paths regressed: {}", regressed.join("; "));
 }

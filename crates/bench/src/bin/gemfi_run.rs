@@ -47,27 +47,16 @@ use gemfi_sim::{Machine, MachineConfig};
 
 const USAGE: &str = "\
 usage: gemfi_run (--workload <name> | --program <file.s>) [--faults <file>] \
-[--cpu o3|atomic|inorder|timing] [--scale small|default|paper] [--no-elide] [--no-superblock]
+[--cpu o3|atomic|inorder|timing] [--scale small|default|paper]
        gemfi_run --workload <name> --campaign <experiments> --share <dir> \
 [--seed N] [--workstations N] [--slots N] [--max-retries N] [--resume]
        gemfi_run --workload <name> --adaptive --share <dir> \
 [--ci-halfwidth H] [--min-n N] [--budget N] [--batch N] [--cells a,b,...] [--seed N] [--resume]
 workloads: dct jacobi pi knapsack deblock canneal";
 
-/// The experiment driver settings every mode takes from the command line:
-/// the injection model and the two fast-path switches.
-fn runner_config(args: &Args, cpu: CpuKind) -> RunnerConfig {
-    RunnerConfig {
-        inject_cpu: cpu,
-        elide: !args.has("no-elide"),
-        superblock: !args.has("no-superblock"),
-        ..RunnerConfig::default()
-    }
-}
-
 /// Runs a user-supplied `.s` assembly file under GemFI (no outcome
 /// classification — there is no golden model for arbitrary programs).
-fn run_assembly_file(path: &str, faults: FaultConfig, cpu: CpuKind, args: &Args) -> ! {
+fn run_assembly_file(path: &str, faults: FaultConfig, cpu: CpuKind) -> ! {
     let source = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
@@ -82,9 +71,6 @@ fn run_assembly_file(path: &str, faults: FaultConfig, cpu: CpuKind, args: &Args)
             eprintln!("boot failed: {t}");
             std::process::exit(1);
         });
-    let runner = runner_config(args, cpu);
-    machine.set_elide(runner.elide);
-    machine.set_superblock(runner.superblock);
     let mut exit = machine.run();
     while exit == gemfi_sim::RunExit::CheckpointRequest {
         exit = machine.run();
@@ -129,7 +115,7 @@ fn run_campaign_mode(
         resume: args.has("resume"),
         ..NowConfig::new(args.number("workstations", 3usize), args.number("slots", 2usize), share)
     };
-    let runner = runner_config(args, cpu);
+    let runner = RunnerConfig { inject_cpu: cpu, ..RunnerConfig::default() };
 
     if args.has("adaptive") {
         run_adaptive_campaign(args, workload, &prepared, n, seed, &config, &runner);
@@ -249,7 +235,7 @@ fn main() {
             }),
             None => FaultConfig::empty(),
         };
-        run_assembly_file(path, faults, cpu_of(&args), &args);
+        run_assembly_file(path, faults, cpu_of(&args));
     }
     let Some(name) = args.value_of("workload") else {
         eprintln!("{USAGE}");
@@ -299,7 +285,7 @@ fn main() {
         return;
     }
 
-    let runner = runner_config(&args, cpu);
+    let runner = RunnerConfig { inject_cpu: cpu, ..RunnerConfig::default() };
     let result = run_experiment_multi(&prepared, workload.as_ref(), faults.faults(), &runner);
 
     println!("\ninjections:");

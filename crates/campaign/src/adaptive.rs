@@ -32,6 +32,7 @@ use crate::report::OutcomeTable;
 use crate::runner::{run_experiment, ForkConfig, PreparedWorkload, RunnerConfig};
 use crate::sampler::{FaultSampler, LocationClass};
 use crate::stats::{CellDecision, CellStats, StopRule, Z_95};
+use crate::wire::ppm;
 use gemfi::{CacheLevel, FaultSpec, Outcome};
 use gemfi_workloads::Workload;
 use std::fmt;
@@ -181,12 +182,6 @@ impl AdaptiveConfig {
             cells: self.cells_label(),
         }
     }
-}
-
-/// Fractional parameters ride the integer-only journal as parts per
-/// million.
-fn ppm(x: f64) -> u64 {
-    (x * 1e6).round() as u64
 }
 
 /// One fault point the engine decided to spend budget on.

@@ -261,11 +261,11 @@ pub struct RunnerConfig {
     /// nothing can fire, so fine-grained polling buys nothing but abort
     /// latency.
     pub chunk: u64,
-    /// Forwarded to [`Machine::set_elide`] on every machine a campaign
-    /// builds (architecturally invisible; off is the stepped reference the
-    /// ablation benches compare against).
+    /// Must be `true`: hook elision is unconditional. Read only by the
+    /// benchmark's traced replica and goes with it; `build_machine`
+    /// forwards it to a `Machine` setter that panics on `false`.
     pub elide: bool,
-    /// Forwarded to [`Machine::set_superblock`], like `elide`.
+    /// Must be `true`, like `elide`: superblocks are unconditional.
     pub superblock: bool,
 }
 

@@ -32,7 +32,8 @@ use crate::report::OutcomeTable;
 use crate::runner::PreparedWorkload;
 use crate::transport::{ClaimReply, ReportAck};
 use crate::wire::{
-    hex_encode, read_line_within, write_line, ClientMsg, FlatWriter, ServerMsg, MAX_REQUEST_LINE,
+    hex_encode, ppm, read_line_within, write_line, ClientMsg, FlatWriter, ServerMsg,
+    MAX_REQUEST_LINE,
 };
 use crate::PROTO_VERSION;
 use gemfi::{FaultSpec, Outcome};
@@ -339,11 +340,6 @@ impl Shared {
         lines.push(status("end").finish());
         lines
     }
-}
-
-/// Fractions as parts-per-million (keeps the status stream integer-only).
-fn ppm(x: f64) -> u64 {
-    (x * 1e6).round() as u64
 }
 
 /// A running campaign server. Dropping the handle does **not** stop the

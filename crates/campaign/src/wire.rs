@@ -33,6 +33,12 @@ use std::io::{BufRead, Read, Write};
 /// workers rather than guessing.
 pub const PROTO_VERSION: u64 = 1;
 
+/// A fraction in parts per million, the integer-only form fractions take
+/// on the wire, in the journal and in STATUS lines.
+pub(crate) fn ppm(x: f64) -> u64 {
+    (x * 1e6).round() as u64
+}
+
 /// Appends `s` to `out`, escaped for a JSON string.
 fn json_escape(out: &mut String, s: &str) {
     for c in s.chars() {

@@ -12,8 +12,8 @@
 //! One **case** is derived from a single 64-bit seed and covers:
 //!
 //! * a random (but always halting, fault-free) guest program;
-//! * a random machine: any of the four CPU models × the dormancy-elision
-//!   and superblock switches;
+//! * a random machine: any of the four CPU models, always running the
+//!   dormancy-elision and superblock fast paths;
 //! * a random [`FaultSpec`]: all five stage queues, all behaviors
 //!   (including the security-style skip / opcode-replacement /
 //!   branch-inversion trio), cache data/tag/way lesions under every MBU
@@ -386,29 +386,17 @@ pub fn gen_case_spec(seed: u64, rng: &mut SplitMix64) -> FaultSpec {
     }
 }
 
-/// Stream-separation constant for the superblock switch (PR 8).
-/// Like [`NEW_AXES_STREAM`], it keeps the main stream's draw count frozen:
-/// the superblock coin comes off its own stream seeded with
-/// `seed ^ SUPERBLOCK_STREAM`, so every committed seed still draws its
-/// documented program, machine, and fault spec bit-identically.
-const SUPERBLOCK_STREAM: u64 = 0x7375_7065_7262_6c6b;
-
-/// Samples the machine space: every CPU model crossed with the two fast
-/// paths a machine can switch off. Returns `(config, elide, superblock)`;
-/// [`boot`] applies the switches.
-pub fn gen_machine(seed: u64, rng: &mut SplitMix64) -> (MachineConfig, bool, bool) {
-    // Draw order is part of the seed contract: cpu, two retired coins, elide.
+/// Samples the machine space: any of the four CPU models. The fast paths
+/// (hook elision and superblocks) are always on, so every case runs them.
+pub fn gen_machine(rng: &mut SplitMix64) -> MachineConfig {
+    // Draw order is part of the seed contract: cpu, three retired coins.
     let cpu =
         [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3][rng.below(4) as usize];
-    // The predecode and copy-on-write switches these two coins once chose
-    // are gone; drawing and discarding them keeps every later draw, and so
-    // every pinned seed's documented case, unchanged.
-    let _ = (rng.coin(), rng.coin());
-    let elide = rng.coin();
-    // The superblock switch rides its own stream (see SUPERBLOCK_STREAM).
-    let superblock = SplitMix64::new(seed ^ SUPERBLOCK_STREAM).coin();
-    let config = MachineConfig { cpu, max_ticks: CASE_MAX_TICKS, ..MachineConfig::default() };
-    (config, elide, superblock)
+    // The predecode, copy-on-write and elision switches these coins once
+    // chose are gone; drawing and discarding them keeps every later draw,
+    // and so every pinned seed's documented case, unchanged.
+    let _ = (rng.coin(), rng.coin(), rng.coin());
+    MachineConfig { cpu, max_ticks: CASE_MAX_TICKS, ..MachineConfig::default() }
 }
 
 // ---- execution --------------------------------------------------------------
@@ -428,21 +416,14 @@ fn drive(machine: &mut Machine<GemFiEngine>) -> RunExit {
 /// Boots one [`gen_machine`] draw.
 pub fn boot(
     program: &Program,
-    (config, elide, superblock): (MachineConfig, bool, bool),
+    config: MachineConfig,
     engine: GemFiEngine,
 ) -> Result<Machine<GemFiEngine>, String> {
-    let mut machine =
-        Machine::boot(config, program, engine).map_err(|t| format!("boot failed: {t}"))?;
-    machine.set_elide(elide);
-    machine.set_superblock(superblock);
-    Ok(machine)
+    Machine::boot(config, program, engine).map_err(|t| format!("boot failed: {t}"))
 }
 
-fn run_fault_free(
-    program: &Program,
-    machine: (MachineConfig, bool, bool),
-) -> Result<FreeRun, String> {
-    let mut machine = boot(program, machine, GemFiEngine::new(FaultConfig::empty()))?;
+fn run_fault_free(program: &Program, config: MachineConfig) -> Result<FreeRun, String> {
+    let mut machine = boot(program, config, GemFiEngine::new(FaultConfig::empty()))?;
     let exit = drive(&mut machine);
     Ok(FreeRun {
         exit,
@@ -455,11 +436,10 @@ fn run_fault_free(
 
 fn run_faulty(
     program: &Program,
-    machine: (MachineConfig, bool, bool),
+    config: MachineConfig,
     spec: FaultSpec,
 ) -> Result<(RunExit, Vec<u64>, Vec<InjectionRecord>), String> {
-    let mut machine =
-        boot(program, machine, GemFiEngine::new(FaultConfig::from_specs(vec![spec])))?;
+    let mut machine = boot(program, config, GemFiEngine::new(FaultConfig::from_specs(vec![spec])))?;
     let exit = drive(&mut machine);
     let out = machine.out_words().to_vec();
     let records = machine.hooks().records().to_vec();
@@ -508,8 +488,8 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 pub fn run_case(seed: u64) -> Result<CaseReport, FuzzFailure> {
     let mut rng = SplitMix64::new(seed);
     let program = gen_program(&mut rng);
-    let machine = gen_machine(seed, &mut rng);
-    let cpu = machine.0.cpu;
+    let machine = gen_machine(&mut rng);
+    let cpu = machine.cpu;
     let spec = gen_case_spec(seed, &mut rng);
     let fail = |failure: CaseFailure| FuzzFailure { seed, spec: spec.to_string(), cpu, failure };
 
@@ -619,7 +599,7 @@ mod tests {
             let program = gen_program(&mut rng);
             for cpu in [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3] {
                 let config = MachineConfig { cpu, max_ticks: CASE_MAX_TICKS, ..Default::default() };
-                let run = run_fault_free(&program, (config, true, true)).unwrap();
+                let run = run_fault_free(&program, config).unwrap();
                 assert_eq!(run.exit, RunExit::Halted(0), "seed {seed} on {cpu}");
                 assert_eq!(run.out_words.len(), 2, "seed {seed} on {cpu}");
             }
@@ -650,7 +630,7 @@ mod tests {
     fn spec_for_seed(seed: u64) -> FaultSpec {
         let mut rng = SplitMix64::new(seed);
         let _ = gen_program(&mut rng);
-        let _ = gen_machine(seed, &mut rng);
+        let _ = gen_machine(&mut rng);
         gen_case_spec(seed, &mut rng)
     }
 

@@ -265,22 +265,6 @@ impl MemorySystem {
         }
     }
 
-    /// Timed instruction fetch.
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::UnmappedAccess`] / [`Trap::MisalignedAccess`].
-    pub fn fetch(&mut self, pc: u64) -> Result<(u32, Ticks), Trap> {
-        let word = self.phys.read_u32(pc, pc)?;
-        if self.lesions.is_empty() {
-            let lat = self.latency(pc, AccessKind::Fetch);
-            return Ok((word, lat));
-        }
-        let (lat, path) = self.walk(pc, AccessKind::Fetch);
-        let word = self.lesioned_read(pc, u64::from(word), 4, &path) as u32;
-        Ok((word, lat))
-    }
-
     /// Timed instruction fetch through the predecode cache.
     ///
     /// On a predecode hit the raw word comes from the cached entry (store
@@ -335,8 +319,7 @@ impl MemorySystem {
     }
 
     /// Drops all superblock translations and their counters (derived-state
-    /// reset on checkpoint capture/restore and CPU-model switch, and when
-    /// `Machine::set_superblock` switches block execution off).
+    /// reset on checkpoint capture/restore and CPU-model switch).
     pub fn clear_superblocks(&mut self) {
         self.superblocks.clear();
     }
@@ -670,7 +653,7 @@ mod tests {
     #[test]
     fn fetch_uses_instruction_port() {
         let mut m = MemorySystem::new(MemConfig::default());
-        m.fetch(0x1000).unwrap();
+        m.fetch_predecoded(0x1000).unwrap();
         assert_eq!(m.stats().l1i.accesses(), 1);
         assert_eq!(m.stats().l1d.accesses(), 0);
     }
@@ -716,6 +699,8 @@ mod tests {
 
     #[test]
     fn predecoded_fetch_walks_l1i_like_plain_fetch() {
+        // `a` never installs, so each of its fetches misses the predecode
+        // cache; `b`'s predecode hits must walk L1I and time the same.
         let mut a = MemorySystem::new(MemConfig::default());
         let mut b = MemorySystem::new(MemConfig::default());
         let i = gemfi_isa::Instr::Br { ra: gemfi_isa::IntReg::new(31).unwrap(), disp: 0 };
@@ -724,7 +709,8 @@ mod tests {
         }
         b.install_predecoded(0x4000, gemfi_isa::encode(&i).0, i);
         for _ in 0..3 {
-            let (_, lat_a) = a.fetch(0x4000).unwrap();
+            let (_, cached, lat_a) = a.fetch_predecoded(0x4000).unwrap();
+            assert!(cached.is_none());
             let (_, _, lat_b) = b.fetch_predecoded(0x4000).unwrap();
             assert_eq!(lat_a, lat_b, "predecode must not change fetch timing");
         }

@@ -4,9 +4,9 @@ use gemfi_cpu::CpuKind;
 use gemfi_mem::MemConfig;
 
 /// Configuration of a [`crate::Machine`]: the guest machine, exactly as the
-/// checkpoint codec writes it. The two host-side fast-path switches are not
-/// configuration — see [`crate::Machine::set_elide`] and
-/// [`crate::Machine::set_superblock`].
+/// checkpoint codec writes it. The host-side fast paths (hook elision and
+/// superblocks, see [`crate::Machine::run`]) are not configuration: they
+/// are always on and architecturally invisible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// CPU model to boot with.

@@ -100,10 +100,6 @@ pub struct Machine<H> {
     instret_elided: u64,
     next_preempt: Ticks,
     finished: Option<RunExit>,
-    /// See [`Machine::set_elide`].
-    elide: bool,
-    /// See [`Machine::set_superblock`].
-    superblock: bool,
 }
 
 impl<H: FaultHooks> Machine<H> {
@@ -140,8 +136,6 @@ impl<H: FaultHooks> Machine<H> {
             instret_elided: 0,
             next_preempt: if config.quantum > 0 { config.quantum } else { u64::MAX },
             finished: None,
-            elide: true,
-            superblock: true,
         })
     }
 
@@ -206,34 +200,29 @@ impl<H: FaultHooks> Machine<H> {
             instret_elided: 0,
             next_preempt: if config.quantum > 0 { tick + config.quantum } else { u64::MAX },
             finished: None,
-            elide: true,
-            superblock: true,
         }
     }
 
-    /// Switches dormancy-aware hook elision on or off for this machine.
-    /// While on (the default for every booted or restored machine),
-    /// `run`/`run_for` sprint to the hooks' dormancy horizon with an
-    /// uninstrumented interpreter loop, delivering stage-event counters in
-    /// bulk at batch boundaries. Architecturally invisible — same
-    /// injections, records, outcomes and bit-identical state either way;
-    /// the fully hooked stepped loop stays because it is the reference the
-    /// conformance tests, the fuzzer and the benchmarks compare against.
-    /// Not machine state: never serialized, inherited only by
-    /// [`Machine::fork_with`].
+    /// Hook elision is unconditional (see [`Machine::run`]), so this
+    /// accepts only `true`. Kept only for the benchmark's traced replica,
+    /// which calls it, and goes with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `on` is false.
     pub fn set_elide(&mut self, on: bool) {
-        self.elide = on;
+        assert!(on, "hook elision is unconditional; step() is the hooked reference");
     }
 
-    /// Switches superblock execution inside dormant Atomic sprints on or
-    /// off for this machine (default on; same contract as
-    /// [`Machine::set_elide`]). Turning it off drops every cached
-    /// translation and its counters.
+    /// Superblocks are unconditional in dormant Atomic sprints, so this
+    /// accepts only `true`. Kept only for the benchmark's traced replica,
+    /// which calls it, and goes with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `on` is false.
     pub fn set_superblock(&mut self, on: bool) {
-        self.superblock = on;
-        if !on {
-            self.mem.clear_superblocks();
-        }
+        assert!(on, "superblocks are unconditional; step() is the stepped reference");
     }
 
     /// Forks this machine mid-run: an independent machine that continues
@@ -251,8 +240,7 @@ impl<H: FaultHooks> Machine<H> {
     /// Derived state is *not* carried: the predecode and superblock caches
     /// are not copied at the fork, per the never-serialized contract (they
     /// are architecturally and tick-invisible, so dropping them cannot
-    /// change behavior). The fork does inherit this machine's
-    /// [`Machine::set_elide`]/[`Machine::set_superblock`] positions.
+    /// change behavior).
     pub fn fork_with<H2: FaultHooks>(&self, hooks: H2) -> Machine<H2> {
         Machine {
             config: self.config,
@@ -266,8 +254,6 @@ impl<H: FaultHooks> Machine<H> {
             instret_elided: self.instret_elided,
             next_preempt: self.next_preempt,
             finished: self.finished,
-            elide: self.elide,
-            superblock: self.superblock,
         }
     }
 
@@ -395,13 +381,13 @@ impl<H: FaultHooks> Machine<H> {
     }
 
     /// Runs until the machine halts, traps, exhausts the watchdog, or
-    /// requests a checkpoint.
+    /// requests a checkpoint. Stretches the hooks report dormant run through
+    /// the elided sprint (superblocks on Atomic); the result is
+    /// bit-identical to a loop over [`Machine::step`].
     pub fn run(&mut self) -> RunExit {
         loop {
-            if self.elide {
-                if let Some(exit) = self.sprint(Ticks::MAX) {
-                    return exit;
-                }
+            if let Some(exit) = self.sprint(Ticks::MAX) {
+                return exit;
             }
             if let Some(exit) = self.step() {
                 return exit;
@@ -414,13 +400,11 @@ impl<H: FaultHooks> Machine<H> {
     pub fn run_for(&mut self, budget: Ticks) -> Option<RunExit> {
         let deadline = self.tick.saturating_add(budget);
         while self.tick < deadline {
-            if self.elide {
-                if let Some(exit) = self.sprint(deadline) {
-                    return Some(exit);
-                }
-                if self.tick >= deadline {
-                    return None;
-                }
+            if let Some(exit) = self.sprint(deadline) {
+                return Some(exit);
+            }
+            if self.tick >= deadline {
+                return None;
             }
             if let Some(exit) = self.step() {
                 return Some(exit);
@@ -502,8 +486,7 @@ impl<H: FaultHooks> Machine<H> {
         // watched accesses; `stepping` holds the rest of that block so its
         // tail is stepped too, instead of translating a block at every PC
         // inside it. A branch back to the block's start looks it up again.
-        let sb_ok =
-            self.superblock && self.config.cpu == CpuKind::Atomic && self.mem.lesions().is_empty();
+        let sb_ok = self.config.cpu == CpuKind::Atomic && self.mem.lesions().is_empty();
         let mut stepping = 0..0;
         // Deadline bucketing: a block holds at most MAX_SUPERBLOCK_UOPS
         // micro-ops (n ticks, ≤ n events per stage on atomic), so while the
@@ -529,7 +512,7 @@ impl<H: FaultHooks> Machine<H> {
                     // per-block check runs only near a deadline. If the
                     // block does not fit, fall through to per-instruction
                     // stepping, which stops at precisely the same boundary
-                    // as a run with superblocks off.
+                    // as the stepped loop.
                     let fits = (self.tick < safe_tick
                         && (unbounded || elided.max_stage_events() < safe_events))
                         || (self.tick.saturating_add(n) <= tick_limit
@@ -717,6 +700,15 @@ mod tests {
         a.finish().unwrap()
     }
 
+    /// The fully hooked reference loop: no sprint, so no superblocks.
+    fn run_stepped(m: &mut Machine<NoopHooks>) -> RunExit {
+        loop {
+            if let Some(exit) = m.step() {
+                return exit;
+            }
+        }
+    }
+
     #[test]
     fn all_four_models_agree_on_the_result() {
         let p = counting_program(500);
@@ -832,11 +824,10 @@ mod tests {
     #[test]
     fn predecode_cache_warms_but_never_enters_checkpoints() {
         let p = counting_program(200);
-        // Superblocks off: they would absorb the dormant loop and starve
-        // the predecode counters this test pins.
+        // Stepped: superblocks would absorb the dormant loop and starve the
+        // predecode counters this test pins.
         let mut m = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
-        m.set_superblock(false);
-        m.run();
+        run_stepped(&mut m);
         let s = m.stats();
         assert!(s.mem.predecode.hits > s.mem.predecode.misses, "loop must hit the warm cache");
         let ckpt = m.checkpoint();
@@ -851,8 +842,9 @@ mod tests {
     fn switch_cpu_goes_decode_cold() {
         let p = counting_program(1000);
         let mut m = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
-        m.set_superblock(false);
-        assert!(m.run_for(500).is_none());
+        while m.tick() < 500 {
+            assert!(m.step().is_none());
+        }
         assert!(m.stats().mem.predecode.accesses() > 0);
         m.switch_cpu(CpuKind::InOrder);
         assert_eq!(m.stats().mem.predecode, gemfi_mem::PredecodeStats::default());
@@ -875,10 +867,9 @@ mod tests {
             "checkpoints must carry no superblock state"
         );
 
-        // Same outcome, same tick count, superblocks off.
+        // Same outcome, same tick count on the stepped reference.
         let mut off = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
-        off.set_superblock(false);
-        assert_eq!(off.run(), RunExit::Halted(200));
+        assert_eq!(run_stepped(&mut off), RunExit::Halted(200));
         assert_eq!(off.stats().mem.superblock, gemfi_mem::SuperblockStats::default());
         assert_eq!((off.tick(), off.instret()), (m.tick(), m.instret()));
         assert_eq!(off.arch(), m.arch());
@@ -896,18 +887,6 @@ mod tests {
                 "{kind} must never touch the superblock cache"
             );
         }
-    }
-
-    #[test]
-    fn set_superblock_off_drops_translations_mid_run() {
-        let p = counting_program(1000);
-        let mut m = Machine::boot(small_config(CpuKind::Atomic), &p, NoopHooks).unwrap();
-        assert!(m.run_for(200).is_none());
-        assert!(m.stats().mem.superblock.blocks_built > 0);
-        m.set_superblock(false);
-        assert_eq!(m.stats().mem.superblock, gemfi_mem::SuperblockStats::default());
-        assert_eq!(m.run(), RunExit::Halted(1000));
-        assert_eq!(m.stats().mem.superblock, gemfi_mem::SuperblockStats::default());
     }
 
     #[test]

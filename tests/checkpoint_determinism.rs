@@ -21,6 +21,21 @@ fn straight_through(guest: &GuestWorkload, cpu: CpuKind) -> (Vec<u8>, u64) {
     (out, m.instret())
 }
 
+/// Steps `m` with the fully hooked `Machine::step()` loop (no sprint, no
+/// superblocks) up to its checkpoint request; `cold_decode` empties the
+/// predecode cache before every step.
+fn step_to_checkpoint(m: &mut Machine<NoopHooks>, cold_decode: bool) {
+    loop {
+        if cold_decode {
+            m.mem_mut().clear_predecode();
+        }
+        if let Some(exit) = m.step() {
+            assert_eq!(exit, RunExit::CheckpointRequest);
+            return;
+        }
+    }
+}
+
 fn checkpoint_of(guest: &GuestWorkload) -> Checkpoint {
     let mut m = Machine::boot(workload_machine_config(CpuKind::Atomic), &guest.program, NoopHooks)
         .expect("boots");
@@ -75,22 +90,13 @@ fn warm_predecode_cache_never_reaches_the_checkpoint_image() {
     let ckpt_with = |warm: bool| {
         let config = workload_machine_config(CpuKind::Atomic);
         let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        // Superblocks off so the dormant fast-forward still warms the
-        // predecode cache this test pins (the superblock axis has its own
-        // byte-stability test below).
-        m.set_superblock(false);
+        // Stepped, so the fast-forward warms the predecode cache this test
+        // pins instead of running superblocks (the superblock axis has its
+        // own byte-stability test below); the cold-decode reference empties
+        // the cache before every step.
+        step_to_checkpoint(&mut m, !warm);
         if warm {
-            assert_eq!(m.run(), RunExit::CheckpointRequest);
             assert!(m.mem().stats().predecode.hits > 0, "cache must be warm at checkpoint time");
-        } else {
-            // The cold-decode reference: empty the cache before every step.
-            loop {
-                m.mem_mut().clear_predecode();
-                if let Some(exit) = m.step() {
-                    assert_eq!(exit, RunExit::CheckpointRequest);
-                    break;
-                }
-            }
         }
         m.checkpoint()
     };
@@ -118,7 +124,7 @@ fn warm_superblock_cache_never_reaches_the_checkpoint_image() {
     // Same derived-state contract for the superblock translation cache: a
     // checkpoint from a machine that sprinted through warm superblocks must
     // serialize byte-identically to one that never translated a block: the
-    // v2 image is byte-stable with superblocks on or off.
+    // v2 image is byte-stable fast or stepped.
     let w = Knapsack { generations: 4, ..Knapsack::default() };
     let guest = w.build();
     let (golden, _) = straight_through(&guest, CpuKind::Atomic);
@@ -126,13 +132,14 @@ fn warm_superblock_cache_never_reaches_the_checkpoint_image() {
     let ckpt_with = |superblock: bool| {
         let config = workload_machine_config(CpuKind::Atomic);
         let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        m.set_superblock(superblock);
-        assert_eq!(m.run(), RunExit::CheckpointRequest);
         if superblock {
+            assert_eq!(m.run(), RunExit::CheckpointRequest);
             assert!(
                 m.mem().stats().superblock.uops_executed > 0,
                 "fast-forward must have run through superblocks"
             );
+        } else {
+            step_to_checkpoint(&mut m, false);
         }
         m.checkpoint()
     };
@@ -161,19 +168,21 @@ fn in_process_restore_times_identically_to_a_byte_round_trip() {
     // an in-process restore must go cache-cold too — otherwise detailed
     // -model timing after a restore depends on *how the capturing machine
     // executed*. Superblock execution skips the hierarchy walk, so a warm
-    // capture's tag state differs with superblocks on and off; all three
-    // restores below
-    // must still finish at the identical tick (this pinned a real 4-tick
-    // injection-record shift between `gemfi_run` runs with and without
-    // `--no-superblock`).
+    // capture's tag state differs fast and stepped; all three restores
+    // below must still finish at the identical tick (this pinned a real
+    // 4-tick injection-record shift between `gemfi_run` runs with
+    // superblocks on and off).
     let w = Knapsack { generations: 4, ..Knapsack::default() };
     let guest = w.build();
 
     let ckpt_with = |superblock: bool| {
         let config = workload_machine_config(CpuKind::Atomic);
         let mut m = Machine::boot(config, &guest.program, NoopHooks).expect("boots");
-        m.set_superblock(superblock);
-        assert_eq!(m.run(), RunExit::CheckpointRequest);
+        if superblock {
+            assert_eq!(m.run(), RunExit::CheckpointRequest);
+        } else {
+            step_to_checkpoint(&mut m, false);
+        }
         m.checkpoint()
     };
 

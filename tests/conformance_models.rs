@@ -8,26 +8,29 @@
 //! whichever of them served it.
 //!
 //! Each seeded random program — straight-line arithmetic, forward skips,
-//! bounded loops, and stores/loads through a scratch buffer — runs under
-//! 4 models x {hook elision on, off} x {superblock on, off}, plus once per
-//! model on the *cold-decode reference*: a `Machine::step()` loop (fully
-//! hooked, no sprint, no superblocks) that empties the predecode cache
-//! before every step, so every fetch decodes the word fresh from memory.
-//! Within a model all five runs must be *fully* identical (complete
-//! [`ArchState`], every byte of physical memory, and the final tick);
-//! across models the guest-visible surface must agree (all 62 registers,
-//! the PC, and the data segment — timing-dependent kernel bookkeeping such
-//! as `exc_addr` is allowed to differ between timing models, never between
-//! fast-path positions).
+//! bounded loops, and stores/loads through a scratch buffer — runs on each
+//! of the 4 models three ways: `Machine::run` (every fast path), the
+//! stepped reference (a fully hooked `Machine::step()` loop: no sprint, no
+//! superblocks), and the *cold-decode reference*, the stepped loop emptying
+//! the predecode cache before every step so every fetch decodes the word
+//! fresh from memory. Within a model all three runs must be *fully*
+//! identical (complete [`ArchState`], every byte of physical memory, and
+//! the final tick); across models the guest-visible surface must agree
+//! (all 62 registers, the PC, and the data segment — timing-dependent
+//! kernel bookkeeping such as `exc_addr` is allowed to differ between
+//! timing models, never between fast and stepped runs).
 
 #[path = "support/random_program.rs"]
 mod random_program;
+#[path = "support/stepped.rs"]
+mod stepped;
 
 use gemfi_asm::Program;
 use gemfi_cpu::{CpuKind, NoopHooks};
 use gemfi_isa::ArchState;
 use gemfi_sim::{Machine, MachineConfig, RunExit};
 use random_program::random_program;
+use stepped::run_stepped;
 
 const PHYS_SIZE: usize = 4 << 20;
 const MODELS: [CpuKind; 4] = [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3];
@@ -39,11 +42,12 @@ struct Snapshot {
     tick: u64,
 }
 
-/// How one run is driven: `Machine::run` with the two switches set, or the
-/// cold-decode reference loop.
+/// How one run is driven: `Machine::run`, the stepped reference, or the
+/// cold-decode reference.
 #[derive(Debug, Clone, Copy)]
 enum Drive {
-    Run { elide: bool, superblock: bool },
+    Fast,
+    Stepped,
     ColdDecode,
 }
 
@@ -52,15 +56,14 @@ fn run_model(program: &Program, cpu: CpuKind, drive: Drive) -> Snapshot {
     config.mem.phys_size = PHYS_SIZE;
     let mut m = Machine::boot(config, program, NoopHooks).expect("boots");
     let exit = match drive {
-        Drive::Run { elide, superblock } => {
-            m.set_elide(elide);
-            m.set_superblock(superblock);
+        Drive::Fast => {
             let mut exit = m.run();
             while exit == RunExit::CheckpointRequest {
                 exit = m.run();
             }
             exit
         }
+        Drive::Stepped => run_stepped(&mut m),
         Drive::ColdDecode => loop {
             m.mem_mut().clear_predecode();
             match m.step() {
@@ -85,23 +88,16 @@ fn data_segment<'s>(program: &Program, snap: &'s Snapshot) -> &'s [u8] {
     &snap.mem[base..end]
 }
 
-/// Runs each seed under every model, every position of the two switches
-/// and the cold-decode reference, asserting the conformance contract
-/// described in the module docs.
+/// Runs each seed under every model, fast, stepped and cold-decode,
+/// asserting the conformance contract described in the module docs.
 fn conformance(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let program = random_program(seed);
         let mut baseline: Option<Snapshot> = None;
         for cpu in MODELS {
-            let on = run_model(&program, cpu, Drive::Run { elide: true, superblock: true });
-            // Every fast path must be a pure performance artifact, alone
-            // and in every combination.
-            for drive in [
-                Drive::Run { elide: true, superblock: false },
-                Drive::Run { elide: false, superblock: true },
-                Drive::Run { elide: false, superblock: false },
-                Drive::ColdDecode,
-            ] {
+            let on = run_model(&program, cpu, Drive::Fast);
+            // The fast paths must be a pure performance artifact.
+            for drive in [Drive::Stepped, Drive::ColdDecode] {
                 let other = run_model(&program, cpu, drive);
                 let tag = format!("seed {seed} {cpu} ({drive:?})");
                 assert_eq!(on.exit, other.exit, "{tag}: exit differs");

@@ -9,11 +9,15 @@
 //!   (with high probability, here made deterministic);
 //! * flips in a not-taken branch's displacement → strictly correct.
 
+#[path = "support/stepped.rs"]
+mod stepped;
+
 use gemfi::{FaultConfig, GemFiEngine};
 use gemfi_asm::{Assembler, Reg};
 use gemfi_cpu::CpuKind;
 use gemfi_isa::Trap;
 use gemfi_sim::{Machine, MachineConfig, RunExit};
+use stepped::run_stepped;
 
 /// Asserts that every cached predecoded entry still agrees with the
 /// pristine instruction text in memory: a faulted fetch must decode the
@@ -31,13 +35,13 @@ fn assert_no_corrupted_decode_cached<H: gemfi_cpu::FaultHooks>(
     }
 }
 
-/// One run of the Table-I scenario with the hook elision fast path on or
-/// off.
+/// One run of the Table-I scenario through `Machine::run` or, with
+/// `stepped`, the stepped reference.
 fn run_with_fetch_flip_mode(
     build_body: &impl Fn(&mut Assembler),
     instr_index: u64,
     bit: u8,
-    elide: bool,
+    stepped: bool,
 ) -> (RunExit, Vec<gemfi::InjectionRecord>) {
     let mut a = Assembler::new();
     a.fi_activate(0);
@@ -55,8 +59,7 @@ fn run_with_fetch_flip_mode(
     let config =
         MachineConfig { cpu: CpuKind::Atomic, max_ticks: 3_000_000, ..MachineConfig::default() };
     let mut machine = Machine::boot(config, &program, GemFiEngine::new(faults)).expect("boots");
-    machine.set_elide(elide);
-    let exit = machine.run();
+    let exit = if stepped { run_stepped(&mut machine) } else { machine.run() };
     assert_no_corrupted_decode_cached(&machine, &program);
     (exit, machine.hooks().records().to_vec())
 }
@@ -64,8 +67,9 @@ fn run_with_fetch_flip_mode(
 /// Builds a machine around a tiny kernel whose N-th fetched instruction is
 /// known, with a fetch-stage fault flipping `bit` of that instruction.
 ///
-/// Every scenario runs with hook elision enabled and disabled and must
-/// manifest bit-for-bit identically: same exit, same injection records. The
+/// Every scenario runs through `Machine::run` and through the stepped
+/// reference (a fully hooked `Machine::step()` loop) and must manifest
+/// bit-for-bit identically: same exit, same injection records. The
 /// predecode fast path is bypassed when an armed fault corrupts the fetched
 /// word (checked after every run: no corrupted decode is ever cached), and
 /// the elided sprint stops short of any event a pending fault could reach,
@@ -75,11 +79,11 @@ fn run_with_fetch_flip(
     instr_index: u64,
     bit: u8,
 ) -> (RunExit, Vec<gemfi::InjectionRecord>) {
-    let reference = run_with_fetch_flip_mode(&build_body, instr_index, bit, true);
-    let stepped = run_with_fetch_flip_mode(&build_body, instr_index, bit, false);
-    assert_eq!(reference.0, stepped.0, "fetch fault manifests differently with elision off");
-    assert_eq!(reference.1, stepped.1, "injection records differ with elision off");
-    reference
+    let fast = run_with_fetch_flip_mode(&build_body, instr_index, bit, false);
+    let stepped = run_with_fetch_flip_mode(&build_body, instr_index, bit, true);
+    assert_eq!(fast.0, stepped.0, "fetch fault manifests differently when stepped");
+    assert_eq!(fast.1, stepped.1, "injection records differ when stepped");
+    fast
 }
 
 #[test]
@@ -175,8 +179,8 @@ fn register_selector_flip_changes_dataflow() {
     // Flipping an Ra-field bit of `addq r1, r2, r3` reads a different
     // source register: the result changes but execution survives. Decode
     // faults corrupt the word after fetch, so the same bypass rule applies:
-    // identical behavior with elision on or off.
-    for elide in [true, false] {
+    // identical behavior fast and stepped.
+    for stepped in [false, true] {
         let mut a = Assembler::new();
         a.fi_activate(0);
         a.li(Reg::R1, 10);
@@ -197,14 +201,13 @@ fn register_selector_flip_changes_dataflow() {
         let mut machine =
             Machine::boot(MachineConfig::default(), &program, GemFiEngine::new(faults))
                 .expect("boots");
-        machine.set_elide(elide);
-        let exit = machine.run();
+        let exit = if stepped { run_stepped(&mut machine) } else { machine.run() };
         assert_no_corrupted_decode_cached(&machine, &program);
         // r4 = r3 + r2 = 78 instead of r1 + r2 = 11.
         assert_eq!(
             exit,
             RunExit::Halted(78),
-            "decode fault must redirect the source register (elide={elide})"
+            "decode fault must redirect the source register (stepped={stepped})"
         );
     }
 }

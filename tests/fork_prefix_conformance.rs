@@ -4,10 +4,9 @@
 //! same complete [`ArchState`], same every-byte-of-physical-memory, same
 //! injection records, same tick and instruction counts.
 //!
-//! The matrix covers all 4 CPU models as the injection model × dormancy
-//! elision on/off × superblock on/off, reaching stations both through
-//! `drive_experiment` and through the benchmark-facing `plan_suffixes` /
-//! `drive_suffix`. It also pins the derived-state contract at the fork
+//! The matrix covers all 4 CPU models as the injection model, reaching
+//! stations both through `drive_experiment` and through the
+//! benchmark-facing `plan_suffixes` / `drive_suffix`. It also pins the derived-state contract at the fork
 //! (the never-serialized rule): the trunk runs with warm predecode and
 //! superblock caches, but a fork must come out decode-cold and
 //! translation-cold — asserted here rather than trusted.
@@ -134,68 +133,52 @@ fn conformance(model: CpuKind) {
     let w = MonteCarloPi { points: 120, init_spins: 60, ..MonteCarloPi::default() };
     let p = prepare_workload(&w).expect("prepares");
     let specs = specs_for(&p);
-    for (elide, superblock) in [(true, true), (true, false), (false, true), (false, false)] {
-        let runner =
-            RunnerConfig { inject_cpu: model, elide, superblock, ..RunnerConfig::default() };
-        let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig);
-        assert_eq!(planned.len(), specs.len());
-        assert!(
-            planned.iter().all(|s| s.forked_at.is_some()),
-            "{model} elide={elide} superblock={superblock}: every spec must fork a station"
+    let runner = RunnerConfig { inject_cpu: model, ..RunnerConfig::default() };
+    let planned = plan_suffixes(&p, &specs, &runner, &ForkConfig);
+    assert_eq!(planned.len(), specs.len());
+    assert!(
+        planned.iter().all(|s| s.forked_at.is_some()),
+        "{model}: every spec must fork a station"
+    );
+    for mut suffix in planned {
+        let spec = specs[suffix.index];
+        let tag = format!("{model} spec#{} forked_at={:?}", suffix.index, suffix.forked_at);
+        // The trunk ran warm; the fork must not inherit the
+        // (never-serialized) predecode or superblock caches.
+        assert_eq!(
+            suffix.machine.mem().stats().predecode,
+            gemfi_isa::PredecodeStats::default(),
+            "{tag}: fork must start decode-cold"
         );
-        for mut suffix in planned {
-            let spec = specs[suffix.index];
-            let tag = format!(
-                "{model} elide={elide} superblock={superblock} spec#{} forked_at={:?}",
-                suffix.index, suffix.forked_at
-            );
-            // The trunk ran warm; the fork must not inherit the
-            // (never-serialized) predecode or superblock caches.
-            assert_eq!(
-                suffix.machine.mem().stats().predecode,
-                gemfi_isa::PredecodeStats::default(),
-                "{tag}: fork must start decode-cold"
-            );
-            assert_eq!(
-                suffix.machine.mem().stats().superblock,
-                gemfi_isa::SuperblockStats::default(),
-                "{tag}: fork must start translation-cold"
-            );
-            let (fork_exit, fork_aborted) =
-                drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
-            let (whole, whole_exit, whole_aborted) =
-                drive_whole_run(&p.checkpoint, &p, &[spec], &runner, &AbortToken::new());
-            assert!(!fork_aborted && !whole_aborted, "{tag}");
-            assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
-            if !superblock {
-                // The switch reaches every machine a station forks.
-                assert_eq!(
-                    suffix.machine.stats().mem.superblock.uops_executed,
-                    0,
-                    "{tag}: superblock uops executed with superblocks off"
-                );
-            }
-            assert_same_machine(&suffix.machine, &whole, &tag);
+        assert_eq!(
+            suffix.machine.mem().stats().superblock,
+            gemfi_isa::SuperblockStats::default(),
+            "{tag}: fork must start translation-cold"
+        );
+        let (fork_exit, fork_aborted) = drive_suffix(&mut suffix, &p, &runner, &AbortToken::new());
+        let (whole, whole_exit, whole_aborted) =
+            drive_whole_run(&p.checkpoint, &p, &[spec], &runner, &AbortToken::new());
+        assert!(!fork_aborted && !whole_aborted, "{tag}");
+        assert_eq!(fork_exit, whole_exit, "{tag}: exit differs");
+        assert_same_machine(&suffix.machine, &whole, &tag);
+    }
+    // Stations, walked in spec order and again in reverse: the order
+    // decides how far the trunk stands when each spec asks. This kernel
+    // runs for only a few default chunks, so a finer chunk puts several
+    // stations ahead of its faults.
+    let runner = RunnerConfig { chunk: 2_000, ..runner };
+    for reverse in [false, true] {
+        let walked = unwalked(&p);
+        let mut indices: Vec<usize> = (0..specs.len()).collect();
+        if reverse {
+            indices.reverse();
         }
-        // Stations, walked in spec order and again in reverse: the order
-        // decides how far the trunk stands when each spec asks. This
-        // kernel runs for only a few default chunks, so a finer chunk
-        // puts several stations ahead of its faults.
-        let runner = RunnerConfig { chunk: 2_000, ..runner };
-        let tag = format!("{model} elide={elide} superblock={superblock}");
-        for reverse in [false, true] {
-            let walked = unwalked(&p);
-            let mut indices: Vec<usize> = (0..specs.len()).collect();
-            if reverse {
-                indices.reverse();
-            }
-            for index in indices {
-                let tag = format!("{tag} reverse={reverse} spec#{index}");
-                let station = station_matches_whole_run(&walked, &[specs[index]], &runner, &tag);
-                let station = station.expect("no spec of the list is armed at the checkpoint");
-                if index == 0 {
-                    assert!(station > p.checkpoint.tick(), "{tag}: the late fault starts late");
-                }
+        for index in indices {
+            let tag = format!("{model} reverse={reverse} spec#{index}");
+            let station = station_matches_whole_run(&walked, &[specs[index]], &runner, &tag);
+            let station = station.expect("no spec of the list is armed at the checkpoint");
+            if index == 0 {
+                assert!(station > p.checkpoint.tick(), "{tag}: the late fault starts late");
             }
         }
     }

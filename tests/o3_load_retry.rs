@@ -5,12 +5,17 @@
 //! the next cycle. Its address generation runs the execute hook, so a
 //! fault the hook fires there must reach the retried access: the engine
 //! has already counted the event and recorded the injection. This pins
-//! that the load reads the corrupted address on every elision setting.
+//! that the load reads the corrupted address through `Machine::run` and
+//! through the stepped reference (a fully hooked `Machine::step()` loop).
+
+#[path = "support/stepped.rs"]
+mod stepped;
 
 use gemfi::{FaultConfig, GemFiEngine};
 use gemfi_asm::{Assembler, Program, Reg};
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig, RunExit};
+use stepped::run_stepped;
 
 const CLEAN: u64 = 11;
 const FAULTED: u64 = 22;
@@ -46,7 +51,7 @@ fn waiting_load_program() -> Program {
 fn a_load_retried_behind_a_store_reads_its_faulted_address() {
     let program = waiting_load_program();
     let buf = program.symbol("buf").expect("buf is defined");
-    for elide in [false, true] {
+    for stepped in [true, false] {
         let mut hit_the_load = false;
         for n in 1..=40 {
             let line =
@@ -59,8 +64,7 @@ fn a_load_retried_behind_a_store_reads_its_faulted_address() {
             };
             let mut machine =
                 Machine::boot(config, &program, GemFiEngine::new(faults)).expect("boots");
-            machine.set_elide(elide);
-            let exit = machine.run();
+            let exit = if stepped { run_stepped(&mut machine) } else { machine.run() };
             let records = machine.hooks().records();
             let on_load = records.iter().any(|r| {
                 r.before == buf && r.instr.as_deref().is_some_and(|i| i.starts_with("ldq"))
@@ -69,13 +73,13 @@ fn a_load_retried_behind_a_store_reads_its_faulted_address() {
                 continue;
             }
             hit_the_load = true;
-            assert_eq!(exit, RunExit::Halted(0), "elide={elide} Inst:{n}");
+            assert_eq!(exit, RunExit::Halted(0), "stepped={stepped} Inst:{n}");
             assert_eq!(
                 machine.out_words(),
                 [FAULTED],
-                "elide={elide} Inst:{n}: the load must read its faulted address"
+                "stepped={stepped} Inst:{n}: the load must read its faulted address"
             );
         }
-        assert!(hit_the_load, "elide={elide}: no Inst:N landed on the load's address");
+        assert!(hit_the_load, "stepped={stepped}: no Inst:N landed on the load's address");
     }
 }

@@ -1,44 +1,50 @@
 //! Differential test matrix for the security-style fault behaviors —
 //! instruction skip, opcode replacement, and branch-condition inversion —
-//! pinned across all four CPU models × dormancy elision on/off.
+//! pinned across all four CPU models, each through `Machine::run` and
+//! through the stepped reference (a fully hooked `Machine::step()` loop).
 //!
 //! Every spec is built as a Listing-1 text line and parsed through
 //! [`FaultConfig`], proving each behavior reachable from `gemfi_run` input
 //! syntax. Architectural effects are checked differentially against a
 //! fault-free golden run of the same program on the same configuration.
 
+#[path = "support/stepped.rs"]
+mod stepped;
+
 use gemfi::{FaultConfig, GemFiEngine};
 use gemfi_asm::{Assembler, Program, Reg};
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig, RunExit};
+use stepped::run_stepped;
 
 const MODELS: [CpuKind; 4] = [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3];
 
-/// Every (cpu, elide) corner of the machine space.
+/// Every (cpu, stepped) corner of the machine space.
 fn machine_matrix() -> Vec<(CpuKind, bool)> {
-    MODELS.iter().flat_map(|&cpu| [(cpu, false), (cpu, true)]).collect()
+    MODELS.iter().flat_map(|&cpu| [(cpu, true), (cpu, false)]).collect()
 }
 
-fn label((cpu, elide): &(CpuKind, bool)) -> String {
-    format!("{cpu} elide:{elide}")
+fn label((cpu, stepped): &(CpuKind, bool)) -> String {
+    format!("{cpu} stepped:{stepped}")
 }
 
 fn run(config: (CpuKind, bool), program: &Program, lines: &str) -> (RunExit, Vec<u64>) {
     let faults: FaultConfig = lines.parse().unwrap_or_else(|e| panic!("bad spec {lines:?}: {e:?}"));
-    let (cpu, elide) = config;
+    let (cpu, stepped) = config;
     let machine_config = MachineConfig { cpu, max_ticks: 3_000_000, ..MachineConfig::default() };
     let mut machine =
         Machine::boot(machine_config, program, GemFiEngine::new(faults)).expect("machine boots");
-    machine.set_elide(elide);
     // A replaced opcode can decode into the checkpoint-request pseudo-op;
-    // step over a bounded number of those, as a campaign driver would.
-    let mut exit = machine.run();
-    for _ in 0..16 {
-        if exit != RunExit::CheckpointRequest {
-            break;
+    // step over those, as a campaign driver would.
+    let exit = if stepped {
+        run_stepped(&mut machine)
+    } else {
+        let mut exit = machine.run();
+        while exit == RunExit::CheckpointRequest {
+            exit = machine.run();
         }
-        exit = machine.run();
-    }
+        exit
+    };
     assert!(
         !matches!(exit, RunExit::SimError(_)),
         "security fault must never surface a simulator error on {}: {exit}",

@@ -13,10 +13,14 @@
 //! `write_u32_functional`, which flows through the identical store path
 //! exercised here.
 
+#[path = "support/stepped.rs"]
+mod stepped;
+
 use gemfi_asm::{Assembler, Reg};
 use gemfi_cpu::{CpuKind, NoopHooks};
 use gemfi_isa::{IntReg, Operand};
 use gemfi_sim::{Machine, MachineConfig, RunExit};
+use stepped::run_stepped;
 
 /// The replacement word the guest stores over `patchme`:
 /// `addq r1, #100, r1` instead of the assembled `addq r1, #1, r1`.
@@ -95,22 +99,31 @@ struct SmcRun {
     stats: gemfi_mem::MemStats,
 }
 
-/// `Machine::run` with superblocks on or off, or — `cold_decode` — the
-/// reference loop that empties the predecode cache before every
-/// `Machine::step`, so no fetch is ever served a cached decode.
-fn run(cpu: CpuKind, patch: Patch, superblock: bool, cold_decode: bool) -> SmcRun {
+/// How one run is driven.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// `Machine::run`: elided sprints, superblocks on Atomic.
+    Fast,
+    /// The stepped reference: a fully hooked `Machine::step()` loop, served
+    /// by the predecode cache.
+    Stepped,
+    /// The stepped loop emptying the predecode cache before every step, so
+    /// no fetch is ever served a cached decode.
+    ColdDecode,
+}
+
+fn run(cpu: CpuKind, patch: Patch, drive: Drive) -> SmcRun {
     let config = MachineConfig { cpu, ..MachineConfig::default() };
     let mut m = Machine::boot(config, &smc_program(patch), NoopHooks).expect("boots");
-    m.set_superblock(superblock);
-    let exit = if cold_decode {
-        loop {
+    let exit = match drive {
+        Drive::Fast => m.run(),
+        Drive::Stepped => run_stepped(&mut m),
+        Drive::ColdDecode => loop {
             m.mem_mut().clear_predecode();
             if let Some(exit) = m.step() {
                 break exit;
             }
-        }
-    } else {
-        m.run()
+        },
     };
     SmcRun {
         exit,
@@ -140,11 +153,11 @@ const CASES: [(CpuKind, Patch); 7] = [
 fn patched_instruction_takes_effect_under_the_cache() {
     for (cpu, patch) in CASES {
         let tag = format!("{cpu} {patch:?}");
-        // Superblocks off here: on the atomic model they would absorb the
+        // Stepped here: on the atomic model superblocks would absorb the
         // dormant loop and starve the predecode counters this test pins
         // (the superblock axis has its own test below).
-        let on = run(cpu, patch, false, false);
-        let off = run(cpu, patch, false, true);
+        let on = run(cpu, patch, Drive::Stepped);
+        let off = run(cpu, patch, Drive::ColdDecode);
         assert_eq!(on.exit, RunExit::Halted(101), "{tag}: stale decode served from the cache");
         assert_eq!(on.exit, off.exit, "{tag}: predecode cache changed SMC behavior");
         assert_eq!(on.tick, off.tick, "{tag}: predecode cache changed SMC timing");
@@ -164,11 +177,11 @@ fn patched_instruction_takes_effect_inside_a_translated_superblock() {
     // so the guest's store lands *inside* the superblock currently
     // executing: the block must stop after that store commits and the
     // retranslation must pick up the patched bytes. Bit-identical exit,
-    // tick count, and instret with superblocks on and off.
+    // tick count, and instret fast and stepped.
     for (cpu, patch) in CASES {
         let tag = format!("{cpu} {patch:?}");
-        let on = run(cpu, patch, true, false);
-        let off = run(cpu, patch, false, false);
+        let on = run(cpu, patch, Drive::Fast);
+        let off = run(cpu, patch, Drive::Stepped);
         assert_eq!(on.exit, RunExit::Halted(101), "{tag}: stale micro-op executed");
         assert_eq!(on.exit, off.exit, "{tag}: superblocks changed SMC behavior");
         assert_eq!(on.tick, off.tick, "{tag}: superblocks changed SMC timing");
@@ -187,15 +200,16 @@ fn patched_instruction_takes_effect_inside_a_translated_superblock() {
     }
 }
 
-/// An Atomic machine (one tick per instruction, superblocks off) stopped
-/// right after the first pass over `patchme`, whose decode is now cached.
+/// An Atomic machine (one tick per instruction) stepped up to just after
+/// the first pass over `patchme`, whose decode is now cached.
 fn warmed_up_to_patchme(patch: Patch) -> (Machine<NoopHooks>, u64) {
     let program = smc_program(patch);
     let patchme = program.symbol("patchme").expect("label");
     let config = MachineConfig { cpu: CpuKind::Atomic, ..MachineConfig::default() };
     let mut m = Machine::boot(config, &program, NoopHooks).expect("boots");
-    m.set_superblock(false);
-    assert!(m.run_to_tick((patchme - gemfi_asm::TEXT_BASE) / 4 + 1).is_none());
+    while m.tick() < (patchme - gemfi_asm::TEXT_BASE) / 4 + 1 {
+        assert!(m.step().is_none());
+    }
     assert_eq!(m.arch().pc, patchme + 4, "sequencing drifted: `patchme` must just have run");
     assert!(m.mem().peek_predecoded(patchme).is_some(), "stepped pass must cache the decode");
     (m, patchme)
@@ -208,14 +222,13 @@ fn store_inside_a_superblock_invalidates_a_decode_the_stepped_loop_cached() {
     // loop fetches `patchme` again and must not be served the old decode.
     for patch in [Patch::Stl, Patch::Stq] {
         let (mut m, patchme) = warmed_up_to_patchme(patch);
-        m.set_superblock(true);
         // The rest of pass 1 is one block: (nop,) store, addq, cmplt, bne.
         let block = if matches!(patch, Patch::Stq) { 5 } else { 4 };
         assert!(m.run_to_tick(m.tick() + block).is_none());
         assert_eq!(m.stats().mem.superblock.uops_executed, block, "{patch:?}: block must run");
         assert_eq!(m.arch().pc, patchme, "{patch:?}: pass 2 starts at `patchme`");
-        m.set_superblock(false);
-        assert_eq!(m.run(), RunExit::Halted(101), "{patch:?}: stale decode survived the store");
+        let exit = run_stepped(&mut m);
+        assert_eq!(exit, RunExit::Halted(101), "{patch:?}: stale decode survived the store");
     }
 }
 
@@ -234,7 +247,8 @@ fn host_side_stores_invalidate_cached_decodes() {
     for (i, store) in stores.iter().enumerate() {
         let (mut m, patchme) = warmed_up_to_patchme(Patch::Host);
         store(m.mem_mut(), patchme);
-        assert_eq!(m.run(), RunExit::Halted(101), "host store #{i}: stale decode survived");
+        let exit = run_stepped(&mut m);
+        assert_eq!(exit, RunExit::Halted(101), "host store #{i}: stale decode survived");
     }
 }
 

@@ -4,14 +4,19 @@
 //! runs an instruction — which hooks it calls, how often, on which path —
 //! moves where every such fault lands even when the guest still computes
 //! the same answer. One fault-free guest that covers every instruction
-//! family runs under each of the four models with hook elision on and off;
+//! family runs under each of the four models, through `Machine::run` and
+//! through the stepped reference (a fully hooked `Machine::step()` loop);
 //! the exact `GemFiEngine::stage_events()` of each model is pinned here,
 //! and no run may record an injection.
+
+#[path = "support/stepped.rs"]
+mod stepped;
 
 use gemfi::{FaultConfig, GemFiEngine};
 use gemfi_asm::{Assembler, FReg, Program, Reg};
 use gemfi_cpu::CpuKind;
 use gemfi_sim::{Machine, MachineConfig, RunExit};
+use stepped::run_stepped;
 
 /// Loop trips: enough for the branch predictor to train and to mispredict.
 const TRIPS: i64 = 3;
@@ -85,15 +90,14 @@ fn every_family_program() -> Program {
 }
 
 /// `[fetch, decode, execute, memory, register]` events of one run.
-fn stage_events(program: &Program, cpu: CpuKind, elide: bool) -> [u64; 5] {
+fn stage_events(program: &Program, cpu: CpuKind, stepped: bool) -> [u64; 5] {
     let config = MachineConfig { cpu, max_ticks: 1_000_000, ..MachineConfig::default() };
     let mut machine =
         Machine::boot(config, program, GemFiEngine::new(FaultConfig::empty())).expect("boots");
-    machine.set_elide(elide);
-    let exit = machine.run();
-    assert_eq!(exit, RunExit::Halted(0), "{cpu} elide={elide}");
-    assert_eq!(machine.out_words(), [CHECKSUM], "{cpu} elide={elide}");
-    assert!(machine.hooks().records().is_empty(), "{cpu} elide={elide}: nothing may fire");
+    let exit = if stepped { run_stepped(&mut machine) } else { machine.run() };
+    assert_eq!(exit, RunExit::Halted(0), "{cpu} stepped={stepped}");
+    assert_eq!(machine.out_words(), [CHECKSUM], "{cpu} stepped={stepped}");
+    assert!(machine.hooks().records().is_empty(), "{cpu} stepped={stepped}: nothing may fire");
     machine.hooks().stage_events()
 }
 
@@ -109,8 +113,8 @@ fn every_model_serves_the_pinned_stage_events() {
         (CpuKind::O3, [166, 166, 115, 24, 116]),
     ];
     for (cpu, want) in expected {
-        for elide in [false, true] {
-            assert_eq!(stage_events(&program, cpu, elide), want, "{cpu} elide={elide}");
+        for stepped in [true, false] {
+            assert_eq!(stage_events(&program, cpu, stepped), want, "{cpu} stepped={stepped}");
         }
     }
 }

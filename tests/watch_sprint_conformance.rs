@@ -13,10 +13,10 @@
 //! `GemFiEngine` carrying register faults — a register never touched after
 //! the fire, one first read and one first written in the middle of a
 //! superblock, `r31`/`f31`, and two faults with the second still queued
-//! behind a live watch — on 4 models × {elision, superblocks} on/off. Every
-//! run must match the fully hooked `elide=false` run of its model: exit,
-//! `ArchState`, memory, tick, instret and the injection records with their
-//! `consumed`/`overwritten` flags.
+//! behind a live watch — on each of the 4 models. Every `Machine::run` must
+//! match the stepped reference (a fully hooked `Machine::step()` loop) of
+//! its model: exit, `ArchState`, memory, tick, instret and the injection
+//! records with their `consumed`/`overwritten` flags.
 //!
 //! The footprint half checks the superset rule the sprint relies on: over
 //! every block the six small guests translate, the block's footprint holds
@@ -24,6 +24,8 @@
 
 #[path = "support/random_program.rs"]
 mod random_program;
+#[path = "support/stepped.rs"]
+mod stepped;
 
 use gemfi::{
     FaultBehavior, FaultConfig, FaultLocation, FaultSpec, FaultTiming, GemFiEngine, InjectionRecord,
@@ -37,13 +39,10 @@ use gemfi_sim::{Machine, MachineConfig, RunExit};
 use gemfi_workloads::workload_machine_config;
 use random_program::random_program;
 use std::collections::HashMap;
+use stepped::run_stepped;
 
 const PHYS_SIZE: usize = 4 << 20;
 const MODELS: [CpuKind; 4] = [CpuKind::Atomic, CpuKind::Timing, CpuKind::InOrder, CpuKind::O3];
-
-/// Every position of the two switches but the reference `elide=false`,
-/// `superblock=false`.
-const FAST_PATHS: [(bool, bool); 3] = [(true, true), (true, false), (false, true)];
 
 /// Registers none of the guests below ever names.
 const UNTOUCHED_INT: RegRef = RegRef::Int(Reg::R25);
@@ -139,22 +138,16 @@ struct Outcome {
     records: Vec<InjectionRecord>,
 }
 
-/// One run of `program` under `faults`. Injection is enabled from the first
+/// One run of `program` under `faults`, through `Machine::run` or, with
+/// `stepped`, the stepped reference. Injection is enabled from the first
 /// instruction, as if the guest opened with `fi_activate_inst(0)`. Also
 /// returns the instructions the fully hooked loop stepped.
-fn run(
-    program: &Program,
-    cpu: CpuKind,
-    faults: &[FaultSpec],
-    (elide, superblock): (bool, bool),
-) -> (Outcome, u64) {
+fn run(program: &Program, cpu: CpuKind, faults: &[FaultSpec], stepped: bool) -> (Outcome, u64) {
     let engine = GemFiEngine::new(FaultConfig::from_specs(faults.to_vec()));
     let mut m = Machine::boot(config(cpu), program, engine).expect("boots");
-    m.set_elide(elide);
-    m.set_superblock(superblock);
     let pcbb = m.arch().pcbb;
     m.hooks_mut().on_fi_activate(0, 0, 0, pcbb);
-    let exit = drive(&mut m);
+    let exit = if stepped { run_stepped(&mut m) } else { drive(&mut m) };
     let stats = m.stats();
     let outcome = Outcome {
         exit,
@@ -167,23 +160,21 @@ fn run(
     (outcome, stats.instructions - stats.instructions_elided)
 }
 
-/// Runs `faults` on every model in every fast-path position against the
-/// fully hooked run; returns the Atomic reference.
+/// Runs `faults` on every model, fast against the stepped reference;
+/// returns the Atomic reference.
 fn conforms(program: &Program, faults: &[FaultSpec], tag: &str) -> Outcome {
     let mut atomic = None;
     for cpu in MODELS {
-        let (reference, _) = run(program, cpu, faults, (false, false));
+        let (reference, _) = run(program, cpu, faults, true);
         assert_eq!(reference.records.len(), faults.len(), "{tag} {cpu}: every fault fires");
-        for position in FAST_PATHS {
-            let (fast, _) = run(program, cpu, faults, position);
-            let what = format!("{tag} {cpu} (elide, superblock) = {position:?}");
-            assert_eq!(fast.exit, reference.exit, "{what}: exit differs");
-            assert_eq!(fast.arch, reference.arch, "{what}: ArchState differs");
-            assert!(fast.mem == reference.mem, "{what}: memory differs");
-            assert_eq!(fast.tick, reference.tick, "{what}: tick differs");
-            assert_eq!(fast.instret, reference.instret, "{what}: instret differs");
-            assert_eq!(fast.records, reference.records, "{what}: records differ");
-        }
+        let (fast, _) = run(program, cpu, faults, false);
+        let what = format!("{tag} {cpu}");
+        assert_eq!(fast.exit, reference.exit, "{what}: exit differs");
+        assert_eq!(fast.arch, reference.arch, "{what}: ArchState differs");
+        assert!(fast.mem == reference.mem, "{what}: memory differs");
+        assert_eq!(fast.tick, reference.tick, "{what}: tick differs");
+        assert_eq!(fast.instret, reference.instret, "{what}: instret differs");
+        assert_eq!(fast.records, reference.records, "{what}: records differ");
         if cpu == CpuKind::Atomic {
             atomic = Some(reference);
         }
@@ -258,7 +249,7 @@ fn watch_cases(program: &Program, candidates: &[RegRef], tag: &str) {
         assert!(!record.consumed && !record.overwritten, "{tag}: {reg} is never touched");
         // The live watch no longer holds the run in the hooked loop: only
         // the instructions up to the fire are stepped fully hooked.
-        let (_, hooked) = run(program, CpuKind::Atomic, &[reg_fault(reg, at)], (true, true));
+        let (_, hooked) = run(program, CpuKind::Atomic, &[reg_fault(reg, at)], false);
         assert!(hooked <= at + 1, "{tag}: {hooked} instructions hooked with {reg} watched");
     }
 
