@@ -9,8 +9,13 @@
 //! mispredicts and a load parked behind a store with a late address, and a
 //! store-forwarding micro-program covers every way a load meets an older
 //! store. The exact tick, instruction, predictor, squash and cache counts
-//! are pinned.
+//! are pinned. A second run per guest keeps the fault engine's hooks live,
+//! as every campaign experiment does: one early flip the kernel consumes
+//! and one whose consumption watch stays live through the elided sprint to
+//! the halt; its tick, instructions, squashes, stage events and both
+//! injection records are pinned.
 
+use gemfi::{FaultBehavior, FaultConfig, FaultLocation, FaultSpec, FaultTiming, GemFiEngine};
 use gemfi_asm::{Assembler, Program, Reg};
 use gemfi_bench::{workloads, Scale};
 use gemfi_cpu::{CpuKind, NoopHooks};
@@ -277,4 +282,153 @@ fn a_store_forwarding_program_runs_the_pinned_o3_cycle_stream() {
     let mut atomic = Machine::boot(config, &store_forwarding_program(), NoopHooks).expect("boots");
     run_to_halt(&mut atomic, "store-forwarding on Atomic");
     assert_eq!(atomic.out_words(), [FORWARDING_OUT]);
+}
+
+/// The pinned state of a hooked run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HookedPin {
+    tick: u64,
+    instret: u64,
+    squashed: u64,
+    stage_events: [u64; 5],
+    /// Per fault, in spec order: (tick, pc, before, after, consumed,
+    /// overwritten) of its record.
+    records: [(u64, u64, u64, u64, bool, bool); 2],
+}
+
+/// Per Small guest, an integer register the kernel reads (its flip is
+/// consumed) and one it never touches (its consumption watch stays live
+/// to the halt), then the pinned run.
+const HOOKED_PINS: [(&str, u8, u8, HookedPin); 6] = [
+    (
+        "dct",
+        23,
+        13,
+        HookedPin {
+            tick: 46657,
+            instret: 111290,
+            squashed: 778,
+            stage_events: [107116, 107116, 106666, 14049, 106338],
+            records: [(5139, 65812, 0, 2, true, false), (5143, 65536, 0, 2, false, false)],
+        },
+    ),
+    (
+        "jacobi",
+        20,
+        7,
+        HookedPin {
+            tick: 4249,
+            instret: 5256,
+            squashed: 572,
+            stage_events: [4508, 4508, 4104, 741, 3936],
+            records: [(1504, 65736, 8, 10, true, false), (1600, 65776, 0, 2, false, false)],
+        },
+    ),
+    (
+        "pi",
+        2,
+        11,
+        HookedPin {
+            tick: 14514,
+            instret: 16360,
+            squashed: 5971,
+            stage_events: [14310, 14310, 12316, 5, 8339],
+            records: [(8206, 65648, 0, 2, true, false), (8219, 65688, 0, 2, false, false)],
+        },
+    ),
+    (
+        "knapsack",
+        22,
+        17,
+        HookedPin {
+            tick: 86863,
+            instret: 143826,
+            squashed: 76770,
+            stage_events: [220013, 220013, 159193, 16982, 143243],
+            records: [
+                (767, 65936, 12735153853205955859, 12735153853205955857, true, false),
+                (770, 65636, 0, 2, false, false),
+            ],
+        },
+    ),
+    (
+        "deblock",
+        2,
+        5,
+        HookedPin {
+            tick: 21870,
+            instret: 18486,
+            squashed: 504,
+            stage_events: [5861, 5861, 5386, 765, 5357],
+            records: [
+                (13320, 65536, 8, 10, true, false),
+                (13506, 65576, 75768, 75770, false, false),
+            ],
+        },
+    ),
+    (
+        "canneal",
+        20,
+        17,
+        HookedPin {
+            tick: 99076,
+            instret: 372320,
+            squashed: 4434,
+            stage_events: [372217, 372217, 351646, 25771, 367805],
+            records: [
+                (4279, 65888, 6364136223846793005, 6364136223846793007, true, false),
+                (4375, 65612, 0, 2, false, false),
+            ],
+        },
+    ),
+];
+
+/// An early single-bit flip of integer register `reg`.
+fn early_flip(reg: u8, at: u64) -> FaultSpec {
+    FaultSpec {
+        location: FaultLocation::IntReg { core: 0, reg },
+        thread: 0,
+        timing: FaultTiming::Instructions(at),
+        behavior: FaultBehavior::Flip(1),
+        occurrences: 1,
+    }
+}
+
+/// The regime campaign experiments spend their O3 time in: the engine's
+/// hooks live, one fault consumed and one still watched, and the rest of
+/// the run through the elided sprint, which must honour the live watch.
+#[test]
+fn every_small_guest_runs_the_pinned_hooked_o3_stream() {
+    let guests = workloads(Scale::Small);
+    assert_eq!(guests.len(), HOOKED_PINS.len());
+    for (workload, (name, read, untouched, want)) in guests.iter().zip(HOOKED_PINS) {
+        assert_eq!(workload.name(), name);
+        let guest = workload.build();
+        let mut boot =
+            Machine::boot(workload_machine_config(CpuKind::Atomic), &guest.program, NoopHooks)
+                .expect("boots");
+        assert_eq!(boot.run(), RunExit::CheckpointRequest, "{name} reaches its checkpoint");
+        let faults = FaultConfig::from_specs(vec![early_flip(read, 10), early_flip(untouched, 20)]);
+        let mut machine =
+            Machine::restore(&boot.checkpoint(), Some(CpuKind::O3), GemFiEngine::new(faults));
+        let mut exit = machine.run();
+        while exit == RunExit::CheckpointRequest {
+            exit = machine.run();
+        }
+        assert_eq!(exit, RunExit::Halted(0), "{name} must halt cleanly");
+        let records = machine.hooks().records();
+        assert_eq!(records.len(), 2, "{name}: both faults fire");
+        let got = HookedPin {
+            tick: machine.tick(),
+            instret: machine.instret(),
+            squashed: machine.stats().squashed,
+            stage_events: machine.hooks().stage_events(),
+            records: [0, 1].map(|i| {
+                let r = &records[i];
+                (r.tick, r.pc, r.before, r.after, r.consumed, r.overwritten)
+            }),
+        };
+        assert!(got.records[0].4 && !got.records[1].4 && !got.records[1].5, "{name}: {got:?}");
+        assert_eq!(got, want, "{name}");
+    }
 }
