@@ -78,8 +78,8 @@ pub struct PreparedWorkload {
 /// page-table leaves and pages the trunk wrote since that station, with the
 /// chunk and leaf tables that point to them. The first station is priced
 /// over the checkpoint. On the six Default guests a paper-default (O3)
-/// station owns 53–76 KiB, 43 KiB of it the O3 core and its predictor, so
-/// a full line holds about 380; an Atomic station owns about 13 KiB. A
+/// station owns 46–69 KiB, 36 KiB of it the O3 core and its predictor, so
+/// a full line holds about 420; an Atomic station owns about 13 KiB. A
 /// line over budget drops every other station and doubles its spacing, so
 /// the walk covers any kernel length in bounded memory. The budget keeps
 /// `paper_inproc`'s peak RSS below what its lines of 64 whole-array

@@ -29,6 +29,14 @@
 //! the head's slot), a load checks only the older stores, youngest first,
 //! a completion wakes only its registered waiters, and a squash clears the
 //! killed slots from every mask, since the next dispatch reuses them.
+//!
+//! An entry is 112 bytes, written field by field in its slot and read in
+//! place at execute, writeback and commit, never copied whole. Its
+//! operands are three values, three producer slots and a pending mask: a
+//! completion delivers its result to the operands whose pending bit names
+//! its slot, and the entry is ready once the mask is empty. A memory
+//! entry adds only its address; its operand is the instruction's, and a
+//! store keeps its data in the result field.
 
 use crate::exec::{
     alu, branch_target, cmov_cond, exec_latency, fetch_decode, fp_cmov_cond, fpu, load, store,
@@ -36,9 +44,7 @@ use crate::exec::{
 use crate::hooks::FaultHooks;
 use crate::predictor::TournamentPredictor;
 use crate::{StepEvent, StepResult};
-use gemfi_isa::{
-    ArchState, ExecError, Instr, JumpKind, MemOperand, Operand, RegRef, SimError, Trap,
-};
+use gemfi_isa::{ArchState, ExecError, Instr, JumpKind, Operand, RegRef, SimError, Trap};
 use gemfi_kernel::{Kernel, PalOutcome};
 use gemfi_mem::{MemorySystem, Ticks};
 
@@ -78,64 +84,75 @@ enum EntryState {
     Done,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SrcOperand {
-    /// Sequence number of the in-flight producer, if any.
-    producer: Option<u64>,
-    value: u64,
-    ready: bool,
-}
+/// [`RobEntry::flags`]: a serializing instruction (PAL call / GemFI
+/// pseudo-op), which executes its effect at the commit head and flushes
+/// younger instructions.
+const SERIALIZE: u8 = 1;
+/// [`RobEntry::flags`]: the direction fetch predicted for a conditional
+/// branch.
+const PREDICTED_TAKEN: u8 = 1 << 1;
+/// [`RobEntry::flags`]: a memory entry's effective address is known
+/// ([`RobEntry::addr`]).
+const ADDR_KNOWN: u8 = 1 << 2;
+/// [`RobEntry::flags`]: a dispatched store, which drains at commit. A
+/// skipped store is not one: it executes nothing.
+const STORE: u8 = 1 << 3;
+// The other four flag bits are free.
 
-#[derive(Debug, Clone, Copy)]
-struct MemAccess {
-    op: MemOperand,
-    /// Effective address, known after execute.
-    addr: Option<u64>,
-    /// Value to store (post-hook), captured at execute.
-    store_val: u64,
-}
-
+/// One in-flight instruction. It is written in its slot at dispatch and
+/// read in place afterwards, so it is kept small (at most 128 bytes): the
+/// operands are three values, three producer slots and a pending mask, and
+/// a memory access adds only its address, since its operand is the
+/// instruction's and a store's data sits in `result`.
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    /// Sequence number; the entry sits at `slot(seq)`.
-    seq: u64,
     pc: u64,
     /// The PC fetch redirected to after this instruction.
     predicted_next: u64,
     /// Resolved next PC (valid once `Done`).
     actual_next: u64,
-    instr: Option<Instr>,
-    trap: Option<Trap>,
-    state: EntryState,
-    srcs: [Option<SrcOperand>; 3],
-    dst: Option<RegRef>,
+    /// The result; for a store, the data (post-hook) it drains at commit.
     result: u64,
     done_at: Ticks,
-    /// Serializing instruction (PAL call / GemFI pseudo-op): executes its
-    /// effect at the commit head and flushes younger instructions.
-    serialize: bool,
-    mem: Option<MemAccess>,
-    predicted_taken: bool,
+    /// Operand values in [`Instr::src_regs`] order: 0 for an absent
+    /// operand, and for one still pending until its producer wakes it.
+    vals: [u64; 3],
+    /// Effective address of a memory access, once `ADDR_KNOWN` is set.
+    addr: u64,
+    trap: Option<Trap>,
+    instr: Option<Instr>,
+    dst: Option<RegRef>,
+    /// Per operand, the slot of the in-flight producer it waits on while
+    /// its bit in `pending` is set.
+    producers: [u8; 3],
+    /// The operands still waiting for their producer's result, one bit per
+    /// operand.
+    pending: u8,
+    state: EntryState,
+    /// `SERIALIZE`, `PREDICTED_TAKEN`, `ADDR_KNOWN` and `STORE`.
+    flags: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<RobEntry>() <= 128);
+
 impl RobEntry {
-    /// An entry with no operands, no destination and no memory access.
+    /// An entry with no operands, no destination and no memory address.
     fn new(pc: u64, instr: Option<Instr>, next: u64, state: EntryState, now: Ticks) -> RobEntry {
         RobEntry {
-            seq: 0,
             pc,
             predicted_next: next,
             actual_next: next,
-            instr,
-            trap: None,
-            state,
-            srcs: [None, None, None],
-            dst: None,
             result: 0,
             done_at: now,
-            serialize: false,
-            mem: None,
-            predicted_taken: false,
+            vals: [0; 3],
+            addr: 0,
+            trap: None,
+            instr,
+            dst: None,
+            producers: [0; 3],
+            pending: 0,
+            state,
+            flags: 0,
         }
     }
 }
@@ -265,15 +282,36 @@ impl O3Cpu {
         mask.rotate_right(slot(self.head_seq()) as u32)
     }
 
-    /// Writes `entry` into the next sequence number's slot.
-    fn push(&mut self, entry: RobEntry) {
-        let seq = self.next_seq;
-        if entry.mem.is_some_and(|m| m.op.store) {
-            self.stores |= 1 << slot(seq);
-        }
-        self.rob[slot(seq)] = RobEntry { seq, ..entry };
+    /// Starts the next sequence number's entry in its slot, with no
+    /// operands, no destination, no memory address and no flags, and
+    /// returns it. The fields are written in place: building the entry
+    /// elsewhere and copying it in costs a store-forwarding stall per copy.
+    fn start(
+        &mut self,
+        pc: u64,
+        instr: Option<Instr>,
+        next: u64,
+        state: EntryState,
+        now: Ticks,
+    ) -> &mut RobEntry {
+        let at = slot(self.next_seq);
         self.next_seq += 1;
         self.len += 1;
+        let e = &mut self.rob[at];
+        e.pc = pc;
+        e.predicted_next = next;
+        e.actual_next = next;
+        e.result = 0;
+        e.done_at = now;
+        e.vals = [0; 3];
+        e.addr = 0;
+        e.trap = None;
+        e.instr = instr;
+        e.dst = None;
+        e.pending = 0;
+        e.state = state;
+        e.flags = 0;
+        e
     }
 
     /// Kills every entry younger than the one at age `idx`, clears their
@@ -304,19 +342,22 @@ impl O3Cpu {
         self.fetch_ready_at = now + MISPREDICT_PENALTY;
     }
 
-    /// Delivers a completed result to the consumers waiting on it; those
-    /// left with every operand ready become issue candidates.
-    fn wakeup(&mut self, seq: u64, value: u64) {
-        let mut waiting = std::mem::take(&mut self.waiters[slot(seq)]);
+    /// Delivers the result of the producer in slot `producer` to the
+    /// consumers waiting on it; those left with no operand pending become
+    /// issue candidates.
+    fn wakeup(&mut self, producer: usize, value: u64) {
+        let mut waiting = std::mem::take(&mut self.waiters[producer]);
         while waiting != 0 {
             let at = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
             let e = &mut self.rob[at];
-            for s in e.srcs.iter_mut().flatten().filter(|s| s.producer == Some(seq)) {
-                s.value = value;
-                s.ready = true;
+            for k in 0..3 {
+                if e.pending & (1 << k) != 0 && usize::from(e.producers[k]) == producer {
+                    e.vals[k] = value;
+                    e.pending &= !(1 << k);
+                }
             }
-            if e.srcs.iter().flatten().all(|s| s.ready) {
+            if e.pending == 0 {
                 self.ready |= 1 << at;
             }
         }
@@ -344,6 +385,7 @@ impl O3Cpu {
         }
         let pc = self.fetch_pc;
         let seq = self.next_seq;
+        let at = slot(seq);
 
         let (instr, fetch_lat) = match fetch_decode(core, mem, hooks, pc) {
             Ok(v) => v,
@@ -356,10 +398,7 @@ impl O3Cpu {
                 } else {
                     pc
                 };
-                self.push(RobEntry {
-                    trap: Some(t),
-                    ..RobEntry::new(pc, None, next, EntryState::Done, now)
-                });
+                self.start(pc, None, next, EntryState::Done, now).trap = Some(t);
                 self.fetch_parked = true;
                 return Ok(false);
             }
@@ -376,61 +415,25 @@ impl O3Cpu {
         // any other fault on a squashed instruction.
         if hooks.take_skip(core) {
             let next = pc.wrapping_add(4);
-            self.push(RobEntry::new(pc, Some(instr), next, EntryState::Done, now));
+            self.start(pc, Some(instr), next, EntryState::Done, now);
             self.fetch_pc = next;
             return Ok(true);
         }
 
-        let mut entry =
-            RobEntry::new(pc, Some(instr), pc.wrapping_add(4), EntryState::Dispatched, now);
-
         // Serializing instructions execute at the commit head.
         if matches!(instr, Instr::CallPal { .. } | Instr::FiActivate { .. } | Instr::FiReadInit) {
-            entry.serialize = true;
-            entry.state = EntryState::Done;
-            self.push(entry);
+            self.start(pc, Some(instr), pc.wrapping_add(4), EntryState::Done, now).flags =
+                SERIALIZE;
             self.fetch_parked = true; // resume at the post-commit PC
             return Ok(false);
         }
 
-        // Capture operands through the rename table. A producer that has
-        // already completed (but not committed) supplies its result
-        // directly — it will never broadcast again. Operands with no
-        // in-flight producer read the *architectural* register file here at
-        // dispatch: that is the moment a register-file fault is consumed,
-        // so the read hook fires now (forwarded operands never touch the
-        // register file and must not count as consumption). An operand
-        // whose producer is still executing makes the entry its waiter.
-        for (src, reg) in entry.srcs.iter_mut().zip(instr.src_regs()) {
-            let Some(reg) = reg else { continue };
-            let producer = rename_slot(reg).and_then(|r| self.rename[r]);
-            let (value, ready) = match producer {
-                Some(p) => {
-                    if !self.live(p) {
-                        return Err(SimError::new("o3", "renamed producer present in ROB", pc));
-                    }
-                    let p_entry = &self.rob[slot(p)];
-                    if p_entry.state == EntryState::Done {
-                        (p_entry.result, true)
-                    } else {
-                        self.waiters[slot(p)] |= 1 << slot(seq);
-                        (0, false)
-                    }
-                }
-                None => {
-                    hooks.on_reg_read(core, reg);
-                    (arch.read_reg(reg), true)
-                }
-            };
-            *src = Some(SrcOperand { producer, value, ready });
-        }
-        if entry.srcs.iter().flatten().all(|s| s.ready) {
-            self.ready |= 1 << slot(seq);
-        }
-        entry.dst = instr.dst_reg();
-        entry.mem = instr.mem_operand().map(|op| MemAccess { op, addr: None, store_val: 0 });
-
         // Front-end next-PC selection.
+        let mut flags = 0;
+        if instr.mem_operand().is_some_and(|op| op.store) {
+            flags = STORE;
+            self.stores |= 1 << at;
+        }
         let next = match instr {
             Instr::Br { disp, .. } => branch_target(pc, disp),
             Instr::Bsr { disp, .. } => {
@@ -438,9 +441,8 @@ impl O3Cpu {
                 branch_target(pc, disp)
             }
             Instr::CondBr { disp, .. } | Instr::FpCondBr { disp, .. } => {
-                let taken = self.predictor.predict_direction(pc);
-                entry.predicted_taken = taken;
-                if taken {
+                if self.predictor.predict_direction(pc) {
+                    flags |= PREDICTED_TAKEN;
                     branch_target(pc, disp)
                 } else {
                     pc.wrapping_add(4)
@@ -459,12 +461,52 @@ impl O3Cpu {
             }
             _ => pc.wrapping_add(4),
         };
-        entry.predicted_next = next;
+        let dst = instr.dst_reg();
+        let e = self.start(pc, Some(instr), next, EntryState::Dispatched, now);
+        e.actual_next = pc.wrapping_add(4);
+        e.dst = dst;
+        e.flags = flags;
 
-        if let Some(r) = entry.dst.and_then(rename_slot) {
+        // Capture operands through the rename table. A producer that has
+        // already completed (but not committed) supplies its result
+        // directly — it will never broadcast again. Operands with no
+        // in-flight producer read the *architectural* register file here at
+        // dispatch: that is the moment a register-file fault is consumed,
+        // so the read hook fires now (forwarded operands never touch the
+        // register file and must not count as consumption). An operand
+        // whose producer is still executing makes the entry its waiter.
+        // The entry's own sequence number is not in the rename table yet,
+        // so every producer found is older.
+        for (k, reg) in instr.src_regs().into_iter().enumerate() {
+            let Some(reg) = reg else { continue };
+            match rename_slot(reg).and_then(|r| self.rename[r]) {
+                Some(p) => {
+                    if !self.live(p) {
+                        return Err(SimError::new("o3", "renamed producer present in ROB", pc));
+                    }
+                    let p_at = slot(p);
+                    let p_entry = &self.rob[p_at];
+                    if p_entry.state == EntryState::Done {
+                        self.rob[at].vals[k] = p_entry.result;
+                    } else {
+                        self.waiters[p_at] |= 1 << at;
+                        let e = &mut self.rob[at];
+                        e.producers[k] = p_at as u8;
+                        e.pending |= 1 << k;
+                    }
+                }
+                None => {
+                    hooks.on_reg_read(core, reg);
+                    self.rob[at].vals[k] = arch.read_reg(reg);
+                }
+            }
+        }
+        if self.rob[at].pending == 0 {
+            self.ready |= 1 << at;
+        }
+        if let Some(r) = dst.and_then(rename_slot) {
             self.rename[r] = Some(seq);
         }
-        self.push(entry);
         self.fetch_pc = next;
         Ok(true)
     }
@@ -480,27 +522,26 @@ impl O3Cpu {
             let j = (u64::BITS - 1 - older.leading_zeros()) as usize;
             older &= !(1 << j);
             let e = &self.rob[self.slot_at(j)];
-            let Some(m) = e.mem else { continue };
-            match m.addr {
-                // Older store address unknown: conservative wait.
-                None => return Err(()),
-                Some(sa) => {
-                    // Widen to u128: a fault-corrupted base register can put
-                    // `addr` (or `sa`) near u64::MAX, where `addr + width`
-                    // would overflow and abort a debug build.
-                    let overlap = (sa as u128) < addr as u128 + width as u128
-                        && (addr as u128) < sa as u128 + m.op.width as u128;
-                    if !overlap {
-                        continue;
-                    }
-                    if sa == addr && m.op.width == width && e.state == EntryState::Done {
-                        return Ok(Some(m.store_val));
-                    }
-                    // Partial overlap or store not finished: wait until the
-                    // store commits (it will leave the ROB).
-                    return Err(());
-                }
+            let Some(op) = e.instr.and_then(|i| i.mem_operand()) else { continue };
+            // Older store address unknown: conservative wait.
+            if e.flags & ADDR_KNOWN == 0 {
+                return Err(());
             }
+            let sa = e.addr;
+            // Widen to u128: a fault-corrupted base register can put `addr`
+            // (or `sa`) near u64::MAX, where `addr + width` would overflow
+            // and abort a debug build.
+            let overlap = (sa as u128) < addr as u128 + width as u128
+                && (addr as u128) < sa as u128 + op.width as u128;
+            if !overlap {
+                continue;
+            }
+            if sa == addr && op.width == width && e.state == EntryState::Done {
+                return Ok(Some(e.result));
+            }
+            // Partial overlap or store not finished: wait until the store
+            // commits (it will leave the ROB).
+            return Err(());
         }
         Ok(None)
     }
@@ -522,11 +563,11 @@ impl O3Cpu {
     ) -> Result<bool, SimError> {
         let at = self.slot_at(idx);
         let e = &self.rob[at];
-        let (pc, mut mem_state) = (e.pc, e.mem);
+        let pc = e.pc;
         let Some(instr) = e.instr else {
             return Err(SimError::new("o3", "dispatched entries are decoded", pc));
         };
-        let [a, b, old] = e.srcs.map(|s| s.map_or(0, |s| s.value));
+        let [a, b, old] = e.vals;
 
         let mut result = 0u64;
         let mut actual_next = pc.wrapping_add(4);
@@ -587,35 +628,39 @@ impl O3Cpu {
                 let Some(br) = instr.cond_branch() else {
                     return Err(SimError::new("o3", "conditional branches test a register", pc));
                 };
+                let predicted_taken = e.flags & PREDICTED_TAKEN != 0;
                 // Branch inversion hooks in at resolution; the predictor
                 // trains on the post-inversion (architecturally committed)
                 // direction.
                 let taken = hooks.on_branch(core, &instr, br.taken(a));
                 let target = if taken { branch_target(pc, br.disp) } else { pc.wrapping_add(4) };
                 actual_next = hooks.on_execute_result(core, &instr, target);
-                self.predictor.update_direction(pc, taken, e.predicted_taken);
+                self.predictor.update_direction(pc, taken, predicted_taken);
             }
             Instr::Mem { .. } | Instr::Ldt { .. } | Instr::Stt { .. } => {
-                let Some(m) = mem_state.as_mut() else {
+                let Some(op) = instr.mem_operand() else {
                     return Err(SimError::new("o3", "memory entries carry mem state", pc));
                 };
                 // Address generation and its hook run once: a load retried
-                // behind an older store reuses the hooked address.
-                let op = m.op;
-                let addr = *m
-                    .addr
-                    .get_or_insert_with(|| hooks.on_execute_result(core, &instr, op.address(a)));
+                // behind an older store reuses the hooked address. Only
+                // older stores' addresses gate `load_check`, so recording a
+                // load's before the check is safe.
+                let addr = if e.flags & ADDR_KNOWN != 0 {
+                    e.addr
+                } else {
+                    let addr = hooks.on_execute_result(core, &instr, op.address(a));
+                    let e = &mut self.rob[at];
+                    e.addr = addr;
+                    e.flags |= ADDR_KNOWN;
+                    addr
+                };
                 if op.store {
                     // Address generation only; data drains at commit.
-                    m.store_val = hooks.on_mem_store(core, addr, b);
+                    result = hooks.on_mem_store(core, addr, b);
                 } else {
                     match self.load_check(idx, addr, op.width) {
-                        Err(()) => {
-                            // Retry next cycle. Only older stores' addresses
-                            // gate `load_check`, so keeping a load's is safe.
-                            self.rob[at].mem = mem_state;
-                            return Ok(false);
-                        }
+                        // Retry next cycle.
+                        Err(()) => return Ok(false),
                         Ok(Some(fwd)) => {
                             result = hooks.on_mem_load(core, addr, op.extend(fwd));
                             lat = 1; // store-buffer forward
@@ -644,7 +689,6 @@ impl O3Cpu {
         entry.result = result;
         entry.actual_next = actual_next;
         entry.trap = trap;
-        entry.mem = mem_state;
         Ok(true)
     }
 
@@ -662,7 +706,8 @@ impl O3Cpu {
         event: &mut StepEvent,
     ) -> Result<bool, ExecError> {
         let seq = self.head_seq();
-        if self.len == 0 || self.rob[slot(seq)].state != EntryState::Done {
+        let at = slot(seq);
+        if self.len == 0 || self.rob[at].state != EntryState::Done {
             return Ok(false);
         }
         // Register/PC fault window at the committed-instruction boundary
@@ -677,10 +722,11 @@ impl O3Cpu {
         }
         // The head's presence was checked above and nothing in between can
         // shrink the ROB.
-        let e = self.rob[slot(seq)];
         self.len -= 1;
-        self.stores &= !(1 << slot(seq));
-        if e.pc != arch.pc {
+        self.stores &= !(1 << at);
+        let e = &self.rob[at];
+        let pc = e.pc;
+        if pc != arch.pc {
             // A committing entry off the architectural path is a renaming /
             // squash bookkeeping bug, not a guest outcome: report it as an
             // infrastructure error instead of corrupting the run silently.
@@ -690,18 +736,19 @@ impl O3Cpu {
         }
 
         if let Some(t) = e.trap {
-            arch.exc_addr = e.pc;
+            arch.exc_addr = pc;
             return Err(t.into());
         }
 
-        if e.serialize {
-            let Some(instr) = e.instr else {
-                return Err(SimError::new("o3", "serializing entries are decoded", e.pc).into());
-            };
+        let Some(instr) = e.instr else {
+            return Err(SimError::new("o3", "committing entries are decoded", pc).into());
+        };
+
+        if e.flags & SERIALIZE != 0 {
             match instr {
                 Instr::CallPal { func } => {
                     let old_pcbb = arch.pcbb;
-                    arch.pc = e.pc.wrapping_add(4);
+                    arch.pc = pc.wrapping_add(4);
                     match kernel.pal_call(func, arch, mem, now)? {
                         PalOutcome::Continue => {}
                         PalOutcome::Switched => {
@@ -714,20 +761,20 @@ impl O3Cpu {
                     }
                 }
                 Instr::FiActivate { id } => {
-                    arch.pc = e.pc.wrapping_add(4);
+                    arch.pc = pc.wrapping_add(4);
                     hooks.on_fi_activate(core, now, id, arch.pcbb);
                 }
                 Instr::FiReadInit => {
-                    arch.pc = e.pc.wrapping_add(4);
+                    arch.pc = pc.wrapping_add(4);
                     *event = StepEvent::CheckpointRequest;
                 }
                 _ => {
                     return Err(
-                        SimError::new("o3", "only serializers are marked serialize", e.pc).into()
+                        SimError::new("o3", "only serializers are marked serialize", pc).into()
                     );
                 }
             }
-            hooks.on_commit(core, now, e.pc, &instr);
+            hooks.on_commit(core, now, pc, &instr);
             self.stats.committed += 1;
             // The serializer may have changed anything: restart the
             // front-end from the architectural PC.
@@ -735,28 +782,22 @@ impl O3Cpu {
             return Ok(true);
         }
 
-        let Some(instr) = e.instr else {
-            return Err(SimError::new("o3", "committing entries are decoded", e.pc).into());
-        };
-
+        let (dst, result, actual_next) = (e.dst, e.result, e.actual_next);
         // Stores drain to memory at commit (store buffer semantics).
-        if let Some(m) = e.mem.filter(|m| m.op.store) {
-            let Some(addr) = m.addr else {
-                return Err(SimError::new(
-                    "o3",
-                    "stores resolve their address before commit",
-                    e.pc,
-                )
-                .into());
-            };
-            if let Err(t) = store(mem, m.op, addr, m.store_val, e.pc) {
-                arch.exc_addr = e.pc;
+        if let Some(op) = instr.mem_operand().filter(|_| e.flags & STORE != 0) {
+            if e.flags & ADDR_KNOWN == 0 {
+                return Err(
+                    SimError::new("o3", "stores resolve their address before commit", pc).into()
+                );
+            }
+            if let Err(t) = store(mem, op, e.addr, result, pc) {
+                arch.exc_addr = pc;
                 return Err(t.into());
             }
         }
 
-        if let Some(d) = e.dst {
-            arch.write_reg(d, e.result);
+        if let Some(d) = dst {
+            arch.write_reg(d, result);
             hooks.on_reg_write(core, d);
             // Retire from the rename table if this entry is still the
             // youngest producer.
@@ -765,8 +806,8 @@ impl O3Cpu {
             }
         }
 
-        arch.pc = e.actual_next;
-        hooks.on_commit(core, now, e.pc, &instr);
+        arch.pc = actual_next;
+        hooks.on_commit(core, now, pc, &instr);
         self.stats.committed += 1;
         Ok(true)
     }
@@ -815,14 +856,14 @@ impl O3Cpu {
             let e = &mut self.rob[at];
             if e.done_at <= now {
                 e.state = EntryState::Done;
-                let (seq, result, dst) = (e.seq, e.result, e.dst);
+                let (result, has_dst) = (e.result, e.dst.is_some());
                 // Control misprediction?
                 let mispredicted = e.actual_next != e.predicted_next
-                    && e.instr.map(|ins| ins.is_control()).unwrap_or(false);
+                    && e.instr.is_some_and(|ins| ins.is_control());
                 let (redirect, pc) = (e.actual_next, e.pc);
                 self.issued &= !(1 << at);
-                if dst.is_some() {
-                    self.wakeup(seq, result);
+                if has_dst {
+                    self.wakeup(at, result);
                 }
                 if mispredicted {
                     self.predictor.update_target(pc, redirect);
@@ -861,27 +902,30 @@ impl O3Cpu {
     }
 
     /// Recomputes the scheduler masks from the ROB entries and asserts
-    /// that the live ones equal them, and that every live entry sits at
-    /// its sequence number's slot.
+    /// that the live ones equal them, and that every pending operand waits
+    /// on an older in-flight producer.
     #[cfg(test)]
     fn check_schedule(&self) {
         let (mut ready, mut issued, mut stores, mut waiters) = (0, 0, 0, [0u64; SLOTS]);
         assert!(self.len <= ROB_SIZE, "ROB occupancy");
-        for seq in self.head_seq()..self.next_seq {
-            let e = &self.rob[slot(seq)];
-            assert_eq!(e.seq, seq, "entry at slot {}", slot(seq));
-            let bit = 1 << slot(seq);
-            if e.mem.is_some_and(|m| m.op.store) {
+        for idx in 0..self.len {
+            let e = &self.rob[self.slot_at(idx)];
+            let bit = 1 << self.slot_at(idx);
+            if e.flags & STORE != 0 {
                 stores |= bit;
             }
             match e.state {
-                EntryState::Dispatched if e.srcs.iter().flatten().all(|s| s.ready) => ready |= bit,
+                EntryState::Dispatched if e.pending == 0 => ready |= bit,
                 EntryState::Issued => issued |= bit,
                 _ => {}
             }
-            for s in e.srcs.iter().flatten().filter(|s| !s.ready) {
-                let p = s.producer.expect("an operand waits on an in-flight producer");
-                waiters[slot(p)] |= bit;
+            for k in (0..3).filter(|k| e.pending & (1 << k) != 0) {
+                let p = usize::from(e.producers[k]);
+                assert!(
+                    (0..idx).any(|older| self.slot_at(older) == p),
+                    "an operand waits on an older in-flight producer"
+                );
+                waiters[p] |= bit;
             }
         }
         assert_eq!(self.ready, ready, "ready mask");

@@ -94,21 +94,38 @@ impl MemorySystem {
     /// Walks the hierarchy for timing; returns the access latency together
     /// with the (set, way) slots the access landed on at each level.
     fn walk(&mut self, addr: u64, kind: AccessKind) -> (Ticks, AccessPath) {
+        let (lat, l1_way, l2_way) = self.walk_ways(addr, kind);
+        let l1_set = match kind {
+            AccessKind::Fetch => self.l1i.set_of(addr),
+            AccessKind::Read | AccessKind::Write => self.l1d.set_of(addr),
+        };
+        let l2 = l2_way.map(|way| (self.l2.set_of(addr), way));
+        (lat, AccessPath { kind, l1_set, l1_way, l2 })
+    }
+
+    /// Walks the hierarchy for timing only (the lesion-free path): the
+    /// same walk, without locating its slots.
+    #[inline]
+    fn latency(&mut self, addr: u64, kind: AccessKind) -> Ticks {
+        self.walk_ways(addr, kind).0
+    }
+
+    /// The timing walk: the access latency, the L1 way the access landed
+    /// on, and the L2 way when the L1 missed.
+    #[inline]
+    fn walk_ways(&mut self, addr: u64, kind: AccessKind) -> (Ticks, u32, Option<u32>) {
         let write = matches!(kind, AccessKind::Write);
         let (l1, l1_lat) = match kind {
             AccessKind::Fetch => (&mut self.l1i, self.config.l1i.hit_latency),
             AccessKind::Read | AccessKind::Write => (&mut self.l1d, self.config.l1d.hit_latency),
         };
         let a1 = l1.access(addr, write);
-        let l1_set = l1.set_of(addr);
-        let mut path = AccessPath { kind, l1_set, l1_way: a1.way, l2: None };
         let mut lat = l1_lat;
         if a1.hit {
-            return (lat, path);
+            return (lat, a1.way, None);
         }
         // L1 miss: consult L2 (the fill, not the CPU write, owns the line).
         let a2 = self.l2.access(addr, a1.writeback);
-        path.l2 = Some((self.l2.set_of(addr), a2.way));
         lat += self.config.l2.hit_latency;
         if !a2.hit {
             self.dram_accesses += 1;
@@ -119,12 +136,7 @@ impl MemorySystem {
                 self.dram_accesses += 1;
             }
         }
-        (lat, path)
-    }
-
-    /// Walks the hierarchy for timing only (fault-free fast path).
-    fn latency(&mut self, addr: u64, kind: AccessKind) -> Ticks {
-        self.walk(addr, kind).0
+        (lat, a1.way, Some(a2.way))
     }
 
     /// Plants a cache-array lesion (a fired memory-hierarchy fault). The
