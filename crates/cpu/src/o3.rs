@@ -136,25 +136,24 @@ struct RobEntry {
 const _: () = assert!(std::mem::size_of::<RobEntry>() <= 128);
 
 impl RobEntry {
-    /// An entry with no operands, no destination and no memory address.
-    fn new(pc: u64, instr: Option<Instr>, next: u64, state: EntryState, now: Ticks) -> RobEntry {
-        RobEntry {
-            pc,
-            predicted_next: next,
-            actual_next: next,
-            result: 0,
-            done_at: now,
-            vals: [0; 3],
-            addr: 0,
-            trap: None,
-            instr,
-            dst: None,
-            producers: [0; 3],
-            pending: 0,
-            state,
-            flags: 0,
-        }
-    }
+    /// A dead entry: no operands, no destination, no memory address and no
+    /// flags. [`O3Cpu::start`] fills a slot from it.
+    const EMPTY: RobEntry = RobEntry {
+        pc: 0,
+        predicted_next: 0,
+        actual_next: 0,
+        result: 0,
+        done_at: 0,
+        vals: [0; 3],
+        addr: 0,
+        trap: None,
+        instr: None,
+        dst: None,
+        producers: [0; 3],
+        pending: 0,
+        state: EntryState::Done,
+        flags: 0,
+    };
 }
 
 /// Rename-table slot of `reg`: the int bank, then the fp bank. The zero
@@ -212,7 +211,7 @@ impl O3Cpu {
     /// A fresh core that will start fetching at `entry_pc`.
     pub fn new(entry_pc: u64) -> O3Cpu {
         O3Cpu {
-            rob: [RobEntry::new(0, None, 0, EntryState::Done, 0); SLOTS],
+            rob: [RobEntry::EMPTY; SLOTS],
             len: 0,
             next_seq: 0,
             fetch_pc: entry_pc,
@@ -282,10 +281,10 @@ impl O3Cpu {
         mask.rotate_right(slot(self.head_seq()) as u32)
     }
 
-    /// Starts the next sequence number's entry in its slot, with no
-    /// operands, no destination, no memory address and no flags, and
-    /// returns it. The fields are written in place: building the entry
-    /// elsewhere and copying it in costs a store-forwarding stall per copy.
+    /// Starts the next sequence number's entry in its slot, from
+    /// [`RobEntry::EMPTY`], and returns it. The entry is assigned in its
+    /// slot: building it elsewhere and copying it in costs a
+    /// store-forwarding stall per dispatch.
     fn start(
         &mut self,
         pc: u64,
@@ -298,19 +297,15 @@ impl O3Cpu {
         self.next_seq += 1;
         self.len += 1;
         let e = &mut self.rob[at];
-        e.pc = pc;
-        e.predicted_next = next;
-        e.actual_next = next;
-        e.result = 0;
-        e.done_at = now;
-        e.vals = [0; 3];
-        e.addr = 0;
-        e.trap = None;
-        e.instr = instr;
-        e.dst = None;
-        e.pending = 0;
-        e.state = state;
-        e.flags = 0;
+        *e = RobEntry {
+            pc,
+            predicted_next: next,
+            actual_next: next,
+            done_at: now,
+            instr,
+            state,
+            ..RobEntry::EMPTY
+        };
         e
     }
 

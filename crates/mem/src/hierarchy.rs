@@ -103,15 +103,9 @@ impl MemorySystem {
         (lat, AccessPath { kind, l1_set, l1_way, l2 })
     }
 
-    /// Walks the hierarchy for timing only (the lesion-free path): the
-    /// same walk, without locating its slots.
-    #[inline]
-    fn latency(&mut self, addr: u64, kind: AccessKind) -> Ticks {
-        self.walk_ways(addr, kind).0
-    }
-
     /// The timing walk: the access latency, the L1 way the access landed
-    /// on, and the L2 way when the L1 missed.
+    /// on, and the L2 way when the L1 missed. The lesion-free paths take
+    /// only the latency, without locating the sets.
     #[inline]
     fn walk_ways(&mut self, addr: u64, kind: AccessKind) -> (Ticks, u32, Option<u32>) {
         let write = matches!(kind, AccessKind::Write);
@@ -296,7 +290,7 @@ impl MemorySystem {
         let lesioned = self.fetch_lesioned();
         if !lesioned {
             if let Some((raw, instr)) = self.predecode.lookup(pc) {
-                let lat = self.latency(pc, AccessKind::Fetch);
+                let lat = self.walk_ways(pc, AccessKind::Fetch).0;
                 return Ok((raw, Some(instr), lat));
             }
         }
@@ -386,7 +380,7 @@ impl MemorySystem {
     pub fn read_u64(&mut self, addr: u64, pc: u64) -> Result<(u64, Ticks), Trap> {
         let v = self.phys.read_u64(addr, pc)?;
         if self.lesions.is_empty() {
-            let lat = self.latency(addr, AccessKind::Read);
+            let lat = self.walk_ways(addr, AccessKind::Read).0;
             return Ok((v, lat));
         }
         let (lat, path) = self.walk(addr, AccessKind::Read);
@@ -402,7 +396,7 @@ impl MemorySystem {
     pub fn read_u32(&mut self, addr: u64, pc: u64) -> Result<(u32, Ticks), Trap> {
         let v = self.phys.read_u32(addr, pc)?;
         if self.lesions.is_empty() {
-            let lat = self.latency(addr, AccessKind::Read);
+            let lat = self.walk_ways(addr, AccessKind::Read).0;
             return Ok((v, lat));
         }
         let (lat, path) = self.walk(addr, AccessKind::Read);
@@ -420,7 +414,7 @@ impl MemorySystem {
         self.predecode.invalidate_range(addr, 8);
         self.superblocks.invalidate_range(addr, 8);
         if self.lesions.is_empty() {
-            return Ok(self.latency(addr, AccessKind::Write));
+            return Ok(self.walk_ways(addr, AccessKind::Write).0);
         }
         let (lat, path) = self.walk(addr, AccessKind::Write);
         self.lesioned_store(addr, value, 8, &path);
@@ -437,7 +431,7 @@ impl MemorySystem {
         self.predecode.invalidate_range(addr, 4);
         self.superblocks.invalidate_range(addr, 4);
         if self.lesions.is_empty() {
-            return Ok(self.latency(addr, AccessKind::Write));
+            return Ok(self.walk_ways(addr, AccessKind::Write).0);
         }
         let (lat, path) = self.walk(addr, AccessKind::Write);
         self.lesioned_store(addr, u64::from(value), 4, &path);

@@ -88,6 +88,47 @@ fn skip_advances_pc_without_architectural_side_effects() {
     }
 }
 
+/// An activated storing program: a run of `stores` identical-looking
+/// stores writes 1 into each word of a zeroed buffer, then the buffer is
+/// summed and published. Skipping any one of the stores leaves its word
+/// at 0, which loses exactly 1 from the sum.
+fn storing_program(stores: usize) -> Program {
+    let mut a = Assembler::new();
+    a.fi_activate(0);
+    a.la(Reg::R7, "buf");
+    a.li(Reg::R1, 1);
+    for k in 0..stores {
+        a.stq(Reg::R1, 8 * k as i16, Reg::R7);
+    }
+    a.li(Reg::R2, 0);
+    for k in 0..stores {
+        a.ldq(Reg::R3, 8 * k as i16, Reg::R7);
+        a.addq(Reg::R2, Reg::R3, Reg::R2);
+    }
+    a.mov(Reg::R2, Reg::A0);
+    a.write_word();
+    a.exit(0);
+    a.dsym("buf");
+    a.data_u64(&vec![0; stores]);
+    a.finish().expect("assembles")
+}
+
+#[test]
+fn skipped_store_writes_nothing() {
+    // A skipped store occupies a slot and commits but executes nothing: on
+    // O3 it must not drain to memory at commit (it never resolved an
+    // address), and on every model its word keeps the old value.
+    let program = storing_program(10);
+    let spec = "FetchedInstructionInjectedFault Inst:6 Skip Threadid:0 system.cpu0 occ:1";
+    for config in machine_matrix() {
+        let (exit, clean) = run(config, &program, "");
+        assert_eq!((exit, clean), (RunExit::Halted(0), vec![10]), "golden on {}", label(&config));
+        let (exit, words) = run(config, &program, spec);
+        assert_eq!(exit, RunExit::Halted(0), "skipped store stays contained on {}", label(&config));
+        assert_eq!(words, vec![9], "exactly one word left unwritten on {}", label(&config));
+    }
+}
+
 #[test]
 fn skipping_every_instruction_still_terminates() {
     // A permanent skip erases the whole remaining program, including the
