@@ -71,26 +71,8 @@ fn counting_program(incs: usize) -> Program {
     a.finish().expect("assembles")
 }
 
-#[test]
-fn skip_advances_pc_without_architectural_side_effects() {
-    let program = counting_program(10);
-    // Inst:6 lands mid-run on every model and counting convention.
-    let spec = "FetchedInstructionInjectedFault Inst:6 Skip Threadid:0 system.cpu0 occ:1";
-    for config in machine_matrix() {
-        let (exit, clean) = run(config, &program, "");
-        assert_eq!((exit, clean), (RunExit::Halted(0), vec![10]), "golden on {}", label(&config));
-        let (exit, words) = run(config, &program, spec);
-        assert_eq!(exit, RunExit::Halted(0), "skip stays contained on {}", label(&config));
-        // Exactly one increment vanished: the PC advanced over the skipped
-        // instruction (the rest of the run executed) and the destination
-        // register kept its old value (no side effects).
-        assert_eq!(words, vec![9], "exactly one skipped increment on {}", label(&config));
-    }
-}
-
-/// An activated storing program: a run of `stores` identical-looking
-/// stores writes 1 into each word of a zeroed buffer, then the buffer is
-/// summed and published. Skipping any one of the stores leaves its word
+/// An activated storing program: a run of `stores` stores writes 1 into
+/// each word of a zeroed buffer, then the buffer is summed and published. Skipping any one of the stores leaves its word
 /// at 0, which loses exactly 1 from the sum.
 fn storing_program(stores: usize) -> Program {
     let mut a = Assembler::new();
@@ -114,18 +96,27 @@ fn storing_program(stores: usize) -> Program {
 }
 
 #[test]
-fn skipped_store_writes_nothing() {
-    // A skipped store occupies a slot and commits but executes nothing: on
-    // O3 it must not drain to memory at commit (it never resolved an
-    // address), and on every model its word keeps the old value.
-    let program = storing_program(10);
+fn skip_advances_pc_without_architectural_side_effects() {
+    // Inst:6 lands mid-run on every model and counting convention. A
+    // skipped store occupies an O3 slot and commits, but must not drain to
+    // memory at commit: it never resolved an address.
     let spec = "FetchedInstructionInjectedFault Inst:6 Skip Threadid:0 system.cpu0 occ:1";
-    for config in machine_matrix() {
-        let (exit, clean) = run(config, &program, "");
-        assert_eq!((exit, clean), (RunExit::Halted(0), vec![10]), "golden on {}", label(&config));
-        let (exit, words) = run(config, &program, spec);
-        assert_eq!(exit, RunExit::Halted(0), "skipped store stays contained on {}", label(&config));
-        assert_eq!(words, vec![9], "exactly one word left unwritten on {}", label(&config));
+    for program in [counting_program(10), storing_program(10)] {
+        for config in machine_matrix() {
+            let (exit, clean) = run(config, &program, "");
+            assert_eq!(
+                (exit, clean),
+                (RunExit::Halted(0), vec![10]),
+                "golden on {}",
+                label(&config)
+            );
+            let (exit, words) = run(config, &program, spec);
+            assert_eq!(exit, RunExit::Halted(0), "skip stays contained on {}", label(&config));
+            // Exactly one increment or store vanished: the PC advanced over
+            // the skipped instruction (the rest of the run executed) and
+            // its destination kept its old value (no side effects).
+            assert_eq!(words, vec![9], "exactly one skipped instruction on {}", label(&config));
+        }
     }
 }
 
