@@ -30,8 +30,8 @@
 //! a completion wakes only its registered waiters, and a squash clears the
 //! killed slots from every mask, since the next dispatch reuses them.
 //!
-//! An entry is 112 bytes, written field by field in its slot and read in
-//! place at execute, writeback and commit, never copied whole. Its
+//! An entry is 112 bytes, assigned in its slot at dispatch and read in
+//! place at execute, writeback and commit, never copied out whole. Its
 //! operands are three values, three producer slots and a pending mask: a
 //! completion delivers its result to the operands whose pending bit names
 //! its slot, and the entry is ready once the mask is empty. A memory
